@@ -1,13 +1,12 @@
-"""Timing sheet for the three hot kernels, JIT backend vs the numpy twin.
+"""Timing sheet for the three hot numpy kernels.
 
 Usage::
 
-    python3 benchmarks/bench_kernels.py [--repeats 7] [--batch 16]
+    PYTHONPATH=src python3 benchmarks/bench_kernels.py [--repeats 7] [--batch 16]
 
-Each case is called once per backend before timing so JIT compilation and
-allocator warm-up stay out of the numbers; the reported figure is the
-median of the repeat wall times.  The same arrays feed both backends, and
-the result gap is printed next to the speedup as a parity spot check.
+Each case is called once before timing so plan building and allocator
+warm-up stay out of the numbers; the reported figure is the median of the
+repeat wall times.
 """
 
 from __future__ import annotations
@@ -17,7 +16,6 @@ import time
 
 import numpy as np
 
-from kinlat._backend import HAS_NUMBA
 from kinlat.kernels import chain_force_flat, collision_rate, wave_nonlinear
 from kinlat.lattice import LatticeSpec
 
@@ -41,7 +39,7 @@ def _cases(rng, batch: int):
     )
     yield (
         f"wave interaction d=1 N={spec1.N} batch=200",
-        lambda backend: wave_nonlinear(a1, spec1, 0.3, backend=backend),
+        lambda: wave_nonlinear(a1, spec1, 0.3),
     )
 
     spec2 = LatticeSpec(2, 6)
@@ -50,25 +48,25 @@ def _cases(rng, batch: int):
     )
     yield (
         f"wave interaction d=2 N={spec2.N} batch={batch}",
-        lambda backend: wave_nonlinear(a2, spec2, 0.3, backend=backend),
+        lambda: wave_nonlinear(a2, spec2, 0.3),
     )
 
     f1 = rng.uniform(0.1, 1.0, size=256)
     yield (
         "collision rate d=1 m=256",
-        lambda backend: collision_rate(f1, 1, 256, 0.025, "gaussian", 1e-7, backend=backend),
+        lambda: collision_rate(f1, 1, 256, 0.025, "gaussian", 1e-7),
     )
 
     f2 = rng.uniform(0.1, 1.0, size=(20, 20))
     yield (
         "collision rate d=2 m=20",
-        lambda backend: collision_rate(f2, 2, 20, 0.2, "gaussian", 1e-7, backend=backend),
+        lambda: collision_rate(f2, 2, 20, 0.2, "gaussian", 1e-7),
     )
 
     r = rng.normal(size=(batch, 512))
     yield (
         f"chain force direct n=512 batch={batch}",
-        lambda backend: chain_force_flat(r, 1, 512, 0.4, method="direct", backend=backend),
+        lambda: chain_force_flat(r, 1, 512, 0.4, method="direct"),
     )
 
 
@@ -79,28 +77,13 @@ def main() -> int:
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
 
-    if not HAS_NUMBA:
-        print("numba is not importable here; only the numpy path can run")
     rng = np.random.default_rng(args.seed)
 
     width = 44
-    print(f"{'case':<{width}} {'numpy':>10} {'numba':>10} {'speedup':>8}  parity")
+    print(f"{'case':<{width}} {'median':>10}")
     for name, call in _cases(rng, args.batch):
-        call("numpy")  # warm both paths before the clock starts
-        t_np = _median_time(lambda: call("numpy"), args.repeats)
-        if HAS_NUMBA:
-            ref = call("numpy")
-            call("numba")
-            t_nb = _median_time(lambda: call("numba"), args.repeats)
-            gap = float(
-                np.max(np.abs(call("numba") - ref)) / max(1.0, np.max(np.abs(ref)))
-            )
-            print(
-                f"{name:<{width}} {t_np * 1e3:>8.2f}ms {t_nb * 1e3:>8.2f}ms "
-                f"{t_np / t_nb:>7.1f}x  {gap:.1e}"
-            )
-        else:
-            print(f"{name:<{width}} {t_np * 1e3:>8.2f}ms {'-':>10} {'-':>8}")
+        call()  # warm up before the clock starts
+        print(f"{name:<{width}} {_median_time(call, args.repeats) * 1e3:>8.2f}ms")
     return 0
 
 

@@ -184,12 +184,11 @@ def force_array(
     geom: ChainGeometry,
     fp: FractionalParams,
     method: str = "direct",
-    backend: str | None = None,
 ) -> np.ndarray:
     """Batched acceleration for flat ``(..., n_sites)`` displacement arrays."""
     r = _check_sites(geom, r, "displacement")
     flat = r.reshape(-1, geom.n_sites)
-    out = chain_force_flat(flat, geom.d, geom.n, fp.alpha, method, backend)
+    out = chain_force_flat(flat, geom.d, geom.n, fp.alpha, method)
     return out.reshape(r.shape)
 
 
@@ -198,17 +197,15 @@ def force(
     geom: ChainGeometry,
     fp: FractionalParams,
     method: str = "direct",
-    backend: str | None = None,
 ) -> np.ndarray:
     """Per-site acceleration of the long-range coupling; sums to zero."""
-    return force_array(state.r, geom, fp, method, backend)
+    return force_array(state.r, geom, fp, method)
 
 
 def chain_energy(
     state: ChainState | ChainEnsemble,
     geom: ChainGeometry,
     fp: FractionalParams,
-    backend: str | None = None,
 ) -> float | np.ndarray:
     """Conserved energy ``sum v^2/2 + (h^d/4) sum_{x,y} w (r_y - r_x)^2``.
 
@@ -220,7 +217,7 @@ def chain_energy(
     """
     r = _check_sites(geom, state.r, "displacement")
     v = _check_sites(geom, state.v, "velocity")
-    f = force_array(r, geom, fp, backend=backend)
+    f = force_array(r, geom, fp)
     kin = 0.5 * np.sum(v * v, axis=-1)
     pot = -0.5 * np.sum(r * f, axis=-1)
     total = kin + pot
@@ -237,13 +234,13 @@ def mean_displacement(state: ChainState | ChainEnsemble) -> float | np.ndarray:
     return float(out) if out.ndim == 0 else out
 
 
-def _verlet_arrays(r, v, geom, fp, dt, n_steps, method, backend, callback, f0=None):
+def _verlet_arrays(r, v, geom, fp, dt, n_steps, method, callback):
     """Velocity-Verlet core on batched arrays; one force call per step."""
-    f = force_array(r, geom, fp, method, backend) if f0 is None else f0
+    f = force_array(r, geom, fp, method)
     for i in range(n_steps):
         v_half = v + 0.5 * dt * f
         r = r + dt * v_half
-        f = force_array(r, geom, fp, method, backend)
+        f = force_array(r, geom, fp, method)
         v = v_half + 0.5 * dt * f
         if not np.isfinite(r).all() or not np.isfinite(v).all():
             raise NumericalBlowupError("non-finite chain state", step=i)
@@ -258,14 +255,11 @@ def verlet_step(
     fp: FractionalParams,
     dt: float,
     method: str = "direct",
-    backend: str | None = None,
 ) -> ChainState:
     """One velocity-Verlet step (second order, symplectic)."""
     if dt <= 0.0:
         raise ValueError(f"time step must be positive, got {dt}")
-    r, v, _ = _verlet_arrays(
-        state.r.copy(), state.v.copy(), geom, fp, dt, 1, method, backend, None
-    )
+    r, v, _ = _verlet_arrays(state.r.copy(), state.v.copy(), geom, fp, dt, 1, method, None)
     return ChainState(r, v, state.t + dt)
 
 
@@ -276,7 +270,6 @@ def verlet_evolve(
     dt: float,
     n_steps: int,
     method: str = "direct",
-    backend: str | None = None,
     callback: Callable[[int, np.ndarray, np.ndarray, np.ndarray], None] | None = None,
 ):
     """Advance a state or a whole ensemble by ``n_steps`` Verlet steps.
@@ -288,7 +281,7 @@ def verlet_evolve(
     if dt <= 0.0:
         raise ValueError(f"time step must be positive, got {dt}")
     r, v, _ = _verlet_arrays(
-        np.array(state.r), np.array(state.v), geom, fp, dt, n_steps, method, backend, callback
+        np.array(state.r), np.array(state.v), geom, fp, dt, n_steps, method, callback
     )
     t = state.t + dt * n_steps
     if isinstance(state, ChainEnsemble):
@@ -420,7 +413,7 @@ def sample_ensemble(law, geom: ChainGeometry, m: int, seed: int) -> ChainEnsembl
 
     Replica ``i`` is generated from the child stream ``[seed, i]``, so the
     data for a given replica index never depends on how many replicas are
-    requested or how the work is split across workers.
+    requested or how they are batched.
     """
     if m < 1:
         raise ValueError(f"need at least one replica, got {m}")

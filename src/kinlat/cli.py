@@ -2,7 +2,8 @@
 
 One subcommand per pipeline plus ``sweep``; every subcommand takes the
 same flags.  The config file is the source of truth — the flags only
-override its seed / output directory / worker count at invocation time.
+override its seed / output directory at invocation time, and pick how
+many threads run the children of a sweep.
 
 Exit codes: 0 success, 1 configuration problem, 2 numerical failure
 (a last-good snapshot path is printed when one was written), 3 failed
@@ -12,13 +13,11 @@ Exit codes: 0 success, 1 configuration problem, 2 numerical failure
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-from pathlib import Path
 
-from .config import PIPELINES, parse_config
+from .config import PIPELINES, parse_config, read_doc
 from .errors import CheckFailure, ConfigError, NumericalBlowupError
-from .harness import ENV_WORKERS, PIPELINE_METRIC, run
+from .harness import PIPELINE_METRIC, run
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -41,8 +40,9 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--workers",
         type=int,
+        default=1,
         metavar="INT",
-        help=f"thread count for replica chunks (default: ${ENV_WORKERS} or 1); "
+        help="thread count for the children of a sweep (default: 1); "
         "results are identical for any value",
     )
 
@@ -62,21 +62,8 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_doc(path: str) -> dict:
-    p = Path(path)
-    try:
-        doc = json.loads(p.read_text())
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {p}", field="<path>")
-    except json.JSONDecodeError as e:
-        raise ConfigError(f"config is not valid JSON: {e}", field="<root>")
-    if not isinstance(doc, dict):
-        raise ConfigError("config root must be a JSON object", field="<root>")
-    return doc
-
-
 def _effective_config(args: argparse.Namespace):
-    doc = _load_doc(args.config)
+    doc = read_doc(args.config)
     if args.command == "sweep":
         if "sweep" not in doc:
             raise ConfigError("the sweep command needs a sweep block", field="sweep")

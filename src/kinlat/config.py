@@ -46,6 +46,7 @@ __all__ = [
     "SweepConfig",
     "LawConfig",
     "ProfileConfig",
+    "read_doc",
     "load_config",
     "parse_config",
     "config_hash",
@@ -136,8 +137,6 @@ RUN_SCHEMA = {
         "pipeline": {"enum": list(PIPELINES)},
         "seed": {"type": "integer", "minimum": 0},
         "out": {"type": "string", "minLength": 1},
-        "workers": {"type": "integer", "minimum": 1},
-        "backend": {"enum": ["numba", "numpy"]},
         "wave": {
             "type": "object",
             "additionalProperties": False,
@@ -315,8 +314,6 @@ class RunConfig:
     pipeline: str
     seed: int
     out: str = "runs/out"
-    workers: int | None = None
-    backend: str | None = None
     wave: WaveConfig | None = None
     kinetic: KineticConfig | None = None
     compare: CompareConfig | None = None
@@ -387,8 +384,6 @@ def parse_config(doc: dict) -> RunConfig:
         pipeline=pipeline,
         seed=doc["seed"],
         out=doc.get("out", "runs/out"),
-        workers=doc.get("workers"),
-        backend=doc.get("backend"),
         wave=wave,
         kinetic=kinetic,
         compare=compare,
@@ -399,7 +394,8 @@ def parse_config(doc: dict) -> RunConfig:
     )
 
 
-def load_config(path: str | Path) -> RunConfig:
+def read_doc(path: str | Path) -> dict:
+    """Read a config file into its raw JSON object, unvalidated."""
     p = Path(path)
     try:
         doc = json.loads(p.read_text())
@@ -409,7 +405,11 @@ def load_config(path: str | Path) -> RunConfig:
         raise ConfigError(f"config is not valid JSON: {e}", field="<root>")
     if not isinstance(doc, dict):
         raise ConfigError("config root must be a JSON object", field="<root>")
-    return parse_config(doc)
+    return doc
+
+
+def load_config(path: str | Path) -> RunConfig:
+    return parse_config(read_doc(path))
 
 
 def config_hash(cfg: RunConfig) -> str:

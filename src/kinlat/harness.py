@@ -4,10 +4,10 @@
 returns a :class:`RunManifest` listing every produced file with its
 checksum.  Reruns with the same config and seed are byte-identical: seeds
 are explicit, replica streams are keyed ``[seed, replica]``, reductions
-are fixed-order, and worker count only changes scheduling — replica work
-is cut into fixed-size chunks whose shapes never depend on how many
-workers drain them.  Wall-clock timestamps appear in the manifest only,
-and the manifest is not part of its own file list.
+are fixed-order, and wave replicas are integrated in blocks whose rows
+never interact, so the block size cannot change any replica's bytes.
+Worker count only schedules sweep children.  Wall-clock timestamps appear
+in the manifest only, and the manifest is not part of its own file list.
 
 ``sweep`` reruns a base config along one numeric axis (same seed — the
 children share random numbers, which is what makes trend comparisons
@@ -21,14 +21,12 @@ import concurrent.futures
 import copy
 import datetime
 import math
-import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from . import _reference as ref
-from ._backend import default_backend
 from .chain import (
     ChainGeometry,
     FractionalParams,
@@ -93,16 +91,14 @@ __all__ = [
     "CheckResult",
     "run",
     "sweep",
-    "default_workers",
-    "REPLICA_CHUNK",
     "PIPELINE_METRIC",
 ]
 
-ENV_WORKERS = "KINLAT_WORKERS"
-
-# chunk size is a function of nothing: array shapes entering the kernels must
-# not depend on worker count, or bit-identity across pools would be luck
-REPLICA_CHUNK = 8
+# byte budget of one replica block per stepper stage array: large enough to
+# amortize per-call kernel overhead, small enough that the ~11 stage arrays an
+# RK4 step keeps live do not grow with the ensemble; rows never interact, so
+# the block size cannot change results
+BLOCK_BYTES = 64 * 1024
 
 PIPELINE_METRIC = {
     "wt-sim": "reality_defect",
@@ -113,14 +109,6 @@ PIPELINE_METRIC = {
     "mf-compare": "distance_l2",
     "oracle-suite": "n_failed",
 }
-
-
-def default_workers() -> int:
-    raw = os.environ.get(ENV_WORKERS, "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 @dataclass
@@ -135,7 +123,6 @@ class RunManifest:
     pipeline: str
     config_hash: str
     seed: int
-    backend: str
     out_dir: str
     status: str = "ok"
     started: str = ""
@@ -151,7 +138,6 @@ class RunManifest:
             "pipeline": self.pipeline,
             "config_hash": self.config_hash,
             "seed": self.seed,
-            "backend": self.backend,
             "out_dir": self.out_dir,
             "status": self.status,
             "started": self.started,
@@ -169,22 +155,11 @@ class RunManifest:
 def _versions() -> dict:
     from . import __version__
 
-    out = {"kinlat": __version__, "numpy": np.__version__}
-    try:
-        import numba
-
-        out["numba"] = numba.__version__
-    except ImportError:
-        out["numba"] = None
-    return out
+    return {"kinlat": __version__, "numpy": np.__version__}
 
 
 def _utcnow() -> str:
     return datetime.datetime.now(datetime.timezone.utc).isoformat()
-
-
-def _chunks(n: int, size: int = REPLICA_CHUNK) -> list[tuple[int, int]]:
-    return [(i, min(i + size, n)) for i in range(0, n, size)]
 
 
 def _map_ordered(fn, items, workers: int):
@@ -213,18 +188,20 @@ def _file_entries(files, out_dir: Path) -> list[dict]:
 # ---------------------------------------------------------------------------
 
 
-def _integrate_ensemble(a, params, dt, n_steps, scheme, backend, workers):
-    """Advance replica-stacked amplitudes chunk by chunk (fixed chunk size)."""
+def _integrate_ensemble(a, params, dt, n_steps, scheme):
+    """Advance replica-stacked amplitudes one replica block at a time.
 
-    def one(span):
-        i0, i1 = span
-        return _integrate_array(a[i0:i1].copy(), params, dt, n_steps, scheme, backend)
+    ``a`` itself is left untouched, so a blowup in a later block still
+    leaves the segment's starting state for the last-good snapshot.
+    """
+    rows = max(1, BLOCK_BYTES // a[0].nbytes)
+    out = np.empty_like(a)
+    for i in range(0, a.shape[0], rows):
+        out[i : i + rows] = _integrate_array(a[i : i + rows], params, dt, n_steps, scheme)
+    return out
 
-    parts = _map_ordered(one, _chunks(a.shape[0]), workers)
-    return np.concatenate(parts, axis=0)
 
-
-def _drive_wave(cfg: RunConfig, out: Path, backend, workers):
+def _drive_wave(cfg: RunConfig, out: Path):
     w = cfg.wave
     spec = LatticeSpec(w.d, w.half_width)
     params = ModelParams(spec, w.lam)
@@ -247,7 +224,7 @@ def _drive_wave(cfg: RunConfig, out: Path, backend, workers):
     rows = []
     try:
         for seg in segments:
-            a = _integrate_ensemble(a, params, w.dt, seg, w.scheme, backend, workers)
+            a = _integrate_ensemble(a, params, w.dt, seg, w.scheme)
             t += w.dt * seg
             sp = empirical_spectrum(a, spec, t)
             rows.append((t, float(sp.f.sum() * sp.grid.cell_measure), energy_moment(sp, sp.grid)))
@@ -297,7 +274,7 @@ def _make_rule(k) -> ResonanceRule:
     return ResonanceRule(k.epsilon, k.shape, k.omega_floor)
 
 
-def _drive_kinetic(cfg: RunConfig, out: Path, backend, workers):
+def _drive_kinetic(cfg: RunConfig, out: Path):
     k = cfg.kinetic
     grid = TorusGrid(k.d, k.m)
     rule = _make_rule(k)
@@ -310,7 +287,7 @@ def _drive_kinetic(cfg: RunConfig, out: Path, backend, workers):
         rows.append((s.tau, float(s.f.sum() * grid.cell_measure), energy_moment(s, grid)))
 
     diag = CollisionDiagnostics()
-    sp = evolve(sp, grid, rule, k.dtau, k.n_steps, k.scheme, backend, diag, on_step)
+    sp = evolve(sp, grid, rule, k.dtau, k.n_steps, k.scheme, diag, on_step)
     files.append(write_spectrum_csv(out / "spectrum_final.csv", sp))
     files.append(
         write_csv(
@@ -320,7 +297,7 @@ def _drive_kinetic(cfg: RunConfig, out: Path, backend, workers):
             comments=["kinetic moments; tau dimensionless"],
         )
     )
-    rate = collision(sp, grid, rule, backend)
+    rate = collision(sp, grid, rule)
     stat = float(np.sum(np.abs(rate)) * grid.cell_measure)
     metrics = {
         "tau_final": sp.tau,
@@ -342,7 +319,7 @@ def _drive_kinetic(cfg: RunConfig, out: Path, backend, workers):
     return files, metrics, checks
 
 
-def _drive_wt_compare(cfg: RunConfig, out: Path, backend, workers):
+def _drive_wt_compare(cfg: RunConfig, out: Path):
     w, k, c = cfg.wave, cfg.kinetic, cfg.compare
     if w.lam <= 0.0:
         raise ConfigError("the kinetic comparison needs lam > 0", field="wave.lam")
@@ -353,7 +330,7 @@ def _drive_wt_compare(cfg: RunConfig, out: Path, backend, workers):
     ens = EnsembleSpec(w.replicas, cfg.seed, build_profile(w.profile))
     a, _ = stack_ensemble(sample_initial(ens, spec))
     micro0 = empirical_spectrum(a, spec, 0.0)
-    a = _integrate_ensemble(a, params, w.dt, n_steps, w.scheme, backend, workers)
+    a = _integrate_ensemble(a, params, w.dt, n_steps, w.scheme)
     micro = empirical_spectrum(a, spec, n_steps * w.dt)
     micro.tau = w.lam**2 * micro.tau  # report on the slow clock
 
@@ -364,7 +341,7 @@ def _drive_wt_compare(cfg: RunConfig, out: Path, backend, workers):
     f0 = np.asarray(build_profile(w.profile)(nodes(grid)), dtype=np.float64)
     kin0 = Spectrum(grid, f0, 0.0)
     n_tau = max(1, round(c.tau_final / k.dtau))
-    kin = evolve(kin0, grid, rule, k.dtau, n_tau, k.scheme, backend)
+    kin = evolve(kin0, grid, rule, k.dtau, n_tau, k.scheme)
 
     dist = compare_spectra(kin, micro)
     dist0 = compare_spectra(kin0, micro0)
@@ -404,12 +381,12 @@ def _drive_wt_compare(cfg: RunConfig, out: Path, backend, workers):
     return files, metrics, checks
 
 
-def _drive_chain(cfg: RunConfig, out: Path, backend, workers):
+def _drive_chain(cfg: RunConfig, out: Path):
     c = cfg.chain
     geom = ChainGeometry(c.d, c.n)
     fp = FractionalParams(c.alpha, c.d)
     ens = sample_ensemble(build_law(c.law), geom, c.replicas, cfg.seed)
-    e0 = np.atleast_1d(chain_energy(ens, geom, fp, backend=backend))
+    e0 = np.atleast_1d(chain_energy(ens, geom, fp))
     p0 = np.atleast_1d(total_momentum(ens))
     rows = [(0.0, float(np.mean(e0)), float(np.mean(p0)))]
     sample_every = c.save_every if c.save_every > 0 else max(1, c.n_steps)
@@ -429,7 +406,7 @@ def _drive_chain(cfg: RunConfig, out: Path, backend, workers):
             rows.append(((i + 1) * c.dt, float(np.mean(e)), float(np.mean(p))))
 
     try:
-        ens = verlet_evolve(ens, geom, fp, c.dt, c.n_steps, c.force_method, backend, on_step)
+        ens = verlet_evolve(ens, geom, fp, c.dt, c.n_steps, c.force_method, on_step)
     except NumericalBlowupError as e:
         r_last, v_last, t_last = track["last"]
         snap = write_chain_snapshot_csv(
@@ -473,7 +450,7 @@ def _drive_chain(cfg: RunConfig, out: Path, backend, workers):
     return files, metrics, checks
 
 
-def _drive_vlasov(cfg: RunConfig, out: Path, backend, workers):
+def _drive_vlasov(cfg: RunConfig, out: Path):
     v = cfg.vlasov
     grid = PhaseGrid(v.mx, v.mr, v.mv, v.r_max, v.v_max)
     fp = FractionalParams(v.alpha, 1)
@@ -537,7 +514,7 @@ def _paired_laws(cfg: RunConfig, grid: PhaseGrid):
     return law_chain, law_pde, sigma_pde
 
 
-def _drive_mf_compare(cfg: RunConfig, out: Path, backend, workers):
+def _drive_mf_compare(cfg: RunConfig, out: Path):
     c, v, cmp_ = cfg.chain, cfg.vlasov, cfg.compare
     if c.alpha != v.alpha:
         raise ConfigError("chain and transport blocks must share alpha", field="vlasov.alpha")
@@ -554,7 +531,7 @@ def _drive_mf_compare(cfg: RunConfig, out: Path, backend, workers):
         )
     law_chain, law_pde, sigma_pde = _paired_laws(cfg, grid)
     ens = sample_ensemble(law_chain, geom, c.replicas, cfg.seed)
-    ens = verlet_evolve(ens, geom, fp, c.dt, n_chain, c.force_method, backend)
+    ens = verlet_evolve(ens, geom, fp, c.dt, n_chain, c.force_method)
     g0 = density_from_law(law_pde, grid)
     g, diag = vlasov_evolve(g0, fp, v.dt, n_pde, v.interp, v.cfl_fraction)
     # the two clocks agree to round-off; stamp them equal for the comparison
@@ -666,7 +643,7 @@ def _oracle_cases(seed: int):
     return cases
 
 
-def _drive_oracles(cfg: RunConfig, out: Path, backend, workers):
+def _drive_oracles(cfg: RunConfig, out: Path):
     results = []
     n_failed = 0
     for name, value, tol in _oracle_cases(cfg.seed):
@@ -702,31 +679,28 @@ def run(
     cfg: RunConfig,
     out: str | Path | None = None,
     check: bool = False,
-    workers: int | None = None,
+    workers: int = 1,
 ) -> RunManifest:
     """Execute one pipeline (or its sweep wrapper) and write the manifest.
 
     With ``check=True`` the per-pipeline assertions must all pass or
     :class:`CheckFailure` is raised (after the manifest is written).
+    ``workers`` only threads the children of a sweep.
     """
     if cfg.sweep is not None:
         return sweep(cfg, out=out, check=check, workers=workers)
     out_dir = Path(out) if out is not None else Path(cfg.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    if workers is None:
-        workers = cfg.workers if cfg.workers is not None else default_workers()
-    backend = cfg.backend  # None lets each kernel pick its default
     manifest = RunManifest(
         pipeline=cfg.pipeline,
         config_hash=config_hash(cfg),
         seed=cfg.seed,
-        backend=backend or default_backend(),
         out_dir=str(out_dir),
         started=_utcnow(),
         versions=_versions(),
     )
     try:
-        files, metrics, checks = _DRIVERS[cfg.pipeline](cfg, out_dir, backend, workers)
+        files, metrics, checks = _DRIVERS[cfg.pipeline](cfg, out_dir)
     except NumericalBlowupError as e:
         manifest.status = "numerical-failure"
         manifest.metrics = {"error": str(e)}
@@ -772,13 +746,14 @@ def sweep(
     cfg: RunConfig,
     out: str | Path | None = None,
     check: bool = False,
-    workers: int | None = None,
+    workers: int = 1,
 ) -> RunManifest:
     """Rerun the base pipeline along the sweep axis and grade the trend.
 
-    Children share the base seed (common random numbers).  The aggregate
-    table carries the pipeline's headline metric per axis value; the
-    verdict is ``non-increasing`` when every successive difference is
+    Children share the base seed (common random numbers) and run on up to
+    ``workers`` threads; their outputs do not depend on the thread count.
+    The aggregate table carries the pipeline's headline metric per axis
+    value; the verdict is ``non-increasing`` when every successive difference is
     non-positive up to a relative slack of 1e-9, ``violated`` otherwise,
     and ``partial`` when any child failed.
     """
@@ -786,8 +761,6 @@ def sweep(
         raise ConfigError("sweep invoked without a sweep block", field="sweep")
     out_dir = Path(out) if out is not None else Path(cfg.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    if workers is None:
-        workers = cfg.workers if cfg.workers is not None else default_workers()
     metric = PIPELINE_METRIC[cfg.pipeline]
     axis, values = cfg.sweep.axis, list(cfg.sweep.values)
 
@@ -798,7 +771,7 @@ def sweep(
         child = parse_config(child_doc)
         child_out = out_dir / f"{axis.replace('.', '-')}={value:g}"
         try:
-            man = run(child, out=child_out, check=False, workers=1)
+            man = run(child, out=child_out, check=False)
             return {
                 "value": value,
                 "dir": child_out.name,
@@ -852,7 +825,6 @@ def sweep(
         pipeline=cfg.pipeline,
         config_hash=config_hash(cfg),
         seed=cfg.seed,
-        backend=cfg.backend or default_backend(),
         out_dir=str(out_dir),
         started=_utcnow(),
         versions=_versions(),

@@ -1,16 +1,10 @@
-"""Hot numerical kernels, each in a numba and a pure-numpy flavor.
+"""Hot numerical kernels, one vectorized numpy implementation each.
 
 Three inner loops dominate every pipeline: the quadratic interaction sum of
 the lattice wave system, the discrete collision operator of the three-wave
 kinetic equation, and the all-pairs force of the long-range chain.  Each is
-implemented twice:
-
-* ``*_direct``  - explicit loops compiled with ``numba.njit``;
-* ``*_numpy``   - vectorized numpy (FFT convolution where the sum is one).
-
-`kinlat._backend` picks the default; every public entry point also accepts
-``backend="numba"|"numpy"`` explicitly.  The two flavors agree to round-off
-and are timed against each other in ``benchmarks/bench_kernels.py``.
+vectorized numpy (FFT convolution where the sum is one) and is held against
+the literal-loop oracles of :mod:`kinlat._reference`.
 
 Layout conventions: spectral arrays arrive in the shifted (ascending
 wavenumber) order of :mod:`kinlat.lattice`; kernels flatten them C-style, so
@@ -24,8 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._backend import njit, resolve_backend
-from .lattice import LatticeSpec, inverse_omega_bar_grid, wavenumbers
+from .lattice import LatticeSpec, inverse_omega_bar_grid
 
 __all__ = [
     "wave_nonlinear",
@@ -45,48 +38,17 @@ PROFILE_CODES = {"gaussian": 0, "lorentzian": 1}
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=32)
-def _wave_tables(spec: LatticeSpec):
-    kvecs = np.ascontiguousarray(wavenumbers(spec).reshape(spec.n_sites, spec.d))
-    winv = np.ascontiguousarray(inverse_omega_bar_grid(spec).reshape(-1))
-    return kvecs, winv
+def wave_nonlinear(a: np.ndarray, spec: LatticeSpec, lam: float) -> np.ndarray:
+    """Quadratic interaction term of the amplitude equations.
 
-
-@njit(cache=True)
-def _wave_nl_direct(a, kvecs, winv, D, N, lam):
-    # a: (batch, 2, n) complex128, sigma index 0 <-> +1, 1 <-> -1
-    B, _, n = a.shape
-    d = kvecs.shape[1]
-    hd = 1.0 / N**d  # lattice measure h^d on the constrained pair sum
-    out = np.zeros_like(a)
-    for b in range(B):
-        for si in range(2):
-            sigma = 1 - 2 * si
-            for ik in range(n):
-                if winv[ik] == 0.0:
-                    continue
-                acc = 0.0 + 0.0j
-                for s1 in range(2):
-                    sig1 = 1 - 2 * s1
-                    for s2 in range(2):
-                        sig2 = 1 - 2 * s2
-                        for i1 in range(n):
-                            if winv[i1] == 0.0:
-                                continue
-                            # unique k2 in the window with
-                            # sig1*k1 + sig2*k2 = sigma*k (mod N)
-                            i2 = 0
-                            for c in range(d):
-                                kc = sig2 * (sigma * kvecs[ik, c] - sig1 * kvecs[i1, c])
-                                i2 = i2 * N + (kc + D) % N
-                            if winv[i2] == 0.0:
-                                continue
-                            acc += winv[i1] * winv[i2] * a[b, s1, i1] * a[b, s2, i2]
-                out[b, si, ik] = -1j * sigma * lam * hd * 0.125 * winv[ik] * acc
-    return out
-
-
-def _wave_nl_fft(a: np.ndarray, spec: LatticeSpec, lam: float) -> np.ndarray:
+    ``a`` has shape ``batch + (2,) + (N,)*d`` (sigma axis before the grid
+    axes, shifted wavenumber order).  Returns the same shape.  The pair sum
+    over the momentum constraint carries the lattice measure ``h**d``, and
+    the zero mode is excluded on input and output through the masked
+    ``1/omega_bar`` table.
+    """
+    if lam == 0.0:
+        return np.zeros_like(a)
     # The four sign-pair sums collapse into one cyclic self-convolution of
     # w = u(+) + flip(u(-)), with u(s) = a(., s) / omega_bar.
     d = spec.d
@@ -104,28 +66,6 @@ def _wave_nl_fft(a: np.ndarray, spec: LatticeSpec, lam: float) -> np.ndarray:
     return np.stack([nl_plus, nl_minus], axis=s_ax)
 
 
-def wave_nonlinear(
-    a: np.ndarray, spec: LatticeSpec, lam: float, backend: str | None = None
-) -> np.ndarray:
-    """Quadratic interaction term of the amplitude equations.
-
-    ``a`` has shape ``batch + (2,) + (N,)*d`` (sigma axis before the grid
-    axes, shifted wavenumber order).  Returns the same shape.  The pair sum
-    over the momentum constraint carries the lattice measure ``h**d``, and
-    the zero mode is excluded on input and output through the masked
-    ``1/omega_bar`` table.
-    """
-    if lam == 0.0:
-        return np.zeros_like(a)
-    if resolve_backend(backend) == "numpy":
-        return _wave_nl_fft(a, spec, lam)
-    kvecs, winv = _wave_tables(spec)
-    lead = a.shape[: a.ndim - spec.d - 1]
-    flat = np.ascontiguousarray(a.reshape((-1, 2, spec.n_sites)))
-    out = _wave_nl_direct(flat, kvecs, winv, spec.D, spec.N, float(lam))
-    return out.reshape(lead + (2,) + spec.shape)
-
-
 # ---------------------------------------------------------------------------
 # three-wave collision operator
 # ---------------------------------------------------------------------------
@@ -137,7 +77,7 @@ def _torus_tables(d: int, m: int):
     mesh = np.meshgrid(*([ax] * d), indexing="ij")
     jvecs = np.stack(mesh, axis=-1).reshape(m**d, d)
     omega = np.sum(np.sin(TWO_PI * jvecs / m) ** 2, axis=-1)
-    return np.ascontiguousarray(jvecs), np.ascontiguousarray(omega)
+    return jvecs, omega
 
 
 def _flat_index(jvecs: np.ndarray, m: int) -> np.ndarray:
@@ -170,63 +110,8 @@ def _collision_plan(d: int, m: int, eps: float, code: int, floor: float):
     return idx_a, idx_b, w1, w2
 
 
-def _collision_numpy(f, d, m, eps, code, floor):
-    idx_a, idx_b, w1, w2 = _collision_plan(d, m, eps, code, floor)
-    f1 = f[None, :]
-    f2a = f[idx_a]
-    f2b = f[idx_b]
-    term1 = (w1 * (f1 * f2a - f[:, None] * f1 - f[:, None] * f2a)).sum(axis=1)
-    term2 = (w2 * (f2b * f[:, None] - f[:, None] * f1 - f1 * f2b)).sum(axis=1)
-    return (term1 - 2.0 * term2) / m**d
-
-
-@njit(cache=True)
-def _collision_direct(f, omega, kinv, jvecs, m, eps, code):
-    n = f.shape[0]
-    d = jvecs.shape[1]
-    out = np.zeros(n)
-    inv_meas = 1.0 / m**d
-    for ik in range(n):
-        if kinv[ik] == 0.0:
-            continue
-        fk = f[ik]
-        acc = 0.0
-        for i1 in range(n):
-            if kinv[i1] == 0.0:
-                continue
-            ia = 0
-            ib = 0
-            for c in range(d):
-                ia = ia * m + (jvecs[ik, c] - jvecs[i1, c]) % m
-                ib = ib * m + (jvecs[i1, c] - jvecs[ik, c]) % m
-            if kinv[ia] != 0.0:
-                du = omega[ik] - omega[i1] - omega[ia]
-                if code == 0:
-                    phi = np.exp(-0.5 * (du / eps) ** 2) / (eps * _SQRT_2PI)
-                else:
-                    phi = (eps / np.pi) / (du * du + eps * eps)
-                w = 0.125 * kinv[ik] * kinv[i1] * kinv[ia] * phi
-                acc += w * (f[i1] * f[ia] - fk * f[i1] - fk * f[ia])
-            if kinv[ib] != 0.0:
-                du = omega[i1] - omega[ik] - omega[ib]
-                if code == 0:
-                    phi = np.exp(-0.5 * (du / eps) ** 2) / (eps * _SQRT_2PI)
-                else:
-                    phi = (eps / np.pi) / (du * du + eps * eps)
-                w = 0.125 * kinv[ik] * kinv[i1] * kinv[ib] * phi
-                acc -= 2.0 * w * (f[ib] * fk - fk * f[i1] - f[i1] * f[ib])
-        out[ik] = acc * inv_meas
-    return out
-
-
 def collision_rate(
-    f: np.ndarray,
-    d: int,
-    m: int,
-    eps: float,
-    profile: str,
-    floor: float,
-    backend: str | None = None,
+    f: np.ndarray, d: int, m: int, eps: float, profile: str, floor: float
 ) -> np.ndarray:
     """Collision operator on the uniform torus grid ``j/m``, flat C order.
 
@@ -234,15 +119,17 @@ def collision_rate(
     broadened to a unit-mass profile of width ``eps``.  Modes with dispersion
     below ``floor`` neither receive nor donate. Quadrature weight ``m**-d``.
     """
-    code = PROFILE_CODES[profile]
     flat = np.ascontiguousarray(f, dtype=np.float64).reshape(-1)
-    if resolve_backend(backend) == "numpy":
-        out = _collision_numpy(flat, d, m, float(eps), code, float(floor))
-    else:
-        jvecs, omega = _torus_tables(d, m)
-        kinv = np.where(omega >= floor, 1.0, 0.0) / np.where(omega >= floor, omega, 1.0)
-        out = _collision_direct(flat, omega, kinv, jvecs, m, float(eps), code)
-    return out.reshape(f.shape)
+    idx_a, idx_b, w1, w2 = _collision_plan(
+        d, m, float(eps), PROFILE_CODES[profile], float(floor)
+    )
+    f1 = flat[None, :]
+    fk = flat[:, None]
+    f2a = flat[idx_a]
+    f2b = flat[idx_b]
+    term1 = (w1 * (f1 * f2a - fk * f1 - fk * f2a)).sum(axis=1)
+    term2 = (w2 * (f2b * fk - fk * f1 - f1 * f2b)).sum(axis=1)
+    return ((term1 - 2.0 * term2) / m**d).reshape(f.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +145,7 @@ def chain_kernel_table(d: int, n: int, alpha: float):
     half-way offset is its own mirror and the kernel is even).  Returns
     ``(w, wsum, wmat)``: the kernel over offsets in natural site order with
     ``w[0] = 0``, its total, and the full symmetric coupling matrix used by
-    the vectorized direct path.
+    the direct path.
     """
     h = 1.0 / n
     half = n // 2
@@ -275,24 +162,6 @@ def chain_kernel_table(d: int, n: int, alpha: float):
     return w, float(w.sum()), wmat
 
 
-@njit(cache=True)
-def _chain_force_direct(r, wmat, h_d):
-    B, n = r.shape
-    out = np.zeros_like(r)
-    for b in range(B):
-        for x in range(n):
-            acc = 0.0
-            rx = r[b, x]
-            for y in range(n):
-                acc += wmat[x, y] * (r[b, y] - rx)
-            out[b, x] = h_d * acc
-    return out
-
-
-def _chain_force_numpy(r, wmat, wsum, h_d):
-    return h_d * (r @ wmat - wsum * r)
-
-
 def _chain_force_circulant(r, w_grid, wsum, h_d, shape):
     rg = r.reshape(r.shape[:-1] + shape)
     gax = tuple(range(rg.ndim - len(shape), rg.ndim))
@@ -302,18 +171,13 @@ def _chain_force_circulant(r, w_grid, wsum, h_d, shape):
 
 
 def chain_force_flat(
-    r: np.ndarray,
-    d: int,
-    n: int,
-    alpha: float,
-    method: str = "direct",
-    backend: str | None = None,
+    r: np.ndarray, d: int, n: int, alpha: float, method: str = "direct"
 ) -> np.ndarray:
     """Acceleration ``h^d sum_{y != x} (r_y - r_x)/|y-x|^(d+2a)``, flat sites.
 
-    ``r`` is ``(batch, n**d)``.  ``method="circulant"`` evaluates the same
-    sum as an FFT convolution; it must (and does, to 1e-12) agree with the
-    direct path.
+    ``r`` is ``(batch, n**d)``.  ``method="direct"`` applies the dense
+    coupling matrix; ``method="circulant"`` evaluates the same sum as an FFT
+    convolution and agrees with it to 1e-12.
     """
     w, wsum, wmat = chain_kernel_table(d, n, float(alpha))
     h_d = (1.0 / n) ** d
@@ -322,6 +186,4 @@ def chain_force_flat(
         return _chain_force_circulant(r, w.reshape(shape), wsum, h_d, shape)
     if method != "direct":
         raise ValueError(f"unknown force method {method!r}")
-    if resolve_backend(backend) == "numpy":
-        return _chain_force_numpy(r, wmat, wsum, h_d)
-    return _chain_force_direct(np.ascontiguousarray(r, dtype=np.float64), wmat, h_d)
+    return h_d * (r @ wmat - wsum * r)

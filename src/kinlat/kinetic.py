@@ -154,15 +154,12 @@ def collision(
     f: Spectrum | np.ndarray,
     grid: TorusGrid,
     rule: ResonanceRule,
-    backend: str | None = None,
 ) -> np.ndarray:
     """Collision rate ``C[f]`` on the grid (same shape as ``f``)."""
     arr = f.f if isinstance(f, Spectrum) else np.asarray(f, dtype=np.float64)
     if arr.shape != grid.shape:
         raise SizeMismatchError(f"spectrum shape {arr.shape} vs grid {grid.shape}")
-    return collision_rate(
-        arr, grid.d, grid.m, rule.epsilon, rule.profile, rule.omega_floor, backend
-    )
+    return collision_rate(arr, grid.d, grid.m, rule.epsilon, rule.profile, rule.omega_floor)
 
 
 def step(
@@ -171,7 +168,6 @@ def step(
     rule: ResonanceRule,
     dtau: float,
     scheme: str = "rk4",
-    backend: str | None = None,
     diag: CollisionDiagnostics | None = None,
 ) -> Spectrum:
     """One explicit time step of ``df/dtau = C[f]``.
@@ -184,13 +180,13 @@ def step(
         raise SizeMismatchError(f"spectrum grid {f.grid} vs requested {grid}")
     y = f.f
     if scheme == "rk4":
-        k1 = collision(y, grid, rule, backend)
-        k2 = collision(y + 0.5 * dtau * k1, grid, rule, backend)
-        k3 = collision(y + 0.5 * dtau * k2, grid, rule, backend)
-        k4 = collision(y + dtau * k3, grid, rule, backend)
+        k1 = collision(y, grid, rule)
+        k2 = collision(y + 0.5 * dtau * k1, grid, rule)
+        k3 = collision(y + 0.5 * dtau * k2, grid, rule)
+        k4 = collision(y + dtau * k3, grid, rule)
         new = y + dtau / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     elif scheme == "euler":
-        new = y + dtau * collision(y, grid, rule, backend)
+        new = y + dtau * collision(y, grid, rule)
     else:
         raise ValueError(f"unknown scheme {scheme!r}")
     if not np.all(np.isfinite(new)) or np.max(np.abs(new)) > BLOWUP_BOUND:
@@ -214,13 +210,12 @@ def evolve(
     dtau: float,
     n_steps: int,
     scheme: str = "rk4",
-    backend: str | None = None,
     diag: CollisionDiagnostics | None = None,
     callback=None,
 ) -> Spectrum:
     """Repeat :func:`step`; ``callback(i, spectrum)`` fires after each step."""
     for i in range(n_steps):
-        f = step(f, grid, rule, dtau, scheme, backend, diag)
+        f = step(f, grid, rule, dtau, scheme, diag)
         if callback is not None:
             callback(i, f)
     return f

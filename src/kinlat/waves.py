@@ -149,20 +149,20 @@ def reality_defect(state: AmplitudeState) -> float:
     return float(np.max(np.abs(state.a[1] - np.conj(state.a[0]))))
 
 
-def rhs(state: AmplitudeState, params: ModelParams, backend: str | None = None) -> np.ndarray:
+def rhs(state: AmplitudeState, params: ModelParams) -> np.ndarray:
     """Time derivative of the amplitude array (same shape as ``state.a``)."""
     a = _check_state(params.spec, state.a)
-    return _rhs_array(a, params, backend)
+    return _rhs_array(a, params)
 
 
-def _rhs_array(a: np.ndarray, params: ModelParams, backend: str | None = None) -> np.ndarray:
+def _rhs_array(a: np.ndarray, params: ModelParams) -> np.ndarray:
     spec = params.spec
     wbar = omega_bar_grid(spec)
     sgn = np.array([1.0, -1.0]).reshape((2,) + (1,) * spec.d)
     lin = -1j * sgn * wbar * a
     if params.lam == 0.0:
         return lin
-    return lin + wave_nonlinear(a, spec, params.lam, backend)
+    return lin + wave_nonlinear(a, spec, params.lam)
 
 
 def hamiltonian_terms(
@@ -215,7 +215,6 @@ def _integrate_array(
     dt: float,
     n_steps: int,
     scheme: str = "exponential",
-    backend: str | None = None,
     check_every: int = 50,
     callback: Callable[[int, np.ndarray], None] | None = None,
 ) -> np.ndarray:
@@ -225,7 +224,7 @@ def _integrate_array(
         e2, e1 = _phase_factors(spec, dt)
 
         def nl(x):
-            return wave_nonlinear(x, spec, params.lam, backend)
+            return wave_nonlinear(x, spec, params.lam)
 
         for i in range(n_steps):
             k1 = nl(a)
@@ -239,10 +238,10 @@ def _integrate_array(
                 callback(i, a)
     elif scheme == "rk4":
         for i in range(n_steps):
-            k1 = _rhs_array(a, params, backend)
-            k2 = _rhs_array(a + 0.5 * dt * k1, params, backend)
-            k3 = _rhs_array(a + 0.5 * dt * k2, params, backend)
-            k4 = _rhs_array(a + dt * k3, params, backend)
+            k1 = _rhs_array(a, params)
+            k2 = _rhs_array(a + 0.5 * dt * k1, params)
+            k3 = _rhs_array(a + 0.5 * dt * k2, params)
+            k4 = _rhs_array(a + dt * k3, params)
             a = a + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             _maybe_check(a, i, check_every, n_steps)
             if callback is not None:
@@ -265,7 +264,6 @@ def integrate(
     dt: float,
     n_steps: int,
     scheme: str = "exponential",
-    backend: str | None = None,
     check_every: int = 50,
 ) -> AmplitudeState:
     """Advance the amplitude flow by ``n_steps`` steps of size ``dt``.
@@ -276,9 +274,7 @@ def integrate(
     classical rule on the full right-hand side.
     """
     a = _check_state(params.spec, state.a)
-    out = _integrate_array(
-        a.copy(), params, dt, n_steps, scheme, backend, check_every
-    )
+    out = _integrate_array(a.copy(), params, dt, n_steps, scheme, check_every)
     return AmplitudeState(out, state.t + dt * n_steps)
 
 
@@ -328,7 +324,7 @@ def _sample_array(ens: EnsembleSpec, spec: LatticeSpec) -> np.ndarray:
     out = np.empty((ens.m, 2) + spec.shape, dtype=np.complex128)
     for i in range(ens.m):
         # per-replica generator: replica i is identical no matter how many
-        # replicas are drawn or on which worker
+        # replicas are drawn
         rng = np.random.default_rng(np.random.SeedSequence([ens.seed, i]))
         theta = 2.0 * np.pi * rng.random(spec.shape)
         a_plus = root * np.exp(1j * theta)

@@ -296,7 +296,7 @@ def test_07_chain_conservation_budgets():
                 pot = -0.5 * np.sum(r * f, axis=-1)
                 samples.append(((i + 1) * dt, float(np.mean(kin + pot))))
 
-        out = verlet_evolve(ens, geom, fp, dt, 10000, "circulant", None, on_step)
+        out = verlet_evolve(ens, geom, fp, dt, 10000, "circulant", on_step)
         ts = np.array([t for t, _ in samples])
         es = np.array([e for _, e in samples])
         # secular trend only: the reversible integrator carries a bounded
@@ -457,38 +457,39 @@ def test_10_phase_space_solver_checks():
 
 
 def test_11_worker_count_determinism(tmp_path):
+    # workers only thread the children of a sweep, so that is where
+    # byte-identity across worker counts has to hold
     doc = {
-        "pipeline": "wt-sim",
+        "pipeline": "wt-kinetic",
         "seed": 2024,
-        "wave": {
-            "d": 1,
-            "half_width": 6,
-            "lam": 0.2,
-            "dt": 0.02,
-            "n_steps": 60,
-            "replicas": 12,  # spans two worker chunks
-            "save_every": 20,
-        },
+        "kinetic": {"m": 8, "epsilon": 0.3, "dtau": 0.02, "n_steps": 5},
+        "sweep": {"axis": "kinetic.epsilon", "values": [0.4, 0.3, 0.2, 0.1]},
     }
-    man1 = run(parse_config(doc), out=tmp_path / "w1", workers=1)
-    man4 = run(parse_config(doc), out=tmp_path / "w4", workers=4)
-    names1 = [f["path"] for f in man1.files]
-    names4 = [f["path"] for f in man4.files]
-    same_bytes = names1 == names4 and all(
-        (tmp_path / "w1" / p).read_bytes() == (tmp_path / "w4" / p).read_bytes()
-        for p in names1
-    )
+    run(parse_config(doc), out=tmp_path / "w1", workers=1)
+    run(parse_config(doc), out=tmp_path / "w4", workers=4)
+
+    def files(d):
+        root = tmp_path / d
+        return sorted(str(p.relative_to(root)) for p in root.rglob("*") if p.is_file())
+
     # manifests agree too once the (documented) wall-clock fields are dropped
-    def scrub(d):
-        m = json.loads((tmp_path / d / "manifest.json").read_text())
+    def scrub(d, p):
+        m = json.loads((tmp_path / d / p).read_text())
         m.pop("started"), m.pop("finished")
         m.pop("out_dir")
         return m
 
-    ok = same_bytes and scrub("w1") == scrub("w4")
+    names1, names4 = files("w1"), files("w4")
+    manifests = [p for p in names1 if p.endswith("manifest.json")]
+    same_bytes = names1 == names4 and all(
+        (tmp_path / "w1" / p).read_bytes() == (tmp_path / "w4" / p).read_bytes()
+        for p in names1
+        if p not in manifests
+    )
+    ok = same_bytes and all(scrub("w1", p) == scrub("w4", p) for p in manifests)
     assert _verdict(
         11,
-        "byte-identical outputs across worker counts",
+        "byte-identical sweep outputs across worker counts",
         ok,
-        f"{len(names1)} files compared",
+        f"{len(names1)} files compared, {len(manifests)} manifests",
     )

@@ -59,7 +59,9 @@ class TestParse:
         assert cfg.pipeline == "wt-sim"
         assert cfg.seed == 7
         assert cfg.out == "runs/out"
-        assert cfg.workers is None and cfg.backend is None
+        # the worker count is a CLI/run() argument, not part of a config
+        with pytest.raises(ConfigError):
+            parse_config({**_wave_doc(), "workers": 2})
         assert cfg.wave.scheme == "exponential"
         assert cfg.wave.replicas == 8
         assert cfg.wave.profile.name == "torus-gaussian"

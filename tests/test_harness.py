@@ -1,15 +1,22 @@
-"""Run orchestration: manifests, determinism across worker counts, CLI exits."""
+"""Run orchestration: manifests, replica-block independence, CLI exits."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from kinlat.config import config_hash, parse_config
 from kinlat.errors import CheckFailure, NumericalBlowupError
-from kinlat.harness import REPLICA_CHUNK, default_workers, run
+from kinlat.harness import BLOCK_BYTES, _integrate_ensemble, run
 from kinlat.io import sha256_file
+from kinlat.lattice import LatticeSpec
+from kinlat.waves import EnsembleSpec, ModelParams, _integrate_array, sample_initial, stack_ensemble
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def _wave_doc(**wave):
@@ -19,7 +26,7 @@ def _wave_doc(**wave):
         "lam": 0.3,
         "dt": 0.02,
         "n_steps": 40,
-        "replicas": 10,  # > REPLICA_CHUNK so the pool actually splits
+        "replicas": 10,
         "save_every": 20,
     }
     base.update(wave)
@@ -73,14 +80,20 @@ class TestRun:
             assert p.stat().st_size == entry["bytes"]
         assert man.checks and man.checks[0].name == "reality-pair-preserved"
 
-    def test_results_do_not_depend_on_worker_count(self, tmp_path):
-        doc = _wave_doc()
-        assert doc["wave"]["replicas"] > REPLICA_CHUNK
-        man1 = run(parse_config(doc), out=tmp_path / "w1", workers=1)
-        man4 = run(parse_config(doc), out=tmp_path / "w4", workers=4)
-        h1 = {f["path"]: f["sha256"] for f in man1.files}
-        h4 = {f["path"]: f["sha256"] for f in man4.files}
-        assert h1 == h4
+    def test_replica_results_do_not_depend_on_block(self):
+        # replica i integrated alone must be bit-identical to its row in an
+        # ensemble that spans more than one replica block
+        spec = LatticeSpec(2, 4)
+        params = ModelParams(spec, 0.3)
+        rows = BLOCK_BYTES // (2 * spec.n_sites * np.dtype(np.complex128).itemsize)
+        ens = EnsembleSpec(rows + 3, 42, np.ones(spec.shape))
+        a, _ = stack_ensemble(sample_initial(ens, spec))
+        assert 1 < rows < a.shape[0]
+        for scheme in ("exponential", "rk4"):
+            together = _integrate_ensemble(a, params, 0.02, 20, scheme)
+            for i in (0, rows - 1, rows, rows + 2):
+                alone = _integrate_array(a[i : i + 1], params, 0.02, 20, scheme)
+                assert np.array_equal(alone[0], together[i]), (scheme, i)
 
     def test_blowup_leaves_a_failure_manifest(self, tmp_path):
         with pytest.raises(NumericalBlowupError):
@@ -146,20 +159,13 @@ class TestSweep:
         assert len(man.metrics["stationarity_l1"]) == 2
 
 
-class TestWorkers:
-    def test_env_variable_sets_default(self, monkeypatch):
-        monkeypatch.setenv("KINLAT_WORKERS", "6")
-        assert default_workers() == 6
-        monkeypatch.setenv("KINLAT_WORKERS", "junk")
-        assert default_workers() == 1
-        monkeypatch.delenv("KINLAT_WORKERS")
-        assert default_workers() == 1
-
-
 def _cli(args, cwd):
+    # the child runs in cwd, so a relative src entry on PYTHONPATH would miss
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, "-m", "kinlat.cli", *args],
         cwd=cwd,
+        env=dict(os.environ, PYTHONPATH=path),
         capture_output=True,
         text=True,
         timeout=300,

@@ -1,73 +1,15 @@
-"""Backend parity: the JIT kernels and their numpy twins must agree."""
-
-import os
-import subprocess
-import sys
+"""Chain force kernel: the circulant evaluation must match the dense sum."""
 
 import numpy as np
 import pytest
 
-from kinlat._backend import HAS_NUMBA, default_backend, resolve_backend
-from kinlat.kernels import chain_force_flat, collision_rate, wave_nonlinear
-from kinlat.lattice import LatticeSpec
+from kinlat.kernels import chain_force_flat
 
 
-needs_numba = pytest.mark.skipif(not HAS_NUMBA, reason="numba not importable")
-
-
-@needs_numba
-@pytest.mark.parametrize("d,D", [(1, 4), (2, 2)])
-def test_wave_kernel_backends_agree(rng, d, D):
-    spec = LatticeSpec(d, D)
-    shape = (3, 2) + spec.shape  # replica batch rides along
-    a = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-    nb = wave_nonlinear(a, spec, 0.7, backend="numba")
-    np_ = wave_nonlinear(a, spec, 0.7, backend="numpy")
-    assert np.max(np.abs(nb - np_)) < 1e-12 * max(1.0, np.max(np.abs(nb)))
-
-
-@needs_numba
-@pytest.mark.parametrize("d,m", [(1, 12), (2, 6)])
-def test_collision_backends_agree(rng, d, m):
-    f = rng.uniform(0.1, 1.0, size=(m,) * d)
-    nb = collision_rate(f, d, m, 0.2, "gaussian", 1e-7, backend="numba")
-    np_ = collision_rate(f, d, m, 0.2, "gaussian", 1e-7, backend="numpy")
-    assert np.max(np.abs(nb - np_)) < 1e-12 * max(1.0, np.max(np.abs(nb)))
-
-
-@needs_numba
-def test_chain_force_backends_agree(rng):
+def test_chain_force_circulant_matches_direct(rng):
     r = rng.normal(size=(5, 32))
-    nb = chain_force_flat(r, 1, 32, 0.4, method="direct", backend="numba")
-    np_ = chain_force_flat(r, 1, 32, 0.4, method="direct", backend="numpy")
+    direct = chain_force_flat(r, 1, 32, 0.4, method="direct")
     fft = chain_force_flat(r, 1, 32, 0.4, method="circulant")
-    assert np.max(np.abs(nb - np_)) < 1e-12
-    assert np.max(np.abs(nb - fft)) < 1e-11
+    assert np.max(np.abs(direct - fft)) < 1e-11
     with pytest.raises(ValueError):
         chain_force_flat(r, 1, 32, 0.4, method="spectral")
-
-
-def test_resolve_backend_contract():
-    assert resolve_backend(None) in ("numba", "numpy")
-    assert resolve_backend("numpy") == "numpy"
-    with pytest.raises(ValueError):
-        resolve_backend("fortran")
-    if not HAS_NUMBA:
-        with pytest.raises(RuntimeError):
-            resolve_backend("numba")
-
-
-def test_env_flag_forces_numpy_fallback():
-    code = "from kinlat._backend import default_backend; print(default_backend())"
-    env = dict(os.environ, KINLAT_NO_NUMBA="1")
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-    )
-    assert out.stdout.strip() == "numpy"
-
-
-def test_default_backend_matches_import_state():
-    if HAS_NUMBA and os.environ.get("KINLAT_NO_NUMBA", "") not in ("1", "true", "yes"):
-        assert default_backend() == "numba"
-    else:
-        assert default_backend() == "numpy"
