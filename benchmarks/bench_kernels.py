@@ -1,4 +1,4 @@
-"""Timing sheet for the three hot numpy kernels.
+"""Timing sheet for the hot numpy kernels and the Vlasov line shifts.
 
 Usage::
 
@@ -6,7 +6,9 @@ Usage::
 
 Each case is called once before timing so plan building and allocator
 warm-up stay out of the numbers; the reported figure is the median of the
-repeat wall times.
+repeat wall times.  The line-shift cases time what one Strang step does on
+the 32x128x128 grid of the meanfield benchmark: an r-sweep applies a table
+built once per run, and a v-sweep refills its table from new shifts first.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import numpy as np
 
 from kinlat.kernels import chain_force_flat, collision_rate, wave_nonlinear
 from kinlat.lattice import LatticeSpec
+from kinlat.vlasov import INTERP_MODES, PhaseGrid, _LineShift, _scratch, v_centers
 
 
 def _median_time(fn, repeats: int) -> float:
@@ -68,6 +71,24 @@ def _cases(rng, batch: int):
         f"chain force direct n=512 batch={batch}",
         lambda: chain_force_flat(r, 1, 512, 0.4, method="direct"),
     )
+
+    grid = PhaseGrid(32, 128, 128, 1.0, 1.2)
+    dt = 0.01
+    s_r = (v_centers(grid) * (0.5 * dt) / grid.dr).reshape(1, 1, grid.mv)
+    s_v = rng.uniform(-2.0, 2.0, size=(grid.mx, grid.mr, 1))
+    g = rng.random(grid.shape)
+    out = np.empty(grid.shape)
+    for interp in INTERP_MODES:
+        scratch = _scratch(grid.shape, interp)
+        r_sweep = _LineShift(grid.shape, 1, interp, False, scratch).set_shifts(s_r)
+        r_sweep.inside[...] = g
+        v_sweep = _LineShift(grid.shape, 2, interp, True, scratch)
+        v_sweep.inside[...] = g
+        yield (f"line shift r-sweep {interp} 32x128x128", lambda s=r_sweep: s(out))
+        yield (
+            f"line shift v-sweep {interp} 32x128x128",
+            lambda s=v_sweep: s.set_shifts(s_v)(out),
+        )
 
 
 def main() -> int:

@@ -11,6 +11,7 @@ small.
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
@@ -28,6 +29,7 @@ __all__ = [
     "chain_force_pairs",
     "chain_potential_pairs",
     "sigma_field_unfactorized",
+    "shift_lines_loop",
     "free_streaming_density",
 ]
 
@@ -257,6 +259,48 @@ def sigma_field_unfactorized(g: PhaseDensity, fp: FractionalParams) -> np.ndarra
             for ir in range(grid.mr):
                 contrib = frac_laplacian_torus((rc[ir] - rc[jr]) * column, fp.alpha, 1)
                 out[:, ir] += w * contrib
+    return out
+
+
+def shift_lines_loop(arr: np.ndarray, shifts: np.ndarray, axis: int, interp: str) -> np.ndarray:
+    """Semi-Lagrangian line shift, one grid line and one output cell at a time.
+
+    Line ``l`` along ``axis`` moves by ``s = shifts[l]`` cells (``shifts``
+    has length 1 on ``axis`` and broadcasts over the other axes).  Output
+    cell p reads position ``q = p - s``; cells outside the line read as
+    zero.  ``linear`` weights the two bracketing cells, ``cubic-clamped``
+    takes the four-point Lagrange value and limits it to the bracketing
+    pair's range.
+    """
+    arr = np.asarray(arr, dtype=np.float64)
+    s_full = np.broadcast_to(shifts, arr.shape[:axis] + (1,) + arr.shape[axis + 1 :])
+    n = arr.shape[axis]
+    out = np.zeros(arr.shape)
+    for line in np.ndindex(*(arr.shape[:axis] + arr.shape[axis + 1 :])):
+        before, after = line[:axis], line[axis:]
+        s = float(s_full[before + (0,) + after])
+
+        def f(i):
+            return float(arr[before + (i,) + after]) if 0 <= i < n else 0.0
+
+        for p in range(n):
+            q = p - s
+            i0 = math.floor(q)
+            th = q - i0
+            f0, f1 = f(i0), f(i0 + 1)
+            if interp == "linear":
+                val = (1.0 - th) * f0 + th * f1
+            elif interp == "cubic-clamped":
+                val = (
+                    (-th * (th - 1.0) * (th - 2.0) / 6.0) * f(i0 - 1)
+                    + ((th + 1.0) * (th - 1.0) * (th - 2.0) / 2.0) * f0
+                    + (-(th + 1.0) * th * (th - 2.0) / 2.0) * f1
+                    + ((th + 1.0) * th * (th - 1.0) / 6.0) * f(i0 + 2)
+                )
+                val = min(max(val, min(f0, f1)), max(f0, f1))
+            else:
+                raise ValueError(f"unknown interpolation {interp!r}")
+            out[before + (p,) + after] = val
     return out
 
 

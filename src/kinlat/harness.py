@@ -68,7 +68,9 @@ from .kinetic import (
 )
 from .lattice import LatticeSpec, dft, inverse_dft, weighted_inner
 from .vlasov import (
+    INTERP_MODES,
     PhaseGrid,
+    _shift_lines,
     cell_moments_of_density,
     cell_moments_of_ensemble,
     density_from_law,
@@ -639,6 +641,18 @@ def _oracle_cases(seed: int):
     got = sigma_field(gv, fpar)
     want = ref.sigma_field_unfactorized(gv, fpar)
     cases.append(("force-field-factorization", float(np.max(np.abs(got - want))), 1e-12))
+
+    # same arithmetic in the same order as the loop, so the gap must be exactly zero
+    arr = rng.random((3, 9, 7))
+    gap = 0.0
+    per_axis = {1: (1, 1, 7), 2: (3, 9, 1)}  # r-like shift per v; v-like shift per line
+    for interp in INTERP_MODES:
+        for axis, shape in per_axis.items():
+            shifts = 4.0 * rng.standard_normal(shape)
+            got = _shift_lines(arr, shifts, axis, interp)
+            want = ref.shift_lines_loop(arr, shifts, axis, interp)
+            gap = max(gap, float(np.max(np.abs(got - want))))
+    cases.append(("line-shift-vs-loop", gap, 0.0))
 
     return cases
 

@@ -20,10 +20,19 @@ invariant of its own sweep), so the only time-discretization error is the
 splitting itself.  Interpolation is linear or clamped-cubic — both keep
 ``g >= 0`` exactly and never amplify the maximum.  The (r, v) window has
 zero inflow; mass that reaches the edge leaves and is monitored.
+
+A sweep reads the density from a copy padded with zeros along the shifted
+axis, one ``np.take`` per stencil cell at flat offsets clipped into the
+padding, so reads from outside the window are zeros without a mask (see
+:class:`_LineShift`).  The r-sweep table depends only on the grid and
+``dt`` and is built once per :func:`vlasov_evolve`.  The literal per-line
+loop :func:`kinlat._reference.shift_lines_loop` is the oracle; the sweeps
+match it bit for bit.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -206,48 +215,152 @@ def acceleration(g: PhaseDensity, fp: FractionalParams) -> np.ndarray:
 
 INTERP_MODES = ("linear", "cubic-clamped")
 
+# cells each interpolation reads, relative to the floor cell of the read position
+_STENCIL = {"linear": (0, 1), "cubic-clamped": (-1, 0, 1, 2)}
+# stencil values each interpolation holds in scratch at once
+_SLOTS = {"linear": 1, "cubic-clamped": 3}
 
-def _take_zero(arr: np.ndarray, idx: np.ndarray, axis: int) -> np.ndarray:
-    """Gather along ``axis`` with out-of-range indices reading as zero."""
-    n = arr.shape[axis]
-    valid = (idx >= 0) & (idx < n)
-    safe = np.clip(idx, 0, n - 1)
-    shp = np.broadcast_shapes(arr.shape, safe.shape)
-    vals = np.take_along_axis(np.broadcast_to(arr, shp), np.broadcast_to(safe, shp), axis)
-    return np.where(valid, vals, 0.0)
+
+def _scratch(shape: tuple[int, ...], interp: str) -> np.ndarray:
+    """Float workspace for :class:`_LineShift`; sweeps that run in turn can share one."""
+    return np.empty(_SLOTS[interp] * math.prod(shape))
+
+
+class _LineShift:
+    """Displace the lines along ``axis`` by constant shifts (one per line), zero inflow.
+
+    Output at cell p of a line reads the input at position q = p - s, from
+    the stencil cells ``floor(q) + k``.  The input is written into
+    ``inside``, the middle of a buffer padded with as many zero cells as the
+    stencil is wide at both ends of ``axis``, and the first stencil index is
+    clipped into that padding.  A stencil that starts outside the line then
+    reads nothing but zeros, and one that starts inside reads zeros for
+    exactly its cells beyond the edge, so no mask is needed: each stencil
+    cell is one ``np.take`` at precomputed flat offsets.  Without
+    ``per_line`` the shifts may vary along and after ``axis`` only (the
+    r-sweep, whose shift depends on v), and one table serves every index
+    before ``axis``; with it the table has a row per line (the v-sweep,
+    whose shift depends on x and r).
+
+    Linear weights are a convex combination, so mass along interior lines,
+    positivity, and the maximum are all preserved exactly.  Clamped cubic
+    adds two outer nodes for fourth-order accuracy and then limits the
+    result to the bracketing pair's range, which restores monotonicity at
+    the cost of exact interior mass telescoping.
+    """
+
+    def __init__(
+        self, shape: tuple[int, ...], axis: int, interp: str, per_line: bool, scratch: np.ndarray
+    ):
+        self.shape = tuple(shape)
+        self.interp = interp
+        self.per_line = per_line
+        self.scratch = scratch
+        self.rows = math.prod(shape[:axis])
+        self.n = shape[axis]
+        self.inner = math.prod(shape[axis + 1 :])
+        self.width = len(_STENCIL[interp])
+        padded = list(shape)
+        padded[axis] += 2 * self.width
+        self.pad = np.zeros(padded)
+        self.inside = self.pad[(slice(None),) * axis + (slice(self.width, -self.width),)]
+        table = self.shape if per_line else (1,) * axis + self.shape[axis:]
+        trailing = (1,) * (len(shape) - axis - 1)
+        self.positions = np.arange(self.n, dtype=np.float64).reshape((self.n,) + trailing)
+        self.th = np.empty(table)
+        self.first = np.empty(table, dtype=np.int64)
+        # flat offset of each line's first padded cell: within one of the
+        # ``rows`` blocks of the padded array, or within all of it per line
+        self.base = np.arange(self.inner).reshape(self.shape[axis + 1 :])
+        if per_line:
+            row = np.arange(self.rows).reshape(self.shape[:axis] + (1,) + trailing)
+            self.base = self.base + row * ((self.n + 2 * self.width) * self.inner)
+
+    def set_shifts(self, shifts: np.ndarray) -> "_LineShift":
+        """Fill the weights and read offsets for ``shifts`` cells."""
+        th = np.subtract(self.positions, shifts, out=self.th)
+        i0 = np.floor(th, out=self.scratch[: th.size].reshape(th.shape))
+        th -= i0
+        first = self.first
+        np.copyto(first, i0, casting="unsafe")
+        np.add(first, _STENCIL[self.interp][0] + self.width, out=first)
+        np.clip(first, 0, self.n + self.width, out=first)
+        if self.inner > 1:
+            first *= self.inner
+        first += self.base
+        return self
+
+    def _read(self, k: int, slot: int) -> np.ndarray:
+        """Stencil cell ``k`` (counted from the first) of every output cell."""
+        out = self.scratch.reshape((-1,) + self.shape)[slot]
+        offset = k * self.inner
+        # the offsets are in range by construction; mode="clip" lets take
+        # write straight into ``out`` instead of through a temporary
+        if self.per_line:
+            np.take(self.pad.reshape(-1)[offset:], self.first, out=out, mode="clip")
+        else:
+            idx = self.first.reshape(-1) + offset
+            rows = (self.rows, -1)
+            np.take(self.pad.reshape(rows), idx, axis=1, out=out.reshape(rows), mode="clip")
+        return out
+
+    def __call__(self, out: np.ndarray) -> np.ndarray:
+        """Shift the lines held in ``inside`` into ``out``."""
+        th = self.th
+        if self.interp == "linear":
+            f0 = self._read(0, 0)
+            np.multiply(np.subtract(1.0, th, out=out), f0, out=out)
+            f1 = self._read(1, 0)
+            return np.add(out, np.multiply(th, f1, out=f1), out=out)
+        fm = self._read(0, 0)
+        np.multiply(-th * (th - 1.0) * (th - 2.0) / 6.0, fm, out=out)
+        f0 = self._read(1, 1)
+        out += np.multiply((th + 1.0) * (th - 1.0) * (th - 2.0) / 2.0, f0, out=fm)
+        f1 = self._read(2, 2)
+        out += np.multiply(-(th + 1.0) * th * (th - 2.0) / 2.0, f1, out=fm)
+        f2 = self._read(3, 0)
+        out += np.multiply((th + 1.0) * th * (th - 1.0) / 6.0, f2, out=f2)
+        return np.clip(out, np.minimum(f0, f1, out=fm), np.maximum(f0, f1, out=f0), out=out)
 
 
 def _shift_lines(arr: np.ndarray, shifts: np.ndarray, axis: int, interp: str) -> np.ndarray:
-    """Displace grid lines by ``shifts`` cells (constant per line), zero inflow.
+    """One :class:`_LineShift` of ``arr`` into a new array (the oracle checks use this)."""
+    per_line = any(d > 1 for d in np.shape(shifts)[:axis])
+    sweep = _LineShift(arr.shape, axis, interp, per_line, _scratch(arr.shape, interp))
+    sweep.inside[...] = arr
+    return sweep.set_shifts(shifts)(np.empty(arr.shape))
 
-    Output at cell p reads the input at position p - s.  Linear weights are
-    a convex combination, so mass along interior lines, positivity, and the
-    maximum are all preserved exactly.  Clamped cubic adds two outer nodes
-    for fourth-order accuracy and then limits the result to the bracketing
-    pair's range, which restores monotonicity at the cost of exact interior
-    mass telescoping.
+
+class _Strang:
+    """Strang steps of one grid, time step and interpolation.
+
+    The r-sweep table depends only on the grid and ``dt``, so it is built
+    once; the v-sweep table is refilled in place every step.  The padded
+    buffers and the scratch are reused by every step, and each step returns
+    a new density array, so no array a caller holds is written to.
     """
-    n = arr.shape[axis]
-    shp = [1] * arr.ndim
-    shp[axis] = n
-    q = np.arange(n, dtype=np.float64).reshape(shp) - shifts
-    i0 = np.floor(q).astype(np.int64)
-    th = q - i0
-    f0 = _take_zero(arr, i0, axis)
-    f1 = _take_zero(arr, i0 + 1, axis)
-    if interp == "linear":
-        return (1.0 - th) * f0 + th * f1
-    if interp != "cubic-clamped":
-        raise ValueError(f"unknown interpolation {interp!r}; pick from {INTERP_MODES}")
-    fm = _take_zero(arr, i0 - 1, axis)
-    f2 = _take_zero(arr, i0 + 2, axis)
-    out = (
-        (-th * (th - 1.0) * (th - 2.0) / 6.0) * fm
-        + ((th + 1.0) * (th - 1.0) * (th - 2.0) / 2.0) * f0
-        + (-(th + 1.0) * th * (th - 2.0) / 2.0) * f1
-        + ((th + 1.0) * th * (th - 1.0) / 6.0) * f2
-    )
-    return np.clip(out, np.minimum(f0, f1), np.maximum(f0, f1))
+
+    def __init__(self, grid: PhaseGrid, dt: float, interp: str):
+        if not (math.isfinite(dt) and dt > 0.0):
+            raise ValueError(f"dt must be finite and positive, got {dt!r}")
+        if interp not in INTERP_MODES:
+            raise ValueError(f"interp must be one of {INTERP_MODES}, got {interp!r}")
+        self.grid, self.dt = grid, dt
+        scratch = _scratch(grid.shape, interp)
+        s_r = (v_centers(grid) * (0.5 * dt) / grid.dr).reshape(1, 1, grid.mv)
+        self.r_sweep = _LineShift(grid.shape, 1, interp, False, scratch).set_shifts(s_r)
+        self.v_sweep = _LineShift(grid.shape, 2, interp, True, scratch)
+
+    def step(self, g: PhaseDensity, fp: FractionalParams) -> tuple[PhaseDensity, np.ndarray]:
+        """One step from ``g``, and the v-speed field (``acceleration``) it applied."""
+        grid, dt, r_sweep, v_sweep = self.grid, self.dt, self.r_sweep, self.v_sweep
+        # the new array holds the half-step density first, then the result
+        out = np.empty(grid.shape)
+        r_sweep.inside[...] = g.g
+        accel = acceleration(PhaseDensity(grid, r_sweep(out), g.t), fp)
+        v_sweep.inside[...] = out
+        v_sweep.set_shifts((accel * dt / grid.dv)[:, :, None])(r_sweep.inside)
+        return PhaseDensity(grid, r_sweep(out), g.t + dt), accel
 
 
 def vlasov_step(
@@ -258,18 +371,10 @@ def vlasov_step(
     The v-sweep's speed field depends on g only through its r-moments,
     which the sweep itself leaves invariant — so freezing it over the full
     step commits no extra time error; likewise the r-sweep's speed is the
-    v coordinate itself.
+    v coordinate itself.  ``dt`` must be finite and positive and ``interp``
+    one of :data:`INTERP_MODES`; both are checked before any work.
     """
-    if dt <= 0.0:
-        raise ValueError(f"time step must be positive, got {dt}")
-    grid = g.grid
-    s_r = (v_centers(grid) * (0.5 * dt) / grid.dr).reshape(1, 1, grid.mv)
-    arr = _shift_lines(g.g, s_r, 1, interp)
-    mid = PhaseDensity(grid, arr, g.t)
-    s_v = (acceleration(mid, fp) * dt / grid.dv)[:, :, None]
-    arr = _shift_lines(arr, s_v, 2, interp)
-    arr = _shift_lines(arr, s_r, 1, interp)
-    return PhaseDensity(grid, arr, g.t + dt)
+    return _Strang(g.grid, dt, interp).step(g, fp)[0]
 
 
 def boundary_mass(g: PhaseDensity) -> float:
@@ -282,7 +387,11 @@ def boundary_mass(g: PhaseDensity) -> float:
 
 @dataclass
 class VlasovDiagnostics:
-    """Bookkeeping from an evolve call; ``escaped_mass`` is initial - final."""
+    """Bookkeeping from an evolve call; ``escaped_mass`` is initial - final.
+
+    ``cfl_r`` and ``cfl_v`` are the largest per-step line displacements in
+    cells; ``cfl_v`` is taken from the v-speed field each step applied.
+    """
 
     n_steps: int
     mass_initial: float
@@ -314,14 +423,15 @@ def vlasov_evolve(
     the bound is an accuracy budget).  A boundary-touching support or
     measurable escaped mass raises :class:`AdvisoryWarning` once each.
     """
+    strang = _Strang(g.grid, dt, interp)
     mass0 = g.mass()
     bmax = boundary_mass(g)
     cfl_r = cfl_v = 0.0
     notes: list[str] = []
     for i in range(n_steps):
         cfl_r = max(cfl_r, g.grid.v_max * dt / g.grid.dr)
-        cfl_v = max(cfl_v, float(np.max(np.abs(acceleration(g, fp)))) * dt / g.grid.dv)
-        g = vlasov_step(g, fp, dt, interp)
+        g, accel = strang.step(g, fp)
+        cfl_v = max(cfl_v, float(np.max(np.abs(accel))) * dt / g.grid.dv)
         bmax = max(bmax, boundary_mass(g))
         if callback is not None:
             callback(i, g)

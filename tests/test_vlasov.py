@@ -9,6 +9,7 @@ from kinlat import _reference as ref
 from kinlat.chain import ChainGeometry, FractionalParams, GaussianLaw, sample_ensemble
 from kinlat.errors import SizeMismatchError
 from kinlat.vlasov import (
+    INTERP_MODES,
     AdvisoryWarning,
     PhaseDensity,
     PhaseGrid,
@@ -22,6 +23,7 @@ from kinlat.vlasov import (
     moments,
     r_centers,
     sigma_field,
+    _shift_lines,
     v_centers,
     vlasov_evolve,
     vlasov_step,
@@ -200,10 +202,77 @@ def test_cfl_advisory_reports_displacement():
 def test_interp_mode_validated():
     grid = PhaseGrid(2, 16, 16, 1.0, 1.0)
     g = _gaussian_density(grid)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="interp"):
         vlasov_step(g, FP, 1e-3, interp="spline-7")
-    with pytest.raises(ValueError):
-        vlasov_step(g, FP, -1e-3)
+    for dt in (-1e-3, 0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="dt"):
+            vlasov_step(g, FP, dt)
+    # checked before any work, so zero steps do not let bad arguments through
+    with pytest.raises(ValueError, match="interp"):
+        vlasov_evolve(g, FP, 1e-3, 0, interp="spline-7")
+    with pytest.raises(ValueError, match="dt"):
+        vlasov_evolve(g, FP, float("nan"), 0)
+
+
+# shifts per line: fractional, exact integers, negative, and |s| >= n (the line empties)
+_EDGE_SHIFTS = [0.3, -0.7, 2.0, -3.0, 0.0, 9.0, -9.0, 12.5, -30.25]
+
+
+@pytest.mark.parametrize("interp", INTERP_MODES)
+def test_line_shift_matches_loop(interp, rng):
+    base = rng.random((4, 9, 18))
+    arr = base[:, :, ::2]  # a non-contiguous view, shape (4, 9, 9)
+    # axis 1: one shift per v column, broadcast over x
+    s_r = np.array(_EDGE_SHIFTS).reshape(1, 1, 9)
+    # axis 2: one shift per (x, r) line
+    s_v = np.concatenate([_EDGE_SHIFTS, 5.0 * rng.standard_normal(27)]).reshape(4, 9, 1)
+    for axis, shifts in ((1, s_r), (2, s_v)):
+        got = _shift_lines(arr, shifts, axis, interp)
+        want = ref.shift_lines_loop(arr, shifts, axis, interp)
+        assert np.array_equal(got, want), (axis, float(np.max(np.abs(got - want))))
+    emptied = _shift_lines(arr, s_r, 1, interp)
+    assert np.all(emptied[:, :, 5:7] == 0.0)  # |s| = 9 = n moves every value out
+    assert np.array_equal(emptied[:, :, 4], arr[:, :, 4])  # s = 0 is the identity
+
+
+def test_steps_leave_caller_arrays_alone():
+    grid = PhaseGrid(4, 24, 20, 1.0, 1.0)
+    g0 = _gaussian_density(grid, x_weight=lambda x: 1.0 + 0.3 * np.cos(2 * np.pi * x))
+    before = g0.g.copy()
+    g1 = vlasov_step(g0, FP, 5e-3)
+    assert np.array_equal(g0.g, before)
+    kept, values = [], []
+
+    def keep(i, g):
+        kept.append(g)
+        values.append(g.g.copy())
+
+    g, _ = vlasov_evolve(g1, FP, 5e-3, 6, interp="cubic-clamped", callback=keep)
+    assert np.array_equal(g0.g, before)
+    assert len(kept) == 6 and kept[-1] is g
+    for held, value in zip(kept, values):
+        assert np.array_equal(held.g, value)
+
+
+def test_cfl_v_is_the_applied_field():
+    grid = PhaseGrid(8, 32, 32, 1.0, 1.2)
+    # a mean velocity that varies with x makes the half r-sweep move the r-moment
+    x = x_centers(grid)[:, None, None]
+    rr = r_centers(grid)[None, :, None]
+    vv = v_centers(grid)[None, None, :]
+    drift = 0.2 * np.cos(2 * np.pi * x)
+    g0 = PhaseDensity(grid, np.exp(-0.5 * (rr / 0.1) ** 2 - 0.5 * ((vv - drift) / 0.1) ** 2))
+    dt = 0.05
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _, diag = vlasov_evolve(g0, FP, dt, 1)
+    s_r = (v_centers(grid) * (0.5 * dt) / grid.dr).reshape(1, 1, grid.mv)
+    mid = PhaseDensity(grid, ref.shift_lines_loop(g0.g, s_r, 1, "linear"))
+    want = float(np.max(np.abs(acceleration(mid, FP)))) * dt / grid.dv
+    assert diag.cfl_v == pytest.approx(want, rel=1e-12)
+    # the field before the half sweep is measurably different
+    before = float(np.max(np.abs(acceleration(g0, FP)))) * dt / grid.dv
+    assert abs(before - want) > 1e-3 * want
 
 
 # ---------------------------------------------------------------------------
