@@ -1,33 +1,32 @@
 """Run configuration: JSON in, validated dataclass tree out.
 
-Configurations are plain JSON documents checked against ``RUN_SCHEMA``
-(unknown keys are rejected at every level, ranges are enforced in the
-schema where JSON can express them and in the constructors where it
-cannot).  A :class:`RunConfig` is canonically serializable, so its hash
-identifies a run: two configs with the same hash produce byte-identical
-outputs for the same seed.
+The dataclasses below are the one declaration of the config format, and
+:func:`parse_config` builds the tree by walking them.  A JSON object maps
+onto a dataclass: an unknown key is rejected, an absent key takes the
+field's default, and each value is checked against the field's annotation
+and the rule in its ``metadata`` (bounds ``ge``/``gt``/``le``/``lt`` on
+numbers, ``choices`` on strings).  Integer fields take integral numbers and
+hold ints; no field takes NaN or an infinity.  Profile and law blocks are
+flat objects, checked by :func:`~kinlat.profiles.make_profile` and by
+``_LAW_PARAMS``.  A rejection is a :class:`ConfigError` carrying the dotted
+path of the offending field.
 
-Pipelines and the blocks they require:
-
-==============  ==========================================
-``wt-sim``      ``wave``
-``wt-kinetic``  ``kinetic``
-``wt-compare``  ``wave``, ``kinetic``, ``compare``
-``chain-sim``   ``chain``
-``vlasov``      ``vlasov``
-``mf-compare``  ``chain``, ``vlasov``, ``compare``
-``oracle-suite``  (none)
-==============  ==========================================
+A :class:`RunConfig` keeps its raw document, and its hash identifies a run:
+two configs with the same hash produce byte-identical outputs for the same
+seed.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+import math
+import operator
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
+from functools import cache
 from pathlib import Path
+from typing import get_args, get_origin, get_type_hints
 
-import jsonschema
 import numpy as np
 
 from .chain import GaussianLaw, PointLaw
@@ -36,7 +35,6 @@ from .profiles import PROFILE_NAMES, make_profile
 
 __all__ = [
     "PIPELINES",
-    "RUN_SCHEMA",
     "RunConfig",
     "WaveConfig",
     "KineticConfig",
@@ -49,21 +47,13 @@ __all__ = [
     "read_doc",
     "load_config",
     "parse_config",
+    "sweep_value",
     "config_hash",
     "build_law",
     "build_profile",
 ]
 
-PIPELINES = (
-    "wt-sim",
-    "wt-kinetic",
-    "wt-compare",
-    "chain-sim",
-    "vlasov",
-    "mf-compare",
-    "oracle-suite",
-)
-
+# pipeline -> the blocks it requires
 _REQUIRED_BLOCKS = {
     "wt-sim": ("wave",),
     "wt-kinetic": ("kinetic",),
@@ -73,161 +63,12 @@ _REQUIRED_BLOCKS = {
     "mf-compare": ("chain", "vlasov", "compare"),
     "oracle-suite": (),
 }
+PIPELINES = tuple(_REQUIRED_BLOCKS)
 
-_PROFILE_SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["name"],
-    "properties": {
-        "name": {"enum": list(PROFILE_NAMES)},
-        "level": {"type": "number", "minimum": 0},
-        "amplitude": {"type": "number", "minimum": 0},
-        "width": {"type": "number", "exclusiveMinimum": 0},
-        "center": {"type": "number"},
-        "temperature": {"type": "number", "minimum": 0},
-        "floor": {"type": "number", "exclusiveMinimum": 0},
-    },
-}
 
-_LAW_SCHEMA = {
-    "oneOf": [
-        {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["kind"],
-            "properties": {
-                "kind": {"const": "gaussian"},
-                "mean_r": {"type": "number"},
-                "mean_v": {"type": "number"},
-                "sigma_r": {"type": "number", "minimum": 0},
-                "sigma_v": {"type": "number", "minimum": 0},
-            },
-        },
-        {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["kind"],
-            "properties": {
-                "kind": {"const": "cosine-gaussian"},
-                "amplitude": {"type": "number"},
-                "mode": {"type": "integer", "minimum": 1},
-                "sigma_r": {"type": "number", "minimum": 0},
-                "sigma_v": {"type": "number", "minimum": 0},
-            },
-        },
-        {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["kind"],
-            "properties": {
-                "kind": {"const": "point"},
-                "r0": {"type": "number"},
-                "v0": {"type": "number"},
-            },
-        },
-    ]
-}
-
-RUN_SCHEMA = {
-    "$schema": "https://json-schema.org/draft/2020-12/schema",
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["pipeline", "seed"],
-    "properties": {
-        "pipeline": {"enum": list(PIPELINES)},
-        "seed": {"type": "integer", "minimum": 0},
-        "out": {"type": "string", "minLength": 1},
-        "wave": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "d": {"type": "integer", "minimum": 1, "maximum": 2},
-                "half_width": {"type": "integer", "minimum": 1},
-                "lam": {"type": "number", "minimum": 0},
-                "dt": {"type": "number", "exclusiveMinimum": 0},
-                "n_steps": {"type": "integer", "minimum": 0},
-                "scheme": {"enum": ["exponential", "rk4"]},
-                "replicas": {"type": "integer", "minimum": 1},
-                "profile": _PROFILE_SCHEMA,
-                "save_every": {"type": "integer", "minimum": 0},
-            },
-        },
-        "kinetic": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "d": {"type": "integer", "minimum": 1, "maximum": 2},
-                "m": {"type": "integer", "minimum": 4},
-                "epsilon": {"type": "number", "exclusiveMinimum": 0},
-                "shape": {"enum": ["gaussian", "lorentzian"]},
-                "omega_floor": {"type": "number", "exclusiveMinimum": 0},
-                "dtau": {"type": "number", "exclusiveMinimum": 0},
-                "n_steps": {"type": "integer", "minimum": 0},
-                "scheme": {"enum": ["rk4", "euler"]},
-                "initial": _PROFILE_SCHEMA,
-            },
-        },
-        "compare": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "tau_final": {"type": "number", "exclusiveMinimum": 0},
-                "t_final": {"type": "number", "exclusiveMinimum": 0},
-                "pde_sigma_r": {
-                    "oneOf": [
-                        {"type": "number", "exclusiveMinimum": 0},
-                        {"const": "auto"},
-                    ]
-                },
-            },
-        },
-        "chain": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "d": {"type": "integer", "minimum": 1},
-                "n": {"type": "integer", "minimum": 2},
-                "alpha": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1},
-                "dt": {"type": "number", "exclusiveMinimum": 0},
-                "n_steps": {"type": "integer", "minimum": 0},
-                "replicas": {"type": "integer", "minimum": 1},
-                "force_method": {"enum": ["direct", "circulant"]},
-                "law": _LAW_SCHEMA,
-                "save_every": {"type": "integer", "minimum": 0},
-            },
-        },
-        "vlasov": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "mx": {"type": "integer", "minimum": 1},
-                "mr": {"type": "integer", "minimum": 2},
-                "mv": {"type": "integer", "minimum": 2},
-                "r_max": {"type": "number", "exclusiveMinimum": 0},
-                "v_max": {"type": "number", "exclusiveMinimum": 0},
-                "alpha": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1},
-                "dt": {"type": "number", "exclusiveMinimum": 0},
-                "n_steps": {"type": "integer", "minimum": 0},
-                "interp": {"enum": ["linear", "cubic-clamped"]},
-                "cfl_fraction": {"type": "number", "exclusiveMinimum": 0},
-                "law": _LAW_SCHEMA,
-            },
-        },
-        "sweep": {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["axis", "values"],
-            "properties": {
-                "axis": {"type": "string", "pattern": r"^[a-z_]+(\.[a-z_]+)+$"},
-                "values": {
-                    "type": "array",
-                    "minItems": 1,
-                    "items": {"type": "number"},
-                },
-            },
-        },
-    },
-}
+def _field(default, **rule):
+    """A field with its default and its rule: number bounds or string ``choices``."""
+    return field(default=default, metadata=rule)
 
 
 @dataclass(frozen=True)
@@ -238,35 +79,35 @@ class ProfileConfig:
 
 @dataclass(frozen=True)
 class WaveConfig:
-    d: int = 1
-    half_width: int = 8
-    lam: float = 0.1
-    dt: float = 0.05
-    n_steps: int = 100
-    scheme: str = "exponential"
-    replicas: int = 8
+    d: int = _field(1, ge=1, le=2)
+    half_width: int = _field(8, ge=1)
+    lam: float = _field(0.1, ge=0)
+    dt: float = _field(0.05, gt=0)
+    n_steps: int = _field(100, ge=0)
+    scheme: str = _field("exponential", choices=("exponential", "rk4"))
+    replicas: int = _field(8, ge=1)
     profile: ProfileConfig = field(default_factory=ProfileConfig)
-    save_every: int = 0
+    save_every: int = _field(0, ge=0)
 
 
 @dataclass(frozen=True)
 class KineticConfig:
-    d: int = 1
-    m: int = 32
-    epsilon: float = 0.3
-    shape: str = "gaussian"
-    omega_floor: float | None = None
-    dtau: float = 0.02
-    n_steps: int = 25
-    scheme: str = "rk4"
+    d: int = _field(1, ge=1, le=2)
+    m: int = _field(32, ge=4)
+    epsilon: float = _field(0.3, gt=0)
+    shape: str = _field("gaussian", choices=("gaussian", "lorentzian"))
+    omega_floor: float | None = _field(None, gt=0)
+    dtau: float = _field(0.02, gt=0)
+    n_steps: int = _field(25, ge=0)
+    scheme: str = _field("rk4", choices=("rk4", "euler"))
     initial: ProfileConfig = field(default_factory=ProfileConfig)
 
 
 @dataclass(frozen=True)
 class CompareConfig:
-    tau_final: float = 0.5
-    t_final: float = 1.0
-    pde_sigma_r: float | str = "auto"
+    tau_final: float = _field(0.5, gt=0)
+    t_final: float = _field(1.0, gt=0)
+    pde_sigma_r: float | str = _field("auto", gt=0, choices=("auto",))
 
 
 @dataclass(frozen=True)
@@ -277,42 +118,42 @@ class LawConfig:
 
 @dataclass(frozen=True)
 class ChainConfig:
-    d: int = 1
-    n: int = 64
-    alpha: float = 0.5
-    dt: float = 1e-3
-    n_steps: int = 1000
-    replicas: int = 1
-    force_method: str = "direct"
+    d: int = _field(1, ge=1)
+    n: int = _field(64, ge=2)
+    alpha: float = _field(0.5, gt=0, lt=1)
+    dt: float = _field(1e-3, gt=0)
+    n_steps: int = _field(1000, ge=0)
+    replicas: int = _field(1, ge=1)
+    force_method: str = _field("direct", choices=("direct", "circulant"))
     law: LawConfig = field(default_factory=LawConfig)
-    save_every: int = 0
+    save_every: int = _field(0, ge=0)
 
 
 @dataclass(frozen=True)
 class VlasovConfig:
-    mx: int = 16
-    mr: int = 64
-    mv: int = 64
-    r_max: float = 1.0
-    v_max: float = 1.0
-    alpha: float = 0.5
-    dt: float = 0.01
-    n_steps: int = 100
-    interp: str = "linear"
-    cfl_fraction: float | None = None
+    mx: int = _field(16, ge=1)
+    mr: int = _field(64, ge=2)
+    mv: int = _field(64, ge=2)
+    r_max: float = _field(1.0, gt=0)
+    v_max: float = _field(1.0, gt=0)
+    alpha: float = _field(0.5, gt=0, lt=1)
+    dt: float = _field(0.01, gt=0)
+    n_steps: int = _field(100, ge=0)
+    interp: str = _field("linear", choices=("linear", "cubic-clamped"))
+    cfl_fraction: float | None = _field(None, gt=0)
     law: LawConfig = field(default_factory=lambda: LawConfig("gaussian", {"sigma_r": 0.2, "sigma_v": 0.2}))
 
 
 @dataclass(frozen=True)
 class SweepConfig:
     axis: str
-    values: tuple
+    values: tuple[float, ...]
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    pipeline: str
-    seed: int
+    pipeline: str = field(metadata={"choices": PIPELINES})
+    seed: int = field(metadata={"ge": 0})
     out: str = "runs/out"
     wave: WaveConfig | None = None
     kinetic: KineticConfig | None = None
@@ -323,75 +164,152 @@ class RunConfig:
     raw: dict = field(default_factory=dict, compare=False, repr=False)
 
 
-def _profile_cfg(obj: dict | None, default: ProfileConfig) -> ProfileConfig:
-    if obj is None:
-        return default
-    params = {k: v for k, v in obj.items() if k != "name"}
-    return ProfileConfig(obj["name"], params)
+# the blocks a sweep axis may name
+_BLOCKS = {
+    "wave": WaveConfig,
+    "kinetic": KineticConfig,
+    "compare": CompareConfig,
+    "chain": ChainConfig,
+    "vlasov": VlasovConfig,
+}
+
+_BOUNDS = {
+    "ge": (operator.ge, ">="),
+    "gt": (operator.gt, ">"),
+    "le": (operator.le, "<="),
+    "lt": (operator.lt, "<"),
+}
+_KIND_NAMES = {int: "an integer", float: "a number", str: "a string"}
+_hints = cache(get_type_hints)
 
 
-def _law_cfg(obj: dict | None) -> LawConfig:
-    if obj is None:
-        return LawConfig()
-    params = {k: v for k, v in obj.items() if k != "kind"}
-    return LawConfig(obj["kind"], params)
+def _build(cls, obj, path: str, **given):
+    """Build dataclass ``cls`` from the JSON object ``obj`` found at dotted ``path``.
+
+    Unknown keys are rejected and absent ones take the field default;
+    ``given`` sets fields that are not JSON keys.
+    """
+    where = path or "<root>"
+    if not isinstance(obj, dict):
+        raise ConfigError(f"must be an object, got {obj!r}", field=where)
+    spec = {f.name: f for f in fields(cls) if f.name not in given}
+    unknown = sorted(set(obj) - set(spec))
+    if unknown:
+        raise ConfigError(f"unknown keys {unknown}", field=where)
+    hints = _hints(cls)
+    for name, f in spec.items():
+        if name in obj:
+            given[name] = _value(hints[name], f.metadata, obj[name], f"{path}.{name}".lstrip("."))
+        elif f.default is MISSING and f.default_factory is MISSING:
+            raise ConfigError(f"missing required key {name!r}", field=where)
+    return cls(**given)
+
+
+def _value(tp, rule, v, path: str):
+    """Check the JSON value ``v`` at ``path`` against annotation ``tp`` and ``rule``."""
+    if get_origin(tp) is tuple:  # tuple[float, ...] is a non-empty JSON list
+        if not isinstance(v, list) or not v:
+            raise ConfigError(f"must be a non-empty list, got {v!r}", field=path)
+        return tuple(_value(get_args(tp)[0], rule, x, f"{path}.{i}") for i, x in enumerate(v))
+    kinds = [t for t in get_args(tp) if t is not type(None)] or [tp]
+    if kinds[0] in _FLAT:
+        return _FLAT[kinds[0]](v, path)
+    if is_dataclass(kinds[0]):
+        return _build(kinds[0], v, path)
+    if isinstance(v, str) and str in kinds:
+        choices = rule.get("choices")
+        if not v or choices and v not in choices:
+            msg = f"must be one of {choices}" if choices else "must not be empty"
+            raise ConfigError(f"{msg}, got {v!r}", field=path)
+        return v
+    if isinstance(v, (int, float)) and not isinstance(v, bool) and {int, float} & set(kinds):
+        if isinstance(v, float) and not math.isfinite(v):
+            raise ConfigError(f"must be finite, got {v}", field=path)
+        if float not in kinds:
+            if v != int(v):
+                raise ConfigError(f"must be an integer, got {v}", field=path)
+            v = int(v)
+        for op, bound in rule.items():
+            if op in _BOUNDS and not _BOUNDS[op][0](v, bound):
+                raise ConfigError(f"must be {_BOUNDS[op][1]} {bound}, got {v}", field=path)
+        return v
+    expected = " or ".join(_KIND_NAMES[k] for k in kinds)
+    raise ConfigError(f"must be {expected}, got {v!r}", field=path)
+
+
+def _profile_cfg(obj, path: str) -> ProfileConfig:
+    """A flat ``{"name": ..., <param>: number}`` object, checked by ``make_profile``."""
+    if not isinstance(obj, dict) or "name" not in obj:
+        raise ConfigError(f"must be an object with a name, got {obj!r}", field=path)
+    name = _value(str, {"choices": PROFILE_NAMES}, obj["name"], f"{path}.name")
+    params = {k: _value(float, {}, v, f"{path}.{k}") for k, v in obj.items() if k != "name"}
+    try:
+        make_profile(name, **params)
+    except ConfigError as e:
+        sub = "" if e.field == "profile" else f".{e.field}"
+        raise ConfigError(e.message, field=path + sub) from None
+    return ProfileConfig(name, params)
+
+
+def _law_cfg(obj, path: str) -> LawConfig:
+    """A flat ``{"kind": ..., <param>: number}`` object, checked by ``_LAW_PARAMS``."""
+    kind = obj.get("kind") if isinstance(obj, dict) else None
+    table = _LAW_PARAMS.get(kind) if isinstance(kind, str) else None
+    if table is None:
+        raise ConfigError(f"needs a kind out of {tuple(_LAW_PARAMS)}, got {obj!r}", field=path)
+    params = {}
+    for k, v in obj.items():
+        if k == "kind":
+            continue
+        if k not in table:
+            raise ConfigError(f"law {kind!r} does not take {k!r}", field=path)
+        try:
+            params[k] = _value(*table[k], v, path)
+        except ConfigError as e:
+            raise ConfigError(f"{k} {e.message}", field=path) from None
+    return LawConfig(kind, params)
+
+
+# dataclasses whose JSON form is one flat object rather than one key per field
+_FLAT = {ProfileConfig: _profile_cfg, LawConfig: _law_cfg}
+
+
+def _axis_field(axis: str):
+    """Annotation and rule of the numeric block field that sweep ``axis`` names."""
+    block, _, name = axis.partition(".")
+    cls = _BLOCKS.get(block)
+    tp = _hints(cls).get(name) if cls else None
+    if tp is None or not {int, float} & {tp, *get_args(tp)}:
+        raise ConfigError(
+            f"sweep axis {axis!r} is not a numeric field of a config block", field="sweep.axis"
+        )
+    return tp, next(f.metadata for f in fields(cls) if f.name == name)
 
 
 def parse_config(doc: dict) -> RunConfig:
     """Validate a raw JSON document and build the typed tree.
 
-    Schema violations surface as :class:`ConfigError` carrying the JSON
-    path of the offending field.
+    A violation surfaces as :class:`ConfigError` carrying the dotted path of
+    the offending field.  Sweep values are checked by the rule of their
+    axis field here, before any child runs.
     """
-    try:
-        jsonschema.validate(doc, RUN_SCHEMA)
-    except jsonschema.ValidationError as e:
-        path = ".".join(str(p) for p in e.absolute_path) or "<root>"
-        raise ConfigError(e.message, field=path) from e
-    pipeline = doc["pipeline"]
-    for block in _REQUIRED_BLOCKS[pipeline]:
-        if block not in doc:
-            raise ConfigError(
-                f"pipeline {pipeline!r} needs a {block!r} block", field=block
-            )
+    cfg = _build(RunConfig, doc, "", raw=doc)
+    for block in _REQUIRED_BLOCKS[cfg.pipeline]:
+        if getattr(cfg, block) is None:
+            raise ConfigError(f"pipeline {cfg.pipeline!r} needs a {block!r} block", field=block)
+    if cfg.sweep is not None:
+        axis = cfg.sweep.axis
+        tp, rule = _axis_field(axis)
+        if getattr(cfg, axis.partition(".")[0]) is None:
+            raise ConfigError(f"sweep axis {axis!r} points at a missing block", field="sweep.axis")
+        for i, v in enumerate(cfg.sweep.values):
+            _value(tp, rule, v, f"sweep.values.{i}")
+    return cfg
 
-    wave = None
-    if "wave" in doc:
-        wave = WaveConfig(
-            **{**doc["wave"], "profile": _profile_cfg(doc["wave"].get("profile"), ProfileConfig())}
-        )
-    kinetic = None
-    if "kinetic" in doc:
-        kinetic = KineticConfig(
-            **{**doc["kinetic"], "initial": _profile_cfg(doc["kinetic"].get("initial"), ProfileConfig())}
-        )
-    chain = None
-    if "chain" in doc:
-        chain = ChainConfig(**{**doc["chain"], "law": _law_cfg(doc["chain"].get("law"))})
-    vlasov = None
-    if "vlasov" in doc:
-        vlasov = VlasovConfig(**{**doc["vlasov"], "law": _law_cfg(doc["vlasov"].get("law"))})
-    compare = CompareConfig(**doc["compare"]) if "compare" in doc else None
-    sweep = None
-    if "sweep" in doc:
-        sweep = SweepConfig(doc["sweep"]["axis"], tuple(doc["sweep"]["values"]))
-        head = sweep.axis.split(".", 1)[0]
-        if head not in doc:
-            raise ConfigError(
-                f"sweep axis {sweep.axis!r} points at a missing block", field="sweep.axis"
-            )
-    return RunConfig(
-        pipeline=pipeline,
-        seed=doc["seed"],
-        out=doc.get("out", "runs/out"),
-        wave=wave,
-        kinetic=kinetic,
-        compare=compare,
-        chain=chain,
-        vlasov=vlasov,
-        sweep=sweep,
-        raw=doc,
-    )
+
+def sweep_value(axis: str, value: float) -> int | float:
+    """``value`` as the field that sweep ``axis`` names holds it: int or float."""
+    return int(value) if _axis_field(axis)[0] is int else float(value)
 
 
 def read_doc(path: str | Path) -> dict:
@@ -420,6 +338,22 @@ def config_hash(cfg: RunConfig) -> str:
 
 def build_profile(pc: ProfileConfig):
     return make_profile(pc.name, **pc.params)
+
+
+_REAL = (float, {})
+_WIDTH = (float, {"ge": 0})
+
+# law kind -> its parameters, each an (annotation, rule) pair
+_LAW_PARAMS = {
+    "gaussian": {"mean_r": _REAL, "mean_v": _REAL, "sigma_r": _WIDTH, "sigma_v": _WIDTH},
+    "cosine-gaussian": {
+        "amplitude": _REAL,
+        "mode": (int, {"ge": 1}),
+        "sigma_r": _WIDTH,
+        "sigma_v": _WIDTH,
+    },
+    "point": {"r0": _REAL, "v0": _REAL},
+}
 
 
 def build_law(lc: LawConfig, sigma_r_override: float | None = None):

@@ -13,9 +13,10 @@ class KinlatError(Exception):
 
 
 class ConfigError(KinlatError):
-    """Invalid run configuration (schema violation, unknown key, bad range)."""
+    """Invalid run configuration (unknown key, wrong type, bad range)."""
 
     def __init__(self, message: str, field: str | None = None):
+        self.message = message
         self.field = field
         super().__init__(message if field is None else f"{field}: {message}")
 

@@ -43,6 +43,7 @@ from .config import (
     build_profile,
     config_hash,
     parse_config,
+    sweep_value,
 )
 from .errors import CheckFailure, ConfigError, NumericalBlowupError
 from .io import (
@@ -501,19 +502,16 @@ def _paired_laws(cfg: RunConfig, grid: PhaseGrid):
     """Chain law plus its PDE twin; a degenerate r-width is grid-resolved."""
     c, cmp_ = cfg.chain, cfg.compare
     law_chain = build_law(c.law)
-    default_sigma = 0.0 if c.law.kind == "cosine-gaussian" else 1.0
-    sigma_cfg = float(c.law.params.get("sigma_r", default_sigma))
-    if cmp_.pde_sigma_r == "auto":
-        sigma_pde = max(sigma_cfg, 2.0 * grid.dr)
-    else:
-        sigma_pde = float(cmp_.pde_sigma_r)
-    law_pde = build_law(c.law, sigma_r_override=sigma_pde)
-    if not isinstance(law_pde, GaussianLaw):
+    if not isinstance(law_chain, GaussianLaw):
         raise ConfigError(
             "mean-field comparison needs a law with a density (gaussian kinds)",
             field="chain.law.kind",
         )
-    return law_chain, law_pde, sigma_pde
+    if cmp_.pde_sigma_r == "auto":
+        sigma_pde = max(float(law_chain.sigma_r), 2.0 * grid.dr)
+    else:
+        sigma_pde = float(cmp_.pde_sigma_r)
+    return law_chain, build_law(c.law, sigma_r_override=sigma_pde), sigma_pde
 
 
 def _drive_mf_compare(cfg: RunConfig, out: Path):
@@ -736,23 +734,9 @@ def run(
 
 
 def _set_axis(doc: dict, axis: str, value: float) -> dict:
-    parts = axis.split(".")
-    node = doc
-    for p in parts[:-1]:
-        if p not in node or not isinstance(node[p], dict):
-            raise ConfigError(f"sweep axis {axis!r} missing block {p!r}", field="sweep.axis")
-        node = node[p]
-    leaf = parts[-1]
-    if leaf not in node:
-        raise ConfigError(f"sweep axis {axis!r} names an absent field", field="sweep.axis")
-    if isinstance(node[leaf], int) and not isinstance(node[leaf], bool):
-        if float(value) != int(value):
-            raise ConfigError(
-                f"axis {axis!r} is integer-valued, got {value}", field="sweep.values"
-            )
-        node[leaf] = int(value)
-    else:
-        node[leaf] = float(value)
+    # parse_config has resolved the axis and checked every value against it
+    block, name = axis.split(".")
+    doc[block][name] = sweep_value(axis, value)
     return doc
 
 

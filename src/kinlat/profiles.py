@@ -32,9 +32,14 @@ def _dispersion(kappa: np.ndarray) -> np.ndarray:
     return np.sum(np.sin(2.0 * np.pi * kappa) ** 2, axis=-1)
 
 
+def _require(ok: bool, name: str, value: float, rule: str) -> None:
+    # callers pass the condition that must hold, so NaN fails it too
+    if not ok:
+        raise ConfigError(f"must be {rule}, got {value}", field=name)
+
+
 def constant_profile(level: float) -> Profile:
-    if level < 0.0:
-        raise ConfigError(f"level must be nonnegative, got {level}", field="level")
+    _require(level >= 0.0, "level", level, ">= 0")
 
     def profile(kappa: np.ndarray) -> np.ndarray:
         return np.full(kappa.shape[:-1], float(level))
@@ -44,10 +49,8 @@ def constant_profile(level: float) -> Profile:
 
 def torus_gaussian(amplitude: float, width: float) -> Profile:
     """Smooth periodic bump at the origin: ``A exp(-sum sin^2(pi k)/w^2)``."""
-    if amplitude < 0.0 or width <= 0.0:
-        raise ConfigError(
-            f"need amplitude >= 0 and width > 0, got {amplitude}, {width}", field="width"
-        )
+    _require(amplitude >= 0.0, "amplitude", amplitude, ">= 0")
+    _require(width > 0.0, "width", width, "> 0")
 
     def profile(kappa: np.ndarray) -> np.ndarray:
         s = np.sum(np.sin(np.pi * kappa) ** 2, axis=-1)
@@ -58,10 +61,8 @@ def torus_gaussian(amplitude: float, width: float) -> Profile:
 
 def omega_bump(amplitude: float, center: float, width: float) -> Profile:
     """Gaussian ridge in the dispersion value, ``A exp(-(w(k)-c)^2/2s^2)``."""
-    if amplitude < 0.0 or width <= 0.0:
-        raise ConfigError(
-            f"need amplitude >= 0 and width > 0, got {amplitude}, {width}", field="width"
-        )
+    _require(amplitude >= 0.0, "amplitude", amplitude, ">= 0")
+    _require(width > 0.0, "width", width, "> 0")
 
     def profile(kappa: np.ndarray) -> np.ndarray:
         u = (_dispersion(kappa) - center) / width
@@ -72,11 +73,8 @@ def omega_bump(amplitude: float, center: float, width: float) -> Profile:
 
 def rayleigh_jeans_profile(temperature: float, floor: float = 1e-12) -> Profile:
     """Equilibrium shape ``T/w(k)``, zeroed where the dispersion sits below ``floor``."""
-    if temperature < 0.0 or floor <= 0.0:
-        raise ConfigError(
-            f"need temperature >= 0 and floor > 0, got {temperature}, {floor}",
-            field="temperature",
-        )
+    _require(temperature >= 0.0, "temperature", temperature, ">= 0")
+    _require(floor > 0.0, "floor", floor, "> 0")
 
     def profile(kappa: np.ndarray) -> np.ndarray:
         w = _dispersion(kappa)
@@ -86,11 +84,12 @@ def rayleigh_jeans_profile(temperature: float, floor: float = 1e-12) -> Profile:
     return profile
 
 
+# name -> (factory, required parameters, optional parameters)
 _FACTORIES = {
-    "constant": (constant_profile, ("level",)),
-    "torus-gaussian": (torus_gaussian, ("amplitude", "width")),
-    "omega-bump": (omega_bump, ("amplitude", "center", "width")),
-    "rayleigh-jeans": (rayleigh_jeans_profile, ("temperature",)),
+    "constant": (constant_profile, ("level",), ()),
+    "torus-gaussian": (torus_gaussian, ("amplitude", "width"), ()),
+    "omega-bump": (omega_bump, ("amplitude", "center", "width"), ()),
+    "rayleigh-jeans": (rayleigh_jeans_profile, ("temperature",), ("floor",)),
 }
 
 PROFILE_NAMES = tuple(sorted(_FACTORIES))
@@ -102,10 +101,8 @@ def make_profile(name: str, **params: float) -> Profile:
         raise ConfigError(
             f"unknown profile {name!r}, expected one of {PROFILE_NAMES}", field="profile"
         )
-    fn, required = _FACTORIES[name]
-    extra = set(params) - set(required) - {"floor"}
-    if name != "rayleigh-jeans":
-        extra = set(params) - set(required)
+    fn, required, optional = _FACTORIES[name]
+    extra = set(params) - set(required) - set(optional)
     if extra:
         raise ConfigError(
             f"profile {name!r} does not take {sorted(extra)}", field="profile"

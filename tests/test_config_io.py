@@ -1,13 +1,19 @@
 """Config parsing/validation and the deterministic file writers."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from kinlat import cli
 from kinlat.chain import GaussianLaw, PointLaw, site_coordinates, ChainGeometry
 from kinlat.config import (
     LawConfig,
+    VlasovConfig,
     build_law,
     build_profile,
     config_hash,
@@ -15,6 +21,7 @@ from kinlat.config import (
     parse_config,
 )
 from kinlat.errors import ConfigError, SizeMismatchError
+from kinlat.harness import run
 from kinlat.io import (
     format_float,
     read_phase_density,
@@ -121,6 +128,195 @@ class TestParse:
         doc["sweep"] = {"axis": "wave.lam", "values": [0.1, 0.2]}
         cfg = parse_config(doc)
         assert cfg.sweep.values == (0.1, 0.2)
+
+    def test_integral_floats_in_int_fields_become_ints(self):
+        doc = _wave_doc()
+        doc["seed"] = 3.0
+        doc["wave"].update(n_steps=10.0, half_width=4.0)
+        cfg = parse_config(doc)
+        assert cfg.wave.n_steps == 10 and type(cfg.wave.n_steps) is int
+        assert type(cfg.wave.half_width) is int and type(cfg.seed) is int
+        # a float field keeps the number it was given
+        doc["wave"]["lam"] = 1
+        assert type(parse_config(doc).wave.lam) is int
+        assert config_hash(cfg) == config_hash(parse_config(json.loads(json.dumps(doc))))
+
+    def test_absent_law_takes_the_block_default(self):
+        cfg = parse_config({"pipeline": "vlasov", "seed": 0, "vlasov": {}})
+        assert cfg.vlasov == VlasovConfig()
+        assert cfg.vlasov.law.params == {"sigma_r": 0.2, "sigma_v": 0.2}
+
+    @pytest.mark.parametrize(
+        "axis, values, where",
+        [
+            ("wave.replicas", [2, 4.5], "sweep.values.1"),
+            ("wave.lam", [0.1, -0.1], "sweep.values.1"),
+            ("wave.profile.width", [0.1], "sweep.axis"),
+            ("wave.scheme", [1], "sweep.axis"),
+            ("wave", [1], "sweep.axis"),
+            ("sweep.values", [1], "sweep.axis"),
+        ],
+    )
+    def test_sweep_values_are_checked_against_the_axis_field(self, axis, values, where):
+        doc = {**_wave_doc(), "sweep": {"axis": axis, "values": values}}
+        with pytest.raises(ConfigError) as err:
+            parse_config(doc)
+        assert err.value.field == where
+
+    def test_sweep_axis_may_name_a_defaulted_field(self, tmp_path):
+        doc = _wave_doc()
+        doc["wave"]["n_steps"] = 2
+        doc["sweep"] = {"axis": "wave.replicas", "values": [2, 3.0]}
+        man = run(parse_config(doc), out=tmp_path)
+        assert man.status == "ok"
+        for n in (2, 3):
+            # the child doc holds the int the field holds, so its hash is that of this doc
+            child = {**_wave_doc(), "wave": {**doc["wave"], "replicas": n}}
+            disk = json.loads((tmp_path / f"wave-replicas={n}" / "manifest.json").read_text())
+            assert disk["config_hash"] == config_hash(parse_config(child))
+
+    def test_bad_sweep_value_fails_before_any_child_runs(self, tmp_path):
+        doc = _wave_doc()
+        doc["sweep"] = {"axis": "wave.replicas", "values": [2, 4.5]}
+        cfgp = tmp_path / "sweep.json"
+        cfgp.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert cli.main(["sweep", "--config", str(cfgp), "--out", str(out)]) == cli.EXIT_CONFIG
+        assert not out.exists()
+
+
+_ALL_BLOCKS = {
+    "pipeline": "wt-compare",
+    "seed": 1,
+    "wave": {},
+    "kinetic": {},
+    "compare": {},
+    "chain": {},
+    "vlasov": {},
+}
+_DROP = object()
+
+# (dotted key, the value put there or _DROP to delete it, expected error path)
+INVALID = [
+    ("pipeline", "wt-magic", "pipeline"),
+    ("seed", -1, "seed"),
+    ("seed", 1.5, "seed"),
+    ("seed", _DROP, "<root>"),
+    ("workers", 2, "<root>"),
+    ("out", "", "out"),
+    ("out", 7, "out"),
+    ("wave", [], "wave"),
+    ("wave.scheme", "leapfrog", "wave.scheme"),
+    ("wave.d", 3, "wave.d"),
+    ("wave.half_width", 0, "wave.half_width"),
+    ("wave.dt", 0, "wave.dt"),
+    ("wave.lam", -0.1, "wave.lam"),
+    ("wave.replicas", True, "wave.replicas"),
+    ("wave.n_steps", "10", "wave.n_steps"),
+    ("wave.profile", {"name": "torus-gaussian", "amplitude": 1, "widht": 0.5}, "wave.profile"),
+    ("wave.profile", {"amplitude": 1}, "wave.profile"),
+    ("wave.profile", {"name": "sawtooth"}, "wave.profile.name"),
+    ("wave.profile", {"name": "torus-gaussian", "amplitude": 1, "width": 0}, "wave.profile.width"),
+    ("wave.profile", {"name": "constant", "level": -1}, "wave.profile.level"),
+    ("wave.profile", {"name": "constant", "level": "high"}, "wave.profile.level"),
+    ("kinetic.shape", "cauchy", "kinetic.shape"),
+    ("kinetic.scheme", "rk45", "kinetic.scheme"),
+    ("kinetic.d", 3, "kinetic.d"),
+    ("kinetic.m", 3, "kinetic.m"),
+    ("kinetic.epsilon", 0, "kinetic.epsilon"),
+    ("kinetic.omega_floor", 0.0, "kinetic.omega_floor"),
+    ("kinetic.omega_floor", None, "kinetic.omega_floor"),
+    ("kinetic.initial", {"name": "rayleigh-jeans", "temperature": 1, "cap": 2}, "kinetic.initial"),
+    ("kinetic.initial", {"name": "rayleigh-jeans", "temperature": 1, "floor": 0}, "kinetic.initial.floor"),
+    ("compare.pde_sigma_r", 0, "compare.pde_sigma_r"),
+    ("compare.pde_sigma_r", "wide", "compare.pde_sigma_r"),
+    ("compare.pde_sigma_r", None, "compare.pde_sigma_r"),
+    ("compare.t_final", 0, "compare.t_final"),
+    ("compare.tau_final", -1, "compare.tau_final"),
+    ("compare.horizon", 1, "compare"),
+    ("chain.force_method", "fft", "chain.force_method"),
+    ("chain.alpha", 1.0, "chain.alpha"),
+    ("chain.alpha", 0, "chain.alpha"),
+    ("chain.n", 1, "chain.n"),
+    ("chain.law", {"kind": "gaussian", "sigma": 1}, "chain.law"),
+    ("chain.law", {"kind": "delta-comb"}, "chain.law"),
+    ("chain.law", {"sigma_r": 0.1}, "chain.law"),
+    ("chain.law", {"kind": "gaussian", "sigma_r": -1}, "chain.law"),
+    ("chain.law", {"kind": "cosine-gaussian", "mode": 0}, "chain.law"),
+    ("chain.law", {"kind": "cosine-gaussian", "mode": 1.5}, "chain.law"),
+    ("chain.law", {"kind": "point", "r0": "left"}, "chain.law"),
+    ("vlasov.interp", "cubic", "vlasov.interp"),
+    ("vlasov.mr", 1, "vlasov.mr"),
+    ("vlasov.r_max", 0, "vlasov.r_max"),
+    ("vlasov.alpha", 1.5, "vlasov.alpha"),
+    ("vlasov.cfl_fraction", 0, "vlasov.cfl_fraction"),
+    ("vlasov.law", {"kind": "uniform"}, "vlasov.law"),
+    ("vlasov.law", {"kind": "point", "v0": 1, "r1": 0}, "vlasov.law"),
+    ("sweep", {"axis": "wave.lam", "values": []}, "sweep.values"),
+    ("sweep", {"axis": "wave.lam", "values": [0.1, "a"]}, "sweep.values.1"),
+    ("sweep", {"values": [0.1]}, "sweep"),
+    ("sweep", {"axis": "wave.lam", "values": [0.1], "repeat": 2}, "sweep"),
+]
+
+
+def invalid_doc(key, value):
+    doc = json.loads(json.dumps(_ALL_BLOCKS))
+    *parents, leaf = key.split(".")
+    node = doc
+    for p in parents:
+        node = node[p]
+    if value is _DROP:
+        del node[leaf]
+    else:
+        node[leaf] = value
+    return doc
+
+
+class TestInvalid:
+    def test_base_doc_is_valid(self):
+        parse_config(_ALL_BLOCKS)
+
+    @pytest.mark.parametrize("key, value, where", INVALID)
+    def test_rejected_with_field_path(self, key, value, where):
+        with pytest.raises(ConfigError) as err:
+            parse_config(invalid_doc(key, value))
+        assert err.value.field == where
+
+    @pytest.mark.parametrize(
+        "text, where",
+        [
+            ('"wave": {"dt": NaN}', "wave.dt"),
+            ('"wave": {"lam": Infinity}', "wave.lam"),
+            ('"wave": {"profile": {"name": "constant", "level": -Infinity}}', "wave.profile.level"),
+            ('"wave": {}, "chain": {"law": {"kind": "gaussian", "mean_v": NaN}}', "chain.law"),
+            ('"wave": {}, "sweep": {"axis": "wave.lam", "values": [0.1, NaN]}', "sweep.values.1"),
+        ],
+    )
+    def test_non_finite_numbers_are_rejected(self, tmp_path, text, where):
+        p = tmp_path / "run.json"
+        p.write_text('{"pipeline": "wt-sim", "seed": 1, ' + text + "}")
+        with pytest.raises(ConfigError) as err:
+            load_config(p)
+        assert err.value.field == where
+
+    def test_cli_import_needs_nothing_beyond_numpy_and_the_standard_library(self):
+        # validation walks the config dataclasses, so no schema library is imported
+        src = Path(__file__).resolve().parents[1] / "src"
+        path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+        code = (
+            "import sys; before = set(sys.modules); import kinlat.cli; "
+            "new = {m.split('.')[0] for m in set(sys.modules) - before}; "
+            "print(sorted(new - set(sys.stdlib_module_names) - {'numpy', 'kinlat'}))"
+        )
+        res = subprocess.run(
+            [sys.executable, "-c", code],
+            env=dict(os.environ, PYTHONPATH=path),
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.strip() == "[]"
 
 
 class TestLoadAndHash:
