@@ -6,9 +6,12 @@ Usage::
 
 Each case is called once before timing so plan building and allocator
 warm-up stay out of the numbers; the reported figure is the median of the
-repeat wall times.  The line-shift cases time what one Strang step does on
-the 32x128x128 grid of the meanfield benchmark: an r-sweep applies a table
-built once per run, and a v-sweep refills its table from new shifts first.
+repeat wall times.  The collision cases at d=2, m=40 (the grid of the
+kinetic-sweep benchmark, dispersion floor 0.05) time the plan build on its
+own, then an evaluation with the plan in hand, and list the plan's size.
+The line-shift cases time what one Strang step does on the 32x128x128 grid
+of the meanfield benchmark: an r-sweep applies a table built once per run,
+and a v-sweep refills its table from new shifts first.
 """
 
 from __future__ import annotations
@@ -18,9 +21,18 @@ import time
 
 import numpy as np
 
-from kinlat.kernels import chain_force_flat, collision_rate, wave_nonlinear
+from kinlat.kernels import (
+    PROFILE_CODES,
+    _collision_plan,
+    chain_force_flat,
+    collision_rate,
+    wave_nonlinear,
+)
 from kinlat.lattice import LatticeSpec
 from kinlat.vlasov import INTERP_MODES, PhaseGrid, _LineShift, _scratch, v_centers
+
+
+PLAN_EPS = (0.2, 0.05, 0.02)
 
 
 def _median_time(fn, repeats: int) -> float:
@@ -66,6 +78,17 @@ def _cases(rng, batch: int):
         lambda: collision_rate(f2, 2, 20, 0.2, "gaussian", 1e-7),
     )
 
+    f40 = rng.uniform(0.1, 1.0, size=(40, 40))
+    for eps in PLAN_EPS:
+        yield (
+            f"collision plan build d=2 m=40 eps={eps:g}",
+            lambda eps=eps: _collision_plan(2, 40, eps, PROFILE_CODES["gaussian"], 0.05),
+        )
+        yield (
+            f"collision rate d=2 m=40 eps={eps:g}",
+            lambda eps=eps: collision_rate(f40, 2, 40, eps, "gaussian", 0.05),
+        )
+
     r = rng.normal(size=(batch, 512))
     yield (
         f"chain force direct n=512 batch={batch}",
@@ -105,6 +128,12 @@ def main() -> int:
     for name, call in _cases(rng, args.batch):
         call()  # warm up before the clock starts
         print(f"{name:<{width}} {_median_time(call, args.repeats) * 1e3:>8.2f}ms")
+    for eps in PLAN_EPS:
+        plan = _collision_plan(2, 40, eps, PROFILE_CODES["gaussian"], 0.05)
+        print(
+            f"collision plan d=2 m=40 eps={eps:g}: "
+            f"{plan.w.size} pairs, {plan.nbytes / 2**20:.1f} MiB"
+        )
     return 0
 
 

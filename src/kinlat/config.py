@@ -8,8 +8,10 @@ and the rule in its ``metadata`` (bounds ``ge``/``gt``/``le``/``lt`` on
 numbers, ``choices`` on strings).  Integer fields take integral numbers and
 hold ints; no field takes NaN or an infinity.  Profile and law blocks are
 flat objects, checked by :func:`~kinlat.profiles.make_profile` and by
-``_LAW_PARAMS``.  A rejection is a :class:`ConfigError` carrying the dotted
-path of the offending field.
+``_LAW_PARAMS``.  Rules that tie two blocks of a pipeline together, and
+the rule that no two sweep children share an output directory, are checked
+on the built tree, once per sweep child.  A rejection is a
+:class:`ConfigError` carrying the dotted path of the offending field.
 
 A :class:`RunConfig` keeps its raw document, and its hash identifies a run:
 two configs with the same hash produce byte-identical outputs for the same
@@ -22,7 +24,7 @@ import hashlib
 import json
 import math
 import operator
-from dataclasses import MISSING, dataclass, field, fields, is_dataclass
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from functools import cache
 from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
@@ -48,6 +50,8 @@ __all__ = [
     "load_config",
     "parse_config",
     "sweep_value",
+    "sweep_dir",
+    "mf_steps",
     "config_hash",
     "build_law",
     "build_profile",
@@ -291,25 +295,75 @@ def parse_config(doc: dict) -> RunConfig:
 
     A violation surfaces as :class:`ConfigError` carrying the dotted path of
     the offending field.  Sweep values are checked by the rule of their
-    axis field here, before any child runs.
+    axis field here, before any child runs, and so are the rules that tie
+    blocks together, once per sweep child.
     """
     cfg = _build(RunConfig, doc, "", raw=doc)
     for block in _REQUIRED_BLOCKS[cfg.pipeline]:
         if getattr(cfg, block) is None:
             raise ConfigError(f"pipeline {cfg.pipeline!r} needs a {block!r} block", field=block)
-    if cfg.sweep is not None:
-        axis = cfg.sweep.axis
-        tp, rule = _axis_field(axis)
-        if getattr(cfg, axis.partition(".")[0]) is None:
-            raise ConfigError(f"sweep axis {axis!r} points at a missing block", field="sweep.axis")
-        for i, v in enumerate(cfg.sweep.values):
-            _value(tp, rule, v, f"sweep.values.{i}")
+    if cfg.sweep is None:
+        _check_blocks(cfg)
+        return cfg
+    axis = cfg.sweep.axis
+    tp, rule = _axis_field(axis)
+    block, _, name = axis.partition(".")
+    if getattr(cfg, block) is None:
+        raise ConfigError(f"sweep axis {axis!r} points at a missing block", field="sweep.axis")
+    dirs = {}
+    for i, v in enumerate(cfg.sweep.values):
+        path = f"sweep.values.{i}"
+        child_value = _value(tp, rule, v, path)
+        child_dir = sweep_dir(axis, v)
+        if child_dir in dirs:
+            raise ConfigError(
+                f"child directory {child_dir!r} is also that of sweep.values.{dirs[child_dir]}",
+                field=path,
+            )
+        dirs[child_dir] = i
+        child = replace(cfg, **{block: replace(getattr(cfg, block), **{name: child_value})})
+        try:
+            _check_blocks(child)
+        except ConfigError as e:
+            raise ConfigError(f"{e.field}: {e.message}", field=path) from None
     return cfg
+
+
+def mf_steps(chain: ChainConfig, vlasov: VlasovConfig, t_final: float) -> tuple[int, int]:
+    """Chain and Vlasov step counts of an ``mf-compare`` run to ``t_final``."""
+    return max(1, round(t_final / chain.dt)), max(1, round(t_final / vlasov.dt))
+
+
+def _check_blocks(cfg: RunConfig) -> None:
+    """The rules of a pipeline that tie two of its blocks together."""
+    if cfg.pipeline == "wt-compare" and cfg.wave.lam <= 0.0:
+        raise ConfigError("the kinetic comparison needs lam > 0", field="wave.lam")
+    if cfg.pipeline != "mf-compare":
+        return
+    c, v, t_final = cfg.chain, cfg.vlasov, cfg.compare.t_final
+    if not isinstance(build_law(c.law), GaussianLaw):
+        raise ConfigError(
+            "mean-field comparison needs a law with a density (gaussian kinds)",
+            field="chain.law.kind",
+        )
+    if c.alpha != v.alpha:
+        raise ConfigError("chain and transport blocks must share alpha", field="vlasov.alpha")
+    n_chain, n_pde = mf_steps(c, v, t_final)
+    if abs(n_chain * c.dt - n_pde * v.dt) > 1e-9:
+        raise ConfigError(
+            "chain.dt and vlasov.dt must both divide compare.t_final",
+            field="compare.t_final",
+        )
 
 
 def sweep_value(axis: str, value: float) -> int | float:
     """``value`` as the field that sweep ``axis`` names holds it: int or float."""
     return int(value) if _axis_field(axis)[0] is int else float(value)
+
+
+def sweep_dir(axis: str, value: float) -> str:
+    """Name of the output directory of the sweep child at ``value`` on ``axis``."""
+    return f"{axis.replace('.', '-')}={value:g}"
 
 
 def read_doc(path: str | Path) -> dict:

@@ -6,14 +6,30 @@ kinetic equation, and the all-pairs force of the long-range chain.  Each is
 vectorized numpy (FFT convolution where the sum is one) and is held against
 the literal-loop oracles of :mod:`kinlat._reference`.
 
+The collision operator is one sum over resonant triads.  With ``c = a + b``
+(mod ``m`` per axis) and the weight
+``W(a, b) = kinv_a kinv_b kinv_c phi_eps(w_c - w_a - w_b) / 8``, each pair
+contributes ``T = W [f_a f_b - f_c (f_a + f_b)]`` and the rate is
+``(bincount(c, T) - 2 bincount(a, T)) / m**d`` over ordered pairs.  ``T`` is
+symmetric in ``a`` and ``b``, so the plan lists each unordered pair of live
+modes once, ``a <= b``, with its weight doubled off the diagonal, and the
+rate is ``bincount(c, T) - bincount(a, T) - bincount(b, T)``.  Pairs whose
+weight is at most ``PAIR_CUT`` (1e-16) times the largest are dropped, so the
+list, its memory and the cost of an evaluation shrink with ``eps``.  The
+list is built in blocks of rows and each block is pruned as it is made;
+each thread keeps only the plan it used last.
+
 Layout conventions: spectral arrays arrive in the shifted (ascending
 wavenumber) order of :mod:`kinlat.lattice`; kernels flatten them C-style, so
 the flat index of wavenumber ``k`` is ``sum_c (k_c + D) * N**(d-1-c)``.
+The collision operator works on the torus grid ``j/m`` in flat C order.
 Position-space chain arrays stay in natural site order.
 """
 
 from __future__ import annotations
 
+import threading
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -94,20 +110,94 @@ def _profile_weight(du: np.ndarray, eps: float, code: int) -> np.ndarray:
     return (eps / np.pi) / (du * du + eps * eps)
 
 
-@lru_cache(maxsize=16)
-def _collision_plan(d: int, m: int, eps: float, code: int, floor: float):
+# a pair weight at or below this fraction of the largest one is dropped
+PAIR_CUT = 1e-16
+# pairs per block, in the build and in each evaluation: the block's
+# temporaries stay in cache, and the build never holds more than one block
+# of unpruned candidates
+_BLOCK_PAIRS = 1 << 15
+
+
+@dataclass(frozen=True)
+class TriadPlan:
+    """Unordered resonant pairs ``a <= b`` of live modes, with ``c = a + b``.
+
+    ``w`` is the triad weight ``W(a, b)``, doubled when ``a != b`` so that
+    each unordered pair stands for both of its orderings.  Pairs whose
+    weight is at most ``PAIR_CUT`` times the largest are left out.
+    """
+
+    a: np.ndarray
+    b: np.ndarray
+    c: np.ndarray
+    w: np.ndarray
+
+    @property
+    def nbytes(self) -> int:
+        return self.a.nbytes + self.b.nbytes + self.c.nbytes + self.w.nbytes
+
+
+def _collision_plan(d: int, m: int, eps: float, code: int, floor: float) -> TriadPlan:
+    """Build the pruned pair list in blocks of rows ``a``.
+
+    Each block is cut against the largest weight seen so far, which never
+    exceeds the global one, so the final cut against the global maximum
+    gives a list that does not depend on the block size.
+    """
     jvecs, omega = _torus_tables(d, m)
-    kinv = np.where(omega >= floor, 1.0, 0.0) / np.where(omega >= floor, omega, 1.0)
-    idx_a = _flat_index(jvecs[:, None, :] - jvecs[None, :, :], m)
-    idx_b = _flat_index(jvecs[None, :, :] - jvecs[:, None, :], m)
-    base = 0.125 * kinv[:, None] * kinv[None, :]
-    w1 = base * kinv[idx_a] * _profile_weight(
-        omega[:, None] - omega[None, :] - omega[idx_a], eps, code
-    )
-    w2 = base * kinv[idx_b] * _profile_weight(
-        omega[None, :] - omega[:, None] - omega[idx_b], eps, code
-    )
-    return idx_a, idx_b, w1, w2
+    live = np.flatnonzero(omega >= floor)
+    kinv = np.zeros(omega.size)
+    kinv[live] = 1.0 / omega[live]
+    jl = jvecs[live]
+    n_live = live.size
+    rows = max(1, _BLOCK_PAIRS // max(1, n_live))
+    # a, b, c and w of the kept pairs, one array per block
+    cols = tuple([np.empty(0, dtype)] for dtype in (np.intp, np.intp, np.intp, np.float64))
+    top = 0.0
+    for i0 in range(0, n_live, rows):
+        i1 = min(n_live, i0 + rows)
+        a, b = live[i0:i1, None], live[None, i0:]
+        c = np.zeros((i1 - i0, n_live - i0), np.intp)
+        for ax in range(d):  # flat index of a + b, wrapped per axis
+            s = jl[i0:i1, None, ax] + jl[None, i0:, ax]
+            s[s >= m] -= m
+            c *= m
+            c += s
+        w = (0.125 * kinv[a] * kinv[b]) * kinv[c]
+        w *= _profile_weight(omega[c] - omega[a] - omega[b], eps, code)
+        # keep the upper triangle b >= a, doubled off the diagonal (exactly)
+        w *= 2.0
+        w[np.arange(i1 - i0)[:, None] > np.arange(n_live - i0)[None, :]] = 0.0
+        w[np.arange(i1 - i0), np.arange(i1 - i0)] *= 0.5
+        top = max(top, float(w.max()))
+        kept = np.flatnonzero(w > PAIR_CUT * top)
+        ia, ib = np.divmod(kept, w.shape[1])
+        block = (live.take(i0 + ia), live.take(i0 + ib), c.take(kept), w.take(kept))
+        for col, x in zip(cols, block):
+            col.append(x)
+    keep = [w > PAIR_CUT * top for w in cols[3]]
+    merged = []
+    for col in cols:
+        merged.append(np.concatenate([x if k.all() else x[k] for x, k in zip(col, keep)]))
+        col.clear()  # release this column's blocks before merging the next
+    return TriadPlan(*merged)
+
+
+_held = threading.local()
+
+
+def _thread_plan(d: int, m: int, eps: float, code: int, floor: float) -> TriadPlan:
+    """The plan for these arguments; each thread holds only its latest one.
+
+    A sweep child runs on one thread and asks for one plan, so a serial
+    sweep keeps one plan alive and a threaded one one per worker.
+    """
+    key = (d, m, eps, code, floor)
+    if getattr(_held, "key", None) != key:
+        _held.key = _held.plan = None  # free the old plan before building
+        _held.plan = _collision_plan(*key)
+        _held.key = key
+    return _held.plan
 
 
 def collision_rate(
@@ -120,16 +210,16 @@ def collision_rate(
     below ``floor`` neither receive nor donate. Quadrature weight ``m**-d``.
     """
     flat = np.ascontiguousarray(f, dtype=np.float64).reshape(-1)
-    idx_a, idx_b, w1, w2 = _collision_plan(
-        d, m, float(eps), PROFILE_CODES[profile], float(floor)
-    )
-    f1 = flat[None, :]
-    fk = flat[:, None]
-    f2a = flat[idx_a]
-    f2b = flat[idx_b]
-    term1 = (w1 * (f1 * f2a - fk * f1 - fk * f2a)).sum(axis=1)
-    term2 = (w2 * (f2b * fk - fk * f1 - f1 * f2b)).sum(axis=1)
-    return ((term1 - 2.0 * term2) / m**d).reshape(f.shape)
+    plan = _thread_plan(d, m, float(eps), PROFILE_CODES[profile], float(floor))
+    n = flat.size
+    rate = np.zeros(n)
+    for s in range(0, plan.w.size, _BLOCK_PAIRS):
+        blk = slice(s, s + _BLOCK_PAIRS)
+        a, b, c = plan.a[blk], plan.b[blk], plan.c[blk]
+        fa, fb = flat[a], flat[b]
+        t = plan.w[blk] * (fa * fb - flat[c] * (fa + fb))
+        rate += np.bincount(c, t, n) - np.bincount(a, t, n) - np.bincount(b, t, n)
+    return (rate / m**d).reshape(f.shape)
 
 
 # ---------------------------------------------------------------------------

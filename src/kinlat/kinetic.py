@@ -169,12 +169,14 @@ def step(
     dtau: float,
     scheme: str = "rk4",
     diag: CollisionDiagnostics | None = None,
+    index: int | None = None,
 ) -> Spectrum:
     """One explicit time step of ``df/dtau = C[f]``.
 
     Negative values produced by the update are clipped to zero; the clipped
     mass (quadrature-weighted) is recorded on ``diag`` when given.  Growth
-    beyond ``BLOWUP_BOUND`` aborts.
+    beyond ``BLOWUP_BOUND`` aborts with a :class:`NumericalBlowupError` that
+    names the step ``index``, the time reached and the worst mode.
     """
     if f.grid != grid:
         raise SizeMismatchError(f"spectrum grid {f.grid} vs requested {grid}")
@@ -189,9 +191,14 @@ def step(
         new = y + dtau * collision(y, grid, rule)
     else:
         raise ValueError(f"unknown scheme {scheme!r}")
-    if not np.all(np.isfinite(new)) or np.max(np.abs(new)) > BLOWUP_BOUND:
+    worst = int(np.argmax(np.abs(new)))  # the first NaN, if there is one
+    value = float(new.flat[worst])
+    if not abs(value) <= BLOWUP_BOUND:
+        mode = tuple(int(i) for i in np.unravel_index(worst, new.shape))
         raise NumericalBlowupError(
-            f"collision step left bounds (max {np.max(np.abs(new)):.3e})"
+            f"collision step to tau {f.tau + dtau:.6g} left bounds: "
+            f"f = {value:.3e} at mode {mode}",
+            step=index,
         )
     neg = new < 0.0
     if diag is not None:
@@ -215,7 +222,7 @@ def evolve(
 ) -> Spectrum:
     """Repeat :func:`step`; ``callback(i, spectrum)`` fires after each step."""
     for i in range(n_steps):
-        f = step(f, grid, rule, dtau, scheme, diag)
+        f = step(f, grid, rule, dtau, scheme, diag, index=i)
         if callback is not None:
             callback(i, f)
     return f

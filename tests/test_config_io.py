@@ -184,6 +184,84 @@ class TestParse:
         assert cli.main(["sweep", "--config", str(cfgp), "--out", str(out)]) == cli.EXIT_CONFIG
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "block, key, value, where, message",
+        [
+            ("chain", "alpha", 0.4, "vlasov.alpha", "chain and transport blocks must share alpha"),
+            (
+                "chain",
+                "dt",
+                0.003,
+                "compare.t_final",
+                "chain.dt and vlasov.dt must both divide compare.t_final",
+            ),
+            (
+                "chain",
+                "law",
+                {"kind": "point"},
+                "chain.law.kind",
+                "mean-field comparison needs a law with a density (gaussian kinds)",
+            ),
+        ],
+    )
+    def test_mf_compare_block_rules_are_checked_at_parse(self, block, key, value, where, message):
+        doc = _mf_doc()
+        doc[block][key] = value
+        with pytest.raises(ConfigError) as err:
+            parse_config(doc)
+        assert (err.value.field, err.value.message) == (where, message)
+
+    def test_wt_compare_needs_coupling_at_parse(self):
+        doc = {"pipeline": "wt-compare", "seed": 1, "wave": {"lam": 0}}
+        doc.update(kinetic={}, compare={})
+        with pytest.raises(ConfigError) as err:
+            parse_config(doc)
+        assert (err.value.field, err.value.message) == (
+            "wave.lam",
+            "the kinetic comparison needs lam > 0",
+        )
+
+    def test_block_rules_are_checked_per_sweep_child(self):
+        doc = {**_mf_doc(), "sweep": {"axis": "chain.alpha", "values": [0.5, 0.4]}}
+        with pytest.raises(ConfigError) as err:
+            parse_config(doc)
+        assert err.value.field == "sweep.values.1"
+        assert err.value.message == "vlasov.alpha: chain and transport blocks must share alpha"
+        # the base value is not run by a sweep, so only the children are held to the rule
+        doc = {**_mf_doc(), "sweep": {"axis": "vlasov.alpha", "values": [0.4]}}
+        doc["chain"] = {**doc["chain"], "alpha": 0.4}
+        assert parse_config(doc).sweep.values == (0.4,)
+
+    def test_mf_compare_block_error_makes_no_directory(self, tmp_path):
+        doc = _mf_doc()
+        doc["chain"]["alpha"] = 0.4
+        cfgp = tmp_path / "mf.json"
+        cfgp.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert cli.main(["mf-compare", "--config", str(cfgp), "--out", str(out)]) == cli.EXIT_CONFIG
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "axis, values, where",
+        [
+            ("kinetic.epsilon", [0.1, 0.1000001], "sweep.values.1"),
+            ("kinetic.epsilon", [0.2, 0.3, 0.2], "sweep.values.2"),
+            ("kinetic.m", [8, 8.0], "sweep.values.1"),
+        ],
+    )
+    def test_sweep_children_may_not_share_a_directory(self, tmp_path, axis, values, where):
+        doc = {"pipeline": "wt-kinetic", "seed": 1, "kinetic": {"m": 8}}
+        doc["sweep"] = {"axis": axis, "values": values}
+        with pytest.raises(ConfigError) as err:
+            parse_config(doc)
+        assert err.value.field == where
+        assert "child directory" in err.value.message
+        cfgp = tmp_path / "sweep.json"
+        cfgp.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert cli.main(["sweep", "--config", str(cfgp), "--out", str(out)]) == cli.EXIT_CONFIG
+        assert not out.exists()
+
 
 _ALL_BLOCKS = {
     "pipeline": "wt-compare",

@@ -1,5 +1,6 @@
 """Run orchestration: manifests, replica-block independence, CLI exits."""
 
+import gc
 import json
 import os
 import subprocess
@@ -9,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from kinlat import kernels
 from kinlat.config import config_hash, parse_config
 from kinlat.errors import CheckFailure, NumericalBlowupError
 from kinlat.harness import BLOCK_BYTES, _integrate_ensemble, run
@@ -157,6 +159,39 @@ class TestSweep:
             assert r["status"] == "ok"
         assert (tmp_path / "sweep.csv").exists()
         assert len(man.metrics["stationarity_l1"]) == 2
+
+    @staticmethod
+    def _kinetic_sweep(m, values):
+        return parse_config(
+            {
+                "pipeline": "wt-kinetic",
+                "seed": 1,
+                "kinetic": {"d": 2, "m": m, "omega_floor": 0.05, "dtau": 0.01, "n_steps": 2},
+                "sweep": {"axis": "kinetic.epsilon", "values": values},
+            }
+        )
+
+    def test_serial_sweep_keeps_one_collision_plan(self, tmp_path):
+        run(self._kinetic_sweep(8, [0.3, 0.2, 0.1]), out=tmp_path)
+        gc.collect()
+        plans = [o for o in gc.get_objects() if isinstance(o, kernels.TriadPlan)]
+        assert len(plans) <= 1
+
+    def test_threaded_sweep_builds_each_plan_once(self, tmp_path, monkeypatch):
+        built = []
+        build = kernels._collision_plan
+
+        def counted(*key):
+            built.append(key[2])
+            return build(*key)
+
+        monkeypatch.setattr(kernels, "_collision_plan", counted)
+        values = [0.3, 0.2, 0.1]
+        man = run(self._kinetic_sweep(10, values), out=tmp_path, workers=2)
+        assert man.status == "ok"
+        # each child evaluates its operator nine times (four RK4 stages in each
+        # of two steps, then the final rate) but builds its plan once
+        assert sorted(built) == sorted(values)
 
 
 def _cli(args, cwd):

@@ -1,9 +1,13 @@
 """Collision operator: oracle equality, equilibrium trend, stepping."""
 
+import itertools
+import re
+
 import numpy as np
 import pytest
 
 from kinlat import _reference as ref
+from kinlat import kernels
 from kinlat.errors import NumericalBlowupError, SizeMismatchError
 from kinlat.kinetic import (
     DEFAULT_OMEGA_FLOOR,
@@ -25,11 +29,34 @@ from kinlat.kinetic import (
 
 @pytest.mark.parametrize(
     "d,m,eps,profile",
-    [(1, 8, 0.3, "gaussian"), (1, 12, 0.15, "lorentzian"), (2, 6, 0.4, "gaussian")],
+    [
+        (1, 8, 0.3, "gaussian"),
+        (1, 12, 0.15, "lorentzian"),
+        (2, 6, 0.4, "gaussian"),
+        (2, 6, 0.3, "lorentzian"),
+    ],
 )
 def test_collision_matches_direct_quadrature(rng, d, m, eps, profile):
     grid = TorusGrid(d, m)
     rule = ResonanceRule(eps, profile=profile)
+    f = rng.uniform(0.1, 1.0, size=grid.shape)
+    got = collision(f, grid, rule)
+    want = ref.collision_direct(f, grid, rule)
+    assert np.max(np.abs(got - want)) < 1e-12 * max(1.0, np.max(np.abs(want)))
+
+
+def test_pruned_pair_list_still_matches_direct_quadrature(rng):
+    # at this width most resonant triads fall below the weight cut
+    grid = TorusGrid(1, 16)
+    rule = ResonanceRule(0.01)
+    live = active_mask(grid, rule)
+    triads = sum(
+        bool(live[a] and live[b] and live[(a + b) % 16])
+        for a, b in itertools.combinations_with_replacement(range(16), 2)
+    )
+    code = kernels.PROFILE_CODES["gaussian"]
+    plan = kernels._collision_plan(1, 16, 0.01, code, rule.omega_floor)
+    assert 0 < plan.w.size < triads
     f = rng.uniform(0.1, 1.0, size=grid.shape)
     got = collision(f, grid, rule)
     want = ref.collision_direct(f, grid, rule)
@@ -51,6 +78,8 @@ def test_frozen_modes_do_not_move(rng):
     frozen = ~active_mask(grid, rule)
     assert frozen.any()  # the floor actually bites at this resolution
     assert np.all(c[frozen] == 0.0)
+    # a floor above every dispersion freezes the whole grid
+    assert np.all(collision(f, grid, ResonanceRule(0.1, omega_floor=2.0)) == 0.0)
 
 
 def test_collision_preserves_evenness():
@@ -134,6 +163,24 @@ def test_blowup_guard():
     f = Spectrum(grid, np.full(grid.shape, 1.0))
     with pytest.raises(NumericalBlowupError):
         evolve(f, grid, rule, 1e9, 50, scheme="euler")
+
+
+def test_blowup_names_step_time_and_mode():
+    grid = TorusGrid(2, 8)
+    rule = ResonanceRule(0.3)
+    f0 = np.ones(grid.shape)
+    f0[5, 6] = f0[6, 5] = 1e8  # two spikes whose triads leave the bound in one step
+    new = f0 + 1e5 * collision(f0, grid, rule)
+    mode = np.unravel_index(int(np.argmax(np.abs(new))), grid.shape)
+    assert mode not in ((5, 6), (6, 5)) and np.max(np.abs(new)) > 1e12
+    with pytest.raises(NumericalBlowupError) as err:
+        evolve(Spectrum(grid, f0, 0.0), grid, rule, 1e5, 3, scheme="euler")
+    assert err.value.step == 0
+    msg = str(err.value)
+    assert msg.startswith("step 0: ") and "to tau 100000 " in msg
+    assert f"at mode ({mode[0]}, {mode[1]})" in msg
+    value = float(re.search(r"f = (\S+) at mode", msg).group(1))
+    assert value == pytest.approx(new[mode], rel=1e-3)
 
 
 def test_spectrum_validation():
