@@ -21,18 +21,15 @@ import time
 
 import numpy as np
 
-from kinlat.kernels import (
-    PROFILE_CODES,
-    _collision_plan,
-    chain_force_flat,
-    collision_rate,
-    wave_nonlinear,
-)
+from kinlat.chain import chain_force_flat
+from kinlat.kinetic import ResonanceRule, TorusGrid, _collision_plan, collision_rate
 from kinlat.lattice import LatticeSpec
 from kinlat.vlasov import INTERP_MODES, PhaseGrid, _LineShift, _scratch, v_centers
+from kinlat.waves import wave_nonlinear
 
 
-PLAN_EPS = (0.2, 0.05, 0.02)
+PLAN_GRID = TorusGrid(2, 40)
+PLAN_RULES = tuple(ResonanceRule(eps, "gaussian", 0.05) for eps in (0.2, 0.05, 0.02))
 
 
 def _median_time(fn, repeats: int) -> float:
@@ -66,27 +63,21 @@ def _cases(rng, batch: int):
         lambda: wave_nonlinear(a2, spec2, 0.3),
     )
 
-    f1 = rng.uniform(0.1, 1.0, size=256)
-    yield (
-        "collision rate d=1 m=256",
-        lambda: collision_rate(f1, 1, 256, 0.025, "gaussian", 1e-7),
-    )
+    f1, g1, r1 = rng.uniform(0.1, 1.0, size=256), TorusGrid(1, 256), ResonanceRule(0.025)
+    yield ("collision rate d=1 m=256", lambda: collision_rate(f1, g1, r1))
 
-    f2 = rng.uniform(0.1, 1.0, size=(20, 20))
-    yield (
-        "collision rate d=2 m=20",
-        lambda: collision_rate(f2, 2, 20, 0.2, "gaussian", 1e-7),
-    )
+    f2, g2, r2 = rng.uniform(0.1, 1.0, size=(20, 20)), TorusGrid(2, 20), ResonanceRule(0.2)
+    yield ("collision rate d=2 m=20", lambda: collision_rate(f2, g2, r2))
 
     f40 = rng.uniform(0.1, 1.0, size=(40, 40))
-    for eps in PLAN_EPS:
+    for rule in PLAN_RULES:
         yield (
-            f"collision plan build d=2 m=40 eps={eps:g}",
-            lambda eps=eps: _collision_plan(2, 40, eps, PROFILE_CODES["gaussian"], 0.05),
+            f"collision plan build d=2 m=40 eps={rule.epsilon:g}",
+            lambda rule=rule: _collision_plan(PLAN_GRID, rule),
         )
         yield (
-            f"collision rate d=2 m=40 eps={eps:g}",
-            lambda eps=eps: collision_rate(f40, 2, 40, eps, "gaussian", 0.05),
+            f"collision rate d=2 m=40 eps={rule.epsilon:g}",
+            lambda rule=rule: collision_rate(f40, PLAN_GRID, rule),
         )
 
     r = rng.normal(size=(batch, 512))
@@ -128,10 +119,10 @@ def main() -> int:
     for name, call in _cases(rng, args.batch):
         call()  # warm up before the clock starts
         print(f"{name:<{width}} {_median_time(call, args.repeats) * 1e3:>8.2f}ms")
-    for eps in PLAN_EPS:
-        plan = _collision_plan(2, 40, eps, PROFILE_CODES["gaussian"], 0.05)
+    for rule in PLAN_RULES:
+        plan = _collision_plan(PLAN_GRID, rule)
         print(
-            f"collision plan d=2 m=40 eps={eps:g}: "
+            f"collision plan d=2 m=40 eps={rule.epsilon:g}: "
             f"{plan.w.size} pairs, {plan.nbytes / 2**20:.1f} MiB"
         )
     return 0

@@ -33,6 +33,7 @@ import numpy as np
 
 from .chain import GaussianLaw, PointLaw
 from .errors import ConfigError
+from .kinetic import DEFAULT_OMEGA_FLOOR, RESONANCE_PROFILES
 from .profiles import PROFILE_NAMES, make_profile
 
 __all__ = [
@@ -49,8 +50,8 @@ __all__ = [
     "read_doc",
     "load_config",
     "parse_config",
-    "sweep_value",
     "sweep_dir",
+    "sweep_children",
     "mf_steps",
     "config_hash",
     "build_law",
@@ -99,8 +100,8 @@ class KineticConfig:
     d: int = _field(1, ge=1, le=2)
     m: int = _field(32, ge=4)
     epsilon: float = _field(0.3, gt=0)
-    shape: str = _field("gaussian", choices=("gaussian", "lorentzian"))
-    omega_floor: float | None = _field(None, gt=0)
+    shape: str = _field("gaussian", choices=RESONANCE_PROFILES)
+    omega_floor: float = _field(DEFAULT_OMEGA_FLOOR, gt=0)
     dtau: float = _field(0.02, gt=0)
     n_steps: int = _field(25, ge=0)
     scheme: str = _field("rk4", choices=("rk4", "euler"))
@@ -305,28 +306,42 @@ def parse_config(doc: dict) -> RunConfig:
     if cfg.sweep is None:
         _check_blocks(cfg)
         return cfg
-    axis = cfg.sweep.axis
-    tp, rule = _axis_field(axis)
-    block, _, name = axis.partition(".")
-    if getattr(cfg, block) is None:
-        raise ConfigError(f"sweep axis {axis!r} points at a missing block", field="sweep.axis")
     dirs = {}
-    for i, v in enumerate(cfg.sweep.values):
+    for i, (_, child_dir, child) in enumerate(sweep_children(cfg)):
         path = f"sweep.values.{i}"
-        child_value = _value(tp, rule, v, path)
-        child_dir = sweep_dir(axis, v)
         if child_dir in dirs:
             raise ConfigError(
                 f"child directory {child_dir!r} is also that of sweep.values.{dirs[child_dir]}",
                 field=path,
             )
         dirs[child_dir] = i
-        child = replace(cfg, **{block: replace(getattr(cfg, block), **{name: child_value})})
         try:
             _check_blocks(child)
         except ConfigError as e:
             raise ConfigError(f"{e.field}: {e.message}", field=path) from None
     return cfg
+
+
+def sweep_children(cfg: RunConfig):
+    """Yield ``(value, directory, config)`` of each child of ``cfg``'s sweep.
+
+    A child is the base config with the axis field set to the value, held as
+    the field holds it (an int, or a float even when the JSON value is
+    integral), and without the sweep block; its raw document is the base
+    document changed the same way, so its hash names the child run.
+    """
+    axis = cfg.sweep.axis
+    tp, rule = _axis_field(axis)
+    block, _, name = axis.partition(".")
+    if getattr(cfg, block) is None:
+        raise ConfigError(f"sweep axis {axis!r} points at a missing block", field="sweep.axis")
+    base = {k: v for k, v in cfg.raw.items() if k != "sweep"}
+    for i, v in enumerate(cfg.sweep.values):
+        typed = _value(tp, rule, v, f"sweep.values.{i}")
+        typed = typed if tp is int else float(typed)
+        raw = base | {block: base[block] | {name: typed}}
+        child_block = replace(getattr(cfg, block), **{name: typed})
+        yield v, sweep_dir(axis, v), replace(cfg, sweep=None, raw=raw, **{block: child_block})
 
 
 def mf_steps(chain: ChainConfig, vlasov: VlasovConfig, t_final: float) -> tuple[int, int]:
@@ -354,11 +369,6 @@ def _check_blocks(cfg: RunConfig) -> None:
             "chain.dt and vlasov.dt must both divide compare.t_final",
             field="compare.t_final",
         )
-
-
-def sweep_value(axis: str, value: float) -> int | float:
-    """``value`` as the field that sweep ``axis`` names holds it: int or float."""
-    return int(value) if _axis_field(axis)[0] is int else float(value)
 
 
 def sweep_dir(axis: str, value: float) -> str:

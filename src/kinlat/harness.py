@@ -18,7 +18,6 @@ issues a monotone-trend verdict.
 from __future__ import annotations
 
 import concurrent.futures
-import copy
 import datetime
 import math
 from dataclasses import dataclass, field
@@ -42,9 +41,7 @@ from .config import (
     build_profile,
     config_hash,
     mf_steps,
-    parse_config,
-    sweep_dir,
-    sweep_value,
+    sweep_children,
 )
 from .errors import CheckFailure, ConfigError, NumericalBlowupError
 from .io import (
@@ -272,26 +269,26 @@ def _drive_wave(cfg: RunConfig, out: Path):
     return files, metrics, checks
 
 
-def _make_rule(k) -> ResonanceRule:
-    if k.omega_floor is None:
-        return ResonanceRule(k.epsilon, k.shape)
-    return ResonanceRule(k.epsilon, k.shape, k.omega_floor)
-
-
 def _drive_kinetic(cfg: RunConfig, out: Path):
     k = cfg.kinetic
     grid = TorusGrid(k.d, k.m)
-    rule = _make_rule(k)
+    rule = ResonanceRule(k.epsilon, k.shape, k.omega_floor)
     f0 = np.asarray(build_profile(k.initial)(nodes(grid)), dtype=np.float64)
     sp = Spectrum(grid, f0, 0.0)
     files = [write_spectrum_csv(out / "spectrum_initial.csv", sp)]
     rows = [(0.0, float(sp.f.sum() * grid.cell_measure), energy_moment(sp, grid))]
+    last = [sp]
 
     def on_step(i, s):
+        last[0] = s
         rows.append((s.tau, float(s.f.sum() * grid.cell_measure), energy_moment(s, grid)))
 
     diag = CollisionDiagnostics()
-    sp = evolve(sp, grid, rule, k.dtau, k.n_steps, k.scheme, diag, on_step)
+    try:
+        sp = evolve(sp, grid, rule, k.dtau, k.n_steps, k.scheme, diag, on_step)
+    except NumericalBlowupError as e:
+        e.snapshot = str(write_spectrum_csv(out / "last_good.csv", last[0]))
+        raise
     files.append(write_spectrum_csv(out / "spectrum_final.csv", sp))
     files.append(
         write_csv(
@@ -337,7 +334,7 @@ def _drive_wt_compare(cfg: RunConfig, out: Path):
     micro.tau = w.lam**2 * micro.tau  # report on the slow clock
 
     grid = TorusGrid(k.d, k.m)
-    rule = _make_rule(k)
+    rule = ResonanceRule(k.epsilon, k.shape, k.omega_floor)
     # both sides must leave from the same curve, so the wave profile seeds
     # the kinetic run too (kinetic.initial is not consulted here)
     f0 = np.asarray(build_profile(w.profile)(nodes(grid)), dtype=np.float64)
@@ -718,13 +715,6 @@ def run(
     return manifest
 
 
-def _set_axis(doc: dict, axis: str, value: float) -> dict:
-    # parse_config has resolved the axis and checked every value against it
-    block, name = axis.split(".")
-    doc[block][name] = sweep_value(axis, value)
-    return doc
-
-
 def sweep(
     cfg: RunConfig,
     out: str | Path | None = None,
@@ -747,12 +737,9 @@ def sweep(
     metric = PIPELINE_METRIC[cfg.pipeline]
     axis, values = cfg.sweep.axis, list(cfg.sweep.values)
 
-    base_doc = {k: v for k, v in cfg.raw.items() if k != "sweep"}
-
-    def one(value):
-        child_doc = _set_axis(copy.deepcopy(base_doc), axis, value)
-        child = parse_config(child_doc)
-        child_out = out_dir / sweep_dir(axis, value)
+    def one(item):
+        value, child_dir, child = item
+        child_out = out_dir / child_dir
         try:
             man = run(child, out=child_out, check=False)
             return {
@@ -771,7 +758,7 @@ def sweep(
                 "error": str(e),
             }
 
-    results = _map_ordered(one, values, workers)
+    results = _map_ordered(one, list(sweep_children(cfg)), workers)
 
     series = [r["metric"] for r in results]
     partial = any(x is None for x in series)

@@ -11,7 +11,23 @@ with the interaction kernel ``K = [8 w(k) w(k1) w(k2)]^-1`` and dispersion
 (``k2 = k - k1 mod 1`` lands on a node) and the frequency delta is broadened
 to a unit-mass profile of width ``epsilon``; refining ``epsilon`` (and the
 grid) is how the sharp-resonance limit is probed.  Modes whose dispersion
-falls below a floor are frozen, since ``K`` is singular there.
+falls below a floor are frozen, since ``K`` is singular there; the one
+dispersion table :func:`omega_grid` and the one mask :func:`active_mask`
+decide which, for the operator, its diagnostics and the oracle alike.
+
+The operator is one sum over resonant triads.  With ``c = a + b`` (mod
+``m`` per axis) and the weight
+``W(a, b) = kinv_a kinv_b kinv_c phi_eps(w_c - w_a - w_b) / 8``, each pair
+contributes ``T = W [f_a f_b - f_c (f_a + f_b)]`` and the rate is
+``(bincount(c, T) - 2 bincount(a, T)) / m**d`` over ordered pairs.  ``T`` is
+symmetric in ``a`` and ``b``, so the plan lists each unordered pair of live
+modes once, ``a <= b``, with its weight doubled off the diagonal, and the
+rate is ``bincount(c, T) - bincount(a, T) - bincount(b, T)``.  Pairs whose
+weight is at most ``PAIR_CUT`` (1e-16) times the largest are dropped, so the
+list, its memory and the cost of an evaluation shrink with ``eps``.  The
+list is built in blocks of rows and each block is pruned as it is made;
+each thread keeps only the plan it used last.  Spectra are flattened in C
+order, so node ``j`` has flat index ``sum_c j_c * m**(d-1-c)``.
 
 Stationarity anchor: the equilibrium family ``f = T/w`` annihilates both
 brackets on resonance, which the tests exploit as an oracle.
@@ -20,21 +36,23 @@ brackets on resonance, which the tests exploit as an oracle.
 from __future__ import annotations
 
 import dataclasses
+import threading
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 
 from .errors import NumericalBlowupError, SizeMismatchError
-from .kernels import PROFILE_CODES, collision_rate
 
 __all__ = [
     "DEFAULT_OMEGA_FLOOR",
+    "RESONANCE_PROFILES",
     "TorusGrid",
     "ResonanceRule",
     "Spectrum",
     "CollisionDiagnostics",
     "collision",
+    "collision_rate",
     "step",
     "energy_moment",
     "rayleigh_jeans",
@@ -46,6 +64,9 @@ __all__ = [
 DEFAULT_OMEGA_FLOOR = 10.0 * float(np.sqrt(np.finfo(np.float64).eps))
 
 BLOWUP_BOUND = 1e12
+
+# unit-mass shapes that broaden the frequency delta
+RESONANCE_PROFILES = ("gaussian", "lorentzian")
 
 
 @dataclass(frozen=True)
@@ -106,9 +127,9 @@ class ResonanceRule:
     def __post_init__(self):
         if not self.epsilon > 0.0:
             raise ValueError(f"broadening width must be positive, got {self.epsilon}")
-        if self.profile not in PROFILE_CODES:
+        if self.profile not in RESONANCE_PROFILES:
             raise ValueError(
-                f"unknown profile {self.profile!r}, expected one of {sorted(PROFILE_CODES)}"
+                f"unknown profile {self.profile!r}, expected one of {list(RESONANCE_PROFILES)}"
             )
         if not self.omega_floor > 0.0:
             raise ValueError(f"omega floor must be positive, got {self.omega_floor}")
@@ -117,6 +138,129 @@ class ResonanceRule:
 def active_mask(grid: TorusGrid, rule: ResonanceRule) -> np.ndarray:
     """True where the mode participates in collisions (dispersion above floor)."""
     return omega_grid(grid) >= rule.omega_floor
+
+
+# ---------------------------------------------------------------------------
+# collision operator: a pruned list of resonant pairs
+# ---------------------------------------------------------------------------
+
+# a pair weight at or below this fraction of the largest one is dropped
+PAIR_CUT = 1e-16
+# pairs per block, in the build and in each evaluation: the block's
+# temporaries stay in cache, and the build never holds more than one block
+# of unpruned candidates
+_BLOCK_PAIRS = 1 << 15
+
+
+def _profile_weight(du: np.ndarray, rule: ResonanceRule) -> np.ndarray:
+    eps = rule.epsilon
+    if rule.profile == "gaussian":
+        return np.exp(-0.5 * (du / eps) ** 2) / (eps * np.sqrt(2.0 * np.pi))
+    return (eps / np.pi) / (du * du + eps * eps)
+
+
+@dataclass(frozen=True)
+class TriadPlan:
+    """Unordered resonant pairs ``a <= b`` of live modes, with ``c = a + b``.
+
+    ``w`` is the triad weight ``W(a, b)``, doubled when ``a != b`` so that
+    each unordered pair stands for both of its orderings.  Pairs whose
+    weight is at most ``PAIR_CUT`` times the largest are left out.
+    """
+
+    a: np.ndarray
+    b: np.ndarray
+    c: np.ndarray
+    w: np.ndarray
+
+    @property
+    def nbytes(self) -> int:
+        return self.a.nbytes + self.b.nbytes + self.c.nbytes + self.w.nbytes
+
+
+def _collision_plan(grid: TorusGrid, rule: ResonanceRule) -> TriadPlan:
+    """Build the pruned pair list in blocks of rows ``a``.
+
+    Each block is cut against the largest weight seen so far, which never
+    exceeds the global one, so the final cut against the global maximum
+    gives a list that does not depend on the block size.
+    """
+    m = grid.m
+    omega = omega_grid(grid).reshape(-1)
+    live = np.flatnonzero(active_mask(grid, rule))
+    kinv = np.zeros(omega.size)
+    kinv[live] = 1.0 / omega[live]
+    jl = np.stack(np.unravel_index(live, grid.shape), axis=-1)
+    n_live = live.size
+    rows = max(1, _BLOCK_PAIRS // max(1, n_live))
+    # a, b, c and w of the kept pairs, one array per block
+    cols = tuple([np.empty(0, dtype)] for dtype in (np.intp, np.intp, np.intp, np.float64))
+    top = 0.0
+    for i0 in range(0, n_live, rows):
+        i1 = min(n_live, i0 + rows)
+        a, b = live[i0:i1, None], live[None, i0:]
+        c = np.zeros((i1 - i0, n_live - i0), np.intp)
+        for ax in range(grid.d):  # flat index of a + b, wrapped per axis
+            s = jl[i0:i1, None, ax] + jl[None, i0:, ax]
+            s[s >= m] -= m
+            c *= m
+            c += s
+        w = (0.125 * kinv[a] * kinv[b]) * kinv[c]
+        w *= _profile_weight(omega[c] - omega[a] - omega[b], rule)
+        # keep the upper triangle b >= a, doubled off the diagonal (exactly)
+        w *= 2.0
+        w[np.arange(i1 - i0)[:, None] > np.arange(n_live - i0)[None, :]] = 0.0
+        w[np.arange(i1 - i0), np.arange(i1 - i0)] *= 0.5
+        top = max(top, float(w.max()))
+        kept = np.flatnonzero(w > PAIR_CUT * top)
+        ia, ib = np.divmod(kept, w.shape[1])
+        block = (live.take(i0 + ia), live.take(i0 + ib), c.take(kept), w.take(kept))
+        for col, x in zip(cols, block):
+            col.append(x)
+    keep = [w > PAIR_CUT * top for w in cols[3]]
+    merged = []
+    for col in cols:
+        merged.append(np.concatenate([x if k.all() else x[k] for x, k in zip(col, keep)]))
+        col.clear()  # release this column's blocks before merging the next
+    return TriadPlan(*merged)
+
+
+_held = threading.local()
+
+
+def _thread_plan(grid: TorusGrid, rule: ResonanceRule) -> TriadPlan:
+    """The plan of ``(grid, rule)``; each thread holds only its latest one.
+
+    A sweep child runs on one thread and asks for one plan, so a serial
+    sweep keeps one plan alive and a threaded one one per worker.
+    """
+    key = (grid, rule)
+    if getattr(_held, "key", None) != key:
+        _held.key = _held.plan = None  # free the old plan before building
+        _held.plan = _collision_plan(grid, rule)
+        _held.key = key
+    return _held.plan
+
+
+def collision_rate(f: np.ndarray, grid: TorusGrid, rule: ResonanceRule) -> np.ndarray:
+    """Collision operator of ``f`` (shape ``grid.shape``) over the plan's pairs.
+
+    Momentum deltas are resolved exactly on the grid; the frequency delta is
+    broadened to the rule's unit-mass profile.  Modes outside
+    :func:`active_mask` neither receive nor donate.  Quadrature weight
+    ``m**-d``.
+    """
+    flat = np.ascontiguousarray(f, dtype=np.float64).reshape(-1)
+    plan = _thread_plan(grid, rule)
+    n = flat.size
+    rate = np.zeros(n)
+    for s in range(0, plan.w.size, _BLOCK_PAIRS):
+        blk = slice(s, s + _BLOCK_PAIRS)
+        a, b, c = plan.a[blk], plan.b[blk], plan.c[blk]
+        fa, fb = flat[a], flat[b]
+        t = plan.w[blk] * (fa * fb - flat[c] * (fa + fb))
+        rate += np.bincount(c, t, n) - np.bincount(a, t, n) - np.bincount(b, t, n)
+    return (rate / grid.n_nodes).reshape(f.shape)
 
 
 @dataclass
@@ -159,7 +303,7 @@ def collision(
     arr = f.f if isinstance(f, Spectrum) else np.asarray(f, dtype=np.float64)
     if arr.shape != grid.shape:
         raise SizeMismatchError(f"spectrum shape {arr.shape} vs grid {grid.shape}")
-    return collision_rate(arr, grid.d, grid.m, rule.epsilon, rule.profile, rule.omega_floor)
+    return collision_rate(arr, grid, rule)
 
 
 def step(

@@ -18,6 +18,10 @@ The zero mode has vanishing dispersion and is masked throughout: it is
 dropped from the transformation, excluded from the interaction sum, and its
 amplitude stays pinned at zero.
 
+Spectral arrays are held in the shifted (ascending wavenumber) order of
+:mod:`kinlat.lattice`, with the sign axis before the grid axes; the
+interaction sum shifts to FFT order for its convolution and back.
+
 Ensembles are initialized with deterministic random phases on a prescribed
 modulus profile; averaging ``|ah(k,+1)|^2`` over replicas gives the empirical
 spectrum reported on the rescaled wavenumbers ``h k``, which is the object
@@ -32,7 +36,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import NumericalBlowupError, SizeMismatchError
-from .kernels import wave_nonlinear
 from .kinetic import Spectrum, TorusGrid
 from .lattice import (
     LatticeSpec,
@@ -50,6 +53,7 @@ __all__ = [
     "to_amplitudes",
     "from_amplitudes",
     "rhs",
+    "wave_nonlinear",
     "hamiltonian",
     "hamiltonian_terms",
     "integrate",
@@ -153,6 +157,34 @@ def rhs(state: AmplitudeState, params: ModelParams) -> np.ndarray:
     """Time derivative of the amplitude array (same shape as ``state.a``)."""
     a = _check_state(params.spec, state.a)
     return _rhs_array(a, params)
+
+
+def wave_nonlinear(a: np.ndarray, spec: LatticeSpec, lam: float) -> np.ndarray:
+    """Quadratic interaction term of the amplitude equations.
+
+    ``a`` has shape ``batch + (2,) + (N,)*d`` (sigma axis before the grid
+    axes, shifted wavenumber order).  Returns the same shape.  The pair sum
+    over the momentum constraint carries the lattice measure ``h**d``, and
+    the zero mode is excluded on input and output through the masked
+    ``1/omega_bar`` table.
+    """
+    if lam == 0.0:
+        return np.zeros_like(a)
+    # The four sign-pair sums collapse into one cyclic self-convolution of
+    # w = u(+) + flip(u(-)), with u(s) = a(., s) / omega_bar.
+    d = spec.d
+    s_ax = a.ndim - d - 1
+    winv = inverse_omega_bar_grid(spec)
+    up = np.take(a, 0, axis=s_ax) * winv
+    um = np.take(a, 1, axis=s_ax) * winv
+    gax = tuple(range(up.ndim - d, up.ndim))
+    w = up + np.flip(um, axis=gax)
+    W = np.fft.fftn(np.fft.ifftshift(w, axes=gax), axes=gax)
+    S = np.fft.fftshift(np.fft.ifftn(W * W, axes=gax), axes=gax)
+    coef = lam * spec.h**spec.d * 0.125 * winv
+    nl_plus = -1j * coef * S
+    nl_minus = 1j * coef * np.flip(S, axis=gax)
+    return np.stack([nl_plus, nl_minus], axis=s_ax)
 
 
 def _rhs_array(a: np.ndarray, params: ModelParams) -> np.ndarray:

@@ -14,6 +14,7 @@ from kinlat.chain import (
     PointLaw,
     TabulatedLaw,
     chain_energy,
+    chain_force_flat,
     chaos_defect,
     empirical_density,
     force,
@@ -45,6 +46,15 @@ def test_force_matches_pair_sum(rng, geom, fp):
     for method in ("direct", "circulant"):
         got = force(ChainState(r, np.zeros_like(r)), geom, fp, method=method)
         assert np.max(np.abs(got - want)) < 1e-12 * max(1.0, np.max(np.abs(want)))
+
+
+def test_chain_force_circulant_matches_direct(rng):
+    r = rng.normal(size=(5, 32))
+    direct = chain_force_flat(r, 1, 32, 0.4, method="direct")
+    fft = chain_force_flat(r, 1, 32, 0.4, method="circulant")
+    assert np.max(np.abs(direct - fft)) < 1e-11
+    with pytest.raises(ValueError):
+        chain_force_flat(r, 1, 32, 0.4, method="spectral")
 
 
 def test_force_sums_to_zero(rng):

@@ -3,6 +3,7 @@
 import gc
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from kinlat import kernels
+from kinlat import kinetic
 from kinlat.config import config_hash, parse_config
 from kinlat.errors import CheckFailure, NumericalBlowupError
 from kinlat.harness import BLOCK_BYTES, _integrate_ensemble, run
@@ -106,6 +107,17 @@ class TestRun:
         assert disk["snapshot"].endswith("last_good.csv")
         assert (tmp_path / "last_good.csv").exists()
 
+    def test_kinetic_blowup_leaves_the_last_accepted_spectrum(self, tmp_path):
+        # the default kinetic block leaves its bounds on the step to tau 0.06
+        doc = {"pipeline": "wt-kinetic", "seed": 0, "kinetic": {}}
+        with pytest.raises(NumericalBlowupError):
+            run(parse_config(doc), out=tmp_path)
+        disk = _manifest_of(tmp_path)
+        assert disk["status"] == "numerical-failure"
+        assert disk["snapshot"].endswith("last_good.csv")
+        text = (tmp_path / "last_good.csv").read_text()
+        assert float(re.search(r"tau=(\S+)", text).group(1)) == pytest.approx(0.04, rel=1e-12)
+
     def test_check_mode_raises_and_records(self, tmp_path):
         # dt large enough that the velocity-Verlet energy wobble blows the
         # built-in 1e-4 budget, small enough to stay stable (omega*dt ~ 0.25)
@@ -174,18 +186,18 @@ class TestSweep:
     def test_serial_sweep_keeps_one_collision_plan(self, tmp_path):
         run(self._kinetic_sweep(8, [0.3, 0.2, 0.1]), out=tmp_path)
         gc.collect()
-        plans = [o for o in gc.get_objects() if isinstance(o, kernels.TriadPlan)]
+        plans = [o for o in gc.get_objects() if isinstance(o, kinetic.TriadPlan)]
         assert len(plans) <= 1
 
     def test_threaded_sweep_builds_each_plan_once(self, tmp_path, monkeypatch):
         built = []
-        build = kernels._collision_plan
+        build = kinetic._collision_plan
 
-        def counted(*key):
-            built.append(key[2])
-            return build(*key)
+        def counted(grid, rule):
+            built.append(rule.epsilon)
+            return build(grid, rule)
 
-        monkeypatch.setattr(kernels, "_collision_plan", counted)
+        monkeypatch.setattr(kinetic, "_collision_plan", counted)
         values = [0.3, 0.2, 0.1]
         man = run(self._kinetic_sweep(10, values), out=tmp_path, workers=2)
         assert man.status == "ok"

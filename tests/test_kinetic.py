@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from kinlat import _reference as ref
-from kinlat import kernels
+from kinlat import kinetic
 from kinlat.errors import NumericalBlowupError, SizeMismatchError
 from kinlat.kinetic import (
     DEFAULT_OMEGA_FLOOR,
@@ -54,8 +54,7 @@ def test_pruned_pair_list_still_matches_direct_quadrature(rng):
         bool(live[a] and live[b] and live[(a + b) % 16])
         for a, b in itertools.combinations_with_replacement(range(16), 2)
     )
-    code = kernels.PROFILE_CODES["gaussian"]
-    plan = kernels._collision_plan(1, 16, 0.01, code, rule.omega_floor)
+    plan = kinetic._collision_plan(grid, rule)
     assert 0 < plan.w.size < triads
     f = rng.uniform(0.1, 1.0, size=grid.shape)
     got = collision(f, grid, rule)
@@ -71,15 +70,22 @@ def test_collision_is_deterministic(rng):
 
 
 def test_frozen_modes_do_not_move(rng):
-    grid = TorusGrid(1, 16)
-    rule = ResonanceRule(0.1, omega_floor=0.2)
-    f = rng.uniform(0.5, 1.0, size=grid.shape)
-    c = collision(f, grid, rule)
-    frozen = ~active_mask(grid, rule)
-    assert frozen.any()  # the floor actually bites at this resolution
-    assert np.all(c[frozen] == 0.0)
-    # a floor above every dispersion freezes the whole grid
-    assert np.all(collision(f, grid, ResonanceRule(0.1, omega_floor=2.0)) == 0.0)
+    cases = [
+        (TorusGrid(1, 16), ResonanceRule(0.1, omega_floor=0.2)),
+        # this floor lies within round-off of mode 21's dispersion, so a second
+        # dispersion table could call the mode live where active_mask freezes it
+        (TorusGrid(1, 33), ResonanceRule(0.1, omega_floor=0.5711574191366429)),
+    ]
+    for grid, rule in cases:
+        f = rng.uniform(0.5, 1.0, size=grid.shape)
+        c = collision(f, grid, rule)
+        frozen = ~active_mask(grid, rule)
+        assert frozen.any()  # the floor actually bites at this resolution
+        assert np.all(c[frozen] == 0.0)
+        want = ref.collision_direct(f, grid, rule)
+        assert np.max(np.abs(c - want)) < 1e-12 * max(1.0, np.max(np.abs(want)))
+        # a floor above every dispersion freezes the whole grid
+        assert np.all(collision(f, grid, ResonanceRule(0.1, omega_floor=2.0)) == 0.0)
 
 
 def test_collision_preserves_evenness():
