@@ -108,11 +108,13 @@ def wave_rhs_direct(a: np.ndarray, spec: LatticeSpec, lam: float) -> np.ndarray:
 
 
 def hamiltonian_direct(a: np.ndarray, spec: LatticeSpec, lam: float) -> complex:
-    """Energy from the defining sums: quadratic term plus ``lam`` times the
-    sign-symmetric constrained triple sum with weight ``h^d M``.
+    """Energy from the defining sums: quadratic term plus ``lam / 3!`` times
+    the sign-symmetric constrained triple sum with weight ``h^d M``.
 
     Enumerates all (sign0, k0, sign1, k1, sign2, k2) and keeps the words
-    the modular delta over ``s0 k0 + s1 k1 + s2 k2`` selects.  O(N^(3d)).
+    the modular delta over ``s0 k0 + s1 k1 + s2 k2`` selects.  Each word is
+    met once per ordering of its three factors, 3! times; the ``1/3!``
+    undoes that and gives the energy the flow conserves.  O(N^(3d)).
     """
     ks = [np.array(k) for k in itertools.product(range(-spec.D, spec.D + 1), repeat=spec.d)]
     wbar = {tuple(k): dispersion_bar(spec, tuple(k)) for k in ks}
@@ -138,7 +140,7 @@ def hamiltonian_direct(a: np.ndarray, spec: LatticeSpec, lam: float) -> complex:
                                 * a[(s1,) + idx[tuple(k1)]]
                                 * a[(s2,) + idx[tuple(k2)]]
                             )
-    return h1 + lam * spec.h**spec.d * h2
+    return h1 + lam * spec.h**spec.d * h2 / math.factorial(3)
 
 
 def collision_direct(

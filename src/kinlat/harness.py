@@ -79,10 +79,13 @@ from .vlasov import (
     x_centers,
 )
 from .waves import (
+    AmplitudeState,
     EnsembleSpec,
     ModelParams,
     _integrate_array,
     empirical_spectrum,
+    hamiltonian,
+    rhs,
     sample_initial,
     stack_ensemble,
 )
@@ -102,7 +105,7 @@ __all__ = [
 BLOCK_BYTES = 64 * 1024
 
 PIPELINE_METRIC = {
-    "wt-sim": "reality_defect",
+    "wt-sim": "energy_drift_rel",
     "wt-kinetic": "stationarity_l1",
     "wt-compare": "distance_l2",
     "chain-sim": "energy_drift_rel",
@@ -189,16 +192,21 @@ def _file_entries(files, out_dir: Path) -> list[dict]:
 # ---------------------------------------------------------------------------
 
 
-def _integrate_ensemble(a, params, dt, n_steps, scheme):
+def _integrate_ensemble(a, params, dt, n_steps, scheme, step0=0, t0=0.0):
     """Advance replica-stacked amplitudes one replica block at a time.
 
     ``a`` itself is left untouched, so a blowup in a later block still
     leaves the segment's starting state for the last-good snapshot.
+    ``step0`` and ``t0`` are the run's clock at the segment's start.  Each
+    block runs the whole segment before the next starts, so a blowup is
+    reported from the first block that fails, not at the earliest step.
     """
     rows = max(1, BLOCK_BYTES // a[0].nbytes)
     out = np.empty_like(a)
     for i in range(0, a.shape[0], rows):
-        out[i : i + rows] = _integrate_array(a[i : i + rows], params, dt, n_steps, scheme)
+        out[i : i + rows] = _integrate_array(
+            a[i : i + rows], params, dt, n_steps, scheme, step0=step0, t0=t0
+        )
     return out
 
 
@@ -209,26 +217,23 @@ def _drive_wave(cfg: RunConfig, out: Path):
     ens = EnsembleSpec(w.replicas, cfg.seed, build_profile(w.profile))
     a, _ = stack_ensemble(sample_initial(ens, spec))
     mod0 = np.abs(a[:, 0])
+    h0 = hamiltonian(AmplitudeState(a, 0.0), params)
+    h_scale = np.where(h0 != 0.0, np.abs(h0), 1.0)  # an all-zero replica stays zero
     files = [write_spectrum_csv(out / "spectrum_initial.csv", empirical_spectrum(a, spec, 0.0))]
 
-    segments = []
-    if w.save_every > 0:
-        done = 0
-        while done < w.n_steps:
-            seg = min(w.save_every, w.n_steps - done)
-            segments.append(seg)
-            done += seg
-    elif w.n_steps > 0:
-        segments = [w.n_steps]
-
-    t = 0.0
+    seg_len = w.save_every if w.save_every > 0 else w.n_steps
+    t, done, drift = 0.0, 0, 0.0
     rows = []
     try:
-        for seg in segments:
-            a = _integrate_ensemble(a, params, w.dt, seg, w.scheme)
+        while done < w.n_steps:
+            seg = min(seg_len, w.n_steps - done)
+            a = _integrate_ensemble(a, params, w.dt, seg, w.scheme, done, t)
+            done += seg
             t += w.dt * seg
             sp = empirical_spectrum(a, spec, t)
             rows.append((t, float(sp.f.sum() * sp.grid.cell_measure), energy_moment(sp, sp.grid)))
+            h = hamiltonian(AmplitudeState(a, t), params)
+            drift = max(drift, float(np.max(np.abs(h - h0) / h_scale)))
     except NumericalBlowupError as e:
         snap, _ = write_amplitude_snapshot(
             out / "last_good",
@@ -258,13 +263,16 @@ def _drive_wave(cfg: RunConfig, out: Path):
     files += [csv_p, json_p]
 
     defect = float(np.max(np.abs(a[:, 1] - np.conj(a[:, 0]))))
-    metrics = {"t_final": t, "reality_defect": defect}
-    checks = [CheckResult("reality-pair-preserved", defect < 1e-9, f"defect {defect:.3e}")]
+    metrics = {"t_final": t, "reality_defect": defect, "energy_drift_rel": drift}
+    checks = [
+        CheckResult("reality-pair-preserved", defect < 1e-9, f"defect {defect:.3e}"),
+        CheckResult("energy-conserved", drift <= 1e-8, f"relative drift {drift:.3e}"),
+    ]
     if w.lam == 0.0:
-        drift = float(np.max(np.abs(np.abs(a[:, 0]) - mod0)))
-        metrics["modulus_drift"] = drift
+        mdrift = float(np.max(np.abs(np.abs(a[:, 0]) - mod0)))
+        metrics["modulus_drift"] = mdrift
         checks.append(
-            CheckResult("free-flow-moduli-frozen", drift < 1e-12, f"drift {drift:.3e}")
+            CheckResult("free-flow-moduli-frozen", mdrift < 1e-12, f"drift {mdrift:.3e}")
         )
     return files, metrics, checks
 
@@ -574,8 +582,6 @@ def _oracle_cases(seed: int):
             1e-12,
         )
     )
-
-    from .waves import AmplitudeState, hamiltonian, rhs
 
     spec2 = LatticeSpec(1, 2)
     a = rng.standard_normal((2,) + spec2.shape) + 1j * rng.standard_normal(

@@ -337,7 +337,9 @@ class _Strang:
     The r-sweep table depends only on the grid and ``dt``, so it is built
     once; the v-sweep table is refilled in place every step.  The padded
     buffers and the scratch are reused by every step, and each step returns
-    a new density array, so no array a caller holds is written to.
+    a new density array, so no array a caller holds is written to.  Steps
+    take and return bare arrays: only the half-step density handed to
+    :func:`acceleration` is validated on the way.
     """
 
     def __init__(self, grid: PhaseGrid, dt: float, interp: str):
@@ -351,16 +353,19 @@ class _Strang:
         self.r_sweep = _LineShift(grid.shape, 1, interp, False, scratch).set_shifts(s_r)
         self.v_sweep = _LineShift(grid.shape, 2, interp, True, scratch)
 
-    def step(self, g: PhaseDensity, fp: FractionalParams) -> tuple[PhaseDensity, np.ndarray]:
-        """One step from ``g``, and the v-speed field (``acceleration``) it applied."""
+    def step(
+        self, g: np.ndarray, t: float, fp: FractionalParams
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """One step from the density array ``g`` at time ``t``, and the v-speed
+        field (``acceleration``) it applied."""
         grid, dt, r_sweep, v_sweep = self.grid, self.dt, self.r_sweep, self.v_sweep
         # the new array holds the half-step density first, then the result
         out = np.empty(grid.shape)
-        r_sweep.inside[...] = g.g
-        accel = acceleration(PhaseDensity(grid, r_sweep(out), g.t), fp)
+        r_sweep.inside[...] = g
+        accel = acceleration(PhaseDensity(grid, r_sweep(out), t + 0.5 * dt), fp)
         v_sweep.inside[...] = out
         v_sweep.set_shifts((accel * dt / grid.dv)[:, :, None])(r_sweep.inside)
-        return PhaseDensity(grid, r_sweep(out), g.t + dt), accel
+        return r_sweep(out), accel
 
 
 def vlasov_step(
@@ -374,15 +379,19 @@ def vlasov_step(
     v coordinate itself.  ``dt`` must be finite and positive and ``interp``
     one of :data:`INTERP_MODES`; both are checked before any work.
     """
-    return _Strang(g.grid, dt, interp).step(g, fp)[0]
+    return PhaseDensity(g.grid, _Strang(g.grid, dt, interp).step(g.g, g.t, fp)[0], g.t + dt)
 
 
 def boundary_mass(g: PhaseDensity) -> float:
     """Mass sitting in the outermost r/v cell shells (truncation monitor)."""
-    edge = np.zeros(g.grid.shape, dtype=bool)
+    return _edge_mass(g.grid, g.g)
+
+
+def _edge_mass(grid: PhaseGrid, g: np.ndarray) -> float:
+    edge = np.zeros(grid.shape, dtype=bool)
     edge[:, 0, :] = edge[:, -1, :] = True
     edge[:, :, 0] = edge[:, :, -1] = True
-    return float(g.g[edge].sum() * g.grid.cell_volume)
+    return float(g[edge].sum() * grid.cell_volume)
 
 
 @dataclass
@@ -422,19 +431,26 @@ def vlasov_evolve(
     more than that many cells per step (the scheme stays stable regardless;
     the bound is an accuracy budget).  A boundary-touching support or
     measurable escaped mass raises :class:`AdvisoryWarning` once each.
+    Of the densities each step ends with, only those passed to ``callback``
+    and the result are validated.
     """
-    strang = _Strang(g.grid, dt, interp)
+    grid, arr, t = g.grid, g.g, g.t
+    strang = _Strang(grid, dt, interp)
     mass0 = g.mass()
     bmax = boundary_mass(g)
     cfl_r = cfl_v = 0.0
     notes: list[str] = []
     for i in range(n_steps):
-        cfl_r = max(cfl_r, g.grid.v_max * dt / g.grid.dr)
-        g, accel = strang.step(g, fp)
-        cfl_v = max(cfl_v, float(np.max(np.abs(accel))) * dt / g.grid.dv)
-        bmax = max(bmax, boundary_mass(g))
+        cfl_r = max(cfl_r, grid.v_max * dt / grid.dr)
+        arr, accel = strang.step(arr, t, fp)
+        t += dt
+        cfl_v = max(cfl_v, float(np.max(np.abs(accel))) * dt / grid.dv)
+        bmax = max(bmax, _edge_mass(grid, arr))
         if callback is not None:
+            g = PhaseDensity(grid, arr, t)
             callback(i, g)
+    if n_steps > 0 and callback is None:  # with a callback, g is already the last step
+        g = PhaseDensity(grid, arr, t)
     if bmax > boundary_tol:
         note = (
             f"support reached the (r, v) truncation boundary: peak edge mass {bmax:.3e}, "

@@ -199,8 +199,8 @@ def _rhs_array(a: np.ndarray, params: ModelParams) -> np.ndarray:
 
 def hamiltonian_terms(
     state: AmplitudeState, params: ModelParams
-) -> tuple[float, complex]:
-    """Quadratic and cubic energy terms ``(H1, H2)``.
+) -> tuple[float | np.ndarray, complex | np.ndarray]:
+    """Quadratic and cubic energy terms ``(H1, H2)``, per replica for a stack.
 
     ``H1 = sum_k wbar |a_k|^2 / 2`` over the sign ``+1`` component.  ``H2``
     is the sign-symmetric triple sum over ``s0 k0 + s1 k1 + s2 k2 = 0
@@ -210,23 +210,29 @@ def hamiltonian_terms(
     field ``V = fft((a(+) + flip(a(-))) / wbar)``, so the value costs one
     FFT.  On states obeying the reality constraint ``V`` is real and so is
     ``H2``; the complex return keeps round-off imaginary parts visible.
+    A state of shape ``batch + (2,) + (N,)*d`` gives arrays of shape ``batch``.
     """
-    a = _check_state(params.spec, state.a)
     spec = params.spec
-    gax = _grid_axes(spec, a[0])
-    wbar = omega_bar_grid(spec)
-    winv = inverse_omega_bar_grid(spec)
-    h1 = float(0.5 * np.sum(wbar * np.abs(a[0]) ** 2))
-    b = (a[0] + np.flip(a[1], axis=gax)) * winv
+    a = _check_state(spec, state.a)
+    s_ax = a.ndim - spec.d - 1
+    a_plus, a_minus = np.take(a, 0, axis=s_ax), np.take(a, 1, axis=s_ax)
+    gax = _grid_axes(spec, a_plus)
+    h1 = 0.5 * np.sum(omega_bar_grid(spec) * np.abs(a_plus) ** 2, axis=gax)
+    b = (a_plus + np.flip(a_minus, axis=gax)) * inverse_omega_bar_grid(spec)
     v = np.fft.fftn(np.fft.ifftshift(b, axes=gax), axes=gax)
-    h2 = complex(spec.h ** (2 * spec.d) * 0.125 * np.sum(v**3))
-    return h1, h2
+    return h1, spec.h ** (2 * spec.d) * 0.125 * np.sum(v**3, axis=gax)
 
 
-def hamiltonian(state: AmplitudeState, params: ModelParams) -> float:
-    """Total energy ``H1 + lam * Re H2`` (see :func:`hamiltonian_terms`)."""
+def hamiltonian(state: AmplitudeState, params: ModelParams) -> float | np.ndarray:
+    """Energy the flow conserves, ``H1 + lam * Re H2 / 3!``.
+
+    The sign-symmetric sum ``H2`` meets each interaction word once per
+    ordering of its three factors, 3! times, so the conserved cubic term
+    carries it with weight ``1/6`` (see :func:`hamiltonian_terms`).  A
+    stacked state gives one value per replica.
+    """
     h1, h2 = hamiltonian_terms(state, params)
-    return h1 + params.lam * h2.real
+    return h1 + params.lam * h2.real / 6.0
 
 
 # ---------------------------------------------------------------------------
@@ -248,9 +254,11 @@ def _integrate_array(
     n_steps: int,
     scheme: str = "exponential",
     check_every: int = 50,
-    callback: Callable[[int, np.ndarray], None] | None = None,
+    step0: int = 0,
+    t0: float = 0.0,
 ) -> np.ndarray:
-    """Batched core; ``a`` may carry leading replica axes."""
+    """Batched core; ``a`` may carry leading replica axes.  ``step0`` and
+    ``t0`` are the run's clock at the start, which a blowup reports in."""
     spec = params.spec
     if scheme == "exponential":
         e2, e1 = _phase_factors(spec, dt)
@@ -265,9 +273,7 @@ def _integrate_array(
             ea = e1 * a
             k4 = nl(ea + dt * e2 * k3)
             a = ea + dt / 6.0 * (e1 * k1 + 2.0 * e2 * (k2 + k3) + k4)
-            _maybe_check(a, i, check_every, n_steps)
-            if callback is not None:
-                callback(i, a)
+            _maybe_check(a, i, check_every, n_steps, step0, t0 + (i + 1) * dt)
     elif scheme == "rk4":
         for i in range(n_steps):
             k1 = _rhs_array(a, params)
@@ -275,19 +281,19 @@ def _integrate_array(
             k3 = _rhs_array(a + 0.5 * dt * k2, params)
             k4 = _rhs_array(a + dt * k3, params)
             a = a + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            _maybe_check(a, i, check_every, n_steps)
-            if callback is not None:
-                callback(i, a)
+            _maybe_check(a, i, check_every, n_steps, step0, t0 + (i + 1) * dt)
     else:
         raise ValueError(f"unknown scheme {scheme!r}")
     return a
 
 
-def _maybe_check(a: np.ndarray, i: int, every: int, n_steps: int) -> None:
+def _maybe_check(
+    a: np.ndarray, i: int, every: int, n_steps: int, step0: int, t: float
+) -> None:
     if every and (i % every == every - 1 or i == n_steps - 1):
         peak = np.max(np.abs(a))
         if not np.isfinite(peak) or peak > BLOWUP_BOUND:
-            raise NumericalBlowupError(f"amplitude peak {peak:.3e}", step=i)
+            raise NumericalBlowupError(f"amplitude peak {peak:.3e} at t {t:.6g}", step=step0 + i)
 
 
 def integrate(
@@ -306,7 +312,7 @@ def integrate(
     classical rule on the full right-hand side.
     """
     a = _check_state(params.spec, state.a)
-    out = _integrate_array(a.copy(), params, dt, n_steps, scheme, check_every)
+    out = _integrate_array(a.copy(), params, dt, n_steps, scheme, check_every, t0=state.t)
     return AmplitudeState(out, state.t + dt * n_steps)
 
 

@@ -73,6 +73,7 @@ class TestRun:
         assert disk["versions"]["numpy"]
         assert disk["started"] and disk["finished"]
         assert "reality_defect" in disk["metrics"]
+        assert disk["metrics"]["energy_drift_rel"] <= 1e-8
         names = [f["path"] for f in disk["files"]]
         assert "spectrum_final.csv" in names and "series.csv" in names
         # the manifest never lists itself: it is written after the digests
@@ -81,16 +82,17 @@ class TestRun:
             p = tmp_path / entry["path"]
             assert sha256_file(p) == entry["sha256"]
             assert p.stat().st_size == entry["bytes"]
-        assert man.checks and man.checks[0].name == "reality-pair-preserved"
+        assert [c.name for c in man.checks[:2]] == ["reality-pair-preserved", "energy-conserved"]
 
     def test_replica_results_do_not_depend_on_block(self):
         # replica i integrated alone must be bit-identical to its row in an
         # ensemble that spans more than one replica block
         spec = LatticeSpec(2, 4)
         params = ModelParams(spec, 0.3)
-        rows = BLOCK_BYTES // (2 * spec.n_sites * np.dtype(np.complex128).itemsize)
-        ens = EnsembleSpec(rows + 3, 42, np.ones(spec.shape))
-        a, _ = stack_ensemble(sample_initial(ens, spec))
+        ones = np.ones(spec.shape)
+        a, _ = stack_ensemble(sample_initial(EnsembleSpec(1, 42, ones), spec))
+        rows = BLOCK_BYTES // a[0].nbytes
+        a, _ = stack_ensemble(sample_initial(EnsembleSpec(rows + 3, 42, ones), spec))
         assert 1 < rows < a.shape[0]
         for scheme in ("exponential", "rk4"):
             together = _integrate_ensemble(a, params, 0.02, 20, scheme)
@@ -106,6 +108,17 @@ class TestRun:
         assert disk["metrics"]["error"]
         assert disk["snapshot"].endswith("last_good.csv")
         assert (tmp_path / "last_good.csv").exists()
+
+    def test_wave_blowup_reports_the_run_step_and_time(self, tmp_path):
+        # the bound is checked every 50 steps and at each saved segment's end;
+        # the step and the time reported count from the start of the run
+        doc = {**BLOWUP_WAVE, "wave": {**BLOWUP_WAVE["wave"], "save_every": 10}}
+        with pytest.raises(NumericalBlowupError) as err:
+            run(parse_config(doc), out=tmp_path)
+        step = err.value.step
+        assert step >= 10 and (step + 1) % 10 == 0  # a later segment's end
+        t = float(re.search(r"at t (\S+)", str(err.value)).group(1))
+        assert t == pytest.approx((step + 1) * BLOWUP_WAVE["wave"]["dt"])
 
     def test_kinetic_blowup_leaves_the_last_accepted_spectrum(self, tmp_path):
         # the default kinetic block leaves its bounds on the step to tau 0.06

@@ -135,7 +135,7 @@ def test_hamiltonian_matches_triple_loop(rng):
     got = hamiltonian(state, params)
     h1, h2 = hamiltonian_terms(state, params)
     want = ref.hamiltonian_direct(state.a, spec, 0.3)
-    assert abs((h1 + 0.3 * h2.real) - got) < 1e-12
+    assert abs((h1 + 0.3 * h2.real / 6.0) - got) < 1e-12
     assert abs(got - want.real) < 1e-12 * max(1.0, abs(want.real))
     # cubic term is real on the conjugate-pair manifold
     assert abs(h2.imag) < 1e-12 * max(1.0, abs(h2.real))
@@ -152,20 +152,19 @@ def test_quadratic_term_is_conserved_at_lam_zero(rng):
 
 def test_flow_conserves_symmetrized_cubic_invariant(rng):
     # the sign-symmetrized cubic sum counts every interaction word 3! times,
-    # so the combination conserved by the flow carries it with weight 1/6
+    # so the energy conserved by the flow, hamiltonian(), carries it with
+    # weight 1/6; three replicas stepped as one stack give one value each
     spec = LatticeSpec(1, 4)
     params = ModelParams(spec, 0.1)
     prof = make_profile("omega-bump", amplitude=0.05, center=1.0, width=0.5)
-    a, _ = stack_ensemble(sample_initial(EnsembleSpec(1, 3, prof), spec))
-    state = AmplitudeState(a[0], 0.0)
-
-    def invariant(s):
-        h1, h2 = hamiltonian_terms(s, params)
-        return h1 + params.lam * h2.real / 6.0
-
-    i0 = invariant(state)
-    out = integrate(state, params, 1e-2, 2000)
-    assert abs(invariant(out) - i0) < 1e-10 * abs(i0)
+    a, _ = stack_ensemble(sample_initial(EnsembleSpec(3, 3, prof), spec))
+    h0 = hamiltonian(AmplitudeState(a, 0.0), params)
+    h1, h2 = hamiltonian_terms(AmplitudeState(a[0], 0.0), params)
+    assert h0[0] == pytest.approx(h1 + params.lam * h2.real / 6.0, rel=1e-14)
+    out = integrate(AmplitudeState(a, 0.0), params, 1e-2, 2000)
+    h = hamiltonian(out, params)
+    assert h.shape == (3,)
+    assert np.max(np.abs(h - h0) / np.abs(h0)) < 1e-10
 
 
 # ---------------------------------------------------------------------------
