@@ -9,6 +9,8 @@ warm-up stay out of the numbers; the reported figure is the median of the
 repeat wall times.  The collision cases at d=2, m=40 (the grid of the
 kinetic-sweep benchmark, dispersion floor 0.05) time the plan build on its
 own, then an evaluation with the plan in hand, and list the plan's size.
+The chain cases time one force evaluation at d=1, n=512 with the kernel
+table cached, and at d=2, n=64 the table build plus one evaluation.
 The line-shift cases time what one Strang step does on the 32x128x128 grid
 of the meanfield benchmark: an r-sweep applies a table built once per run,
 and a v-sweep refills its table from new shifts first.
@@ -21,7 +23,7 @@ import time
 
 import numpy as np
 
-from kinlat.chain import chain_force_flat
+from kinlat.chain import chain_force_flat, chain_kernel_table
 from kinlat.kinetic import ResonanceRule, TorusGrid, _collision_plan, collision_rate
 from kinlat.lattice import LatticeSpec
 from kinlat.vlasov import INTERP_MODES, PhaseGrid, _LineShift, _scratch, v_centers
@@ -82,9 +84,17 @@ def _cases(rng, batch: int):
 
     r = rng.normal(size=(batch, 512))
     yield (
-        f"chain force direct n=512 batch={batch}",
-        lambda: chain_force_flat(r, 1, 512, 0.4, method="direct"),
+        f"chain force d=1 n=512 batch={batch}",
+        lambda: chain_force_flat(r, 1, 512, 0.4),
     )
+
+    r2 = rng.normal(size=(batch, 64 * 64))
+
+    def table_and_force():
+        chain_kernel_table.cache_clear()
+        return chain_force_flat(r2, 2, 64, 0.4)
+
+    yield (f"chain table + force d=2 n=64 batch={batch}", table_and_force)
 
     grid = PhaseGrid(32, 128, 128, 1.0, 1.2)
     dt = 0.01

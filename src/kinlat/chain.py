@@ -7,10 +7,13 @@ displacement/velocity pair driven by every other site:
 
     dv_x/dt = h^d sum_{y != x} (r_y - r_x) / |y - x|^(d + 2 alpha)
 
-with ``|y - x|`` the minimal-image torus distance.  The flow conserves the
-energy ``sum v^2/2 + (h^d/4) sum_{x,y} w(y-x) (r_y - r_x)^2`` and, by
-pairwise antisymmetry, the total momentum ``sum v`` exactly; the mean
-displacement therefore moves ballistically (zero acceleration).
+with ``|y - x|`` the minimal-image torus distance.  The coupling depends
+only on ``y - x``, so on the periodic mesh the force is a convolution and is
+applied as the kernel's Fourier symbol ``h^d (w_hat(k) - sum w)``: one real
+FFT pair per call, O(n^d) memory for the table, no site-by-site matrix.  The
+flow conserves the energy ``sum v^2/2 + (h^d/4) sum_{x,y} w(y-x) (r_y - r_x)^2``
+and, by pairwise antisymmetry, the total momentum ``sum v`` exactly; the
+mean displacement therefore moves ballistically (zero acceleration).
 
 Ensembles of independently initialized replicas feed the empirical phase
 density and the two-site factorization defect used to probe molecular
@@ -180,88 +183,57 @@ class ChainEnsemble:
 # ---------------------------------------------------------------------------
 
 
-def _flat_index(offs: np.ndarray, n: int) -> np.ndarray:
-    """C-order flat site index of integer offsets, wrapped per axis."""
-    d = offs.shape[-1]
-    out = offs[..., 0] % n
-    for c in range(1, d):
-        out = out * n + offs[..., c] % n
-    return out
-
-
 @lru_cache(maxsize=32)
 def chain_kernel_table(d: int, n: int, alpha: float):
-    """Minimal-image coupling kernel ``|y-x|^-(d+2a)`` on the flat offset grid.
+    """Coupling kernel ``|y-x|^-(d+2a)`` and the Fourier symbol of the force.
 
     Sites live at ``j/n`` per axis (any ``n >= 2``; even counts are fine, the
     half-way offset is its own mirror and the kernel is even).  Returns
-    ``(w, wsum, wmat)``: the kernel over offsets in natural site order with
-    ``w[0] = 0``, its total, and the full symmetric coupling matrix used by
-    the direct path.
+    ``(w, symbol)``: the minimal-image kernel over offsets in flat natural
+    site order with ``w[0] = 0``, and the real half-spectrum multiplier
+    ``h^d (w_hat(k) - sum w)`` on the ``rfftn`` grid of the site axes.  The
+    pair sum cancels constants, so the zero-frequency entry is exactly 0.
+    Both arrays hold O(n^d) entries and are read-only.
     """
     h = 1.0 / n
-    half = n // 2
-    ax = np.arange(n, dtype=np.int64)
-    mesh = np.meshgrid(*([ax] * d), indexing="ij")
-    offs = np.stack(mesh, axis=-1).reshape(n**d, d)
-    mimg = (offs + half) % n - half
-    dist = h * np.sqrt(np.sum(mimg.astype(np.float64) ** 2, axis=-1))
+    mimg = (np.arange(n) + n // 2) % n - n // 2  # minimal-image offset per axis
+    dist = h * np.sqrt(sum(np.ix_(*[mimg.astype(np.float64) ** 2] * d)).reshape(-1))
     w = np.zeros(n**d)
     w[1:] = dist[1:] ** (-(d + 2.0 * alpha))
     # w[0] stays 0: no self-coupling
-    diff = _flat_index(offs[None, :, :] - offs[:, None, :], n)
-    wmat = w[diff]
-    return w, float(w.sum()), wmat
+    symbol = h**d * (np.fft.rfftn(w.reshape((n,) * d)).real - w.sum())
+    symbol.flat[0] = 0.0
+    w.setflags(write=False)
+    symbol.setflags(write=False)
+    return w, symbol
 
 
-def _chain_force_circulant(r, w_grid, wsum, h_d, shape):
-    rg = r.reshape(r.shape[:-1] + shape)
-    gax = tuple(range(rg.ndim - len(shape), rg.ndim))
-    wk = np.fft.fftn(w_grid)
-    conv = np.real(np.fft.ifftn(np.fft.fftn(rg, axes=gax) * wk, axes=gax))
-    return h_d * (conv.reshape(r.shape) - wsum * r)
-
-
-def chain_force_flat(
-    r: np.ndarray, d: int, n: int, alpha: float, method: str = "direct"
-) -> np.ndarray:
+def chain_force_flat(r: np.ndarray, d: int, n: int, alpha: float) -> np.ndarray:
     """Acceleration ``h^d sum_{y != x} (r_y - r_x)/|y-x|^(d+2a)``, flat sites.
 
-    ``r`` is ``(batch, n**d)`` in natural site order.  ``method="direct"``
-    applies the dense coupling matrix; ``method="circulant"`` evaluates the
-    same sum as an FFT convolution and agrees with it to 1e-12.
+    ``r`` is ``(batch, n**d)`` in natural site order.  The sum is a periodic
+    convolution, so it is applied as the kernel's Fourier symbol with
+    ``rfftn``/``irfftn`` over the site axes.
     """
-    w, wsum, wmat = chain_kernel_table(d, n, float(alpha))
-    h_d = (1.0 / n) ** d
+    _, symbol = chain_kernel_table(d, n, float(alpha))
     shape = (n,) * d
-    if method == "circulant":
-        return _chain_force_circulant(r, w.reshape(shape), wsum, h_d, shape)
-    if method != "direct":
-        raise ValueError(f"unknown force method {method!r}")
-    return h_d * (r @ wmat - wsum * r)
-
-
-def force_array(
-    r: np.ndarray,
-    geom: ChainGeometry,
-    fp: FractionalParams,
-    method: str = "direct",
-) -> np.ndarray:
-    """Batched acceleration for flat ``(..., n_sites)`` displacement arrays."""
-    r = _check_sites(geom, r, "displacement")
-    flat = r.reshape(-1, geom.n_sites)
-    out = chain_force_flat(flat, geom.d, geom.n, fp.alpha, method)
+    rg = r.reshape(r.shape[:-1] + shape)
+    gax = tuple(range(rg.ndim - d, rg.ndim))
+    out = np.fft.irfftn(np.fft.rfftn(rg, axes=gax) * symbol, s=shape, axes=gax)
     return out.reshape(r.shape)
 
 
-def force(
-    state: ChainState,
-    geom: ChainGeometry,
-    fp: FractionalParams,
-    method: str = "direct",
-) -> np.ndarray:
+def force_array(r: np.ndarray, geom: ChainGeometry, fp: FractionalParams) -> np.ndarray:
+    """Batched acceleration for flat ``(..., n_sites)`` displacement arrays."""
+    r = _check_sites(geom, r, "displacement")
+    flat = r.reshape(-1, geom.n_sites)
+    out = chain_force_flat(flat, geom.d, geom.n, fp.alpha)
+    return out.reshape(r.shape)
+
+
+def force(state: ChainState, geom: ChainGeometry, fp: FractionalParams) -> np.ndarray:
     """Per-site acceleration of the long-range coupling; sums to zero."""
-    return force_array(state.r, geom, fp, method)
+    return force_array(state.r, geom, fp)
 
 
 def chain_energy(
@@ -296,32 +268,34 @@ def mean_displacement(state: ChainState | ChainEnsemble) -> float | np.ndarray:
     return float(out) if out.ndim == 0 else out
 
 
-def _verlet_arrays(r, v, geom, fp, dt, n_steps, method, callback):
+def _verlet_arrays(r, v, geom, fp, dt, n_steps, t0, callback):
     """Velocity-Verlet core on batched arrays; one force call per step."""
-    f = force_array(r, geom, fp, method)
+    f = force_array(r, geom, fp)
     for i in range(n_steps):
         v_half = v + 0.5 * dt * f
         r = r + dt * v_half
-        f = force_array(r, geom, fp, method)
+        f = force_array(r, geom, fp)
         v = v_half + 0.5 * dt * f
         if not np.isfinite(r).all() or not np.isfinite(v).all():
-            raise NumericalBlowupError("non-finite chain state", step=i)
+            bad = ~(np.isfinite(r) & np.isfinite(v))
+            replica, site = np.unravel_index(int(np.argmax(bad)), np.atleast_2d(bad).shape)
+            raise NumericalBlowupError(
+                f"non-finite chain state at t {t0 + (i + 1) * dt:.6g}: "
+                f"replica {replica}, site {site}",
+                step=i,
+            )
         if callback is not None:
             callback(i, r, v, f)
     return r, v, f
 
 
 def verlet_step(
-    state: ChainState,
-    geom: ChainGeometry,
-    fp: FractionalParams,
-    dt: float,
-    method: str = "direct",
+    state: ChainState, geom: ChainGeometry, fp: FractionalParams, dt: float
 ) -> ChainState:
     """One velocity-Verlet step (second order, symplectic)."""
     if dt <= 0.0:
         raise ValueError(f"time step must be positive, got {dt}")
-    r, v, _ = _verlet_arrays(state.r.copy(), state.v.copy(), geom, fp, dt, 1, method, None)
+    r, v, _ = _verlet_arrays(state.r.copy(), state.v.copy(), geom, fp, dt, 1, state.t, None)
     return ChainState(r, v, state.t + dt)
 
 
@@ -331,19 +305,20 @@ def verlet_evolve(
     fp: FractionalParams,
     dt: float,
     n_steps: int,
-    method: str = "direct",
     callback: Callable[[int, np.ndarray, np.ndarray, np.ndarray], None] | None = None,
 ):
     """Advance a state or a whole ensemble by ``n_steps`` Verlet steps.
 
     The ensemble path integrates all replicas as one batched array, which
     is both the fast path and trivially order-independent.  ``callback``
-    sees ``(step_index, r, v, force)`` after each step.
+    sees ``(step_index, r, v, force)`` after each step.  A non-finite state
+    raises :class:`NumericalBlowupError` naming the step, the time and the
+    first offending replica and flat site index.
     """
     if dt <= 0.0:
         raise ValueError(f"time step must be positive, got {dt}")
     r, v, _ = _verlet_arrays(
-        np.array(state.r), np.array(state.v), geom, fp, dt, n_steps, method, callback
+        np.array(state.r), np.array(state.v), geom, fp, dt, n_steps, state.t, callback
     )
     t = state.t + dt * n_steps
     if isinstance(state, ChainEnsemble):
@@ -581,5 +556,5 @@ def two_site_frequency(geom: ChainGeometry, fp: FractionalParams) -> float:
     """
     if geom.d != 1 or geom.n != 2:
         raise ValueError("closed form applies to the two-site d=1 chain only")
-    w, _, _ = chain_kernel_table(1, 2, float(fp.alpha))
+    w, _ = chain_kernel_table(1, 2, float(fp.alpha))
     return math.sqrt(2.0 * geom.h * w[1])

@@ -129,6 +129,7 @@ class ChainConfig:
     dt: float = _field(1e-3, gt=0)
     n_steps: int = _field(1000, ge=0)
     replicas: int = _field(1, ge=1)
+    # no effect: the chain force has one path; kept because existing configs set it
     force_method: str = _field("direct", choices=("direct", "circulant"))
     law: LawConfig = field(default_factory=LawConfig)
     save_every: int = _field(0, ge=0)

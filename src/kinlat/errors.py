@@ -25,10 +25,6 @@ class SizeMismatchError(KinlatError, ValueError):
     """Array shape does not match the lattice or grid it claims to live on."""
 
 
-class SingularModeError(KinlatError, ValueError):
-    """An operation hit a mode with vanishing dispersion that it cannot handle."""
-
-
 class UnnormalizedDensityError(KinlatError, ValueError):
     """A sampling law or tabulated density does not integrate to one."""
 

@@ -35,7 +35,6 @@ brackets on resonance, which the tests exploit as an oracle.
 
 from __future__ import annotations
 
-import dataclasses
 import threading
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -404,16 +403,6 @@ class SpectrumDistance:
     tau_a: float = 0.0
     tau_b: float = 0.0
 
-    def metric(self, name: str) -> float:
-        if name not in ("l1", "l2", "linf"):
-            raise ValueError(f"unknown metric {name!r}")
-        return getattr(self, name)
-
-    def to_dict(self) -> dict:
-        out = dataclasses.asdict(self)
-        out["per_mode"] = self.per_mode.tolist()
-        out["grid"] = {"d": self.grid.d, "m": self.grid.m}
-        return out
 
 
 def _interp_periodic_1d(f: np.ndarray, m_from: int, m_to: int) -> np.ndarray:

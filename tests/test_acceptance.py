@@ -296,7 +296,7 @@ def test_07_chain_conservation_budgets():
                 pot = -0.5 * np.sum(r * f, axis=-1)
                 samples.append(((i + 1) * dt, float(np.mean(kin + pot))))
 
-        out = verlet_evolve(ens, geom, fp, dt, 10000, "circulant", on_step)
+        out = verlet_evolve(ens, geom, fp, dt, 10000, on_step)
         ts = np.array([t for t, _ in samples])
         es = np.array([e for _, e in samples])
         # secular trend only: the reversible integrator carries a bounded
@@ -368,7 +368,7 @@ def test_08_meanfield_distance_trend():
         for seed in (11, 22, 33, 44, 55):
             ens = sample_ensemble(chain_law, geom, 50, seed)
             d_zero.append(meanfield_distance(g0, ens, geom).total_l2)
-            ens = verlet_evolve(ens, geom, fp, 1e-3, 500, "circulant")
+            ens = verlet_evolve(ens, geom, fp, 1e-3, 500)
             d_end.append(meanfield_distance(g, ens, geom).total_l2)
         medians.append(float(np.median(d_end)))
         band.append(float(np.median(d_zero)) / (50 * n) ** -0.5)
@@ -402,7 +402,7 @@ def test_09_factorization_defect_scaling():
     # evolved-ensemble defect carries no budget; report it alongside
     fp = FractionalParams(0.5, 1)
     ens = sample_ensemble(law, geom, 2000, 7000)
-    ens = verlet_evolve(ens, geom, fp, 1e-3, 1000, "circulant")
+    ens = verlet_evolve(ens, geom, fp, 1e-3, 1000)
     evolved = chaos_defect(ens, pair, edges, edges)
     assert _verdict(
         9,

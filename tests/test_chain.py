@@ -1,10 +1,12 @@
 """Long-range chain: force oracle, conservation, sampling, chaos defect."""
 
+import re
+
 import numpy as np
 import pytest
 
 from kinlat import _reference as ref
-from kinlat.errors import SizeMismatchError, UnnormalizedDensityError
+from kinlat.errors import NumericalBlowupError, SizeMismatchError, UnnormalizedDensityError
 from kinlat.chain import (
     ChainEnsemble,
     ChainGeometry,
@@ -14,10 +16,11 @@ from kinlat.chain import (
     PointLaw,
     TabulatedLaw,
     chain_energy,
-    chain_force_flat,
+    chain_kernel_table,
     chaos_defect,
     empirical_density,
     force,
+    force_array,
     mean_displacement,
     sample_ensemble,
     site_coordinates,
@@ -38,23 +41,23 @@ FP = FractionalParams(0.5, 1)
         (ChainGeometry(1, 9), FractionalParams(0.5, 1)),
         (ChainGeometry(1, 8), FractionalParams(0.25, 1)),  # even counts are legal
         (ChainGeometry(2, 4), FractionalParams(0.75, 2)),
+        (ChainGeometry(2, 5), FractionalParams(0.5, 2)),  # odd count: no self-mirror offset
+        (ChainGeometry(3, 4), FractionalParams(0.3, 3)),
     ],
 )
 def test_force_matches_pair_sum(rng, geom, fp):
     r = rng.normal(size=geom.n_sites)
     want = ref.chain_force_pairs(r, geom, fp)
-    for method in ("direct", "circulant"):
-        got = force(ChainState(r, np.zeros_like(r)), geom, fp, method=method)
-        assert np.max(np.abs(got - want)) < 1e-12 * max(1.0, np.max(np.abs(want)))
+    got = force(ChainState(r, np.zeros_like(r)), geom, fp)
+    assert np.max(np.abs(got - want)) < 1e-12 * max(1.0, np.max(np.abs(want)))
 
 
-def test_chain_force_circulant_matches_direct(rng):
-    r = rng.normal(size=(5, 32))
-    direct = chain_force_flat(r, 1, 32, 0.4, method="direct")
-    fft = chain_force_flat(r, 1, 32, 0.4, method="circulant")
-    assert np.max(np.abs(direct - fft)) < 1e-11
-    with pytest.raises(ValueError):
-        chain_force_flat(r, 1, 32, 0.4, method="spectral")
+def test_kernel_table_is_linear_in_sites():
+    # the kernel and its half-spectrum symbol; a dense n^d x n^d coupling
+    # matrix would be 128 MiB here
+    tables = chain_kernel_table(2, 64, 0.5)
+    assert sum(a.nbytes for a in tables) <= 2 * 64**2 * 8
+    assert tables[1].flat[0] == 0.0  # the pair sum cancels constants
 
 
 def test_force_sums_to_zero(rng):
@@ -146,6 +149,31 @@ def test_two_site_period_convergence():
     err_coarse = abs(measured(0.02) - period) / period
     err_fine = abs(measured(0.01) - period) / period
     assert 3.0 < err_coarse / err_fine < 5.0  # clean dt^2 phase error
+
+
+def test_blowup_names_time_replica_and_site():
+    # omega_max * dt is far past the Verlet stability limit of 2; this seed
+    # first overflows away from replica 0 and site 0
+    geom, dt = ChainGeometry(1, 16), 1.0
+    ens = sample_ensemble(GaussianLaw(0.0, 0.0, 0.1, 0.1), geom, 3, 18)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericalBlowupError) as err:
+        verlet_evolve(ens, geom, FP, dt, 1000)
+    step = err.value.step
+    m = re.fullmatch(
+        r"step (\d+): non-finite chain state at t (\S+): replica (\d+), site (\d+)",
+        str(err.value),
+    )
+    assert m and int(m.group(1)) == step > 0
+    assert float(m.group(2)) == pytest.approx((step + 1) * dt)
+    # redo the failing step by hand: the named entry is the first non-finite one
+    last = verlet_evolve(ens, geom, FP, dt, step)
+    with np.errstate(over="ignore", invalid="ignore"):
+        v_half = last.v + 0.5 * dt * force_array(last.r, geom, FP)
+        r = last.r + dt * v_half
+        v = v_half + 0.5 * dt * force_array(r, geom, FP)
+    bad = ~(np.isfinite(r) & np.isfinite(v))
+    first = np.unravel_index(int(np.argmax(bad)), bad.shape)
+    assert (int(m.group(3)), int(m.group(4))) == first != (0, 0)
 
 
 def test_evolve_rejects_bad_step(rng):

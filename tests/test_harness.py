@@ -164,6 +164,27 @@ class TestRun:
         assert man.status == "ok"
         assert man.metrics["energy_drift_rel"] < 1e-4
 
+    def test_mf_compare_reports_its_sampling_floor(self, tmp_path):
+        doc = {
+            "pipeline": "mf-compare",
+            "seed": 3,
+            "chain": {
+                "n": 32,
+                "dt": 1e-3,
+                "replicas": 4,
+                "law": {"kind": "cosine-gaussian", "amplitude": 0.1, "sigma_v": 0.05},
+            },
+            "vlasov": {"mx": 8, "mr": 16, "mv": 16, "r_max": 0.5, "v_max": 1.0},
+            "compare": {"t_final": 0.05},
+        }
+        man = run(parse_config(doc), out=tmp_path)
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        for metrics in (man.metrics, summary):
+            floor = metrics["distance_l2_initial"]
+            assert 0.0 < floor < np.inf
+            assert np.isfinite(metrics["excess"])
+            assert metrics["excess"] == pytest.approx(metrics["distance_l2"] / floor, rel=1e-15)
+
 
 class TestSweep:
     def test_run_dispatches_to_sweep(self, tmp_path):
