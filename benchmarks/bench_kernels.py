@@ -26,7 +26,7 @@ import numpy as np
 from kinlat.chain import chain_force_flat, chain_kernel_table
 from kinlat.kinetic import ResonanceRule, TorusGrid, _collision_plan, collision_rate
 from kinlat.lattice import LatticeSpec
-from kinlat.vlasov import INTERP_MODES, PhaseGrid, _LineShift, _scratch, v_centers
+from kinlat.vlasov import PhaseGrid, _LineShift, _scratch, v_centers
 from kinlat.waves import wave_nonlinear
 
 
@@ -102,17 +102,13 @@ def _cases(rng, batch: int):
     s_v = rng.uniform(-2.0, 2.0, size=(grid.mx, grid.mr, 1))
     g = rng.random(grid.shape)
     out = np.empty(grid.shape)
-    for interp in INTERP_MODES:
-        scratch = _scratch(grid.shape, interp)
-        r_sweep = _LineShift(grid.shape, 1, interp, False, scratch).set_shifts(s_r)
-        r_sweep.inside[...] = g
-        v_sweep = _LineShift(grid.shape, 2, interp, True, scratch)
-        v_sweep.inside[...] = g
-        yield (f"line shift r-sweep {interp} 32x128x128", lambda s=r_sweep: s(out))
-        yield (
-            f"line shift v-sweep {interp} 32x128x128",
-            lambda s=v_sweep: s.set_shifts(s_v)(out),
-        )
+    scratch = _scratch(grid.shape)
+    r_sweep = _LineShift(grid.shape, 1, False, scratch).set_shifts(s_r)
+    r_sweep.inside[...] = g
+    v_sweep = _LineShift(grid.shape, 2, True, scratch)
+    v_sweep.inside[...] = g
+    yield ("line shift r-sweep 32x128x128", lambda: r_sweep(out))
+    yield ("line shift v-sweep 32x128x128", lambda: v_sweep.set_shifts(s_v)(out))
 
 
 def main() -> int:

@@ -18,7 +18,7 @@ import numpy as np
 from .chain import ChainGeometry, FractionalParams, site_coordinates
 from .kinetic import ResonanceRule, TorusGrid, nodes, omega_grid
 from .lattice import LatticeSpec, delta_mod, dispersion_bar, wavenumbers
-from .vlasov import PhaseDensity, frac_laplacian_torus, r_centers
+from .vlasov import PhaseGrid, frac_laplacian_torus, r_centers
 
 __all__ = [
     "dft_direct",
@@ -244,35 +244,34 @@ def chain_potential_pairs(
     return 0.25 * geom.h**geom.d * acc
 
 
-def sigma_field_unfactorized(g: PhaseDensity, fp: FractionalParams) -> np.ndarray:
+def sigma_field_unfactorized(
+    g: np.ndarray, grid: PhaseGrid, fp: FractionalParams
+) -> np.ndarray:
     """Force field with the operator applied inside the phase quadrature.
 
     For every (r-cell, v-cell) the x-profile ``(r - r_cell) g(., cell)`` is
     pushed through the fractional Laplacian separately and the results are
     accumulated — no moment factorization anywhere.
     """
-    grid = g.grid
     rc = r_centers(grid)
     w = grid.dr * grid.dv
     out = np.zeros((grid.mx, grid.mr))
     for jr in range(grid.mr):
         for jv in range(grid.mv):
-            column = g.g[:, jr, jv]  # x-profile of this phase cell
+            column = g[:, jr, jv]  # x-profile of this phase cell
             for ir in range(grid.mr):
                 contrib = frac_laplacian_torus((rc[ir] - rc[jr]) * column, fp.alpha, 1)
                 out[:, ir] += w * contrib
     return out
 
 
-def shift_lines_loop(arr: np.ndarray, shifts: np.ndarray, axis: int, interp: str) -> np.ndarray:
+def shift_lines_loop(arr: np.ndarray, shifts: np.ndarray, axis: int) -> np.ndarray:
     """Semi-Lagrangian line shift, one grid line and one output cell at a time.
 
     Line ``l`` along ``axis`` moves by ``s = shifts[l]`` cells (``shifts``
     has length 1 on ``axis`` and broadcasts over the other axes).  Output
     cell p reads position ``q = p - s``; cells outside the line read as
-    zero.  ``linear`` weights the two bracketing cells, ``cubic-clamped``
-    takes the four-point Lagrange value and limits it to the bracketing
-    pair's range.
+    zero.  The value weighs the two bracketing cells linearly.
     """
     arr = np.asarray(arr, dtype=np.float64)
     s_full = np.broadcast_to(shifts, arr.shape[:axis] + (1,) + arr.shape[axis + 1 :])
@@ -289,20 +288,7 @@ def shift_lines_loop(arr: np.ndarray, shifts: np.ndarray, axis: int, interp: str
             q = p - s
             i0 = math.floor(q)
             th = q - i0
-            f0, f1 = f(i0), f(i0 + 1)
-            if interp == "linear":
-                val = (1.0 - th) * f0 + th * f1
-            elif interp == "cubic-clamped":
-                val = (
-                    (-th * (th - 1.0) * (th - 2.0) / 6.0) * f(i0 - 1)
-                    + ((th + 1.0) * (th - 1.0) * (th - 2.0) / 2.0) * f0
-                    + (-(th + 1.0) * th * (th - 2.0) / 2.0) * f1
-                    + ((th + 1.0) * th * (th - 1.0) / 6.0) * f(i0 + 2)
-                )
-                val = min(max(val, min(f0, f1)), max(f0, f1))
-            else:
-                raise ValueError(f"unknown interpolation {interp!r}")
-            out[before + (p,) + after] = val
+            out[before + (p,) + after] = (1.0 - th) * f(i0) + th * f(i0 + 1)
     return out
 
 

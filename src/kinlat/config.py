@@ -145,7 +145,8 @@ class VlasovConfig:
     alpha: float = _field(0.5, gt=0, lt=1)
     dt: float = _field(0.01, gt=0)
     n_steps: int = _field(100, ge=0)
-    interp: str = _field("linear", choices=("linear", "cubic-clamped"))
+    # one interpolant (linear); kept because existing configs set it
+    interp: str = _field("linear", choices=("linear",))
     cfl_fraction: float | None = _field(None, gt=0)
     law: LawConfig = field(default_factory=lambda: LawConfig("gaussian", {"sigma_r": 0.2, "sigma_v": 0.2}))
 
@@ -352,8 +353,14 @@ def mf_steps(chain: ChainConfig, vlasov: VlasovConfig, t_final: float) -> tuple[
 
 def _check_blocks(cfg: RunConfig) -> None:
     """The rules of a pipeline that tie two of its blocks together."""
-    if cfg.pipeline == "wt-compare" and cfg.wave.lam <= 0.0:
-        raise ConfigError("the kinetic comparison needs lam > 0", field="wave.lam")
+    if cfg.pipeline == "wt-compare":
+        if cfg.wave.lam <= 0.0:
+            raise ConfigError("the kinetic comparison needs lam > 0", field="wave.lam")
+        if "initial" in cfg.raw["kinetic"]:
+            raise ConfigError(
+                "the kinetic comparison starts from wave.profile, not its own profile",
+                field="kinetic.initial",
+            )
     if cfg.pipeline != "mf-compare":
         return
     c, v, t_final = cfg.chain, cfg.vlasov, cfg.compare.t_final

@@ -67,7 +67,6 @@ from .kinetic import (
 )
 from .lattice import LatticeSpec, dft, inverse_dft, weighted_inner
 from .vlasov import (
-    INTERP_MODES,
     PhaseGrid,
     _shift_lines,
     cell_moments_of_density,
@@ -135,6 +134,7 @@ class RunManifest:
     files: list = field(default_factory=list)
     metrics: dict = field(default_factory=dict)
     checks: list = field(default_factory=list)
+    notes: list = field(default_factory=list)
     snapshot: str | None = None
 
     def to_dict(self) -> dict:
@@ -150,6 +150,7 @@ class RunManifest:
             "files": self.files,
             "metrics": self.metrics,
             "checks": [vars(c) for c in self.checks],
+            "notes": self.notes,
         }
         if self.snapshot is not None:
             d["snapshot"] = self.snapshot
@@ -188,7 +189,7 @@ def _file_entries(files, out_dir: Path) -> list[dict]:
 
 
 # ---------------------------------------------------------------------------
-# pipeline drivers — each returns (files, metrics, checks)
+# pipeline drivers — each returns (files, metrics, checks, notes)
 # ---------------------------------------------------------------------------
 
 
@@ -274,7 +275,7 @@ def _drive_wave(cfg: RunConfig, out: Path):
         checks.append(
             CheckResult("free-flow-moduli-frozen", mdrift < 1e-12, f"drift {mdrift:.3e}")
         )
-    return files, metrics, checks
+    return files, metrics, checks, []
 
 
 def _drive_kinetic(cfg: RunConfig, out: Path):
@@ -325,7 +326,7 @@ def _drive_kinetic(cfg: RunConfig, out: Path):
             "clip-mass-small", diag.clipped_mass < 1e-6, f"clipped {diag.clipped_mass:.3e}"
         ),
     ]
-    return files, metrics, checks
+    return files, metrics, checks, []
 
 
 def _drive_wt_compare(cfg: RunConfig, out: Path):
@@ -344,7 +345,7 @@ def _drive_wt_compare(cfg: RunConfig, out: Path):
     grid = TorusGrid(k.d, k.m)
     rule = ResonanceRule(k.epsilon, k.shape, k.omega_floor)
     # both sides must leave from the same curve, so the wave profile seeds
-    # the kinetic run too (kinetic.initial is not consulted here)
+    # the kinetic run too (parse_config rejects a kinetic.initial here)
     f0 = np.asarray(build_profile(w.profile)(nodes(grid)), dtype=np.float64)
     kin0 = Spectrum(grid, f0, 0.0)
     n_tau = max(1, round(c.tau_final / k.dtau))
@@ -385,7 +386,7 @@ def _drive_wt_compare(cfg: RunConfig, out: Path):
             f"l2 {dist.l2:.3e}",
         )
     ]
-    return files, metrics, checks
+    return files, metrics, checks, []
 
 
 def _drive_chain(cfg: RunConfig, out: Path):
@@ -454,7 +455,7 @@ def _drive_chain(cfg: RunConfig, out: Path):
             "energy-bounded-drift", track["emax"] < 1e-4, f"rel drift {track['emax']:.3e}"
         ),
     ]
-    return files, metrics, checks
+    return files, metrics, checks, []
 
 
 def _drive_vlasov(cfg: RunConfig, out: Path):
@@ -463,7 +464,7 @@ def _drive_vlasov(cfg: RunConfig, out: Path):
     fp = FractionalParams(v.alpha, 1)
     g0 = density_from_law(build_law(v.law), grid)
     b0, j0 = write_phase_density(out / "density_initial", g0, v.alpha)
-    g, diag = vlasov_evolve(g0, fp, v.dt, v.n_steps, v.interp, v.cfl_fraction)
+    g, diag = vlasov_evolve(g0, fp, v.dt, v.n_steps, cfl_fraction=v.cfl_fraction)
     b1, j1 = write_phase_density(out / "density_final", g, v.alpha)
     mom = cell_moments_of_density(g)
     files = [
@@ -499,7 +500,7 @@ def _drive_vlasov(cfg: RunConfig, out: Path):
             + ("; support touched the window edge" if touched_boundary else ""),
         ),
     ]
-    return files, metrics, checks
+    return files, metrics, checks, diag.notes
 
 
 def _paired_laws(cfg: RunConfig, grid: PhaseGrid):
@@ -525,7 +526,7 @@ def _drive_mf_compare(cfg: RunConfig, out: Path):
     g0 = density_from_law(law_pde, grid)
     # the t=0 distance is the ensemble's sampling floor
     dist0 = meanfield_distance(g0, ens0, geom)
-    g, diag = vlasov_evolve(g0, fp, v.dt, n_pde, v.interp, v.cfl_fraction)
+    g, diag = vlasov_evolve(g0, fp, v.dt, n_pde, cfl_fraction=v.cfl_fraction)
     # the two clocks agree to round-off; stamp them equal for the comparison
     g.t = ens.t
     dist = meanfield_distance(g, ens, geom)
@@ -558,7 +559,7 @@ def _drive_mf_compare(cfg: RunConfig, out: Path):
             f"l2 {dist.total_l2:.3e}",
         )
     ]
-    return files, metrics, checks
+    return files, metrics, checks, diag.notes
 
 
 def _oracle_cases(seed: int):
@@ -626,24 +627,21 @@ def _oracle_cases(seed: int):
     e_ref = 0.5 * float(np.sum(vvec * vvec)) + ref.chain_potential_pairs(r, geom, fpar)
     cases.append(("chain-energy-vs-pairs", abs(e - e_ref), 1e-10))
 
-    from .vlasov import PhaseDensity
-
     pg = PhaseGrid(8, 10, 6, 1.0, 1.0)
-    gv = PhaseDensity(pg, rng.random(pg.shape), 0.0)
-    got = sigma_field(gv, fpar)
-    want = ref.sigma_field_unfactorized(gv, fpar)
+    gv = rng.random(pg.shape)
+    got = sigma_field(gv, pg, fpar)
+    want = ref.sigma_field_unfactorized(gv, pg, fpar)
     cases.append(("force-field-factorization", float(np.max(np.abs(got - want))), 1e-12))
 
     # same arithmetic in the same order as the loop, so the gap must be exactly zero
     arr = rng.random((3, 9, 7))
     gap = 0.0
     per_axis = {1: (1, 1, 7), 2: (3, 9, 1)}  # r-like shift per v; v-like shift per line
-    for interp in INTERP_MODES:
-        for axis, shape in per_axis.items():
-            shifts = 4.0 * rng.standard_normal(shape)
-            got = _shift_lines(arr, shifts, axis, interp)
-            want = ref.shift_lines_loop(arr, shifts, axis, interp)
-            gap = max(gap, float(np.max(np.abs(got - want))))
+    for axis, shape in per_axis.items():
+        shifts = 4.0 * rng.standard_normal(shape)
+        got = _shift_lines(arr, shifts, axis)
+        want = ref.shift_lines_loop(arr, shifts, axis)
+        gap = max(gap, float(np.max(np.abs(got - want))))
     cases.append(("line-shift-vs-loop", gap, 0.0))
 
     return cases
@@ -662,7 +660,7 @@ def _drive_oracles(cfg: RunConfig, out: Path):
         CheckResult(r["name"], r["passed"], f"{r['value']:.3e} <= {r['tol']:.0e}")
         for r in results
     ]
-    return files, metrics, checks
+    return files, metrics, checks, []
 
 
 _DRIVERS = {
@@ -706,7 +704,7 @@ def run(
         versions=_versions(),
     )
     try:
-        files, metrics, checks = _DRIVERS[cfg.pipeline](cfg, out_dir)
+        files, metrics, checks, notes = _DRIVERS[cfg.pipeline](cfg, out_dir)
     except NumericalBlowupError as e:
         manifest.status = "numerical-failure"
         manifest.metrics = {"error": str(e)}
@@ -716,6 +714,7 @@ def run(
         raise
     manifest.metrics = metrics
     manifest.checks = checks
+    manifest.notes = notes
     manifest.files = _file_entries(files, out_dir)
     failed = [c for c in checks if not c.passed]
     if check and failed:

@@ -17,12 +17,14 @@ All three grid axes are cell-centered; masses are midpoint quadratures.
 Time stepping is Strang-split semi-Lagrangian: each sub-flow shifts whole
 grid lines by a constant displacement (the advecting speed is an exact
 invariant of its own sweep), so the only time-discretization error is the
-splitting itself.  Interpolation is linear or clamped-cubic — both keep
-``g >= 0`` exactly and never amplify the maximum.  The (r, v) window has
-zero inflow; mass that reaches the edge leaves and is monitored.
+splitting itself.  Interpolation is linear: it keeps ``g >= 0`` exactly,
+never amplifies the maximum, and conserves mass away from the edges.  The
+(r, v) window has zero inflow; mass that reaches the edge leaves and is
+monitored, and :func:`vlasov_evolve` reports it in
+:attr:`VlasovDiagnostics.notes`.
 
 A sweep reads the density from a copy padded with zeros along the shifted
-axis, one ``np.take`` per stencil cell at flat offsets clipped into the
+axis, one ``np.take`` per bracketing cell at flat offsets clipped into the
 padding, so reads from outside the window are zeros without a mask (see
 :class:`_LineShift`).  The r-sweep table depends only on the grid and
 ``dt`` and is built once per :func:`vlasov_evolve`.  The literal per-line
@@ -33,7 +35,6 @@ match it bit for bit.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable
@@ -47,7 +48,6 @@ __all__ = [
     "PhaseGrid",
     "PhaseDensity",
     "Moments",
-    "AdvisoryWarning",
     "frac_laplacian_torus",
     "moments",
     "sigma_field",
@@ -63,10 +63,6 @@ __all__ = [
     "meanfield_distance",
     "OBSERVABLES",
 ]
-
-
-class AdvisoryWarning(UserWarning):
-    """Non-fatal solver advisories (CFL stretch, boundary-touching support)."""
 
 
 @dataclass(frozen=True)
@@ -162,11 +158,14 @@ class Moments:
     m: np.ndarray
 
 
-def moments(g: PhaseDensity) -> Moments:
-    """Midpoint quadrature over the (r, v) window at every x node."""
-    w = g.grid.dr * g.grid.dv
-    rho = g.g.sum(axis=(1, 2)) * w
-    m = (r_centers(g.grid)[None, :, None] * g.g).sum(axis=(1, 2)) * w
+def moments(g: np.ndarray, grid: PhaseGrid) -> Moments:
+    """Midpoint quadrature of the density array ``g`` over the (r, v) window
+    at every x node of ``grid``."""
+    if g.shape != grid.shape:
+        raise SizeMismatchError(f"density shape {g.shape}, grid wants {grid.shape}")
+    w = grid.dr * grid.dv
+    rho = g.sum(axis=(1, 2)) * w
+    m = (r_centers(grid)[None, :, None] * g).sum(axis=(1, 2)) * w
     return Moments(rho, m)
 
 
@@ -193,77 +192,68 @@ def frac_laplacian_torus(field: np.ndarray, alpha: float, d: int = 1) -> np.ndar
     return np.real(out) if np.isrealobj(field) else out
 
 
-def sigma_field(g: PhaseDensity, fp: FractionalParams) -> np.ndarray:
-    """Force field over (x, r): ``r * L rho - L m``, exact moment split.
+def sigma_field(g: np.ndarray, grid: PhaseGrid, fp: FractionalParams) -> np.ndarray:
+    """Force field over (x, r) of the density array ``g`` on ``grid``:
+    ``r * L rho - L m``, exact moment split.
 
     Identically zero when ``g`` does not depend on x.
     """
-    mom = moments(g)
+    mom = moments(g, grid)
     lrho = frac_laplacian_torus(mom.rho, fp.alpha, 1)
     lm = frac_laplacian_torus(mom.m, fp.alpha, 1)
-    return r_centers(g.grid)[None, :] * lrho[:, None] - lm[:, None]
+    return r_centers(grid)[None, :] * lrho[:, None] - lm[:, None]
 
 
-def acceleration(g: PhaseDensity, fp: FractionalParams) -> np.ndarray:
+def acceleration(g: np.ndarray, grid: PhaseGrid, fp: FractionalParams) -> np.ndarray:
     """Characteristic speed in v: ``C^-1 Sigma_g``, shape (mx, mr)."""
-    return sigma_field(g, fp) / fp.c_d_alpha
+    return sigma_field(g, grid, fp) / fp.c_d_alpha
 
 
 # ---------------------------------------------------------------------------
 # semi-Lagrangian line shifts
 # ---------------------------------------------------------------------------
 
-INTERP_MODES = ("linear", "cubic-clamped")
-
-# cells each interpolation reads, relative to the floor cell of the read position
-_STENCIL = {"linear": (0, 1), "cubic-clamped": (-1, 0, 1, 2)}
-# stencil values each interpolation holds in scratch at once
-_SLOTS = {"linear": 1, "cubic-clamped": 3}
+# zero cells padding each end of a shifted axis: a read clipped into the
+# padding covers both bracketing cells
+_PAD = 2
 
 
-def _scratch(shape: tuple[int, ...], interp: str) -> np.ndarray:
+def _scratch(shape: tuple[int, ...]) -> np.ndarray:
     """Float workspace for :class:`_LineShift`; sweeps that run in turn can share one."""
-    return np.empty(_SLOTS[interp] * math.prod(shape))
+    return np.empty(math.prod(shape))
 
 
 class _LineShift:
     """Displace the lines along ``axis`` by constant shifts (one per line), zero inflow.
 
-    Output at cell p of a line reads the input at position q = p - s, from
-    the stencil cells ``floor(q) + k``.  The input is written into
-    ``inside``, the middle of a buffer padded with as many zero cells as the
-    stencil is wide at both ends of ``axis``, and the first stencil index is
-    clipped into that padding.  A stencil that starts outside the line then
-    reads nothing but zeros, and one that starts inside reads zeros for
-    exactly its cells beyond the edge, so no mask is needed: each stencil
-    cell is one ``np.take`` at precomputed flat offsets.  Without
+    Output at cell p of a line reads the input at position q = p - s and
+    weighs the bracketing cells ``floor(q)`` and ``floor(q) + 1`` linearly.
+    The input is written into ``inside``, the middle of a buffer padded with
+    :data:`_PAD` zero cells at both ends of ``axis``, and the first
+    bracketing index is clipped into that padding.  A pair that starts
+    outside the line then reads nothing but zeros, and one that straddles an
+    edge reads a zero for its cell beyond it, so no mask is needed: each
+    bracketing cell is one ``np.take`` at precomputed flat offsets.  Without
     ``per_line`` the shifts may vary along and after ``axis`` only (the
     r-sweep, whose shift depends on v), and one table serves every index
     before ``axis``; with it the table has a row per line (the v-sweep,
     whose shift depends on x and r).
 
-    Linear weights are a convex combination, so mass along interior lines,
-    positivity, and the maximum are all preserved exactly.  Clamped cubic
-    adds two outer nodes for fourth-order accuracy and then limits the
-    result to the bracketing pair's range, which restores monotonicity at
-    the cost of exact interior mass telescoping.
+    The weights are a convex combination, so mass along interior lines,
+    positivity, and the maximum are all preserved exactly.
     """
 
-    def __init__(
-        self, shape: tuple[int, ...], axis: int, interp: str, per_line: bool, scratch: np.ndarray
-    ):
+    def __init__(self, shape: tuple[int, ...], axis: int, per_line: bool, scratch: np.ndarray):
         self.shape = tuple(shape)
-        self.interp = interp
         self.per_line = per_line
         self.scratch = scratch
         self.rows = math.prod(shape[:axis])
         self.n = shape[axis]
         self.inner = math.prod(shape[axis + 1 :])
-        self.width = len(_STENCIL[interp])
         padded = list(shape)
-        padded[axis] += 2 * self.width
+        padded[axis] += 2 * _PAD
         self.pad = np.zeros(padded)
-        self.inside = self.pad[(slice(None),) * axis + (slice(self.width, -self.width),)]
+        self.inside = self.pad[(slice(None),) * axis + (slice(_PAD, -_PAD),)]
         table = self.shape if per_line else (1,) * axis + self.shape[axis:]
         trailing = (1,) * (len(shape) - axis - 1)
         self.positions = np.arange(self.n, dtype=np.float64).reshape((self.n,) + trailing)
@@ -274,7 +264,7 @@ class _LineShift:
         self.base = np.arange(self.inner).reshape(self.shape[axis + 1 :])
         if per_line:
             row = np.arange(self.rows).reshape(self.shape[:axis] + (1,) + trailing)
-            self.base = self.base + row * ((self.n + 2 * self.width) * self.inner)
+            self.base = self.base + row * ((self.n + 2 * _PAD) * self.inner)
 
     def set_shifts(self, shifts: np.ndarray) -> "_LineShift":
         """Fill the weights and read offsets for ``shifts`` cells."""
@@ -283,16 +273,16 @@ class _LineShift:
         th -= i0
         first = self.first
         np.copyto(first, i0, casting="unsafe")
-        np.add(first, _STENCIL[self.interp][0] + self.width, out=first)
-        np.clip(first, 0, self.n + self.width, out=first)
+        np.add(first, _PAD, out=first)
+        np.clip(first, 0, self.n + _PAD, out=first)
         if self.inner > 1:
             first *= self.inner
         first += self.base
         return self
 
-    def _read(self, k: int, slot: int) -> np.ndarray:
-        """Stencil cell ``k`` (counted from the first) of every output cell."""
-        out = self.scratch.reshape((-1,) + self.shape)[slot]
+    def _read(self, k: int) -> np.ndarray:
+        """Bracketing cell ``k`` (0 or 1) of every output cell, into the scratch."""
+        out = self.scratch.reshape(self.shape)
         offset = k * self.inner
         # the offsets are in range by construction; mode="clip" lets take
         # write straight into ``out`` instead of through a temporary
@@ -307,79 +297,62 @@ class _LineShift:
     def __call__(self, out: np.ndarray) -> np.ndarray:
         """Shift the lines held in ``inside`` into ``out``."""
         th = self.th
-        if self.interp == "linear":
-            f0 = self._read(0, 0)
-            np.multiply(np.subtract(1.0, th, out=out), f0, out=out)
-            f1 = self._read(1, 0)
-            return np.add(out, np.multiply(th, f1, out=f1), out=out)
-        fm = self._read(0, 0)
-        np.multiply(-th * (th - 1.0) * (th - 2.0) / 6.0, fm, out=out)
-        f0 = self._read(1, 1)
-        out += np.multiply((th + 1.0) * (th - 1.0) * (th - 2.0) / 2.0, f0, out=fm)
-        f1 = self._read(2, 2)
-        out += np.multiply(-(th + 1.0) * th * (th - 2.0) / 2.0, f1, out=fm)
-        f2 = self._read(3, 0)
-        out += np.multiply((th + 1.0) * th * (th - 1.0) / 6.0, f2, out=f2)
-        return np.clip(out, np.minimum(f0, f1, out=fm), np.maximum(f0, f1, out=f0), out=out)
+        f0 = self._read(0)
+        np.multiply(np.subtract(1.0, th, out=out), f0, out=out)
+        f1 = self._read(1)
+        return np.add(out, np.multiply(th, f1, out=f1), out=out)
 
 
-def _shift_lines(arr: np.ndarray, shifts: np.ndarray, axis: int, interp: str) -> np.ndarray:
+def _shift_lines(arr: np.ndarray, shifts: np.ndarray, axis: int) -> np.ndarray:
     """One :class:`_LineShift` of ``arr`` into a new array (the oracle checks use this)."""
     per_line = any(d > 1 for d in np.shape(shifts)[:axis])
-    sweep = _LineShift(arr.shape, axis, interp, per_line, _scratch(arr.shape, interp))
+    sweep = _LineShift(arr.shape, axis, per_line, _scratch(arr.shape))
     sweep.inside[...] = arr
     return sweep.set_shifts(shifts)(np.empty(arr.shape))
 
 
 class _Strang:
-    """Strang steps of one grid, time step and interpolation.
+    """Strang steps of one grid and time step.
 
     The r-sweep table depends only on the grid and ``dt``, so it is built
     once; the v-sweep table is refilled in place every step.  The padded
     buffers and the scratch are reused by every step, and each step returns
     a new density array, so no array a caller holds is written to.  Steps
-    take and return bare arrays: only the half-step density handed to
-    :func:`acceleration` is validated on the way.
+    take and return bare arrays and validate none of them.
     """
 
-    def __init__(self, grid: PhaseGrid, dt: float, interp: str):
+    def __init__(self, grid: PhaseGrid, dt: float):
         if not (math.isfinite(dt) and dt > 0.0):
             raise ValueError(f"dt must be finite and positive, got {dt!r}")
-        if interp not in INTERP_MODES:
-            raise ValueError(f"interp must be one of {INTERP_MODES}, got {interp!r}")
         self.grid, self.dt = grid, dt
-        scratch = _scratch(grid.shape, interp)
+        scratch = _scratch(grid.shape)
         s_r = (v_centers(grid) * (0.5 * dt) / grid.dr).reshape(1, 1, grid.mv)
-        self.r_sweep = _LineShift(grid.shape, 1, interp, False, scratch).set_shifts(s_r)
-        self.v_sweep = _LineShift(grid.shape, 2, interp, True, scratch)
+        self.r_sweep = _LineShift(grid.shape, 1, False, scratch).set_shifts(s_r)
+        self.v_sweep = _LineShift(grid.shape, 2, True, scratch)
 
-    def step(
-        self, g: np.ndarray, t: float, fp: FractionalParams
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """One step from the density array ``g`` at time ``t``, and the v-speed
-        field (``acceleration``) it applied."""
+    def step(self, g: np.ndarray, fp: FractionalParams) -> tuple[np.ndarray, np.ndarray]:
+        """One step from the density array ``g``, and the v-speed field
+        (``acceleration``) it applied."""
         grid, dt, r_sweep, v_sweep = self.grid, self.dt, self.r_sweep, self.v_sweep
         # the new array holds the half-step density first, then the result
         out = np.empty(grid.shape)
         r_sweep.inside[...] = g
-        accel = acceleration(PhaseDensity(grid, r_sweep(out), t + 0.5 * dt), fp)
+        accel = acceleration(r_sweep(out), grid, fp)
         v_sweep.inside[...] = out
         v_sweep.set_shifts((accel * dt / grid.dv)[:, :, None])(r_sweep.inside)
         return r_sweep(out), accel
 
 
-def vlasov_step(
-    g: PhaseDensity, fp: FractionalParams, dt: float, interp: str = "linear"
-) -> PhaseDensity:
+def vlasov_step(g: PhaseDensity, fp: FractionalParams, dt: float) -> PhaseDensity:
     """One Strang step: r-transport dt/2, v-transport dt, r-transport dt/2.
 
     The v-sweep's speed field depends on g only through its r-moments,
     which the sweep itself leaves invariant — so freezing it over the full
     step commits no extra time error; likewise the r-sweep's speed is the
-    v coordinate itself.  ``dt`` must be finite and positive and ``interp``
-    one of :data:`INTERP_MODES`; both are checked before any work.
+    v coordinate itself.  ``dt`` must be finite and positive; it is checked
+    before any work.
     """
-    return PhaseDensity(g.grid, _Strang(g.grid, dt, interp).step(g.g, g.t, fp)[0], g.t + dt)
+    return PhaseDensity(g.grid, _Strang(g.grid, dt).step(g.g, fp)[0], g.t + dt)
 
 
 def boundary_mass(g: PhaseDensity) -> float:
@@ -400,6 +373,8 @@ class VlasovDiagnostics:
 
     ``cfl_r`` and ``cfl_v`` are the largest per-step line displacements in
     cells; ``cfl_v`` is taken from the v-speed field each step applied.
+    ``notes`` holds the run's advisories as text, the only place they are
+    reported.
     """
 
     n_steps: int
@@ -420,29 +395,29 @@ def vlasov_evolve(
     fp: FractionalParams,
     dt: float,
     n_steps: int,
-    interp: str = "linear",
+    *,
     cfl_fraction: float | None = None,
     boundary_tol: float = 1e-12,
     callback: Callable[[int, PhaseDensity], None] | None = None,
 ) -> tuple[PhaseDensity, VlasovDiagnostics]:
     """Run ``n_steps`` Strang steps with advisory monitoring.
 
-    ``cfl_fraction``, if set, warns when a sub-sweep displaces lines by
-    more than that many cells per step (the scheme stays stable regardless;
-    the bound is an accuracy budget).  A boundary-touching support or
-    measurable escaped mass raises :class:`AdvisoryWarning` once each.
-    Of the densities each step ends with, only those passed to ``callback``
-    and the result are validated.
+    The advisories go to the diagnostics' ``notes``, at most one each:
+    support whose edge mass exceeds ``boundary_tol``, and, if
+    ``cfl_fraction`` is set, a sub-sweep that displaces lines by more than
+    that many cells per step (the scheme stays stable regardless; the bound
+    is an accuracy budget).  Of the densities each step ends with, only
+    those passed to ``callback`` and the result are validated.
     """
     grid, arr, t = g.grid, g.g, g.t
-    strang = _Strang(grid, dt, interp)
+    strang = _Strang(grid, dt)
     mass0 = g.mass()
     bmax = boundary_mass(g)
-    cfl_r = cfl_v = 0.0
+    cfl_r = grid.v_max * dt / grid.dr if n_steps > 0 else 0.0
+    cfl_v = 0.0
     notes: list[str] = []
     for i in range(n_steps):
-        cfl_r = max(cfl_r, grid.v_max * dt / grid.dr)
-        arr, accel = strang.step(arr, t, fp)
+        arr, accel = strang.step(arr, fp)
         t += dt
         cfl_v = max(cfl_v, float(np.max(np.abs(accel))) * dt / grid.dv)
         bmax = max(bmax, _edge_mass(grid, arr))
@@ -457,14 +432,12 @@ def vlasov_evolve(
             f"escaped mass estimate {mass0 - g.mass():.3e}"
         )
         notes.append(note)
-        warnings.warn(note, AdvisoryWarning, stacklevel=2)
     if cfl_fraction is not None and max(cfl_r, cfl_v) > cfl_fraction:
         note = (
             f"per-step line displacement up to {max(cfl_r, cfl_v):.2f} cells exceeds "
             f"the configured budget {cfl_fraction:.2f}"
         )
         notes.append(note)
-        warnings.warn(note, AdvisoryWarning, stacklevel=2)
     return g, VlasovDiagnostics(n_steps, mass0, g.mass(), bmax, cfl_r, cfl_v, notes)
 
 

@@ -12,7 +12,6 @@ protocol anyway and reports the forensics instead of weakening it.
 """
 
 import json
-import warnings
 
 import numpy as np
 import pytest
@@ -54,7 +53,6 @@ from kinlat.lattice import (
 )
 from kinlat.profiles import make_profile
 from kinlat.vlasov import (
-    PhaseDensity,
     PhaseGrid,
     density_from_law,
     meanfield_distance,
@@ -355,10 +353,8 @@ def test_08_meanfield_distance_trend():
     # by two cells so the density is representable
     chain_law = GaussianLaw(mean_r, 0.0, 0.0, 0.1)
     pde_law = GaussianLaw(mean_r, 0.0, 2.0 * grid.dr, 0.1)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        g0 = density_from_law(pde_law, grid)
-        g, _ = vlasov_evolve(g0, fp, 1e-2, 50, "linear")
+    g0 = density_from_law(pde_law, grid)
+    g, _ = vlasov_evolve(g0, fp, 1e-2, 50)
 
     medians = []
     band = []
@@ -420,9 +416,7 @@ def test_10_phase_space_solver_checks():
     for m in (64, 128):
         grid = PhaseGrid(4, m, m, 1.0, 1.0)
         g0 = density_from_law(law, grid)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            g, diag = vlasov_evolve(g0, fp, 2e-3, 100, "linear")
+        g, diag = vlasov_evolve(g0, fp, 2e-3, 100)
         drifts.append(abs(diag.mass_final - diag.mass_initial) / diag.mass_initial)
         negs.append(float(g.g.min()))
         exact = ref.free_streaming_density(law, grid, 0.2)
@@ -437,8 +431,9 @@ def test_10_phase_space_solver_checks():
         * np.exp(-((r / 0.4) ** 2) - (v / 0.5) ** 2)
         * (1 + 0.3 * np.sin(3 * np.pi * r))
     )
-    gd = PhaseDensity(grid, lumpy, 0.0)
-    sigma_gap = float(np.max(np.abs(sigma_field(gd, fp) - ref.sigma_field_unfactorized(gd, fp))))
+    sigma_gap = float(
+        np.max(np.abs(sigma_field(lumpy, grid, fp) - ref.sigma_field_unfactorized(lumpy, grid, fp)))
+    )
 
     ok = (
         max(drifts) < 1e-8  # per 100 steps by construction

@@ -334,6 +334,9 @@ INVALID = [
     ("sweep", {"axis": "wave.lam", "values": [0.1, "a"]}, "sweep.values.1"),
     ("sweep", {"values": [0.1]}, "sweep"),
     ("sweep", {"axis": "wave.lam", "values": [0.1], "repeat": 2}, "sweep"),
+    ("vlasov.interp", "cubic-clamped", "vlasov.interp"),
+    # the base doc is a wt-compare, whose kinetic side starts from wave.profile
+    ("kinetic.initial", {"name": "constant", "level": 1}, "kinetic.initial"),
 ]
 
 

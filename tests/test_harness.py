@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -177,13 +178,18 @@ class TestRun:
             "vlasov": {"mx": 8, "mr": 16, "mv": 16, "r_max": 0.5, "v_max": 1.0},
             "compare": {"t_final": 0.05},
         }
-        man = run(parse_config(doc), out=tmp_path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the PDE's advisory is a note, not a warning
+            man = run(parse_config(doc), out=tmp_path)
         summary = json.loads((tmp_path / "summary.json").read_text())
         for metrics in (man.metrics, summary):
             floor = metrics["distance_l2_initial"]
             assert 0.0 < floor < np.inf
             assert np.isfinite(metrics["excess"])
             assert metrics["excess"] == pytest.approx(metrics["distance_l2"] / floor, rel=1e-15)
+        notes = json.loads((tmp_path / "manifest.json").read_text())["notes"]
+        assert any("truncation boundary" in n for n in notes)
+        assert "notes" not in summary
 
 
 class TestSweep:

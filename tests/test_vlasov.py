@@ -7,10 +7,9 @@ import pytest
 
 from kinlat import _reference as ref
 from kinlat.chain import ChainGeometry, FractionalParams, GaussianLaw, sample_ensemble
+from kinlat.config import parse_config
 from kinlat.errors import SizeMismatchError
 from kinlat.vlasov import (
-    INTERP_MODES,
-    AdvisoryWarning,
     PhaseDensity,
     PhaseGrid,
     acceleration,
@@ -79,12 +78,13 @@ def test_moments_of_offset_gaussian():
     rr = r_centers(grid)[None, :, None]
     vv = v_centers(grid)[None, None, :]
     vals = np.exp(-0.5 * ((rr - r0) / 0.15) ** 2 - 0.5 * (vv / 0.2) ** 2)
-    g = PhaseDensity(grid, np.broadcast_to(vals, grid.shape).copy())
-    mom = moments(g)
+    mom = moments(np.broadcast_to(vals, grid.shape), grid)
     assert mom.rho.shape == (2,) and mom.m.shape == (2,)
     assert np.allclose(mom.m / mom.rho, r0, atol=1e-6)
-    zero = moments(PhaseDensity(grid, np.zeros(grid.shape)))
+    zero = moments(np.zeros(grid.shape), grid)
     assert np.all(zero.rho == 0.0) and np.all(zero.m == 0.0)
+    with pytest.raises(SizeMismatchError):
+        moments(np.zeros((2, 128, 63)), grid)
 
 
 # ---------------------------------------------------------------------------
@@ -114,7 +114,7 @@ def test_frac_laplacian_alpha_one_is_minus_laplacian():
 def test_sigma_field_vanishes_without_x_structure():
     grid = PhaseGrid(8, 16, 12, 1.0, 1.0)
     g = _gaussian_density(grid)
-    assert np.max(np.abs(sigma_field(g, FP))) < 1e-12
+    assert np.max(np.abs(sigma_field(g.g, grid, FP))) < 1e-12
 
 
 def test_sigma_field_matches_unfactorized(rng):
@@ -123,10 +123,10 @@ def test_sigma_field_matches_unfactorized(rng):
         grid, sigma_r=0.3, sigma_v=0.3,
         x_weight=lambda x: 1.0 + 0.5 * np.cos(2 * np.pi * x) + 0.2 * np.sin(4 * np.pi * x),
     )
-    got = sigma_field(g, FP)
-    want = ref.sigma_field_unfactorized(g, FP)
+    got = sigma_field(g.g, grid, FP)
+    want = ref.sigma_field_unfactorized(g.g, grid, FP)
     assert np.max(np.abs(got - want)) < 1e-12
-    assert acceleration(g, FP) == pytest.approx(got / FP.c_d_alpha)
+    assert acceleration(g.g, grid, FP) == pytest.approx(got / FP.c_d_alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -151,6 +151,7 @@ def test_free_streaming_matches_characteristics():
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # interior support must stay advisory-free
         g, diag = vlasov_evolve(g, FP, 2e-3, 100)
+    assert diag.notes == []
     exact = ref.free_streaming_density(law, grid, g.t)
     err = np.max(np.abs(g.g - exact)) / np.max(exact)
     assert err < 2e-2
@@ -164,7 +165,7 @@ def test_strang_self_convergence_second_order():
     def run(dt, n):
         g = g0
         for _ in range(n):
-            g = vlasov_step(g, FP, dt, interp="cubic-clamped")
+            g = vlasov_step(g, FP, dt)
         return g.g
 
     ref_fine = run(2.5e-3, 16)
@@ -187,29 +188,36 @@ def test_boundary_advisory_fires_for_wide_support():
     grid = PhaseGrid(2, 24, 24, 0.3, 0.3)  # window much narrower than the data
     g = _gaussian_density(grid, sigma_r=0.3, sigma_v=0.3)
     assert boundary_mass(g) > 0.0
-    with pytest.warns(AdvisoryWarning):
-        vlasov_evolve(g, FP, 5e-3, 10)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # advisories are notes, not warnings
+        _, diag = vlasov_evolve(g, FP, 5e-3, 10)
+    assert len(diag.notes) == 1
+    assert diag.notes[0].startswith("support reached the (r, v) truncation boundary")
+    assert f"peak edge mass {diag.boundary_mass_max:.3e}" in diag.notes[0]
 
 
 def test_cfl_advisory_reports_displacement():
     grid = PhaseGrid(2, 32, 32, 1.0, 1.0)
     g = _gaussian_density(grid)
-    with pytest.warns(AdvisoryWarning, match="displacement"):
-        _, diag = vlasov_evolve(g, FP, 0.5, 1, cfl_fraction=0.5)
+    _, diag = vlasov_evolve(g, FP, 0.5, 1, cfl_fraction=0.5)
     assert diag.cfl_r > 0.5
+    budget = [n for n in diag.notes if "displacement" in n]
+    assert budget == [
+        f"per-step line displacement up to {max(diag.cfl_r, diag.cfl_v):.2f} cells "
+        "exceeds the configured budget 0.50"
+    ]
 
 
 def test_interp_mode_validated():
+    # linear is the one interpolant, and configs that name it stay valid
+    doc = {"pipeline": "vlasov", "seed": 0, "vlasov": {"interp": "linear"}}
+    assert parse_config(doc).vlasov.interp == "linear"
     grid = PhaseGrid(2, 16, 16, 1.0, 1.0)
     g = _gaussian_density(grid)
-    with pytest.raises(ValueError, match="interp"):
-        vlasov_step(g, FP, 1e-3, interp="spline-7")
     for dt in (-1e-3, 0.0, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="dt"):
             vlasov_step(g, FP, dt)
     # checked before any work, so zero steps do not let bad arguments through
-    with pytest.raises(ValueError, match="interp"):
-        vlasov_evolve(g, FP, 1e-3, 0, interp="spline-7")
     with pytest.raises(ValueError, match="dt"):
         vlasov_evolve(g, FP, float("nan"), 0)
 
@@ -218,8 +226,7 @@ def test_interp_mode_validated():
 _EDGE_SHIFTS = [0.3, -0.7, 2.0, -3.0, 0.0, 9.0, -9.0, 12.5, -30.25]
 
 
-@pytest.mark.parametrize("interp", INTERP_MODES)
-def test_line_shift_matches_loop(interp, rng):
+def test_line_shift_matches_loop(rng):
     base = rng.random((4, 9, 18))
     arr = base[:, :, ::2]  # a non-contiguous view, shape (4, 9, 9)
     # axis 1: one shift per v column, broadcast over x
@@ -227,10 +234,10 @@ def test_line_shift_matches_loop(interp, rng):
     # axis 2: one shift per (x, r) line
     s_v = np.concatenate([_EDGE_SHIFTS, 5.0 * rng.standard_normal(27)]).reshape(4, 9, 1)
     for axis, shifts in ((1, s_r), (2, s_v)):
-        got = _shift_lines(arr, shifts, axis, interp)
-        want = ref.shift_lines_loop(arr, shifts, axis, interp)
+        got = _shift_lines(arr, shifts, axis)
+        want = ref.shift_lines_loop(arr, shifts, axis)
         assert np.array_equal(got, want), (axis, float(np.max(np.abs(got - want))))
-    emptied = _shift_lines(arr, s_r, 1, interp)
+    emptied = _shift_lines(arr, s_r, 1)
     assert np.all(emptied[:, :, 5:7] == 0.0)  # |s| = 9 = n moves every value out
     assert np.array_equal(emptied[:, :, 4], arr[:, :, 4])  # s = 0 is the identity
 
@@ -247,7 +254,7 @@ def test_steps_leave_caller_arrays_alone():
         kept.append(g)
         values.append(g.g.copy())
 
-    g, _ = vlasov_evolve(g1, FP, 5e-3, 6, interp="cubic-clamped", callback=keep)
+    g, _ = vlasov_evolve(g1, FP, 5e-3, 6, callback=keep)
     assert np.array_equal(g0.g, before)
     assert len(kept) == 6 and kept[-1] is g
     for held, value in zip(kept, values):
@@ -266,12 +273,13 @@ def test_cfl_v_is_the_applied_field():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         _, diag = vlasov_evolve(g0, FP, dt, 1)
+    assert diag.notes == []
     s_r = (v_centers(grid) * (0.5 * dt) / grid.dr).reshape(1, 1, grid.mv)
-    mid = PhaseDensity(grid, ref.shift_lines_loop(g0.g, s_r, 1, "linear"))
-    want = float(np.max(np.abs(acceleration(mid, FP)))) * dt / grid.dv
+    mid = ref.shift_lines_loop(g0.g, s_r, 1)
+    want = float(np.max(np.abs(acceleration(mid, grid, FP)))) * dt / grid.dv
     assert diag.cfl_v == pytest.approx(want, rel=1e-12)
     # the field before the half sweep is measurably different
-    before = float(np.max(np.abs(acceleration(g0, FP)))) * dt / grid.dv
+    before = float(np.max(np.abs(acceleration(g0.g, grid, FP)))) * dt / grid.dv
     assert abs(before - want) > 1e-3 * want
 
 
