@@ -12,285 +12,9 @@ conventions:
 
 :mod:`~kinlat.harness` runs configured pipelines reproducibly and
 :mod:`~kinlat.cli` exposes them as the ``kinlat`` command.
+
+The modules are the API, each declaring its public names in ``__all__``;
+the package itself exports only ``__version__``.
 """
 
 __version__ = "0.1.0"
-
-from .errors import (
-    CheckFailure,
-    ConfigError,
-    KinlatError,
-    NumericalBlowupError,
-    SizeMismatchError,
-    UnnormalizedDensityError,
-)
-from .lattice import (
-    LatticeSpec,
-    center_index,
-    delta_mod,
-    dft,
-    dispersion,
-    dispersion_bar,
-    inverse_dft,
-    inverse_omega_bar_grid,
-    omega_bar_grid,
-    wavenumbers,
-    weighted_inner,
-    wrap_wavenumber,
-)
-from .waves import (
-    AmplitudeState,
-    EnsembleSpec,
-    ModelParams,
-    PhasePair,
-    empirical_spectrum,
-    from_amplitudes,
-    hamiltonian,
-    hamiltonian_terms,
-    integrate,
-    n0_table,
-    reality_defect,
-    rhs,
-    sample_initial,
-    stack_ensemble,
-    to_amplitudes,
-    unstack_ensemble,
-)
-from .kinetic import (
-    CollisionDiagnostics,
-    ResonanceRule,
-    Spectrum,
-    SpectrumDistance,
-    TorusGrid,
-    active_mask,
-    collision,
-    compare_spectra,
-    energy_moment,
-    evolve,
-    nodes,
-    omega_grid,
-    rayleigh_jeans,
-    step,
-)
-from .chain import (
-    ChainEnsemble,
-    ChainGeometry,
-    ChainState,
-    EmpiricalDensity,
-    FractionalParams,
-    GaussianLaw,
-    PointLaw,
-    TabulatedLaw,
-    chain_energy,
-    chaos_defect,
-    empirical_density,
-    force,
-    force_array,
-    mean_displacement,
-    sample_ensemble,
-    site_coordinates,
-    total_momentum,
-    two_site_frequency,
-    verlet_evolve,
-    verlet_step,
-)
-from .vlasov import (
-    MeanfieldDistance,
-    Moments,
-    PhaseDensity,
-    PhaseGrid,
-    VlasovDiagnostics,
-    acceleration,
-    boundary_mass,
-    cell_moments_of_density,
-    cell_moments_of_ensemble,
-    density_from_law,
-    frac_laplacian_torus,
-    meanfield_distance,
-    moments,
-    r_centers,
-    sigma_field,
-    v_centers,
-    vlasov_evolve,
-    vlasov_step,
-    x_centers,
-)
-from .profiles import (
-    PROFILE_NAMES,
-    constant_profile,
-    make_profile,
-    omega_bump,
-    rayleigh_jeans_profile,
-    torus_gaussian,
-)
-from .config import (
-    PIPELINES,
-    ChainConfig,
-    CompareConfig,
-    KineticConfig,
-    LawConfig,
-    ProfileConfig,
-    RunConfig,
-    SweepConfig,
-    VlasovConfig,
-    WaveConfig,
-    build_law,
-    build_profile,
-    config_hash,
-    load_config,
-    parse_config,
-)
-from .io import (
-    read_phase_density,
-    sha256_file,
-    write_amplitude_snapshot,
-    write_chain_snapshot_csv,
-    write_csv,
-    write_json,
-    write_moments_csv,
-    write_phase_density,
-    write_spectrum_csv,
-)
-from .harness import (
-    PIPELINE_METRIC,
-    CheckResult,
-    RunManifest,
-    run,
-    sweep,
-)
-
-__all__ = [
-    "__version__",
-    # errors
-    "KinlatError",
-    "ConfigError",
-    "SizeMismatchError",
-    "UnnormalizedDensityError",
-    "NumericalBlowupError",
-    "CheckFailure",
-    # lattice
-    "LatticeSpec",
-    "dft",
-    "inverse_dft",
-    "delta_mod",
-    "wrap_wavenumber",
-    "dispersion",
-    "dispersion_bar",
-    "weighted_inner",
-    "wavenumbers",
-    "omega_bar_grid",
-    "inverse_omega_bar_grid",
-    "center_index",
-    # waves
-    "ModelParams",
-    "PhasePair",
-    "AmplitudeState",
-    "to_amplitudes",
-    "from_amplitudes",
-    "reality_defect",
-    "rhs",
-    "hamiltonian",
-    "hamiltonian_terms",
-    "integrate",
-    "EnsembleSpec",
-    "n0_table",
-    "sample_initial",
-    "stack_ensemble",
-    "unstack_ensemble",
-    "empirical_spectrum",
-    # kinetic
-    "TorusGrid",
-    "nodes",
-    "omega_grid",
-    "ResonanceRule",
-    "active_mask",
-    "Spectrum",
-    "CollisionDiagnostics",
-    "collision",
-    "step",
-    "evolve",
-    "energy_moment",
-    "rayleigh_jeans",
-    "SpectrumDistance",
-    "compare_spectra",
-    # chain
-    "ChainGeometry",
-    "FractionalParams",
-    "ChainState",
-    "ChainEnsemble",
-    "site_coordinates",
-    "force",
-    "force_array",
-    "chain_energy",
-    "total_momentum",
-    "mean_displacement",
-    "verlet_step",
-    "verlet_evolve",
-    "GaussianLaw",
-    "PointLaw",
-    "TabulatedLaw",
-    "sample_ensemble",
-    "EmpiricalDensity",
-    "empirical_density",
-    "chaos_defect",
-    "two_site_frequency",
-    # vlasov
-    "PhaseGrid",
-    "PhaseDensity",
-    "Moments",
-    "moments",
-    "x_centers",
-    "r_centers",
-    "v_centers",
-    "frac_laplacian_torus",
-    "sigma_field",
-    "acceleration",
-    "vlasov_step",
-    "vlasov_evolve",
-    "boundary_mass",
-    "VlasovDiagnostics",
-    "density_from_law",
-    "cell_moments_of_density",
-    "cell_moments_of_ensemble",
-    "MeanfieldDistance",
-    "meanfield_distance",
-    # profiles
-    "PROFILE_NAMES",
-    "make_profile",
-    "constant_profile",
-    "torus_gaussian",
-    "omega_bump",
-    "rayleigh_jeans_profile",
-    # config
-    "PIPELINES",
-    "RunConfig",
-    "WaveConfig",
-    "KineticConfig",
-    "CompareConfig",
-    "ChainConfig",
-    "VlasovConfig",
-    "SweepConfig",
-    "LawConfig",
-    "ProfileConfig",
-    "load_config",
-    "parse_config",
-    "config_hash",
-    "build_profile",
-    "build_law",
-    # io
-    "write_csv",
-    "write_json",
-    "write_spectrum_csv",
-    "write_amplitude_snapshot",
-    "write_chain_snapshot_csv",
-    "write_moments_csv",
-    "write_phase_density",
-    "read_phase_density",
-    "sha256_file",
-    # harness
-    "run",
-    "sweep",
-    "RunManifest",
-    "CheckResult",
-    "PIPELINE_METRIC",
-]

@@ -15,10 +15,9 @@ flow conserves the energy ``sum v^2/2 + (h^d/4) sum_{x,y} w(y-x) (r_y - r_x)^2``
 and, by pairwise antisymmetry, the total momentum ``sum v`` exactly; the
 mean displacement therefore moves ballistically (zero acceleration).
 
-Ensembles of independently initialized replicas feed the empirical phase
-density and the two-site factorization defect used to probe molecular
-chaos; both reduce over replicas in fixed order so results are
-reproducible for a given seed.
+Ensembles of independently initialized replicas feed the two-site
+factorization defect used to probe molecular chaos; it reduces over
+replicas in fixed order so results are reproducible for a given seed.
 """
 
 from __future__ import annotations
@@ -30,11 +29,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import (
-    NumericalBlowupError,
-    SizeMismatchError,
-    UnnormalizedDensityError,
-)
+from .errors import NumericalBlowupError, SizeMismatchError
 
 __all__ = [
     "ChainGeometry",
@@ -43,20 +38,17 @@ __all__ = [
     "ChainEnsemble",
     "GaussianLaw",
     "PointLaw",
-    "TabulatedLaw",
     "site_coordinates",
-    "force",
+    "force_array",
     "chain_force_flat",
     "chain_kernel_table",
     "chain_energy",
     "total_momentum",
     "mean_displacement",
-    "verlet_step",
     "verlet_evolve",
     "sample_ensemble",
-    "EmpiricalDensity",
-    "empirical_density",
     "chaos_defect",
+    "two_site_frequency",
 ]
 
 
@@ -231,11 +223,6 @@ def force_array(r: np.ndarray, geom: ChainGeometry, fp: FractionalParams) -> np.
     return out.reshape(r.shape)
 
 
-def force(state: ChainState, geom: ChainGeometry, fp: FractionalParams) -> np.ndarray:
-    """Per-site acceleration of the long-range coupling; sums to zero."""
-    return force_array(state.r, geom, fp)
-
-
 def chain_energy(
     state: ChainState | ChainEnsemble,
     geom: ChainGeometry,
@@ -268,37 +255,6 @@ def mean_displacement(state: ChainState | ChainEnsemble) -> float | np.ndarray:
     return float(out) if out.ndim == 0 else out
 
 
-def _verlet_arrays(r, v, geom, fp, dt, n_steps, t0, callback):
-    """Velocity-Verlet core on batched arrays; one force call per step."""
-    f = force_array(r, geom, fp)
-    for i in range(n_steps):
-        v_half = v + 0.5 * dt * f
-        r = r + dt * v_half
-        f = force_array(r, geom, fp)
-        v = v_half + 0.5 * dt * f
-        if not np.isfinite(r).all() or not np.isfinite(v).all():
-            bad = ~(np.isfinite(r) & np.isfinite(v))
-            replica, site = np.unravel_index(int(np.argmax(bad)), np.atleast_2d(bad).shape)
-            raise NumericalBlowupError(
-                f"non-finite chain state at t {t0 + (i + 1) * dt:.6g}: "
-                f"replica {replica}, site {site}",
-                step=i,
-            )
-        if callback is not None:
-            callback(i, r, v, f)
-    return r, v, f
-
-
-def verlet_step(
-    state: ChainState, geom: ChainGeometry, fp: FractionalParams, dt: float
-) -> ChainState:
-    """One velocity-Verlet step (second order, symplectic)."""
-    if dt <= 0.0:
-        raise ValueError(f"time step must be positive, got {dt}")
-    r, v, _ = _verlet_arrays(state.r.copy(), state.v.copy(), geom, fp, dt, 1, state.t, None)
-    return ChainState(r, v, state.t + dt)
-
-
 def verlet_evolve(
     state: ChainState | ChainEnsemble,
     geom: ChainGeometry,
@@ -317,9 +273,23 @@ def verlet_evolve(
     """
     if dt <= 0.0:
         raise ValueError(f"time step must be positive, got {dt}")
-    r, v, _ = _verlet_arrays(
-        np.array(state.r), np.array(state.v), geom, fp, dt, n_steps, state.t, callback
-    )
+    r, v = np.array(state.r), np.array(state.v)
+    f = force_array(r, geom, fp)
+    for i in range(n_steps):
+        v_half = v + 0.5 * dt * f
+        r = r + dt * v_half
+        f = force_array(r, geom, fp)
+        v = v_half + 0.5 * dt * f
+        if not np.isfinite(r).all() or not np.isfinite(v).all():
+            bad = ~(np.isfinite(r) & np.isfinite(v))
+            replica, site = np.unravel_index(int(np.argmax(bad)), np.atleast_2d(bad).shape)
+            raise NumericalBlowupError(
+                f"non-finite chain state at t {state.t + (i + 1) * dt:.6g}: "
+                f"replica {replica}, site {site}",
+                step=i,
+            )
+        if callback is not None:
+            callback(i, r, v, f)
     t = state.t + dt * n_steps
     if isinstance(state, ChainEnsemble):
         return ChainEnsemble(r, v, t, state.seed)
@@ -394,57 +364,6 @@ class PointLaw:
         return _per_site(self.r0, x), _per_site(self.v0, x)
 
 
-@dataclass(frozen=True)
-class TabulatedLaw:
-    """x-independent law given as cell probabilities on an (r, v) grid.
-
-    ``density`` holds cell-averaged density values; the law must integrate
-    to one over the grid (unnormalized tables are rejected).  Sampling
-    draws a cell by its mass and jitters uniformly inside it.
-    """
-
-    r_edges: np.ndarray
-    v_edges: np.ndarray
-    density: np.ndarray
-    tol: float = 1e-8
-
-    def __post_init__(self):
-        re = np.asarray(self.r_edges, dtype=np.float64)
-        ve = np.asarray(self.v_edges, dtype=np.float64)
-        den = np.asarray(self.density, dtype=np.float64)
-        if re.ndim != 1 or ve.ndim != 1 or re.size < 2 or ve.size < 2:
-            raise ValueError("edges must be 1-D with at least two entries")
-        if np.any(np.diff(re) <= 0.0) or np.any(np.diff(ve) <= 0.0):
-            raise ValueError("edges must be strictly increasing")
-        if den.shape != (re.size - 1, ve.size - 1):
-            raise SizeMismatchError(
-                f"density shape {den.shape} does not match edges "
-                f"({re.size - 1}, {ve.size - 1})"
-            )
-        if np.any(den < 0.0):
-            raise ValueError("density must be nonnegative")
-        object.__setattr__(self, "r_edges", re)
-        object.__setattr__(self, "v_edges", ve)
-        object.__setattr__(self, "density", den)
-        mass = float(np.sum(den * np.outer(np.diff(re), np.diff(ve))))
-        if abs(mass - 1.0) > self.tol:
-            raise UnnormalizedDensityError(
-                f"tabulated law integrates to {mass:.12g}, expected 1 within {self.tol:g}"
-            )
-
-    def sample_sites(self, rng: np.random.Generator, x: np.ndarray):
-        n = x.shape[0]
-        dr = np.diff(self.r_edges)
-        dv = np.diff(self.v_edges)
-        mass = (self.density * np.outer(dr, dv)).ravel()
-        mass = mass / mass.sum()
-        cells = rng.choice(mass.size, size=n, p=mass)
-        ir, iv = np.unravel_index(cells, self.density.shape)
-        r = self.r_edges[ir] + dr[ir] * rng.random(n)
-        v = self.v_edges[iv] + dv[iv] * rng.random(n)
-        return r, v
-
-
 def sample_ensemble(law, geom: ChainGeometry, m: int, seed: int) -> ChainEnsemble:
     """Draw ``m`` independent replicas, i.i.d. across sites within each.
 
@@ -473,44 +392,6 @@ def _check_edges(edges: np.ndarray, name: str) -> np.ndarray:
     if edges.ndim != 1 or edges.size < 2 or np.any(np.diff(edges) <= 0.0):
         raise ValueError(f"{name} must be 1-D, strictly increasing, >= 2 entries")
     return edges
-
-
-@dataclass
-class EmpiricalDensity:
-    """Per-site (r, v) histogram of an ensemble, as density values.
-
-    ``density[x, i, j]`` estimates the phase density in bin (i, j) at site
-    x; summing times the bin areas gives the captured probability, and
-    ``escaped[x]`` logs what fell outside the binned window.
-    """
-
-    r_edges: np.ndarray
-    v_edges: np.ndarray
-    density: np.ndarray
-    escaped: np.ndarray
-    t: float
-
-
-def empirical_density(
-    ens: ChainEnsemble,
-    geom: ChainGeometry,
-    r_edges: np.ndarray,
-    v_edges: np.ndarray,
-) -> EmpiricalDensity:
-    """Histogram the replicas site by site on a fixed (r, v) bin grid."""
-    r_edges = _check_edges(r_edges, "r_edges")
-    v_edges = _check_edges(v_edges, "v_edges")
-    r = _check_sites(geom, ens.r, "displacement")
-    v = _check_sites(geom, ens.v, "velocity")
-    n_sites = geom.n_sites
-    nr, nv = r_edges.size - 1, v_edges.size - 1
-    counts = np.zeros((n_sites, nr, nv))
-    for x in range(n_sites):
-        counts[x], _, _ = np.histogram2d(r[:, x], v[:, x], bins=(r_edges, v_edges))
-    area = np.outer(np.diff(r_edges), np.diff(v_edges))
-    density = counts / (ens.m * area)
-    escaped = 1.0 - counts.sum(axis=(1, 2)) / ens.m
-    return EmpiricalDensity(r_edges, v_edges, density, escaped, ens.t)
 
 
 def _joint_masses(ens, x, y, r_edges, v_edges):

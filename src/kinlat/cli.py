@@ -19,6 +19,8 @@ from .config import PIPELINES, parse_config, read_doc
 from .errors import CheckFailure, ConfigError, NumericalBlowupError
 from .harness import PIPELINE_METRIC, run
 
+__all__ = ["main"]
+
 EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_NUMERICAL = 2

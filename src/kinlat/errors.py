@@ -7,6 +7,14 @@ exit codes (config -> 1, numerics -> 2, failed checks -> 3).
 
 from __future__ import annotations
 
+__all__ = [
+    "KinlatError",
+    "ConfigError",
+    "SizeMismatchError",
+    "NumericalBlowupError",
+    "CheckFailure",
+]
+
 
 class KinlatError(Exception):
     """Base class for all deliberate failures."""
@@ -23,10 +31,6 @@ class ConfigError(KinlatError):
 
 class SizeMismatchError(KinlatError, ValueError):
     """Array shape does not match the lattice or grid it claims to live on."""
-
-
-class UnnormalizedDensityError(KinlatError, ValueError):
-    """A sampling law or tabulated density does not integrate to one."""
 
 
 class NumericalBlowupError(KinlatError, RuntimeError):

@@ -67,6 +67,7 @@ from .kinetic import (
 )
 from .lattice import LatticeSpec, dft, inverse_dft, weighted_inner
 from .vlasov import (
+    BOUNDARY_TOL,
     PhaseGrid,
     _shift_lines,
     cell_moments_of_density,
@@ -84,6 +85,7 @@ from .waves import (
     _integrate_array,
     empirical_spectrum,
     hamiltonian,
+    reality_defect,
     rhs,
     sample_initial,
     stack_ensemble,
@@ -263,7 +265,7 @@ def _drive_wave(cfg: RunConfig, out: Path):
     )
     files += [csv_p, json_p]
 
-    defect = float(np.max(np.abs(a[:, 1] - np.conj(a[:, 0]))))
+    defect = reality_defect(AmplitudeState(a, t), spec)
     metrics = {"t_final": t, "reality_defect": defect, "energy_drift_rel": drift}
     checks = [
         CheckResult("reality-pair-preserved", defect < 1e-9, f"defect {defect:.3e}"),
@@ -484,11 +486,10 @@ def _drive_vlasov(cfg: RunConfig, out: Path):
         "escaped_mass": diag.escaped_mass,
         "cfl_r": diag.cfl_r,
         "cfl_v": diag.cfl_v,
-        "notes": diag.notes,
     }
     files.append(write_json(out / "summary.json", metrics))
     per100 = drift * (100.0 / max(1, v.n_steps))
-    touched_boundary = diag.boundary_mass_max > 1e-12
+    touched_boundary = diag.boundary_mass_max > BOUNDARY_TOL
     checks = [
         CheckResult(
             "density-nonnegative", bool(np.all(g.g >= 0.0)), f"min {float(g.g.min()):.3e}"

@@ -42,17 +42,22 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import NumericalBlowupError, SizeMismatchError
+from .lattice import dispersion
 
 __all__ = [
     "DEFAULT_OMEGA_FLOOR",
     "RESONANCE_PROFILES",
     "TorusGrid",
+    "nodes",
+    "omega_grid",
     "ResonanceRule",
+    "active_mask",
     "Spectrum",
     "CollisionDiagnostics",
     "collision",
     "collision_rate",
     "step",
+    "evolve",
     "energy_moment",
     "rayleigh_jeans",
     "compare_spectra",
@@ -106,7 +111,8 @@ def nodes(grid: TorusGrid) -> np.ndarray:
 
 @lru_cache(maxsize=64)
 def omega_grid(grid: TorusGrid) -> np.ndarray:
-    out = np.sum(np.sin(2.0 * np.pi * nodes(grid)) ** 2, axis=-1)
+    """:func:`~kinlat.lattice.dispersion` at every node, shape ``(m,)*d``."""
+    out = dispersion(nodes(grid))
     out.setflags(write=False)
     return out
 
@@ -159,7 +165,7 @@ def _profile_weight(du: np.ndarray, rule: ResonanceRule) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class TriadPlan:
+class _TriadPlan:
     """Unordered resonant pairs ``a <= b`` of live modes, with ``c = a + b``.
 
     ``w`` is the triad weight ``W(a, b)``, doubled when ``a != b`` so that
@@ -177,7 +183,7 @@ class TriadPlan:
         return self.a.nbytes + self.b.nbytes + self.c.nbytes + self.w.nbytes
 
 
-def _collision_plan(grid: TorusGrid, rule: ResonanceRule) -> TriadPlan:
+def _collision_plan(grid: TorusGrid, rule: ResonanceRule) -> _TriadPlan:
     """Build the pruned pair list in blocks of rows ``a``.
 
     Each block is cut against the largest weight seen so far, which never
@@ -221,13 +227,13 @@ def _collision_plan(grid: TorusGrid, rule: ResonanceRule) -> TriadPlan:
     for col in cols:
         merged.append(np.concatenate([x if k.all() else x[k] for x, k in zip(col, keep)]))
         col.clear()  # release this column's blocks before merging the next
-    return TriadPlan(*merged)
+    return _TriadPlan(*merged)
 
 
 _held = threading.local()
 
 
-def _thread_plan(grid: TorusGrid, rule: ResonanceRule) -> TriadPlan:
+def _thread_plan(grid: TorusGrid, rule: ResonanceRule) -> _TriadPlan:
     """The plan of ``(grid, rule)``; each thread holds only its latest one.
 
     A sweep child runs on one thread and asks for one plan, so a serial

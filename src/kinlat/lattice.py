@@ -35,7 +35,6 @@ __all__ = [
     "dft",
     "inverse_dft",
     "delta_mod",
-    "wrap_wavenumber",
     "dispersion",
     "dispersion_bar",
     "weighted_inner",
@@ -107,12 +106,6 @@ def inverse_dft(spec: LatticeSpec, fhat: np.ndarray) -> np.ndarray:
     return spec.n_sites * np.fft.ifftn(np.fft.ifftshift(fhat, axes=axes), axes=axes)
 
 
-def wrap_wavenumber(spec: LatticeSpec, k: np.ndarray) -> np.ndarray:
-    """Reduce integer wavenumbers mod N into the symmetric window ``[-D, D]``."""
-    k = np.asarray(k, dtype=np.int64)
-    return (k + spec.D) % spec.N - spec.D
-
-
 def delta_mod(spec: LatticeSpec, k) -> np.ndarray | float:
     """Periodic Kronecker delta: ``N^d`` when ``k = 0 mod N`` per axis, else 0.
 
@@ -182,9 +175,8 @@ def wavenumbers(spec: LatticeSpec) -> np.ndarray:
 
 @lru_cache(maxsize=64)
 def omega_bar_grid(spec: LatticeSpec) -> np.ndarray:
-    """Table of ``omega_bar`` over the spectral grid, shape ``(N,)*d``."""
-    k = wavenumbers(spec)
-    out = np.sum(np.sin(2.0 * np.pi * spec.h * k) ** 2, axis=-1)
+    """Table of :func:`dispersion_bar` over the spectral grid, shape ``(N,)*d``."""
+    out = dispersion_bar(spec, wavenumbers(spec))
     out.setflags(write=False)
     return out
 

@@ -15,6 +15,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigError
+from .lattice import dispersion
 
 __all__ = [
     "constant_profile",
@@ -26,10 +27,6 @@ __all__ = [
 ]
 
 Profile = Callable[[np.ndarray], np.ndarray]
-
-
-def _dispersion(kappa: np.ndarray) -> np.ndarray:
-    return np.sum(np.sin(2.0 * np.pi * kappa) ** 2, axis=-1)
 
 
 def _require(ok: bool, name: str, value: float, rule: str) -> None:
@@ -65,7 +62,7 @@ def omega_bump(amplitude: float, center: float, width: float) -> Profile:
     _require(width > 0.0, "width", width, "> 0")
 
     def profile(kappa: np.ndarray) -> np.ndarray:
-        u = (_dispersion(kappa) - center) / width
+        u = (dispersion(kappa) - center) / width
         return amplitude * np.exp(-0.5 * u * u)
 
     return profile
@@ -77,7 +74,7 @@ def rayleigh_jeans_profile(temperature: float, floor: float = 1e-12) -> Profile:
     _require(floor > 0.0, "floor", floor, "> 0")
 
     def profile(kappa: np.ndarray) -> np.ndarray:
-        w = _dispersion(kappa)
+        w = dispersion(kappa)
         safe = np.where(w >= floor, w, 1.0)
         return np.where(w >= floor, temperature / safe, 0.0)
 

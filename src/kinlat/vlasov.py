@@ -47,15 +47,18 @@ from .errors import SizeMismatchError
 __all__ = [
     "PhaseGrid",
     "PhaseDensity",
+    "x_centers",
+    "r_centers",
+    "v_centers",
     "Moments",
     "frac_laplacian_torus",
     "moments",
     "sigma_field",
     "acceleration",
-    "vlasov_step",
     "vlasov_evolve",
     "VlasovDiagnostics",
     "density_from_law",
+    "BOUNDARY_TOL",
     "boundary_mass",
     "cell_moments_of_density",
     "cell_moments_of_ensemble",
@@ -116,14 +119,17 @@ def _centers(m: int, half_width: float, periodic: bool) -> np.ndarray:
 
 
 def x_centers(grid: PhaseGrid) -> np.ndarray:
+    """Cell centers of the periodic x axis, read-only."""
     return _centers(grid.mx, 0.0, True)
 
 
 def r_centers(grid: PhaseGrid) -> np.ndarray:
+    """Cell centers of the r window ``[-r_max, r_max]``, read-only."""
     return _centers(grid.mr, grid.r_max, False)
 
 
 def v_centers(grid: PhaseGrid) -> np.ndarray:
+    """Cell centers of the v window ``[-v_max, v_max]``, read-only."""
     return _centers(grid.mv, grid.v_max, False)
 
 
@@ -332,7 +338,14 @@ class _Strang:
 
     def step(self, g: np.ndarray, fp: FractionalParams) -> tuple[np.ndarray, np.ndarray]:
         """One step from the density array ``g``, and the v-speed field
-        (``acceleration``) it applied."""
+        (``acceleration``) it applied: r-transport dt/2, v-transport dt,
+        r-transport dt/2.
+
+        The v-sweep's speed field depends on g only through its r-moments,
+        which the sweep itself leaves invariant, so freezing it over the
+        full step commits no extra time error; likewise the r-sweep's speed
+        is the v coordinate itself.
+        """
         grid, dt, r_sweep, v_sweep = self.grid, self.dt, self.r_sweep, self.v_sweep
         # the new array holds the half-step density first, then the result
         out = np.empty(grid.shape)
@@ -343,24 +356,13 @@ class _Strang:
         return r_sweep(out), accel
 
 
-def vlasov_step(g: PhaseDensity, fp: FractionalParams, dt: float) -> PhaseDensity:
-    """One Strang step: r-transport dt/2, v-transport dt, r-transport dt/2.
-
-    The v-sweep's speed field depends on g only through its r-moments,
-    which the sweep itself leaves invariant — so freezing it over the full
-    step commits no extra time error; likewise the r-sweep's speed is the
-    v coordinate itself.  ``dt`` must be finite and positive; it is checked
-    before any work.
-    """
-    return PhaseDensity(g.grid, _Strang(g.grid, dt).step(g.g, fp)[0], g.t + dt)
+# edge mass above which a run notes that its support reached the window edge
+BOUNDARY_TOL = 1e-12
 
 
-def boundary_mass(g: PhaseDensity) -> float:
-    """Mass sitting in the outermost r/v cell shells (truncation monitor)."""
-    return _edge_mass(g.grid, g.g)
-
-
-def _edge_mass(grid: PhaseGrid, g: np.ndarray) -> float:
+def boundary_mass(g: np.ndarray, grid: PhaseGrid) -> float:
+    """Mass of the density array ``g`` in the outermost r/v cell shells of
+    ``grid`` (truncation monitor)."""
     edge = np.zeros(grid.shape, dtype=bool)
     edge[:, 0, :] = edge[:, -1, :] = True
     edge[:, :, 0] = edge[:, :, -1] = True
@@ -397,22 +399,22 @@ def vlasov_evolve(
     n_steps: int,
     *,
     cfl_fraction: float | None = None,
-    boundary_tol: float = 1e-12,
     callback: Callable[[int, PhaseDensity], None] | None = None,
 ) -> tuple[PhaseDensity, VlasovDiagnostics]:
     """Run ``n_steps`` Strang steps with advisory monitoring.
 
     The advisories go to the diagnostics' ``notes``, at most one each:
-    support whose edge mass exceeds ``boundary_tol``, and, if
+    support whose edge mass exceeds ``BOUNDARY_TOL``, and, if
     ``cfl_fraction`` is set, a sub-sweep that displaces lines by more than
     that many cells per step (the scheme stays stable regardless; the bound
     is an accuracy budget).  Of the densities each step ends with, only
-    those passed to ``callback`` and the result are validated.
+    those passed to ``callback`` and the result are validated.  ``dt`` must
+    be finite and positive; it is checked before any work.
     """
     grid, arr, t = g.grid, g.g, g.t
     strang = _Strang(grid, dt)
     mass0 = g.mass()
-    bmax = boundary_mass(g)
+    bmax = boundary_mass(arr, grid)
     cfl_r = grid.v_max * dt / grid.dr if n_steps > 0 else 0.0
     cfl_v = 0.0
     notes: list[str] = []
@@ -420,13 +422,13 @@ def vlasov_evolve(
         arr, accel = strang.step(arr, fp)
         t += dt
         cfl_v = max(cfl_v, float(np.max(np.abs(accel))) * dt / grid.dv)
-        bmax = max(bmax, _edge_mass(grid, arr))
+        bmax = max(bmax, boundary_mass(arr, grid))
         if callback is not None:
             g = PhaseDensity(grid, arr, t)
             callback(i, g)
     if n_steps > 0 and callback is None:  # with a callback, g is already the last step
         g = PhaseDensity(grid, arr, t)
-    if bmax > boundary_tol:
+    if bmax > BOUNDARY_TOL:
         note = (
             f"support reached the (r, v) truncation boundary: peak edge mass {bmax:.3e}, "
             f"escaped mass estimate {mass0 - g.mass():.3e}"
@@ -541,14 +543,18 @@ class MeanfieldDistance:
         }
 
 
+# largest gap between the density's and the ensemble's time stamps
+TIME_TOL = 1e-9
+
+
 def meanfield_distance(
     g: PhaseDensity,
     ens: ChainEnsemble,
     geom: ChainGeometry,
-    time_tol: float = 1e-9,
 ) -> MeanfieldDistance:
-    """Compare local (r, v) moments of the ensemble against those of ``g``."""
-    if abs(g.t - ens.t) > time_tol:
+    """Compare local (r, v) moments of the ensemble against those of ``g``;
+    their time stamps must agree to ``TIME_TOL``."""
+    if abs(g.t - ens.t) > TIME_TOL:
         raise ValueError(f"time stamps differ: density t={g.t}, ensemble t={ens.t}")
     mg = cell_moments_of_density(g)
     me = cell_moments_of_ensemble(ens, geom, g.grid)

@@ -59,12 +59,14 @@ __all__ = [
     "integrate",
     "sample_initial",
     "stack_ensemble",
-    "unstack_ensemble",
+    "n0_table",
     "empirical_spectrum",
     "reality_defect",
 ]
 
 BLOWUP_BOUND = 1e8
+# steps between amplitude-bound checks; the last step is always checked
+CHECK_EVERY = 50
 
 
 @dataclass(frozen=True)
@@ -148,9 +150,15 @@ def from_amplitudes(state: AmplitudeState, spec: LatticeSpec) -> PhasePair:
     return PhasePair(q, p)
 
 
-def reality_defect(state: AmplitudeState) -> float:
-    """Max deviation from the conjugate-pair constraint ``a[1] = conj(a[0])``."""
-    return float(np.max(np.abs(state.a[1] - np.conj(state.a[0]))))
+def reality_defect(state: AmplitudeState, spec: LatticeSpec) -> float:
+    """Max deviation from the conjugate-pair constraint ``a(-) = conj(a(+))``.
+
+    The sign axis is the one before the grid axes, so a replica stack of
+    shape ``batch + (2,) + (N,)*d`` gives the worst defect over replicas.
+    """
+    a = _check_state(spec, state.a)
+    s_ax = a.ndim - spec.d - 1
+    return float(np.max(np.abs(np.take(a, 1, axis=s_ax) - np.conj(np.take(a, 0, axis=s_ax)))))
 
 
 def rhs(state: AmplitudeState, params: ModelParams) -> np.ndarray:
@@ -253,7 +261,6 @@ def _integrate_array(
     dt: float,
     n_steps: int,
     scheme: str = "exponential",
-    check_every: int = 50,
     step0: int = 0,
     t0: float = 0.0,
 ) -> np.ndarray:
@@ -273,7 +280,7 @@ def _integrate_array(
             ea = e1 * a
             k4 = nl(ea + dt * e2 * k3)
             a = ea + dt / 6.0 * (e1 * k1 + 2.0 * e2 * (k2 + k3) + k4)
-            _maybe_check(a, i, check_every, n_steps, step0, t0 + (i + 1) * dt)
+            _maybe_check(a, i, n_steps, step0, t0 + (i + 1) * dt)
     elif scheme == "rk4":
         for i in range(n_steps):
             k1 = _rhs_array(a, params)
@@ -281,16 +288,14 @@ def _integrate_array(
             k3 = _rhs_array(a + 0.5 * dt * k2, params)
             k4 = _rhs_array(a + dt * k3, params)
             a = a + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            _maybe_check(a, i, check_every, n_steps, step0, t0 + (i + 1) * dt)
+            _maybe_check(a, i, n_steps, step0, t0 + (i + 1) * dt)
     else:
         raise ValueError(f"unknown scheme {scheme!r}")
     return a
 
 
-def _maybe_check(
-    a: np.ndarray, i: int, every: int, n_steps: int, step0: int, t: float
-) -> None:
-    if every and (i % every == every - 1 or i == n_steps - 1):
+def _maybe_check(a: np.ndarray, i: int, n_steps: int, step0: int, t: float) -> None:
+    if i % CHECK_EVERY == CHECK_EVERY - 1 or i == n_steps - 1:
         peak = np.max(np.abs(a))
         if not np.isfinite(peak) or peak > BLOWUP_BOUND:
             raise NumericalBlowupError(f"amplitude peak {peak:.3e} at t {t:.6g}", step=step0 + i)
@@ -302,7 +307,6 @@ def integrate(
     dt: float,
     n_steps: int,
     scheme: str = "exponential",
-    check_every: int = 50,
 ) -> AmplitudeState:
     """Advance the amplitude flow by ``n_steps`` steps of size ``dt``.
 
@@ -312,7 +316,7 @@ def integrate(
     classical rule on the full right-hand side.
     """
     a = _check_state(params.spec, state.a)
-    out = _integrate_array(a.copy(), params, dt, n_steps, scheme, check_every, t0=state.t)
+    out = _integrate_array(a.copy(), params, dt, n_steps, scheme, t0=state.t)
     return AmplitudeState(out, state.t + dt * n_steps)
 
 
@@ -384,10 +388,6 @@ def stack_ensemble(states: Sequence[AmplitudeState]) -> tuple[np.ndarray, float]
     if any(abs(s.t - t) > 1e-12 for s in states):
         raise ValueError("replicas are at different times")
     return np.stack([s.a for s in states]), t
-
-
-def unstack_ensemble(a: np.ndarray, t: float) -> list[AmplitudeState]:
-    return [AmplitudeState(a[i].copy(), t) for i in range(a.shape[0])]
 
 
 def empirical_spectrum(

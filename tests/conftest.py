@@ -1,4 +1,4 @@
-"""Shared fixtures: reproducible RNG and a quiet advisory filter."""
+"""Shared fixtures: a reproducible RNG and the ``slow`` marker."""
 
 import numpy as np
 import pytest

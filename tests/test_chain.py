@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from kinlat import _reference as ref
-from kinlat.errors import NumericalBlowupError, SizeMismatchError, UnnormalizedDensityError
+from kinlat.errors import NumericalBlowupError, SizeMismatchError
 from kinlat.chain import (
     ChainEnsemble,
     ChainGeometry,
@@ -14,12 +14,9 @@ from kinlat.chain import (
     FractionalParams,
     GaussianLaw,
     PointLaw,
-    TabulatedLaw,
     chain_energy,
     chain_kernel_table,
     chaos_defect,
-    empirical_density,
-    force,
     force_array,
     mean_displacement,
     sample_ensemble,
@@ -27,7 +24,6 @@ from kinlat.chain import (
     total_momentum,
     two_site_frequency,
     verlet_evolve,
-    verlet_step,
 )
 
 
@@ -48,7 +44,7 @@ FP = FractionalParams(0.5, 1)
 def test_force_matches_pair_sum(rng, geom, fp):
     r = rng.normal(size=geom.n_sites)
     want = ref.chain_force_pairs(r, geom, fp)
-    got = force(ChainState(r, np.zeros_like(r)), geom, fp)
+    got = force_array(r, geom, fp)
     assert np.max(np.abs(got - want)) < 1e-12 * max(1.0, np.max(np.abs(want)))
 
 
@@ -62,13 +58,13 @@ def test_kernel_table_is_linear_in_sites():
 
 def test_force_sums_to_zero(rng):
     r = rng.normal(size=GEOM.n_sites)
-    f = force(ChainState(r, np.zeros_like(r)), GEOM, FP)
+    f = force_array(r, GEOM, FP)
     assert abs(f.sum()) < 1e-12
 
 
 def test_uniform_displacement_feels_nothing():
     r = np.full(GEOM.n_sites, 0.7)
-    f = force(ChainState(r, np.zeros_like(r)), GEOM, FP)
+    f = force_array(r, GEOM, FP)
     assert np.max(np.abs(f)) < 1e-14
 
 
@@ -108,14 +104,6 @@ def test_mean_displacement_moves_ballistically():
     out = verlet_evolve(st, GEOM, FP, 1e-3, 1000)
     drift = mean_displacement(st) + total_momentum(st) / GEOM.n_sites * 1.0
     assert mean_displacement(out) == pytest.approx(drift, abs=1e-10)
-
-
-def test_verlet_step_matches_evolve_once(rng):
-    r = rng.normal(size=GEOM.n_sites)
-    v = rng.normal(size=GEOM.n_sites)
-    one = verlet_step(ChainState(r, v), GEOM, FP, 1e-2)
-    also = verlet_evolve(ChainState(r, v), GEOM, FP, 1e-2, 1)
-    assert np.array_equal(one.r, also.r) and np.array_equal(one.v, also.v)
 
 
 def test_two_site_closed_form():
@@ -221,31 +209,9 @@ def test_point_law_is_deterministic():
     assert np.all(ens.r == 0.5) and np.all(ens.v == -0.25)
 
 
-def test_tabulated_law_checks_mass():
-    edges = np.linspace(-1, 1, 5)
-    good = np.full((4, 4), 1.0 / 4.0)  # integrates to one over [-1,1]^2
-    law = TabulatedLaw(edges, edges, good)
-    ens = sample_ensemble(law, GEOM, 4, 3)
-    assert np.all(np.abs(ens.r) <= 1.0) and np.all(np.abs(ens.v) <= 1.0)
-    with pytest.raises(UnnormalizedDensityError):
-        TabulatedLaw(edges, edges, 2.0 * good)
-
-
 # ---------------------------------------------------------------------------
 # empirical measures
 # ---------------------------------------------------------------------------
-
-
-def test_empirical_density_masses():
-    law = GaussianLaw(0.0, 0.0, 0.1, 0.1)
-    ens = sample_ensemble(law, GEOM, 200, 31)
-    edges = np.linspace(-0.5, 0.5, 11)
-    emp = empirical_density(ens, GEOM, edges, edges)
-    area = np.outer(np.diff(edges), np.diff(edges))
-    captured = (emp.density * area).sum(axis=(1, 2))
-    assert np.all(captured + emp.escaped == pytest.approx(1.0, abs=1e-12))
-    assert emp.escaped.max() < 0.01  # +-5 sigma window
-    assert emp.density.shape == (GEOM.n_sites, 10, 10)
 
 
 def test_chaos_defect_shrinks_with_replicas():

@@ -191,6 +191,20 @@ class TestRun:
         assert any("truncation boundary" in n for n in notes)
         assert "notes" not in summary
 
+    def test_vlasov_notes_are_in_the_manifest_only(self, tmp_path):
+        # a window narrower than the default law's support raises the boundary note
+        doc = {
+            "pipeline": "vlasov",
+            "seed": 0,
+            "vlasov": {"mx": 4, "mr": 16, "mv": 16, "r_max": 0.3, "v_max": 0.3, "n_steps": 5},
+        }
+        man = run(parse_config(doc), out=tmp_path)
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert "notes" not in summary and "notes" not in man.metrics
+        notes = _manifest_of(tmp_path)["notes"]
+        assert notes == man.notes and len(notes) == 1
+        assert notes[0].startswith("support reached the (r, v) truncation boundary")
+
 
 class TestSweep:
     def test_run_dispatches_to_sweep(self, tmp_path):
@@ -226,7 +240,7 @@ class TestSweep:
     def test_serial_sweep_keeps_one_collision_plan(self, tmp_path):
         run(self._kinetic_sweep(8, [0.3, 0.2, 0.1]), out=tmp_path)
         gc.collect()
-        plans = [o for o in gc.get_objects() if isinstance(o, kinetic.TriadPlan)]
+        plans = [o for o in gc.get_objects() if isinstance(o, kinetic._TriadPlan)]
         assert len(plans) <= 1
 
     def test_threaded_sweep_builds_each_plan_once(self, tmp_path, monkeypatch):

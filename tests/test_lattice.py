@@ -19,7 +19,6 @@ from kinlat.lattice import (
     omega_bar_grid,
     wavenumbers,
     weighted_inner,
-    wrap_wavenumber,
 )
 
 
@@ -88,15 +87,6 @@ def test_delta_mod_values():
 def test_delta_mod_rejects_wrong_axis():
     with pytest.raises(SizeMismatchError):
         delta_mod(LatticeSpec(2, 1), np.zeros((4, 3)))
-
-
-def test_wrap_wavenumber_window():
-    spec = LatticeSpec(1, 4)  # N = 9
-    k = np.arange(-30, 31)
-    w = wrap_wavenumber(spec, k)
-    assert w.min() >= -4 and w.max() <= 4
-    assert np.array_equal((w - k) % 9, np.zeros_like(k))
-    assert np.array_equal(wrap_wavenumber(spec, w), w)
 
 
 def test_dispersion_closed_values():

@@ -29,7 +29,6 @@ from kinlat.waves import (
     sample_initial,
     stack_ensemble,
     to_amplitudes,
-    unstack_ensemble,
 )
 
 
@@ -66,14 +65,23 @@ def test_variable_change_roundtrip(rng, d, D):
 def test_real_data_gives_conjugate_amplitudes(rng):
     spec = LatticeSpec(1, 4)
     state = to_amplitudes(_real_pair(rng, spec), spec)
-    assert reality_defect(state) < 1e-13
+    assert reality_defect(state, spec) < 1e-13
 
 
 def test_reality_defect_detects_breakage(rng):
     spec = LatticeSpec(1, 2)
     state = _conjugate_state(rng, spec)
     state.a[1, 0] += 0.5
-    assert reality_defect(state) > 0.4
+    assert reality_defect(state, spec) > 0.4
+
+
+def test_reality_defect_reads_the_sign_axis_of_a_stack():
+    spec = LatticeSpec(1, 4)
+    ens = EnsembleSpec(3, 1, make_profile("constant", level=1.0))
+    a, t = stack_ensemble(sample_initial(ens, spec))
+    assert reality_defect(AmplitudeState(a, t), spec) == 0.0  # exact pairs
+    a[2, 1, 3] += 0.5  # break one mode of the last replica only
+    assert reality_defect(AmplitudeState(a, t), spec) == pytest.approx(0.5, rel=1e-12)
 
 
 def test_reality_is_preserved_by_the_flow(rng):
@@ -81,7 +89,7 @@ def test_reality_is_preserved_by_the_flow(rng):
     params = ModelParams(spec, 0.2)
     state = _conjugate_state(rng, spec, scale=0.05)
     out = integrate(state, params, 1e-2, 200)
-    assert reality_defect(out) < 1e-10
+    assert reality_defect(out, spec) < 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -281,6 +289,5 @@ def test_stack_unstack_roundtrip(rng):
         _conjugate_state(rng, spec),
     ]
     a, t = stack_ensemble(states)
-    back = unstack_ensemble(a, t)
-    assert len(back) == 2
-    assert np.array_equal(back[1].a, states[1].a)
+    assert len(a) == 2 and t == 0.0
+    assert np.array_equal(a[1], states[1].a)
