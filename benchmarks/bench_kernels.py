@@ -6,7 +6,10 @@ Usage::
 
 Each case is called once before timing so plan building and allocator
 warm-up stay out of the numbers; the reported figure is the median of the
-repeat wall times.  The collision cases at d=2, m=40 (the grid of the
+repeat wall times.  The d=1 wave cases use the replica block the harness
+steps at N=33 (``BLOCK_BYTES`` over the bytes of one replica, 62 rows):
+one interaction call, and one exponential step of that block, which makes
+four of them.  The collision cases at d=2, m=40 (the grid of the
 kinetic-sweep benchmark, dispersion floor 0.05) time the plan build on its
 own, then an evaluation with the plan in hand, and list the plan's size.
 The chain cases time one force evaluation at d=1, n=512 with the kernel
@@ -24,10 +27,11 @@ import time
 import numpy as np
 
 from kinlat.chain import chain_force_flat, chain_kernel_table
+from kinlat.harness import BLOCK_BYTES
 from kinlat.kinetic import ResonanceRule, TorusGrid, _collision_plan, collision_rate
 from kinlat.lattice import LatticeSpec
 from kinlat.vlasov import PhaseGrid, _LineShift, _scratch, v_centers
-from kinlat.waves import wave_nonlinear
+from kinlat.waves import ModelParams, _integrate_array, wave_nonlinear
 
 
 PLAN_GRID = TorusGrid(2, 40)
@@ -45,15 +49,20 @@ def _median_time(fn, repeats: int) -> float:
 
 def _cases(rng, batch: int):
     # shapes mirror what the pipelines actually push through the kernels:
-    # a replica-stacked ensemble on a modest window, the d=1 refinement
-    # ladder for the collision operator, and a long d=1 chain
+    # the replica block the harness steps, the d=1 refinement ladder for the
+    # collision operator, and a long d=1 chain
     spec1 = LatticeSpec(1, 16)
-    a1 = rng.normal(size=(200, 2) + spec1.shape) + 1j * rng.normal(
-        size=(200, 2) + spec1.shape
-    )
+    shape1 = (2,) + spec1.shape
+    rows = max(1, BLOCK_BYTES // np.empty(shape1, dtype=np.complex128).nbytes)
+    a1 = rng.normal(size=(rows,) + shape1) + 1j * rng.normal(size=(rows,) + shape1)
     yield (
-        f"wave interaction d=1 N={spec1.N} batch=200",
+        f"wave interaction d=1 N={spec1.N} block={rows}",
         lambda: wave_nonlinear(a1, spec1, 0.3),
+    )
+    params1 = ModelParams(spec1, 0.05)
+    yield (
+        f"wave exponential step d=1 N={spec1.N} block={rows}",
+        lambda: _integrate_array(a1, params1, 0.01, 1),
     )
 
     spec2 = LatticeSpec(2, 6)

@@ -10,7 +10,9 @@ asymmetric,
 
 so Parseval reads ``h^d sum_x |f|^2 = sum_k |fhat|^2``.  Both directions are
 evaluated with the FFT; because ``N`` is odd, ``fftshift`` realizes exactly
-the ascending ``-D..D`` ordering.
+the ascending ``-D..D`` ordering.  :func:`fft_order` holds that shift once
+per lattice as a pair of gather indices, which every transform here and in
+:mod:`kinlat.waves` uses.
 
 Array conventions used by the whole package:
 
@@ -39,6 +41,7 @@ __all__ = [
     "dispersion_bar",
     "weighted_inner",
     "wavenumbers",
+    "fft_order",
     "omega_bar_grid",
     "inverse_omega_bar_grid",
     "center_index",
@@ -96,14 +99,14 @@ def dft(spec: LatticeSpec, f: np.ndarray) -> np.ndarray:
     """
     f = _check_field(spec, f, "grid field")
     axes = tuple(range(f.ndim - spec.d, f.ndim))
-    return spec.h**spec.d * np.fft.fftshift(np.fft.fftn(f, axes=axes), axes=axes)
+    return spec.h**spec.d * _gather(spec, np.fft.fftn(f, axes=axes), fft_order(spec)[1])
 
 
 def inverse_dft(spec: LatticeSpec, fhat: np.ndarray) -> np.ndarray:
     """Inverse transform, ``f(x) = sum_k fhat(k) e^{+2 pi i k.x}`` (no 1/N)."""
     fhat = _check_field(spec, fhat, "spectral field")
     axes = tuple(range(fhat.ndim - spec.d, fhat.ndim))
-    return spec.n_sites * np.fft.ifftn(np.fft.ifftshift(fhat, axes=axes), axes=axes)
+    return spec.n_sites * np.fft.ifftn(_gather(spec, fhat, fft_order(spec)[0]), axes=axes)
 
 
 def delta_mod(spec: LatticeSpec, k) -> np.ndarray | float:
@@ -171,6 +174,31 @@ def wavenumbers(spec: LatticeSpec) -> np.ndarray:
     out = np.stack(axes, axis=-1)
     out.setflags(write=False)
     return out
+
+
+@lru_cache(maxsize=64)
+def fft_order(spec: LatticeSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Gather indices ``(to_fft, to_shifted)`` between the two spectral orders.
+
+    Both index the grid flattened to one axis of ``n_sites``: gathering a
+    shifted field through ``to_fft`` gives ``ifftshift`` of it (FFT order,
+    zero mode first), and gathering an FFT-order field through
+    ``to_shifted`` gives ``fftshift``; each undoes the other.  The flattened
+    shifted layout is symmetric about the zero mode, so reversing it maps
+    ``k`` to ``-k`` and a negation needs no index of its own.
+    """
+    sites = np.arange(spec.n_sites).reshape(spec.shape)
+    out = (np.fft.ifftshift(sites).ravel(), np.fft.fftshift(sites).ravel())
+    for idx in out:
+        idx.setflags(write=False)
+    return out
+
+
+def _gather(spec: LatticeSpec, f: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """Reorder the trailing grid axes of ``f`` through one of :func:`fft_order`."""
+    lead = f.shape[: f.ndim - spec.d]
+    flat = f.reshape(lead + (spec.n_sites,))
+    return np.take(flat, index, axis=-1).reshape(f.shape)
 
 
 @lru_cache(maxsize=64)

@@ -19,8 +19,10 @@ dropped from the transformation, excluded from the interaction sum, and its
 amplitude stays pinned at zero.
 
 Spectral arrays are held in the shifted (ascending wavenumber) order of
-:mod:`kinlat.lattice`, with the sign axis before the grid axes; the
-interaction sum shifts to FFT order for its convolution and back.
+:mod:`kinlat.lattice`, with the sign axis before the grid axes.  The
+interaction sum flattens the grid axes, reads ``-k`` as a reversal, and
+reaches FFT order for its convolution and comes back through the cached
+gather pair :func:`kinlat.lattice.fft_order`.
 
 Ensembles are initialized with deterministic random phases on a prescribed
 modulus profile; averaging ``|ah(k,+1)|^2`` over replicas gives the empirical
@@ -31,6 +33,7 @@ the kinetic description predicts at times of order ``lam^-2``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -40,6 +43,7 @@ from .kinetic import Spectrum, TorusGrid
 from .lattice import (
     LatticeSpec,
     center_index,
+    fft_order,
     inverse_omega_bar_grid,
     omega_bar_grid,
     wavenumbers,
@@ -113,6 +117,11 @@ def _grid_axes(spec: LatticeSpec, arr: np.ndarray) -> tuple[int, ...]:
     return tuple(range(arr.ndim - spec.d, arr.ndim))
 
 
+def _flat_signs(spec: LatticeSpec, a: np.ndarray) -> np.ndarray:
+    """``a`` reshaped to ``batch + (2, n_sites)``: sign axis, then the flat grid."""
+    return a.reshape(a.shape[: a.ndim - spec.d] + (spec.n_sites,))
+
+
 def to_amplitudes(pair: PhasePair, spec: LatticeSpec) -> AmplitudeState:
     """Map ``(q, p)`` to amplitudes, ``a = wbar q + i p / wbar``.
 
@@ -156,9 +165,8 @@ def reality_defect(state: AmplitudeState, spec: LatticeSpec) -> float:
     The sign axis is the one before the grid axes, so a replica stack of
     shape ``batch + (2,) + (N,)*d`` gives the worst defect over replicas.
     """
-    a = _check_state(spec, state.a)
-    s_ax = a.ndim - spec.d - 1
-    return float(np.max(np.abs(np.take(a, 1, axis=s_ax) - np.conj(np.take(a, 0, axis=s_ax)))))
+    a = _flat_signs(spec, _check_state(spec, state.a))
+    return float(np.max(np.abs(a[..., 1, :] - np.conj(a[..., 0, :]))))
 
 
 def rhs(state: AmplitudeState, params: ModelParams) -> np.ndarray:
@@ -179,20 +187,39 @@ def wave_nonlinear(a: np.ndarray, spec: LatticeSpec, lam: float) -> np.ndarray:
     if lam == 0.0:
         return np.zeros_like(a)
     # The four sign-pair sums collapse into one cyclic self-convolution of
-    # w = u(+) + flip(u(-)), with u(s) = a(., s) / omega_bar.
-    d = spec.d
-    s_ax = a.ndim - d - 1
+    # w(k) = u(k, +) + u(-k, -), with u(s) = a(., s) / omega_bar.  On the
+    # flat grid -k is a reversal, and FFT order is one gather each way.
+    # Every product keeps the operand order of the plain expressions
+    # (u * winv, (-i coef) * S, ...): complex products are not bitwise
+    # commutative, and the results must not depend on how they are spelled.
+    to_fft, to_shifted = fft_order(spec)
+    winv, c_plus, c_minus = _kernel_tables(spec, lam)
+    u = _flat_signs(spec, a) * winv
+    w = np.take(u[..., 0, :] + u[..., 1, ::-1], to_fft, axis=-1)
+    if spec.d == 1:
+        W = np.fft.fft(w)
+        S = np.fft.ifft(np.multiply(W, W, out=W))
+    else:
+        gax = tuple(range(-spec.d, 0))
+        W = np.fft.fftn(w.reshape(w.shape[:-1] + spec.shape), axes=gax)
+        S = np.fft.ifftn(np.multiply(W, W, out=W), axes=gax).reshape(w.shape)
+    S = np.take(S, to_shifted, axis=-1)
+    out = np.empty(u.shape, dtype=np.complex128)
+    np.multiply(c_plus, S, out=out[..., 0, :])
+    np.multiply(c_minus, S[..., ::-1], out=out[..., 1, :])
+    return out.reshape(a.shape)
+
+
+@lru_cache(maxsize=64)
+def _kernel_tables(spec: LatticeSpec, lam: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Flat ``1/omega_bar`` and the output coefficients ``-i coef``, ``+i coef``
+    of :func:`wave_nonlinear`, built once per lattice and coupling."""
     winv = inverse_omega_bar_grid(spec)
-    up = np.take(a, 0, axis=s_ax) * winv
-    um = np.take(a, 1, axis=s_ax) * winv
-    gax = tuple(range(up.ndim - d, up.ndim))
-    w = up + np.flip(um, axis=gax)
-    W = np.fft.fftn(np.fft.ifftshift(w, axes=gax), axes=gax)
-    S = np.fft.fftshift(np.fft.ifftn(W * W, axes=gax), axes=gax)
     coef = lam * spec.h**spec.d * 0.125 * winv
-    nl_plus = -1j * coef * S
-    nl_minus = 1j * coef * np.flip(S, axis=gax)
-    return np.stack([nl_plus, nl_minus], axis=s_ax)
+    out = (winv.ravel(), (-1j * coef).ravel(), (1j * coef).ravel())
+    for table in out:
+        table.setflags(write=False)
+    return out
 
 
 def _rhs_array(a: np.ndarray, params: ModelParams) -> np.ndarray:
@@ -222,12 +249,13 @@ def hamiltonian_terms(
     """
     spec = params.spec
     a = _check_state(spec, state.a)
-    s_ax = a.ndim - spec.d - 1
-    a_plus, a_minus = np.take(a, 0, axis=s_ax), np.take(a, 1, axis=s_ax)
-    gax = _grid_axes(spec, a_plus)
+    flat = _flat_signs(spec, a)
+    grid = flat.shape[:-2] + spec.shape
+    gax = tuple(range(-spec.d, 0))
+    a_plus = flat[..., 0, :].reshape(grid)
     h1 = 0.5 * np.sum(omega_bar_grid(spec) * np.abs(a_plus) ** 2, axis=gax)
-    b = (a_plus + np.flip(a_minus, axis=gax)) * inverse_omega_bar_grid(spec)
-    v = np.fft.fftn(np.fft.ifftshift(b, axes=gax), axes=gax)
+    b = (flat[..., 0, :] + flat[..., 1, ::-1]) * inverse_omega_bar_grid(spec).ravel()
+    v = np.fft.fftn(np.take(b, fft_order(spec)[0], axis=-1).reshape(grid), axes=gax)
     return h1, spec.h ** (2 * spec.d) * 0.125 * np.sum(v**3, axis=gax)
 
 
@@ -273,24 +301,31 @@ def _integrate_array(
         def nl(x):
             return wave_nonlinear(x, spec, params.lam)
 
-        for i in range(n_steps):
+        def step(a):
             k1 = nl(a)
             k2 = nl(e2 * (a + 0.5 * dt * k1))
             k3 = nl(e2 * a + 0.5 * dt * k2)
             ea = e1 * a
             k4 = nl(ea + dt * e2 * k3)
-            a = ea + dt / 6.0 * (e1 * k1 + 2.0 * e2 * (k2 + k3) + k4)
-            _maybe_check(a, i, n_steps, step0, t0 + (i + 1) * dt)
+            return ea + dt / 6.0 * (e1 * k1 + 2.0 * e2 * (k2 + k3) + k4)
+
     elif scheme == "rk4":
-        for i in range(n_steps):
+
+        def step(a):
             k1 = _rhs_array(a, params)
             k2 = _rhs_array(a + 0.5 * dt * k1, params)
             k3 = _rhs_array(a + 0.5 * dt * k2, params)
             k4 = _rhs_array(a + dt * k3, params)
-            a = a + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            _maybe_check(a, i, n_steps, step0, t0 + (i + 1) * dt)
+            return a + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
     else:
         raise ValueError(f"unknown scheme {scheme!r}")
+    # overflow and NaN on the way up are the blowup that _maybe_check
+    # reports with its step and time; numpy's warnings would only repeat it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(n_steps):
+            a = step(a)
+            _maybe_check(a, i, n_steps, step0, t0 + (i + 1) * dt)
     return a
 
 
@@ -412,6 +447,5 @@ def empirical_spectrum(
     if a.ndim != 2 + spec.d:  # replica, sign, then the grid axes
         raise SizeMismatchError("expected one leading replica axis")
     prod = np.mean(a[:, 1] * a[:, 0], axis=0).real
-    gax = tuple(range(prod.ndim - spec.d, prod.ndim))
-    f = np.maximum(np.fft.ifftshift(prod, axes=gax), 0.0)
+    f = np.maximum(np.take(prod.ravel(), fft_order(spec)[0]).reshape(spec.shape), 0.0)
     return Spectrum(TorusGrid(spec.d, spec.N), f, float(t))

@@ -14,6 +14,7 @@ from kinlat.lattice import (
     dft,
     dispersion,
     dispersion_bar,
+    fft_order,
     inverse_dft,
     inverse_omega_bar_grid,
     omega_bar_grid,
@@ -126,9 +127,24 @@ def test_omega_tables_symmetry_and_center():
     assert np.allclose((w * winv)[mask], 1.0, atol=1e-15)
 
 
+@pytest.mark.parametrize("d,D", [(1, 3), (2, 2), (3, 1)])
+def test_fft_order_is_the_shift_pair(rng, d, D):
+    spec = LatticeSpec(d, D)
+    to_fft, to_shifted = fft_order(spec)
+    f = _random_field(rng, spec, batch=(2,))
+    flat = f.reshape(2, spec.n_sites)
+    assert np.array_equal(flat[:, to_fft], np.fft.ifftshift(f, axes=range(1, d + 1)).reshape(2, -1))
+    assert np.array_equal(flat[:, to_shifted], np.fft.fftshift(f, axes=range(1, d + 1)).reshape(2, -1))
+    assert np.array_equal(to_fft[to_shifted], np.arange(spec.n_sites))
+    # reversing the flat shifted layout is k -> -k
+    k = wavenumbers(spec).reshape(spec.n_sites, d)
+    assert np.array_equal(k[::-1], -k)
+
+
 def test_tables_are_write_protected():
     spec = LatticeSpec(1, 2)
-    for table in (wavenumbers(spec), omega_bar_grid(spec), inverse_omega_bar_grid(spec)):
+    tables = (wavenumbers(spec), omega_bar_grid(spec), inverse_omega_bar_grid(spec)) + fft_order(spec)
+    for table in tables:
         with pytest.raises(ValueError):
             table[0] = 1
 

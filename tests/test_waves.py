@@ -1,14 +1,18 @@
 """Amplitude flow: change of variables, right-hand side, invariants, schemes."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from kinlat import _reference as ref
+from kinlat import waves
 from kinlat.errors import NumericalBlowupError, SizeMismatchError
 from kinlat.lattice import (
     LatticeSpec,
     center_index,
     dft,
+    inverse_omega_bar_grid,
     omega_bar_grid,
     wavenumbers,
 )
@@ -29,6 +33,7 @@ from kinlat.waves import (
     sample_initial,
     stack_ensemble,
     to_amplitudes,
+    wave_nonlinear,
 )
 
 
@@ -105,6 +110,52 @@ def test_rhs_matches_quadruple_loop(rng, d, D, lam):
     want = ref.wave_rhs_direct(a, spec, lam)
     scale = np.max(np.abs(want))
     assert np.max(np.abs(got - want)) < 1e-12 * max(1.0, scale)
+
+
+def _shifted_order_nonlinear(a, spec, lam):
+    # the interaction term as first written: sign components by np.take,
+    # fftshift/ifftshift around the convolution, both halves stacked
+    if lam == 0.0:
+        return np.zeros_like(a)
+    d = spec.d
+    s_ax = a.ndim - d - 1
+    winv = inverse_omega_bar_grid(spec)
+    up = np.take(a, 0, axis=s_ax) * winv
+    um = np.take(a, 1, axis=s_ax) * winv
+    gax = tuple(range(up.ndim - d, up.ndim))
+    w = up + np.flip(um, axis=gax)
+    W = np.fft.fftn(np.fft.ifftshift(w, axes=gax), axes=gax)
+    S = np.fft.fftshift(np.fft.ifftn(W * W, axes=gax), axes=gax)
+    coef = lam * spec.h**spec.d * 0.125 * winv
+    nl_plus = -1j * coef * S
+    nl_minus = 1j * coef * np.flip(S, axis=gax)
+    return np.stack([nl_plus, nl_minus], axis=s_ax)
+
+
+# an unbatched state and the replica block the harness steps at N = 33
+@pytest.mark.parametrize("d,D,batch", [(1, 16, ()), (1, 16, (62,)), (2, 6, ()), (2, 6, (62,))])
+@pytest.mark.parametrize("lam", [0.0, 0.3])
+def test_kernel_is_bitwise_the_shifted_order_formula(rng, d, D, batch, lam):
+    spec = LatticeSpec(d, D)
+    shape = batch + (2,) + spec.shape
+    a = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    got = wave_nonlinear(a, spec, lam)
+    want = _shifted_order_nonlinear(a, spec, lam)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("scheme", ["exponential", "rk4"])
+@pytest.mark.parametrize("d,D", [(1, 16), (2, 6)])
+def test_integrate_step_is_bitwise_the_shifted_order_formula(rng, monkeypatch, scheme, d, D):
+    spec = LatticeSpec(d, D)
+    params = ModelParams(spec, 0.3)
+    shape = (62, 2) + spec.shape
+    state = AmplitudeState(0.1 * (rng.normal(size=shape) + 1j * rng.normal(size=shape)), 0.0)
+    got = integrate(state, params, 0.05, 1, scheme=scheme)
+    monkeypatch.setattr(waves, "wave_nonlinear", _shifted_order_nonlinear)
+    want = integrate(state, params, 0.05, 1, scheme=scheme)
+    assert np.array_equal(got.a, want.a)
 
 
 def test_interaction_support_is_modular(rng):
@@ -242,6 +293,22 @@ def test_blowup_is_reported_with_step(rng):
     with pytest.raises(NumericalBlowupError) as err:
         integrate(AmplitudeState(a[0], 0.0), params, 0.05, 4000)
     assert err.value.step is not None
+
+
+def test_blowup_raises_with_no_warnings():
+    # overflow on the way to the blowup is the error's business alone
+    spec = LatticeSpec(1, 16)
+    params = ModelParams(spec, 1.0)
+    prof = make_profile("omega-bump", amplitude=40.0, center=1.0, width=0.5)
+    a, _ = stack_ensemble(sample_initial(EnsembleSpec(1, 0, prof), spec))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalBlowupError) as err:
+            integrate(AmplitudeState(a[0], 0.0), params, 0.05, 4000)
+    step = err.value.step
+    assert step is not None and step < 4000
+    assert str(err.value).startswith(f"step {step}: ")
+    assert f"at t {(step + 1) * 0.05:.6g}" in str(err.value)
 
 
 # ---------------------------------------------------------------------------
