@@ -1,4 +1,4 @@
-"""Timing sheet for the hot numpy kernels and the Vlasov line shifts.
+"""Timing sheet for the hot numpy kernels and the Vlasov Strang step.
 
 Usage::
 
@@ -14,9 +14,9 @@ kinetic-sweep benchmark, dispersion floor 0.05) time the plan build on its
 own, then an evaluation with the plan in hand, and list the plan's size.
 The chain cases time one force evaluation at d=1, n=512 with the kernel
 table cached, and at d=2, n=64 the table build plus one evaluation.
-The line-shift cases time what one Strang step does on the 32x128x128 grid
-of the meanfield benchmark: an r-sweep applies a table built once per run,
-and a v-sweep refills its table from new shifts first.
+The Vlasov case times one Strang step on the 32x128x128 grid of the
+meanfield benchmark (about 17 ms on 2 cores, so single-call medians resolve
+it): three slab-blocked line-shift sweeps and one acceleration field.
 """
 
 from __future__ import annotations
@@ -26,11 +26,11 @@ import time
 
 import numpy as np
 
-from kinlat.chain import chain_force_flat, chain_kernel_table
+from kinlat.chain import FractionalParams, chain_force_flat, chain_kernel_table
 from kinlat.harness import BLOCK_BYTES
 from kinlat.kinetic import ResonanceRule, TorusGrid, _collision_plan, collision_rate
 from kinlat.lattice import LatticeSpec
-from kinlat.vlasov import PhaseGrid, _LineShift, _scratch, v_centers
+from kinlat.vlasov import PhaseGrid, _Strang
 from kinlat.waves import ModelParams, _integrate_array, wave_nonlinear
 
 
@@ -106,18 +106,8 @@ def _cases(rng, batch: int):
     yield (f"chain table + force d=2 n=64 batch={batch}", table_and_force)
 
     grid = PhaseGrid(32, 128, 128, 1.0, 1.2)
-    dt = 0.01
-    s_r = (v_centers(grid) * (0.5 * dt) / grid.dr).reshape(1, 1, grid.mv)
-    s_v = rng.uniform(-2.0, 2.0, size=(grid.mx, grid.mr, 1))
-    g = rng.random(grid.shape)
-    out = np.empty(grid.shape)
-    scratch = _scratch(grid.shape)
-    r_sweep = _LineShift(grid.shape, 1, False, scratch).set_shifts(s_r)
-    r_sweep.inside[...] = g
-    v_sweep = _LineShift(grid.shape, 2, True, scratch)
-    v_sweep.inside[...] = g
-    yield ("line shift r-sweep 32x128x128", lambda: r_sweep(out))
-    yield ("line shift v-sweep 32x128x128", lambda: v_sweep.set_shifts(s_v)(out))
+    strang, g, fp = _Strang(grid, 0.01), rng.random(grid.shape), FractionalParams(0.5, 1)
+    yield ("vlasov strang step 32x128x128", lambda: strang.step(g, fp))
 
 
 def main() -> int:

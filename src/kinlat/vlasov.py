@@ -26,10 +26,15 @@ monitored, and :func:`vlasov_evolve` reports it in
 A sweep reads the density from a copy padded with zeros along the shifted
 axis, one ``np.take`` per bracketing cell at flat offsets clipped into the
 padding, so reads from outside the window are zeros without a mask (see
-:class:`_LineShift`).  The r-sweep table depends only on the grid and
-``dt`` and is built once per :func:`vlasov_evolve`.  The literal per-line
-loop :func:`kinlat._reference.shift_lines_loop` is the oracle; the sweeps
-match it bit for bit.
+:class:`_LineShift`).  Each sub-flow runs one x-slab at a time: a few whole
+x-planes, ``SLAB_BYTES`` (256 KiB, 2 planes at 128 x 128) of density, which
+stay in cache while they are swept, and the padded buffers, scratch and
+tables are slab-sized.  Every line a sweep shifts lies inside one x-plane
+and the moments are per-x sums, so the slab size cannot change a bit.  The
+r-sweep table depends only on (r, v) and ``dt`` and is built once per
+:func:`vlasov_evolve`.  The literal per-line loop
+:func:`kinlat._reference.shift_lines_loop` is the oracle; the sweeps match
+it bit for bit.
 """
 
 from __future__ import annotations
@@ -156,6 +161,20 @@ class PhaseDensity:
         return float(self.g.sum() * self.grid.cell_volume)
 
 
+# byte budget of one x-slab: the Strang sub-flows and the moment sums work a
+# few whole x-planes at a time, which stay in cache (2 planes at 128 x 128);
+# every swept line and every moment sum lies inside one x-plane, so the slab
+# size cannot change results
+SLAB_BYTES = 256 * 1024
+
+
+def _slabs(grid: PhaseGrid) -> list[slice]:
+    """The x-slabs of ``grid`` in order: ``SLAB_BYTES`` of whole planes each
+    (at least one), the last one short when the planes do not divide ``mx``."""
+    n = max(1, SLAB_BYTES // (grid.mr * grid.mv * 8))
+    return [slice(a, min(a + n, grid.mx)) for a in range(0, grid.mx, n)]
+
+
 @dataclass
 class Moments:
     """Per-x-node r-marginal quadratures: ``rho = int g``, ``m = int r g``."""
@@ -170,9 +189,13 @@ def moments(g: np.ndarray, grid: PhaseGrid) -> Moments:
     if g.shape != grid.shape:
         raise SizeMismatchError(f"density shape {g.shape}, grid wants {grid.shape}")
     w = grid.dr * grid.dv
-    rho = g.sum(axis=(1, 2)) * w
-    m = (r_centers(grid)[None, :, None] * g).sum(axis=(1, 2)) * w
-    return Moments(rho, m)
+    r = r_centers(grid)[None, :, None]
+    rho, m = np.empty(grid.mx), np.empty(grid.mx)
+    # per-x sums, so summing a slab of planes at a time leaves every bit alone
+    for x in _slabs(grid):
+        rho[x] = g[x].sum(axis=(1, 2))
+        m[x] = (r * g[x]).sum(axis=(1, 2))
+    return Moments(rho * w, m * w)
 
 
 def frac_laplacian_torus(field: np.ndarray, alpha: float, d: int = 1) -> np.ndarray:
@@ -242,8 +265,11 @@ class _LineShift:
     bracketing cell is one ``np.take`` at precomputed flat offsets.  Without
     ``per_line`` the shifts may vary along and after ``axis`` only (the
     r-sweep, whose shift depends on v), and one table serves every index
-    before ``axis``; with it the table has a row per line (the v-sweep,
-    whose shift depends on x and r).
+    before ``axis``, with the offsets of both bracketing cells built by
+    :meth:`set_shifts`; with it the table has a row per line (the v-sweep,
+    whose shift depends on x and r), and the second cell is read through a
+    one-cell offset view of the buffer.  The ``scratch`` may be longer than
+    the array, so sweeps of smaller shapes can share one.
 
     The weights are a convex combination, so mass along interior lines,
     positivity, and the maximum are all preserved exactly.
@@ -251,6 +277,7 @@ class _LineShift:
 
     def __init__(self, shape: tuple[int, ...], axis: int, per_line: bool, scratch: np.ndarray):
         self.shape = tuple(shape)
+        self.size = math.prod(shape)
         self.per_line = per_line
         self.scratch = scratch
         self.rows = math.prod(shape[:axis])
@@ -284,20 +311,23 @@ class _LineShift:
         if self.inner > 1:
             first *= self.inner
         first += self.base
+        if not self.per_line:
+            flat = first.reshape(-1)
+            self.reads = (flat, flat + self.inner)
         return self
 
     def _read(self, k: int) -> np.ndarray:
         """Bracketing cell ``k`` (0 or 1) of every output cell, into the scratch."""
-        out = self.scratch.reshape(self.shape)
-        offset = k * self.inner
+        out = self.scratch[: self.size].reshape(self.shape)
         # the offsets are in range by construction; mode="clip" lets take
         # write straight into ``out`` instead of through a temporary
         if self.per_line:
-            np.take(self.pad.reshape(-1)[offset:], self.first, out=out, mode="clip")
+            np.take(self.pad.reshape(-1)[k * self.inner :], self.first, out=out, mode="clip")
         else:
-            idx = self.first.reshape(-1) + offset
             rows = (self.rows, -1)
-            np.take(self.pad.reshape(rows), idx, axis=1, out=out.reshape(rows), mode="clip")
+            np.take(
+                self.pad.reshape(rows), self.reads[k], axis=1, out=out.reshape(rows), mode="clip"
+            )
         return out
 
     def __call__(self, out: np.ndarray) -> np.ndarray:
@@ -318,23 +348,35 @@ def _shift_lines(arr: np.ndarray, shifts: np.ndarray, axis: int) -> np.ndarray:
 
 
 class _Strang:
-    """Strang steps of one grid and time step.
+    """Strang steps of one grid and time step, one x-slab at a time.
 
-    The r-sweep table depends only on the grid and ``dt``, so it is built
-    once; the v-sweep table is refilled in place every step.  The padded
-    buffers and the scratch are reused by every step, and each step returns
-    a new density array, so no array a caller holds is written to.  Steps
-    take and return bare arrays and validate none of them.
+    Each sub-flow works through the density in the slabs of :func:`_slabs`,
+    so a slab is swept while it is still in cache, and the padded buffers,
+    the scratch and the tables are slab-sized: their bytes do not grow with
+    ``mx``.  Every line a sweep shifts lies inside one x-plane, so the
+    slabs change no bit.  The r-sweep table depends only on (r, v) and
+    ``dt``, so it is built once and serves every slab; the v-sweep table is
+    refilled from each slab's rows of the acceleration.  A short last slab
+    has its own pair of sweeps.  Each step returns a new density array, so
+    no array a caller holds is written to.  Steps take and return bare
+    arrays and validate none of them.
     """
 
     def __init__(self, grid: PhaseGrid, dt: float):
         if not (math.isfinite(dt) and dt > 0.0):
             raise ValueError(f"dt must be finite and positive, got {dt!r}")
         self.grid, self.dt = grid, dt
-        scratch = _scratch(grid.shape)
+        slabs = _slabs(grid)
+        scratch = _scratch((slabs[0].stop, grid.mr, grid.mv))
         s_r = (v_centers(grid) * (0.5 * dt) / grid.dr).reshape(1, 1, grid.mv)
-        self.r_sweep = _LineShift(grid.shape, 1, False, scratch).set_shifts(s_r)
-        self.v_sweep = _LineShift(grid.shape, 2, True, scratch)
+        sweeps = {}  # (r-sweep, v-sweep) per slab thickness
+        self.slabs = []
+        for x in slabs:
+            shape = (x.stop - x.start, grid.mr, grid.mv)
+            if shape not in sweeps:
+                r_sweep = _LineShift(shape, 1, False, scratch).set_shifts(s_r)
+                sweeps[shape] = (r_sweep, _LineShift(shape, 2, True, scratch))
+            self.slabs.append((x, *sweeps[shape]))
 
     def step(self, g: np.ndarray, fp: FractionalParams) -> tuple[np.ndarray, np.ndarray]:
         """One step from the density array ``g``, and the v-speed field
@@ -344,29 +386,44 @@ class _Strang:
         The v-sweep's speed field depends on g only through its r-moments,
         which the sweep itself leaves invariant, so freezing it over the
         full step commits no extra time error; likewise the r-sweep's speed
-        is the v coordinate itself.
+        is the v coordinate itself.  The field needs the whole half-step
+        density, so the first r-sweep finishes every slab before it is
+        computed; the v-sweep and the closing r-sweep then run slab by slab.
         """
-        grid, dt, r_sweep, v_sweep = self.grid, self.dt, self.r_sweep, self.v_sweep
+        grid, dt = self.grid, self.dt
         # the new array holds the half-step density first, then the result
         out = np.empty(grid.shape)
-        r_sweep.inside[...] = g
-        accel = acceleration(r_sweep(out), grid, fp)
-        v_sweep.inside[...] = out
-        v_sweep.set_shifts((accel * dt / grid.dv)[:, :, None])(r_sweep.inside)
-        return r_sweep(out), accel
+        for x, r_sweep, _ in self.slabs:
+            r_sweep.inside[...] = g[x]
+            r_sweep(out[x])
+        accel = acceleration(out, grid, fp)
+        s_v = (accel * dt / grid.dv)[:, :, None]
+        for x, r_sweep, v_sweep in self.slabs:
+            v_sweep.inside[...] = out[x]
+            v_sweep.set_shifts(s_v[x])(r_sweep.inside)
+            r_sweep(out[x])
+        return out, accel
 
 
 # edge mass above which a run notes that its support reached the window edge
 BOUNDARY_TOL = 1e-12
 
 
+@lru_cache(maxsize=16)
+def _edge_cells(shape: tuple[int, int, int]) -> np.ndarray:
+    """Flat indices, in C order, of the cells in the outermost r/v shells, read-only."""
+    edge = np.zeros(shape, dtype=bool)
+    edge[:, 0, :] = edge[:, -1, :] = True
+    edge[:, :, 0] = edge[:, :, -1] = True
+    out = np.flatnonzero(edge)
+    out.setflags(write=False)
+    return out
+
+
 def boundary_mass(g: np.ndarray, grid: PhaseGrid) -> float:
     """Mass of the density array ``g`` in the outermost r/v cell shells of
     ``grid`` (truncation monitor)."""
-    edge = np.zeros(grid.shape, dtype=bool)
-    edge[:, 0, :] = edge[:, -1, :] = True
-    edge[:, :, 0] = edge[:, :, -1] = True
-    return float(g[edge].sum() * grid.cell_volume)
+    return float(g.reshape(-1)[_edge_cells(grid.shape)].sum() * grid.cell_volume)
 
 
 @dataclass

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from kinlat import _reference as ref
+from kinlat import vlasov
 from kinlat.chain import ChainGeometry, FractionalParams, GaussianLaw, sample_ensemble
 from kinlat.config import parse_config
 from kinlat.errors import SizeMismatchError
@@ -22,7 +23,9 @@ from kinlat.vlasov import (
     moments,
     r_centers,
     sigma_field,
+    _LineShift,
     _shift_lines,
+    _Strang,
     v_centers,
     vlasov_evolve,
     x_centers,
@@ -275,6 +278,80 @@ def test_cfl_v_is_the_applied_field():
     # the field before the half sweep is measurably different
     before = float(np.max(np.abs(acceleration(g0.g, grid, FP)))) * dt / grid.dv
     assert abs(before - want) > 1e-3 * want
+
+
+def test_boundary_mass_reads_the_edge_shells(rng):
+    for shape in ((1, 2, 2), (3, 2, 7), (4, 9, 2), (5, 16, 12), (2, 128, 128)):
+        grid = PhaseGrid(*shape, 1.0, 1.2)
+        g = rng.random(shape)
+        edge = np.zeros(shape, dtype=bool)
+        edge[:, 0, :] = edge[:, -1, :] = True
+        edge[:, :, 0] = edge[:, :, -1] = True
+        assert boundary_mass(g, grid) == float(g[edge].sum() * grid.cell_volume)
+
+
+def _unblocked_step(g, grid, dt):
+    """One Strang step as whole-array sweeps: the composition the slabs must reproduce."""
+    s_r = (v_centers(grid) * (0.5 * dt) / grid.dr).reshape(1, 1, grid.mv)
+    half = _shift_lines(g, s_r, 1)
+    accel = acceleration(half, grid, FP)
+    mid = _shift_lines(half, (accel * dt / grid.dv)[:, :, None], 2)
+    return _shift_lines(mid, s_r, 1), accel
+
+
+def test_strang_step_is_the_unblocked_composition(monkeypatch):
+    mr, mv = 64, 48
+    planes = vlasov.SLAB_BYTES // (mr * mv * 8)
+    assert planes > 3
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return acceleration(*args)
+
+    monkeypatch.setattr(vlasov, "acceleration", counted)
+    # one plane, fewer planes than a slab, one full slab, a short last slab
+    for mx in (1, planes - 2, planes, 2 * planes + 3):
+        grid = PhaseGrid(mx, mr, mv, 1.0, 1.2)
+        g = _gaussian_density(
+            grid, sigma_r=0.3, sigma_v=0.25,
+            x_weight=lambda x: 1.0 + 0.5 * np.cos(2 * np.pi * x) + 0.2 * np.sin(4 * np.pi * x),
+        ).g
+        strang, want = _Strang(grid, 0.05), g
+        short = [mx % planes] if mx % planes else []
+        assert [x.stop - x.start for x, _, _ in strang.slabs] == [planes] * (mx // planes) + short
+        calls.clear()
+        for n in range(1, 4):
+            g, accel = strang.step(g, FP)
+            want, want_accel = _unblocked_step(want, grid, 0.05)
+            assert np.array_equal(g, want) and np.array_equal(accel, want_accel), (mx, n)
+            assert len(calls) == n
+        assert mx == 1 or np.any(accel != 0.0)  # one plane has no x structure
+
+
+def _held_bytes(strang):
+    """Bytes of every array a ``_Strang`` keeps, each memory block counted once."""
+    blocks = {}
+
+    def walk(v):
+        if isinstance(v, np.ndarray):
+            while isinstance(v.base, np.ndarray):
+                v = v.base
+            blocks[id(v)] = v.nbytes
+        elif isinstance(v, (list, tuple)):
+            for item in v:
+                walk(item)
+        elif isinstance(v, _LineShift):
+            walk(list(vars(v).values()))
+
+    walk(list(vars(strang).values()))
+    return sum(blocks.values())
+
+
+def test_strang_workspace_does_not_grow_with_mx():
+    held = [_held_bytes(_Strang(PhaseGrid(mx, 128, 128, 1.0, 1.2), 0.01)) for mx in (32, 64)]
+    assert held[0] == held[1]
+    assert held[0] < 32 * 128 * 128 * 8 // 2  # under half of one density array
 
 
 # ---------------------------------------------------------------------------
