@@ -5,18 +5,21 @@ Usage::
     PYTHONPATH=src python3 benchmarks/bench_kernels.py [--repeats 7] [--batch 16]
 
 Each case is called once before timing so plan building and allocator
-warm-up stay out of the numbers; the reported figure is the median of the
-repeat wall times.  The d=1 wave cases use the replica block the harness
-steps at N=33 (``BLOCK_BYTES`` over the bytes of one replica, 62 rows):
-one interaction call, and one exponential step of that block, which makes
-four of them.  The collision cases at d=2, m=40 (the grid of the
-kinetic-sweep benchmark, dispersion floor 0.05) time the plan build on its
-own, then an evaluation with the plan in hand, and list the plan's size.
+warm-up stay out of the numbers.  It is then timed in batches of calls
+that last at least ``BATCH_SECONDS`` (20 ms), so a sub-millisecond case
+is not read off single calls of the clock; the sheet prints the per-call
+median and quartiles over ``--repeats`` batches.  The d=1 wave cases use
+the replica block the harness steps at N=33 (``BLOCK_BYTES`` over the
+bytes of one replica, 62 rows): one interaction call, and one exponential
+step of that block, which makes four of them.  The collision cases at
+d=2, m=40 (the grid of the kinetic-sweep benchmark, dispersion floor 0.05)
+time the plan build on its own, then an evaluation with the plan in hand,
+and list each plan's pairs, chunks and bytes per pair.
 The chain cases time one force evaluation at d=1, n=512 with the kernel
 table cached, and at d=2, n=64 the table build plus one evaluation.
 The Vlasov case times one Strang step on the 32x128x128 grid of the
-meanfield benchmark (about 17 ms on 2 cores, so single-call medians resolve
-it): three slab-blocked line-shift sweeps and one acceleration field.
+meanfield benchmark (about 17 ms on 2 cores): three slab-blocked
+line-shift sweeps and one acceleration field.
 """
 
 from __future__ import annotations
@@ -36,15 +39,22 @@ from kinlat.waves import ModelParams, _integrate_array, wave_nonlinear
 
 PLAN_GRID = TorusGrid(2, 40)
 PLAN_RULES = tuple(ResonanceRule(eps, "gaussian", 0.05) for eps in (0.2, 0.05, 0.02))
+BATCH_SECONDS = 0.02
 
 
-def _median_time(fn, repeats: int) -> float:
-    times = []
-    for _ in range(repeats):
-        t0 = time.perf_counter()
+def _batch_seconds(fn, calls: int) -> float:
+    t0 = time.perf_counter()
+    for _ in range(calls):
         fn()
-        times.append(time.perf_counter() - t0)
-    return float(np.median(times))
+    return time.perf_counter() - t0
+
+
+def _per_call_times(fn, repeats: int) -> np.ndarray:
+    """Seconds per call over ``repeats`` batches of at least ``BATCH_SECONDS``."""
+    calls = 1
+    while _batch_seconds(fn, calls) < BATCH_SECONDS:
+        calls *= 2
+    return np.array([_batch_seconds(fn, calls) / calls for _ in range(repeats)])
 
 
 def _cases(rng, batch: int):
@@ -120,15 +130,17 @@ def main() -> int:
     rng = np.random.default_rng(args.seed)
 
     width = 44
-    print(f"{'case':<{width}} {'median':>10}")
+    print(f"{'case':<{width}} {'median':>10} {'q1':>10} {'q3':>10}  (ms per call)")
     for name, call in _cases(rng, args.batch):
         call()  # warm up before the clock starts
-        print(f"{name:<{width}} {_median_time(call, args.repeats) * 1e3:>8.2f}ms")
+        q1, med, q3 = np.percentile(_per_call_times(call, args.repeats), [25, 50, 75]) * 1e3
+        print(f"{name:<{width}} {med:>10.3f} {q1:>10.3f} {q3:>10.3f}")
     for rule in PLAN_RULES:
         plan = _collision_plan(PLAN_GRID, rule)
         print(
-            f"collision plan d=2 m=40 eps={rule.epsilon:g}: "
-            f"{plan.w.size} pairs, {plan.nbytes / 2**20:.1f} MiB"
+            f"collision plan d=2 m=40 eps={rule.epsilon:g}: {plan.pairs} pairs in "
+            f"{len(plan.chunks)} chunks, {plan.nbytes / 2**20:.1f} MiB, "
+            f"{plan.nbytes / max(1, plan.pairs):.0f} B per pair"
         )
     return 0
 

@@ -56,17 +56,23 @@ def write_csv(
     comments: Sequence[str] = (),
 ) -> Path:
     """Write a table with mandatory column header and '#' comment lines."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    lines = [f"# {c}" for c in comments]
-    lines.append(",".join(header))
+    lines = []
     for row in rows:
         if len(row) != len(header):
             raise SizeMismatchError(
                 f"row with {len(row)} cells under {len(header)} columns"
             )
         lines.append(",".join(_cell(x) for x in row))
-    path.write_text("\n".join(lines) + "\n", newline="\n")
+    return _write_lines(path, header, lines, comments)
+
+
+def _write_lines(
+    path: str | Path, header: Sequence[str], lines: list[str], comments: Sequence[str]
+) -> Path:
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    text = [f"# {c}" for c in comments] + [",".join(header)] + lines
+    path.write_text("\n".join(text) + "\n", newline="\n")
     return path
 
 
@@ -93,16 +99,19 @@ def write_json(path: str | Path, obj) -> Path:
 
 
 def write_spectrum_csv(path: str | Path, spectrum: Spectrum) -> Path:
-    """One row per torus node: coordinates then the spectrum value."""
+    """One row per torus node: coordinates then the spectrum value.
+
+    Every cell is a float64, so each row fills one ``%.17g`` template,
+    the bytes :func:`format_float` gives cell by cell.
+    """
     grid = spectrum.grid
-    coords = nodes(grid).reshape(-1, grid.d)
-    vals = spectrum.f.reshape(-1)
+    table = np.column_stack([nodes(grid).reshape(-1, grid.d), spectrum.f.reshape(-1)])
+    row = ",".join(["%.17g"] * (grid.d + 1))
     header = [f"kappa_{c}" for c in range(grid.d)] + ["f"]
-    rows = [tuple(coords[i]) + (vals[i],) for i in range(vals.size)]
-    return write_csv(
+    return _write_lines(
         path,
         header,
-        rows,
+        [row % tuple(cells) for cells in table.tolist()],
         comments=[
             "spectrum sample on the unit torus; kappa in cycles (dimensionless)",
             f"d={grid.d} m={grid.m} tau={format_float(spectrum.tau)}",

@@ -26,7 +26,10 @@ rate is ``bincount(c, T) - bincount(a, T) - bincount(b, T)``.  Pairs whose
 weight is at most ``PAIR_CUT`` (1e-16) times the largest are dropped, so the
 list, its memory and the cost of an evaluation shrink with ``eps``.  The
 list is built in blocks of rows and each block is pruned as it is made;
-each thread keeps only the plan it used last.  Spectra are flattened in C
+the kept pairs are then re-packed into chunks of ``_BLOCK_PAIRS`` pairs, the
+slices an evaluation takes, with node indices in the narrowest unsigned
+type that holds every node (14 bytes a pair at ``m**d < 65536``).  Each
+thread keeps only the plan it used last.  Spectra are flattened in C
 order, so node ``j`` has flat index ``sum_c j_c * m**(d-1-c)``.
 
 Stationarity anchor: the equilibrium family ``f = T/w`` annihilates both
@@ -151,9 +154,9 @@ def active_mask(grid: TorusGrid, rule: ResonanceRule) -> np.ndarray:
 
 # a pair weight at or below this fraction of the largest one is dropped
 PAIR_CUT = 1e-16
-# pairs per block, in the build and in each evaluation: the block's
-# temporaries stay in cache, and the build never holds more than one block
-# of unpruned candidates
+# pairs per block of the build and per chunk of the plan, the slice one
+# evaluation step takes: the temporaries stay in cache, and the build never
+# holds more than one block of unpruned candidates
 _BLOCK_PAIRS = 1 << 15
 
 
@@ -168,29 +171,36 @@ def _profile_weight(du: np.ndarray, rule: ResonanceRule) -> np.ndarray:
 class _TriadPlan:
     """Unordered resonant pairs ``a <= b`` of live modes, with ``c = a + b``.
 
-    ``w`` is the triad weight ``W(a, b)``, doubled when ``a != b`` so that
-    each unordered pair stands for both of its orderings.  Pairs whose
-    weight is at most ``PAIR_CUT`` times the largest are left out.
+    ``chunks`` holds the pairs as ``(a, b, c, w)`` column tuples of exactly
+    ``_BLOCK_PAIRS`` pairs, the last one possibly shorter, in row order of
+    ``a``.  The node indices ``a``, ``b`` and ``c`` are stored in
+    ``np.min_scalar_type(n_nodes - 1)``; ``w`` is the float64 triad weight
+    ``W(a, b)``, doubled when ``a != b`` so that each unordered pair stands
+    for both of its orderings.  Pairs whose weight is at most ``PAIR_CUT``
+    times the largest are left out.
     """
 
-    a: np.ndarray
-    b: np.ndarray
-    c: np.ndarray
-    w: np.ndarray
+    chunks: tuple[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray], ...]
+
+    @property
+    def pairs(self) -> int:
+        return sum(chunk[3].size for chunk in self.chunks)
 
     @property
     def nbytes(self) -> int:
-        return self.a.nbytes + self.b.nbytes + self.c.nbytes + self.w.nbytes
+        return sum(x.nbytes for chunk in self.chunks for x in chunk)
 
 
 def _collision_plan(grid: TorusGrid, rule: ResonanceRule) -> _TriadPlan:
-    """Build the pruned pair list in blocks of rows ``a``.
+    """Build the pruned pair list in blocks of rows ``a``, then re-pack it.
 
     Each block is cut against the largest weight seen so far, which never
-    exceeds the global one, so the final cut against the global maximum
-    gives a list that does not depend on the block size.
+    exceeds the global one, so the final cut against the global maximum,
+    made as the blocks are re-packed into chunks, gives a list that does
+    not depend on the block size.
     """
     m = grid.m
+    index = np.min_scalar_type(grid.n_nodes - 1)
     omega = omega_grid(grid).reshape(-1)
     live = np.flatnonzero(active_mask(grid, rule))
     kinv = np.zeros(omega.size)
@@ -198,8 +208,7 @@ def _collision_plan(grid: TorusGrid, rule: ResonanceRule) -> _TriadPlan:
     jl = np.stack(np.unravel_index(live, grid.shape), axis=-1)
     n_live = live.size
     rows = max(1, _BLOCK_PAIRS // max(1, n_live))
-    # a, b, c and w of the kept pairs, one array per block
-    cols = tuple([np.empty(0, dtype)] for dtype in (np.intp, np.intp, np.intp, np.float64))
+    blocks = []  # (a, b, c, w) of the pairs each block kept
     top = 0.0
     for i0 in range(0, n_live, rows):
         i1 = min(n_live, i0 + rows)
@@ -219,15 +228,37 @@ def _collision_plan(grid: TorusGrid, rule: ResonanceRule) -> _TriadPlan:
         top = max(top, float(w.max()))
         kept = np.flatnonzero(w > PAIR_CUT * top)
         ia, ib = np.divmod(kept, w.shape[1])
-        block = (live.take(i0 + ia), live.take(i0 + ib), c.take(kept), w.take(kept))
-        for col, x in zip(cols, block):
-            col.append(x)
-    keep = [w > PAIR_CUT * top for w in cols[3]]
-    merged = []
-    for col in cols:
-        merged.append(np.concatenate([x if k.all() else x[k] for x, k in zip(col, keep)]))
-        col.clear()  # release this column's blocks before merging the next
-    return _TriadPlan(*merged)
+        idx = (live.take(i0 + ia), live.take(i0 + ib), c.take(kept))
+        blocks.append(tuple(x.astype(index) for x in idx) + (w.take(kept),))
+    return _TriadPlan(_repack(blocks, PAIR_CUT * top))
+
+
+def _repack(blocks: list, cut: float) -> tuple:
+    """Re-cut the build blocks at weight ``cut`` into chunks of ``_BLOCK_PAIRS``.
+
+    Blocks are consumed in order and each is released once its pairs are
+    copied, so the build never holds a second copy of the whole list.
+    """
+    total = sum(int(np.count_nonzero(blk[3] > cut)) for blk in blocks)
+    chunks, fill = [], _BLOCK_PAIRS
+    blocks.reverse()
+    while blocks:
+        blk = blocks.pop()
+        keep = blk[3] > cut
+        if not keep.all():
+            blk = tuple(x[keep] for x in blk)
+        s, n = 0, blk[3].size
+        while s < n:
+            if fill == _BLOCK_PAIRS:
+                size = min(_BLOCK_PAIRS, total - len(chunks) * _BLOCK_PAIRS)
+                chunks.append(tuple(np.empty(size, x.dtype) for x in blk))
+                fill = 0
+            take = min(n - s, chunks[-1][3].size - fill)
+            for dst, src in zip(chunks[-1], blk):
+                dst[fill:fill + take] = src[s:s + take]
+            s += take
+            fill += take
+    return tuple(chunks)
 
 
 _held = threading.local()
@@ -259,11 +290,16 @@ def collision_rate(f: np.ndarray, grid: TorusGrid, rule: ResonanceRule) -> np.nd
     plan = _thread_plan(grid, rule)
     n = flat.size
     rate = np.zeros(n)
-    for s in range(0, plan.w.size, _BLOCK_PAIRS):
-        blk = slice(s, s + _BLOCK_PAIRS)
-        a, b, c = plan.a[blk], plan.b[blk], plan.c[blk]
+    # widen the stored indices once per chunk (each column is read twice)
+    # into one buffer every chunk reuses: a fresh copy per chunk let the
+    # allocator release and re-fault its heap top on every chunk
+    wide = np.empty((3, min(_BLOCK_PAIRS, plan.pairs)), np.intp)
+    for chunk in plan.chunks:
+        w = chunk[3]
+        a, b, c = wide[:, : w.size]
+        a[...], b[...], c[...] = chunk[:3]
         fa, fb = flat[a], flat[b]
-        t = plan.w[blk] * (fa * fb - flat[c] * (fa + fb))
+        t = w * (fa * fb - flat[c] * (fa + fb))
         rate += np.bincount(c, t, n) - np.bincount(a, t, n) - np.bincount(b, t, n)
     return (rate / grid.n_nodes).reshape(f.shape)
 

@@ -31,7 +31,7 @@ from kinlat.io import (
     write_phase_density,
     write_spectrum_csv,
 )
-from kinlat.kinetic import Spectrum, TorusGrid
+from kinlat.kinetic import Spectrum, TorusGrid, nodes
 from kinlat.vlasov import PhaseDensity, PhaseGrid
 
 
@@ -503,6 +503,22 @@ class TestWriters:
         assert data[0] == "kappa_0,f"
         assert len(data) == 1 + 8
         assert all(ln.endswith("," + format_float(2.0)) for ln in data[1:])
+
+    @pytest.mark.parametrize("d,m", [(1, 16), (2, 6)])
+    def test_spectrum_csv_bytes_are_the_per_cell_format(self, tmp_path, d, m):
+        grid = TorusGrid(d, m)
+        f = np.random.default_rng(d).uniform(0.0, 3.0, grid.n_nodes)
+        f[:4] = [0.0, 5e-324, 1e300, 1 / 3]
+        sp = Spectrum(grid, f.reshape(grid.shape), tau=0.1)
+        coords = nodes(grid).reshape(-1, d)
+        lines = [
+            "# spectrum sample on the unit torus; kappa in cycles (dimensionless)",
+            f"# d={d} m={m} tau={format_float(0.1)}",
+            ",".join([f"kappa_{c}" for c in range(d)] + ["f"]),
+        ]
+        lines += [",".join(format_float(x) for x in (*coords[i], f[i])) for i in range(f.size)]
+        got = write_spectrum_csv(tmp_path / "spec.csv", sp).read_bytes()
+        assert got == ("\n".join(lines) + "\n").encode()
 
     def test_phase_density_roundtrip(self, tmp_path):
         grid = PhaseGrid(2, 6, 5, 0.8, 1.1)

@@ -55,11 +55,51 @@ def test_pruned_pair_list_still_matches_direct_quadrature(rng):
         for a, b in itertools.combinations_with_replacement(range(16), 2)
     )
     plan = kinetic._collision_plan(grid, rule)
-    assert 0 < plan.w.size < triads
+    assert 0 < plan.pairs < triads
     f = rng.uniform(0.1, 1.0, size=grid.shape)
     got = collision(f, grid, rule)
     want = ref.collision_direct(f, grid, rule)
     assert np.max(np.abs(got - want)) < 1e-12 * max(1.0, np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize(
+    "grid,rule,index",
+    [
+        (TorusGrid(1, 16), ResonanceRule(0.01), np.uint8),
+        (TorusGrid(1, 256), ResonanceRule(0.025), np.uint8),
+        (TorusGrid(1, 300), ResonanceRule(0.05, "lorentzian"), np.uint16),
+        (TorusGrid(2, 20), ResonanceRule(0.2), np.uint16),
+    ],
+)
+def test_plan_chunks_are_full_blocks_of_narrow_indices(rng, grid, rule, index):
+    block, n = kinetic._BLOCK_PAIRS, grid.n_nodes
+    plan = kinetic._collision_plan(grid, rule)
+    sizes = [chunk[3].size for chunk in plan.chunks]
+    assert sizes[:-1] == [block] * (len(sizes) - 1) and 0 < sizes[-1] <= block
+    assert plan.pairs == sum(sizes)
+    assert np.min_scalar_type(n - 1) == index
+    for chunk in plan.chunks:
+        assert [x.dtype for x in chunk] == [np.dtype(index)] * 3 + [np.dtype(np.float64)]
+
+    # a literal intp evaluation over the whole list, sliced at _BLOCK_PAIRS
+    a, b, c, w = (np.concatenate(col) for col in zip(*plan.chunks))
+    a, b, c = a.astype(np.intp), b.astype(np.intp), c.astype(np.intp)
+    flat = rng.uniform(0.1, 1.0, size=n)
+    want = np.zeros(n)
+    for s in range(0, w.size, block):
+        ia, ib, ic = a[s : s + block], b[s : s + block], c[s : s + block]
+        fa, fb = flat[ia], flat[ib]
+        t = w[s : s + block] * (fa * fb - flat[ic] * (fa + fb))
+        want += np.bincount(ic, t, n) - np.bincount(ia, t, n) - np.bincount(ib, t, n)
+    got = kinetic.collision_rate(flat.reshape(grid.shape), grid, rule)
+    assert np.array_equal(got.reshape(-1), want / n)
+
+
+def test_benchmark_plan_keeps_its_pairs_in_14_bytes_each():
+    # the first child of the kinetic-sweep benchmark
+    plan = kinetic._collision_plan(TorusGrid(2, 40), ResonanceRule(0.2, "gaussian", 0.05))
+    assert plan.pairs == 874_640
+    assert plan.nbytes <= 14 * plan.pairs
 
 
 def test_collision_is_deterministic(rng):
