@@ -19,13 +19,16 @@ The chain cases time one force evaluation at d=1, n=512 with the kernel
 table cached, and at d=2, n=64 the table build plus one evaluation.
 The Vlasov case times one Strang step on the 32x128x128 grid of the
 meanfield benchmark (about 17 ms on 2 cores): three slab-blocked
-line-shift sweeps and one acceleration field.
+line-shift sweeps and one acceleration field, written in place into the
+density it reads, as ``vlasov_evolve`` steps its working array.  The sheet
+ends with the bytes the step's workspace holds next to one density's.
 """
 
 from __future__ import annotations
 
 import argparse
 import time
+import tracemalloc
 
 import numpy as np
 
@@ -39,6 +42,7 @@ from kinlat.waves import ModelParams, _integrate_array, wave_nonlinear
 
 PLAN_GRID = TorusGrid(2, 40)
 PLAN_RULES = tuple(ResonanceRule(eps, "gaussian", 0.05) for eps in (0.2, 0.05, 0.02))
+VLASOV_GRID = PhaseGrid(32, 128, 128, 1.0, 1.2)
 BATCH_SECONDS = 0.02
 
 
@@ -115,9 +119,9 @@ def _cases(rng, batch: int):
 
     yield (f"chain table + force d=2 n=64 batch={batch}", table_and_force)
 
-    grid = PhaseGrid(32, 128, 128, 1.0, 1.2)
+    grid = VLASOV_GRID
     strang, g, fp = _Strang(grid, 0.01), rng.random(grid.shape), FractionalParams(0.5, 1)
-    yield ("vlasov strang step 32x128x128", lambda: strang.step(g, fp))
+    yield ("vlasov strang step 32x128x128 in place", lambda: strang.step(g, fp, out=g))
 
 
 def main() -> int:
@@ -142,6 +146,14 @@ def main() -> int:
             f"{len(plan.chunks)} chunks, {plan.nbytes / 2**20:.1f} MiB, "
             f"{plan.nbytes / max(1, plan.pairs):.0f} B per pair"
         )
+    tracemalloc.start()
+    strang = _Strang(VLASOV_GRID, 0.01)
+    held = tracemalloc.get_traced_memory()[0]
+    tracemalloc.stop()
+    print(
+        f"vlasov strang workspace 32x128x128: {held / 2**20:.2f} MiB, "
+        f"density {8 * np.prod(VLASOV_GRID.shape) / 2**20:.2f} MiB"
+    )
     return 0
 
 

@@ -71,7 +71,7 @@ from .vlasov import (
     PhaseGrid,
     _shift_lines,
     cell_moments_of_density,
-    cell_moments_of_ensemble,
+    cell_moments_of_ensemble,  # unused here; perfbench's vlasov.compare layer binds it
     density_from_law,
     meanfield_distance,
     sigma_field,
@@ -532,12 +532,8 @@ def _drive_mf_compare(cfg: RunConfig, out: Path):
     g.t = ens.t
     dist = meanfield_distance(g, ens, geom)
     files = [
-        write_moments_csv(out / "moments_pde.csv", x_centers(grid), cell_moments_of_density(g)),
-        write_moments_csv(
-            out / "moments_ensemble.csv",
-            x_centers(grid),
-            cell_moments_of_ensemble(ens, geom, grid),
-        ),
+        write_moments_csv(out / "moments_pde.csv", x_centers(grid), dist.pde),
+        write_moments_csv(out / "moments_ensemble.csv", x_centers(grid), dist.ensemble),
     ]
     metrics = {
         "t_final": ens.t,

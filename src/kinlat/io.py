@@ -174,7 +174,9 @@ def write_phase_density(path_stem: str | Path, g: PhaseDensity, alpha: float | N
     stem = Path(path_stem)
     stem.parent.mkdir(parents=True, exist_ok=True)
     bin_path = stem.with_suffix(".bin")
-    bin_path.write_bytes(np.ascontiguousarray(g.g, dtype="<f8").tobytes())
+    with open(bin_path, "wb") as fh:
+        # the array's own buffer when it already is C-ordered <f8: no copy
+        fh.write(np.ascontiguousarray(g.g, dtype="<f8").data)
     header = {
         "layout": "C-order float64 little-endian, shape (mx, mr, mv)",
         "mx": g.grid.mx,
@@ -197,12 +199,13 @@ def read_phase_density(path_stem: str | Path) -> PhaseDensity:
     grid = PhaseGrid(
         header["mx"], header["mr"], header["mv"], header["r_max"], header["v_max"]
     )
-    raw = np.frombuffer(stem.with_suffix(".bin").read_bytes(), dtype="<f8")
-    if raw.size != grid.mx * grid.mr * grid.mv:
+    bin_path = stem.with_suffix(".bin")
+    n_bytes, want = bin_path.stat().st_size, 8 * grid.mx * grid.mr * grid.mv
+    if n_bytes != want:
         raise SizeMismatchError(
-            f"binary payload holds {raw.size} values, grid wants {grid.shape}"
+            f"binary payload holds {n_bytes} bytes, grid {grid.shape} wants {want}"
         )
-    return PhaseDensity(grid, raw.reshape(grid.shape).copy(), header["t"])
+    return PhaseDensity(grid, np.fromfile(bin_path, dtype="<f8").reshape(grid.shape), header["t"])
 
 
 def sha256_file(path: str | Path) -> str:

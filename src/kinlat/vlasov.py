@@ -35,6 +35,12 @@ r-sweep table depends only on (r, v) and ``dt`` and is built once per
 :func:`vlasov_evolve`.  The literal per-line loop
 :func:`kinlat._reference.shift_lines_loop` is the oracle; the sweeps match
 it bit for bit.
+
+A run holds one working density: the first step writes it from the
+caller's density, which is left alone, and every later step overwrites it
+in place.  :func:`density_from_law` fills its array, and
+:func:`cell_moments_of_density` sums it, one slab at a time, so neither
+makes a full-size temporary.
 """
 
 from __future__ import annotations
@@ -357,9 +363,9 @@ class _Strang:
     slabs change no bit.  The r-sweep table depends only on (r, v) and
     ``dt``, so it is built once and serves every slab; the v-sweep table is
     refilled from each slab's rows of the acceleration.  A short last slab
-    has its own pair of sweeps.  Each step returns a new density array, so
-    no array a caller holds is written to.  Steps take and return bare
-    arrays and validate none of them.
+    has its own pair of sweeps.  A step writes into the array it is given
+    as ``out``, which may be its input, or into a new one.  Steps take and
+    return bare arrays and validate none of them.
     """
 
     def __init__(self, grid: PhaseGrid, dt: float):
@@ -378,10 +384,16 @@ class _Strang:
                 sweeps[shape] = (r_sweep, _LineShift(shape, 2, True, scratch))
             self.slabs.append((x, *sweeps[shape]))
 
-    def step(self, g: np.ndarray, fp: FractionalParams) -> tuple[np.ndarray, np.ndarray]:
-        """One step from the density array ``g``, and the v-speed field
-        (``acceleration``) it applied: r-transport dt/2, v-transport dt,
-        r-transport dt/2.
+    def step(
+        self, g: np.ndarray, fp: FractionalParams, out: np.ndarray | None = None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """One step from the density array ``g`` into ``out`` (a new array
+        when it is None), and the v-speed field (``acceleration``) it
+        applied: r-transport dt/2, v-transport dt, r-transport dt/2.
+
+        ``out`` may be ``g`` itself: each slab of ``g`` is copied into the
+        padded buffer before its rows of ``out`` are written, and no sweep
+        reads rows of another slab.
 
         The v-sweep's speed field depends on g only through its r-moments,
         which the sweep itself leaves invariant, so freezing it over the
@@ -391,8 +403,9 @@ class _Strang:
         computed; the v-sweep and the closing r-sweep then run slab by slab.
         """
         grid, dt = self.grid, self.dt
-        # the new array holds the half-step density first, then the result
-        out = np.empty(grid.shape)
+        # ``out`` holds the half-step density first, then the result
+        if out is None:
+            out = np.empty(grid.shape)
         for x, r_sweep, _ in self.slabs:
             r_sweep.inside[...] = g[x]
             r_sweep(out[x])
@@ -467,6 +480,11 @@ def vlasov_evolve(
     is an accuracy budget).  Of the densities each step ends with, only
     those passed to ``callback`` and the result are validated.  ``dt`` must
     be finite and positive; it is checked before any work.
+
+    The run holds one working density array: the first step writes it from
+    ``g``, which is left alone, and every later step overwrites it in
+    place.  Without a callback the result wraps that array; a callback gets
+    a copy of each step's density, and the result is the last one it got.
     """
     grid, arr, t = g.grid, g.g, g.t
     strang = _Strang(grid, dt)
@@ -476,12 +494,13 @@ def vlasov_evolve(
     cfl_v = 0.0
     notes: list[str] = []
     for i in range(n_steps):
-        arr, accel = strang.step(arr, fp)
+        # step 0 allocates the working array; later steps overwrite it
+        arr, accel = strang.step(arr, fp, out=arr if i else None)
         t += dt
         cfl_v = max(cfl_v, float(np.max(np.abs(accel))) * dt / grid.dv)
         bmax = max(bmax, boundary_mass(arr, grid))
         if callback is not None:
-            g = PhaseDensity(grid, arr, t)
+            g = PhaseDensity(grid, arr.copy(), t)
             callback(i, g)
     if n_steps > 0 and callback is None:  # with a callback, g is already the last step
         g = PhaseDensity(grid, arr, t)
@@ -510,10 +529,15 @@ def density_from_law(law, grid: PhaseGrid, t: float = 0.0) -> PhaseDensity:
 
     The law must expose ``density(x, r, v)`` (degenerate laws do not).  No
     renormalization is applied; the midpoint mass approaches 1 as the grid
-    refines and the window widens.
+    refines and the window widens.  The law is evaluated one x-slab at a
+    time into a single array, so its temporaries are slab-sized.
     """
     x = x_centers(grid).reshape(grid.mx, 1)
-    vals = law.density(x, r_centers(grid)[:, None], v_centers(grid)[None, :])
+    r, v = r_centers(grid)[:, None], v_centers(grid)[None, :]
+    vals = np.empty(grid.shape)
+    # the values are pointwise in x, so a slab at a time leaves every bit alone
+    for s in _slabs(grid):
+        vals[s] = law.density(x[s], r, v)
     return PhaseDensity(grid, vals, t)
 
 
@@ -541,10 +565,13 @@ def cell_moments_of_density(g: PhaseDensity) -> dict[str, np.ndarray]:
     denom = g.g.sum(axis=(1, 2))
     if np.any(denom <= 0.0):
         raise ValueError("conditional moments undefined at zero-mass x nodes")
-    out = {}
-    for name in OBSERVABLES:
-        out[name] = (g.g * _observable(name, r, v)[None, :, :]).sum(axis=(1, 2)) / denom
-    return out
+    phis = {name: _observable(name, r, v)[None, :, :] for name in OBSERVABLES}
+    out = {name: np.empty(g.grid.mx) for name in OBSERVABLES}
+    # per-x sums, so summing a slab of planes at a time leaves every bit alone
+    for x in _slabs(g.grid):
+        for name in OBSERVABLES:
+            out[name][x] = (g.g[x] * phis[name]).sum(axis=(1, 2))
+    return {name: out[name] / denom for name in OBSERVABLES}
 
 
 def cell_moments_of_ensemble(
@@ -576,11 +603,17 @@ def cell_moments_of_ensemble(
 
 @dataclass
 class MeanfieldDistance:
-    """Per-observable sup and L2 gaps between ensemble and PDE moments."""
+    """Per-observable sup and L2 gaps between ensemble and PDE moments.
+
+    ``pde`` and ``ensemble`` are the per-x moments that were compared, keyed
+    by observable; :meth:`to_dict` leaves them out.
+    """
 
     sup: dict[str, float]
     l2: dict[str, float]
     t: float
+    pde: dict[str, np.ndarray] = field(repr=False, compare=False)
+    ensemble: dict[str, np.ndarray] = field(repr=False, compare=False)
 
     @property
     def total_l2(self) -> float:
@@ -621,4 +654,4 @@ def meanfield_distance(
         diff = me[name] - mg[name]
         sup[name] = float(np.max(np.abs(diff)))
         l2[name] = float(np.sqrt(np.sum(diff * diff) * g.grid.dx))
-    return MeanfieldDistance(sup, l2, float(g.t))
+    return MeanfieldDistance(sup, l2, float(g.t), mg, me)

@@ -539,6 +539,17 @@ class TestWriters:
         with pytest.raises(SizeMismatchError):
             read_phase_density(tmp_path / "g")
 
+    def test_phase_density_payload_of_the_wrong_byte_count(self, tmp_path):
+        grid = PhaseGrid(1, 4, 4, 1.0, 1.0)
+        g = PhaseDensity(grid, np.ones(grid.shape), t=0.0)
+        bin_path, _ = write_phase_density(tmp_path / "g", g)
+        payload = bin_path.read_bytes()
+        # one value too many, and a partial value, are both mismatches
+        for wrong in (payload + payload[:8], payload[:-3]):
+            bin_path.write_bytes(wrong)
+            with pytest.raises(SizeMismatchError):
+                read_phase_density(tmp_path / "g")
+
     def test_sha256_matches_hashlib(self, tmp_path):
         import hashlib
 

@@ -1,5 +1,6 @@
 """Transport solver: conservation, free streaming, force assembly, moments."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -317,7 +318,7 @@ def test_strang_step_is_the_unblocked_composition(monkeypatch):
             grid, sigma_r=0.3, sigma_v=0.25,
             x_weight=lambda x: 1.0 + 0.5 * np.cos(2 * np.pi * x) + 0.2 * np.sin(4 * np.pi * x),
         ).g
-        strang, want = _Strang(grid, 0.05), g
+        strang, want, h = _Strang(grid, 0.05), g, g.copy()
         short = [mx % planes] if mx % planes else []
         assert [x.stop - x.start for x, _, _ in strang.slabs] == [planes] * (mx // planes) + short
         calls.clear()
@@ -325,7 +326,11 @@ def test_strang_step_is_the_unblocked_composition(monkeypatch):
             g, accel = strang.step(g, FP)
             want, want_accel = _unblocked_step(want, grid, 0.05)
             assert np.array_equal(g, want) and np.array_equal(accel, want_accel), (mx, n)
-            assert len(calls) == n
+            # in place, as vlasov_evolve steps its working array
+            h_out, h_accel = strang.step(h, FP, out=h)
+            assert h_out is h, (mx, n)
+            assert np.array_equal(h, want) and np.array_equal(h_accel, want_accel), (mx, n)
+            assert len(calls) == 2 * n  # one field per step
         assert mx == 1 or np.any(accel != 0.0)  # one plane has no x structure
 
 
@@ -352,6 +357,38 @@ def test_strang_workspace_does_not_grow_with_mx():
     held = [_held_bytes(_Strang(PhaseGrid(mx, 128, 128, 1.0, 1.2), 0.01)) for mx in (32, 64)]
     assert held[0] == held[1]
     assert held[0] < 32 * 128 * 128 * 8 // 2  # under half of one density array
+
+
+def _traced_peak(call) -> int:
+    """Peak bytes traced while ``call()`` runs, above what was held before it."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_vlasov_lane_holds_one_working_density():
+    # the meanfield benchmark grid, with an x-dependent law
+    grid = PhaseGrid(32, 128, 128, 1.0, 1.2)
+    law = GaussianLaw(lambda x: 0.2 * np.cos(2 * np.pi * x[..., 0]), 0.0, 0.1, 0.1)
+    g0 = density_from_law(law, grid)
+    density = g0.g.nbytes
+    workspace = _held_bytes(_Strang(grid, 0.01))
+    # fill the per-grid caches (centers, edge cells) before anything is traced
+    vlasov_evolve(g0, FP, 0.01, 1)
+    peaks = {
+        "evolve": _traced_peak(lambda: vlasov_evolve(g0, FP, 0.01, 3)),
+        "fill": _traced_peak(lambda: density_from_law(law, grid)),
+        "moments": _traced_peak(lambda: cell_moments_of_density(g0)),
+    }
+    budgets = {
+        "evolve": density + workspace + density // 4,
+        "fill": density + density // 4,
+        "moments": density // 4,
+    }
+    assert all(peaks[k] <= budgets[k] for k in peaks), (peaks, budgets)
 
 
 # ---------------------------------------------------------------------------
@@ -408,3 +445,20 @@ def test_meanfield_distance_within_monte_carlo_band():
     assert 0.05 * scale < d.total_l2 < 20.0 * scale
     assert set(d.sup) == {"r", "v", "r2", "v2", "rv"}
     assert d.total_sup >= max(d.l2.values())
+
+
+def test_meanfield_distance_keeps_the_moments_it_compared():
+    grid = PhaseGrid(4, 32, 32, 1.0, 1.0)
+    law = GaussianLaw(0.0, 0.0, 0.15, 0.15)
+    g = density_from_law(law, grid)
+    geom = ChainGeometry(1, 16)
+    ens = sample_ensemble(law, geom, 10, 3)
+    d = meanfield_distance(g, ens, geom)
+    pairs = (
+        (d.pde, cell_moments_of_density(g)),
+        (d.ensemble, cell_moments_of_ensemble(ens, geom, grid)),
+    )
+    for kept, fresh in pairs:
+        assert kept.keys() == fresh.keys()
+        assert all(np.array_equal(kept[k], fresh[k]) for k in fresh)
+    assert set(d.to_dict()) == {"t", "total_l2", "total_sup", "sup", "l2"}
