@@ -31,7 +31,6 @@ from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .chain import GaussianLaw, PointLaw
 from .errors import ConfigError
 from .kinetic import DEFAULT_OMEGA_FLOOR, RESONANCE_PROFILES
 from .profiles import PROFILE_NAMES, make_profile
@@ -363,6 +362,8 @@ def _check_blocks(cfg: RunConfig) -> None:
             )
     if cfg.pipeline != "mf-compare":
         return
+    from .chain import GaussianLaw
+
     c, v, t_final = cfg.chain, cfg.vlasov, cfg.compare.t_final
     if not isinstance(build_law(c.law), GaussianLaw):
         raise ConfigError(
@@ -430,6 +431,8 @@ _LAW_PARAMS = {
 
 def build_law(lc: LawConfig, sigma_r_override: float | None = None):
     """Materialize a sampling law; ``sigma_r_override`` widens degenerate laws."""
+    from .chain import GaussianLaw, PointLaw
+
     p = dict(lc.params)
     if lc.kind == "gaussian":
         if sigma_r_override is not None:

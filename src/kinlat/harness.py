@@ -13,28 +13,22 @@ in the manifest only, and the manifest is not part of its own file list.
 children share random numbers, which is what makes trend comparisons
 across the axis meaningful), aggregates each child's headline metric, and
 issues a monotone-trend verdict.
+
+A pipeline's lanes (the ``waves``, ``kinetic``, ``chain`` and ``vlasov``
+modules) are imported when ``run`` dispatches it, so a process loads only
+what it runs; ``_reference`` is imported by ``oracle-suite`` alone.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
 import datetime
+import importlib
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from . import _reference as ref
-from .chain import (
-    ChainGeometry,
-    FractionalParams,
-    chain_energy,
-    sample_ensemble,
-    site_coordinates,
-    total_momentum,
-    verlet_evolve,
-)
 from .config import (
     RunConfig,
     build_law,
@@ -54,42 +48,7 @@ from .io import (
     write_phase_density,
     write_spectrum_csv,
 )
-from .kinetic import (
-    CollisionDiagnostics,
-    ResonanceRule,
-    Spectrum,
-    TorusGrid,
-    collision,
-    compare_spectra,
-    energy_moment,
-    evolve,
-    nodes,
-)
-from .lattice import LatticeSpec, dft, inverse_dft, weighted_inner
-from .vlasov import (
-    BOUNDARY_TOL,
-    PhaseGrid,
-    _shift_lines,
-    cell_moments_of_density,
-    cell_moments_of_ensemble,  # unused here; perfbench's vlasov.compare layer binds it
-    density_from_law,
-    meanfield_distance,
-    sigma_field,
-    vlasov_evolve,
-    x_centers,
-)
-from .waves import (
-    AmplitudeState,
-    EnsembleSpec,
-    ModelParams,
-    _integrate_array,
-    empirical_spectrum,
-    hamiltonian,
-    reality_defect,
-    rhs,
-    sample_initial,
-    stack_ensemble,
-)
+from .lattice import LatticeSpec
 
 __all__ = [
     "RunManifest",
@@ -104,6 +63,72 @@ __all__ = [
 # RK4 step keeps live do not grow with the ensemble; rows never interact, so
 # the block size cannot change results
 BLOCK_BYTES = 64 * 1024
+
+# the names the drivers read from each lane module, as globals of this
+# module; ``run`` binds a pipeline's lanes when it dispatches, so a process
+# imports only the lanes it runs.  Binding never replaces a name already
+# bound here (a tracing wrapper or a test's patch), and module attribute
+# access binds on demand, so every name resolves on ``kinlat.harness``
+# before any run.
+_LANES = {
+    "waves": (
+        "AmplitudeState",
+        "EnsembleSpec",
+        "ModelParams",
+        "_integrate_array",
+        "empirical_spectrum",
+        "hamiltonian",
+        "reality_defect",
+        "sample_initial",
+        "stack_ensemble",
+    ),
+    "kinetic": (
+        "CollisionDiagnostics",
+        "ResonanceRule",
+        "Spectrum",
+        "TorusGrid",
+        "collision",
+        "compare_spectra",
+        "energy_moment",
+        "evolve",
+        "nodes",
+    ),
+    "chain": (
+        "ChainGeometry",
+        "FractionalParams",
+        "chain_energy",
+        "sample_ensemble",
+        "site_coordinates",
+        "total_momentum",
+        "verlet_evolve",
+    ),
+    "vlasov": (
+        "BOUNDARY_TOL",
+        "PhaseGrid",
+        "cell_moments_of_density",
+        "density_from_law",
+        "meanfield_distance",
+        "vlasov_evolve",
+        "x_centers",
+    ),
+}
+
+
+def _bind(*lanes: str) -> None:
+    """Import each lane and bind its driver names here, keeping any name already bound."""
+    for lane in lanes:
+        module = importlib.import_module(f"{__package__}.{lane}")
+        for name in _LANES[lane]:
+            globals().setdefault(name, getattr(module, name))
+
+
+def __getattr__(name: str):
+    for lane, names in _LANES.items():
+        if name in names:
+            _bind(lane)
+            return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 PIPELINE_METRIC = {
     "wt-sim": "energy_drift_rel",
@@ -173,6 +198,8 @@ def _map_ordered(fn, items, workers: int):
     """Apply ``fn`` over items on a thread pool, results in submission order."""
     if workers <= 1 or len(items) <= 1:
         return [fn(it) for it in items]
+    import concurrent.futures
+
     with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items))
 
@@ -198,12 +225,14 @@ def _file_entries(files, out_dir: Path) -> list[dict]:
 def _integrate_ensemble(a, params, dt, n_steps, scheme, step0=0, t0=0.0):
     """Advance replica-stacked amplitudes one replica block at a time.
 
+    Callable outside :func:`run`, so it binds the wave lane itself.
     ``a`` itself is left untouched, so a blowup in a later block still
     leaves the segment's starting state for the last-good snapshot.
     ``step0`` and ``t0`` are the run's clock at the segment's start.  Each
     block runs the whole segment before the next starts, so a blowup is
     reported from the first block that fails, not at the earliest step.
     """
+    _bind("waves")
     rows = max(1, BLOCK_BYTES // a[0].nbytes)
     out = np.empty_like(a)
     for i in range(0, a.shape[0], rows):
@@ -466,7 +495,8 @@ def _drive_vlasov(cfg: RunConfig, out: Path):
     fp = FractionalParams(v.alpha, 1)
     g0 = density_from_law(build_law(v.law), grid)
     b0, j0 = write_phase_density(out / "density_initial", g0, v.alpha)
-    g, diag = vlasov_evolve(g0, fp, v.dt, v.n_steps, cfl_fraction=v.cfl_fraction)
+    # g0 is written out, so the run steps its array in place
+    g, diag = vlasov_evolve(g0, fp, v.dt, v.n_steps, cfl_fraction=v.cfl_fraction, out=g0.g)
     b1, j1 = write_phase_density(out / "density_final", g, v.alpha)
     mom = cell_moments_of_density(g)
     files = [
@@ -527,7 +557,8 @@ def _drive_mf_compare(cfg: RunConfig, out: Path):
     g0 = density_from_law(law_pde, grid)
     # the t=0 distance is the ensemble's sampling floor
     dist0 = meanfield_distance(g0, ens0, geom)
-    g, diag = vlasov_evolve(g0, fp, v.dt, n_pde, cfl_fraction=v.cfl_fraction)
+    # g0 is done with, so the run steps its array in place
+    g, diag = vlasov_evolve(g0, fp, v.dt, n_pde, cfl_fraction=v.cfl_fraction, out=g0.g)
     # the two clocks agree to round-off; stamp them equal for the comparison
     g.t = ens.t
     dist = meanfield_distance(g, ens, geom)
@@ -561,6 +592,12 @@ def _drive_mf_compare(cfg: RunConfig, out: Path):
 
 def _oracle_cases(seed: int):
     """Cross-checks of the fast paths against the literal reference sums."""
+    from . import _reference as ref
+    from .chain import ChainState, force_array
+    from .lattice import dft, inverse_dft, weighted_inner
+    from .vlasov import _shift_lines, sigma_field
+    from .waves import rhs
+
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xFACE]))
     cases = []
 
@@ -605,8 +642,6 @@ def _oracle_cases(seed: int):
     got = collision(spf, grid, rule)
     want = ref.collision_direct(fpos, grid, rule)
     cases.append(("collision-vs-loop", float(np.max(np.abs(got - want))), 1e-12))
-
-    from .chain import ChainState, force_array
 
     gap = 0.0
     for geom, fpar in (
@@ -660,14 +695,15 @@ def _drive_oracles(cfg: RunConfig, out: Path):
     return files, metrics, checks, []
 
 
+# pipeline -> (driver, the lanes it reads)
 _DRIVERS = {
-    "wt-sim": _drive_wave,
-    "wt-kinetic": _drive_kinetic,
-    "wt-compare": _drive_wt_compare,
-    "chain-sim": _drive_chain,
-    "vlasov": _drive_vlasov,
-    "mf-compare": _drive_mf_compare,
-    "oracle-suite": _drive_oracles,
+    "wt-sim": (_drive_wave, ("waves", "kinetic")),
+    "wt-kinetic": (_drive_kinetic, ("kinetic",)),
+    "wt-compare": (_drive_wt_compare, ("waves", "kinetic")),
+    "chain-sim": (_drive_chain, ("chain",)),
+    "vlasov": (_drive_vlasov, ("chain", "vlasov")),
+    "mf-compare": (_drive_mf_compare, ("chain", "vlasov")),
+    "oracle-suite": (_drive_oracles, tuple(_LANES)),
 }
 
 
@@ -700,8 +736,10 @@ def run(
         started=_utcnow(),
         versions=_versions(),
     )
+    driver, lanes = _DRIVERS[cfg.pipeline]
+    _bind(*lanes)
     try:
-        files, metrics, checks, notes = _DRIVERS[cfg.pipeline](cfg, out_dir)
+        files, metrics, checks, notes = driver(cfg, out_dir)
     except NumericalBlowupError as e:
         manifest.status = "numerical-failure"
         manifest.metrics = {"error": str(e)}

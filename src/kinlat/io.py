@@ -12,14 +12,16 @@ from __future__ import annotations
 import hashlib
 import json
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
 from .errors import SizeMismatchError
-from .kinetic import Spectrum, nodes
 from .lattice import LatticeSpec, wavenumbers
-from .vlasov import PhaseDensity, PhaseGrid
+
+if TYPE_CHECKING:  # the writers and readers import their lane when called
+    from .kinetic import Spectrum
+    from .vlasov import PhaseDensity
 
 __all__ = [
     "format_float",
@@ -104,6 +106,8 @@ def write_spectrum_csv(path: str | Path, spectrum: Spectrum) -> Path:
     Every cell is a float64, so each row fills one ``%.17g`` template,
     the bytes :func:`format_float` gives cell by cell.
     """
+    from .kinetic import nodes
+
     grid = spectrum.grid
     table = np.column_stack([nodes(grid).reshape(-1, grid.d), spectrum.f.reshape(-1)])
     row = ",".join(["%.17g"] * (grid.d + 1))
@@ -194,6 +198,8 @@ def write_phase_density(path_stem: str | Path, g: PhaseDensity, alpha: float | N
 
 
 def read_phase_density(path_stem: str | Path) -> PhaseDensity:
+    from .vlasov import PhaseDensity, PhaseGrid
+
     stem = Path(path_stem)
     header = json.loads(stem.with_suffix(".json").read_text())
     grid = PhaseGrid(

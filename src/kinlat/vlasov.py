@@ -37,10 +37,12 @@ r-sweep table depends only on (r, v) and ``dt`` and is built once per
 it bit for bit.
 
 A run holds one working density: the first step writes it from the
-caller's density, which is left alone, and every later step overwrites it
-in place.  :func:`density_from_law` fills its array, and
-:func:`cell_moments_of_density` sums it, one slab at a time, so neither
-makes a full-size temporary.
+caller's density, and every later step overwrites it in place.  The
+caller's density is left alone unless the caller hands its array over as
+``out``; the run then holds that one density and no other.
+:func:`density_from_law` fills its array, :func:`cell_moments_of_density`
+sums it and :class:`PhaseDensity` validates it, one slab at a time, so
+none of them makes a full-size temporary.
 """
 
 from __future__ import annotations
@@ -158,9 +160,13 @@ class PhaseDensity:
             raise SizeMismatchError(
                 f"density shape {self.g.shape}, grid wants {self.grid.shape}"
             )
-        if not np.all(np.isfinite(self.g)):
+        # one slab at a time, so no whole-grid temporary; every slab passes
+        # the finiteness check before any is checked for sign, so a bad
+        # density raises the same error whatever slab holds the fault
+        slabs = _slabs(self.grid)
+        if not all(np.isfinite(self.g[x]).all() for x in slabs):
             raise ValueError("density must be finite")
-        if np.any(self.g < 0.0):
+        if any((self.g[x] < 0.0).any() for x in slabs):
             raise ValueError("density must be nonnegative")
 
     def mass(self) -> float:
@@ -470,6 +476,7 @@ def vlasov_evolve(
     *,
     cfl_fraction: float | None = None,
     callback: Callable[[int, PhaseDensity], None] | None = None,
+    out: np.ndarray | None = None,
 ) -> tuple[PhaseDensity, VlasovDiagnostics]:
     """Run ``n_steps`` Strang steps with advisory monitoring.
 
@@ -482,11 +489,17 @@ def vlasov_evolve(
     be finite and positive; it is checked before any work.
 
     The run holds one working density array: the first step writes it from
-    ``g``, which is left alone, and every later step overwrites it in
-    place.  Without a callback the result wraps that array; a callback gets
-    a copy of each step's density, and the result is the last one it got.
+    ``g``, and every later step overwrites it in place.  That array is
+    ``out`` when it is given, which may be ``g.g`` itself (a run that no
+    longer needs ``g`` then holds one density in all); without ``out`` it
+    is a new array and ``g`` is left alone.  Without a callback the result
+    wraps the working array; a callback gets a copy of each step's density,
+    and the result is the last one it got.  With no steps the result is
+    ``g``.
     """
     grid, arr, t = g.grid, g.g, g.t
+    if out is not None and out.shape != grid.shape:
+        raise SizeMismatchError(f"out has shape {out.shape}, grid wants {grid.shape}")
     strang = _Strang(grid, dt)
     mass0 = g.mass()
     bmax = boundary_mass(arr, grid)
@@ -494,8 +507,9 @@ def vlasov_evolve(
     cfl_v = 0.0
     notes: list[str] = []
     for i in range(n_steps):
-        # step 0 allocates the working array; later steps overwrite it
-        arr, accel = strang.step(arr, fp, out=arr if i else None)
+        # step 0 writes the working array (a new one without ``out``);
+        # later steps overwrite it
+        arr, accel = strang.step(arr, fp, out=arr if i else out)
         t += dt
         cfl_v = max(cfl_v, float(np.max(np.abs(accel))) * dt / grid.dv)
         bmax = max(bmax, boundary_mass(arr, grid))

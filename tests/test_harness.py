@@ -1,6 +1,10 @@
-"""Run orchestration: manifests, replica-block independence, CLI exits."""
+"""Run orchestration: manifests, replica-block independence, CLI exits, lane loading."""
 
+import builtins
+import dis
 import gc
+import importlib
+import inspect
 import json
 import os
 import re
@@ -12,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from kinlat import kinetic
+from kinlat import harness, kinetic
 from kinlat.config import config_hash, parse_config
 from kinlat.errors import CheckFailure, NumericalBlowupError
 from kinlat.harness import BLOCK_BYTES, _integrate_ensemble, run
@@ -338,3 +342,117 @@ class TestCli:
         )
         assert res.returncode == 0
         assert "seed=7" in res.stdout
+
+
+# pipeline -> (small config, kinlat modules its process must not load)
+LANE_RUNS = {
+    "wt-sim": (_wave_doc(), {"chain", "vlasov", "_reference"}),
+    "wt-kinetic": (
+        {
+            "pipeline": "wt-kinetic",
+            "seed": 1,
+            "kinetic": {"d": 1, "m": 8, "epsilon": 0.3, "dtau": 0.01, "n_steps": 2},
+        },
+        {"chain", "vlasov", "waves", "_reference"},
+    ),
+    "chain-sim": (
+        {"pipeline": "chain-sim", "seed": 9, "chain": {"n": 16, "dt": 1e-3, "n_steps": 5}},
+        {"waves", "_reference"},
+    ),
+    "vlasov": (
+        {
+            "pipeline": "vlasov",
+            "seed": 0,
+            "vlasov": {"mx": 4, "mr": 16, "mv": 16, "r_max": 0.5, "v_max": 0.5, "n_steps": 2},
+        },
+        {"waves", "_reference"},
+    ),
+    "mf-compare": (
+        {
+            "pipeline": "mf-compare",
+            "seed": 3,
+            "chain": {"n": 32, "dt": 1e-3, "replicas": 2, "law": {"kind": "cosine-gaussian"}},
+            "vlasov": {"mx": 8, "mr": 16, "mv": 16, "r_max": 0.5, "v_max": 1.0},
+            "compare": {"t_final": 0.05},
+        },
+        {"waves", "_reference"},
+    ),
+}
+
+_MODULES_AFTER_RUN = """
+import json, sys
+from kinlat import cli
+code = cli.main(sys.argv[1:])
+print(json.dumps({"exit": code, "modules": sorted(sys.modules)}))
+"""
+
+
+def _globals_read(fn, seen=None) -> set[str]:
+    """Global names ``fn`` loads, through its nested code and the harness functions it calls."""
+    seen = set() if seen is None else seen
+    seen.add(fn)
+    names, stack = set(), [fn.__code__]
+    while stack:
+        code = stack.pop()
+        names |= {i.argval for i in dis.get_instructions(code) if i.opname == "LOAD_GLOBAL"}
+        stack += [c for c in code.co_consts if inspect.iscode(c)]
+    for name in list(names):
+        obj = vars(harness).get(name)
+        if inspect.isfunction(obj) and obj.__module__ == harness.__name__ and obj not in seen:
+            names |= _globals_read(obj, seen)
+    return names
+
+
+class TestLanes:
+    @pytest.mark.parametrize("pipeline", sorted(LANE_RUNS))
+    def test_a_run_loads_only_its_own_lanes(self, tmp_path, pipeline):
+        doc, absent = LANE_RUNS[pipeline]
+        cfgp = tmp_path / "run.json"
+        cfgp.write_text(json.dumps(doc))
+        path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+        res = subprocess.run(
+            [sys.executable, "-c", _MODULES_AFTER_RUN, pipeline, "--config", str(cfgp),
+             "--out", str(tmp_path / "o")],
+            cwd=tmp_path,
+            env=dict(os.environ, PYTHONPATH=path),
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert res.returncode == 0, res.stderr
+        report = json.loads(res.stdout.splitlines()[-1])
+        assert report["exit"] == 0
+        loaded = set(report["modules"])
+        assert "kinlat.harness" in loaded
+        assert sorted(loaded & {f"kinlat.{m}" for m in absent}) == []
+        if pipeline == "wt-sim":
+            assert "concurrent.futures" not in loaded
+
+    def test_lane_names_resolve_to_the_lanes_own_objects(self):
+        for lane, names in harness._LANES.items():
+            module = importlib.import_module(f"kinlat.{lane}")
+            for name in names:
+                assert getattr(harness, name) is getattr(module, name), (lane, name)
+        with pytest.raises(AttributeError):
+            harness.no_such_name
+
+    def test_each_driver_binds_every_lane_name_it_reads(self):
+        lane_of = {n: lane for lane, names in harness._LANES.items() for n in names}
+        own = set(vars(harness)) - set(lane_of)
+        for pipeline, (driver, lanes) in harness._DRIVERS.items():
+            read = _globals_read(driver) - own - set(dir(builtins))
+            # every other global a driver reads is one of its own lanes' names
+            assert sorted(n for n in read if lane_of.get(n) not in lanes) == [], pipeline
+
+    def test_a_patched_binding_survives_run(self, tmp_path, monkeypatch):
+        calls = []
+        real = harness.sample_initial
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "sample_initial", counted)
+        run(parse_config(_wave_doc()), out=tmp_path)
+        assert calls == [1]
+        assert harness.sample_initial is counted

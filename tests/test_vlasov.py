@@ -75,6 +75,22 @@ def test_density_validation():
     assert g.mass() == pytest.approx(2.0 * 2.0 * 2.0)  # 2 * volume of [0,1]x[-1,1]^2
 
 
+def test_density_validation_names_the_fault_whatever_slab_holds_it():
+    grid = PhaseGrid(9, 128, 128, 1.0, 1.0)  # slabs of 2 planes, a short last one
+    assert len(vlasov._slabs(grid)) == 5
+    for bad, message in ((np.nan, "finite"), (np.inf, "finite"), (-1.0, "nonnegative")):
+        for x in (0, 4, 8):
+            g = np.ones(grid.shape)
+            g[x, 3, 5] = bad
+            with pytest.raises(ValueError, match=message):
+                PhaseDensity(grid, g)
+    # a non-finite cell is reported before a negative one in an earlier slab
+    g = np.ones(grid.shape)
+    g[0, 0, 0], g[8, 0, 0] = -1.0, np.nan
+    with pytest.raises(ValueError, match="must be finite"):
+        PhaseDensity(grid, g)
+
+
 def test_moments_of_offset_gaussian():
     grid = PhaseGrid(2, 128, 64, 1.5, 1.0)
     r0 = 0.37
@@ -389,6 +405,29 @@ def test_vlasov_lane_holds_one_working_density():
         "moments": density // 4,
     }
     assert all(peaks[k] <= budgets[k] for k in peaks), (peaks, budgets)
+
+
+def test_vlasov_evolve_steps_a_handed_over_array_in_place():
+    grid = PhaseGrid(32, 128, 128, 1.0, 1.2)
+    law = GaussianLaw(lambda x: 0.2 * np.cos(2 * np.pi * x[..., 0]), 0.0, 0.1, 0.1)
+    g0 = density_from_law(law, grid)
+    # the default call on a copy also fills the per-grid caches before tracing
+    want, want_diag = vlasov_evolve(PhaseDensity(grid, g0.g.copy()), FP, 0.01, 3)
+    density = g0.g.nbytes
+    workspace = _held_bytes(_Strang(grid, 0.01))
+    arr, got = g0.g, {}
+
+    def evolve_in_place():
+        got["g"], got["diag"] = vlasov_evolve(g0, FP, 0.01, 3, out=g0.g)
+
+    peak = _traced_peak(evolve_in_place)
+    assert got["g"].g is arr
+    assert np.array_equal(got["g"].g, want.g)
+    assert got["diag"] == want_diag
+    # the workspace and per-step temporaries, and no second density
+    assert peak <= workspace + density // 4, (peak, workspace, density)
+    with pytest.raises(SizeMismatchError):
+        vlasov_evolve(g0, FP, 0.01, 1, out=np.empty((32, 128, 127)))
 
 
 # ---------------------------------------------------------------------------
