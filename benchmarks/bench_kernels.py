@@ -14,7 +14,8 @@ bytes of one replica, 62 rows): one interaction call, and one exponential
 step of that block, which makes four of them.  The collision cases at
 d=2, m=40 (the grid of the kinetic-sweep benchmark, dispersion floor 0.05)
 time the plan build on its own, then an evaluation with the plan in hand,
-and list each plan's pairs, chunks and bytes per pair.
+and list each plan's pairs, chunks and bytes per pair next to the
+tracemalloc peaks, above the plan, of one build and of one evaluation.
 The chain cases time one force evaluation at d=1, n=512 with the kernel
 table cached, and at d=2, n=64 the table build plus one evaluation.
 The Vlasov case times one Strang step on the 32x128x128 grid of the
@@ -139,12 +140,22 @@ def main() -> int:
         call()  # warm up before the clock starts
         q1, med, q3 = np.percentile(_per_call_times(call, args.repeats), [25, 50, 75]) * 1e3
         print(f"{name:<{width}} {med:>10.3f} {q1:>10.3f} {q3:>10.3f}")
+    f40 = rng.uniform(0.1, 1.0, size=PLAN_GRID.shape)
     for rule in PLAN_RULES:
+        collision_rate(f40, PLAN_GRID, rule)  # the thread now holds this plan
+        tracemalloc.start()
         plan = _collision_plan(PLAN_GRID, rule)
+        build = tracemalloc.get_traced_memory()[1] - plan.nbytes
+        tracemalloc.reset_peak()
+        held = tracemalloc.get_traced_memory()[0]
+        collision_rate(f40, PLAN_GRID, rule)
+        rate = tracemalloc.get_traced_memory()[1] - held
+        tracemalloc.stop()
         print(
             f"collision plan d=2 m=40 eps={rule.epsilon:g}: {plan.pairs} pairs in "
-            f"{len(plan.chunks)} chunks, {plan.nbytes / 2**20:.1f} MiB, "
-            f"{plan.nbytes / max(1, plan.pairs):.0f} B per pair"
+            f"{len(plan.chunks)} chunks, {plan.nbytes / 2**20:.2f} MiB, "
+            f"{plan.nbytes / max(1, plan.pairs):.2f} B per pair; peak above the plan: "
+            f"build {build / 2**20:.2f} MiB, one evaluation {rate / 2**20:.2f} MiB"
         )
     tracemalloc.start()
     strang = _Strang(VLASOV_GRID, 0.01)

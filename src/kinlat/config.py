@@ -32,7 +32,7 @@ from typing import get_args, get_origin, get_type_hints
 import numpy as np
 
 from .errors import ConfigError
-from .kinetic import DEFAULT_OMEGA_FLOOR, RESONANCE_PROFILES
+from .lattice import DEFAULT_OMEGA_FLOOR, RESONANCE_PROFILES
 from .profiles import PROFILE_NAMES, make_profile
 
 __all__ = [

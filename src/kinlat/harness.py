@@ -695,11 +695,12 @@ def _drive_oracles(cfg: RunConfig, out: Path):
     return files, metrics, checks, []
 
 
-# pipeline -> (driver, the lanes it reads)
+# pipeline -> (driver, the lanes it reads, bound in import order: waves
+# imports kinetic, so kinetic is compiled before waves, not inside it)
 _DRIVERS = {
-    "wt-sim": (_drive_wave, ("waves", "kinetic")),
+    "wt-sim": (_drive_wave, ("kinetic", "waves")),
     "wt-kinetic": (_drive_kinetic, ("kinetic",)),
-    "wt-compare": (_drive_wt_compare, ("waves", "kinetic")),
+    "wt-compare": (_drive_wt_compare, ("kinetic", "waves")),
     "chain-sim": (_drive_chain, ("chain",)),
     "vlasov": (_drive_vlasov, ("chain", "vlasov")),
     "mf-compare": (_drive_mf_compare, ("chain", "vlasov")),

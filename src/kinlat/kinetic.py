@@ -27,10 +27,13 @@ weight is at most ``PAIR_CUT`` (1e-16) times the largest are dropped, so the
 list, its memory and the cost of an evaluation shrink with ``eps``.  The
 list is built in blocks of rows and each block is pruned as it is made;
 the kept pairs are then re-packed into chunks of ``_BLOCK_PAIRS`` pairs, the
-slices an evaluation takes, with node indices in the narrowest unsigned
-type that holds every node (14 bytes a pair at ``m**d < 65536``).  Each
-thread keeps only the plan it used last.  Spectra are flattened in C
-order, so node ``j`` has flat index ``sum_c j_c * m**(d-1-c)``.
+slices an evaluation takes.  A chunk stores ``b``, ``c`` and the weight of
+each pair, and ``a`` as runs of one row each, with node indices in the
+narrowest unsigned type that holds every node (12 bytes a pair and 4 a run
+at d = 2, m = 40).  An evaluation works in five chunk-sized buffers that it
+allocates once.  Each thread keeps only the plan it used last.  Spectra
+are flattened in C order, so node ``j`` has flat index
+``sum_c j_c * m**(d-1-c)``.
 
 Stationarity anchor: the equilibrium family ``f = T/w`` annihilates both
 brackets on resonance, which the tests exploit as an oracle.
@@ -45,7 +48,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import NumericalBlowupError, SizeMismatchError
-from .lattice import dispersion
+from .lattice import DEFAULT_OMEGA_FLOOR, RESONANCE_PROFILES, dispersion
 
 __all__ = [
     "DEFAULT_OMEGA_FLOOR",
@@ -67,13 +70,7 @@ __all__ = [
     "SpectrumDistance",
 ]
 
-# K blows up like 1/w; ten half-precision-ish digits of headroom over eps
-DEFAULT_OMEGA_FLOOR = 10.0 * float(np.sqrt(np.finfo(np.float64).eps))
-
 BLOWUP_BOUND = 1e12
-
-# unit-mass shapes that broaden the frequency delta
-RESONANCE_PROFILES = ("gaussian", "lorentzian")
 
 
 @dataclass(frozen=True)
@@ -171,20 +168,22 @@ def _profile_weight(du: np.ndarray, rule: ResonanceRule) -> np.ndarray:
 class _TriadPlan:
     """Unordered resonant pairs ``a <= b`` of live modes, with ``c = a + b``.
 
-    ``chunks`` holds the pairs as ``(a, b, c, w)`` column tuples of exactly
-    ``_BLOCK_PAIRS`` pairs, the last one possibly shorter, in row order of
-    ``a``.  The node indices ``a``, ``b`` and ``c`` are stored in
-    ``np.min_scalar_type(n_nodes - 1)``; ``w`` is the float64 triad weight
-    ``W(a, b)``, doubled when ``a != b`` so that each unordered pair stands
-    for both of its orderings.  Pairs whose weight is at most ``PAIR_CUT``
-    times the largest are left out.
+    ``chunks`` holds the pairs as ``(rows, counts, b, c, w)`` tuples of
+    exactly ``_BLOCK_PAIRS`` pairs, the last one possibly shorter, in row
+    order of ``a``: ``counts[i]`` pairs of row ``a = rows[i]`` in turn, so a
+    row cut by a chunk boundary has a run in both chunks.  ``rows``, ``b``
+    and ``c`` are node indices in ``np.min_scalar_type(n_nodes - 1)``,
+    ``counts`` in ``np.min_scalar_type(_BLOCK_PAIRS)``; ``w`` is the float64
+    triad weight ``W(a, b)``, doubled when ``a != b`` so that each unordered
+    pair stands for both of its orderings.  Pairs whose weight is at most
+    ``PAIR_CUT`` times the largest are left out.
     """
 
-    chunks: tuple[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray], ...]
+    chunks: tuple[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray], ...]
 
     @property
     def pairs(self) -> int:
-        return sum(chunk[3].size for chunk in self.chunks)
+        return sum(chunk[4].size for chunk in self.chunks)
 
     @property
     def nbytes(self) -> int:
@@ -205,56 +204,82 @@ def _collision_plan(grid: TorusGrid, rule: ResonanceRule) -> _TriadPlan:
     live = np.flatnonzero(active_mask(grid, rule))
     kinv = np.zeros(omega.size)
     kinv[live] = 1.0 / omega[live]
-    jl = np.stack(np.unravel_index(live, grid.shape), axis=-1)
+    # node coordinates in a type that holds their per-axis sums (< 2m)
+    coord = np.min_scalar_type(2 * m - 2)
+    jl = np.stack(np.unravel_index(live, grid.shape), axis=-1).astype(coord)
+    nodes_live = live.astype(index)
     n_live = live.size
-    rows = max(1, _BLOCK_PAIRS // max(1, n_live))
-    blocks = []  # (a, b, c, w) of the pairs each block kept
+    span = max(1, _BLOCK_PAIRS // max(1, n_live))  # rows a block
+    blocks = []  # (rows, counts, b, c, w) of the pairs each block kept
     top = 0.0
-    for i0 in range(0, n_live, rows):
-        i1 = min(n_live, i0 + rows)
+    for i0 in range(0, n_live, span):
+        i1 = min(n_live, i0 + span)
         a, b = live[i0:i1, None], live[None, i0:]
-        c = np.zeros((i1 - i0, n_live - i0), np.intp)
+        c = np.zeros((i1 - i0, n_live - i0), np.intp)  # intp: it indexes kinv, omega
         for ax in range(grid.d):  # flat index of a + b, wrapped per axis
             s = jl[i0:i1, None, ax] + jl[None, i0:, ax]
-            s[s >= m] -= m
+            s %= m
             c *= m
             c += s
         w = (0.125 * kinv[a] * kinv[b]) * kinv[c]
         w *= _profile_weight(omega[c] - omega[a] - omega[b], rule)
-        # keep the upper triangle b >= a, doubled off the diagonal (exactly)
+        # keep the upper triangle b >= a, doubled off the diagonal (exactly);
+        # b < a only in the block's first i1 - i0 columns
         w *= 2.0
-        w[np.arange(i1 - i0)[:, None] > np.arange(n_live - i0)[None, :]] = 0.0
-        w[np.arange(i1 - i0), np.arange(i1 - i0)] *= 0.5
+        r = np.arange(i1 - i0)
+        w[:, : r.size][r[:, None] > r] = 0.0
+        w[r, r] *= 0.5
         top = max(top, float(w.max()))
-        kept = np.flatnonzero(w > PAIR_CUT * top)
-        ia, ib = np.divmod(kept, w.shape[1])
-        idx = (live.take(i0 + ia), live.take(i0 + ib), c.take(kept))
-        blocks.append(tuple(x.astype(index) for x in idx) + (w.take(kept),))
+        keep = w > PAIR_CUT * top
+        counts = np.count_nonzero(keep, axis=1)
+        runs = counts > 0
+        blocks.append((
+            nodes_live[i0:i1][runs],
+            counts[runs],
+            np.broadcast_to(nodes_live[i0:], keep.shape)[keep],
+            c[keep].astype(index),
+            w[keep],
+        ))
     return _TriadPlan(_repack(blocks, PAIR_CUT * top))
 
 
 def _repack(blocks: list, cut: float) -> tuple:
     """Re-cut the build blocks at weight ``cut`` into chunks of ``_BLOCK_PAIRS``.
 
-    Blocks are consumed in order and each is released once its pairs are
-    copied, so the build never holds a second copy of the whole list.
+    Row runs are split where a chunk boundary falls inside them.  Blocks
+    are consumed in order and each is released once its pairs are copied,
+    so the build never holds a second copy of the whole list.
     """
-    total = sum(int(np.count_nonzero(blk[3] > cut)) for blk in blocks)
+    if not blocks:  # no live modes
+        return ()
+    for i, (rows, counts, *cols) in enumerate(blocks):
+        keep = cols[2] > cut
+        if not keep.all():
+            counts = np.add.reduceat(keep, np.cumsum(counts) - counts, dtype=np.intp)
+            runs = counts > 0
+            blocks[i] = (rows[runs], counts[runs]) + tuple(x[keep] for x in cols)
+    ends = np.cumsum(np.concatenate([blk[1] for blk in blocks]))
+    total = int(ends[-1]) if ends.size else 0
+    # a run ends at the end of its row or at a chunk boundary inside it
+    bounds = np.arange(0, total, _BLOCK_PAIRS)
+    cuts = np.sort(np.concatenate((ends, bounds[1:])))
+    cuts = cuts[np.diff(cuts, prepend=0) > 0]
+    rows = np.concatenate([blk[0] for blk in blocks])[np.searchsorted(ends, cuts)]
+    counts = np.diff(cuts, prepend=0).astype(np.min_scalar_type(_BLOCK_PAIRS))
+    first = np.searchsorted(cuts, bounds[1:], side="right")
+    runs = zip(np.split(rows, first), np.split(counts, first))
     chunks, fill = [], _BLOCK_PAIRS
     blocks.reverse()
     while blocks:
-        blk = blocks.pop()
-        keep = blk[3] > cut
-        if not keep.all():
-            blk = tuple(x[keep] for x in blk)
-        s, n = 0, blk[3].size
+        blk = blocks.pop()[2:]
+        s, n = 0, blk[2].size
         while s < n:
             if fill == _BLOCK_PAIRS:
                 size = min(_BLOCK_PAIRS, total - len(chunks) * _BLOCK_PAIRS)
-                chunks.append(tuple(np.empty(size, x.dtype) for x in blk))
+                chunks.append(next(runs) + tuple(np.empty(size, x.dtype) for x in blk))
                 fill = 0
-            take = min(n - s, chunks[-1][3].size - fill)
-            for dst, src in zip(chunks[-1], blk):
+            take = min(n - s, size - fill)
+            for dst, src in zip(chunks[-1][2:], blk):
                 dst[fill:fill + take] = src[s:s + take]
             s += take
             fill += take
@@ -290,17 +315,32 @@ def collision_rate(f: np.ndarray, grid: TorusGrid, rule: ResonanceRule) -> np.nd
     plan = _thread_plan(grid, rule)
     n = flat.size
     rate = np.zeros(n)
-    # widen the stored indices once per chunk (each column is read twice)
-    # into one buffer every chunk reuses: a fresh copy per chunk let the
-    # allocator release and re-fault its heap top on every chunk
-    wide = np.empty((3, min(_BLOCK_PAIRS, plan.pairs)), np.intp)
-    for chunk in plan.chunks:
-        w = chunk[3]
-        a, b, c = wide[:, : w.size]
-        a[...], b[...], c[...] = chunk[:3]
-        fa, fb = flat[a], flat[b]
-        t = w * (fa * fb - flat[c] * (fa + fb))
-        rate += np.bincount(c, t, n) - np.bincount(a, t, n) - np.bincount(b, t, n)
+    # five buffers serve every chunk: intp a, and b then c (np.take and
+    # np.bincount would copy narrow indices), and three float64 operands
+    size = min(_BLOCK_PAIRS, plan.pairs)
+    a_buf, bc_buf = np.empty((2, size), np.intp)
+    x_buf, y_buf, t_buf = np.empty((3, size))
+    for rows, counts, b, c, w in plan.chunks:
+        k = w.size
+        ia, ibc, x, y, t = a_buf[:k], bc_buf[:k], x_buf[:k], y_buf[:k], t_buf[:k]
+        ia[...] = np.repeat(rows, counts)
+        ibc[...] = b
+        # mode="raise" would gather into a copy; the indices are in range
+        np.take(flat, ia, out=x, mode="clip")
+        np.take(flat, ibc, out=y, mode="clip")
+        # t = w * (fa * fb - flat[c] * (fa + fb))
+        np.multiply(x, y, out=t)
+        np.add(x, y, out=y)
+        ibc[...] = c
+        np.take(flat, ibc, out=x, mode="clip")
+        np.multiply(x, y, out=y)
+        np.subtract(t, y, out=t)
+        np.multiply(w, t, out=t)
+        net = np.bincount(ibc, t, n)
+        net -= np.bincount(ia, t, n)
+        ibc[...] = b
+        net -= np.bincount(ibc, t, n)
+        rate += net
     return (rate / grid.n_nodes).reshape(f.shape)
 
 

@@ -39,6 +39,8 @@ __all__ = [
     "delta_mod",
     "dispersion",
     "dispersion_bar",
+    "DEFAULT_OMEGA_FLOOR",
+    "RESONANCE_PROFILES",
     "weighted_inner",
     "wavenumbers",
     "fft_order",
@@ -123,6 +125,14 @@ def delta_mod(spec: LatticeSpec, k) -> np.ndarray | float:
     hit = np.all(k % spec.N == 0, axis=-1)
     out = np.where(hit, float(spec.n_sites), 0.0)
     return float(out) if out.ndim == 0 else out
+
+
+# the kinetic interaction kernel blows up like 1/omega: modes below this
+# dispersion level are frozen (ten half-precision-ish digits of headroom)
+DEFAULT_OMEGA_FLOOR = 10.0 * float(np.sqrt(np.finfo(np.float64).eps))
+
+# unit-mass shapes that broaden the kinetic frequency delta
+RESONANCE_PROFILES = ("gaussian", "lorentzian")
 
 
 def dispersion(kappa) -> np.ndarray | float:

@@ -357,7 +357,7 @@ LANE_RUNS = {
     ),
     "chain-sim": (
         {"pipeline": "chain-sim", "seed": 9, "chain": {"n": 16, "dt": 1e-3, "n_steps": 5}},
-        {"waves", "_reference"},
+        {"waves", "kinetic", "_reference"},
     ),
     "vlasov": (
         {
@@ -365,7 +365,7 @@ LANE_RUNS = {
             "seed": 0,
             "vlasov": {"mx": 4, "mr": 16, "mv": 16, "r_max": 0.5, "v_max": 0.5, "n_steps": 2},
         },
-        {"waves", "_reference"},
+        {"waves", "kinetic", "_reference"},
     ),
     "mf-compare": (
         {
@@ -375,7 +375,7 @@ LANE_RUNS = {
             "vlasov": {"mx": 8, "mr": 16, "mv": 16, "r_max": 0.5, "v_max": 1.0},
             "compare": {"t_final": 0.05},
         },
-        {"waves", "_reference"},
+        {"waves", "kinetic", "_reference"},
     ),
 }
 

@@ -2,6 +2,7 @@
 
 import itertools
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -74,16 +75,25 @@ def test_pruned_pair_list_still_matches_direct_quadrature(rng):
 def test_plan_chunks_are_full_blocks_of_narrow_indices(rng, grid, rule, index):
     block, n = kinetic._BLOCK_PAIRS, grid.n_nodes
     plan = kinetic._collision_plan(grid, rule)
-    sizes = [chunk[3].size for chunk in plan.chunks]
+    sizes = [chunk[4].size for chunk in plan.chunks]
     assert sizes[:-1] == [block] * (len(sizes) - 1) and 0 < sizes[-1] <= block
     assert plan.pairs == sum(sizes)
     assert np.min_scalar_type(n - 1) == index
-    for chunk in plan.chunks:
-        assert [x.dtype for x in chunk] == [np.dtype(index)] * 3 + [np.dtype(np.float64)]
+    for rows, counts, b, c, w in plan.chunks:
+        assert [x.dtype for x in (rows, b, c)] == [np.dtype(index)] * 3
+        assert counts.dtype == np.min_scalar_type(block) and w.dtype == np.float64
+        # one run a row, in row order, and the runs tile the chunk
+        assert np.all(np.diff(rows.astype(np.intp)) > 0) and np.all(counts > 0)
+        assert counts.sum() == w.size
 
     # a literal intp evaluation over the whole list, sliced at _BLOCK_PAIRS
-    a, b, c, w = (np.concatenate(col) for col in zip(*plan.chunks))
+    a = np.concatenate([np.repeat(rows, counts) for rows, counts, *_ in plan.chunks])
+    b, c, w = (np.concatenate(col) for col in list(zip(*plan.chunks))[2:])
     a, b, c = a.astype(np.intp), b.astype(np.intp), c.astype(np.intp)
+    assert np.all(np.diff(a) >= 0) and np.all(a <= b)
+    ja, jb = np.unravel_index(a, grid.shape), np.unravel_index(b, grid.shape)
+    jc = tuple((x + y) % grid.m for x, y in zip(ja, jb))
+    assert np.array_equal(c, np.ravel_multi_index(jc, grid.shape))
     flat = rng.uniform(0.1, 1.0, size=n)
     want = np.zeros(n)
     for s in range(0, w.size, block):
@@ -95,11 +105,43 @@ def test_plan_chunks_are_full_blocks_of_narrow_indices(rng, grid, rule, index):
     assert np.array_equal(got.reshape(-1), want / n)
 
 
-def test_benchmark_plan_keeps_its_pairs_in_14_bytes_each():
-    # the first child of the kinetic-sweep benchmark
-    plan = kinetic._collision_plan(TorusGrid(2, 40), ResonanceRule(0.2, "gaussian", 0.05))
+# the first child of the kinetic-sweep benchmark
+BENCH_GRID, BENCH_RULE = TorusGrid(2, 40), ResonanceRule(0.2, "gaussian", 0.05)
+
+
+def test_benchmark_plan_keeps_its_pairs_in_12_bytes_each():
+    # b, c and w take 12 B a pair; the run-length a column takes 4 B a run,
+    # and a row has more than one run only where a chunk boundary cuts it
+    plan = kinetic._collision_plan(BENCH_GRID, BENCH_RULE)
     assert plan.pairs == 874_640
-    assert plan.nbytes <= 14 * plan.pairs
+    runs = sum(chunk[0].size for chunk in plan.chunks)
+    n_live = int(np.count_nonzero(active_mask(BENCH_GRID, BENCH_RULE)))
+    assert runs <= n_live + len(plan.chunks) - 1
+    assert plan.nbytes == 12 * plan.pairs + 4 * runs
+    assert plan.nbytes < 12.01 * plan.pairs
+
+
+def test_benchmark_plan_build_and_evaluation_stay_in_their_memory_budgets(rng):
+    # one build block: _BLOCK_PAIRS candidates, each with its intp node sum
+    # c, its float64 weight and three float64 profile temporaries
+    build_block = kinetic._BLOCK_PAIRS * 5 * 8
+    f = rng.uniform(0.1, 1.0, size=BENCH_GRID.shape)
+    kinetic.collision_rate(f, BENCH_GRID, BENCH_RULE)  # cached tables, held plan
+    tracemalloc.start()
+    try:
+        plan = kinetic._collision_plan(BENCH_GRID, BENCH_RULE)
+        build_peak = tracemalloc.get_traced_memory()[1]
+        del plan
+        tracemalloc.reset_peak()
+        held = tracemalloc.get_traced_memory()[0]
+        kinetic.collision_rate(f, BENCH_GRID, BENCH_RULE)
+        rate_peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    plan_bytes = kinetic._thread_plan(BENCH_GRID, BENCH_RULE).nbytes
+    assert build_peak <= plan_bytes + build_block
+    # an evaluation works in a few chunk-sized buffers, not per-chunk temporaries
+    assert rate_peak <= 1.5 * 2**20
 
 
 def test_collision_is_deterministic(rng):
