@@ -17,7 +17,10 @@ time the plan build on its own, then an evaluation with the plan in hand,
 and list each plan's pairs, chunks and bytes per pair next to the
 tracemalloc peaks, above the plan, of one build and of one evaluation.
 The chain cases time one force evaluation at d=1, n=512 with the kernel
-table cached, and at d=2, n=64 the table build plus one evaluation.
+table cached, one velocity Verlet step at d=1, n=512 on 64 replicas (a
+run of 250 steps divided by its steps, so the run's four transforms are
+shared out as they are in the meanfield benchmark), and at d=2, n=64 the
+table build plus one evaluation.
 The Vlasov case times one Strang step on the 32x128x128 grid of the
 meanfield benchmark (about 17 ms on 2 cores): three slab-blocked
 line-shift sweeps and one acceleration field, written in place into the
@@ -33,7 +36,14 @@ import tracemalloc
 
 import numpy as np
 
-from kinlat.chain import FractionalParams, chain_force_flat, chain_kernel_table
+from kinlat.chain import (
+    ChainEnsemble,
+    ChainGeometry,
+    FractionalParams,
+    chain_force_flat,
+    chain_kernel_table,
+    verlet_evolve,
+)
 from kinlat.harness import BLOCK_BYTES
 from kinlat.kinetic import ResonanceRule, TorusGrid, _collision_plan, collision_rate
 from kinlat.lattice import LatticeSpec
@@ -45,6 +55,7 @@ PLAN_GRID = TorusGrid(2, 40)
 PLAN_RULES = tuple(ResonanceRule(eps, "gaussian", 0.05) for eps in (0.2, 0.05, 0.02))
 VLASOV_GRID = PhaseGrid(32, 128, 128, 1.0, 1.2)
 BATCH_SECONDS = 0.02
+VERLET_STEPS = 250  # the meanfield benchmark's chain run
 
 
 def _batch_seconds(fn, calls: int) -> float:
@@ -111,6 +122,13 @@ def _cases(rng, batch: int):
         f"chain force d=1 n=512 batch={batch}",
         lambda: chain_force_flat(r, 1, 512, 0.4),
     )
+    geom, fp = ChainGeometry(1, 512), FractionalParams(0.4, 1)
+    ens = ChainEnsemble(*rng.normal(scale=0.1, size=(2, 64, 512)))
+    yield (
+        f"chain verlet step d=1 n=512 batch=64 (of {VERLET_STEPS})",
+        lambda: verlet_evolve(ens, geom, fp, 1e-3, VERLET_STEPS),
+        VERLET_STEPS,
+    )
 
     r2 = rng.normal(size=(batch, 64 * 64))
 
@@ -135,10 +153,11 @@ def main() -> int:
     rng = np.random.default_rng(args.seed)
 
     width = 44
-    print(f"{'case':<{width}} {'median':>10} {'q1':>10} {'q3':>10}  (ms per call)")
-    for name, call in _cases(rng, args.batch):
+    print(f"{'case':<{width}} {'median':>10} {'q1':>10} {'q3':>10}  (ms per call or step)")
+    for name, call, *steps in _cases(rng, args.batch):
         call()  # warm up before the clock starts
-        q1, med, q3 = np.percentile(_per_call_times(call, args.repeats), [25, 50, 75]) * 1e3
+        per_call = _per_call_times(call, args.repeats) / (steps[0] if steps else 1)
+        q1, med, q3 = np.percentile(per_call, [25, 50, 75]) * 1e3
         print(f"{name:<{width}} {med:>10.3f} {q1:>10.3f} {q3:>10.3f}")
     f40 = rng.uniform(0.1, 1.0, size=PLAN_GRID.shape)
     for rule in PLAN_RULES:

@@ -27,6 +27,7 @@ __all__ = [
     "hamiltonian_direct",
     "collision_direct",
     "chain_force_pairs",
+    "verlet_pairs",
     "chain_potential_pairs",
     "sigma_field_unfactorized",
     "shift_lines_loop",
@@ -209,21 +210,45 @@ def collision_direct(
 def chain_force_pairs(
     r: np.ndarray, geom: ChainGeometry, fp: FractionalParams
 ) -> np.ndarray:
-    """Acceleration from the literal pair sum with minimal-image distances."""
-    x = site_coordinates(geom)
+    """Acceleration from the literal pair sum with minimal-image distances.
+
+    ``r`` is ``(..., n_sites)``; each pair term is added for all leading
+    (replica) entries at once.
+    """
+    x = site_coordinates(geom).tolist()
     n = geom.n_sites
-    out = np.zeros(n)
+    cols = np.moveaxis(np.asarray(r, dtype=np.float64), -1, 0)
+    out = np.zeros(cols.shape)
     for i in range(n):
-        acc = 0.0
+        acc = np.zeros(cols.shape[1:])
         for j in range(n):
             if i == j:
                 continue
-            diff = x[j] - x[i]
-            diff = diff - np.round(diff)  # minimal image on the unit torus
-            dist = float(np.sqrt(np.sum(diff * diff)))
-            acc += (r[j] - r[i]) / dist ** (geom.d + 2.0 * fp.alpha)
+            # minimal image on the unit torus, per axis
+            diff = [b - a - round(b - a) for a, b in zip(x[i], x[j])]
+            dist = math.sqrt(sum(c * c for c in diff))
+            acc += (cols[j] - cols[i]) / dist ** (geom.d + 2.0 * fp.alpha)
         out[i] = geom.h**geom.d * acc
-    return out
+    return np.moveaxis(out, 0, -1)
+
+
+def verlet_pairs(
+    r: np.ndarray,
+    v: np.ndarray,
+    geom: ChainGeometry,
+    fp: FractionalParams,
+    dt: float,
+    n_steps: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Velocity Verlet in real space, with :func:`chain_force_pairs` as the force."""
+    r, v = np.asarray(r, dtype=np.float64), np.asarray(v, dtype=np.float64)
+    f = chain_force_pairs(r, geom, fp)
+    for _ in range(n_steps):
+        v_half = v + 0.5 * dt * f
+        r = r + dt * v_half
+        f = chain_force_pairs(r, geom, fp)
+        v = v_half + 0.5 * dt * f
+    return r, v
 
 
 def chain_potential_pairs(

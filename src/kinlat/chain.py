@@ -8,10 +8,12 @@ displacement/velocity pair driven by every other site:
     dv_x/dt = h^d sum_{y != x} (r_y - r_x) / |y - x|^(d + 2 alpha)
 
 with ``|y - x|`` the minimal-image torus distance.  The coupling depends
-only on ``y - x``, so on the periodic mesh the force is a convolution and is
-applied as the kernel's Fourier symbol ``h^d (w_hat(k) - sum w)``: one real
-FFT pair per call, O(n^d) memory for the table, no site-by-site matrix.  The
-flow conserves the energy ``sum v^2/2 + (h^d/4) sum_{x,y} w(y-x) (r_y - r_x)^2``
+only on ``y - x``, so on the periodic mesh the force is a convolution,
+diagonal in Fourier space with the kernel's symbol ``h^d (w_hat(k) - sum w)``
+(O(n^d) memory for the table, no site-by-site matrix).  ``chain_force_flat``
+applies it with one real FFT pair per call; ``verlet_evolve`` steps the
+half-spectrum itself and transforms only at the ends of a run.  The flow
+conserves the energy ``sum v^2/2 + (h^d/4) sum_{x,y} w(y-x) (r_y - r_x)^2``
 and, by pairwise antisymmetry, the total momentum ``sum v`` exactly; the
 mean displacement therefore moves ballistically (zero acceleration).
 
@@ -22,6 +24,7 @@ replicas in fixed order so results are reproducible for a given seed.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -261,35 +264,46 @@ def verlet_evolve(
     fp: FractionalParams,
     dt: float,
     n_steps: int,
-    callback: Callable[[int, np.ndarray, np.ndarray, np.ndarray], None] | None = None,
+    step0: int = 0,
 ):
-    """Advance a state or a whole ensemble by ``n_steps`` Verlet steps.
+    """Advance a state or a whole ensemble by ``n_steps`` velocity Verlet steps.
 
-    The ensemble path integrates all replicas as one batched array, which
-    is both the fast path and trivially order-independent.  ``callback``
-    sees ``(step_index, r, v, force)`` after each step.  A non-finite state
-    raises :class:`NumericalBlowupError` naming the step, the time and the
-    first offending replica and flat site index.
+    The kick-drift-kick steps run on the ``rfftn`` half-spectrum of ``r`` and
+    ``v`` over the site axes, where the force is the real symbol of
+    :func:`chain_kernel_table` times ``r``: one transform per array at the
+    start, one inverse at the end.  That is the real-space Verlet map up to
+    round-off; the zero mode (the total momentum) is never kicked.  All
+    replicas step as one batch.  A non-finite state raises
+    :class:`NumericalBlowupError` naming the step (counted from ``step0``,
+    the run's step count at the start), the time, and the first offending
+    replica and Fourier mode (an index on the ``rfftn`` grid).
     """
     if dt <= 0.0:
         raise ValueError(f"time step must be positive, got {dt}")
-    r, v = np.array(state.r), np.array(state.v)
-    f = force_array(r, geom, fp)
+    r = _check_sites(geom, state.r, "displacement")
+    lead = r.shape[:-1]
+    gax = tuple(range(len(lead), len(lead) + geom.d))
+    rk = np.fft.rfftn(r.reshape(lead + geom.shape), axes=gax)
+    vk = np.fft.rfftn(np.reshape(state.v, lead + geom.shape), axes=gax)
+    kick = 0.5 * dt * chain_kernel_table(geom.d, geom.n, float(fp.alpha))[1]
+    buf = np.empty_like(rk)
     for i in range(n_steps):
-        v_half = v + 0.5 * dt * f
-        r = r + dt * v_half
-        f = force_array(r, geom, fp)
-        v = v_half + 0.5 * dt * f
-        if not np.isfinite(r).all() or not np.isfinite(v).all():
-            bad = ~(np.isfinite(r) & np.isfinite(v))
-            replica, site = np.unravel_index(int(np.argmax(bad)), np.atleast_2d(bad).shape)
-            raise NumericalBlowupError(
-                f"non-finite chain state at t {state.t + (i + 1) * dt:.6g}: "
-                f"replica {replica}, site {site}",
-                step=i,
-            )
-        if callback is not None:
-            callback(i, r, v, f)
+        vk += np.multiply(kick, rk, out=buf)
+        rk += np.multiply(dt, vk, out=buf)
+        vk += np.multiply(kick, rk, out=buf)
+        # a non-finite entry makes its array's sum non-finite; the scan confirms,
+        # since a sum of finite entries can overflow too
+        if not (cmath.isfinite(rk.sum()) and cmath.isfinite(vk.sum())):
+            bad = ~(np.isfinite(rk) & np.isfinite(vk)).reshape((-1,) + rk.shape[len(lead) :])
+            if bad.any():
+                replica, *mode = (int(j) for j in np.unravel_index(int(np.argmax(bad)), bad.shape))
+                raise NumericalBlowupError(
+                    f"non-finite chain state at t {state.t + (i + 1) * dt:.6g}: "
+                    f"replica {replica}, mode {mode[0] if geom.d == 1 else tuple(mode)}",
+                    step=step0 + i,
+                )
+    r = np.fft.irfftn(rk, s=geom.shape, axes=gax).reshape(r.shape)
+    v = np.fft.irfftn(vk, s=geom.shape, axes=gax).reshape(r.shape)
     t = state.t + dt * n_steps
     if isinstance(state, ChainEnsemble):
         return ChainEnsemble(r, v, t, state.seed)

@@ -96,6 +96,18 @@ def test_conservation_over_moderate_run():
     assert out.t == pytest.approx(2.0)
 
 
+def test_evolve_matches_the_real_space_pair_loop(rng):
+    # the half-spectrum stepper against literal real-space Verlet with the
+    # pair-sum force, on a batch of replicas
+    geom = ChainGeometry(1, 64)
+    r, v = rng.normal(scale=0.1, size=(2, 4, geom.n_sites))
+    got = verlet_evolve(ChainEnsemble(r, v), geom, FP, 1e-2, 200)
+    want_r, want_v = ref.verlet_pairs(r, v, geom, FP, 1e-2, 200)
+    for a, b in ((got.r, want_r), (got.v, want_v)):
+        assert np.max(np.abs(a - b)) < 1e-12 * max(1.0, np.max(np.abs(b)))
+    assert got.t == pytest.approx(2.0)
+
+
 def test_mean_displacement_moves_ballistically():
     rng = np.random.default_rng(8)
     r = rng.normal(size=GEOM.n_sites)
@@ -122,12 +134,10 @@ def test_two_site_period_convergence():
     period = 2.0 * np.pi / omega
 
     def measured(dt):
-        tr = []
-        verlet_evolve(
-            ChainState(np.array([0.1, -0.1]), np.zeros(2)),
-            geom, fp, dt, int(12.0 / dt),
-            callback=lambda i, r, v, f: tr.append((i * dt, r[0])),
-        )
+        st, tr = ChainState(np.array([0.1, -0.1]), np.zeros(2)), []
+        for i in range(int(12.0 / dt)):
+            st = verlet_evolve(st, geom, fp, dt, 1)
+            tr.append((i * dt, st.r[0]))
         ts = np.array([t for t, _ in tr])
         xs = np.array([x for _, x in tr])
         idx = np.nonzero((xs[:-1] > 0) & (xs[1:] <= 0))[0]
@@ -140,28 +150,33 @@ def test_two_site_period_convergence():
 
 
 def test_blowup_names_time_replica_and_site():
-    # omega_max * dt is far past the Verlet stability limit of 2; this seed
-    # first overflows away from replica 0 and site 0
+    # omega_max * dt is far past the Verlet stability limit of 2; the run
+    # steps the half-spectrum, so the failure names a Fourier mode
     geom, dt = ChainGeometry(1, 16), 1.0
     ens = sample_ensemble(GaussianLaw(0.0, 0.0, 0.1, 0.1), geom, 3, 18)
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericalBlowupError) as err:
         verlet_evolve(ens, geom, FP, dt, 1000)
     step = err.value.step
     m = re.fullmatch(
-        r"step (\d+): non-finite chain state at t (\S+): replica (\d+), site (\d+)",
+        r"step (\d+): non-finite chain state at t (\S+): replica (\d+), mode (\d+)",
         str(err.value),
     )
     assert m and int(m.group(1)) == step > 0
     assert float(m.group(2)) == pytest.approx((step + 1) * dt)
-    # redo the failing step by hand: the named entry is the first non-finite one
+    # redo the failing step by hand on the spectral state: the named entry
+    # is the first non-finite one, and the never-kicked zero mode is not it
     last = verlet_evolve(ens, geom, FP, dt, step)
+    kick = 0.5 * dt * chain_kernel_table(1, 16, FP.alpha)[1]
+    rk, vk = np.fft.rfft(last.r), np.fft.rfft(last.v)
+    assert np.isfinite(rk).all() and np.isfinite(vk).all()
     with np.errstate(over="ignore", invalid="ignore"):
-        v_half = last.v + 0.5 * dt * force_array(last.r, geom, FP)
-        r = last.r + dt * v_half
-        v = v_half + 0.5 * dt * force_array(r, geom, FP)
-    bad = ~(np.isfinite(r) & np.isfinite(v))
+        vk = vk + kick * rk
+        rk = rk + dt * vk
+        vk = vk + kick * rk
+    bad = ~(np.isfinite(rk) & np.isfinite(vk))
     first = np.unravel_index(int(np.argmax(bad)), bad.shape)
-    assert (int(m.group(3)), int(m.group(4))) == first != (0, 0)
+    assert (int(m.group(3)), int(m.group(4))) == first
+    assert first[1] != 0
 
 
 def test_evolve_rejects_bad_step(rng):

@@ -16,7 +16,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from kinlat import _reference as ref
 from kinlat import harness, kinetic
+from kinlat.chain import (
+    ChainEnsemble,
+    ChainGeometry,
+    FractionalParams,
+    GaussianLaw,
+    chain_energy,
+    sample_ensemble,
+    verlet_evolve,
+)
 from kinlat.config import config_hash, parse_config
 from kinlat.errors import CheckFailure, NumericalBlowupError
 from kinlat.harness import BLOCK_BYTES, _integrate_ensemble, run
@@ -168,6 +178,54 @@ class TestRun:
         man = run(parse_config(doc), out=tmp_path)
         assert man.status == "ok"
         assert man.metrics["energy_drift_rel"] < 1e-4
+
+    def test_chain_series_rows_when_save_every_does_not_divide_the_run(self, tmp_path):
+        # segments of 10, 10 and 5 steps: one row per segment end, at the run's
+        # clock, with the invariants of a literal real-space Verlet run
+        dt, law = 0.01, {"kind": "gaussian", "sigma_r": 0.1, "sigma_v": 0.1}
+        doc = {
+            "pipeline": "chain-sim",
+            "seed": 9,
+            "chain": {"n": 16, "dt": dt, "n_steps": 25, "save_every": 10, "replicas": 2, "law": law},
+        }
+        run(parse_config(doc), out=tmp_path)
+        lines = (tmp_path / "series.csv").read_text().splitlines()
+        rows = np.array([[float(x) for x in ln.split(",")] for ln in lines if ln[0].isdigit()])
+        assert rows[:, 0].tolist() == [k * dt for k in (0, 10, 20, 25)]
+        geom, fp = ChainGeometry(1, 16), FractionalParams(0.5, 1)
+        ens = sample_ensemble(GaussianLaw(0.0, 0.0, 0.1, 0.1), geom, 2, 9)
+        r, v, done = ens.r, ens.v, 0
+        for row, k in zip(rows, (0, 10, 20, 25)):
+            r, v = ref.verlet_pairs(r, v, geom, fp, dt, k - done)
+            done = k
+            e = float(np.mean(chain_energy(ChainEnsemble(r, v), geom, fp)))
+            assert row[1] == pytest.approx(e, rel=1e-12)
+            assert abs(row[2] - float(np.mean(v.sum(axis=-1)))) < 1e-12
+
+    def test_chain_blowup_mid_segment_reports_the_run_step(self, tmp_path):
+        # omega_max * dt is far past the Verlet stability limit; the run fails
+        # inside a 50-step segment, and last_good.csv holds that segment's start
+        law = {"kind": "gaussian", "sigma_r": 0.1, "sigma_v": 0.1}
+        doc = {
+            "pipeline": "chain-sim",
+            "seed": 18,
+            "chain": {"n": 16, "dt": 1.0, "n_steps": 1000, "save_every": 50, "replicas": 3, "law": law},
+        }
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericalBlowupError) as err:
+            run(parse_config(doc), out=tmp_path)
+        step = err.value.step
+        assert step >= 50 and (step + 1) % 50 != 0
+        t = float(re.search(r"at t ([^:\s]+):", str(err.value)).group(1))
+        assert t == pytest.approx(step + 1.0)
+        assert _manifest_of(tmp_path)["snapshot"].endswith("last_good.csv")
+        text = (tmp_path / "last_good.csv").read_text()
+        start = step - step % 50
+        assert float(re.search(r"t=(\S+)", text).group(1)) == start
+        ens = sample_ensemble(GaussianLaw(0.0, 0.0, 0.1, 0.1), ChainGeometry(1, 16), 3, 18)
+        for _ in range(start // 50):
+            ens = verlet_evolve(ens, ChainGeometry(1, 16), FractionalParams(0.5, 1), 1.0, 50)
+        r = [float(ln.split(",")[2]) for ln in text.splitlines() if ln[0].isdigit()]
+        assert r == ens.r[0].tolist()
 
     def test_mf_compare_reports_its_sampling_floor(self, tmp_path):
         doc = {
