@@ -52,7 +52,7 @@ from kinlat.waves import ModelParams, _integrate_array, wave_nonlinear
 
 
 PLAN_GRID = TorusGrid(2, 40)
-PLAN_RULES = tuple(ResonanceRule(eps, "gaussian", 0.05) for eps in (0.2, 0.05, 0.02))
+PLAN_RULES = tuple(ResonanceRule(eps, "gaussian", 0.05) for eps in (0.2, 0.1, 0.05, 0.02))
 VLASOV_GRID = PhaseGrid(32, 128, 128, 1.0, 1.2)
 BATCH_SECONDS = 0.02
 VERLET_STEPS = 250  # the meanfield benchmark's chain run

@@ -287,21 +287,24 @@ def verlet_evolve(
     vk = np.fft.rfftn(np.reshape(state.v, lead + geom.shape), axes=gax)
     kick = 0.5 * dt * chain_kernel_table(geom.d, geom.n, float(fp.alpha))[1]
     buf = np.empty_like(rk)
-    for i in range(n_steps):
-        vk += np.multiply(kick, rk, out=buf)
-        rk += np.multiply(dt, vk, out=buf)
-        vk += np.multiply(kick, rk, out=buf)
-        # a non-finite entry makes its array's sum non-finite; the scan confirms,
-        # since a sum of finite entries can overflow too
-        if not (cmath.isfinite(rk.sum()) and cmath.isfinite(vk.sum())):
-            bad = ~(np.isfinite(rk) & np.isfinite(vk)).reshape((-1,) + rk.shape[len(lead) :])
-            if bad.any():
-                replica, *mode = (int(j) for j in np.unravel_index(int(np.argmax(bad)), bad.shape))
-                raise NumericalBlowupError(
-                    f"non-finite chain state at t {state.t + (i + 1) * dt:.6g}: "
-                    f"replica {replica}, mode {mode[0] if geom.d == 1 else tuple(mode)}",
-                    step=step0 + i,
-                )
+    # overflow and NaN on the way up are the blowup reported below with its
+    # step and time; numpy's warnings would only repeat it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(n_steps):
+            vk += np.multiply(kick, rk, out=buf)
+            rk += np.multiply(dt, vk, out=buf)
+            vk += np.multiply(kick, rk, out=buf)
+            # a non-finite entry makes its array's sum non-finite; the scan
+            # confirms, since a sum of finite entries can overflow too
+            if not (cmath.isfinite(rk.sum()) and cmath.isfinite(vk.sum())):
+                bad = ~(np.isfinite(rk) & np.isfinite(vk)).reshape((-1,) + rk.shape[len(lead) :])
+                if bad.any():
+                    replica, *mode = (int(j) for j in np.unravel_index(int(np.argmax(bad)), bad.shape))
+                    raise NumericalBlowupError(
+                        f"non-finite chain state at t {state.t + (i + 1) * dt:.6g}: "
+                        f"replica {replica}, mode {mode[0] if geom.d == 1 else tuple(mode)}",
+                        step=step0 + i,
+                    )
     r = np.fft.irfftn(rk, s=geom.shape, axes=gax).reshape(r.shape)
     v = np.fft.irfftn(vk, s=geom.shape, axes=gax).reshape(r.shape)
     t = state.t + dt * n_steps

@@ -443,7 +443,9 @@ def _drive_chain(cfg: RunConfig, out: Path):
             raise
         done += seg
         ens.t = done * c.dt  # the run's clock, not a sum of segment lengths
-        e = chain_energy(ens, geom, fp)  # per replica
+        # a finite state near a blowup can overflow its energy; a step reports it
+        with np.errstate(over="ignore", invalid="ignore"):
+            e = chain_energy(ens, geom, fp)  # per replica
         p = total_momentum(ens)
         emax = max(emax, float(np.max(np.abs(e - e0) / np.maximum(np.abs(e0), 1e-300))))
         pmax = max(pmax, float(np.max(np.abs(p - p0))))

@@ -27,12 +27,17 @@ weight is at most ``PAIR_CUT`` (1e-16) times the largest are dropped, so the
 list, its memory and the cost of an evaluation shrink with ``eps``.  The
 list is built in blocks of rows and each block is pruned as it is made;
 the kept pairs are then re-packed into chunks of ``_BLOCK_PAIRS`` pairs, the
-slices an evaluation takes.  A chunk stores ``b``, ``c`` and the weight of
-each pair, and ``a`` as runs of one row each, with node indices in the
-narrowest unsigned type that holds every node (12 bytes a pair and 4 a run
-at d = 2, m = 40).  An evaluation works in five chunk-sized buffers that it
-allocates once.  Each thread keeps only the plan it used last.  Spectra
-are flattened in C order, so node ``j`` has flat index
+slices an evaluation takes.  A block is scored in three buffers allocated
+once a build: ``c`` is one row gather an axis from a wrap table, and the
+profile's constant, the 1/8 and the off-diagonal 2 are one factor a row on
+``kinv_a``, so a pair gets ``kinv_b``, ``kinv_c`` and the profile's shape.
+A chunk stores ``b``, ``c`` and the weight of each pair, and ``a`` as runs
+of one row each, with node indices in the narrowest unsigned type that
+holds every node (12 bytes a pair and 4 a run at d = 2, m = 40).  A chunk's
+rows are unique, so its ``a`` term is one ``np.add.reduceat`` over its runs
+in place of a third ``bincount``.  An evaluation works in five chunk-sized
+buffers that it allocates once.  Each thread keeps only the plan it used
+last.  Spectra are flattened in C order, so node ``j`` has flat index
 ``sum_c j_c * m**(d-1-c)``.
 
 Stationarity anchor: the equilibrium family ``f = T/w`` annihilates both
@@ -157,11 +162,22 @@ PAIR_CUT = 1e-16
 _BLOCK_PAIRS = 1 << 15
 
 
-def _profile_weight(du: np.ndarray, rule: ResonanceRule) -> np.ndarray:
+def _profile_weight(du: np.ndarray, rule: ResonanceRule) -> float:
+    """Overwrite ``du`` with the profile's shape; return its unit-mass constant.
+
+    The profile is the constant times the shape: ``exp(-du**2 / 2 eps**2)``
+    times ``1 / (eps sqrt(2 pi))``, or ``1 / (du**2 + eps**2)`` times
+    ``eps / pi``.
+    """
     eps = rule.epsilon
+    np.multiply(du, du, out=du)
     if rule.profile == "gaussian":
-        return np.exp(-0.5 * (du / eps) ** 2) / (eps * np.sqrt(2.0 * np.pi))
-    return (eps / np.pi) / (du * du + eps * eps)
+        du *= -0.5 / (eps * eps)
+        np.exp(du, out=du)
+        return 1.0 / (eps * np.sqrt(2.0 * np.pi))
+    du += eps * eps
+    np.reciprocal(du, out=du)
+    return eps / np.pi
 
 
 @dataclass(frozen=True)
@@ -176,7 +192,9 @@ class _TriadPlan:
     ``counts`` in ``np.min_scalar_type(_BLOCK_PAIRS)``; ``w`` is the float64
     triad weight ``W(a, b)``, doubled when ``a != b`` so that each unordered
     pair stands for both of its orderings.  Pairs whose weight is at most
-    ``PAIR_CUT`` times the largest are left out.
+    ``PAIR_CUT`` times the largest are left out.  ``rows`` holds no value
+    twice, so a chunk's sum over the pairs of each row is one
+    ``np.add.reduceat`` at ``cumsum(counts) - counts``.
     """
 
     chunks: tuple[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray], ...]
@@ -198,34 +216,60 @@ def _collision_plan(grid: TorusGrid, rule: ResonanceRule) -> _TriadPlan:
     made as the blocks are re-packed into chunks, gives a list that does
     not depend on the block size.
     """
+    blocks, top = _pruned_blocks(grid, rule)
+    return _TriadPlan(_repack(blocks, PAIR_CUT * top))
+
+
+def _pruned_blocks(grid: TorusGrid, rule: ResonanceRule) -> tuple[list, float]:
+    """The ``(rows, counts, b, c, w)`` each block of rows keeps, and the top weight.
+
+    A block's candidates are worked in three buffers allocated once and
+    freed on return, before the re-pack, next to ``d`` tables of ``m`` by
+    ``n_live`` narrow node offsets.
+    """
     m = grid.m
     index = np.min_scalar_type(grid.n_nodes - 1)
     omega = omega_grid(grid).reshape(-1)
     live = np.flatnonzero(active_mask(grid, rule))
     kinv = np.zeros(omega.size)
     kinv[live] = 1.0 / omega[live]
-    # node coordinates in a type that holds their per-axis sums (< 2m)
-    coord = np.min_scalar_type(2 * m - 2)
-    jl = np.stack(np.unravel_index(live, grid.shape), axis=-1).astype(coord)
+    omega_live, kinv_live = omega[live], kinv[live]
+    # per axis, the wrap table (s % m) * stride of a coordinate sum s < 2m,
+    # read at s = j + (the coordinate of each live b) for every j < m: the
+    # c of a block is then one gather of rows an axis
+    jl = np.unravel_index(live, grid.shape)
+    shift = []
+    for ax, j in enumerate(jl):
+        wrap = ((np.arange(2 * m) % m) * m ** (grid.d - 1 - ax)).astype(index)
+        shift.append(wrap[np.arange(m)[:, None] + j])
     nodes_live = live.astype(index)
     n_live = live.size
     span = max(1, _BLOCK_PAIRS // max(1, n_live))  # rows a block
+    # one block's work arrays, allocated once: c in intp, since it indexes
+    # kinv and omega, the profile argument and the weight
+    c_buf = np.empty(span * n_live, np.intp)
+    du_buf, w_buf = np.empty((2, c_buf.size))
     blocks = []  # (rows, counts, b, c, w) of the pairs each block kept
     top = 0.0
     for i0 in range(0, n_live, span):
         i1 = min(n_live, i0 + span)
-        a, b = live[i0:i1, None], live[None, i0:]
-        c = np.zeros((i1 - i0, n_live - i0), np.intp)  # intp: it indexes kinv, omega
-        for ax in range(grid.d):  # flat index of a + b, wrapped per axis
-            s = jl[i0:i1, None, ax] + jl[None, i0:, ax]
-            s %= m
-            c *= m
-            c += s
-        w = (0.125 * kinv[a] * kinv[b]) * kinv[c]
-        w *= _profile_weight(omega[c] - omega[a] - omega[b], rule)
-        # keep the upper triangle b >= a, doubled off the diagonal (exactly);
+        shape = (i1 - i0, n_live - i0)
+        c, du, w = (buf[: shape[0] * shape[1]].reshape(shape) for buf in (c_buf, du_buf, w_buf))
+        c[...] = shift[0][jl[0][i0:i1], i0:]
+        for ax in range(1, grid.d):
+            c += shift[ax][jl[ax][i0:i1], i0:]
+        np.take(omega, c, out=du, mode="clip")  # in range; "raise" would copy
+        du -= omega_live[i0:i1, None]
+        du -= omega_live[None, i0:]
+        unit = _profile_weight(du, rule)
+        # W = kinv_a kinv_b kinv_c phi / 8, doubled off the diagonal: the
+        # profile's constant, the 1/8 and the 2 ride on the row's kinv_a
+        np.take(kinv, c, out=w, mode="clip")
+        w *= du
+        w *= kinv_live[None, i0:]
+        w *= (0.25 * unit) * kinv_live[i0:i1, None]
+        # keep the upper triangle b >= a and halve the diagonal (exactly);
         # b < a only in the block's first i1 - i0 columns
-        w *= 2.0
         r = np.arange(i1 - i0)
         w[:, : r.size][r[:, None] > r] = 0.0
         w[r, r] *= 0.5
@@ -240,7 +284,7 @@ def _collision_plan(grid: TorusGrid, rule: ResonanceRule) -> _TriadPlan:
             c[keep].astype(index),
             w[keep],
         ))
-    return _TriadPlan(_repack(blocks, PAIR_CUT * top))
+    return blocks, top
 
 
 def _repack(blocks: list, cut: float) -> tuple:
@@ -309,37 +353,41 @@ def collision_rate(f: np.ndarray, grid: TorusGrid, rule: ResonanceRule) -> np.nd
     Momentum deltas are resolved exactly on the grid; the frequency delta is
     broadened to the rule's unit-mass profile.  Modes outside
     :func:`active_mask` neither receive nor donate.  Quadrature weight
-    ``m**-d``.
+    ``m**-d``.  Each chunk adds ``bincount(c, T)``, less the sum of ``T``
+    over each row run at its row, less ``bincount(b, T)``.
     """
     flat = np.ascontiguousarray(f, dtype=np.float64).reshape(-1)
     plan = _thread_plan(grid, rule)
     n = flat.size
     rate = np.zeros(n)
-    # five buffers serve every chunk: intp a, and b then c (np.take and
+    # five buffers serve every chunk: b and c widened to intp (np.take and
     # np.bincount would copy narrow indices), and three float64 operands
     size = min(_BLOCK_PAIRS, plan.pairs)
-    a_buf, bc_buf = np.empty((2, size), np.intp)
+    b_buf, c_buf = np.empty((2, size), np.intp)
     x_buf, y_buf, t_buf = np.empty((3, size))
     for rows, counts, b, c, w in plan.chunks:
         k = w.size
-        ia, ibc, x, y, t = a_buf[:k], bc_buf[:k], x_buf[:k], y_buf[:k], t_buf[:k]
-        ia[...] = np.repeat(rows, counts)
-        ibc[...] = b
-        # mode="raise" would gather into a copy; the indices are in range
-        np.take(flat, ia, out=x, mode="clip")
-        np.take(flat, ibc, out=y, mode="clip")
+        ib, ic, x, y, t = b_buf[:k], c_buf[:k], x_buf[:k], y_buf[:k], t_buf[:k]
+        # mode="raise" would gather into a copy; the indices are in range.
+        # The b buffer holds a while f_a is gathered.
+        ib[...] = np.repeat(rows, counts)
+        np.take(flat, ib, out=x, mode="clip")
+        ib[...] = b
+        ic[...] = c
+        np.take(flat, ib, out=y, mode="clip")
         # t = w * (fa * fb - flat[c] * (fa + fb))
         np.multiply(x, y, out=t)
         np.add(x, y, out=y)
-        ibc[...] = c
-        np.take(flat, ibc, out=x, mode="clip")
+        np.take(flat, ic, out=x, mode="clip")
         np.multiply(x, y, out=y)
         np.subtract(t, y, out=t)
         np.multiply(w, t, out=t)
-        net = np.bincount(ibc, t, n)
-        net -= np.bincount(ia, t, n)
-        ibc[...] = b
-        net -= np.bincount(ibc, t, n)
+        net = np.bincount(ic, t, n)
+        # a chunk's rows are unique, so the out-of-a term is one sum a run
+        starts = np.cumsum(counts, dtype=np.intp)
+        starts -= counts
+        net[rows] -= np.add.reduceat(t, starts)
+        net -= np.bincount(ib, t, n)
         rate += net
     return (rate / grid.n_nodes).reshape(f.shape)
 

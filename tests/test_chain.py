@@ -154,7 +154,7 @@ def test_blowup_names_time_replica_and_site():
     # steps the half-spectrum, so the failure names a Fourier mode
     geom, dt = ChainGeometry(1, 16), 1.0
     ens = sample_ensemble(GaussianLaw(0.0, 0.0, 0.1, 0.1), geom, 3, 18)
-    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericalBlowupError) as err:
+    with pytest.raises(NumericalBlowupError) as err:
         verlet_evolve(ens, geom, FP, dt, 1000)
     step = err.value.step
     m = re.fullmatch(

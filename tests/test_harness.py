@@ -211,7 +211,7 @@ class TestRun:
             "seed": 18,
             "chain": {"n": 16, "dt": 1.0, "n_steps": 1000, "save_every": 50, "replicas": 3, "law": law},
         }
-        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericalBlowupError) as err:
+        with pytest.raises(NumericalBlowupError) as err:
             run(parse_config(doc), out=tmp_path)
         step = err.value.step
         assert step >= 50 and (step + 1) % 50 != 0
