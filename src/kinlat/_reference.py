@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -295,8 +296,10 @@ def shift_lines_loop(arr: np.ndarray, shifts: np.ndarray, axis: int) -> np.ndarr
 
     Line ``l`` along ``axis`` moves by ``s = shifts[l]`` cells (``shifts``
     has length 1 on ``axis`` and broadcasts over the other axes).  Output
-    cell p reads position ``q = p - s``; cells outside the line read as
-    zero.  The value weighs the two bracketing cells linearly.
+    cell p reads position ``q = p - s``, computed exactly as a fraction;
+    cells outside the line read as zero.  The value weighs the two
+    bracketing cells linearly, by the exact fractional part of q rounded
+    once to a float.  Shifts must be finite.
     """
     arr = np.asarray(arr, dtype=np.float64)
     s_full = np.broadcast_to(shifts, arr.shape[:axis] + (1,) + arr.shape[axis + 1 :])
@@ -310,9 +313,9 @@ def shift_lines_loop(arr: np.ndarray, shifts: np.ndarray, axis: int) -> np.ndarr
             return float(arr[before + (i,) + after]) if 0 <= i < n else 0.0
 
         for p in range(n):
-            q = p - s
+            q = Fraction(p) - Fraction(s)
             i0 = math.floor(q)
-            th = q - i0
+            th = float(q - i0)
             out[before + (p,) + after] = (1.0 - th) * f(i0) + th * f(i0 + 1)
     return out
 

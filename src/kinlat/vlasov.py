@@ -23,18 +23,18 @@ never amplifies the maximum, and conserves mass away from the edges.  The
 monitored, and :func:`vlasov_evolve` reports it in
 :attr:`VlasovDiagnostics.notes`.
 
-A sweep reads the density from a copy padded with zeros along the shifted
-axis, one ``np.take`` per bracketing cell at flat offsets clipped into the
-padding, so reads from outside the window are zeros without a mask (see
+A line moves by one shift s, so its integer offset ``floor(-s)`` and its
+weight, the exact fractional part of ``-s``, are per line, and a sweep
+reads its bracketing cells as slices of its input, clipped to the line (see
 :class:`_LineShift`).  Each sub-flow runs one x-slab at a time: a few whole
 x-planes, ``SLAB_BYTES`` (256 KiB, 2 planes at 128 x 128) of density, which
-stay in cache while they are swept, and the padded buffers, scratch and
-tables are slab-sized.  Every line a sweep shifts lies inside one x-plane
-and the moments are per-x sums, so the slab size cannot change a bit.  The
-r-sweep table depends only on (r, v) and ``dt`` and is built once per
-:func:`vlasov_evolve`.  The literal per-line loop
-:func:`kinlat._reference.shift_lines_loop` is the oracle; the sweeps match
-it bit for bit.
+stay in cache while they are swept, and the workspace is slab-sized.
+Every line a sweep shifts lies inside one x-plane and the moments are
+per-x sums, so the slab size cannot change a bit.  The r-sweep tables
+depend only on (r, v) and ``dt`` and are built once per
+:func:`vlasov_evolve`.  The literal per-cell loop
+:func:`kinlat._reference.shift_lines_loop`, exact in its read positions,
+is the oracle; the sweeps match it bit for bit.
 
 A run holds one working density: the first step writes it from the
 caller's density, and every later step overwrites it in place.  The
@@ -50,7 +50,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable
 
 import numpy as np
 
@@ -201,13 +200,9 @@ def moments(g: np.ndarray, grid: PhaseGrid) -> Moments:
     if g.shape != grid.shape:
         raise SizeMismatchError(f"density shape {g.shape}, grid wants {grid.shape}")
     w = grid.dr * grid.dv
-    r = r_centers(grid)[None, :, None]
-    rho, m = np.empty(grid.mx), np.empty(grid.mx)
-    # per-x sums, so summing a slab of planes at a time leaves every bit alone
-    for x in _slabs(grid):
-        rho[x] = g[x].sum(axis=(1, 2))
-        m[x] = (r * g[x]).sum(axis=(1, 2))
-    return Moments(rho * w, m * w)
+    # one pass over the density: rho and m are sums of its (x, r) line sums
+    rows = g.sum(axis=2)
+    return Moments(rows.sum(axis=1) * w, (rows * r_centers(grid)).sum(axis=1) * w)
 
 
 def frac_laplacian_torus(field: np.ndarray, alpha: float, d: int = 1) -> np.ndarray:
@@ -254,10 +249,6 @@ def acceleration(g: np.ndarray, grid: PhaseGrid, fp: FractionalParams) -> np.nda
 # semi-Lagrangian line shifts
 # ---------------------------------------------------------------------------
 
-# zero cells padding each end of a shifted axis: a read clipped into the
-# padding covers both bracketing cells
-_PAD = 2
-
 
 def _scratch(shape: tuple[int, ...]) -> np.ndarray:
     """Float workspace for :class:`_LineShift`; sweeps that run in turn can share one."""
@@ -265,130 +256,131 @@ def _scratch(shape: tuple[int, ...]) -> np.ndarray:
 
 
 class _LineShift:
-    """Displace the lines along ``axis`` by constant shifts (one per line), zero inflow.
+    """Displace the lines along ``axis`` (1 or 2) of 3-D arrays, whose lines
+    hold ``n`` cells, by constant shifts, one per line, zero inflow.
 
-    Output at cell p of a line reads the input at position q = p - s and
-    weighs the bracketing cells ``floor(q)`` and ``floor(q) + 1`` linearly.
-    The input is written into ``inside``, the middle of a buffer padded with
-    :data:`_PAD` zero cells at both ends of ``axis``, and the first
-    bracketing index is clipped into that padding.  A pair that starts
-    outside the line then reads nothing but zeros, and one that straddles an
-    edge reads a zero for its cell beyond it, so no mask is needed: each
-    bracketing cell is one ``np.take`` at precomputed flat offsets.  Without
-    ``per_line`` the shifts may vary along and after ``axis`` only (the
-    r-sweep, whose shift depends on v), and one table serves every index
-    before ``axis``, with the offsets of both bracketing cells built by
-    :meth:`set_shifts`; with it the table has a row per line (the v-sweep,
-    whose shift depends on x and r), and the second cell is read through a
-    one-cell offset view of the buffer.  The ``scratch`` may be longer than
-    the array, so sweeps of smaller shapes can share one.
+    Cell p of a line shifted by s reads position q = p - s.  As s is one
+    number per line, so are the offset ``k = floor(-s)`` and the weight
+    ``th = -s - k``, the exact fractional part of q: cell p is
+    ``(1 - th) f[p + k] + th f[p + k + 1]``, where f is zero off the line.
+    Every read is a slice of the input at one offset (a window), clipped to
+    the line, times per-line weights: the first window of a group of lines
+    writes its cells and the others add theirs, after the cells it cannot
+    reach are zeroed.  k is clamped to ``[-n - 1, n]``, where a line reads
+    only zeros either way; a non-finite shift gives NaN weights at offset 0.
+
+    On axis 2 (the v-sweep, shifts per (x, r) line) a group is a run of
+    lines in one x-plane that share k, blended from its two windows.  On
+    axis 1 (the r-sweep, shifts per v column) it is every column, blended
+    from the ``max k - min k + 2`` windows between with an (r, v) weight
+    plane each, zero in the columns whose k does not bracket it, so the sum
+    gains only exact zeros; these tables fit any number of x-planes.  The
+    ``scratch`` holds one term of a blend and may be shared.
 
     The weights are a convex combination, so mass along interior lines,
     positivity, and the maximum are all preserved exactly.
     """
 
-    def __init__(self, shape: tuple[int, ...], axis: int, per_line: bool, scratch: np.ndarray):
-        self.shape = tuple(shape)
-        self.size = math.prod(shape)
-        self.per_line = per_line
-        self.scratch = scratch
-        self.rows = math.prod(shape[:axis])
-        self.n = shape[axis]
-        self.inner = math.prod(shape[axis + 1 :])
-        padded = list(shape)
-        padded[axis] += 2 * _PAD
-        self.pad = np.zeros(padded)
-        self.inside = self.pad[(slice(None),) * axis + (slice(_PAD, -_PAD),)]
-        table = self.shape if per_line else (1,) * axis + self.shape[axis:]
-        trailing = (1,) * (len(shape) - axis - 1)
-        self.positions = np.arange(self.n, dtype=np.float64).reshape((self.n,) + trailing)
-        self.th = np.empty(table)
-        self.first = np.empty(table, dtype=np.int64)
-        # flat offset of each line's first padded cell: within one of the
-        # ``rows`` blocks of the padded array, or within all of it per line
-        self.base = np.arange(self.inner).reshape(self.shape[axis + 1 :])
-        if per_line:
-            row = np.arange(self.rows).reshape(self.shape[:axis] + (1,) + trailing)
-            self.base = self.base + row * ((self.n + 2 * _PAD) * self.inner)
+    def __init__(self, axis: int, n: int, scratch: np.ndarray):
+        if axis not in (1, 2):
+            raise ValueError(f"cannot shift axis {axis}")
+        self.axis, self.n, self.scratch = axis, n, scratch
+
+    def _at(self, lines, cells) -> tuple:
+        """Index of ``cells`` along ``axis`` in ``lines``: columns on axis 1,
+        an (x, r-slice) pair on axis 2."""
+        return (slice(None), cells, lines) if self.axis == 1 else (*lines, cells)
 
     def set_shifts(self, shifts: np.ndarray) -> "_LineShift":
-        """Fill the weights and read offsets for ``shifts`` cells."""
-        th = np.subtract(self.positions, shifts, out=self.th)
-        i0 = np.floor(th, out=self.scratch[: th.size].reshape(th.shape))
-        th -= i0
-        first = self.first
-        np.copyto(first, i0, casting="unsafe")
-        np.add(first, _PAD, out=first)
-        np.clip(first, 0, self.n + _PAD, out=first)
-        if self.inner > 1:
-            first *= self.inner
-        first += self.base
-        if not self.per_line:
-            flat = first.reshape(-1)
-            self.reads = (flat, flat + self.inner)
+        """Fill the windows and weights for ``shifts`` cells, of shape
+        (1, 1, mv) on axis 1 and (x-planes, mr, 1) on axis 2."""
+        n = self.n
+        neg = np.negative(shifts, dtype=np.float64)
+        neg[~np.isfinite(neg)] = np.nan
+        kf = np.floor(neg)
+        w1 = neg - kf
+        w0 = 1.0 - w1
+        kf[np.isnan(kf)] = 0.0
+        ks = np.clip(kf.reshape(-1), -n - 1, n).astype(np.int64)
+        self.zeros, self.terms = [], []
+        if self.axis == 1:
+            k0 = int(ks.min())
+            w = np.zeros((int(ks.max()) - k0 + 2, ks.size))
+            cols = np.arange(ks.size)
+            w[ks - k0, cols], w[ks - k0 + 1, cols] = w0.reshape(-1), w1.reshape(-1)
+            planes = np.repeat(w[:, None, None, :], n, axis=2)
+            self._windows(slice(None), range(k0, k0 + len(w)), planes)
+            return self
+        plane = neg.shape[1]
+        cut = ks[1:] != ks[:-1]
+        cut[plane - 1 :: plane] = True  # a run stays inside one x-plane
+        starts = [0, *(np.flatnonzero(cut) + 1).tolist()]
+        for a, b, k in zip(starts, starts[1:] + [ks.size], ks[starts].tolist()):
+            x, r = divmod(a, plane)
+            self._windows((x, slice(r, r + b - a)), (k, k + 1), (w0, w1))
         return self
 
-    def _read(self, k: int) -> np.ndarray:
-        """Bracketing cell ``k`` (0 or 1) of every output cell, into the scratch."""
-        out = self.scratch[: self.size].reshape(self.shape)
-        # the offsets are in range by construction; mode="clip" lets take
-        # write straight into ``out`` instead of through a temporary
-        if self.per_line:
-            np.take(self.pad.reshape(-1)[k * self.inner :], self.first, out=out, mode="clip")
-        else:
-            rows = (self.rows, -1)
-            np.take(
-                self.pad.reshape(rows), self.reads[k], axis=1, out=out.reshape(rows), mode="clip"
-            )
-        return out
+    def _windows(self, lines, offsets, weights) -> None:
+        """Blend terms for the windows at ``offsets`` of ``lines``: their ``weights``
+        are (r, v) planes on axis 1 and one per line on axis 2."""
+        n = self.n
+        for j, (k, w) in enumerate(zip(offsets, weights)):
+            lo, hi = max(0, -k), min(n, n - k)  # the cells whose read p + k is on the line
+            if j == 0:
+                edges = (slice(0, lo), slice(max(lo, hi), n))
+                self.zeros += [self._at(lines, c) for c in edges if c.start < c.stop]
+            if lo < hi:
+                cells = self._at(lines, slice(lo, hi))
+                at = cells if self.axis == 1 else self._at(lines, slice(None))
+                self.terms.append((cells, w[at], self._at(lines, slice(lo + k, hi + k)), j > 0))
 
-    def __call__(self, out: np.ndarray) -> np.ndarray:
-        """Shift the lines held in ``inside`` into ``out``."""
-        th = self.th
-        f0 = self._read(0)
-        np.multiply(np.subtract(1.0, th, out=out), f0, out=out)
-        f1 = self._read(1)
-        return np.add(out, np.multiply(th, f1, out=f1), out=out)
+    def __call__(self, f: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Shift the lines of ``f`` into ``out``, which must not overlap it."""
+        for z in self.zeros:
+            out[z] = 0.0
+        for cells, w, reads, add in self.terms:
+            o = out[cells]
+            if add:
+                t = np.multiply(w, f[reads], out=self.scratch[: o.size].reshape(o.shape))
+                np.add(o, t, out=o)
+            else:
+                np.multiply(w, f[reads], out=o)
+        return out
 
 
 def _shift_lines(arr: np.ndarray, shifts: np.ndarray, axis: int) -> np.ndarray:
     """One :class:`_LineShift` of ``arr`` into a new array (the oracle checks use this)."""
-    per_line = any(d > 1 for d in np.shape(shifts)[:axis])
-    sweep = _LineShift(arr.shape, axis, per_line, _scratch(arr.shape))
-    sweep.inside[...] = arr
-    return sweep.set_shifts(shifts)(np.empty(arr.shape))
+    lines = arr.shape[:2] + (1,) if axis == 2 else (1, 1, arr.shape[2])
+    sweep = _LineShift(axis, arr.shape[axis], _scratch(arr.shape))
+    return sweep.set_shifts(np.broadcast_to(shifts, lines))(arr, np.empty(arr.shape))
 
 
 class _Strang:
     """Strang steps of one grid and time step, one x-slab at a time.
 
     Each sub-flow works through the density in the slabs of :func:`_slabs`,
-    so a slab is swept while it is still in cache, and the padded buffers,
-    the scratch and the tables are slab-sized: their bytes do not grow with
-    ``mx``.  Every line a sweep shifts lies inside one x-plane, so the
-    slabs change no bit.  The r-sweep table depends only on (r, v) and
-    ``dt``, so it is built once and serves every slab; the v-sweep table is
-    refilled from each slab's rows of the acceleration.  A short last slab
-    has its own pair of sweeps.  A step writes into the array it is given
-    as ``out``, which may be its input, or into a new one.  Steps take and
-    return bare arrays and validate none of them.
+    so a slab is swept while it is still in cache.  The workspace is
+    slab-sized, so its bytes do not grow with ``mx``: ``mid``, which holds
+    a slab between two sweeps, the blend scratch, and the tables.  Every
+    line a sweep shifts lies inside one x-plane, so the slabs change no
+    bit.  The r-sweep's windows and weight planes depend only on (r, v) and
+    ``dt``, so they are built once for every slab; the v-sweep's runs and
+    per-line weights are refilled from each slab's rows of the
+    acceleration.  No table has an entry per cell.  A step writes into the
+    array it is given as ``out``, which may be its input, or into a new
+    one.  Steps take and return bare arrays and validate none of them.
     """
 
     def __init__(self, grid: PhaseGrid, dt: float):
         if not (math.isfinite(dt) and dt > 0.0):
             raise ValueError(f"dt must be finite and positive, got {dt!r}")
         self.grid, self.dt = grid, dt
-        slabs = _slabs(grid)
-        scratch = _scratch((slabs[0].stop, grid.mr, grid.mv))
+        self.slabs = _slabs(grid)
+        self.mid = np.empty((self.slabs[0].stop, grid.mr, grid.mv))
+        scratch = _scratch(self.mid.shape)
         s_r = (v_centers(grid) * (0.5 * dt) / grid.dr).reshape(1, 1, grid.mv)
-        sweeps = {}  # (r-sweep, v-sweep) per slab thickness
-        self.slabs = []
-        for x in slabs:
-            shape = (x.stop - x.start, grid.mr, grid.mv)
-            if shape not in sweeps:
-                r_sweep = _LineShift(shape, 1, False, scratch).set_shifts(s_r)
-                sweeps[shape] = (r_sweep, _LineShift(shape, 2, True, scratch))
-            self.slabs.append((x, *sweeps[shape]))
+        self.r_sweep = _LineShift(1, grid.mr, scratch).set_shifts(s_r)
+        self.v_sweep = _LineShift(2, grid.mv, scratch)
 
     def step(
         self, g: np.ndarray, fp: FractionalParams, out: np.ndarray | None = None
@@ -397,9 +389,9 @@ class _Strang:
         when it is None), and the v-speed field (``acceleration``) it
         applied: r-transport dt/2, v-transport dt, r-transport dt/2.
 
-        ``out`` may be ``g`` itself: each slab of ``g`` is copied into the
-        padded buffer before its rows of ``out`` are written, and no sweep
-        reads rows of another slab.
+        ``out`` may be ``g`` itself: each slab of ``g`` is copied into
+        ``mid`` before its rows of ``out`` are written, and no sweep reads
+        rows of another slab.
 
         The v-sweep's speed field depends on g only through its r-moments,
         which the sweep itself leaves invariant, so freezing it over the
@@ -412,15 +404,16 @@ class _Strang:
         # ``out`` holds the half-step density first, then the result
         if out is None:
             out = np.empty(grid.shape)
-        for x, r_sweep, _ in self.slabs:
-            r_sweep.inside[...] = g[x]
-            r_sweep(out[x])
+        for x in self.slabs:
+            mid = self.mid[: x.stop - x.start]
+            mid[...] = g[x]
+            self.r_sweep(mid, out[x])
         accel = acceleration(out, grid, fp)
         s_v = (accel * dt / grid.dv)[:, :, None]
-        for x, r_sweep, v_sweep in self.slabs:
-            v_sweep.inside[...] = out[x]
-            v_sweep.set_shifts(s_v[x])(r_sweep.inside)
-            r_sweep(out[x])
+        for x in self.slabs:
+            mid = self.mid[: x.stop - x.start]
+            self.v_sweep.set_shifts(s_v[x])(out[x], mid)
+            self.r_sweep(mid, out[x])
         return out, accel
 
 
@@ -475,7 +468,6 @@ def vlasov_evolve(
     n_steps: int,
     *,
     cfl_fraction: float | None = None,
-    callback: Callable[[int, PhaseDensity], None] | None = None,
     out: np.ndarray | None = None,
 ) -> tuple[PhaseDensity, VlasovDiagnostics]:
     """Run ``n_steps`` Strang steps with advisory monitoring.
@@ -484,18 +476,16 @@ def vlasov_evolve(
     support whose edge mass exceeds ``BOUNDARY_TOL``, and, if
     ``cfl_fraction`` is set, a sub-sweep that displaces lines by more than
     that many cells per step (the scheme stays stable regardless; the bound
-    is an accuracy budget).  Of the densities each step ends with, only
-    those passed to ``callback`` and the result are validated.  ``dt`` must
-    be finite and positive; it is checked before any work.
+    is an accuracy budget).  Of the densities each step ends with, only the
+    result is validated.  ``dt`` must be finite and positive; it is checked
+    before any work.
 
     The run holds one working density array: the first step writes it from
     ``g``, and every later step overwrites it in place.  That array is
     ``out`` when it is given, which may be ``g.g`` itself (a run that no
     longer needs ``g`` then holds one density in all); without ``out`` it
-    is a new array and ``g`` is left alone.  Without a callback the result
-    wraps the working array; a callback gets a copy of each step's density,
-    and the result is the last one it got.  With no steps the result is
-    ``g``.
+    is a new array and ``g`` is left alone.  The result wraps the working
+    array; with no steps it is ``g``.
     """
     grid, arr, t = g.grid, g.g, g.t
     if out is not None and out.shape != grid.shape:
@@ -513,23 +503,18 @@ def vlasov_evolve(
         t += dt
         cfl_v = max(cfl_v, float(np.max(np.abs(accel))) * dt / grid.dv)
         bmax = max(bmax, boundary_mass(arr, grid))
-        if callback is not None:
-            g = PhaseDensity(grid, arr.copy(), t)
-            callback(i, g)
-    if n_steps > 0 and callback is None:  # with a callback, g is already the last step
+    if n_steps > 0:
         g = PhaseDensity(grid, arr, t)
     if bmax > BOUNDARY_TOL:
-        note = (
+        notes.append(
             f"support reached the (r, v) truncation boundary: peak edge mass {bmax:.3e}, "
             f"escaped mass estimate {mass0 - g.mass():.3e}"
         )
-        notes.append(note)
     if cfl_fraction is not None and max(cfl_r, cfl_v) > cfl_fraction:
-        note = (
+        notes.append(
             f"per-step line displacement up to {max(cfl_r, cfl_v):.2f} cells exceeds "
             f"the configured budget {cfl_fraction:.2f}"
         )
-        notes.append(note)
     return g, VlasovDiagnostics(n_steps, mass0, g.mass(), bmax, cfl_r, cfl_v, notes)
 
 

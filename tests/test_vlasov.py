@@ -239,6 +239,25 @@ def test_interp_mode_validated():
 # shifts per line: fractional, exact integers, negative, and |s| >= n (the line empties)
 _EDGE_SHIFTS = [0.3, -0.7, 2.0, -3.0, 0.0, 9.0, -9.0, 12.5, -30.25]
 
+# on lines of 130 cells: -s in (-1, 0) whose weight rounds to 1.0 or to just
+# below it, a tiny weight, reads just inside either end, reads that start
+# past an end, |s| >= n, and one far beyond the offset clamp
+_ROUNDING_SHIFTS = [1e-20, -1e-20, -2.5e-17, 3e-16, -3e-16, 127.99999999999999,
+                    -127.99999999999999, 2.5, -2.5, 129.5, -129.5, 130.0, -130.0,
+                    130.5, -1e6, 1e300]
+
+
+def _runs(sweep):
+    """Runs of v-lines a sweep blends together, each named by its first line."""
+    return len({idx[:1] + (idx[1].start,) for idx in sweep.zeros + [t[0] for t in sweep.terms]})
+
+
+def _assert_loop(arr, shifts, axis):
+    got = _shift_lines(arr, shifts, axis)
+    want = ref.shift_lines_loop(arr, shifts, axis)
+    assert np.array_equal(got, want), (axis, float(np.max(np.abs(got - want))))
+    return got
+
 
 def test_line_shift_matches_loop(rng):
     base = rng.random((4, 9, 18))
@@ -247,13 +266,53 @@ def test_line_shift_matches_loop(rng):
     s_r = np.array(_EDGE_SHIFTS).reshape(1, 1, 9)
     # axis 2: one shift per (x, r) line
     s_v = np.concatenate([_EDGE_SHIFTS, 5.0 * rng.standard_normal(27)]).reshape(4, 9, 1)
-    for axis, shifts in ((1, s_r), (2, s_v)):
-        got = _shift_lines(arr, shifts, axis)
-        want = ref.shift_lines_loop(arr, shifts, axis)
-        assert np.array_equal(got, want), (axis, float(np.max(np.abs(got - want))))
-    emptied = _shift_lines(arr, s_r, 1)
+    _assert_loop(arr, s_v, 2)
+    emptied = _assert_loop(arr, s_r, 1)
     assert np.all(emptied[:, :, 5:7] == 0.0)  # |s| = 9 = n moves every value out
     assert np.array_equal(emptied[:, :, 4], arr[:, :, 4])  # s = 0 is the identity
+    # rounding edges on lines of 130 cells, along either axis
+    shifts = np.array(_ROUNDING_SHIFTS)
+    _assert_loop(rng.random((2, 130, 16)), shifts.reshape(1, 1, 16), 1)
+    _assert_loop(rng.random((2, 8, 130)), shifts.reshape(2, 8, 1), 2)
+    # every v-line its own run
+    s_v = rng.uniform(-6.0, 6.0, size=(3, 11, 1))
+    s_v[:, 1::2] += 20.0
+    _assert_loop(arr := rng.random((3, 11, 24)), s_v, 2)
+    sweep = _LineShift(2, arr.shape[2], vlasov._scratch(arr.shape)).set_shifts(s_v)
+    assert _runs(sweep) == 33
+
+
+def test_line_shift_of_an_x_inhomogeneous_density():
+    # rho varies with x, so L rho != 0 and the v-shift changes its integer part along r
+    grid = PhaseGrid(4, 32, 32, 1.0, 1.2)
+    g = _gaussian_density(
+        grid, sigma_r=0.3, sigma_v=0.25, x_weight=lambda x: 1.0 + 0.5 * np.cos(2 * np.pi * x)
+    ).g
+    dt = 0.05
+    s_v = (acceleration(g, grid, FP) * dt / grid.dv)[:, :, None]
+    sweep = _LineShift(2, grid.mv, vlasov._scratch(grid.shape)).set_shifts(s_v)
+    # several runs in a plane, of several lines each
+    assert 2 * grid.mx < _runs(sweep) < grid.mx * grid.mr // 2
+    _assert_loop(g, s_v, 2)
+    s_r = (v_centers(grid) * (0.5 * dt) / grid.dr).reshape(1, 1, grid.mv)
+    _assert_loop(g, s_r, 1)
+
+
+def test_non_finite_shifts_give_non_finite_lines(rng):
+    arr = rng.random((2, 6, 7))
+    for bad in (np.nan, np.inf, -np.inf):
+        # pyproject turns any RuntimeWarning, such as a NaN cast, into an error
+        for axis, shape, line in ((2, (2, 6, 1), (1, 2, 0)), (1, (1, 1, 7), (0, 0, 3))):
+            shifts = rng.uniform(-2.0, 2.0, size=shape)
+            shifts[line] = bad
+            got = _shift_lines(arr, shifts, axis)
+            sel = (1, 2, slice(None)) if axis == 2 else (slice(None), slice(None), 3)
+            assert not np.isfinite(got[sel]).any(), (bad, axis)
+            shifts[line] = 0.0
+            want = ref.shift_lines_loop(arr, shifts, axis)
+            keep = np.ones(arr.shape, dtype=bool)
+            keep[sel] = False
+            assert np.array_equal(got[keep], want[keep]), (bad, axis)
 
 
 def test_steps_leave_caller_arrays_alone():
@@ -262,17 +321,10 @@ def test_steps_leave_caller_arrays_alone():
     before = g0.g.copy()
     g1, _ = vlasov_evolve(g0, FP, 5e-3, 1)
     assert np.array_equal(g0.g, before)
-    kept, values = [], []
-
-    def keep(i, g):
-        kept.append(g)
-        values.append(g.g.copy())
-
-    g, _ = vlasov_evolve(g1, FP, 5e-3, 6, callback=keep)
-    assert np.array_equal(g0.g, before)
-    assert len(kept) == 6 and kept[-1] is g
-    for held, value in zip(kept, values):
-        assert np.array_equal(held.g, value)
+    after_one = g1.g.copy()
+    g, _ = vlasov_evolve(g1, FP, 5e-3, 6)
+    assert np.array_equal(g0.g, before) and np.array_equal(g1.g, after_one)
+    assert g.g is not g1.g and not np.array_equal(g.g, after_one)
 
 
 def test_cfl_v_is_the_applied_field():
@@ -336,7 +388,7 @@ def test_strang_step_is_the_unblocked_composition(monkeypatch):
         ).g
         strang, want, h = _Strang(grid, 0.05), g, g.copy()
         short = [mx % planes] if mx % planes else []
-        assert [x.stop - x.start for x, _, _ in strang.slabs] == [planes] * (mx // planes) + short
+        assert [x.stop - x.start for x in strang.slabs] == [planes] * (mx // planes) + short
         calls.clear()
         for n in range(1, 4):
             g, accel = strang.step(g, FP)
@@ -350,15 +402,13 @@ def test_strang_step_is_the_unblocked_composition(monkeypatch):
         assert mx == 1 or np.any(accel != 0.0)  # one plane has no x structure
 
 
-def _held_bytes(strang):
-    """Bytes of every array a ``_Strang`` keeps, each memory block counted once."""
-    blocks = {}
+def _held_arrays(strang):
+    """Every array a ``_Strang`` keeps, its sweeps' included, views too."""
+    found = []
 
     def walk(v):
         if isinstance(v, np.ndarray):
-            while isinstance(v.base, np.ndarray):
-                v = v.base
-            blocks[id(v)] = v.nbytes
+            found.append(v)
         elif isinstance(v, (list, tuple)):
             for item in v:
                 walk(item)
@@ -366,13 +416,33 @@ def _held_bytes(strang):
             walk(list(vars(v).values()))
 
     walk(list(vars(strang).values()))
+    return found
+
+
+def _held_bytes(strang):
+    """Bytes of every array a ``_Strang`` keeps, each memory block counted once."""
+    blocks = {}
+    for v in _held_arrays(strang):
+        while isinstance(v.base, np.ndarray):
+            v = v.base
+        blocks[id(v)] = v.nbytes
     return sum(blocks.values())
 
 
 def test_strang_workspace_does_not_grow_with_mx():
-    held = [_held_bytes(_Strang(PhaseGrid(mx, 128, 128, 1.0, 1.2), 0.01)) for mx in (32, 64)]
+    held = []
+    for mx in (64, 32):
+        grid = PhaseGrid(mx, 128, 128, 1.0, 1.2)
+        g = _gaussian_density(grid, x_weight=lambda x: 1.0 + 0.3 * np.cos(2 * np.pi * x)).g
+        strang = _Strang(grid, 0.01)
+        strang.step(g, FP)  # fill the v-sweep's tables too
+        held.append(_held_bytes(strang))
     assert held[0] == held[1]
+    assert held[0] <= 1_725_440  # what the per-cell offset tables held
     assert held[0] < 32 * 128 * 128 * 8 // 2  # under half of one density array
+    # offsets are per line: no integer table has more entries than a sweep has lines
+    ints = [v.size for v in _held_arrays(strang) if v.dtype.kind != "f"]
+    assert all(size <= 32 * 128 for size in ints), ints
 
 
 def _traced_peak(call) -> int:
