@@ -16,11 +16,11 @@ d=2, m=40 (the grid of the kinetic-sweep benchmark, dispersion floor 0.05)
 time the plan build on its own, then an evaluation with the plan in hand,
 and list each plan's pairs, chunks and bytes per pair next to the
 tracemalloc peaks, above the plan, of one build and of one evaluation.
-The chain cases time one force evaluation at d=1, n=512 with the kernel
-table cached, one velocity Verlet step at d=1, n=512 on 64 replicas (a
+The chain cases time one force evaluation at d=1, n=512 with the chain
+symbol cached, one velocity Verlet step at d=1, n=512 on 64 replicas (a
 run of 250 steps divided by its steps, so the run's four transforms are
 shared out as they are in the meanfield benchmark), and at d=2, n=64 the
-table build plus one evaluation.
+symbol build plus one evaluation.
 The Vlasov cases work on the 32x128x128 grid of the meanfield benchmark,
 with a density whose mean r varies with x.  They time one half-step r-sweep
 (copy each slab aside, shift it back in place), one v-sweep (each slab
@@ -47,7 +47,6 @@ from kinlat.chain import (
     FractionalParams,
     GaussianLaw,
     chain_force_flat,
-    chain_kernel_table,
     verlet_evolve,
 )
 from kinlat.harness import BLOCK_BYTES
@@ -124,11 +123,11 @@ def _cases(rng, batch: int):
         )
 
     r = rng.normal(size=(batch, 512))
+    geom, fp = ChainGeometry(1, 512), FractionalParams(0.4)
     yield (
         f"chain force d=1 n=512 batch={batch}",
-        lambda: chain_force_flat(r, 1, 512, 0.4),
+        lambda: chain_force_flat(r, geom, fp),
     )
-    geom, fp = ChainGeometry(1, 512), FractionalParams(0.4, 1)
     ens = ChainEnsemble(*rng.normal(scale=0.1, size=(2, 64, 512)))
     yield (
         f"chain verlet step d=1 n=512 batch=64 (of {VERLET_STEPS})",
@@ -136,15 +135,15 @@ def _cases(rng, batch: int):
         VERLET_STEPS,
     )
 
-    r2 = rng.normal(size=(batch, 64 * 64))
+    r2, geom2 = rng.normal(size=(batch, 64 * 64)), ChainGeometry(2, 64)
 
     def table_and_force():
-        chain_kernel_table.cache_clear()
-        return chain_force_flat(r2, 2, 64, 0.4)
+        FractionalParams.chain_symbol.cache_clear()
+        return chain_force_flat(r2, geom2, fp)
 
     yield (f"chain table + force d=2 n=64 batch={batch}", table_and_force)
 
-    grid, fp = VLASOV_GRID, FractionalParams(0.5, 1)
+    grid, fp = VLASOV_GRID, FractionalParams(0.5)
     law = GaussianLaw(lambda x: 0.2 * np.cos(2 * np.pi * x[..., 0]), 0.0, 0.1, 0.1)
     strang, g = _Strang(grid, 0.01), density_from_law(law, grid).g
     s_v = (acceleration(g, grid, fp) * strang.dt / grid.dv)[:, :, None]

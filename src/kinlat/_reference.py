@@ -19,7 +19,7 @@ import numpy as np
 from .chain import ChainGeometry, FractionalParams, site_coordinates
 from .kinetic import ResonanceRule, TorusGrid, nodes, omega_grid
 from .lattice import LatticeSpec, delta_mod, dispersion_bar, wavenumbers
-from .vlasov import PhaseGrid, frac_laplacian_torus, r_centers
+from .vlasov import PhaseGrid, r_centers
 
 __all__ = [
     "dft_direct",
@@ -270,15 +270,31 @@ def chain_potential_pairs(
     return 0.25 * geom.h**geom.d * acc
 
 
+def _frac_laplacian_matrix(mx: int, alpha: float) -> np.ndarray:
+    """Real-space ``(-Dx)^a`` on ``mx`` periodic cells, entry by entry:
+    ``M[j, l] = (1/mx) sum_k |2 pi k|^(2a) cos 2 pi k (x_j - x_l)`` over the
+    ``mx`` wavenumbers ``-(mx // 2) <= k < (mx + 1) // 2``."""
+    out = np.zeros((mx, mx))
+    for j in range(mx):
+        for l in range(mx):
+            acc = 0.0
+            for k in range(-(mx // 2), (mx + 1) // 2):
+                mult = abs(2.0 * math.pi * k) ** (2.0 * alpha)
+                acc += mult * math.cos(2.0 * math.pi * k * (j - l) / mx)
+            out[j, l] = acc / mx
+    return out
+
+
 def sigma_field_unfactorized(
     g: np.ndarray, grid: PhaseGrid, fp: FractionalParams
 ) -> np.ndarray:
     """Force field with the operator applied inside the phase quadrature.
 
     For every (r-cell, v-cell) the x-profile ``(r - r_cell) g(., cell)`` is
-    pushed through the fractional Laplacian separately and the results are
-    accumulated — no moment factorization anywhere.
+    pushed through the real-space fractional Laplacian separately and the
+    results are accumulated: no moment factorization and no FFT anywhere.
     """
+    lap = _frac_laplacian_matrix(grid.mx, fp.alpha)
     rc = r_centers(grid)
     w = grid.dr * grid.dv
     out = np.zeros((grid.mx, grid.mr))
@@ -286,8 +302,7 @@ def sigma_field_unfactorized(
         for jv in range(grid.mv):
             column = g[:, jr, jv]  # x-profile of this phase cell
             for ir in range(grid.mr):
-                contrib = frac_laplacian_torus((rc[ir] - rc[jr]) * column, fp.alpha, 1)
-                out[:, ir] += w * contrib
+                out[:, ir] += w * (lap @ ((rc[ir] - rc[jr]) * column))
     return out
 
 

@@ -10,12 +10,16 @@ displacement/velocity pair driven by every other site:
 with ``|y - x|`` the minimal-image torus distance.  The coupling depends
 only on ``y - x``, so on the periodic mesh the force is a convolution,
 diagonal in Fourier space with the kernel's symbol ``h^d (w_hat(k) - sum w)``
-(O(n^d) memory for the table, no site-by-site matrix).  ``chain_force_flat``
-applies it with one real FFT pair per call; ``verlet_evolve`` steps the
-half-spectrum itself and transforms only at the ends of a run.  The flow
-conserves the energy ``sum v^2/2 + (h^d/4) sum_{x,y} w(y-x) (r_y - r_x)^2``
-and, by pairwise antisymmetry, the total momentum ``sum v`` exactly; the
-mean displacement therefore moves ballistically (zero acceleration).
+(O(n^d) memory, no site-by-site matrix).  :class:`FractionalParams` is the
+one power-law kernel object: it holds this chain symbol and the operator
+``|2 pi k|^(2 alpha)`` that the mean-field transport equation of
+:mod:`kinlat.vlasov` applies on its x-grid, the two scales of one
+interaction.  ``chain_force_flat`` applies the chain symbol with one real
+FFT pair per call; ``verlet_evolve`` steps the half-spectrum itself and
+transforms only at the ends of a run.  The flow conserves the energy
+``sum v^2/2 + (h^d/4) sum_{x,y} w(y-x) (r_y - r_x)^2`` and, by pairwise
+antisymmetry, the total momentum ``sum v`` exactly; the mean displacement
+therefore moves ballistically (zero acceleration).
 
 Ensembles of independently initialized replicas feed the two-site
 factorization defect used to probe molecular chaos; it reduces over
@@ -42,9 +46,7 @@ __all__ = [
     "GaussianLaw",
     "PointLaw",
     "site_coordinates",
-    "force_array",
     "chain_force_flat",
-    "chain_kernel_table",
     "chain_energy",
     "total_momentum",
     "mean_displacement",
@@ -83,29 +85,60 @@ class ChainGeometry:
 
 @dataclass(frozen=True)
 class FractionalParams:
-    """Interaction exponent ``0 < alpha < 1`` and ambient dimension."""
+    """The power-law interaction of order ``0 < alpha < 1``, at both scales.
+
+    On the chain it is the pair weight ``|y - x|^-(d + 2 alpha)``
+    (:meth:`chain_symbol`); in the mean-field limit it is the fractional
+    Laplacian on the periodic x-grid (:meth:`pde_symbol`), normalized by
+    :attr:`c_alpha`.  Both symbols are cached and read-only.
+    """
 
     alpha: float
-    d: int = 1
 
     def __post_init__(self):
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"fractional order must lie in (0, 1), got {self.alpha}")
-        if self.d < 1:
-            raise ValueError(f"dimension must be >= 1, got {self.d}")
 
     @property
-    def c_d_alpha(self) -> float:
-        """Normalization ``4^a Gamma(d/2 + a) / (pi^{d/2} |Gamma(-a)|)``.
+    def c_alpha(self) -> float:
+        """Normalization ``4^a Gamma(1/2 + a) / (pi^{1/2} |Gamma(-a)|)`` (d = 1).
 
-        For d = 1, a = 1/2 this is exactly 1/pi.
+        For a = 1/2 this is exactly 1/pi.
         """
-        a, d = self.alpha, self.d
-        return (
-            4.0**a
-            * math.gamma(0.5 * d + a)
-            / (math.pi ** (0.5 * d) * abs(math.gamma(-a)))
-        )
+        a = self.alpha
+        return 4.0**a * math.gamma(0.5 + a) / (math.pi**0.5 * abs(math.gamma(-a)))
+
+    @lru_cache(maxsize=32)
+    def chain_symbol(self, geom: ChainGeometry) -> np.ndarray:
+        """Real half-spectrum ``h^d (w_hat(k) - sum w)`` of the chain force.
+
+        ``w`` is the minimal-image kernel over site offsets (any ``n >= 2``;
+        even counts are fine, the half-way offset is its own mirror and the
+        kernel is even) with no self-coupling, and the symbol lives on the
+        ``rfftn`` grid of the site axes.  The pair sum cancels constants, so
+        the zero-frequency entry is exactly 0.  O(n^d) entries.
+        """
+        n, d, h = geom.n, geom.d, geom.h
+        mimg = (np.arange(n) + n // 2) % n - n // 2  # minimal-image offset per axis
+        dist = h * np.sqrt(sum(np.ix_(*[mimg.astype(np.float64) ** 2] * d)).reshape(-1))
+        w = np.zeros(geom.n_sites)
+        w[1:] = dist[1:] ** (-(d + 2.0 * self.alpha))
+        symbol = h**d * (np.fft.rfftn(w.reshape(geom.shape)).real - w.sum())
+        symbol.flat[0] = 0.0
+        symbol.setflags(write=False)
+        return symbol
+
+    @lru_cache(maxsize=32)
+    def pde_symbol(self, mx: int) -> np.ndarray:
+        """Multiplier ``|2 pi k|^(2 alpha)`` of ``(-Dx)^alpha`` on the ``fft``
+        grid of ``mx`` periodic x-cells (``k`` in ``fftfreq`` order).
+
+        It annihilates constants, and plane waves are its eigenfunctions.
+        """
+        k = np.fft.fftfreq(mx) * mx
+        mult = (2.0 * np.pi) ** (2.0 * self.alpha) * (k**2) ** self.alpha
+        mult.setflags(write=False)
+        return mult
 
 
 @lru_cache(maxsize=32)
@@ -178,51 +211,18 @@ class ChainEnsemble:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=32)
-def chain_kernel_table(d: int, n: int, alpha: float):
-    """Coupling kernel ``|y-x|^-(d+2a)`` and the Fourier symbol of the force.
-
-    Sites live at ``j/n`` per axis (any ``n >= 2``; even counts are fine, the
-    half-way offset is its own mirror and the kernel is even).  Returns
-    ``(w, symbol)``: the minimal-image kernel over offsets in flat natural
-    site order with ``w[0] = 0``, and the real half-spectrum multiplier
-    ``h^d (w_hat(k) - sum w)`` on the ``rfftn`` grid of the site axes.  The
-    pair sum cancels constants, so the zero-frequency entry is exactly 0.
-    Both arrays hold O(n^d) entries and are read-only.
-    """
-    h = 1.0 / n
-    mimg = (np.arange(n) + n // 2) % n - n // 2  # minimal-image offset per axis
-    dist = h * np.sqrt(sum(np.ix_(*[mimg.astype(np.float64) ** 2] * d)).reshape(-1))
-    w = np.zeros(n**d)
-    w[1:] = dist[1:] ** (-(d + 2.0 * alpha))
-    # w[0] stays 0: no self-coupling
-    symbol = h**d * (np.fft.rfftn(w.reshape((n,) * d)).real - w.sum())
-    symbol.flat[0] = 0.0
-    w.setflags(write=False)
-    symbol.setflags(write=False)
-    return w, symbol
-
-
-def chain_force_flat(r: np.ndarray, d: int, n: int, alpha: float) -> np.ndarray:
+def chain_force_flat(r: np.ndarray, geom: ChainGeometry, fp: FractionalParams) -> np.ndarray:
     """Acceleration ``h^d sum_{y != x} (r_y - r_x)/|y-x|^(d+2a)``, flat sites.
 
-    ``r`` is ``(batch, n**d)`` in natural site order.  The sum is a periodic
-    convolution, so it is applied as the kernel's Fourier symbol with
-    ``rfftn``/``irfftn`` over the site axes.
+    ``r`` is ``(..., n_sites)`` in natural site order.  The sum is a periodic
+    convolution, so it is applied as :meth:`FractionalParams.chain_symbol`
+    with ``rfftn``/``irfftn`` over the site axes.
     """
-    _, symbol = chain_kernel_table(d, n, float(alpha))
-    shape = (n,) * d
-    rg = r.reshape(r.shape[:-1] + shape)
-    gax = tuple(range(rg.ndim - d, rg.ndim))
-    out = np.fft.irfftn(np.fft.rfftn(rg, axes=gax) * symbol, s=shape, axes=gax)
-    return out.reshape(r.shape)
-
-
-def force_array(r: np.ndarray, geom: ChainGeometry, fp: FractionalParams) -> np.ndarray:
-    """Batched acceleration for flat ``(..., n_sites)`` displacement arrays."""
     r = _check_sites(geom, r, "displacement")
-    flat = r.reshape(-1, geom.n_sites)
-    out = chain_force_flat(flat, geom.d, geom.n, fp.alpha)
+    rg = r.reshape(r.shape[:-1] + geom.shape)
+    gax = tuple(range(rg.ndim - geom.d, rg.ndim))
+    rk = np.fft.rfftn(rg, axes=gax) * fp.chain_symbol(geom)
+    out = np.fft.irfftn(rk, s=geom.shape, axes=gax)
     return out.reshape(r.shape)
 
 
@@ -241,7 +241,7 @@ def chain_energy(
     """
     r = _check_sites(geom, state.r, "displacement")
     v = _check_sites(geom, state.v, "velocity")
-    f = force_array(r, geom, fp)
+    f = chain_force_flat(r, geom, fp)
     kin = 0.5 * np.sum(v * v, axis=-1)
     pot = -0.5 * np.sum(r * f, axis=-1)
     total = kin + pot
@@ -269,9 +269,9 @@ def verlet_evolve(
     """Advance a state or a whole ensemble by ``n_steps`` velocity Verlet steps.
 
     The kick-drift-kick steps run on the ``rfftn`` half-spectrum of ``r`` and
-    ``v`` over the site axes, where the force is the real symbol of
-    :func:`chain_kernel_table` times ``r``: one transform per array at the
-    start, one inverse at the end.  That is the real-space Verlet map up to
+    ``v`` over the site axes, where the force is
+    :meth:`FractionalParams.chain_symbol` times ``r``: one transform per
+    array at the start, one inverse at the end.  That is the real-space Verlet map up to
     round-off; the zero mode (the total momentum) is never kicked.  All
     replicas step as one batch.  A non-finite state raises
     :class:`NumericalBlowupError` naming the step (counted from ``step0``,
@@ -285,7 +285,7 @@ def verlet_evolve(
     gax = tuple(range(len(lead), len(lead) + geom.d))
     rk = np.fft.rfftn(r.reshape(lead + geom.shape), axes=gax)
     vk = np.fft.rfftn(np.reshape(state.v, lead + geom.shape), axes=gax)
-    kick = 0.5 * dt * chain_kernel_table(geom.d, geom.n, float(fp.alpha))[1]
+    kick = 0.5 * dt * fp.chain_symbol(geom)
     buf = np.empty_like(rk)
     # overflow and NaN on the way up are the blowup reported below with its
     # step and time; numpy's warnings would only repeat it
@@ -450,9 +450,9 @@ def two_site_frequency(geom: ChainGeometry, fp: FractionalParams) -> float:
     """Closed-form normal-mode frequency of the two-site chain (d = 1).
 
     The difference coordinate obeys ``u'' = -2 h w(1/2) u`` with
-    ``w(1/2) = (1/2)^-(1+2a)``, i.e. frequency ``sqrt(2^(1+2a))``.
+    ``h = 1/2`` and ``w(1/2) = (1/2)^-(1+2a)``, i.e. frequency
+    ``sqrt(2^(1+2a))``.
     """
     if geom.d != 1 or geom.n != 2:
         raise ValueError("closed form applies to the two-site d=1 chain only")
-    w, _ = chain_kernel_table(1, 2, float(fp.alpha))
-    return math.sqrt(2.0 * geom.h * w[1])
+    return math.sqrt(2.0 ** (1.0 + 2.0 * fp.alpha))

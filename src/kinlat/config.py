@@ -365,6 +365,10 @@ def _check_blocks(cfg: RunConfig) -> None:
     from .chain import GaussianLaw
 
     c, v, t_final = cfg.chain, cfg.vlasov, cfg.compare.t_final
+    if c.d != 1:
+        raise ConfigError("the transport equation runs at d = 1 only", field="chain.d")
+    if c.n < v.mx:
+        raise ConfigError(f"x cells without chain sites: mx {v.mx} > n {c.n}", field="vlasov.mx")
     if not isinstance(build_law(c.law), GaussianLaw):
         raise ConfigError(
             "mean-field comparison needs a law with a density (gaussian kinds)",

@@ -423,7 +423,7 @@ def _drive_wt_compare(cfg: RunConfig, out: Path):
 def _drive_chain(cfg: RunConfig, out: Path):
     c = cfg.chain
     geom = ChainGeometry(c.d, c.n)
-    fp = FractionalParams(c.alpha, c.d)
+    fp = FractionalParams(c.alpha)
     ens = sample_ensemble(build_law(c.law), geom, c.replicas, cfg.seed)
     e0 = np.atleast_1d(chain_energy(ens, geom, fp))
     p0 = np.atleast_1d(total_momentum(ens))
@@ -474,7 +474,7 @@ def _drive_chain(cfg: RunConfig, out: Path):
 def _drive_vlasov(cfg: RunConfig, out: Path):
     v = cfg.vlasov
     grid = PhaseGrid(v.mx, v.mr, v.mv, v.r_max, v.v_max)
-    fp = FractionalParams(v.alpha, 1)
+    fp = FractionalParams(v.alpha)
     g0 = density_from_law(build_law(v.law), grid)
     b0, j0 = write_phase_density(out / "density_initial", g0, v.alpha)
     # g0 is written out, so the run steps its array in place
@@ -530,7 +530,7 @@ def _paired_laws(cfg: RunConfig, grid: PhaseGrid):
 def _drive_mf_compare(cfg: RunConfig, out: Path):
     c, v = cfg.chain, cfg.vlasov
     geom = ChainGeometry(c.d, c.n)
-    fp = FractionalParams(c.alpha, c.d)
+    fp = FractionalParams(c.alpha)
     grid = PhaseGrid(v.mx, v.mr, v.mv, v.r_max, v.v_max)
     n_chain, n_pde = mf_steps(c, v, cfg.compare.t_final)
     law_chain, law_pde, sigma_pde = _paired_laws(cfg, grid)
@@ -575,7 +575,7 @@ def _drive_mf_compare(cfg: RunConfig, out: Path):
 def _oracle_cases(seed: int):
     """Cross-checks of the fast paths against the literal reference sums."""
     from . import _reference as ref
-    from .chain import ChainState, force_array
+    from .chain import ChainState, chain_force_flat
     from .lattice import dft, inverse_dft, weighted_inner
     from .vlasov import _shift_lines, sigma_field
     from .waves import rhs
@@ -626,17 +626,17 @@ def _oracle_cases(seed: int):
     cases.append(("collision-vs-loop", float(np.max(np.abs(got - want))), 1e-12))
 
     chains = (
-        (ChainGeometry(1, 16), FractionalParams(0.5, 1)),
-        (ChainGeometry(2, 5), FractionalParams(0.75, 2)),
+        (ChainGeometry(1, 16), FractionalParams(0.5)),
+        (ChainGeometry(2, 5), FractionalParams(0.75)),
     )
     gap = 0.0
     for geom, fpar in chains:
         r = rng.standard_normal(geom.n_sites)
         want = ref.chain_force_pairs(r, geom, fpar)
-        gap = max(gap, float(np.max(np.abs(force_array(r, geom, fpar) - want))))
+        gap = max(gap, float(np.max(np.abs(chain_force_flat(r, geom, fpar) - want))))
     cases.append(("chain-force-vs-pairs", gap, 1e-12))
 
-    geom, fpar = ChainGeometry(1, 16), FractionalParams(0.5, 1)
+    geom, fpar = ChainGeometry(1, 16), FractionalParams(0.5)
     r, vvec = rng.standard_normal((2, geom.n_sites))
     e = chain_energy(ChainState(r, vvec), geom, fpar)
     e_ref = 0.5 * float(np.sum(vvec * vvec)) + ref.chain_potential_pairs(r, geom, fpar)

@@ -6,10 +6,12 @@ and ``(r, v)`` on a truncated window,
     dg/dt + v dg/dr + C^-1 Sigma_g dg/dv = 0,
     Sigma_g(x, r) = r * Lrho(x) - Lm(x),
 
-where ``L`` is the spectral fractional Laplacian ``(-Dx)^a`` (Fourier
-multiplier ``|2 pi k|^(2a)``), ``rho`` and ``m`` are the zeroth and first
-r-moments of ``g``, and ``C`` is the Gamma-function normalization carried
-by :class:`~kinlat.chain.FractionalParams`.  The force is affine in ``r``
+where ``L`` is the spectral fractional Laplacian ``(-Dx)^a``, ``rho`` and
+``m`` are the zeroth and first r-moments of ``g``, and ``C`` is the
+Gamma-function normalization.  Both come from the chain's kernel object,
+:class:`~kinlat.chain.FractionalParams`: ``L`` is its
+:meth:`~kinlat.chain.FractionalParams.pde_symbol` (Fourier multiplier
+``|2 pi k|^(2a)``) and ``C`` its ``c_alpha``.  The force is affine in ``r``
 and acts through ``x`` only, which is why the moment factorization is
 exact and cheap.
 
@@ -53,7 +55,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .chain import ChainEnsemble, ChainGeometry, FractionalParams, site_coordinates
+from .chain import ChainEnsemble, ChainGeometry, FractionalParams
 from .errors import SizeMismatchError
 
 __all__ = [
@@ -63,7 +65,6 @@ __all__ = [
     "r_centers",
     "v_centers",
     "Moments",
-    "frac_laplacian_torus",
     "moments",
     "sigma_field",
     "acceleration",
@@ -205,29 +206,6 @@ def moments(g: np.ndarray, grid: PhaseGrid) -> Moments:
     return Moments(rows.sum(axis=1) * w, (rows * r_centers(grid)).sum(axis=1) * w)
 
 
-def frac_laplacian_torus(field: np.ndarray, alpha: float, d: int = 1) -> np.ndarray:
-    """Spectral ``(-Dx)^a`` on the torus: multiplier ``|2 pi k|^(2a)``.
-
-    The trailing ``d`` axes are the periodic grid; leading axes ride along.
-    Annihilates constants; plane waves are eigenfunctions.  Real input
-    gives real output.
-    """
-    field = np.asarray(field)
-    if field.ndim < d:
-        raise SizeMismatchError(f"field with {field.ndim} axes cannot hold {d} grid axes")
-    gax = tuple(range(field.ndim - d, field.ndim))
-    k2 = np.zeros(field.shape[-d:])
-    for c, ax in enumerate(gax):
-        m = field.shape[ax]
-        kc = np.fft.fftfreq(m) * m
-        shp = [1] * d
-        shp[c] = m
-        k2 = k2 + kc.reshape(shp) ** 2
-    mult = (2.0 * np.pi) ** (2.0 * alpha) * k2 ** alpha
-    out = np.fft.ifftn(mult * np.fft.fftn(field, axes=gax), axes=gax)
-    return np.real(out) if np.isrealobj(field) else out
-
-
 def sigma_field(g: np.ndarray, grid: PhaseGrid, fp: FractionalParams) -> np.ndarray:
     """Force field over (x, r) of the density array ``g`` on ``grid``:
     ``r * L rho - L m``, exact moment split.
@@ -235,14 +213,14 @@ def sigma_field(g: np.ndarray, grid: PhaseGrid, fp: FractionalParams) -> np.ndar
     Identically zero when ``g`` does not depend on x.
     """
     mom = moments(g, grid)
-    lrho = frac_laplacian_torus(mom.rho, fp.alpha, 1)
-    lm = frac_laplacian_torus(mom.m, fp.alpha, 1)
+    mult = fp.pde_symbol(grid.mx)
+    lrho, lm = (np.fft.ifft(mult * np.fft.fft(a)).real for a in (mom.rho, mom.m))
     return r_centers(grid)[None, :] * lrho[:, None] - lm[:, None]
 
 
 def acceleration(g: np.ndarray, grid: PhaseGrid, fp: FractionalParams) -> np.ndarray:
     """Characteristic speed in v: ``C^-1 Sigma_g``, shape (mx, mr)."""
-    return sigma_field(g, grid, fp) / fp.c_d_alpha
+    return sigma_field(g, grid, fp) / fp.c_alpha
 
 
 # ---------------------------------------------------------------------------
@@ -578,15 +556,15 @@ def cell_moments_of_ensemble(
 ) -> dict[str, np.ndarray]:
     """Per-x-cell means over replicas and the sites falling in each cell.
 
-    Cells are ``[i/mx, (i+1)/mx)`` per axis; with ``d = 1`` and the site
-    count a multiple of ``mx`` every cell holds the same number of sites.
-    Empty cells are an error (the x grid is finer than the site mesh).
+    Cells are ``[i/mx, (i+1)/mx)``; site ``j`` at ``j/n`` falls in cell
+    ``floor(j mx / n)``, taken in integers so no site on a cell edge rounds
+    into its neighbour.  With the site count a multiple of ``mx`` every cell
+    holds the same number of sites.  Empty cells, which occur exactly when
+    ``n < mx``, are an error.
     """
     if geom.d != 1:
         raise SizeMismatchError("moment comparison is wired for d = 1 chains")
-    x = site_coordinates(geom)[:, 0]
-    cells = np.floor(x * grid.mx).astype(np.int64)
-    cells = np.clip(cells, 0, grid.mx - 1)
+    cells = np.arange(geom.n) * grid.mx // geom.n
     counts = np.bincount(cells, minlength=grid.mx)
     if np.any(counts == 0):
         raise ValueError(

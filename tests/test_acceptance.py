@@ -279,7 +279,7 @@ def test_06_weak_coupling_spectrum_trend():
 
 def test_07_chain_conservation_budgets():
     geom = ChainGeometry(1, 128)
-    fp = FractionalParams(0.5, 1)
+    fp = FractionalParams(0.5)
     dt = 1e-3
     worst_e = worst_p = 0.0
     for seed in (101, 202, 303):
@@ -303,7 +303,7 @@ def test_07_chain_conservation_budgets():
 
     # two-site mode: frequency closed form and dt^2 period convergence
     g2 = ChainGeometry(1, 2)
-    f2 = FractionalParams(0.5, 1)
+    f2 = FractionalParams(0.5)
     omega = two_site_frequency(g2, f2)
     period = 2.0 * np.pi / omega
 
@@ -338,7 +338,7 @@ def test_07_chain_conservation_budgets():
 @pytest.mark.slow
 def test_08_meanfield_distance_trend():
     grid = PhaseGrid(32, 64, 64, 0.5, 1.5)
-    fp = FractionalParams(0.5, 1)
+    fp = FractionalParams(0.5)
 
     def mean_r(x):
         return 0.2 * np.cos(2.0 * np.pi * x[..., 0])
@@ -390,7 +390,7 @@ def test_09_factorization_defect_scaling():
     ok = all(-0.65 < s < -0.35 for s in slopes)
 
     # evolved-ensemble defect carries no budget; report it alongside
-    fp = FractionalParams(0.5, 1)
+    fp = FractionalParams(0.5)
     ens = sample_ensemble(law, geom, 2000, 7000)
     ens = verlet_evolve(ens, geom, fp, 1e-3, 1000)
     evolved = chaos_defect(ens, pair, edges, edges)
@@ -404,7 +404,7 @@ def test_09_factorization_defect_scaling():
 
 
 def test_10_phase_space_solver_checks():
-    fp = FractionalParams(0.5, 1)
+    fp = FractionalParams(0.5)
     law = GaussianLaw(0.0, 0.0, 0.12, 0.12)
     drifts, negs, streams = [], [], []
     for m in (64, 128):

@@ -15,9 +15,8 @@ from kinlat.chain import (
     GaussianLaw,
     PointLaw,
     chain_energy,
-    chain_kernel_table,
+    chain_force_flat,
     chaos_defect,
-    force_array,
     mean_displacement,
     sample_ensemble,
     site_coordinates,
@@ -28,43 +27,55 @@ from kinlat.chain import (
 
 
 GEOM = ChainGeometry(1, 24)
-FP = FractionalParams(0.5, 1)
+FP = FractionalParams(0.5)
 
 
 @pytest.mark.parametrize(
     "geom,fp",
     [
-        (ChainGeometry(1, 9), FractionalParams(0.5, 1)),
-        (ChainGeometry(1, 8), FractionalParams(0.25, 1)),  # even counts are legal
-        (ChainGeometry(2, 4), FractionalParams(0.75, 2)),
-        (ChainGeometry(2, 5), FractionalParams(0.5, 2)),  # odd count: no self-mirror offset
-        (ChainGeometry(3, 4), FractionalParams(0.3, 3)),
+        (ChainGeometry(1, 9), FractionalParams(0.5)),
+        (ChainGeometry(1, 8), FractionalParams(0.25)),  # even counts are legal
+        (ChainGeometry(2, 4), FractionalParams(0.75)),
+        (ChainGeometry(2, 5), FractionalParams(0.5)),  # odd count: no self-mirror offset
+        (ChainGeometry(3, 4), FractionalParams(0.3)),
     ],
 )
 def test_force_matches_pair_sum(rng, geom, fp):
     r = rng.normal(size=geom.n_sites)
     want = ref.chain_force_pairs(r, geom, fp)
-    got = force_array(r, geom, fp)
+    got = chain_force_flat(r, geom, fp)
     assert np.max(np.abs(got - want)) < 1e-12 * max(1.0, np.max(np.abs(want)))
 
 
 def test_kernel_table_is_linear_in_sites():
-    # the kernel and its half-spectrum symbol; a dense n^d x n^d coupling
-    # matrix would be 128 MiB here
-    tables = chain_kernel_table(2, 64, 0.5)
-    assert sum(a.nbytes for a in tables) <= 2 * 64**2 * 8
-    assert tables[1].flat[0] == 0.0  # the pair sum cancels constants
+    # the half-spectrum symbol; a dense n^d x n^d coupling matrix would be
+    # 128 MiB here
+    symbol = FP.chain_symbol(ChainGeometry(2, 64))
+    assert symbol.shape == (64, 33)
+    assert symbol.nbytes <= 64 * 33 * 8
+    assert symbol.flat[0] == 0.0  # the pair sum cancels constants
+
+
+def test_symbols_are_cached_and_read_only():
+    fp, geom = FractionalParams(0.4), ChainGeometry(1, 12)
+    for get in (lambda: fp.chain_symbol(geom), lambda: fp.pde_symbol(16)):
+        a = get()
+        assert get() is a
+        with pytest.raises(ValueError):
+            a[1] = 0.0
+    # an equal object reads the same cached array
+    assert FractionalParams(0.4).chain_symbol(ChainGeometry(1, 12)) is fp.chain_symbol(geom)
 
 
 def test_force_sums_to_zero(rng):
     r = rng.normal(size=GEOM.n_sites)
-    f = force_array(r, GEOM, FP)
+    f = chain_force_flat(r, GEOM, FP)
     assert abs(f.sum()) < 1e-12
 
 
 def test_uniform_displacement_feels_nothing():
     r = np.full(GEOM.n_sites, 0.7)
-    f = force_array(r, GEOM, FP)
+    f = chain_force_flat(r, GEOM, FP)
     assert np.max(np.abs(f)) < 1e-14
 
 
@@ -119,9 +130,9 @@ def test_mean_displacement_moves_ballistically():
 
 
 def test_two_site_closed_form():
-    assert two_site_frequency(ChainGeometry(1, 2), FractionalParams(0.5, 1)) == pytest.approx(2.0)
+    assert two_site_frequency(ChainGeometry(1, 2), FractionalParams(0.5)) == pytest.approx(2.0)
     # alpha -> d + 2a = 1.5: w(1/2) = 2^1.5, omega = sqrt(2 h w) = sqrt(2^1.5)
-    got = two_site_frequency(ChainGeometry(1, 2), FractionalParams(0.25, 1))
+    got = two_site_frequency(ChainGeometry(1, 2), FractionalParams(0.25))
     assert got == pytest.approx(2.0 ** 0.75, rel=1e-14)
     with pytest.raises(ValueError):
         two_site_frequency(ChainGeometry(1, 4), FP)
@@ -129,7 +140,7 @@ def test_two_site_closed_form():
 
 def test_two_site_period_convergence():
     geom = ChainGeometry(1, 2)
-    fp = FractionalParams(0.5, 1)
+    fp = FractionalParams(0.5)
     omega = two_site_frequency(geom, fp)
     period = 2.0 * np.pi / omega
 
@@ -166,7 +177,7 @@ def test_blowup_names_time_replica_and_site():
     # redo the failing step by hand on the spectral state: the named entry
     # is the first non-finite one, and the never-kicked zero mode is not it
     last = verlet_evolve(ens, geom, FP, dt, step)
-    kick = 0.5 * dt * chain_kernel_table(1, 16, FP.alpha)[1]
+    kick = 0.5 * dt * FP.chain_symbol(geom)
     rk, vk = np.fft.rfft(last.r), np.fft.rfft(last.v)
     assert np.isfinite(rk).all() and np.isfinite(vk).all()
     with np.errstate(over="ignore", invalid="ignore"):
@@ -253,8 +264,8 @@ def test_geometry_validation():
     with pytest.raises(ValueError):
         ChainGeometry(1, 1)
     with pytest.raises(ValueError):
-        FractionalParams(1.0, 1)
+        FractionalParams(1.0)
     with pytest.raises(ValueError):
-        FractionalParams(0.0, 1)
+        FractionalParams(0.0)
     with pytest.raises(SizeMismatchError):
         chain_energy(ChainState(np.zeros(5), np.zeros(5)), ChainGeometry(1, 4), FP)

@@ -274,7 +274,8 @@ _ALL_BLOCKS = {
 }
 _DROP = object()
 
-# (dotted key, the value put there or _DROP to delete it, expected error path)
+# (dotted key, the value put there or _DROP to delete it, expected error path);
+# a tuple of keys takes a tuple of values
 INVALID = [
     ("pipeline", "wt-magic", "pipeline"),
     ("seed", -1, "seed"),
@@ -337,19 +338,26 @@ INVALID = [
     ("vlasov.interp", "cubic-clamped", "vlasov.interp"),
     # the base doc is a wt-compare, whose kinetic side starts from wave.profile
     ("kinetic.initial", {"name": "constant", "level": 1}, "kinetic.initial"),
+    # mf-compare: its transport side runs at d = 1, and every x cell needs a site
+    (("pipeline", "chain.d"), ("mf-compare", 2), "chain.d"),
+    (("pipeline", "chain.n"), ("mf-compare", 8), "vlasov.mx"),
 ]
 
 
 def invalid_doc(key, value):
+    """The base doc with ``value`` put at ``key``, or each of a tuple of
+    values at each of a tuple of keys."""
     doc = json.loads(json.dumps(_ALL_BLOCKS))
-    *parents, leaf = key.split(".")
-    node = doc
-    for p in parents:
-        node = node[p]
-    if value is _DROP:
-        del node[leaf]
-    else:
-        node[leaf] = value
+    pairs = zip(key, value) if isinstance(key, tuple) else [(key, value)]
+    for k, val in pairs:
+        *parents, leaf = k.split(".")
+        node = doc
+        for p in parents:
+            node = node[p]
+        if val is _DROP:
+            del node[leaf]
+        else:
+            node[leaf] = val
     return doc
 
 

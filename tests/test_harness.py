@@ -192,7 +192,7 @@ class TestRun:
         lines = (tmp_path / "series.csv").read_text().splitlines()
         rows = np.array([[float(x) for x in ln.split(",")] for ln in lines if ln[0].isdigit()])
         assert rows[:, 0].tolist() == [k * dt for k in (0, 10, 20, 25)]
-        geom, fp = ChainGeometry(1, 16), FractionalParams(0.5, 1)
+        geom, fp = ChainGeometry(1, 16), FractionalParams(0.5)
         ens = sample_ensemble(GaussianLaw(0.0, 0.0, 0.1, 0.1), geom, 2, 9)
         r, v, done = ens.r, ens.v, 0
         for row, k in zip(rows, (0, 10, 20, 25)):
@@ -223,7 +223,7 @@ class TestRun:
         assert float(re.search(r"t=(\S+)", text).group(1)) == start
         ens = sample_ensemble(GaussianLaw(0.0, 0.0, 0.1, 0.1), ChainGeometry(1, 16), 3, 18)
         for _ in range(start // 50):
-            ens = verlet_evolve(ens, ChainGeometry(1, 16), FractionalParams(0.5, 1), 1.0, 50)
+            ens = verlet_evolve(ens, ChainGeometry(1, 16), FractionalParams(0.5), 1.0, 50)
         r = [float(ln.split(",")[2]) for ln in text.splitlines() if ln[0].isdigit()]
         assert r == ens.r[0].tolist()
 

@@ -8,9 +8,9 @@ import pytest
 
 from kinlat import _reference as ref
 from kinlat import vlasov
-from kinlat.chain import ChainGeometry, FractionalParams, GaussianLaw, sample_ensemble
+from kinlat.chain import ChainGeometry, FractionalParams, GaussianLaw, PointLaw, sample_ensemble
 from kinlat.config import parse_config
-from kinlat.errors import SizeMismatchError
+from kinlat.errors import ConfigError, SizeMismatchError
 from kinlat.vlasov import (
     PhaseDensity,
     PhaseGrid,
@@ -19,7 +19,6 @@ from kinlat.vlasov import (
     cell_moments_of_density,
     cell_moments_of_ensemble,
     density_from_law,
-    frac_laplacian_torus,
     meanfield_distance,
     moments,
     r_centers,
@@ -32,7 +31,7 @@ from kinlat.vlasov import (
     x_centers,
 )
 
-FP = FractionalParams(0.5, 1)
+FP = FractionalParams(0.5)
 
 
 def _gaussian_density(grid, sigma_r=0.12, sigma_v=0.12, x_weight=None):
@@ -111,14 +110,19 @@ def test_moments_of_offset_gaussian():
 # ---------------------------------------------------------------------------
 
 
+def _apply_pde_symbol(u, alpha):
+    return np.fft.ifft(FractionalParams(alpha).pde_symbol(u.size) * np.fft.fft(u)).real
+
+
 def test_frac_laplacian_plane_wave_eigenvalue():
     m, k, alpha = 64, 3, 0.5
     x = np.arange(m) / m
     u = np.cos(2.0 * np.pi * k * x)
-    got = frac_laplacian_torus(u, alpha)
+    got = _apply_pde_symbol(u, alpha)
     want = (2.0 * np.pi * k) ** (2.0 * alpha) * u
     assert np.max(np.abs(got - want)) < 1e-10
-    assert np.max(np.abs(frac_laplacian_torus(np.full(m, 3.7), alpha))) < 1e-12
+    assert np.max(np.abs(_apply_pde_symbol(np.full(m, 3.7), alpha))) < 1e-12
+    assert FractionalParams(alpha).pde_symbol(m)[0] == 0.0
 
 
 def test_frac_laplacian_alpha_one_is_minus_laplacian():
@@ -126,7 +130,7 @@ def test_frac_laplacian_alpha_one_is_minus_laplacian():
     m = 32
     x = np.arange(m) / m
     u = np.sin(2.0 * np.pi * x)
-    got = frac_laplacian_torus(u, 0.999999)
+    got = _apply_pde_symbol(u, 0.999999)
     assert np.allclose(got, (2.0 * np.pi) ** 2 * u, rtol=1e-4)
 
 
@@ -145,7 +149,7 @@ def test_sigma_field_matches_unfactorized(rng):
     got = sigma_field(g.g, grid, FP)
     want = ref.sigma_field_unfactorized(g.g, grid, FP)
     assert np.max(np.abs(got - want)) < 1e-12
-    assert acceleration(g.g, grid, FP) == pytest.approx(got / FP.c_d_alpha)
+    assert acceleration(g.g, grid, FP) == pytest.approx(got / FP.c_alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -531,6 +535,26 @@ def test_cell_moments_reject_empty_cells():
     ens = sample_ensemble(GaussianLaw(0.0, 0.0, 0.1, 0.1), geom, 2, 0)
     with pytest.raises(ValueError):
         cell_moments_of_ensemble(ens, geom, grid)
+
+
+def test_fewer_sites_than_x_cells_is_the_empty_cell_condition():
+    # mf-compare rejects chain.n < vlasov.mx at parse time: exactly the
+    # grids on which the moment binning finds an x cell without sites
+    for n in range(2, 65):
+        geom = ChainGeometry(1, n)
+        ens = sample_ensemble(PointLaw(), geom, 1, 0)
+        for mx in range(1, 49):
+            doc = {"pipeline": "mf-compare", "seed": 1, "compare": {}}
+            doc |= {"chain": {"n": n}, "vlasov": {"mx": mx}}
+            grid = PhaseGrid(mx, 2, 2, 1.0, 1.0)
+            if n < mx:
+                with pytest.raises(ConfigError, match="x cells without chain sites"):
+                    parse_config(doc)
+                with pytest.raises(ValueError, match="empty cells"):
+                    cell_moments_of_ensemble(ens, geom, grid)
+            else:
+                parse_config(doc)
+                cell_moments_of_ensemble(ens, geom, grid)
 
 
 def test_meanfield_distance_time_guard():
