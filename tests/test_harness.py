@@ -6,6 +6,7 @@ import gc
 import importlib
 import inspect
 import json
+import math
 import os
 import re
 import subprocess
@@ -29,7 +30,7 @@ from kinlat.chain import (
 )
 from kinlat.config import config_hash, parse_config
 from kinlat.errors import CheckFailure, NumericalBlowupError
-from kinlat.harness import BLOCK_BYTES, _integrate_ensemble, run
+from kinlat.harness import BLOCK_BYTES, Budget, _integrate_ensemble, run
 from kinlat.io import sha256_file
 from kinlat.lattice import LatticeSpec
 from kinlat.waves import EnsembleSpec, ModelParams, _integrate_array, sample_initial, stack_ensemble
@@ -161,13 +162,16 @@ class TestRun:
                 "law": {"kind": "gaussian", "sigma_r": 0.1, "sigma_v": 0.1},
             },
         }
-        with pytest.raises(CheckFailure, match="energy-bounded-drift"):
+        with pytest.raises(CheckFailure, match="energy-bounded-drift") as err:
             run(parse_config(doc), out=tmp_path, check=True)
         disk = _manifest_of(tmp_path)
         assert disk["status"] == "checks-failed"
         by_name = {c["name"]: c["passed"] for c in disk["checks"]}
         assert by_name["momentum-conserved"] is True
         assert by_name["energy-bounded-drift"] is False
+        drift = next(c for c in disk["checks"] if c["name"] == "energy-bounded-drift")
+        assert drift["limit"] == 1e-4 and drift["value"] == disk["metrics"]["energy_drift_rel"]
+        assert str(err.value) == f"energy-bounded-drift {drift['value']:.3e} > 1.000e-04"
 
     def test_same_doc_without_check_is_ok_status(self, tmp_path):
         doc = {
@@ -287,6 +291,24 @@ class TestSweep:
             assert r["status"] == "ok"
         assert (tmp_path / "sweep.csv").exists()
         assert len(man.metrics["stationarity_l1"]) == 2
+        assert man.checks == [Budget("sweep-complete", 0.0, 0.0)]
+
+    def test_a_failed_child_fails_the_sweep_complete_budget(self, tmp_path):
+        # the default kinetic block (m = 32) leaves its bounds at step 2; m = 8 runs
+        doc = {
+            "pipeline": "wt-kinetic",
+            "seed": 1,
+            "kinetic": {"n_steps": 5},
+            "sweep": {"axis": "kinetic.m", "values": [8, 32]},
+        }
+        with pytest.raises(CheckFailure) as err:
+            run(parse_config(doc), out=tmp_path, check=True)
+        assert str(err.value) == "sweep-complete 1.000e+00 > 0.000e+00"
+        disk = _manifest_of(tmp_path)
+        assert disk["status"] == "partial"
+        assert disk["checks"] == [
+            {"name": "sweep-complete", "value": 1.0, "limit": 0.0, "passed": False}
+        ]
 
     @staticmethod
     def _kinetic_sweep(m, values):
@@ -322,17 +344,21 @@ class TestSweep:
         assert sorted(built) == sorted(values)
 
 
-def _cli(args, cwd):
+def _python(args, cwd):
     # the child runs in cwd, so a relative src entry on PYTHONPATH would miss
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-m", "kinlat.cli", *args],
+        [sys.executable, *args],
         cwd=cwd,
         env=dict(os.environ, PYTHONPATH=path),
         capture_output=True,
         text=True,
         timeout=300,
     )
+
+
+def _cli(args, cwd):
+    return _python(["-m", "kinlat.cli", *args], cwd)
 
 
 class TestCli:
@@ -405,6 +431,16 @@ class TestCli:
 # pipeline -> (small config, kinlat modules its process must not load)
 LANE_RUNS = {
     "wt-sim": (_wave_doc(), {"chain", "vlasov", "_reference"}),
+    "wt-compare": (
+        {
+            "pipeline": "wt-compare",
+            "seed": 1,
+            "wave": {"d": 1, "half_width": 4, "lam": 0.3, "dt": 0.02, "replicas": 4},
+            "kinetic": {"d": 1, "m": 8, "epsilon": 0.3, "dtau": 0.01},
+            "compare": {"tau_final": 0.02},
+        },
+        {"chain", "vlasov", "_reference"},
+    ),
     "wt-kinetic": (
         {
             "pipeline": "wt-kinetic",
@@ -435,6 +471,7 @@ LANE_RUNS = {
         },
         {"waves", "kinetic", "_reference"},
     ),
+    "oracle-suite": ({"pipeline": "oracle-suite", "seed": 5}, set()),
 }
 
 _MODULES_AFTER_RUN = """
@@ -467,16 +504,8 @@ class TestLanes:
         doc, absent = LANE_RUNS[pipeline]
         cfgp = tmp_path / "run.json"
         cfgp.write_text(json.dumps(doc))
-        path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
-        res = subprocess.run(
-            [sys.executable, "-c", _MODULES_AFTER_RUN, pipeline, "--config", str(cfgp),
-             "--out", str(tmp_path / "o")],
-            cwd=tmp_path,
-            env=dict(os.environ, PYTHONPATH=path),
-            capture_output=True,
-            text=True,
-            timeout=300,
-        )
+        args = [pipeline, "--config", str(cfgp), "--out", str(tmp_path / "o")]
+        res = _python(["-c", _MODULES_AFTER_RUN, *args], tmp_path)
         assert res.returncode == 0, res.stderr
         report = json.loads(res.stdout.splitlines()[-1])
         assert report["exit"] == 0
@@ -485,6 +514,12 @@ class TestLanes:
         assert sorted(loaded & {f"kinlat.{m}" for m in absent}) == []
         if pipeline == "wt-sim":
             assert "concurrent.futures" not in loaded
+
+    def test_oracle_cases_bind_their_own_lanes(self, tmp_path):
+        # a fresh interpreter that has not called run has bound no lane yet
+        code = "from kinlat.harness import _oracle_cases; _oracle_cases(1)"
+        res = _python(["-c", code], tmp_path)
+        assert res.returncode == 0, res.stderr
 
     def test_lane_names_resolve_to_the_lanes_own_objects(self):
         for lane, names in harness._LANES.items():
@@ -514,3 +549,46 @@ class TestLanes:
         run(parse_config(_wave_doc()), out=tmp_path)
         assert calls == [1]
         assert harness.sample_initial is counted
+
+
+# a window wide enough that the default law loses only round-off through its edge
+WIDE_VLASOV = {"mx": 4, "mr": 32, "mv": 32, "r_max": 2, "v_max": 2, "n_steps": 20}
+
+
+class TestBudgets:
+    def test_a_budget_passes_at_its_limit_and_fails_on_nan(self):
+        assert Budget("b", 1e-8, 1e-8).passed
+        assert Budget("b", 0.0, 0.0).passed
+        assert not Budget("b", float("nan"), 1.0).passed
+        assert not Budget("b", float("inf"), sys.float_info.max).passed
+
+    @pytest.mark.parametrize("pipeline", sorted(LANE_RUNS))
+    def test_every_check_is_a_value_under_a_finite_limit(self, tmp_path, pipeline):
+        run(parse_config(LANE_RUNS[pipeline][0]), out=tmp_path)
+        checks = _manifest_of(tmp_path)["checks"]
+        assert checks
+        for c in checks:
+            assert sorted(c) == ["limit", "name", "passed", "value"], c
+            assert math.isfinite(c["limit"]), c
+            assert c["passed"] == (c["value"] <= c["limit"]), c
+
+    def test_default_vlasov_fails_mass_conserved_through_the_cli(self, tmp_path):
+        # the default window lets about 1e-3 of the mass flow out per 100 steps,
+        # and outflow counts as drift
+        cfgp = tmp_path / "run.json"
+        cfgp.write_text(json.dumps({"pipeline": "vlasov", "seed": 1, "vlasov": {}}))
+        res = _cli(
+            ["vlasov", "--config", str(cfgp), "--out", str(tmp_path / "o"), "--check"], tmp_path
+        )
+        assert res.returncode == 3, res.stderr
+        checks = _manifest_of(tmp_path / "o")["checks"]
+        mass = next(c for c in checks if c["name"] == "mass-conserved")
+        assert mass["limit"] == 1e-8 and mass["value"] > 1e-4
+        assert f"mass-conserved {mass['value']:.3e} > 1.000e-08" in res.stderr
+
+    def test_a_wide_vlasov_window_conserves_mass(self, tmp_path):
+        doc = {"pipeline": "vlasov", "seed": 1, "vlasov": WIDE_VLASOV}
+        man = run(parse_config(doc), out=tmp_path, check=True)
+        assert man.status == "ok"
+        mass = next(b for b in man.checks if b.name == "mass-conserved")
+        assert mass.passed and mass.value < 1e-11
