@@ -36,7 +36,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import NumericalBlowupError, SizeMismatchError
+from .errors import NumericalBlowupError, SizeMismatchError, check_step, require
 
 __all__ = [
     "ChainGeometry",
@@ -45,6 +45,8 @@ __all__ = [
     "ChainEnsemble",
     "GaussianLaw",
     "PointLaw",
+    "cosine_gaussian_law",
+    "LAWS",
     "site_coordinates",
     "chain_force_flat",
     "chain_energy",
@@ -278,8 +280,7 @@ def verlet_evolve(
     the run's step count at the start), the time, and the first offending
     replica and Fourier mode (an index on the ``rfftn`` grid).
     """
-    if dt <= 0.0:
-        raise ValueError(f"time step must be positive, got {dt}")
+    check_step("dt", dt)
     r = _check_sites(geom, state.r, "displacement")
     lead = r.shape[:-1]
     gax = tuple(range(len(lead), len(lead) + geom.d))
@@ -348,6 +349,12 @@ class GaussianLaw:
     sigma_r: Profile = 1.0
     sigma_v: Profile = 1.0
 
+    def __post_init__(self):
+        for name in ("sigma_r", "sigma_v"):
+            width = getattr(self, name)
+            if not callable(width):
+                require(width >= 0.0, name, width, ">= 0")
+
     def sample_sites(self, rng: np.random.Generator, x: np.ndarray):
         mr, mv = _per_site(self.mean_r, x), _per_site(self.mean_v, x)
         sr, sv = _per_site(self.sigma_r, x), _per_site(self.sigma_v, x)
@@ -379,6 +386,22 @@ class PointLaw:
 
     def sample_sites(self, rng: np.random.Generator, x: np.ndarray):
         return _per_site(self.r0, x), _per_site(self.v0, x)
+
+
+def cosine_gaussian_law(
+    amplitude: float = 0.2, mode: int = 1, sigma_r: float = 0.0, sigma_v: float = 0.1
+) -> GaussianLaw:
+    """Gaussian law whose mean displacement is ``amplitude cos(2 pi mode x_0)``."""
+    require(mode >= 1, "mode", mode, ">= 1")
+
+    def mean_r(x):
+        return amplitude * np.cos(2.0 * np.pi * mode * x[..., 0])
+
+    return GaussianLaw(mean_r, 0.0, sigma_r, sigma_v)
+
+
+# kind -> the one-site law's factory; its keyword parameters are the kind's parameters
+LAWS = {"gaussian": GaussianLaw, "cosine-gaussian": cosine_gaussian_law, "point": PointLaw}
 
 
 def sample_ensemble(law, geom: ChainGeometry, m: int, seed: int) -> ChainEnsemble:

@@ -7,8 +7,10 @@ field's default, and each value is checked against the field's annotation
 and the rule in its ``metadata`` (bounds ``ge``/``gt``/``le``/``lt`` on
 numbers, ``choices`` on strings).  Integer fields take integral numbers and
 hold ints; no field takes NaN or an infinity.  Profile and law blocks are
-flat objects, checked by :func:`~kinlat.profiles.make_profile` and by
-``_LAW_PARAMS``.  Rules that tie two blocks of a pipeline together, and
+tagged: a flat object whose ``name`` or ``kind`` picks a factory out of
+:data:`~kinlat.profiles.FACTORIES` or :data:`~kinlat.chain.LAWS`, and whose
+other keys are that factory's keyword parameters, read from its signature
+and checked by the factory itself.  Rules that tie two blocks of a pipeline together, and
 the rule that no two sweep children share an output directory, are checked
 on the built tree, once per sweep child.  A rejection is a
 :class:`ConfigError` carrying the dotted path of the offending field.
@@ -21,6 +23,7 @@ seed.
 from __future__ import annotations
 
 import hashlib
+import inspect
 import json
 import math
 import operator
@@ -29,11 +32,9 @@ from functools import cache
 from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
 
-import numpy as np
-
 from .errors import ConfigError
 from .lattice import DEFAULT_OMEGA_FLOOR, RESONANCE_PROFILES
-from .profiles import PROFILE_NAMES, make_profile
+from .profiles import FACTORIES
 
 __all__ = [
     "PIPELINES",
@@ -53,6 +54,7 @@ __all__ = [
     "sweep_children",
     "mf_steps",
     "config_hash",
+    "resolved",
     "build_law",
     "build_profile",
 ]
@@ -79,6 +81,10 @@ def _field(default, **rule):
 class ProfileConfig:
     name: str = "torus-gaussian"
     params: dict = field(default_factory=lambda: {"amplitude": 1.0, "width": 0.5})
+
+    @staticmethod
+    def factories() -> dict:
+        return FACTORIES
 
 
 @dataclass(frozen=True)
@@ -118,6 +124,12 @@ class CompareConfig:
 class LawConfig:
     kind: str = "gaussian"
     params: dict = field(default_factory=dict)
+
+    @staticmethod
+    def factories() -> dict:
+        from .chain import LAWS  # imported here, so a wt-* run never loads the chain lane
+
+        return LAWS
 
 
 @dataclass(frozen=True)
@@ -187,6 +199,8 @@ _BOUNDS = {
 }
 _KIND_NAMES = {int: "an integer", float: "a number", str: "a string"}
 _hints = cache(get_type_hints)
+# a profile or law factory -> its keyword parameters, annotations evaluated
+_params = cache(lambda factory: inspect.signature(factory, eval_str=True).parameters)
 
 
 def _build(cls, obj, path: str, **given):
@@ -218,8 +232,8 @@ def _value(tp, rule, v, path: str):
             raise ConfigError(f"must be a non-empty list, got {v!r}", field=path)
         return tuple(_value(get_args(tp)[0], rule, x, f"{path}.{i}") for i, x in enumerate(v))
     kinds = [t for t in get_args(tp) if t is not type(None)] or [tp]
-    if kinds[0] in _FLAT:
-        return _FLAT[kinds[0]](v, path)
+    if hasattr(kinds[0], "factories"):
+        return _tagged(kinds[0], v, path)
     if is_dataclass(kinds[0]):
         return _build(kinds[0], v, path)
     if isinstance(v, str) and str in kinds:
@@ -243,41 +257,34 @@ def _value(tp, rule, v, path: str):
     raise ConfigError(f"must be {expected}, got {v!r}", field=path)
 
 
-def _profile_cfg(obj, path: str) -> ProfileConfig:
-    """A flat ``{"name": ..., <param>: number}`` object, checked by ``make_profile``."""
-    if not isinstance(obj, dict) or "name" not in obj:
-        raise ConfigError(f"must be an object with a name, got {obj!r}", field=path)
-    name = _value(str, {"choices": PROFILE_NAMES}, obj["name"], f"{path}.name")
-    params = {k: _value(float, {}, v, f"{path}.{k}") for k, v in obj.items() if k != "name"}
+def _tagged(cls, obj, path: str):
+    """Build the tagged block ``cls`` from the flat JSON object ``obj`` at ``path``.
+
+    The tag (the first field, ``name`` or ``kind``) picks a factory out of
+    ``cls.factories()``; every other key is one of its keyword parameters, a
+    finite number (an int where it is annotated ``int``).  The factory is
+    called once, and an error it raises is reported at ``<path>.<param>``.
+    """
+    tag = fields(cls)[0].name
+    if not isinstance(obj, dict) or tag not in obj:
+        raise ConfigError(f"must be an object with a {tag}, got {obj!r}", field=path)
+    table = cls.factories()
+    kind = _value(str, {"choices": tuple(table)}, obj[tag], f"{path}.{tag}")
+    sig = _params(table[kind])
+    unknown = sorted(set(obj) - {tag} - set(sig))
+    missing = [k for k, p in sig.items() if p.default is p.empty and k not in obj]
+    if unknown or missing:
+        raise ConfigError(f"takes {list(sig)}: unknown {unknown}, missing {missing}", field=path)
+    params = {
+        k: _value(int if sig[k].annotation is int else float, {}, v, f"{path}.{k}")
+        for k, v in obj.items()
+        if k != tag
+    }
     try:
-        make_profile(name, **params)
+        table[kind](**params)
     except ConfigError as e:
-        sub = "" if e.field == "profile" else f".{e.field}"
-        raise ConfigError(e.message, field=path + sub) from None
-    return ProfileConfig(name, params)
-
-
-def _law_cfg(obj, path: str) -> LawConfig:
-    """A flat ``{"kind": ..., <param>: number}`` object, checked by ``_LAW_PARAMS``."""
-    kind = obj.get("kind") if isinstance(obj, dict) else None
-    table = _LAW_PARAMS.get(kind) if isinstance(kind, str) else None
-    if table is None:
-        raise ConfigError(f"needs a kind out of {tuple(_LAW_PARAMS)}, got {obj!r}", field=path)
-    params = {}
-    for k, v in obj.items():
-        if k == "kind":
-            continue
-        if k not in table:
-            raise ConfigError(f"law {kind!r} does not take {k!r}", field=path)
-        try:
-            params[k] = _value(*table[k], v, path)
-        except ConfigError as e:
-            raise ConfigError(f"{k} {e.message}", field=path) from None
-    return LawConfig(kind, params)
-
-
-# dataclasses whose JSON form is one flat object rather than one key per field
-_FLAT = {ProfileConfig: _profile_cfg, LawConfig: _law_cfg}
+        raise ConfigError(e.message, field=f"{path}.{e.field}") from None
+    return cls(kind, params)
 
 
 def _axis_field(axis: str):
@@ -413,47 +420,35 @@ def config_hash(cfg: RunConfig) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
+def _make(tc):
+    """Call the factory that the tagged block ``tc`` names with its parameters."""
+    table, tag = tc.factories(), fields(tc)[0].name
+    return table[_value(str, {"choices": tuple(table)}, getattr(tc, tag), tag)](**tc.params)
+
+
 def build_profile(pc: ProfileConfig):
-    return make_profile(pc.name, **pc.params)
+    return _make(pc)
 
 
-_REAL = (float, {})
-_WIDTH = (float, {"ge": 0})
-
-# law kind -> its parameters, each an (annotation, rule) pair
-_LAW_PARAMS = {
-    "gaussian": {"mean_r": _REAL, "mean_v": _REAL, "sigma_r": _WIDTH, "sigma_v": _WIDTH},
-    "cosine-gaussian": {
-        "amplitude": _REAL,
-        "mode": (int, {"ge": 1}),
-        "sigma_r": _WIDTH,
-        "sigma_v": _WIDTH,
-    },
-    "point": {"r0": _REAL, "v0": _REAL},
-}
+def build_law(lc: LawConfig):
+    return _make(lc)
 
 
-def build_law(lc: LawConfig, sigma_r_override: float | None = None):
-    """Materialize a sampling law; ``sigma_r_override`` widens degenerate laws."""
-    from .chain import GaussianLaw, PointLaw
+def resolved(cfg: RunConfig) -> dict:
+    """The tree :func:`parse_config` built, as JSON values and without ``raw``.
 
-    p = dict(lc.params)
-    if lc.kind == "gaussian":
-        if sigma_r_override is not None:
-            p["sigma_r"] = sigma_r_override
-        return GaussianLaw(
-            p.get("mean_r", 0.0), p.get("mean_v", 0.0), p.get("sigma_r", 1.0), p.get("sigma_v", 1.0)
-        )
-    if lc.kind == "cosine-gaussian":
-        amp = p.get("amplitude", 0.2)
-        mode = int(p.get("mode", 1))
-        sr = p.get("sigma_r", 0.0) if sigma_r_override is None else sigma_r_override
-        sv = p.get("sigma_v", 0.1)
+    Each profile and law block lists every parameter of its kind, the
+    defaults filled in from the factory's signature.
+    """
 
-        def mean_r(x):
-            return amp * np.cos(2.0 * np.pi * mode * x[..., 0])
+    def walk(node):
+        if hasattr(node, "factories"):
+            tag = fields(node)[0].name
+            kind = getattr(node, tag)
+            sig = _params(node.factories()[kind])
+            return {tag: kind} | {k: node.params.get(k, p.default) for k, p in sig.items()}
+        if is_dataclass(node):
+            return {f.name: walk(getattr(node, f.name)) for f in fields(node) if f.name != "raw"}
+        return list(node) if isinstance(node, tuple) else node
 
-        return GaussianLaw(mean_r, 0.0, sr, sv)
-    if lc.kind == "point":
-        return PointLaw(p.get("r0", 0.0), p.get("v0", 0.0))
-    raise ConfigError(f"unknown law kind {lc.kind!r}", field="law.kind")
+    return walk(cfg)

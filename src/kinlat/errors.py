@@ -7,12 +7,16 @@ exit codes (config -> 1, numerics -> 2, failed checks -> 3).
 
 from __future__ import annotations
 
+import math
+
 __all__ = [
     "KinlatError",
     "ConfigError",
     "SizeMismatchError",
     "NumericalBlowupError",
     "CheckFailure",
+    "require",
+    "check_step",
 ]
 
 
@@ -43,3 +47,15 @@ class NumericalBlowupError(KinlatError, RuntimeError):
 
 class CheckFailure(KinlatError):
     """An acceptance-style assertion requested via --check did not hold."""
+
+
+def require(ok: bool, name: str, value: float, rule: str) -> None:
+    """Raise :class:`ConfigError` at parameter ``name`` unless ``ok`` holds (NaN fails it)."""
+    if not ok:
+        raise ConfigError(f"must be {rule}, got {value}", field=name)
+
+
+def check_step(name: str, dt: float) -> None:
+    """Raise ``ValueError`` unless the time step argument ``name`` is finite and positive."""
+    if not (math.isfinite(dt) and dt > 0.0):
+        raise ValueError(f"{name} must be finite and positive, got {dt!r}")

@@ -24,7 +24,7 @@ from __future__ import annotations
 import datetime
 import importlib
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -35,6 +35,7 @@ from .config import (
     build_profile,
     config_hash,
     mf_steps,
+    resolved,
     sweep_children,
 )
 from .errors import CheckFailure, ConfigError, NumericalBlowupError
@@ -175,6 +176,7 @@ class RunManifest:
     checks: list = field(default_factory=list)
     notes: list = field(default_factory=list)
     snapshot: str | None = None
+    config_resolved: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
         d = {
@@ -190,6 +192,7 @@ class RunManifest:
             "metrics": self.metrics,
             "checks": [b.to_dict() for b in self.checks],
             "notes": self.notes,
+            "config_resolved": self.config_resolved,
         }
         if self.snapshot is not None:
             d["snapshot"] = self.snapshot
@@ -534,7 +537,8 @@ def _paired_laws(cfg: RunConfig, grid: PhaseGrid):
         sigma_pde = max(float(law_chain.sigma_r), 2.0 * grid.dr)
     else:
         sigma_pde = float(cmp_.pde_sigma_r)
-    return law_chain, build_law(c.law, sigma_r_override=sigma_pde), sigma_pde
+    law_pde = build_law(replace(c.law, params=c.law.params | {"sigma_r": sigma_pde}))
+    return law_chain, law_pde, sigma_pde
 
 
 def _drive_mf_compare(cfg: RunConfig, out: Path):
@@ -716,6 +720,7 @@ def run(
         out_dir=str(out_dir),
         started=_utcnow(),
         versions=_versions(),
+        config_resolved=resolved(cfg),
     )
     driver, lanes = _DRIVERS[cfg.pipeline]
     _bind(*lanes)
@@ -818,6 +823,7 @@ def sweep(
         out_dir=str(out_dir),
         started=_utcnow(),
         versions=_versions(),
+        config_resolved=resolved(cfg),
         status="ok" if not partial else "partial",
     )
     manifest.metrics = {"axis": axis, "verdict": verdict, metric: series}

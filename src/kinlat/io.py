@@ -146,10 +146,11 @@ def write_amplitude_snapshot(
 
 
 def write_chain_snapshot_csv(path: str | Path, x, r, v, t: float) -> Path:
-    """Per-site chain snapshot: site index, coordinate, displacement, velocity."""
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    if x.shape[0] == 1 and x.shape[1] != np.asarray(r).size:
-        x = x.T
+    """Per-site chain snapshot: site index, coordinate, displacement, velocity.
+
+    ``x`` holds the site coordinates, shape ``(n_sites, d)``.
+    """
+    x = np.asarray(x, dtype=np.float64)
     r = np.asarray(r).reshape(-1)
     v = np.asarray(v).reshape(-1)
     header = ["site"] + [f"x_{c}" for c in range(x.shape[1])] + ["r", "v"]

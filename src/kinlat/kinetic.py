@@ -52,7 +52,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import NumericalBlowupError, SizeMismatchError
+from .errors import NumericalBlowupError, SizeMismatchError, check_step
 from .lattice import DEFAULT_OMEGA_FLOOR, RESONANCE_PROFILES, dispersion
 
 __all__ = [
@@ -451,6 +451,7 @@ def step(
     beyond ``BLOWUP_BOUND`` aborts with a :class:`NumericalBlowupError` that
     names the step ``index``, the time reached and the worst mode.
     """
+    check_step("dtau", dtau)
     if f.grid != grid:
         raise SizeMismatchError(f"spectrum grid {f.grid} vs requested {grid}")
     y = f.f
@@ -494,6 +495,7 @@ def evolve(
     callback=None,
 ) -> Spectrum:
     """Repeat :func:`step`; ``callback(i, spectrum)`` fires after each step."""
+    check_step("dtau", dtau)
     for i in range(n_steps):
         f = step(f, grid, rule, dtau, scheme, diag, index=i)
         if callback is not None:

@@ -56,7 +56,7 @@ from functools import lru_cache
 import numpy as np
 
 from .chain import ChainEnsemble, ChainGeometry, FractionalParams
-from .errors import SizeMismatchError
+from .errors import SizeMismatchError, check_step
 
 __all__ = [
     "PhaseGrid",
@@ -350,8 +350,7 @@ class _Strang:
     """
 
     def __init__(self, grid: PhaseGrid, dt: float):
-        if not (math.isfinite(dt) and dt > 0.0):
-            raise ValueError(f"dt must be finite and positive, got {dt!r}")
+        check_step("dt", dt)
         self.grid, self.dt = grid, dt
         self.slabs = _slabs(grid)
         self.mid = np.empty((self.slabs[0].stop, grid.mr, grid.mv))

@@ -38,7 +38,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import NumericalBlowupError, SizeMismatchError
+from .errors import NumericalBlowupError, SizeMismatchError, check_step
 from .kinetic import Spectrum, TorusGrid
 from .lattice import (
     LatticeSpec,
@@ -294,6 +294,7 @@ def _integrate_array(
 ) -> np.ndarray:
     """Batched core; ``a`` may carry leading replica axes.  ``step0`` and
     ``t0`` are the run's clock at the start, which a blowup reports in."""
+    check_step("dt", dt)
     spec = params.spec
     if scheme == "exponential":
         e2, e1 = _phase_factors(spec, dt)

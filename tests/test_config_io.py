@@ -1,6 +1,8 @@
 """Config parsing/validation and the deterministic file writers."""
 
+import inspect
 import json
+import math
 import os
 import subprocess
 import sys
@@ -10,7 +12,7 @@ import numpy as np
 import pytest
 
 from kinlat import cli
-from kinlat.chain import GaussianLaw, PointLaw, site_coordinates, ChainGeometry
+from kinlat.chain import LAWS, GaussianLaw, PointLaw, site_coordinates, ChainGeometry
 from kinlat.config import (
     LawConfig,
     VlasovConfig,
@@ -21,7 +23,7 @@ from kinlat.config import (
     parse_config,
 )
 from kinlat.errors import ConfigError, SizeMismatchError
-from kinlat.harness import run
+from kinlat.harness import _paired_laws, run
 from kinlat.io import (
     format_float,
     read_phase_density,
@@ -32,6 +34,7 @@ from kinlat.io import (
     write_spectrum_csv,
 )
 from kinlat.kinetic import Spectrum, TorusGrid, nodes
+from kinlat.profiles import FACTORIES
 from kinlat.vlasov import PhaseDensity, PhaseGrid
 
 
@@ -318,18 +321,18 @@ INVALID = [
     ("chain.alpha", 0, "chain.alpha"),
     ("chain.n", 1, "chain.n"),
     ("chain.law", {"kind": "gaussian", "sigma": 1}, "chain.law"),
-    ("chain.law", {"kind": "delta-comb"}, "chain.law"),
+    ("chain.law", {"kind": "delta-comb"}, "chain.law.kind"),
     ("chain.law", {"sigma_r": 0.1}, "chain.law"),
-    ("chain.law", {"kind": "gaussian", "sigma_r": -1}, "chain.law"),
-    ("chain.law", {"kind": "cosine-gaussian", "mode": 0}, "chain.law"),
-    ("chain.law", {"kind": "cosine-gaussian", "mode": 1.5}, "chain.law"),
-    ("chain.law", {"kind": "point", "r0": "left"}, "chain.law"),
+    ("chain.law", {"kind": "gaussian", "sigma_r": -1}, "chain.law.sigma_r"),
+    ("chain.law", {"kind": "cosine-gaussian", "mode": 0}, "chain.law.mode"),
+    ("chain.law", {"kind": "cosine-gaussian", "mode": 1.5}, "chain.law.mode"),
+    ("chain.law", {"kind": "point", "r0": "left"}, "chain.law.r0"),
     ("vlasov.interp", "cubic", "vlasov.interp"),
     ("vlasov.mr", 1, "vlasov.mr"),
     ("vlasov.r_max", 0, "vlasov.r_max"),
     ("vlasov.alpha", 1.5, "vlasov.alpha"),
     ("vlasov.cfl_fraction", 0, "vlasov.cfl_fraction"),
-    ("vlasov.law", {"kind": "uniform"}, "vlasov.law"),
+    ("vlasov.law", {"kind": "uniform"}, "vlasov.law.kind"),
     ("vlasov.law", {"kind": "point", "v0": 1, "r1": 0}, "vlasov.law"),
     ("sweep", {"axis": "wave.lam", "values": []}, "sweep.values"),
     ("sweep", {"axis": "wave.lam", "values": [0.1, "a"]}, "sweep.values.1"),
@@ -377,7 +380,7 @@ class TestInvalid:
             ('"wave": {"dt": NaN}', "wave.dt"),
             ('"wave": {"lam": Infinity}', "wave.lam"),
             ('"wave": {"profile": {"name": "constant", "level": -Infinity}}', "wave.profile.level"),
-            ('"wave": {}, "chain": {"law": {"kind": "gaussian", "mean_v": NaN}}', "chain.law"),
+            ('"wave": {}, "chain": {"law": {"kind": "gaussian", "mean_v": NaN}}', "chain.law.mean_v"),
             ('"wave": {}, "sweep": {"axis": "wave.lam", "values": [0.1, NaN]}', "sweep.values.1"),
         ],
     )
@@ -449,8 +452,15 @@ class TestBuilders:
         assert law.mean_r == 0.3 and law.sigma_v == 0.1
 
     def test_sigma_override_widens_degenerate_law(self):
-        law = build_law(LawConfig("gaussian", {"sigma_r": 0.0}), sigma_r_override=0.25)
-        assert law.sigma_r == 0.25
+        doc = _mf_doc()
+        doc["chain"]["law"] = {"kind": "gaussian", "sigma_r": 0.0, "sigma_v": 0.05}
+        grid = PhaseGrid(8, 16, 16, 0.5, 1.0)
+        for pde_sigma_r, want in (("auto", 2.0 * grid.dr), (0.25, 0.25)):
+            doc["compare"]["pde_sigma_r"] = pde_sigma_r
+            chain_law, pde_law, sigma = _paired_laws(parse_config(doc), grid)
+            assert chain_law.sigma_r == 0.0
+            assert pde_law.sigma_r == sigma == want
+            assert pde_law.sigma_v == chain_law.sigma_v == 0.05
 
     def test_cosine_gaussian_mean_profile(self):
         law = build_law(LawConfig("cosine-gaussian", {"amplitude": 0.1, "mode": 2}))
@@ -469,6 +479,52 @@ class TestBuilders:
         prof = build_profile(parse_config(_wave_doc()).wave.profile)
         vals = prof(np.linspace(-0.5, 0.5, 11))
         assert np.all(vals >= 0) and vals.max() > 0
+
+
+# (block path, factory table, tag, doc holding the block at that path)
+_TAGGED_HOMES = {
+    "wave.profile": (FACTORIES, "name", lambda b: {"pipeline": "wt-sim", "seed": 1, "wave": {"profile": b}}),
+    "chain.law": (LAWS, "kind", lambda b: {"pipeline": "chain-sim", "seed": 1, "chain": {"law": b}}),
+}
+_TAGGED_KINDS = [(path, kind) for path, (table, _, _) in _TAGGED_HOMES.items() for kind in table]
+
+
+def _probe(built):
+    """What a profile or a law produces, for comparing two of them."""
+    if callable(built):
+        return built(nodes(TorusGrid(2, 6)))
+    return built.sample_sites(np.random.default_rng(0), site_coordinates(ChainGeometry(1, 8)))
+
+
+class TestDeclarations:
+    """Each profile name and law kind is declared by its factory's signature."""
+
+    @pytest.mark.parametrize("path, kind", _TAGGED_KINDS)
+    def test_factory_signature_is_the_block_format(self, path, kind):
+        table, tag, doc = _TAGGED_HOMES[path]
+        block, _, leaf = path.partition(".")
+        sig = inspect.signature(table[kind]).parameters
+        # a required parameter takes 0.5, which every factory accepts
+        required = {k: 0.5 for k, p in sig.items() if p.default is p.empty}
+        cfg = getattr(getattr(parse_config(doc({tag: kind, **required})), block), leaf)
+        assert cfg.params == required
+        built = (build_profile if tag == "name" else build_law)(cfg)
+        np.testing.assert_array_equal(_probe(built), _probe(table[kind](**required)))
+        others = {k for f in table.values() for k in inspect.signature(f).parameters}
+        for key in sorted(others - set(sig)) + ["bogus"]:
+            with pytest.raises(ConfigError) as err:
+                parse_config(doc({tag: kind, **required, key: 0.5}))
+            assert err.value.field == path, key
+        for key in sig:
+            for bad in ("x", math.nan, True, None):
+                with pytest.raises(ConfigError) as err:
+                    parse_config(doc({tag: kind, **required, key: bad}))
+                assert err.value.field == f"{path}.{key}", (key, bad)
+
+    def test_integral_mode_is_held_as_an_int(self):
+        doc = {"pipeline": "chain-sim", "seed": 1, "chain": {"law": {"kind": "cosine-gaussian", "mode": 2.0}}}
+        mode = parse_config(doc).chain.law.params["mode"]
+        assert mode == 2 and type(mode) is int
 
 
 class TestWriters:

@@ -22,6 +22,7 @@ from kinlat import harness, kinetic
 from kinlat.chain import (
     ChainEnsemble,
     ChainGeometry,
+    ChainState,
     FractionalParams,
     GaussianLaw,
     chain_energy,
@@ -33,7 +34,16 @@ from kinlat.errors import CheckFailure, NumericalBlowupError
 from kinlat.harness import BLOCK_BYTES, Budget, _integrate_ensemble, run
 from kinlat.io import sha256_file
 from kinlat.lattice import LatticeSpec
-from kinlat.waves import EnsembleSpec, ModelParams, _integrate_array, sample_initial, stack_ensemble
+from kinlat.vlasov import PhaseDensity, PhaseGrid, vlasov_evolve
+from kinlat.waves import (
+    AmplitudeState,
+    EnsembleSpec,
+    ModelParams,
+    _integrate_array,
+    integrate,
+    sample_initial,
+    stack_ensemble,
+)
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -270,6 +280,51 @@ class TestRun:
         notes = _manifest_of(tmp_path)["notes"]
         assert notes == man.notes and len(notes) == 1
         assert notes[0].startswith("support reached the (r, v) truncation boundary")
+
+    def test_manifest_records_the_resolved_config(self, tmp_path):
+        # a law or profile block lists every parameter of its kind, defaults filled in
+        doc = LANE_RUNS["mf-compare"][0]
+        run(parse_config(doc), out=tmp_path / "mf")
+        disk = _manifest_of(tmp_path / "mf")
+        assert disk["config_hash"] == config_hash(parse_config(doc))
+        law = disk["config_resolved"]["chain"]["law"]
+        assert law == {"kind": "cosine-gaussian", "amplitude": 0.2, "mode": 1, "sigma_r": 0.0, "sigma_v": 0.1}
+        doc = _wave_doc(n_steps=2, profile={"name": "rayleigh-jeans", "temperature": 0.1})
+        run(parse_config(doc), out=tmp_path / "wt")
+        resolved = _manifest_of(tmp_path / "wt")["config_resolved"]
+        assert resolved["wave"]["profile"] == {"name": "rayleigh-jeans", "temperature": 0.1, "floor": 1e-12}
+        assert resolved["wave"]["n_steps"] == 2 and resolved["chain"] is None
+        assert "raw" not in resolved
+
+
+# lane stepper -> a call of it on a small valid state with (step, n_steps)
+STEPPERS = {
+    "chain.verlet_evolve": lambda dt, n: verlet_evolve(
+        ChainState(np.zeros(4), np.zeros(4)), ChainGeometry(1, 4), FractionalParams(0.5), dt, n
+    ),
+    "kinetic.evolve": lambda dt, n: kinetic.evolve(
+        kinetic.Spectrum(kinetic.TorusGrid(1, 8), np.ones(8)),
+        kinetic.TorusGrid(1, 8),
+        kinetic.ResonanceRule(0.3),
+        dt,
+        n,
+    ),
+    "waves.integrate": lambda dt, n: integrate(
+        AmplitudeState(np.zeros((2, 9), complex)), ModelParams(LatticeSpec(1, 4), 0.1), dt, n
+    ),
+    "vlasov.vlasov_evolve": lambda dt, n: vlasov_evolve(
+        PhaseDensity(PhaseGrid(2, 4, 4, 1.0, 1.0), np.ones((2, 4, 4))), FractionalParams(0.5), dt, n
+    ),
+}
+
+
+@pytest.mark.parametrize("n_steps", [0, 2])
+@pytest.mark.parametrize("dt", [0.0, -0.1, math.nan, math.inf])
+@pytest.mark.parametrize("stepper", sorted(STEPPERS))
+def test_every_stepper_rejects_a_bad_step_before_any_work(stepper, dt, n_steps):
+    with pytest.raises(ValueError, match=r"^dt(au)? must be finite and positive, got "):
+        STEPPERS[stepper](dt, n_steps)
+    STEPPERS[stepper](0.01, n_steps)  # the same call with a good step runs
 
 
 class TestSweep:
