@@ -1,0 +1,117 @@
+"""Byte identity against a base checkout: one command over a fixed list of runs.
+
+Usage::
+
+    python3 benchmarks/bytes_identical.py --base PATH
+
+Each run in :data:`RUNS` is made twice in fresh interpreters, once from this
+checkout's ``src/`` and once from the base checkout's, into a temporary
+directory.  For every output file (``manifest.json`` excluded: it holds
+timestamps and paths) the sheet prints the sha256 prefix on both sides, then
+lists the files that differ or exist on one side only.  The exit code is 1
+on any difference or failed run, else 0.
+
+The runs are inputs 0 and 5 of each perfbench workload (configs from
+``perfbench/workloads.py``, imported, not edited), ``wt-compare`` at d = 1
+(17 sites against a 32-node kinetic grid: the interpolation path) and at
+d = 2 (9 sites against 9 nodes: the same-grid path), and the default
+``mf-compare`` and ``vlasov`` blocks.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+CHILD = "import sys; from kinlat.cli import main; sys.exit(main(sys.argv[1:]))"
+
+
+def _wt_compare(d: int, half_width: int, m: int) -> dict:
+    return {
+        "pipeline": "wt-compare",
+        "seed": 1,
+        "wave": {"d": d, "half_width": half_width, "lam": 0.3, "dt": 0.02, "replicas": 4},
+        "kinetic": {"d": d, "m": m, "epsilon": 0.3, "dtau": 0.01},
+        "compare": {"tau_final": 0.02},
+    }
+
+
+def runs() -> dict[str, tuple[str, dict]]:
+    """Run name -> (kinlat command, config document)."""
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    from workloads import WORKLOADS
+
+    out = {
+        f"{name}-{i}": (w.command, w.config(i))
+        for name, w in WORKLOADS.items()
+        for i in (0, 5)
+    }
+    out["wt-compare-d1"] = ("wt-compare", _wt_compare(1, 8, 32))
+    out["wt-compare-d2"] = ("wt-compare", _wt_compare(2, 4, 9))
+    out["mf-compare-default"] = (
+        "mf-compare",
+        {"pipeline": "mf-compare", "seed": 1, "chain": {}, "vlasov": {}, "compare": {}},
+    )
+    out["vlasov-default"] = ("vlasov", {"pipeline": "vlasov", "seed": 1, "vlasov": {}})
+    return out
+
+
+def _run(src: Path, command: str, cfg: Path, out: Path) -> str:
+    """Run kinlat from ``src``; return "" or the failure."""
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+    res = subprocess.run(
+        [sys.executable, "-c", CHILD, command, "--config", str(cfg), "--out", str(out)],
+        env=env,
+        capture_output=True,
+        text=True,
+    )
+    return "" if res.returncode == 0 else f"exit {res.returncode}: {res.stderr.strip()}"
+
+
+def _digests(out: Path) -> dict[str, str]:
+    return {
+        p.relative_to(out).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+        for p in sorted(out.rglob("*"))
+        if p.is_file() and p.name != "manifest.json"
+    }
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--base", required=True, type=Path, help="the base checkout's root")
+    args = parser.parse_args(argv)
+    sides = {"this": ROOT / "src", "base": args.base.resolve() / "src"}
+    differ = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, (command, doc) in runs().items():
+            cfg = Path(tmp) / f"{name}.json"
+            cfg.write_text(json.dumps(doc))
+            digests = {}
+            for side, src in sides.items():
+                out = Path(tmp) / side / name
+                failed = _run(src, command, cfg, out)
+                if failed:
+                    differ.append(f"{name}: {side} run failed, {failed}")
+                digests[side] = _digests(out) if out.exists() else {}
+            this, base = digests["this"], digests["base"]
+            print(f"{name} ({command}): {len(this)} files")
+            for path in sorted(set(this) | set(base)):
+                a, b = this.get(path, "-"), base.get(path, "-")
+                mark = "same" if a == b else "DIFF"
+                print(f"  {mark}  {a[:12]:<12}  {b[:12]:<12}  {path}")
+                if a != b:
+                    differ.append(f"{name}/{path}")
+    print(f"{len(differ)} differences" + "".join(f"\n  {d}" for d in differ))
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -158,7 +158,6 @@ class VlasovConfig:
     n_steps: int = _field(100, ge=0)
     # one interpolant (linear); kept because existing configs set it
     interp: str = _field("linear", choices=("linear",))
-    cfl_fraction: float | None = _field(None, gt=0)
     law: LawConfig = field(default_factory=lambda: LawConfig("gaussian", {"sigma_r": 0.2, "sigma_v": 0.2}))
 
 
@@ -367,20 +366,17 @@ def _check_blocks(cfg: RunConfig) -> None:
                 "the kinetic comparison starts from wave.profile, not its own profile",
                 field="kinetic.initial",
             )
+    if cfg.pipeline == "vlasov":
+        _check_density(cfg.vlasov.law, "vlasov.law", "the transport solve", ("sigma_r", "sigma_v"))
     if cfg.pipeline != "mf-compare":
         return
-    from .chain import GaussianLaw
-
     c, v, t_final = cfg.chain, cfg.vlasov, cfg.compare.t_final
     if c.d != 1:
         raise ConfigError("the transport equation runs at d = 1 only", field="chain.d")
     if c.n < v.mx:
         raise ConfigError(f"x cells without chain sites: mx {v.mx} > n {c.n}", field="vlasov.mx")
-    if not isinstance(build_law(c.law), GaussianLaw):
-        raise ConfigError(
-            "mean-field comparison needs a law with a density (gaussian kinds)",
-            field="chain.law.kind",
-        )
+    # the PDE twin's r-width is widened to the grid (harness._paired_laws)
+    _check_density(c.law, "chain.law", "mean-field comparison", ("sigma_v",))
     if c.alpha != v.alpha:
         raise ConfigError("chain and transport blocks must share alpha", field="vlasov.alpha")
     n_chain, n_pde = mf_steps(c, v, t_final)
@@ -389,6 +385,22 @@ def _check_blocks(cfg: RunConfig) -> None:
             "chain.dt and vlasov.dt must both divide compare.t_final",
             field="compare.t_final",
         )
+
+
+def _check_density(lc: LawConfig, path: str, user: str, widths: tuple[str, ...]) -> None:
+    """Reject the law block ``lc`` at ``path`` unless it gives a density: a
+    gaussian kind whose ``widths`` are positive."""
+    from .chain import GaussianLaw
+
+    law = build_law(lc)
+    if not isinstance(law, GaussianLaw):
+        raise ConfigError(f"{user} needs a law with a density (gaussian kinds)", field=f"{path}.kind")
+    for name in widths:
+        if not getattr(law, name) > 0.0:
+            raise ConfigError(
+                f"{user} needs a law with a density, so {name} > 0, got {getattr(law, name)}",
+                field=f"{path}.{name}",
+            )
 
 
 def sweep_dir(axis: str, value: float) -> str:

@@ -15,8 +15,9 @@ across the axis meaningful), aggregates each child's headline metric, and
 issues a monotone-trend verdict.
 
 A pipeline's lanes (the ``waves``, ``kinetic``, ``chain`` and ``vlasov``
-modules) are imported when ``run`` dispatches it, so a process loads only
-what it runs; ``_reference`` is imported by ``oracle-suite`` alone.
+solvers, and ``compare``, which holds an ensemble against its limit) are
+imported when ``run`` dispatches it, so a process loads only what it runs;
+``_reference`` is imported by ``oracle-suite`` alone.
 """
 
 from __future__ import annotations
@@ -89,7 +90,6 @@ _LANES = {
         "Spectrum",
         "TorusGrid",
         "collision",
-        "compare_spectra",
         "energy_moment",
         "evolve",
         "nodes",
@@ -107,10 +107,10 @@ _LANES = {
         "PhaseGrid",
         "cell_moments_of_density",
         "density_from_law",
-        "meanfield_distance",
         "vlasov_evolve",
         "x_centers",
     ),
+    "compare": ("compare_spectra", "meanfield_distance"),
 }
 
 
@@ -217,6 +217,21 @@ def _map_ordered(fn, items, workers: int):
 
     with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items))
+
+
+def _manifest(cfg: RunConfig, out_dir: Path, **fields) -> RunManifest:
+    """A new manifest of ``cfg`` run into ``out_dir``; the resolved config
+    records that directory as its ``out``, whatever the config said."""
+    return RunManifest(
+        pipeline=cfg.pipeline,
+        config_hash=config_hash(cfg),
+        seed=cfg.seed,
+        out_dir=str(out_dir),
+        started=_utcnow(),
+        versions=_versions(),
+        config_resolved=resolved(cfg) | {"out": str(out_dir)},
+        **fields,
+    )
 
 
 def _close(manifest: RunManifest, out_dir: Path, check: bool) -> RunManifest:
@@ -406,8 +421,8 @@ def _drive_wt_compare(cfg: RunConfig, out: Path):
     n_tau = max(1, round(c.tau_final / k.dtau))
     kin = evolve(kin0, grid, rule, k.dtau, n_tau, k.scheme)
 
-    dist = compare_spectra(kin, micro)
-    dist0 = compare_spectra(kin0, micro0)
+    dist = compare_spectra(micro, kin)
+    dist0 = compare_spectra(micro0, kin0)
     files = [
         write_spectrum_csv(out / "micro_initial.csv", micro0),
         write_spectrum_csv(out / "micro_final.csv", micro),
@@ -418,14 +433,14 @@ def _drive_wt_compare(cfg: RunConfig, out: Path):
         "lam": w.lam,
         "tau_final": c.tau_final,
         "micro_steps": n_steps,
-        "distance_l1": dist.l1,
-        "distance_l2": dist.l2,
-        "distance_linf": dist.linf,
-        "distance_l2_initial": dist0.l2,
+        "distance_l1": dist.l1["f"],
+        "distance_l2": dist.l2["f"],
+        "distance_linf": dist.sup["f"],
+        "distance_l2_initial": dist0.l2["f"],
     }
     files.append(write_json(out / "compare.json", metrics))
     gap_nodes = nodes(dist.grid).reshape(-1, dist.grid.d)
-    gap_vals = dist.per_mode.reshape(-1)
+    gap_vals = dist.gap["f"].reshape(-1)
     files.append(
         write_csv(
             out / "per_mode.csv",
@@ -435,7 +450,7 @@ def _drive_wt_compare(cfg: RunConfig, out: Path):
         )
     )
     # np.max carries a NaN through; the float limit admits any finite distance
-    largest = float(np.max([dist.l1, dist.l2, dist.linf]))
+    largest = float(np.max([dist.l1["f"], dist.l2["f"], dist.sup["f"]]))
     checks = [Budget("distances-finite", largest, sys.float_info.max)]
     return files, metrics, checks, []
 
@@ -498,7 +513,7 @@ def _drive_vlasov(cfg: RunConfig, out: Path):
     g0 = density_from_law(build_law(v.law), grid)
     b0, j0 = write_phase_density(out / "density_initial", g0, v.alpha)
     # g0 is written out, so the run steps its array in place
-    g, diag = vlasov_evolve(g0, fp, v.dt, v.n_steps, cfl_fraction=v.cfl_fraction, out=g0.g)
+    g, diag = vlasov_evolve(g0, fp, v.dt, v.n_steps, out=g0.g)
     b1, j1 = write_phase_density(out / "density_final", g, v.alpha)
     mom = cell_moments_of_density(g)
     files = [
@@ -554,13 +569,13 @@ def _drive_mf_compare(cfg: RunConfig, out: Path):
     dist0 = meanfield_distance(g0, ens, geom)
     ens = verlet_evolve(ens, geom, fp, c.dt, n_chain)
     # g0 is done with, so the run steps its array in place
-    g, diag = vlasov_evolve(g0, fp, v.dt, n_pde, cfl_fraction=v.cfl_fraction, out=g0.g)
+    g, diag = vlasov_evolve(g0, fp, v.dt, n_pde, out=g0.g)
     # the two clocks agree to round-off; stamp them equal for the comparison
     g.t = ens.t
     dist = meanfield_distance(g, ens, geom)
     files = [
-        write_moments_csv(out / "moments_pde.csv", x_centers(grid), dist.pde),
-        write_moments_csv(out / "moments_ensemble.csv", x_centers(grid), dist.ensemble),
+        write_moments_csv(out / "moments_pde.csv", x_centers(grid), dist.theirs),
+        write_moments_csv(out / "moments_ensemble.csv", x_centers(grid), dist.ours),
     ]
     metrics = {
         "t_final": ens.t,
@@ -679,15 +694,15 @@ def _drive_oracles(cfg: RunConfig, out: Path):
     return files, metrics, checks, []
 
 
-# pipeline -> (driver, the lanes it reads, bound in import order: waves
-# imports kinetic, so kinetic is compiled before waves, not inside it)
+# pipeline -> (driver, the lanes it reads, bound in import order: kinetic
+# before waves and compare before vlasov, so neither compiles inside them)
 _DRIVERS = {
     "wt-sim": (_drive_wave, ("kinetic", "waves")),
     "wt-kinetic": (_drive_kinetic, ("kinetic",)),
-    "wt-compare": (_drive_wt_compare, ("kinetic", "waves")),
+    "wt-compare": (_drive_wt_compare, ("kinetic", "waves", "compare")),
     "chain-sim": (_drive_chain, ("chain",)),
     "vlasov": (_drive_vlasov, ("chain", "vlasov")),
-    "mf-compare": (_drive_mf_compare, ("chain", "vlasov")),
+    "mf-compare": (_drive_mf_compare, ("chain", "compare", "vlasov")),
     "oracle-suite": (_drive_oracles, tuple(_LANES)),
 }
 
@@ -713,15 +728,7 @@ def run(
         return sweep(cfg, out=out, check=check, workers=workers)
     out_dir = Path(out) if out is not None else Path(cfg.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    manifest = RunManifest(
-        pipeline=cfg.pipeline,
-        config_hash=config_hash(cfg),
-        seed=cfg.seed,
-        out_dir=str(out_dir),
-        started=_utcnow(),
-        versions=_versions(),
-        config_resolved=resolved(cfg),
-    )
+    manifest = _manifest(cfg, out_dir)
     driver, lanes = _DRIVERS[cfg.pipeline]
     _bind(*lanes)
     try:
@@ -816,16 +823,7 @@ def sweep(
             },
         ),
     ]
-    manifest = RunManifest(
-        pipeline=cfg.pipeline,
-        config_hash=config_hash(cfg),
-        seed=cfg.seed,
-        out_dir=str(out_dir),
-        started=_utcnow(),
-        versions=_versions(),
-        config_resolved=resolved(cfg),
-        status="ok" if not partial else "partial",
-    )
+    manifest = _manifest(cfg, out_dir, status="ok" if not partial else "partial")
     manifest.metrics = {"axis": axis, "verdict": verdict, metric: series}
     manifest.files = _file_entries(files, out_dir)
     manifest.checks = [complete]

@@ -42,12 +42,15 @@ last.  Spectra are flattened in C order, so node ``j`` has flat index
 
 Stationarity anchor: the equilibrium family ``f = T/w`` annihilates both
 brackets on resonance, which the tests exploit as an oracle.
+
+This module only solves: the wave ensemble's spectrum is held against a
+kinetic one in :mod:`kinlat.compare`.
 """
 
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -71,8 +74,6 @@ __all__ = [
     "evolve",
     "energy_moment",
     "rayleigh_jeans",
-    "compare_spectra",
-    "SpectrumDistance",
 ]
 
 BLOWUP_BOUND = 1e12
@@ -521,58 +522,3 @@ def rayleigh_jeans(grid: TorusGrid, temperature: float, rule: ResonanceRule) -> 
     mask = active_mask(grid, rule)
     f = np.where(mask, temperature / np.where(mask, w, 1.0), 0.0)
     return Spectrum(grid, f)
-
-
-@dataclass
-class SpectrumDistance:
-    """Distances between two spectra evaluated on a common grid."""
-
-    l1: float
-    l2: float
-    linf: float
-    per_mode: np.ndarray = field(repr=False)
-    grid: TorusGrid = None
-    tau_a: float = 0.0
-    tau_b: float = 0.0
-
-
-
-def _interp_periodic_1d(f: np.ndarray, m_from: int, m_to: int) -> np.ndarray:
-    # linear interpolation of the coarse spectrum onto the fine nodes j/m_to
-    pos = np.arange(m_to) * (m_from / m_to)
-    i0 = np.floor(pos).astype(np.int64)
-    theta = pos - i0
-    return (1.0 - theta) * f[i0 % m_from] + theta * f[(i0 + 1) % m_from]
-
-
-def compare_spectra(fa: Spectrum, fb: Spectrum) -> SpectrumDistance:
-    """Pointwise distance report between two spectra.
-
-    Identical grids are compared node by node.  In one dimension a coarser
-    spectrum is first linearly interpolated (periodically) onto the finer
-    grid; mixed grids in higher dimension are rejected.
-    """
-    ga, gb = fa.grid, fb.grid
-    if ga.d != gb.d:
-        raise SizeMismatchError(f"dimension mismatch {ga.d} vs {gb.d}")
-    va, vb = fa.f, fb.f
-    grid = ga
-    if ga.m != gb.m:
-        if ga.d != 1:
-            raise SizeMismatchError(
-                f"grids {ga.m} vs {gb.m} differ; interpolation only supported in d=1"
-            )
-        if ga.m < gb.m:
-            va, grid = _interp_periodic_1d(va, ga.m, gb.m), gb
-        else:
-            vb = _interp_periodic_1d(vb, gb.m, ga.m)
-    diff = va - vb
-    return SpectrumDistance(
-        l1=float(np.sum(np.abs(diff)) * grid.cell_measure),
-        l2=float(np.sqrt(np.sum(diff**2) * grid.cell_measure)),
-        linf=float(np.max(np.abs(diff))),
-        per_mode=diff,
-        grid=grid,
-        tau_a=fa.tau,
-        tau_b=fb.tau,
-    )

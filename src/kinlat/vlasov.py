@@ -45,6 +45,9 @@ caller's density is left alone unless the caller hands its array over as
 :func:`density_from_law` fills its array, :func:`cell_moments_of_density`
 sums it and :class:`PhaseDensity` validates it, one slab at a time, so
 none of them makes a full-size temporary.
+
+This module only solves: :mod:`kinlat.compare` holds the chain ensemble
+against the density, and owns the observables the cell moments sum.
 """
 
 from __future__ import annotations
@@ -55,7 +58,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .chain import ChainEnsemble, ChainGeometry, FractionalParams
+from .chain import FractionalParams
+from .compare import OBSERVABLES
 from .errors import SizeMismatchError, check_step
 
 __all__ = [
@@ -74,10 +78,6 @@ __all__ = [
     "BOUNDARY_TOL",
     "boundary_mass",
     "cell_moments_of_density",
-    "cell_moments_of_ensemble",
-    "MeanfieldDistance",
-    "meanfield_distance",
-    "OBSERVABLES",
 ]
 
 
@@ -444,17 +444,15 @@ def vlasov_evolve(
     dt: float,
     n_steps: int,
     *,
-    cfl_fraction: float | None = None,
     out: np.ndarray | None = None,
 ) -> tuple[PhaseDensity, VlasovDiagnostics]:
     """Run ``n_steps`` Strang steps with advisory monitoring.
 
-    The advisories go to the diagnostics' ``notes``, at most one each:
-    support whose edge mass exceeds ``BOUNDARY_TOL``, and, if
-    ``cfl_fraction`` is set, a sub-sweep that displaces lines by more than
-    that many cells per step (the scheme stays stable regardless; the bound
-    is an accuracy budget).  Of the densities each step ends with, only the
-    result is validated.  ``dt`` must be finite and positive; it is checked
+    The one advisory goes to the diagnostics' ``notes``: support whose edge
+    mass exceeds ``BOUNDARY_TOL``.  The largest line displacements are
+    reported as ``cfl_r`` and ``cfl_v``; the scheme is stable whatever they
+    are.  Of the densities each step ends with, only the result is
+    validated.  ``dt`` must be finite and positive; it is checked
     before any work.
 
     The run holds one working density array: the first step writes it from
@@ -487,16 +485,11 @@ def vlasov_evolve(
             f"support reached the (r, v) truncation boundary: peak edge mass {bmax:.3e}, "
             f"escaped mass estimate {mass0 - g.mass():.3e}"
         )
-    if cfl_fraction is not None and max(cfl_r, cfl_v) > cfl_fraction:
-        notes.append(
-            f"per-step line displacement up to {max(cfl_r, cfl_v):.2f} cells exceeds "
-            f"the configured budget {cfl_fraction:.2f}"
-        )
     return g, VlasovDiagnostics(n_steps, mass0, g.mass(), bmax, cfl_r, cfl_v, notes)
 
 
 # ---------------------------------------------------------------------------
-# initialization and chain-ensemble comparison
+# initialization and cell moments
 # ---------------------------------------------------------------------------
 
 
@@ -517,23 +510,6 @@ def density_from_law(law, grid: PhaseGrid, t: float = 0.0) -> PhaseDensity:
     return PhaseDensity(grid, vals, t)
 
 
-OBSERVABLES = ("r", "v", "r2", "v2", "rv")
-
-
-def _observable(name: str, r, v):
-    if name == "r":
-        return r
-    if name == "v":
-        return v
-    if name == "r2":
-        return r * r
-    if name == "v2":
-        return v * v
-    if name == "rv":
-        return r * v
-    raise ValueError(f"unknown observable {name!r}")
-
-
 def cell_moments_of_density(g: PhaseDensity) -> dict[str, np.ndarray]:
     """Conditional phase-space means per x node, ``E[phi | x]``."""
     r = r_centers(g.grid)[:, None]
@@ -541,93 +517,9 @@ def cell_moments_of_density(g: PhaseDensity) -> dict[str, np.ndarray]:
     denom = g.g.sum(axis=(1, 2))
     if np.any(denom <= 0.0):
         raise ValueError("conditional moments undefined at zero-mass x nodes")
-    phis = {name: _observable(name, r, v)[None, :, :] for name in OBSERVABLES}
     out = {name: np.empty(g.grid.mx) for name in OBSERVABLES}
     # per-x sums, so summing a slab of planes at a time leaves every bit alone
     for x in _slabs(g.grid):
-        for name in OBSERVABLES:
-            out[name][x] = (g.g[x] * phis[name]).sum(axis=(1, 2))
+        for name, phi in OBSERVABLES.items():
+            out[name][x] = (g.g[x] * phi(r, v)).sum(axis=(1, 2))
     return {name: out[name] / denom for name in OBSERVABLES}
-
-
-def cell_moments_of_ensemble(
-    ens: ChainEnsemble, geom: ChainGeometry, grid: PhaseGrid
-) -> dict[str, np.ndarray]:
-    """Per-x-cell means over replicas and the sites falling in each cell.
-
-    Cells are ``[i/mx, (i+1)/mx)``; site ``j`` at ``j/n`` falls in cell
-    ``floor(j mx / n)``, taken in integers so no site on a cell edge rounds
-    into its neighbour.  With the site count a multiple of ``mx`` every cell
-    holds the same number of sites.  Empty cells, which occur exactly when
-    ``n < mx``, are an error.
-    """
-    if geom.d != 1:
-        raise SizeMismatchError("moment comparison is wired for d = 1 chains")
-    cells = np.arange(geom.n) * grid.mx // geom.n
-    counts = np.bincount(cells, minlength=grid.mx)
-    if np.any(counts == 0):
-        raise ValueError(
-            f"x grid with {grid.mx} cells has empty cells for {geom.n_sites} sites"
-        )
-    out = {}
-    for name in OBSERVABLES:
-        phi = _observable(name, ens.r, ens.v)  # (m, n_sites)
-        per_site = phi.mean(axis=0)
-        out[name] = np.bincount(cells, weights=per_site, minlength=grid.mx) / counts
-    return out
-
-
-@dataclass
-class MeanfieldDistance:
-    """Per-observable sup and L2 gaps between ensemble and PDE moments.
-
-    ``pde`` and ``ensemble`` are the per-x moments that were compared, keyed
-    by observable; :meth:`to_dict` leaves them out.
-    """
-
-    sup: dict[str, float]
-    l2: dict[str, float]
-    t: float
-    pde: dict[str, np.ndarray] = field(repr=False, compare=False)
-    ensemble: dict[str, np.ndarray] = field(repr=False, compare=False)
-
-    @property
-    def total_l2(self) -> float:
-        return float(np.sqrt(sum(v * v for v in self.l2.values())))
-
-    @property
-    def total_sup(self) -> float:
-        return max(self.sup.values())
-
-    def to_dict(self) -> dict:
-        return {
-            "t": self.t,
-            "total_l2": self.total_l2,
-            "total_sup": self.total_sup,
-            "sup": dict(self.sup),
-            "l2": dict(self.l2),
-        }
-
-
-# largest gap between the density's and the ensemble's time stamps
-TIME_TOL = 1e-9
-
-
-def meanfield_distance(
-    g: PhaseDensity,
-    ens: ChainEnsemble,
-    geom: ChainGeometry,
-) -> MeanfieldDistance:
-    """Compare local (r, v) moments of the ensemble against those of ``g``;
-    their time stamps must agree to ``TIME_TOL``."""
-    if abs(g.t - ens.t) > TIME_TOL:
-        raise ValueError(f"time stamps differ: density t={g.t}, ensemble t={ens.t}")
-    mg = cell_moments_of_density(g)
-    me = cell_moments_of_ensemble(ens, geom, g.grid)
-    sup = {}
-    l2 = {}
-    for name in OBSERVABLES:
-        diff = me[name] - mg[name]
-        sup[name] = float(np.max(np.abs(diff)))
-        l2[name] = float(np.sqrt(np.sum(diff * diff) * g.grid.dx))
-    return MeanfieldDistance(sup, l2, float(g.t), mg, me)

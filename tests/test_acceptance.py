@@ -29,6 +29,7 @@ from kinlat.chain import (
     two_site_frequency,
     verlet_evolve,
 )
+from kinlat.compare import compare_spectra, meanfield_distance
 from kinlat.config import parse_config
 from kinlat.errors import NumericalBlowupError
 from kinlat.harness import run
@@ -37,7 +38,6 @@ from kinlat.kinetic import (
     Spectrum,
     TorusGrid,
     collision,
-    compare_spectra,
     evolve,
     nodes,
     omega_grid,
@@ -55,7 +55,6 @@ from kinlat.profiles import make_profile
 from kinlat.vlasov import (
     PhaseGrid,
     density_from_law,
-    meanfield_distance,
     sigma_field,
     vlasov_evolve,
 )
@@ -233,7 +232,7 @@ def test_06_weak_coupling_spectrum_trend():
                 rule = ResonanceRule(epsilon=0.2)
                 f0 = Spectrum(grid, prof(nodes(grid)), 0.0)
                 kin = evolve(f0, grid, rule, 0.01, 50)
-                dists.append(compare_spectra(emp, kin).l2)
+                dists.append(compare_spectra(emp, kin).l2["f"])
             medians.append(float(np.median(dists)))
     except NumericalBlowupError as err:
         t_died = None if err.step is None else err.step * dt
@@ -465,7 +464,8 @@ def test_11_worker_count_determinism(tmp_path):
     def scrub(d, p):
         m = json.loads((tmp_path / d / p).read_text())
         m.pop("started"), m.pop("finished")
-        m.pop("out_dir")
+        # the one other field that names the run's own directory
+        assert m["config_resolved"].pop("out") == m.pop("out_dir")
         return m
 
     names1, names4 = files("w1"), files("w4")

@@ -331,7 +331,7 @@ INVALID = [
     ("vlasov.mr", 1, "vlasov.mr"),
     ("vlasov.r_max", 0, "vlasov.r_max"),
     ("vlasov.alpha", 1.5, "vlasov.alpha"),
-    ("vlasov.cfl_fraction", 0, "vlasov.cfl_fraction"),
+    ("vlasov.cfl_fraction", 0, "vlasov"),
     ("vlasov.law", {"kind": "uniform"}, "vlasov.law.kind"),
     ("vlasov.law", {"kind": "point", "v0": 1, "r1": 0}, "vlasov.law"),
     ("sweep", {"axis": "wave.lam", "values": []}, "sweep.values"),
@@ -344,6 +344,11 @@ INVALID = [
     # mf-compare: its transport side runs at d = 1, and every x cell needs a site
     (("pipeline", "chain.d"), ("mf-compare", 2), "chain.d"),
     (("pipeline", "chain.n"), ("mf-compare", 8), "vlasov.mx"),
+    # a law the transport equation starts from must give a density
+    (("pipeline", "vlasov.law"), ("vlasov", {"kind": "point"}), "vlasov.law.kind"),
+    (("pipeline", "vlasov.law"), ("vlasov", {"kind": "cosine-gaussian"}), "vlasov.law.sigma_r"),
+    (("pipeline", "vlasov.law"), ("vlasov", {"kind": "gaussian", "sigma_v": 0}), "vlasov.law.sigma_v"),
+    (("pipeline", "chain.law"), ("mf-compare", {"kind": "gaussian", "sigma_v": 0}), "chain.law.sigma_v"),
 ]
 
 

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from kinlat import _reference as ref
-from kinlat import harness, kinetic
+from kinlat import cli, harness, kinetic
 from kinlat.chain import (
     ChainEnsemble,
     ChainGeometry,
@@ -365,6 +365,29 @@ class TestSweep:
             {"name": "sweep-complete", "value": 1.0, "limit": 0.0, "passed": False}
         ]
 
+    def test_manifests_record_the_directory_each_run_wrote(self, tmp_path):
+        # the resolved config's out is the directory written, not the config's
+        doc = {
+            "pipeline": "wt-kinetic",
+            "seed": 1,
+            "out": str(tmp_path / "x"),
+            "kinetic": {"m": 8, "epsilon": 0.3, "dtau": 0.02, "n_steps": 1},
+        }
+        cfgp = tmp_path / "run.json"
+        cfgp.write_text(json.dumps(doc))
+        out = tmp_path / "cout"
+        assert cli.main(["wt-kinetic", "--config", str(cfgp), "--out", str(out)]) == 0
+        disk = _manifest_of(out)
+        assert disk["config_resolved"]["out"] == disk["out_dir"] == str(out)
+        assert not (tmp_path / "x").exists()
+        doc["sweep"] = {"axis": "kinetic.epsilon", "values": [0.3, 0.2]}
+        run(parse_config(doc), out=tmp_path / "sw")
+        dirs = [tmp_path / "sw"] + sorted((tmp_path / "sw").glob("kinetic-epsilon=*"))
+        assert len(dirs) == 3
+        for d in dirs:
+            disk = _manifest_of(d)
+            assert disk["config_resolved"]["out"] == disk["out_dir"] == str(d)
+
     @staticmethod
     def _kinetic_sweep(m, values):
         return parse_config(
@@ -485,7 +508,7 @@ class TestCli:
 
 # pipeline -> (small config, kinlat modules its process must not load)
 LANE_RUNS = {
-    "wt-sim": (_wave_doc(), {"chain", "vlasov", "_reference"}),
+    "wt-sim": (_wave_doc(), {"chain", "vlasov", "compare", "_reference"}),
     "wt-compare": (
         {
             "pipeline": "wt-compare",
@@ -502,11 +525,11 @@ LANE_RUNS = {
             "seed": 1,
             "kinetic": {"d": 1, "m": 8, "epsilon": 0.3, "dtau": 0.01, "n_steps": 2},
         },
-        {"chain", "vlasov", "waves", "_reference"},
+        {"chain", "vlasov", "waves", "compare", "_reference"},
     ),
     "chain-sim": (
         {"pipeline": "chain-sim", "seed": 9, "chain": {"n": 16, "dt": 1e-3, "n_steps": 5}},
-        {"waves", "kinetic", "_reference"},
+        {"waves", "kinetic", "compare", "_reference"},
     ),
     "vlasov": (
         {

@@ -10,6 +10,7 @@ import pytest
 
 from kinlat import _reference as ref
 from kinlat import kinetic
+from kinlat.compare import compare_spectra
 from kinlat.errors import NumericalBlowupError, SizeMismatchError
 from kinlat.kinetic import (
     DEFAULT_OMEGA_FLOOR,
@@ -19,7 +20,6 @@ from kinlat.kinetic import (
     TorusGrid,
     active_mask,
     collision,
-    compare_spectra,
     energy_moment,
     evolve,
     nodes,
@@ -301,10 +301,9 @@ def test_compare_spectra_same_grid(rng):
     a = Spectrum(grid, rng.uniform(size=8), 1.0)
     b = Spectrum(grid, a.f + 0.25, 2.0)
     d = compare_spectra(a, b)
-    assert d.linf == pytest.approx(0.25)
-    assert d.l1 == pytest.approx(0.25)
-    assert d.l2 == pytest.approx(0.25)
-    assert d.tau_a == 1.0 and d.tau_b == 2.0
+    assert d.sup["f"] == pytest.approx(0.25)
+    assert d.l1["f"] == pytest.approx(0.25)
+    assert d.l2["f"] == pytest.approx(0.25)
 
 
 def test_compare_spectra_interpolates_coarse_onto_fine():
@@ -317,7 +316,7 @@ def test_compare_spectra_interpolates_coarse_onto_fine():
     ff = Spectrum(fine, 1.0 - np.abs(xf - 0.5))
     d = compare_spectra(fc, ff)
     assert d.grid.m == 16
-    assert d.linf < 1e-14
+    assert d.sup["f"] < 1e-14
     with pytest.raises(SizeMismatchError):
         compare_spectra(
             Spectrum(TorusGrid(2, 4), np.zeros((4, 4))),
