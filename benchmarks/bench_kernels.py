@@ -10,8 +10,9 @@ that last at least ``BATCH_SECONDS`` (20 ms), so a sub-millisecond case
 is not read off single calls of the clock; the sheet prints the per-call
 median and quartiles over ``--repeats`` batches.  The d=1 wave cases use
 the replica block the harness steps at N=33 (``BLOCK_BYTES`` over the
-bytes of one replica, 62 rows): one interaction call, and one exponential
-step of that block, which makes four of them.  The collision cases at
+bytes of one replica's half field a(+), 124 rows): one interaction call on
+a(+) in FFT order, and one exponential step of that block from exact
+conjugate pairs, which makes four of them.  The collision cases at
 d=2, m=40 (the grid of the kinetic-sweep benchmark, dispersion floor 0.05)
 time the plan build on its own, then an evaluation with the plan in hand,
 and list each plan's pairs, chunks and bytes per pair next to the
@@ -78,18 +79,22 @@ def _per_call_times(fn, repeats: int) -> np.ndarray:
     return np.array([_batch_seconds(fn, calls) / calls for _ in range(repeats)])
 
 
+def _half_field(rng, shape):
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
 def _cases(rng, batch: int):
     # shapes mirror what the pipelines actually push through the kernels:
     # the replica block the harness steps, the d=1 refinement ladder for the
     # collision operator, and a long d=1 chain
     spec1 = LatticeSpec(1, 16)
-    shape1 = (2,) + spec1.shape
-    rows = max(1, BLOCK_BYTES // np.empty(shape1, dtype=np.complex128).nbytes)
-    a1 = rng.normal(size=(rows,) + shape1) + 1j * rng.normal(size=(rows,) + shape1)
+    rows = max(1, BLOCK_BYTES // np.empty(spec1.shape, dtype=np.complex128).nbytes)
+    b1 = _half_field(rng, (rows,) + spec1.shape)
     yield (
         f"wave interaction d=1 N={spec1.N} block={rows}",
-        lambda: wave_nonlinear(a1, spec1, 0.3),
+        lambda: wave_nonlinear(b1, spec1, 0.3),
     )
+    a1 = np.stack([b1, np.conj(b1)], axis=1)  # exact conjugate pairs
     params1 = ModelParams(spec1, 0.05)
     yield (
         f"wave exponential step d=1 N={spec1.N} block={rows}",
@@ -97,12 +102,10 @@ def _cases(rng, batch: int):
     )
 
     spec2 = LatticeSpec(2, 6)
-    a2 = rng.normal(size=(batch, 2) + spec2.shape) + 1j * rng.normal(
-        size=(batch, 2) + spec2.shape
-    )
+    b2 = _half_field(rng, (batch,) + spec2.shape)
     yield (
         f"wave interaction d=2 N={spec2.N} batch={batch}",
-        lambda: wave_nonlinear(a2, spec2, 0.3),
+        lambda: wave_nonlinear(b2, spec2, 0.3),
     )
 
     f1, g1, r1 = rng.uniform(0.1, 1.0, size=256), TorusGrid(1, 256), ResonanceRule(0.025)

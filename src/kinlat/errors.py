@@ -41,6 +41,7 @@ class NumericalBlowupError(KinlatError, RuntimeError):
     """Integration produced non-finite values or exceeded the growth bound."""
 
     def __init__(self, message: str, step: int | None = None):
+        self.message = message
         self.step = step
         super().__init__(message if step is None else f"step {step}: {message}")
 

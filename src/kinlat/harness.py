@@ -60,10 +60,10 @@ __all__ = [
     "PIPELINE_METRIC",
 ]
 
-# byte budget of one replica block per stepper stage array: large enough to
-# amortize per-call kernel overhead, small enough that the ~11 stage arrays an
-# RK4 step keeps live do not grow with the ensemble; rows never interact, so
-# the block size cannot change results
+# byte budget of one replica block's half field a(+): large enough to amortize
+# per-call kernel overhead, small enough that the arrays of that size a wave
+# step keeps live (the state, four stages and their temporaries) do not grow
+# with the ensemble; rows never interact, so the block size cannot change results
 BLOCK_BYTES = 64 * 1024
 
 # the names the drivers read from each lane module, as globals of this
@@ -110,7 +110,7 @@ _LANES = {
         "vlasov_evolve",
         "x_centers",
     ),
-    "compare": ("compare_spectra", "meanfield_distance"),
+    "compare": ("TIME_TOL", "compare_spectra", "meanfield_distance"),
 }
 
 
@@ -275,16 +275,29 @@ def _integrate_ensemble(a, params, dt, n_steps, scheme, step0=0, t0=0.0):
     leaves the segment's starting state for the last-good snapshot.
     ``step0`` and ``t0`` are the run's clock at the segment's start.  Each
     block runs the whole segment before the next starts, so a blowup is
-    reported from the first block that fails, not at the earliest step.
+    reported from the first block that fails, not at the earliest step; its
+    message names that block's replicas and the later blocks left unstepped.
     """
     _bind("waves")
-    rows = max(1, BLOCK_BYTES // a[0].nbytes)
+    m = a.shape[0]
+    rows = max(1, BLOCK_BYTES // a[0, 0].nbytes)  # one replica's half field a(+)
     out = np.empty_like(a)
-    for i in range(0, a.shape[0], rows):
-        out[i : i + rows] = _integrate_array(
-            a[i : i + rows], params, dt, n_steps, scheme, step0=step0, t0=t0
-        )
+    for i in range(0, m, rows):
+        stop = min(i + rows, m)
+        try:
+            out[i:stop] = _integrate_array(
+                a[i:stop], params, dt, n_steps, scheme, step0=step0, t0=t0
+            )
+        except NumericalBlowupError as e:
+            later = f"; later blocks ({_replica_span(stop, m)}) were not stepped" if stop < m else ""
+            raise NumericalBlowupError(
+                f"{e.message} in the block of {_replica_span(i, stop)}{later}", step=e.step
+            ) from e
     return out
+
+
+def _replica_span(start: int, stop: int) -> str:
+    return f"replica {start}" if stop == start + 1 else f"replicas {start}-{stop - 1}"
 
 
 def _drive_wave(cfg: RunConfig, out: Path):
@@ -423,6 +436,13 @@ def _drive_wt_compare(cfg: RunConfig, out: Path):
 
     dist = compare_spectra(micro, kin)
     dist0 = compare_spectra(micro0, kin0)
+    # each side rounds its own step count, so the two slow times can differ
+    notes = []
+    if abs(micro.tau - kin.tau) > TIME_TOL:
+        notes.append(
+            f"the spectra are compared at different slow times: "
+            f"tau_micro {micro.tau:.6g}, tau_kinetic {kin.tau:.6g}"
+        )
     files = [
         write_spectrum_csv(out / "micro_initial.csv", micro0),
         write_spectrum_csv(out / "micro_final.csv", micro),
@@ -433,6 +453,8 @@ def _drive_wt_compare(cfg: RunConfig, out: Path):
         "lam": w.lam,
         "tau_final": c.tau_final,
         "micro_steps": n_steps,
+        "tau_micro": micro.tau,
+        "tau_kinetic": kin.tau,
         "distance_l1": dist.l1["f"],
         "distance_l2": dist.l2["f"],
         "distance_linf": dist.sup["f"],
@@ -452,7 +474,7 @@ def _drive_wt_compare(cfg: RunConfig, out: Path):
     # np.max carries a NaN through; the float limit admits any finite distance
     largest = float(np.max([dist.l1["f"], dist.l2["f"], dist.sup["f"]]))
     checks = [Budget("distances-finite", largest, sys.float_info.max)]
-    return files, metrics, checks, []
+    return files, metrics, checks, notes
 
 
 def _drive_chain(cfg: RunConfig, out: Path):
@@ -767,6 +789,7 @@ def sweep(
     out_dir.mkdir(parents=True, exist_ok=True)
     metric = PIPELINE_METRIC[cfg.pipeline]
     axis, values = cfg.sweep.axis, list(cfg.sweep.values)
+    manifest = _manifest(cfg, out_dir)  # started before any child runs
 
     def one(item):
         value, child_dir, child = item
@@ -823,7 +846,7 @@ def sweep(
             },
         ),
     ]
-    manifest = _manifest(cfg, out_dir, status="ok" if not partial else "partial")
+    manifest.status = "ok" if not partial else "partial"
     manifest.metrics = {"axis": axis, "verdict": verdict, metric: series}
     manifest.files = _file_entries(files, out_dir)
     manifest.checks = [complete]

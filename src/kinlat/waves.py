@@ -11,18 +11,25 @@ with ``M = [8 wbar(k) wbar(k1) wbar(k2)]^-1`` and the wavenumber constraint
 ``s1 k1 + s2 k2 = s k (mod N)`` (umklapp wraps included).  The interaction
 sum carries unit weight after the constraint collapses it, which is the
 normalization the position-space equation of motion induces.  The sign pair
-is stored explicitly; the physical manifold is ``ah(k,-1) = conj(ah(k,+1))``
-and the flow preserves it structurally.
+is stored explicitly; the physical manifold ``ah(k,-1) = conj(ah(k,+1))`` is
+the one the flow is computed on, and it holds exactly along the flow.
 
 The zero mode has vanishing dispersion and is masked throughout: it is
 dropped from the transformation, excluded from the interaction sum, and its
 amplitude stays pinned at zero.
 
 Spectral arrays are held in the shifted (ascending wavenumber) order of
-:mod:`kinlat.lattice`, with the sign axis before the grid axes.  The
-interaction sum flattens the grid axes, reads ``-k`` as a reversal, and
-reaches FFT order for its convolution and comes back through the cached
-gather pair :func:`kinlat.lattice.fft_order`.
+:mod:`kinlat.lattice`, with the sign axis before the grid axes: the state,
+the snapshots, the energy and the empirical spectrum all read that doubled
+layout.  The flow itself runs on the half field ``a(+)`` alone, in natural
+FFT order (zero mode first), shape ``batch + (N,)*d``.  On the physical
+manifold ``w(k) = u(k) + conj u(-k)`` with ``u = a(+)/wbar`` is Hermitian,
+so the position field ``V = 2 Re ifft(u)`` is real and the interaction is
+one inverse and one forward transform of ``V**2`` (:func:`wave_nonlinear`).
+The stepper checks that its doubled input is an exact conjugate pair,
+gathers ``a(+)`` to FFT order once, steps it, and re-doubles the result
+exactly, so ``a(-) = conj a(+)`` holds to
+the bit.
 
 Ensembles are initialized with deterministic random phases on a prescribed
 modulus profile; averaging ``|ah(k,+1)|^2`` over replicas gives the empirical
@@ -170,66 +177,80 @@ def reality_defect(state: AmplitudeState, spec: LatticeSpec) -> float:
 
 
 def rhs(state: AmplitudeState, params: ModelParams) -> np.ndarray:
-    """Time derivative of the amplitude array (same shape as ``state.a``)."""
-    a = _check_state(params.spec, state.a)
-    return _rhs_array(a, params)
+    """Time derivative of the amplitude array (same shape as ``state.a``).
+
+    ``state.a`` must be an exact conjugate pair; the derivative is computed
+    on ``a(+)`` and doubled, so its ``-1`` half is the conjugate of its ``+1``.
+    """
+    spec = params.spec
+    b = _half(_check_state(spec, state.a), spec)
+    return _doubled(_linear_table(spec) * b + wave_nonlinear(b, spec, params.lam), spec)
 
 
-def wave_nonlinear(a: np.ndarray, spec: LatticeSpec, lam: float) -> np.ndarray:
-    """Quadratic interaction term of the amplitude equations.
+def _half(a: np.ndarray, spec: LatticeSpec) -> np.ndarray:
+    """``a(+)`` of a doubled stack, gathered to FFT order: a new array of shape
+    ``batch + (N,)*d``.  Raises ``ValueError`` unless ``a(-) = conj a(+)`` exactly."""
+    flat = _flat_signs(spec, a)
+    plus, conj_plus = flat[..., 0, :], np.conj(flat[..., 0, :])
+    if not np.array_equal(flat[..., 1, :], conj_plus):
+        defect = np.max(np.abs(flat[..., 1, :] - conj_plus))
+        raise ValueError(
+            f"amplitudes are not an exact conjugate pair: |a(-) - conj a(+)| reaches {defect:.3e}"
+        )
+    return np.take(plus, fft_order(spec)[0], axis=-1).reshape(flat.shape[:-2] + spec.shape)
 
-    ``a`` has shape ``batch + (2,) + (N,)*d`` (sigma axis before the grid
-    axes, shifted wavenumber order).  Returns the same shape.  The pair sum
-    over the momentum constraint carries the lattice measure ``h**d``, and
-    the zero mode is excluded on input and output through the masked
+
+def _doubled(b: np.ndarray, spec: LatticeSpec) -> np.ndarray:
+    """Inverse of :func:`_half`: the exact pair ``(a(+), conj a(+))`` in shifted order."""
+    lead = b.shape[: b.ndim - spec.d]
+    plus = np.take(b.reshape(lead + (spec.n_sites,)), fft_order(spec)[1], axis=-1)
+    return np.stack([plus, np.conj(plus)], axis=-2).reshape(lead + (2,) + spec.shape)
+
+
+def wave_nonlinear(b: np.ndarray, spec: LatticeSpec, lam: float) -> np.ndarray:
+    """Quadratic interaction term of the amplitude equation of ``a(+)``.
+
+    ``b`` is the half field ``a(+)`` in natural FFT order, shape
+    ``batch + (N,)*d``; the result has the same shape.  The pair sum over
+    the momentum constraint carries the lattice measure ``h**d``, and the
+    zero mode is excluded on input and output through the masked
     ``1/omega_bar`` table.
     """
     if lam == 0.0:
-        return np.zeros_like(a)
+        return np.zeros(b.shape, dtype=np.complex128)
     # The four sign-pair sums collapse into one cyclic self-convolution of
-    # w(k) = u(k, +) + u(-k, -), with u(s) = a(., s) / omega_bar.  On the
-    # flat grid -k is a reversal, and FFT order is one gather each way.
-    # Every product keeps the operand order of the plain expressions
-    # (u * winv, (-i coef) * S, ...): complex products are not bitwise
-    # commutative, and the results must not depend on how they are spelled.
-    to_fft, to_shifted = fft_order(spec)
-    winv, c_plus, c_minus = _kernel_tables(spec, lam)
-    u = _flat_signs(spec, a) * winv
-    w = np.take(u[..., 0, :] + u[..., 1, ::-1], to_fft, axis=-1)
+    # the Hermitian w(k) = u(k) + conj u(-k), u = a(+) / omega_bar, which
+    # is N^d fft(V^2) of the real position field V = ifft(w) = 2 Re ifft(u).
+    winv, coef = _kernel_tables(spec, lam)
     if spec.d == 1:
-        W = np.fft.fft(w)
-        S = np.fft.ifft(np.multiply(W, W, out=W))
-    else:
-        gax = tuple(range(-spec.d, 0))
-        W = np.fft.fftn(w.reshape(w.shape[:-1] + spec.shape), axes=gax)
-        S = np.fft.ifftn(np.multiply(W, W, out=W), axes=gax).reshape(w.shape)
-    S = np.take(S, to_shifted, axis=-1)
-    out = np.empty(u.shape, dtype=np.complex128)
-    np.multiply(c_plus, S, out=out[..., 0, :])
-    np.multiply(c_minus, S[..., ::-1], out=out[..., 1, :])
-    return out.reshape(a.shape)
+        v = np.fft.ifft(b * winv).real
+        return coef * np.fft.fft(v**2)
+    axes = tuple(range(-spec.d, 0))
+    v = np.fft.ifftn(b * winv, axes=axes).real
+    return coef * np.fft.fftn(v**2, axes=axes)
 
 
 @lru_cache(maxsize=64)
-def _kernel_tables(spec: LatticeSpec, lam: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Flat ``1/omega_bar`` and the output coefficients ``-i coef``, ``+i coef``
-    of :func:`wave_nonlinear`, built once per lattice and coupling."""
-    winv = inverse_omega_bar_grid(spec)
-    coef = lam * spec.h**spec.d * 0.125 * winv
-    out = (winv.ravel(), (-1j * coef).ravel(), (1j * coef).ravel())
+def _kernel_tables(spec: LatticeSpec, lam: float) -> tuple[np.ndarray, np.ndarray]:
+    """``1/omega_bar`` and the output coefficient of :func:`wave_nonlinear`, in
+    FFT order, built once per lattice and coupling.
+
+    The coefficient ``-i lam h^d winv / 8`` meets ``N^d fft(V^2)`` with
+    ``V^2 = 4 (Re ifft(u))^2``: ``h^d N^d = 1``, and the 4 is folded in.
+    """
+    winv = np.fft.ifftshift(inverse_omega_bar_grid(spec))
+    out = (winv, -0.5j * lam * winv)
     for table in out:
         table.setflags(write=False)
     return out
 
 
-def _rhs_array(a: np.ndarray, params: ModelParams) -> np.ndarray:
-    spec = params.spec
-    wbar = omega_bar_grid(spec)
-    sgn = np.array([1.0, -1.0]).reshape((2,) + (1,) * spec.d)
-    lin = -1j * sgn * wbar * a
-    if params.lam == 0.0:
-        return lin
-    return lin + wave_nonlinear(a, spec, params.lam)
+@lru_cache(maxsize=64)
+def _linear_table(spec: LatticeSpec) -> np.ndarray:
+    """``-i omega_bar`` in FFT order, the linear part of the ``a(+)`` equation."""
+    out = -1j * np.fft.ifftshift(omega_bar_grid(spec))
+    out.setflags(write=False)
+    return out
 
 
 def hamiltonian_terms(
@@ -277,9 +298,8 @@ def hamiltonian(state: AmplitudeState, params: ModelParams) -> float | np.ndarra
 
 
 def _phase_factors(spec: LatticeSpec, dt: float) -> tuple[np.ndarray, np.ndarray]:
-    wbar = omega_bar_grid(spec)
-    sgn = np.array([1.0, -1.0]).reshape((2,) + (1,) * spec.d)
-    e_half = np.exp(-0.5j * dt * sgn * wbar)
+    """Half-step and full-step linear phases of ``a(+)``, in FFT order."""
+    e_half = np.exp(-0.5j * dt * np.fft.ifftshift(omega_bar_grid(spec)))
     return e_half, e_half * e_half
 
 
@@ -292,42 +312,49 @@ def _integrate_array(
     step0: int = 0,
     t0: float = 0.0,
 ) -> np.ndarray:
-    """Batched core; ``a`` may carry leading replica axes.  ``step0`` and
-    ``t0`` are the run's clock at the start, which a blowup reports in."""
+    """Batched core; ``a`` may carry leading replica axes and must be an exact
+    conjugate pair.  Returns a new doubled array.  ``step0`` and ``t0`` are
+    the run's clock at the start, which a blowup reports in.
+
+    ``a(+)`` is stepped alone in FFT order; each stage calls
+    :func:`wave_nonlinear` once.
+    """
     check_step("dt", dt)
-    spec = params.spec
+    spec, lam = params.spec, params.lam
     if scheme == "exponential":
         e2, e1 = _phase_factors(spec, dt)
 
-        def nl(x):
-            return wave_nonlinear(x, spec, params.lam)
-
-        def step(a):
-            k1 = nl(a)
-            k2 = nl(e2 * (a + 0.5 * dt * k1))
-            k3 = nl(e2 * a + 0.5 * dt * k2)
-            ea = e1 * a
-            k4 = nl(ea + dt * e2 * k3)
-            return ea + dt / 6.0 * (e1 * k1 + 2.0 * e2 * (k2 + k3) + k4)
+        def step(b):
+            k1 = wave_nonlinear(b, spec, lam)
+            k2 = wave_nonlinear(e2 * (b + 0.5 * dt * k1), spec, lam)
+            k3 = wave_nonlinear(e2 * b + 0.5 * dt * k2, spec, lam)
+            eb = e1 * b
+            k4 = wave_nonlinear(eb + dt * e2 * k3, spec, lam)
+            return eb + dt / 6.0 * (e1 * k1 + 2.0 * e2 * (k2 + k3) + k4)
 
     elif scheme == "rk4":
+        lin = _linear_table(spec)
 
-        def step(a):
-            k1 = _rhs_array(a, params)
-            k2 = _rhs_array(a + 0.5 * dt * k1, params)
-            k3 = _rhs_array(a + 0.5 * dt * k2, params)
-            k4 = _rhs_array(a + dt * k3, params)
-            return a + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        def f(x):
+            return lin * x + wave_nonlinear(x, spec, lam)
+
+        def step(b):
+            k1 = f(b)
+            k2 = f(b + 0.5 * dt * k1)
+            k3 = f(b + 0.5 * dt * k2)
+            k4 = f(b + dt * k3)
+            return b + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
     else:
         raise ValueError(f"unknown scheme {scheme!r}")
+    b = _half(a, spec)
     # overflow and NaN on the way up are the blowup that _maybe_check
     # reports with its step and time; numpy's warnings would only repeat it
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(n_steps):
-            a = step(a)
-            _maybe_check(a, i, n_steps, step0, t0 + (i + 1) * dt)
-    return a
+            b = step(b)
+            _maybe_check(b, i, n_steps, step0, t0 + (i + 1) * dt)
+    return _doubled(b, spec)
 
 
 def _maybe_check(a: np.ndarray, i: int, n_steps: int, step0: int, t: float) -> None:
@@ -352,7 +379,7 @@ def integrate(
     classical rule on the full right-hand side.
     """
     a = _check_state(params.spec, state.a)
-    out = _integrate_array(a.copy(), params, dt, n_steps, scheme, t0=state.t)
+    out = _integrate_array(a, params, dt, n_steps, scheme, t0=state.t)
     return AmplitudeState(out, state.t + dt * n_steps)
 
 

@@ -142,6 +142,7 @@ def test_03_interaction_rhs_oracle_and_wrap():
     for d, D, lam in ((1, 3, 1.3), (2, 2, 0.4)):
         spec = LatticeSpec(d, D)
         a = _cfield(rng, spec, batch=(2,))
+        a[1] = np.conj(a[0])  # the flow is defined on exact conjugate pairs
         got = rhs(AmplitudeState(a, 0.0), ModelParams(spec, lam))
         want = ref.wave_rhs_direct(a, spec, lam)
         worst = max(

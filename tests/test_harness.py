@@ -1,6 +1,7 @@
 """Run orchestration: manifests, replica-block independence, CLI exits, lane loading."""
 
 import builtins
+import datetime
 import dis
 import gc
 import importlib
@@ -34,6 +35,7 @@ from kinlat.errors import CheckFailure, NumericalBlowupError
 from kinlat.harness import BLOCK_BYTES, Budget, _integrate_ensemble, run
 from kinlat.io import sha256_file
 from kinlat.lattice import LatticeSpec
+from kinlat.profiles import make_profile
 from kinlat.vlasov import PhaseDensity, PhaseGrid, vlasov_evolve
 from kinlat.waves import (
     AmplitudeState,
@@ -117,7 +119,7 @@ class TestRun:
         params = ModelParams(spec, 0.3)
         ones = np.ones(spec.shape)
         a, _ = stack_ensemble(sample_initial(EnsembleSpec(1, 42, ones), spec))
-        rows = BLOCK_BYTES // a[0].nbytes
+        rows = BLOCK_BYTES // a[0, 0].nbytes  # the harness sizes blocks by a(+)
         a, _ = stack_ensemble(sample_initial(EnsembleSpec(rows + 3, 42, ones), spec))
         assert 1 < rows < a.shape[0]
         for scheme in ("exponential", "rk4"):
@@ -134,6 +136,24 @@ class TestRun:
         assert disk["metrics"]["error"]
         assert disk["snapshot"].endswith("last_good.csv")
         assert (tmp_path / "last_good.csv").exists()
+        assert disk["metrics"]["error"].endswith("in the block of replica 0")
+
+    def test_wave_blowup_names_its_replica_block(self, monkeypatch):
+        # replica 3 carries BLOWUP_WAVE's data and the others a millionth of
+        # it; in blocks of two replicas the block 2-3 fails, and 4 never runs
+        w = BLOWUP_WAVE["wave"]
+        spec = LatticeSpec(w["d"], w["half_width"])
+        prof = make_profile(**w["profile"])
+        a, _ = stack_ensemble(sample_initial(EnsembleSpec(5, BLOWUP_WAVE["seed"], prof), spec))
+        a[[0, 1, 2, 4]] *= 1e-6  # a real factor keeps each pair exact
+        monkeypatch.setattr(harness, "BLOCK_BYTES", 2 * a[0, 0].nbytes)
+        with pytest.raises(NumericalBlowupError) as err:
+            _integrate_ensemble(a, ModelParams(spec, w["lam"]), w["dt"], 100, "exponential")
+        text = str(err.value)
+        assert text.startswith(f"step {err.value.step}: amplitude peak ")
+        assert text.endswith(
+            "in the block of replicas 2-3; later blocks (replica 4) were not stepped"
+        )
 
     def test_wave_blowup_reports_the_run_step_and_time(self, tmp_path):
         # the bound is checked every 50 steps and at each saved segment's end;
@@ -240,6 +260,23 @@ class TestRun:
             ens = verlet_evolve(ens, ChainGeometry(1, 16), FractionalParams(0.5), 1.0, 50)
         r = [float(ln.split(",")[2]) for ln in text.splitlines() if ln[0].isdigit()]
         assert r == ens.r[0].tolist()
+
+    def test_wt_compare_reports_the_two_slow_times_it_compares(self, tmp_path):
+        # lam 0.3, dt 0.02: 11 steps reach tau 0.0198; dtau 0.01: 2 steps reach 0.02
+        doc = LANE_RUNS["wt-compare"][0]
+        man = run(parse_config(doc), out=tmp_path / "apart")
+        summary = json.loads((tmp_path / "apart" / "compare.json").read_text())
+        for metrics in (man.metrics, summary):
+            assert metrics["tau_micro"] == pytest.approx(0.0198, rel=1e-12)
+            assert metrics["tau_kinetic"] == pytest.approx(0.02, rel=1e-12)
+        assert man.notes == [
+            "the spectra are compared at different slow times: tau_micro 0.0198, tau_kinetic 0.02"
+        ]
+        # one kinetic step of 0.0198 meets the micro time: no note
+        doc = {**doc, "kinetic": {**doc["kinetic"], "dtau": 0.0198}}
+        man = run(parse_config(doc), out=tmp_path / "met")
+        assert man.metrics["tau_kinetic"] == pytest.approx(man.metrics["tau_micro"], abs=1e-15)
+        assert man.notes == []
 
     def test_mf_compare_reports_its_sampling_floor(self, tmp_path):
         doc = {
@@ -387,6 +424,24 @@ class TestSweep:
         for d in dirs:
             disk = _manifest_of(d)
             assert disk["config_resolved"]["out"] == disk["out_dir"] == str(d)
+
+    def test_sweep_manifest_spans_its_children(self, tmp_path):
+        doc = {
+            "pipeline": "wt-kinetic",
+            "seed": 1,
+            "kinetic": {"m": 8, "epsilon": 0.3, "dtau": 0.02, "n_steps": 2},
+            "sweep": {"axis": "kinetic.epsilon", "values": [0.3, 0.2, 0.1]},
+        }
+        run(parse_config(doc), out=tmp_path)
+
+        def stamps(d):
+            disk = _manifest_of(d)
+            return [datetime.datetime.fromisoformat(disk[k]) for k in ("started", "finished")]
+
+        started, finished = stamps(tmp_path)
+        children = [stamps(d) for d in tmp_path.glob("kinetic-epsilon=*")]
+        assert len(children) == 3
+        assert all(started <= s and f <= finished for s, f in children)
 
     @staticmethod
     def _kinetic_sweep(m, values):

@@ -94,7 +94,24 @@ def test_reality_is_preserved_by_the_flow(rng):
     params = ModelParams(spec, 0.2)
     state = _conjugate_state(rng, spec, scale=0.05)
     out = integrate(state, params, 1e-2, 200)
-    assert reality_defect(out, spec) < 1e-10
+    # the flow steps a(+) alone and re-doubles it, so the pair is exact
+    assert reality_defect(out, spec) == 0.0
+
+
+def test_integrate_and_rhs_reject_a_broken_pair(rng):
+    spec = LatticeSpec(1, 3)
+    params = ModelParams(spec, 0.2)
+    state = _conjugate_state(rng, spec)
+    state.a[1, 2] += 1e-3
+    for call in (lambda: integrate(state, params, 1e-2, 1), lambda: rhs(state, params)):
+        with pytest.raises(ValueError, match=r"not an exact conjugate pair: .* reaches 1\.000e-03"):
+            call()
+    # exact means to the bit: one ulp off is a broken pair too
+    state = _conjugate_state(rng, spec)
+    state.a[1, 2] = np.nextafter(state.a[1, 2].real, np.inf) + 1j * state.a[1, 2].imag
+    for call in (lambda: integrate(state, params, 1e-2, 1), lambda: rhs(state, params)):
+        with pytest.raises(ValueError, match="not an exact conjugate pair"):
+            call()
 
 
 # ---------------------------------------------------------------------------
@@ -105,7 +122,7 @@ def test_reality_is_preserved_by_the_flow(rng):
 @pytest.mark.parametrize("d,D,lam", [(1, 2, 0.7), (1, 3, 1.3), (2, 2, 0.4), (3, 1, 1.0)])
 def test_rhs_matches_quadruple_loop(rng, d, D, lam):
     spec = LatticeSpec(d, D)
-    a = rng.normal(size=(2,) + spec.shape) + 1j * rng.normal(size=(2,) + spec.shape)
+    a = _conjugate_state(rng, spec).a
     got = rhs(AmplitudeState(a, 0.0), ModelParams(spec, lam))
     want = ref.wave_rhs_direct(a, spec, lam)
     scale = np.max(np.abs(want))
@@ -113,8 +130,9 @@ def test_rhs_matches_quadruple_loop(rng, d, D, lam):
 
 
 def _shifted_order_nonlinear(a, spec, lam):
-    # the interaction term as first written: sign components by np.take,
-    # fftshift/ifftshift around the convolution, both halves stacked
+    # the interaction term of the doubled layout as first written: sign
+    # components by np.take, fftshift/ifftshift around the convolution of
+    # w(k) = u(k, +) + u(-k, -), both halves stacked
     if lam == 0.0:
         return np.zeros_like(a)
     d = spec.d
@@ -132,30 +150,92 @@ def _shifted_order_nonlinear(a, spec, lam):
     return np.stack([nl_plus, nl_minus], axis=s_ax)
 
 
+def _shifted_order_half(ap, spec, lam):
+    # the a(+) kernel written on the shifted layout: ifftshift/fftshift
+    # around the real-square transform pair, every product in the kernel's
+    # operand order, so that only the FFT-order bookkeeping differs
+    if lam == 0.0:
+        return np.zeros_like(ap)
+    gax = tuple(range(ap.ndim - spec.d, ap.ndim))
+    winv = inverse_omega_bar_grid(spec)
+    x = np.fft.ifftn(np.fft.ifftshift(ap * winv, axes=gax), axes=gax)
+    S = np.fft.fftshift(np.fft.fftn(x.real**2, axes=gax), axes=gax)
+    return -0.5j * lam * winv * S
+
+
+def _exact_pairs(rng, spec, batch, scale=1.0):
+    shape = batch + spec.shape
+    ap = scale * (rng.normal(size=shape) + 1j * rng.normal(size=shape))
+    return np.stack([ap, np.conj(ap)], axis=len(batch))
+
+
+def _rel_gap(got, want):
+    return np.max(np.abs(got - want)) / np.max(np.abs(want))
+
+
 # an unbatched state and the replica block the harness steps at N = 33
-@pytest.mark.parametrize("d,D,batch", [(1, 16, ()), (1, 16, (62,)), (2, 6, ()), (2, 6, (62,))])
+@pytest.mark.parametrize("d,D,batch", [(1, 16, ()), (1, 16, (124,)), (2, 6, ()), (2, 6, (124,))])
 @pytest.mark.parametrize("lam", [0.0, 0.3])
 def test_kernel_is_bitwise_the_shifted_order_formula(rng, d, D, batch, lam):
+    # the kernel reads a(+) in FFT order.  It is the + half of the doubled
+    # formula to round-off, and bit for bit its own algebra on the shifted
+    # layout
     spec = LatticeSpec(d, D)
-    shape = batch + (2,) + spec.shape
-    a = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-    got = wave_nonlinear(a, spec, lam)
-    want = _shifted_order_nonlinear(a, spec, lam)
+    a = _exact_pairs(rng, spec, batch)
+    gax = tuple(range(len(batch), len(batch) + d))
+    ap = np.take(a, 0, axis=len(batch))
+    got = np.fft.fftshift(wave_nonlinear(np.fft.ifftshift(ap, axes=gax), spec, lam), axes=gax)
+    want = np.take(_shifted_order_nonlinear(a, spec, lam), 0, axis=len(batch))
     assert got.shape == want.shape and got.dtype == want.dtype
-    assert np.array_equal(got, want)
+    assert np.array_equal(got, _shifted_order_half(ap, spec, lam))
+    if lam == 0.0:
+        assert not np.any(want) and not np.any(got)
+    else:
+        assert _rel_gap(got, want) <= 1e-14
+
+
+def _classical_step(a, nl, wbar, dt, scheme):
+    # one step of either scheme as first written, for the interaction nl and
+    # the signed dispersion wbar
+    if scheme == "exponential":
+        e2 = np.exp(-0.5j * dt * wbar)
+        e1 = e2 * e2
+        k1 = nl(a)
+        k2 = nl(e2 * (a + 0.5 * dt * k1))
+        k3 = nl(e2 * a + 0.5 * dt * k2)
+        ea = e1 * a
+        k4 = nl(ea + dt * e2 * k3)
+        return ea + dt / 6.0 * (e1 * k1 + 2.0 * e2 * (k2 + k3) + k4)
+
+    def f(x):
+        return -1j * wbar * x + nl(x)
+
+    k1 = f(a)
+    k2 = f(a + 0.5 * dt * k1)
+    k3 = f(a + 0.5 * dt * k2)
+    k4 = f(a + dt * k3)
+    return a + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 @pytest.mark.parametrize("scheme", ["exponential", "rk4"])
 @pytest.mark.parametrize("d,D", [(1, 16), (2, 6)])
-def test_integrate_step_is_bitwise_the_shifted_order_formula(rng, monkeypatch, scheme, d, D):
+def test_integrate_step_is_bitwise_the_shifted_order_formula(rng, scheme, d, D):
+    # one step is the classical formula on a(+) bit for bit, and the doubled
+    # layout's step to round-off
     spec = LatticeSpec(d, D)
-    params = ModelParams(spec, 0.3)
-    shape = (62, 2) + spec.shape
-    state = AmplitudeState(0.1 * (rng.normal(size=shape) + 1j * rng.normal(size=shape)), 0.0)
-    got = integrate(state, params, 0.05, 1, scheme=scheme)
-    monkeypatch.setattr(waves, "wave_nonlinear", _shifted_order_nonlinear)
-    want = integrate(state, params, 0.05, 1, scheme=scheme)
-    assert np.array_equal(got.a, want.a)
+    a = _exact_pairs(rng, spec, (124,), scale=0.1)
+    got = integrate(AmplitudeState(a, 0.0), ModelParams(spec, 0.3), 0.05, 1, scheme=scheme)
+    half = _classical_step(
+        a[:, 0], lambda x: _shifted_order_half(x, spec, 0.3), omega_bar_grid(spec), 0.05, scheme
+    )
+    assert np.array_equal(got.a[:, 0], half)
+    assert np.array_equal(got.a[:, 1], np.conj(half))
+    # the doubled layout: both sign halves stepped, with _shifted_order_nonlinear
+    sgn = np.array([1.0, -1.0]).reshape((2,) + (1,) * d)
+    doubled = lambda x: _shifted_order_nonlinear(x, spec, 0.3)  # noqa: E731
+    want = _classical_step(a, doubled, sgn * omega_bar_grid(spec), 0.05, scheme)
+    assert got.a.shape == want.shape
+    assert _rel_gap(got.a, want) <= 1e-14
 
 
 def test_interaction_support_is_modular(rng):
