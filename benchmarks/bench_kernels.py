@@ -14,9 +14,12 @@ bytes of one replica's half field a(+), 124 rows): one interaction call on
 a(+) in FFT order, and one exponential step of that block from exact
 conjugate pairs, which makes four of them.  The collision cases at
 d=2, m=40 (the grid of the kinetic-sweep benchmark, dispersion floor 0.05)
-time the plan build on its own, then an evaluation with the plan in hand,
-and list each plan's pairs, chunks and bytes per pair next to the
-tracemalloc peaks, above the plan, of one build and of one evaluation.
+time the plan build on its own, then an evaluation with the plan in hand.
+A row per width then lists the order of the point group |G|, the pairs the
+plan stores (one per orbit) and the unordered pairs they expand to under
+the group, its chunks, MiB and bytes per pair, the build and evaluation
+medians, and the tracemalloc peaks, above the plan, of one build and of
+one evaluation.
 The chain cases time one force evaluation at d=1, n=512 with the chain
 symbol cached, one velocity Verlet step at d=1, n=512 on 64 replicas (a
 run of 250 steps divided by its steps, so the run's four transforms are
@@ -51,7 +54,13 @@ from kinlat.chain import (
     verlet_evolve,
 )
 from kinlat.harness import BLOCK_BYTES
-from kinlat.kinetic import ResonanceRule, TorusGrid, _collision_plan, collision_rate
+from kinlat.kinetic import (
+    ResonanceRule,
+    TorusGrid,
+    _collision_plan,
+    _point_group,
+    collision_rate,
+)
 from kinlat.lattice import LatticeSpec
 from kinlat.vlasov import PhaseGrid, _Strang, acceleration, density_from_law
 from kinlat.waves import ModelParams, _integrate_array, wave_nonlinear
@@ -77,6 +86,16 @@ def _per_call_times(fn, repeats: int) -> np.ndarray:
     while _batch_seconds(fn, calls) < BATCH_SECONDS:
         calls *= 2
     return np.array([_batch_seconds(fn, calls) / calls for _ in range(repeats)])
+
+
+def _expanded_pairs(plan, grid: TorusGrid) -> int:
+    """The unordered pairs the plan's pairs stand for: their images under the group."""
+    n, group = grid.n_nodes, _point_group(grid).astype(np.intp)
+    a = np.concatenate([np.repeat(rows, counts) for rows, counts, *_ in plan.chunks])
+    b = np.concatenate([chunk[2] for chunk in plan.chunks])
+    a, b = a.astype(np.intp), b.astype(np.intp)
+    keys = [np.minimum(g[a], g[b]) * n + np.maximum(g[a], g[b]) for g in group]
+    return int(np.unique(np.concatenate(keys)).size)
 
 
 def _half_field(rng, shape):
@@ -177,13 +196,16 @@ def main() -> int:
     rng = np.random.default_rng(args.seed)
 
     width = 44
+    medians = {}
     print(f"{'case':<{width}} {'median':>10} {'q1':>10} {'q3':>10}  (ms per call or step)")
     for name, call, *steps in _cases(rng, args.batch):
         call()  # warm up before the clock starts
         per_call = _per_call_times(call, args.repeats) / (steps[0] if steps else 1)
         q1, med, q3 = np.percentile(per_call, [25, 50, 75]) * 1e3
+        medians[name] = med
         print(f"{name:<{width}} {med:>10.3f} {q1:>10.3f} {q3:>10.3f}")
     f40 = rng.uniform(0.1, 1.0, size=PLAN_GRID.shape)
+    order = len(_point_group(PLAN_GRID))
     for rule in PLAN_RULES:
         collision_rate(f40, PLAN_GRID, rule)  # the thread now holds this plan
         tracemalloc.start()
@@ -194,11 +216,14 @@ def main() -> int:
         collision_rate(f40, PLAN_GRID, rule)
         rate = tracemalloc.get_traced_memory()[1] - held
         tracemalloc.stop()
+        eps = f"eps={rule.epsilon:g}"
         print(
-            f"collision plan d=2 m=40 eps={rule.epsilon:g}: {plan.pairs} pairs in "
-            f"{len(plan.chunks)} chunks, {plan.nbytes / 2**20:.2f} MiB, "
-            f"{plan.nbytes / max(1, plan.pairs):.2f} B per pair; peak above the plan: "
-            f"build {build / 2**20:.2f} MiB, one evaluation {rate / 2**20:.2f} MiB"
+            f"collision plan d=2 m=40 {eps}: |G| {order}, {plan.pairs} pairs stored, "
+            f"{_expanded_pairs(plan, PLAN_GRID)} expanded, in {len(plan.chunks)} chunks, "
+            f"{plan.nbytes / 2**20:.2f} MiB, {plan.nbytes / max(1, plan.pairs):.2f} B per pair; "
+            f"build {medians[f'collision plan build d=2 m=40 {eps}']:.2f} ms, "
+            f"evaluation {medians[f'collision rate d=2 m=40 {eps}']:.2f} ms; peak above the "
+            f"plan: build {build / 2**20:.2f} MiB, one evaluation {rate / 2**20:.2f} MiB"
         )
     tracemalloc.start()
     strang = _Strang(VLASOV_GRID, 0.01)

@@ -8,8 +8,12 @@ Each run in :data:`RUNS` is made twice in fresh interpreters, once from this
 checkout's ``src/`` and once from the base checkout's, into a temporary
 directory.  For every output file (``manifest.json`` excluded: it holds
 timestamps and paths) the sheet prints the sha256 prefix on both sides, then
-lists the files that differ or exist on one side only.  The exit code is 1
-on any difference or failed run, else 0.
+lists the files that differ or exist on one side only.  Under a file that
+differs on both sides it prints, for each numeric CSV column and each JSON
+number (a JSON list of numbers counts as one column) that changed, the
+largest relative change normwise (``|a - b| / |b|`` in the 2-norm) and
+entrywise (``max |a_i - b_i| / |b_i|``), ``b`` being the base side.  The
+exit code is 1 on any byte difference or failed run, else 0.
 
 The runs are inputs 0 and 5 of each perfbench workload (configs from
 ``perfbench/workloads.py``, imported, not edited), ``wt-compare`` at d = 1
@@ -21,6 +25,7 @@ d = 2 (9 sites against 9 nodes: the same-grid path), and the default
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
 import json
 import os
@@ -28,6 +33,8 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -84,6 +91,56 @@ def _digests(out: Path) -> dict[str, str]:
     }
 
 
+def _columns(path: Path) -> dict[str, np.ndarray]:
+    """The numbers of an output file by name: CSV columns, JSON numbers by key."""
+    out = {}
+    if path.suffix == ".csv":
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(line for line in fh if not line.startswith("#")))
+        for j, name in enumerate(rows[0] if rows else []):
+            try:
+                out[name] = np.array([float(row[j]) for row in rows[1:]])
+            except (ValueError, IndexError):
+                pass  # a text column
+    elif path.suffix == ".json":
+
+        def walk(node, key):
+            if isinstance(node, list) and node and all(_is_number(v) for v in node):
+                out[key] = np.array(node, dtype=float)
+            elif _is_number(node):
+                out[key] = np.array([node], dtype=float)
+            elif isinstance(node, (dict, list)):
+                items = node.items() if isinstance(node, dict) else enumerate(node)
+                for k, v in items:
+                    walk(v, f"{key}.{k}" if key else str(k))
+
+        walk(json.loads(path.read_text()), "")
+    return out
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _changes(this: Path, base: Path) -> list[str]:
+    """One line per numeric column that changed: its normwise and entrywise change."""
+    a_cols, b_cols = _columns(this), _columns(base)
+    lines = []
+    for name in sorted(set(a_cols) | set(b_cols)):
+        a, b = a_cols.get(name), b_cols.get(name)
+        if a is None or b is None or a.shape != b.shape:
+            lines.append(f"{name}: present or shaped differently on one side")
+            continue
+        gap = np.abs(a - b)
+        if not gap.any():
+            continue
+        with np.errstate(divide="ignore", invalid="ignore"):
+            entry = np.where(gap == 0, 0.0, gap / np.abs(b)).max()
+            norm = np.linalg.norm(gap) / np.linalg.norm(b)
+        lines.append(f"{name}: normwise {norm:.2e}, entrywise {entry:.2e}")
+    return lines
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--base", required=True, type=Path, help="the base checkout's root")
@@ -109,6 +166,10 @@ def main(argv=None) -> int:
                 print(f"  {mark}  {a[:12]:<12}  {b[:12]:<12}  {path}")
                 if a != b:
                     differ.append(f"{name}/{path}")
+                    if path in this and path in base:
+                        sides_of = [Path(tmp) / side / name / path for side in sides]
+                        for line in _changes(*sides_of):
+                            print(f"        {line}")
     print(f"{len(differ)} differences" + "".join(f"\n  {d}" for d in differ))
     return 1 if differ else 0
 

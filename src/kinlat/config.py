@@ -370,6 +370,11 @@ def _check_blocks(cfg: RunConfig) -> None:
         _check_density(cfg.vlasov.law, "vlasov.law", "the transport solve", ("sigma_r", "sigma_v"))
     if cfg.pipeline != "mf-compare":
         return
+    if "law" in cfg.raw["vlasov"]:
+        raise ConfigError(
+            "the mean-field comparison starts the transport side from chain.law, not its own law",
+            field="vlasov.law",
+        )
     c, v, t_final = cfg.chain, cfg.vlasov, cfg.compare.t_final
     if c.d != 1:
         raise ConfigError("the transport equation runs at d = 1 only", field="chain.d")

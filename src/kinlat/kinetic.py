@@ -19,25 +19,18 @@ The operator is one sum over resonant triads.  With ``c = a + b`` (mod
 ``m`` per axis) and the weight
 ``W(a, b) = kinv_a kinv_b kinv_c phi_eps(w_c - w_a - w_b) / 8``, each pair
 contributes ``T = W [f_a f_b - f_c (f_a + f_b)]`` and the rate is
-``(bincount(c, T) - 2 bincount(a, T)) / m**d`` over ordered pairs.  ``T`` is
-symmetric in ``a`` and ``b``, so the plan lists each unordered pair of live
-modes once, ``a <= b``, with its weight doubled off the diagonal, and the
-rate is ``bincount(c, T) - bincount(a, T) - bincount(b, T)``.  Pairs whose
-weight is at most ``PAIR_CUT`` (1e-16) times the largest are dropped, so the
-list, its memory and the cost of an evaluation shrink with ``eps``.  The
-list is built in blocks of rows and each block is pruned as it is made;
-the kept pairs are then re-packed into chunks of ``_BLOCK_PAIRS`` pairs, the
-slices an evaluation takes.  A block is scored in three buffers allocated
-once a build: ``c`` is one row gather an axis from a wrap table, and the
-profile's constant, the 1/8 and the off-diagonal 2 are one factor a row on
-``kinv_a``, so a pair gets ``kinv_b``, ``kinv_c`` and the profile's shape.
-A chunk stores ``b``, ``c`` and the weight of each pair, and ``a`` as runs
-of one row each, with node indices in the narrowest unsigned type that
-holds every node (12 bytes a pair and 4 a run at d = 2, m = 40).  A chunk's
-rows are unique, so its ``a`` term is one ``np.add.reduceat`` over its runs
-in place of a third ``bincount``.  An evaluation works in five chunk-sized
-buffers that it allocates once.  Each thread keeps only the plan it used
-last.  Spectra are flattened in C order, so node ``j`` has flat index
+``(bincount(c, T) - 2 bincount(a, T)) / m**d`` over ordered pairs.  ``W``
+and ``c = a + b`` are invariant under the point group ``G`` of signed axis
+permutations (``|G| = 2**d d!``), so ``C[f o g] = C[f] o g``: the plan
+(:class:`_TriadPlan`) lists one pair per orbit, and an evaluation runs it
+on ``f o g`` for each ``g`` and maps the result back.  Pairs whose weight,
+doubled off the diagonal, is at most ``PAIR_CUT`` (1e-16) times the
+largest are dropped, so the list, its memory (12 bytes a pair and 4 a run
+at d = 2, m = 40, about 7 times fewer pairs than the unordered ones) and
+the cost of an evaluation shrink with ``eps``.  The list is built and
+pruned in blocks of rows, then re-packed into chunks of ``_BLOCK_PAIRS``
+pairs, the slices an evaluation takes.  Each thread keeps only the plan it
+used last.  Spectra are flattened in C order, so node ``j`` has flat index
 ``sum_c j_c * m**(d-1-c)``.
 
 Stationarity anchor: the equilibrium family ``f = T/w`` annihilates both
@@ -49,6 +42,7 @@ kinetic one in :mod:`kinlat.compare`.
 
 from __future__ import annotations
 
+import itertools
 import threading
 from dataclasses import dataclass
 from functools import lru_cache
@@ -116,9 +110,27 @@ def nodes(grid: TorusGrid) -> np.ndarray:
 
 
 @lru_cache(maxsize=64)
+def _point_group(grid: TorusGrid) -> np.ndarray:
+    """The point group G: row ``g`` is the flat index of ``g k`` at each node
+    ``k``, ``(g k)_i = s_i k_p(i) mod m``, for the ``2**d d!`` signed axis
+    permutations (row 0 the identity)."""
+    j = np.indices(grid.shape).reshape(grid.d, -1)
+    index = np.min_scalar_type(grid.n_nodes - 1)
+    out = np.array([
+        np.ravel_multi_index([(s * j[p]) % grid.m for s, p in zip(signs, perm)], grid.shape)
+        for perm in itertools.permutations(range(grid.d))
+        for signs in itertools.product((1, -1), repeat=grid.d)
+    ]).astype(index)
+    out.setflags(write=False)
+    return out
+
+
+@lru_cache(maxsize=64)
 def omega_grid(grid: TorusGrid) -> np.ndarray:
-    """:func:`~kinlat.lattice.dispersion` at every node, shape ``(m,)*d``."""
-    out = dispersion(nodes(grid))
+    """:func:`~kinlat.lattice.dispersion` at every node, shape ``(m,)*d``,
+    each node taking its orbit representative's value: exactly G-invariant."""
+    canon = _point_group(grid).min(axis=0)
+    out = dispersion(nodes(grid)).reshape(-1)[canon].reshape(grid.shape)
     out.setflags(write=False)
     return out
 
@@ -183,19 +195,19 @@ def _profile_weight(du: np.ndarray, rule: ResonanceRule) -> float:
 
 @dataclass(frozen=True)
 class _TriadPlan:
-    """Unordered resonant pairs ``a <= b`` of live modes, with ``c = a + b``.
+    """The resonant pairs ``(a, b)`` of live modes, one per orbit of the group.
 
-    ``chunks`` holds the pairs as ``(rows, counts, b, c, w)`` tuples of
-    exactly ``_BLOCK_PAIRS`` pairs, the last one possibly shorter, in row
-    order of ``a``: ``counts[i]`` pairs of row ``a = rows[i]`` in turn, so a
-    row cut by a chunk boundary has a run in both chunks.  ``rows``, ``b``
-    and ``c`` are node indices in ``np.min_scalar_type(n_nodes - 1)``,
-    ``counts`` in ``np.min_scalar_type(_BLOCK_PAIRS)``; ``w`` is the float64
-    triad weight ``W(a, b)``, doubled when ``a != b`` so that each unordered
-    pair stands for both of its orderings.  Pairs whose weight is at most
-    ``PAIR_CUT`` times the largest are left out.  ``rows`` holds no value
-    twice, so a chunk's sum over the pairs of each row is one
-    ``np.add.reduceat`` at ``cumsum(counts) - counts``.
+    Row ``a`` is a live orbit representative (the smallest flat index of its
+    orbit), and ``b`` runs over the live modes whose representative is no
+    smaller, with ``c = a + b``.  ``chunks`` holds the pairs as
+    ``(rows, counts, b, c, w)`` tuples of exactly ``_BLOCK_PAIRS`` pairs, the
+    last one possibly shorter: ``counts[i]`` pairs of row ``a = rows[i]`` in
+    turn, ``rows`` rising, so a row cut by a chunk boundary has a run in
+    both chunks and a chunk's sum over each row is one ``np.add.reduceat``.
+    Node indices are in ``np.min_scalar_type(n_nodes - 1)``, ``counts`` in
+    ``np.min_scalar_type(_BLOCK_PAIRS)``.  ``w`` is ``W(a, b) / |Stab(a)|``,
+    doubled when ``b`` is outside ``a``'s orbit, so that the pairs' images
+    under the group count every ordered pair once.
     """
 
     chunks: tuple[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray], ...]
@@ -214,24 +226,31 @@ def _collision_plan(grid: TorusGrid, rule: ResonanceRule) -> _TriadPlan:
 
     Each block is cut against the largest weight seen so far, which never
     exceeds the global one, so the final cut against the global maximum,
-    made as the blocks are re-packed into chunks, gives a list that does
-    not depend on the block size.
+    made once every block is scored, gives a list that does not depend on
+    the block size.
     """
     blocks, top = _pruned_blocks(grid, rule)
-    return _TriadPlan(_repack(blocks, PAIR_CUT * top))
+    return _TriadPlan(_repack(_stored_weights(blocks, PAIR_CUT * top, grid)))
 
 
 def _pruned_blocks(grid: TorusGrid, rule: ResonanceRule) -> tuple[list, float]:
     """The ``(rows, counts, b, c, w)`` each block of rows keeps, and the top weight.
 
-    A block's candidates are worked in three buffers allocated once and
-    freed on return, before the re-pack, next to ``d`` tables of ``m`` by
-    ``n_live`` narrow node offsets.
+    ``w`` is the doubled weight the cut reads.  Columns are the live modes
+    in order of their representative, so row ``a`` takes the columns from
+    its own, the first of its orbit, on.  A block is worked in three
+    buffers allocated once and freed on return, next to ``d`` tables of
+    ``m`` by ``n_live`` narrow node offsets.
     """
     m = grid.m
     index = np.min_scalar_type(grid.n_nodes - 1)
+    group = _point_group(grid)
+    canon = group.min(axis=0)
     omega = omega_grid(grid).reshape(-1)
     live = np.flatnonzero(active_mask(grid, rule))
+    live = live[np.argsort(canon[live], kind="stable")]
+    reps = live[canon[live] == live]
+    first = np.searchsorted(canon[live], reps)  # the column of each row's orbit
     kinv = np.zeros(omega.size)
     kinv[live] = 1.0 / omega[live]
     omega_live, kinv_live = omega[live], kinv[live]
@@ -239,6 +258,7 @@ def _pruned_blocks(grid: TorusGrid, rule: ResonanceRule) -> tuple[list, float]:
     # read at s = j + (the coordinate of each live b) for every j < m: the
     # c of a block is then one gather of rows an axis
     jl = np.unravel_index(live, grid.shape)
+    jr = np.unravel_index(reps, grid.shape)
     shift = []
     for ax, j in enumerate(jl):
         wrap = ((np.arange(2 * m) % m) * m ** (grid.d - 1 - ax)).astype(index)
@@ -246,50 +266,71 @@ def _pruned_blocks(grid: TorusGrid, rule: ResonanceRule) -> tuple[list, float]:
     nodes_live = live.astype(index)
     n_live = live.size
     span = max(1, _BLOCK_PAIRS // max(1, n_live))  # rows a block
-    # one block's work arrays, allocated once: c in intp, since it indexes
-    # kinv and omega, the profile argument and the weight
-    c_buf = np.empty(span * n_live, np.intp)
+    # one block's work arrays, allocated once: c, the profile argument and
+    # the weight
+    c_buf = np.empty(span * n_live, index)
     du_buf, w_buf = np.empty((2, c_buf.size))
     blocks = []  # (rows, counts, b, c, w) of the pairs each block kept
     top = 0.0
-    for i0 in range(0, n_live, span):
-        i1 = min(n_live, i0 + span)
-        shape = (i1 - i0, n_live - i0)
+    for i0 in range(0, reps.size, span):
+        i1 = min(reps.size, i0 + span)
+        s0 = first[i0]
+        shape = (i1 - i0, n_live - s0)
         c, du, w = (buf[: shape[0] * shape[1]].reshape(shape) for buf in (c_buf, du_buf, w_buf))
-        c[...] = shift[0][jl[0][i0:i1], i0:]
+        c[...] = shift[0][jr[0][i0:i1], s0:]
         for ax in range(1, grid.d):
-            c += shift[ax][jl[ax][i0:i1], i0:]
+            c += shift[ax][jr[ax][i0:i1], s0:]
         np.take(omega, c, out=du, mode="clip")  # in range; "raise" would copy
-        du -= omega_live[i0:i1, None]
-        du -= omega_live[None, i0:]
+        du -= omega[reps[i0:i1], None]
+        du -= omega_live[None, s0:]
         unit = _profile_weight(du, rule)
-        # W = kinv_a kinv_b kinv_c phi / 8, doubled off the diagonal: the
-        # profile's constant, the 1/8 and the 2 ride on the row's kinv_a
+        # W = kinv_a kinv_b kinv_c phi / 8, doubled: the profile's constant,
+        # the 1/8 and the 2 ride on the row's kinv_a
         np.take(kinv, c, out=w, mode="clip")
         w *= du
-        w *= kinv_live[None, i0:]
-        w *= (0.25 * unit) * kinv_live[i0:i1, None]
-        # keep the upper triangle b >= a and halve the diagonal (exactly);
-        # b < a only in the block's first i1 - i0 columns
-        r = np.arange(i1 - i0)
-        w[:, : r.size][r[:, None] > r] = 0.0
-        w[r, r] *= 0.5
+        w *= kinv_live[None, s0:]
+        w *= (0.25 * unit) * kinv[reps[i0:i1], None]
+        # drop the columns before each row's own and halve the diagonal
+        lo = first[i0:i1] - s0
+        w[:, : lo[-1]][np.arange(lo[-1]) < lo[:, None]] = 0.0
+        w[np.arange(lo.size), lo] *= 0.5
         top = max(top, float(w.max()))
-        keep = w > PAIR_CUT * top
-        counts = np.count_nonzero(keep, axis=1)
+        keep = np.flatnonzero(w > PAIR_CUT * top)
+        counts = np.diff(np.searchsorted(keep, shape[1] * np.arange(lo.size + 1)))
         runs = counts > 0
+        # one pass picks the kept pairs; their columns go in the dead du
+        col = np.remainder(keep, shape[1], out=du_buf.view(np.intp)[: keep.size])
         blocks.append((
-            nodes_live[i0:i1][runs],
+            reps[i0:i1][runs].astype(index),
             counts[runs],
-            np.broadcast_to(nodes_live[i0:], keep.shape)[keep],
-            c[keep].astype(index),
-            w[keep],
+            nodes_live[s0:].take(col),
+            c.take(keep),
+            w.take(keep),
         ))
     return blocks, top
 
 
-def _repack(blocks: list, cut: float) -> tuple:
-    """Re-cut the build blocks at weight ``cut`` into chunks of ``_BLOCK_PAIRS``.
+def _stored_weights(blocks: list, cut: float, grid: TorusGrid) -> list:
+    """Cut the blocks at doubled weight ``cut``, then divide by ``|Stab(a)|``,
+    and by 2 where ``b != a`` is in ``a``'s orbit (its images hold both orders)."""
+    group = _point_group(grid)
+    canon = group.min(axis=0)
+    stab_inv = 1.0 / np.count_nonzero(group == np.arange(grid.n_nodes, dtype=group.dtype), axis=0)
+    for i, (rows, counts, b, c, w) in enumerate(blocks):
+        keep = w > cut
+        if not keep.all():
+            counts = np.add.reduceat(keep, np.cumsum(counts) - counts, dtype=np.intp)
+            runs = counts > 0
+            rows, counts, b, c, w = rows[runs], counts[runs], b[keep], c[keep], w[keep]
+        a = np.repeat(rows, counts)
+        w *= stab_inv[a]
+        w[(canon[b] == a) & (b != a)] *= 0.5
+        blocks[i] = (rows, counts, b, c, w)
+    return blocks
+
+
+def _repack(blocks: list) -> tuple:
+    """Re-pack the build blocks into chunks of ``_BLOCK_PAIRS`` pairs.
 
     Row runs are split where a chunk boundary falls inside them.  Blocks
     are consumed in order and each is released once its pairs are copied,
@@ -297,12 +338,6 @@ def _repack(blocks: list, cut: float) -> tuple:
     """
     if not blocks:  # no live modes
         return ()
-    for i, (rows, counts, *cols) in enumerate(blocks):
-        keep = cols[2] > cut
-        if not keep.all():
-            counts = np.add.reduceat(keep, np.cumsum(counts) - counts, dtype=np.intp)
-            runs = counts > 0
-            blocks[i] = (rows[runs], counts[runs]) + tuple(x[keep] for x in cols)
     ends = np.cumsum(np.concatenate([blk[1] for blk in blocks]))
     total = int(ends[-1]) if ends.size else 0
     # a run ends at the end of its row or at a chunk boundary inside it
@@ -354,42 +389,45 @@ def collision_rate(f: np.ndarray, grid: TorusGrid, rule: ResonanceRule) -> np.nd
     Momentum deltas are resolved exactly on the grid; the frequency delta is
     broadened to the rule's unit-mass profile.  Modes outside
     :func:`active_mask` neither receive nor donate.  Quadrature weight
-    ``m**-d``.  Each chunk adds ``bincount(c, T)``, less the sum of ``T``
-    over each row run at its row, less ``bincount(b, T)``.
+    ``m**-d``.  For each ``g``, a chunk adds ``bincount(c, T)`` of ``f o g``,
+    less the sum of ``T`` over each row run at its row, less
+    ``bincount(b, T)``, mapped back through ``g``.
     """
     flat = np.ascontiguousarray(f, dtype=np.float64).reshape(-1)
     plan = _thread_plan(grid, rule)
+    group = _point_group(grid)
     n = flat.size
     rate = np.zeros(n)
-    # five buffers serve every chunk: b and c widened to intp (np.take and
-    # np.bincount would copy narrow indices), and three float64 operands
+    # b and c widened to intp once a chunk (np.take and np.bincount would
+    # copy narrow indices), two float64 operands, and f_a's run expansion
     size = min(_BLOCK_PAIRS, plan.pairs)
     b_buf, c_buf = np.empty((2, size), np.intp)
-    x_buf, y_buf, t_buf = np.empty((3, size))
+    y_buf, t_buf = np.empty((2, size))
     for rows, counts, b, c, w in plan.chunks:
         k = w.size
-        ib, ic, x, y, t = b_buf[:k], c_buf[:k], x_buf[:k], y_buf[:k], t_buf[:k]
-        # mode="raise" would gather into a copy; the indices are in range.
-        # The b buffer holds a while f_a is gathered.
-        ib[...] = np.repeat(rows, counts)
-        np.take(flat, ib, out=x, mode="clip")
+        ib, ic, y, t = b_buf[:k], c_buf[:k], y_buf[:k], t_buf[:k]
         ib[...] = b
         ic[...] = c
-        np.take(flat, ib, out=y, mode="clip")
-        # t = w * (fa * fb - flat[c] * (fa + fb))
-        np.multiply(x, y, out=t)
-        np.add(x, y, out=y)
-        np.take(flat, ic, out=x, mode="clip")
-        np.multiply(x, y, out=y)
-        np.subtract(t, y, out=t)
-        np.multiply(w, t, out=t)
-        net = np.bincount(ic, t, n)
         # a chunk's rows are unique, so the out-of-a term is one sum a run
         starts = np.cumsum(counts, dtype=np.intp)
         starts -= counts
-        net[rows] -= np.add.reduceat(t, starts)
-        net -= np.bincount(ib, t, n)
-        rate += net
+        for g in group:
+            fg = flat[g]
+            x = np.repeat(fg[rows], counts)
+            # mode="raise" would gather into a copy; the indices are in range
+            np.take(fg, ib, out=y, mode="clip")
+            # t = w * (fa * fb - fg[c] * (fa + fb))
+            np.multiply(x, y, out=t)
+            np.add(x, y, out=y)
+            np.take(fg, ic, out=x, mode="clip")
+            np.multiply(x, y, out=y)
+            del x  # one run expansion alive at a time
+            np.subtract(t, y, out=t)
+            np.multiply(w, t, out=t)
+            net = np.bincount(ic, t, n)
+            net[rows] -= np.add.reduceat(t, starts)
+            net -= np.bincount(ib, t, n)
+            rate[g] += net
     return (rate / grid.n_nodes).reshape(f.shape)
 
 
@@ -508,12 +546,14 @@ def energy_moment(f: Spectrum | np.ndarray, grid: TorusGrid) -> float:
     """Dispersion-weighted total ``m^-d sum_k w(k) f(k)``.
 
     Conserved by the sharp-resonance operator; its drift under the broadened
-    one is a resolution diagnostic.
+    one is a resolution diagnostic.  A plain quadrature, it weights by
+    :func:`~kinlat.lattice.dispersion` at the nodes as evaluated, not by the
+    group-invariant :func:`omega_grid` the operator needs.
     """
     arr = f.f if isinstance(f, Spectrum) else np.asarray(f)
     if arr.shape != grid.shape:
         raise SizeMismatchError(f"spectrum shape {arr.shape} vs grid {grid.shape}")
-    return float(np.sum(omega_grid(grid) * arr) * grid.cell_measure)
+    return float(np.sum(dispersion(nodes(grid)) * arr) * grid.cell_measure)
 
 
 def rayleigh_jeans(grid: TorusGrid, temperature: float, rule: ResonanceRule) -> Spectrum:

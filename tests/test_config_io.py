@@ -349,6 +349,8 @@ INVALID = [
     (("pipeline", "vlasov.law"), ("vlasov", {"kind": "cosine-gaussian"}), "vlasov.law.sigma_r"),
     (("pipeline", "vlasov.law"), ("vlasov", {"kind": "gaussian", "sigma_v": 0}), "vlasov.law.sigma_v"),
     (("pipeline", "chain.law"), ("mf-compare", {"kind": "gaussian", "sigma_v": 0}), "chain.law.sigma_v"),
+    # mf-compare's transport side starts from chain.law's twin, not its own law
+    (("pipeline", "vlasov.law"), ("mf-compare", {"kind": "gaussian"}), "vlasov.law"),
 ]
 
 

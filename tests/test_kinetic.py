@@ -36,6 +36,7 @@ from kinlat.kinetic import (
         (1, 12, 0.15, "lorentzian"),
         (2, 6, 0.4, "gaussian"),
         (2, 6, 0.3, "lorentzian"),
+        (3, 4, 0.3, "gaussian"),
     ],
 )
 def test_collision_matches_direct_quadrature(rng, d, m, eps, profile):
@@ -87,25 +88,32 @@ def test_plan_chunks_are_full_blocks_of_narrow_indices(rng, grid, rule, index):
         assert np.all(np.diff(rows.astype(np.intp)) > 0) and np.all(counts > 0)
         assert counts.sum() == w.size
 
-    # a literal intp evaluation over the whole list, sliced at _BLOCK_PAIRS
+    # rows are orbit representatives, and each b's representative is no
+    # smaller than its row's
+    group = kinetic._point_group(grid).astype(np.intp)
+    canon = group.min(axis=0)
     a = np.concatenate([np.repeat(rows, counts) for rows, counts, *_ in plan.chunks])
     b, c, w = (np.concatenate(col) for col in list(zip(*plan.chunks))[2:])
     a, b, c = a.astype(np.intp), b.astype(np.intp), c.astype(np.intp)
-    assert np.all(np.diff(a) >= 0) and np.all(a <= b)
+    assert np.all(np.diff(a) >= 0) and np.all(canon[a] == a) and np.all(canon[b] >= a)
     ja, jb = np.unravel_index(a, grid.shape), np.unravel_index(b, grid.shape)
     jc = tuple((x + y) % grid.m for x, y in zip(ja, jb))
     assert np.array_equal(c, np.ravel_multi_index(jc, grid.shape))
+    # a literal intp evaluation over the whole list, sliced at _BLOCK_PAIRS,
+    # on f o g for every symmetry g and mapped back through g
     flat = rng.uniform(0.1, 1.0, size=n)
     want = np.zeros(n)
     for s in range(0, w.size, block):
         ia, ib, ic = a[s : s + block], b[s : s + block], c[s : s + block]
-        fa, fb = flat[ia], flat[ib]
-        t = w[s : s + block] * (fa * fb - flat[ic] * (fa + fb))
         # the out-of-a term: one sum over each run of equal a, taken from a
         starts = np.flatnonzero(np.diff(ia, prepend=-1))
-        net = np.bincount(ic, t, n)
-        net[ia[starts]] -= np.add.reduceat(t, starts)
-        want += net - np.bincount(ib, t, n)
+        for g in group:
+            fg = flat[g]
+            fa, fb = fg[ia], fg[ib]
+            t = w[s : s + block] * (fa * fb - fg[ic] * (fa + fb))
+            net = np.bincount(ic, t, n)
+            net[ia[starts]] -= np.add.reduceat(t, starts)
+            want[g] += net - np.bincount(ib, t, n)
     got = kinetic.collision_rate(flat.reshape(grid.shape), grid, rule)
     assert np.array_equal(got.reshape(-1), want / n)
 
@@ -117,14 +125,30 @@ BENCH_GRID, BENCH_RULE = TorusGrid(2, 40), ResonanceRule(0.2, "gaussian", 0.05)
 def test_benchmark_plan_keeps_its_pairs_in_12_bytes_each():
     # the kept pairs at every width of the kinetic-sweep benchmark: a change
     # to the rounding of the weights that flips a pair at the cut shows here.
-    # b, c and w take 12 B a pair; the run-length a column takes 4 B a run,
-    # and a row has more than one run only where a chunk boundary cuts it
-    n_live = int(np.count_nonzero(active_mask(BENCH_GRID, BENCH_RULE)))
-    for eps, pairs in ((0.2, 874_640), (0.1, 524_472), (0.05, 322_256)):
+    # Under the point group the stored pairs expand to exactly the unordered
+    # pairs the full list keeps (874,640, 524,472 and 322,256).  b, c and w
+    # take 12 B a pair; the run-length a column takes 4 B a run, and a row
+    # has more than one run only where a chunk boundary cuts it
+    n = BENCH_GRID.n_nodes
+    group = kinetic._point_group(BENCH_GRID).astype(np.intp)
+    live = active_mask(BENCH_GRID, BENCH_RULE).reshape(-1)
+    n_rows = int(np.count_nonzero(live & (group.min(axis=0) == np.arange(n))))
+    for eps, stored, pairs in (
+        (0.2, 127_511, 874_640),
+        (0.1, 78_357, 524_472),
+        (0.05, 49_489, 322_256),
+    ):
         plan = kinetic._collision_plan(BENCH_GRID, replace(BENCH_RULE, epsilon=eps))
-        assert plan.pairs == pairs
+        assert plan.pairs == stored
+        a = np.concatenate([np.repeat(rows, counts) for rows, counts, *_ in plan.chunks])
+        b = np.concatenate([chunk[2] for chunk in plan.chunks])
+        a, b = a.astype(np.intp), b.astype(np.intp)
+        images = np.concatenate([
+            np.minimum(g[a], g[b]) * n + np.maximum(g[a], g[b]) for g in group
+        ])
+        assert np.unique(images).size == pairs
         runs = sum(chunk[0].size for chunk in plan.chunks)
-        assert runs <= n_live + len(plan.chunks) - 1
+        assert runs <= n_rows + len(plan.chunks) - 1
         assert plan.nbytes == 12 * plan.pairs + 4 * runs
         if eps == BENCH_RULE.epsilon:
             assert plan.nbytes < 12.01 * plan.pairs
@@ -186,6 +210,35 @@ def test_collision_preserves_evenness():
     c = collision(f, grid, ResonanceRule(0.1))
     mirrored = c[(-np.arange(16)) % 16]
     assert np.max(np.abs(c - mirrored)) < 1e-13
+
+
+def _signed_permutations(grid):
+    """The index tuple ``g k`` of every node, for each signed axis permutation."""
+    j = np.indices(grid.shape)
+    for perm in itertools.permutations(range(grid.d)):
+        for signs in itertools.product((1, -1), repeat=grid.d):
+            yield tuple((s * j[p]) % grid.m for s, p in zip(signs, perm))
+
+
+SYMMETRY_GRIDS = [TorusGrid(d, m) for d, m in ((1, 9), (1, 10), (2, 7), (2, 8), (3, 5), (3, 6))]
+
+
+@pytest.mark.parametrize("grid", SYMMETRY_GRIDS, ids=lambda g: f"d{g.d}-m{g.m}")
+def test_collision_commutes_with_the_point_group(rng, grid):
+    # C[f o g] = C[f] o g on a spectrum with no symmetry of its own
+    rule = ResonanceRule(0.3)
+    f = rng.uniform(0.1, 1.0, size=grid.shape)
+    c = collision(f, grid, rule)
+    for gk in _signed_permutations(grid):
+        assert np.max(np.abs(collision(f[gk], grid, rule) - c[gk])) <= 1e-14 * np.max(np.abs(c))
+
+
+@pytest.mark.parametrize("grid", SYMMETRY_GRIDS, ids=lambda g: f"d{g.d}-m{g.m}")
+def test_omega_grid_is_exactly_invariant(grid):
+    w = omega_grid(grid)
+    assert all(np.array_equal(w[gk], w) for gk in _signed_permutations(grid))
+    # a few ulps of the largest value, d, from the unsymmetrized table
+    assert np.max(np.abs(w - kinetic.dispersion(nodes(grid)))) <= 4 * np.finfo(float).eps * grid.d
 
 
 def test_equilibrium_rate_vanishes_with_broadening():
