@@ -8,11 +8,14 @@ Each case is called once before timing so plan building and allocator
 warm-up stay out of the numbers.  It is then timed in batches of calls
 that last at least ``BATCH_SECONDS`` (20 ms), so a sub-millisecond case
 is not read off single calls of the clock; the sheet prints the per-call
-median and quartiles over ``--repeats`` batches.  The d=1 wave cases use
-the replica block the harness steps at N=33 (``BLOCK_BYTES`` over the
-bytes of one replica's half field a(+), 124 rows): one interaction call on
-a(+) in FFT order, and one exponential step of that block from exact
-conjugate pairs, which makes four of them.  The collision cases at
+median and quartiles over ``--repeats`` batches.  The wave interaction is
+timed on each side of ``waves.TABLE_MAX_N`` (N = 33 and 513 at d=1, 17 and
+65 at d=2), each on the replica block the harness steps at that size
+(``BLOCK_BYTES`` over the bytes of one replica's half field a(+): 124, 7, 14
+and 1 rows), once by the DFT tables and once by the FFT pair; ``*`` marks
+the path ``wave_nonlinear`` takes, so the crossover can be measured again
+with this one command.  One exponential step of the N=33 block from exact
+conjugate pairs makes four table calls.  The collision cases at
 d=2, m=40 (the grid of the kinetic-sweep benchmark, dispersion floor 0.05)
 time the plan build on its own, then an evaluation with the plan in hand.
 A row per width then lists the order of the point group |G|, the pairs the
@@ -32,8 +35,8 @@ shifted aside, with the per-line offsets, weights and runs built from its
 rows of the acceleration), one acceleration field, and one Strang step:
 two half r-sweeps, one v-sweep and one field, written in place into the
 density it reads, as ``vlasov_evolve`` steps its working array.  On 2 cores
-a step takes about 8 ms, of which the two r-sweeps take about 3 ms, the
-v-sweep about 3 ms and the field about 0.5 ms.  The sheet ends with the
+a step takes about 7 ms, of which the two r-sweeps take about 3 ms, the
+v-sweep about 2.7 ms and the field about 0.4 ms.  The sheet ends with the
 bytes the step's workspace holds next to one density's.
 """
 
@@ -63,9 +66,17 @@ from kinlat.kinetic import (
 )
 from kinlat.lattice import LatticeSpec
 from kinlat.vlasov import PhaseGrid, _Strang, acceleration, density_from_law
-from kinlat.waves import ModelParams, _integrate_array, wave_nonlinear
+from kinlat.waves import (
+    TABLE_MAX_N,
+    ModelParams,
+    _fft_nonlinear,
+    _integrate_array,
+    _table_nonlinear,
+)
 
-
+# the interaction on each side of the table crossover: N = 33 | 513 at d = 1,
+# 17 | 65 at d = 2
+WAVE_SPECS = (LatticeSpec(1, 16), LatticeSpec(1, 256), LatticeSpec(2, 8), LatticeSpec(2, 32))
 PLAN_GRID = TorusGrid(2, 40)
 PLAN_RULES = tuple(ResonanceRule(eps, "gaussian", 0.05) for eps in (0.2, 0.1, 0.05, 0.02))
 VLASOV_GRID = PhaseGrid(32, 128, 128, 1.0, 1.2)
@@ -102,29 +113,33 @@ def _half_field(rng, shape):
     return rng.normal(size=shape) + 1j * rng.normal(size=shape)
 
 
+def _block_rows(spec: LatticeSpec) -> int:
+    """Replicas in the block the harness steps: ``BLOCK_BYTES`` over one a(+)."""
+    return max(1, BLOCK_BYTES // (np.dtype(np.complex128).itemsize * spec.n_sites))
+
+
 def _cases(rng, batch: int):
     # shapes mirror what the pipelines actually push through the kernels:
     # the replica block the harness steps, the d=1 refinement ladder for the
     # collision operator, and a long d=1 chain
-    spec1 = LatticeSpec(1, 16)
-    rows = max(1, BLOCK_BYTES // np.empty(spec1.shape, dtype=np.complex128).nbytes)
+    for spec in WAVE_SPECS:
+        rows = _block_rows(spec)
+        b = _half_field(rng, (rows,) + spec.shape)
+        taken = "tables" if spec.d <= 2 and spec.N <= TABLE_MAX_N else "fft"
+        for path, kernel in (("tables", _table_nonlinear), ("fft", _fft_nonlinear)):
+            yield (
+                f"wave interaction d={spec.d} N={spec.N} block={rows} {path}"
+                + ("*" if path == taken else ""),
+                lambda b=b, spec=spec, kernel=kernel: kernel(b, spec, 0.3),
+            )
+    spec1 = WAVE_SPECS[0]
+    rows = _block_rows(spec1)
     b1 = _half_field(rng, (rows,) + spec1.shape)
-    yield (
-        f"wave interaction d=1 N={spec1.N} block={rows}",
-        lambda: wave_nonlinear(b1, spec1, 0.3),
-    )
     a1 = np.stack([b1, np.conj(b1)], axis=1)  # exact conjugate pairs
     params1 = ModelParams(spec1, 0.05)
     yield (
         f"wave exponential step d=1 N={spec1.N} block={rows}",
         lambda: _integrate_array(a1, params1, 0.01, 1),
-    )
-
-    spec2 = LatticeSpec(2, 6)
-    b2 = _half_field(rng, (batch,) + spec2.shape)
-    yield (
-        f"wave interaction d=2 N={spec2.N} batch={batch}",
-        lambda: wave_nonlinear(b2, spec2, 0.3),
     )
 
     f1, g1, r1 = rng.uniform(0.1, 1.0, size=256), TorusGrid(1, 256), ResonanceRule(0.025)
@@ -195,7 +210,7 @@ def main() -> int:
 
     rng = np.random.default_rng(args.seed)
 
-    width = 44
+    width = 46
     medians = {}
     print(f"{'case':<{width}} {'median':>10} {'q1':>10} {'q3':>10}  (ms per call or step)")
     for name, call, *steps in _cases(rng, args.batch):

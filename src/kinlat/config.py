@@ -70,6 +70,20 @@ _REQUIRED_BLOCKS = {
     "oracle-suite": (),
 }
 PIPELINES = tuple(_REQUIRED_BLOCKS)
+# pipeline -> (block, tagged field, reason): a field the pipeline fills from
+# another block, so a config must not give it and the resolved config omits it
+_BORROWED = {
+    "wt-compare": (
+        "kinetic",
+        "initial",
+        "the kinetic comparison starts from wave.profile, not its own profile",
+    ),
+    "mf-compare": (
+        "vlasov",
+        "law",
+        "the mean-field comparison starts the transport side from chain.law, not its own law",
+    ),
+}
 
 
 def _field(default, **rule):
@@ -358,23 +372,16 @@ def mf_steps(chain: ChainConfig, vlasov: VlasovConfig, t_final: float) -> tuple[
 
 def _check_blocks(cfg: RunConfig) -> None:
     """The rules of a pipeline that tie two of its blocks together."""
-    if cfg.pipeline == "wt-compare":
-        if cfg.wave.lam <= 0.0:
-            raise ConfigError("the kinetic comparison needs lam > 0", field="wave.lam")
-        if "initial" in cfg.raw["kinetic"]:
-            raise ConfigError(
-                "the kinetic comparison starts from wave.profile, not its own profile",
-                field="kinetic.initial",
-            )
+    if cfg.pipeline == "wt-compare" and cfg.wave.lam <= 0.0:
+        raise ConfigError("the kinetic comparison needs lam > 0", field="wave.lam")
+    if cfg.pipeline in _BORROWED:
+        block, name, reason = _BORROWED[cfg.pipeline]
+        if name in cfg.raw[block]:
+            raise ConfigError(reason, field=f"{block}.{name}")
     if cfg.pipeline == "vlasov":
         _check_density(cfg.vlasov.law, "vlasov.law", "the transport solve", ("sigma_r", "sigma_v"))
     if cfg.pipeline != "mf-compare":
         return
-    if "law" in cfg.raw["vlasov"]:
-        raise ConfigError(
-            "the mean-field comparison starts the transport side from chain.law, not its own law",
-            field="vlasov.law",
-        )
     c, v, t_final = cfg.chain, cfg.vlasov, cfg.compare.t_final
     if c.d != 1:
         raise ConfigError("the transport equation runs at d = 1 only", field="chain.d")
@@ -455,7 +462,10 @@ def resolved(cfg: RunConfig) -> dict:
     """The tree :func:`parse_config` built, as JSON values and without ``raw``.
 
     Each profile and law block lists every parameter of its kind, the
-    defaults filled in from the factory's signature.
+    defaults filled in from the factory's signature.  Blocks the run does
+    not read are left out: an absent block, and the field a pipeline fills
+    from another block (``kinetic.initial`` of ``wt-compare``, ``vlasov.law``
+    of ``mf-compare``).  So :func:`parse_config` takes the result back.
     """
 
     def walk(node):
@@ -468,4 +478,8 @@ def resolved(cfg: RunConfig) -> dict:
             return {f.name: walk(getattr(node, f.name)) for f in fields(node) if f.name != "raw"}
         return list(node) if isinstance(node, tuple) else node
 
-    return walk(cfg)
+    out = {k: v for k, v in walk(cfg).items() if v is not None}
+    if cfg.pipeline in _BORROWED:
+        block, name, _ = _BORROWED[cfg.pipeline]
+        del out[block][name]
+    return out

@@ -63,7 +63,10 @@ __all__ = [
 # byte budget of one replica block's half field a(+): large enough to amortize
 # per-call kernel overhead, small enough that the arrays of that size a wave
 # step keeps live (the state, four stages and their temporaries) do not grow
-# with the ensemble; rows never interact, so the block size cannot change results
+# with the ensemble.  Rows never interact, and the interaction kernel gives
+# each row its own bytes (its GEMMs run on zero-padded blocks of
+# waves.GEMM_ROWS rows, or one replica at a time), so the block size cannot
+# change results
 BLOCK_BYTES = 64 * 1024
 
 # the names the drivers read from each lane module, as globals of this

@@ -14,6 +14,7 @@ import pytest
 from kinlat import cli
 from kinlat.chain import LAWS, GaussianLaw, PointLaw, site_coordinates, ChainGeometry
 from kinlat.config import (
+    _REQUIRED_BLOCKS,
     LawConfig,
     VlasovConfig,
     build_law,
@@ -21,6 +22,7 @@ from kinlat.config import (
     config_hash,
     load_config,
     parse_config,
+    resolved,
 )
 from kinlat.errors import ConfigError, SizeMismatchError
 from kinlat.harness import _paired_laws, run
@@ -450,6 +452,15 @@ class TestLoadAndHash:
         changed = _wave_doc()
         changed["seed"] = 8
         assert config_hash(parse_config(changed)) != config_hash(a)
+
+    @pytest.mark.parametrize("pipeline", sorted(_REQUIRED_BLOCKS))
+    def test_resolved_config_parses_back(self, pipeline):
+        # a manifest's config_resolved is a config: a minimal doc's resolved
+        # tree, through JSON, parses and resolves to itself
+        doc = {"pipeline": pipeline, "seed": 0} | {b: {} for b in _REQUIRED_BLOCKS[pipeline]}
+        tree = json.loads(json.dumps(resolved(parse_config(doc))))
+        assert resolved(parse_config(tree)) == tree
+        assert set(tree) == {"pipeline", "seed", "out", *_REQUIRED_BLOCKS[pipeline]}
 
 
 class TestBuilders:

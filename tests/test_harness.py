@@ -127,6 +127,19 @@ class TestRun:
             for i in (0, rows - 1, rows, rows + 2):
                 alone = _integrate_array(a[i : i + 1], params, 0.02, 20, scheme)
                 assert np.array_equal(alone[0], together[i]), (scheme, i)
+        # d = 1, N = 33: a full block of 124 rows, then a tail of 1, 2, 3 or 7
+        # rows, where a GEMM on unpadded rows rounds differently
+        spec = LatticeSpec(1, 16)
+        params = ModelParams(spec, 0.3)
+        ones = np.ones(spec.shape)
+        a, _ = stack_ensemble(sample_initial(EnsembleSpec(124 + 7, 42, ones), spec))
+        assert BLOCK_BYTES // a[0, 0].nbytes == 124
+        for tail in (1, 2, 3, 7):
+            for scheme in ("exponential", "rk4"):
+                together = _integrate_ensemble(a[: 124 + tail], params, 0.02, 20, scheme)
+                for i in (0, 123, *range(124, 124 + tail)):
+                    alone = _integrate_array(a[i : i + 1], params, 0.02, 20, scheme)
+                    assert np.array_equal(alone[0], together[i]), (tail, scheme, i)
 
     def test_blowup_leaves_a_failure_manifest(self, tmp_path):
         with pytest.raises(NumericalBlowupError):
@@ -330,7 +343,7 @@ class TestRun:
         run(parse_config(doc), out=tmp_path / "wt")
         resolved = _manifest_of(tmp_path / "wt")["config_resolved"]
         assert resolved["wave"]["profile"] == {"name": "rayleigh-jeans", "temperature": 0.1, "floor": 1e-12}
-        assert resolved["wave"]["n_steps"] == 2 and resolved["chain"] is None
+        assert resolved["wave"]["n_steps"] == 2 and "chain" not in resolved
         assert "raw" not in resolved
 
 

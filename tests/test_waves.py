@@ -173,25 +173,42 @@ def _rel_gap(got, want):
     return np.max(np.abs(got - want)) / np.max(np.abs(want))
 
 
-# an unbatched state and the replica block the harness steps at N = 33
-@pytest.mark.parametrize("d,D,batch", [(1, 16, ()), (1, 16, (124,)), (2, 6, ()), (2, 6, (124,))])
+# an unbatched state and the replica block the harness steps at N = 33, then
+# both sides of the table crossover: N = 33 | 513 at d = 1, 17 | 65 at d = 2
+@pytest.mark.parametrize(
+    "d,D,batch",
+    [(1, 16, ()), (1, 16, (124,)), (2, 6, ()), (2, 6, (124,)), (1, 256, (7,)), (2, 8, (14,)), (2, 32, (2,))],
+)
 @pytest.mark.parametrize("lam", [0.0, 0.3])
 def test_kernel_is_bitwise_the_shifted_order_formula(rng, d, D, batch, lam):
     # the kernel reads a(+) in FFT order.  It is the + half of the doubled
-    # formula to round-off, and bit for bit its own algebra on the shifted
-    # layout
+    # formula to round-off; above the crossover it is bit for bit its own FFT
+    # algebra on the shifted layout, and on either side each row's bytes are
+    # its own: the batch equals its sub-blocks of 1, 2, 3, 7 and the rest
+    # rows, and an unbatched state its row in a block of 17
     spec = LatticeSpec(d, D)
     a = _exact_pairs(rng, spec, batch)
     gax = tuple(range(len(batch), len(batch) + d))
     ap = np.take(a, 0, axis=len(batch))
-    got = np.fft.fftshift(wave_nonlinear(np.fft.ifftshift(ap, axes=gax), spec, lam), axes=gax)
+    b = np.fft.ifftshift(ap, axes=gax)
+    got = np.fft.fftshift(wave_nonlinear(b, spec, lam), axes=gax)
     want = np.take(_shifted_order_nonlinear(a, spec, lam), 0, axis=len(batch))
     assert got.shape == want.shape and got.dtype == want.dtype
-    assert np.array_equal(got, _shifted_order_half(ap, spec, lam))
+    if spec.N > waves.TABLE_MAX_N:
+        assert np.array_equal(got, _shifted_order_half(ap, spec, lam))
     if lam == 0.0:
         assert not np.any(want) and not np.any(got)
     else:
         assert _rel_gap(got, want) <= 1e-14
+    rows = b.reshape((-1,) + spec.shape)
+    if not batch:
+        rows = np.concatenate([rows, _exact_pairs(rng, spec, (16,))[:, 0]])
+    whole = wave_nonlinear(rows, spec, lam)
+    if not batch:
+        assert np.array_equal(whole[0], wave_nonlinear(b, spec, lam))
+    cuts = [c for c in (0, 1, 3, 6, 13) if c < len(rows)] + [len(rows)]
+    blocks = [wave_nonlinear(rows[i:j], spec, lam) for i, j in zip(cuts, cuts[1:])]
+    assert np.array_equal(np.concatenate(blocks), whole)
 
 
 def _classical_step(a, nl, wbar, dt, scheme):
@@ -220,14 +237,21 @@ def _classical_step(a, nl, wbar, dt, scheme):
 @pytest.mark.parametrize("scheme", ["exponential", "rk4"])
 @pytest.mark.parametrize("d,D", [(1, 16), (2, 6)])
 def test_integrate_step_is_bitwise_the_shifted_order_formula(rng, scheme, d, D):
-    # one step is the classical formula on a(+) bit for bit, and the doubled
-    # layout's step to round-off
+    # one step is the classical formula on a(+) in FFT order bit for bit,
+    # with the kernel as its interaction, and the doubled layout's step to
+    # round-off
     spec = LatticeSpec(d, D)
     a = _exact_pairs(rng, spec, (124,), scale=0.1)
     got = integrate(AmplitudeState(a, 0.0), ModelParams(spec, 0.3), 0.05, 1, scheme=scheme)
+    gax = tuple(range(1, 1 + d))
     half = _classical_step(
-        a[:, 0], lambda x: _shifted_order_half(x, spec, 0.3), omega_bar_grid(spec), 0.05, scheme
+        np.fft.ifftshift(a[:, 0], axes=gax),
+        lambda x: wave_nonlinear(x, spec, 0.3),
+        np.fft.ifftshift(omega_bar_grid(spec)),
+        0.05,
+        scheme,
     )
+    half = np.fft.fftshift(half, axes=gax)
     assert np.array_equal(got.a[:, 0], half)
     assert np.array_equal(got.a[:, 1], np.conj(half))
     # the doubled layout: both sign halves stepped, with _shifted_order_nonlinear
