@@ -9,13 +9,14 @@ warm-up stay out of the numbers.  It is then timed in batches of calls
 that last at least ``BATCH_SECONDS`` (20 ms), so a sub-millisecond case
 is not read off single calls of the clock; the sheet prints the per-call
 median and quartiles over ``--repeats`` batches.  The wave interaction is
-timed on each side of ``waves.TABLE_MAX_N`` (N = 33 and 513 at d=1, 17 and
-65 at d=2), each on the replica block the harness steps at that size
-(``BLOCK_BYTES`` over the bytes of one replica's half field a(+): 124, 7, 14
-and 1 rows), once by the DFT tables and once by the FFT pair; ``*`` marks
-the path ``wave_nonlinear`` takes, so the crossover can be measured again
-with this one command.  One exponential step of the N=33 block from exact
-conjugate pairs makes four table calls.  The collision cases at
+timed at d=1 on each side of ``waves.TABLE_MAX_N`` (N = 33 and 513), once
+by the DFT tables and once by the FFT pair, with ``*`` on the path
+``wave_nonlinear`` takes, so the crossover can be measured again with this
+one command; at d=2 (N = 17) it runs by the FFT pair alone.  Each case
+uses the replica block the harness steps at that size (``BLOCK_BYTES``
+over the bytes of one replica's half field a(+): 124, 7 and 14 rows).  One
+exponential step of the N=33 block from exact conjugate pairs makes four
+table calls.  The collision cases at
 d=2, m=40 (the grid of the kinetic-sweep benchmark, dispersion floor 0.05)
 time the plan build on its own, then an evaluation with the plan in hand.
 A row per width then lists the order of the point group |G|, the pairs the
@@ -67,16 +68,16 @@ from kinlat.kinetic import (
 from kinlat.lattice import LatticeSpec
 from kinlat.vlasov import PhaseGrid, _Strang, acceleration, density_from_law
 from kinlat.waves import (
-    TABLE_MAX_N,
     ModelParams,
     _fft_nonlinear,
     _integrate_array,
     _table_nonlinear,
+    _uses_tables,
 )
 
-# the interaction on each side of the table crossover: N = 33 | 513 at d = 1,
-# 17 | 65 at d = 2
-WAVE_SPECS = (LatticeSpec(1, 16), LatticeSpec(1, 256), LatticeSpec(2, 8), LatticeSpec(2, 32))
+# the interaction on each side of the d = 1 table crossover (N = 33 | 513),
+# and at d = 2, N = 17
+WAVE_SPECS = (LatticeSpec(1, 16), LatticeSpec(1, 256), LatticeSpec(2, 8))
 PLAN_GRID = TorusGrid(2, 40)
 PLAN_RULES = tuple(ResonanceRule(eps, "gaussian", 0.05) for eps in (0.2, 0.1, 0.05, 0.02))
 VLASOV_GRID = PhaseGrid(32, 128, 128, 1.0, 1.2)
@@ -125,8 +126,11 @@ def _cases(rng, batch: int):
     for spec in WAVE_SPECS:
         rows = _block_rows(spec)
         b = _half_field(rng, (rows,) + spec.shape)
-        taken = "tables" if spec.d <= 2 and spec.N <= TABLE_MAX_N else "fft"
-        for path, kernel in (("tables", _table_nonlinear), ("fft", _fft_nonlinear)):
+        paths = [("fft", _fft_nonlinear)]
+        if spec.d == 1:  # the table kernel is d = 1 only
+            paths.insert(0, ("tables", _table_nonlinear))
+        taken = "tables" if _uses_tables(spec) else "fft"
+        for path, kernel in paths:
             yield (
                 f"wave interaction d={spec.d} N={spec.N} block={rows} {path}"
                 + ("*" if path == taken else ""),

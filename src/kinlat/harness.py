@@ -65,8 +65,7 @@ __all__ = [
 # step keeps live (the state, four stages and their temporaries) do not grow
 # with the ensemble.  Rows never interact, and the interaction kernel gives
 # each row its own bytes (its GEMMs run on zero-padded blocks of
-# waves.GEMM_ROWS rows, or one replica at a time), so the block size cannot
-# change results
+# waves.GEMM_ROWS rows), so the block size cannot change results
 BLOCK_BYTES = 64 * 1024
 
 # the names the drivers read from each lane module, as globals of this

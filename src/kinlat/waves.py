@@ -26,10 +26,10 @@ FFT order (zero mode first), shape ``batch + (N,)*d``.  On the physical
 manifold ``w(k) = u(k) + conj u(-k)`` with ``u = a(+)/wbar`` is Hermitian,
 so the position field ``V = 2 Re ifft(u)`` is real and the interaction is
 an inverse transform to ``V`` and a forward transform of ``V**2``
-(:func:`wave_nonlinear`).  Up to ``TABLE_MAX_N`` sites per axis at d = 1
-and 2 the two transforms are real GEMMs against cached DFT tables, above it
-the FFT pair; in both, a replica's bytes do not depend on the batch it is
-stepped in.  The stepper checks that its doubled input is an exact
+(:func:`wave_nonlinear`).  At d = 1 up to ``TABLE_MAX_N`` sites the two
+transforms are real GEMMs against cached DFT tables, otherwise the FFT
+pair; in both, a replica's bytes do not depend on the batch it is stepped
+in.  The stepper checks that its doubled input is an exact
 conjugate pair, gathers ``a(+)`` to FFT order once, steps it, and re-doubles
 the result exactly, so ``a(-) = conj a(+)`` holds to the bit.
 
@@ -80,12 +80,15 @@ __all__ = [
 BLOWUP_BOUND = 1e8
 # steps between amplitude-bound checks; the last step is always checked
 CHECK_EVERY = 50
-# largest axis length at which wave_nonlinear transforms by cached DFT tables
-# (real GEMMs) rather than by the FFT, at d = 1 and 2.  On the harness's
-# replica blocks (2 cores, OpenBLAS) the tables win up to N = 73 at d = 1 and
-# N = 61 at d = 2 and lose from N = 77 and 63 on; they grow as N**2
+# largest chain length at which wave_nonlinear transforms by cached DFT tables
+# (real GEMMs) rather than by the FFT, at d = 1 (see _uses_tables).  A
+# conservative pick from noisy per-call timings on the harness's replica
+# blocks (benchmarks/bench_kernels.py, 2 cores, OpenBLAS): the tables won at
+# every length measured up to 61, and above it won at some lengths and lost
+# at others, 8x at N = 513, as they grow as N**2.  Only N = 33 is checked end
+# to end; no benchmark workload runs the FFT side of this switch
 TABLE_MAX_N = 61
-# rows of every d = 1 table product.  OpenBLAS rounds a row by its place in
+# rows of every table product.  OpenBLAS rounds a row by its place in
 # the product (edge tiles, small-matrix kernels and thread splits all depend
 # on the row count), so the rows are zero-padded to whole blocks of this many
 # and every product has one shape: a row's bits do not depend on its batch
@@ -231,16 +234,21 @@ def wave_nonlinear(b: np.ndarray, spec: LatticeSpec, lam: float) -> np.ndarray:
     The four sign-pair sums collapse into one cyclic self-convolution of the
     Hermitian ``w(k) = u(k) + conj u(-k)``, ``u = a(+) / omega_bar``, which is
     ``N^d fft(V**2)`` of the real position field ``V = ifft(w) = 2 Re ifft(u)``.
-    Up to ``TABLE_MAX_N`` sites per axis at d = 1 and 2 both transforms are
-    real GEMMs against cached DFT tables (:func:`_table_nonlinear`); above it,
-    and at d = 3, they are the FFT pair.  Either way each row of the result
-    depends on its own row of ``b`` alone, bit for bit.
+    At d = 1 up to ``TABLE_MAX_N`` sites both transforms are real GEMMs
+    against cached DFT tables (:func:`_table_nonlinear`); otherwise they are
+    the FFT pair.  Either way each row of the result depends on its own row
+    of ``b`` alone, bit for bit.
     """
     if lam == 0.0:
         return np.zeros(b.shape, dtype=np.complex128)
-    if spec.d <= 2 and spec.N <= TABLE_MAX_N:
+    if _uses_tables(spec):
         return _table_nonlinear(b, spec, lam)
     return _fft_nonlinear(b, spec, lam)
+
+
+def _uses_tables(spec: LatticeSpec) -> bool:
+    """Whether :func:`wave_nonlinear` runs by DFT tables on this lattice."""
+    return spec.d == 1 and spec.N <= TABLE_MAX_N
 
 
 def _fft_nonlinear(b: np.ndarray, spec: LatticeSpec, lam: float) -> np.ndarray:
@@ -270,70 +278,44 @@ def _kernel_tables(spec: LatticeSpec, lam: float) -> tuple[np.ndarray, np.ndarra
 
 
 def _table_nonlinear(b: np.ndarray, spec: LatticeSpec, lam: float) -> np.ndarray:
-    """:func:`wave_nonlinear` by real GEMMs against :func:`_dft_tables`.
+    """:func:`wave_nonlinear` at d = 1 by real GEMMs against :func:`_dft_tables`.
 
     Complex fields are read and written as their interleaved ``(re, im)``
-    float64 view, and ``V`` is squared and scaled by ``lam`` in place.  At
-    d = 1 the rows of ``b`` are zero-padded to blocks of ``GEMM_ROWS``
-    (inert: the term vanishes on zero rows), and ``1/omega_bar`` and the
-    output coefficient sit in the two tables.  At d = 2 each axis is one
-    product per replica, so again every product has one shape.
+    float64 view, and ``V`` is squared and scaled by ``lam`` in place.  The
+    rows of ``b`` are zero-padded to blocks of ``GEMM_ROWS`` (inert: the term
+    vanishes on zero rows), and ``1/omega_bar`` and the output coefficient
+    sit in the two tables.
     """
     n = spec.N
-    if spec.d == 1:
-        inv, fwd = _dft_tables(spec)
-        rows = b.size // n
-        x = np.zeros((-(-rows // GEMM_ROWS) * GEMM_ROWS, n), dtype=np.complex128)
-        x[:rows] = b.reshape(rows, n)
-        v = np.matmul(x.view(np.float64).reshape(-1, GEMM_ROWS, 2 * n), inv)
-        v *= v
-        v *= lam
-        out = np.matmul(v, fwd).reshape(-1, 2 * n)[:rows]
-        return out.view(np.complex128).reshape(b.shape)
-    winv, inv, re_inv, re_fwd, fwd, coef = _dft_tables(spec)
-    # the last axis leaves its products with re and im in blocks, so that
-    # (k1, re/im) are the rows the first axis contracts over, and back
-    y = np.matmul((b * winv).reshape(-1, n, n).view(np.float64), inv)
-    v = np.matmul(re_inv, y.reshape(-1, 2 * n, n))
+    inv, fwd = _dft_tables(spec)
+    rows = b.size // n
+    x = np.zeros((-(-rows // GEMM_ROWS) * GEMM_ROWS, n), dtype=np.complex128)
+    x[:rows] = b.reshape(rows, n)
+    v = np.matmul(x.view(np.float64).reshape(-1, GEMM_ROWS, 2 * n), inv)
     v *= v
     v *= lam
-    z = np.matmul(re_fwd, v).reshape(-1, n, 2 * n)
-    out = np.matmul(z, fwd).view(np.complex128).reshape(b.shape)
-    out *= coef
-    return out
+    out = np.matmul(v, fwd).reshape(-1, 2 * n)[:rows]
+    return out.view(np.complex128).reshape(b.shape)
 
 
 @lru_cache(maxsize=8)
-def _dft_tables(spec: LatticeSpec) -> tuple[np.ndarray, ...]:
-    """Real DFT tables of :func:`_table_nonlinear`, built once per lattice.
+def _dft_tables(spec: LatticeSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Real DFT tables of :func:`_table_nonlinear`, built once per chain.
 
     ``lam`` only scales ``V**2``, so every coupling shares them.  The phases
     ``2 pi (k x mod N) / N`` are reduced before the cosine, so every argument
-    lies in ``[0, 2 pi)`` and each entry is good to about an ulp.  At d = 1: ``(2N, N)`` from ``u`` to ``V``, with
-    ``2/N`` and ``1/omega_bar`` folded in, and ``(N, 2N)`` from ``V**2`` to
-    the term, with its coefficient ``-i h^d winv / 8`` (``h^d N^d = 1``).
-    At d = 2 the two masks stay grids, and the axis tables are: an inverse
-    DFT from interleaved to blocked ``(re, im)``, ``2 Re`` of an inverse DFT
-    and a forward DFT of a real field (left factors over the first axis),
-    and a forward DFT from blocked to interleaved.
+    lies in ``[0, 2 pi)`` and each entry is good to about an ulp.  The first
+    table, ``(2N, N)``, maps the interleaved ``u`` to ``V`` with ``2/N`` and
+    ``1/omega_bar`` folded in; the second, ``(N, 2N)``, maps ``V**2`` to the
+    interleaved term with its coefficient ``-i h winv / 8`` (``h N = 1``).
     """
     n = spec.N
     theta = (2.0 * np.pi / n) * (np.outer(np.arange(n), np.arange(n)) % n)
     c, s = np.cos(theta), np.sin(theta)  # symmetric in (k, x)
-    # rows (k, re/im), columns x: Re of (re + i im) e^{+i theta}, and the
-    # forward DFT of a real field
-    re_fwd = np.stack([c, -s], axis=1).reshape(2 * n, n)
     winv = np.fft.ifftshift(inverse_omega_bar_grid(spec))
-    coef = -0.125j * winv
-    if spec.d == 1:
-        inv = (2.0 / n) * np.repeat(winv, 2)[:, None] * re_fwd
-        out = (inv, (coef * (c - 1j * s)).view(np.float64))
-    else:
-        # interleaved (k, re/im) -> blocked (re/im, x), with the 1/N of ifft
-        inv = np.stack([np.stack([c, s], 1), np.stack([-s, c], 1)], 1).reshape(2 * n, 2 * n) / n
-        # blocked (re/im, x) -> interleaved (k, re/im)
-        fwd = np.stack([np.stack([c, -s], -1), np.stack([s, c], -1)]).reshape(2 * n, 2 * n)
-        out = (winv, inv, (2.0 / n) * re_fwd.T, re_fwd, fwd, coef)
+    # rows (k, re/im), columns x: Re of (re + i im) e^{+i theta}
+    inv = (2.0 / n) * np.repeat(winv, 2)[:, None] * np.stack([c, -s], axis=1).reshape(2 * n, n)
+    out = (inv, (-0.125j * winv * (c - 1j * s)).view(np.float64))
     for table in out:
         table.setflags(write=False)
     return out

@@ -127,19 +127,23 @@ class TestRun:
             for i in (0, rows - 1, rows, rows + 2):
                 alone = _integrate_array(a[i : i + 1], params, 0.02, 20, scheme)
                 assert np.array_equal(alone[0], together[i]), (scheme, i)
-        # d = 1, N = 33: a full block of 124 rows, then a tail of 1, 2, 3 or 7
-        # rows, where a GEMM on unpadded rows rounds differently
-        spec = LatticeSpec(1, 16)
-        params = ModelParams(spec, 0.3)
-        ones = np.ones(spec.shape)
-        a, _ = stack_ensemble(sample_initial(EnsembleSpec(124 + 7, 42, ones), spec))
-        assert BLOCK_BYTES // a[0, 0].nbytes == 124
-        for tail in (1, 2, 3, 7):
-            for scheme in ("exponential", "rk4"):
-                together = _integrate_ensemble(a[: 124 + tail], params, 0.02, 20, scheme)
-                for i in (0, 123, *range(124, 124 + tail)):
-                    alone = _integrate_array(a[i : i + 1], params, 0.02, 20, scheme)
-                    assert np.array_equal(alone[0], together[i]), (tail, scheme, i)
+        # d = 1 at N = 33 and at N = 61, the largest chain the table kernel
+        # takes: a full block (124 and 67 rows), then a tail of 1, 2, 3 or 7
+        # rows, where a GEMM on unpadded rows rounds differently.  The flat
+        # profile grows as 1/omega_bar does, so N = 61 steps at a smaller
+        # coupling and step to stay finite
+        for D, full, lam, dt in ((16, 124, 0.3, 0.02), (30, 67, 0.1, 0.01)):
+            spec = LatticeSpec(1, D)
+            params = ModelParams(spec, lam)
+            ones = np.ones(spec.shape)
+            a, _ = stack_ensemble(sample_initial(EnsembleSpec(full + 7, 42, ones), spec))
+            assert BLOCK_BYTES // a[0, 0].nbytes == full
+            for tail in (1, 2, 3, 7):
+                for scheme in ("exponential", "rk4"):
+                    together = _integrate_ensemble(a[: full + tail], params, dt, 20, scheme)
+                    for i in (0, full - 1, *range(full, full + tail)):
+                        alone = _integrate_array(a[i : i + 1], params, dt, 20, scheme)
+                        assert np.array_equal(alone[0], together[i]), (D, tail, scheme, i)
 
     def test_blowup_leaves_a_failure_manifest(self, tmp_path):
         with pytest.raises(NumericalBlowupError):

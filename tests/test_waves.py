@@ -174,16 +174,26 @@ def _rel_gap(got, want):
 
 
 # an unbatched state and the replica block the harness steps at N = 33, then
-# both sides of the table crossover: N = 33 | 513 at d = 1, 17 | 65 at d = 2
+# both sides of the d = 1 table crossover, N = 61 | 513 on the harness's
+# blocks, and d = 2 at N = 17 and 61
 @pytest.mark.parametrize(
     "d,D,batch",
-    [(1, 16, ()), (1, 16, (124,)), (2, 6, ()), (2, 6, (124,)), (1, 256, (7,)), (2, 8, (14,)), (2, 32, (2,))],
+    [
+        (1, 16, ()),
+        (1, 16, (124,)),
+        (2, 6, ()),
+        (2, 6, (124,)),
+        (1, 256, (7,)),
+        (2, 8, (14,)),
+        (2, 30, (2,)),
+        (1, 30, (67,)),
+    ],
 )
 @pytest.mark.parametrize("lam", [0.0, 0.3])
 def test_kernel_is_bitwise_the_shifted_order_formula(rng, d, D, batch, lam):
     # the kernel reads a(+) in FFT order.  It is the + half of the doubled
-    # formula to round-off; above the crossover it is bit for bit its own FFT
-    # algebra on the shifted layout, and on either side each row's bytes are
+    # formula to round-off; where it runs by the FFT it is bit for bit its own
+    # algebra on the shifted layout, and on either path each row's bytes are
     # its own: the batch equals its sub-blocks of 1, 2, 3, 7 and the rest
     # rows, and an unbatched state its row in a block of 17
     spec = LatticeSpec(d, D)
@@ -194,7 +204,7 @@ def test_kernel_is_bitwise_the_shifted_order_formula(rng, d, D, batch, lam):
     got = np.fft.fftshift(wave_nonlinear(b, spec, lam), axes=gax)
     want = np.take(_shifted_order_nonlinear(a, spec, lam), 0, axis=len(batch))
     assert got.shape == want.shape and got.dtype == want.dtype
-    if spec.N > waves.TABLE_MAX_N:
+    if not waves._uses_tables(spec):
         assert np.array_equal(got, _shifted_order_half(ap, spec, lam))
     if lam == 0.0:
         assert not np.any(want) and not np.any(got)
