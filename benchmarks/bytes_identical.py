@@ -18,8 +18,9 @@ exit code is 1 on any byte difference or failed run, else 0.
 The runs are inputs 0 and 5 of each perfbench workload (configs from
 ``perfbench/workloads.py``, imported, not edited), ``wt-compare`` at d = 1
 (17 sites against a 32-node kinetic grid: the interpolation path) and at
-d = 2 (9 sites against 9 nodes: the same-grid path), and the default
-``mf-compare`` and ``vlasov`` blocks.
+d = 2 (9 sites against 9 nodes: the same-grid path), ``chain-sim`` on the
+default chain block with 4 replicas saved every 100 of its 1000 steps, and
+the default ``mf-compare`` and ``vlasov`` blocks.
 """
 
 from __future__ import annotations
@@ -63,6 +64,10 @@ def runs() -> dict[str, tuple[str, dict]]:
     }
     out["wt-compare-d1"] = ("wt-compare", _wt_compare(1, 8, 32))
     out["wt-compare-d2"] = ("wt-compare", _wt_compare(2, 4, 9))
+    out["chain-sim-saved"] = (
+        "chain-sim",
+        {"pipeline": "chain-sim", "seed": 1, "chain": {"replicas": 4, "save_every": 100}},
+    )
     out["mf-compare-default"] = (
         "mf-compare",
         {"pipeline": "mf-compare", "seed": 1, "chain": {}, "vlasov": {}, "compare": {}},

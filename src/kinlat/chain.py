@@ -15,8 +15,9 @@ one power-law kernel object: it holds this chain symbol and the operator
 ``|2 pi k|^(2 alpha)`` that the mean-field transport equation of
 :mod:`kinlat.vlasov` applies on its x-grid, the two scales of one
 interaction.  ``chain_force_flat`` applies the chain symbol with one real
-FFT pair per call; ``verlet_evolve`` steps the half-spectrum itself and
-transforms only at the ends of a run.  The flow conserves the energy
+FFT pair per call; ``verlet_evolve`` applies a whole run of velocity Verlet
+steps as one closed-form 2x2 map per mode of the half-spectrum, between one
+transform and its inverse.  The flow conserves the energy
 ``sum v^2/2 + (h^d/4) sum_{x,y} w(y-x) (r_y - r_x)^2`` and, by pairwise
 antisymmetry, the total momentum ``sum v`` exactly; the mean displacement
 therefore moves ballistically (zero acceleration).
@@ -28,7 +29,6 @@ replicas in fixed order so results are reproducible for a given seed.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -162,6 +162,18 @@ def _check_sites(geom: ChainGeometry, arr: np.ndarray, name: str) -> np.ndarray:
     return arr
 
 
+def _state_arrays(r, v, ndim: int, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """``r`` and ``v`` as float64 arrays of one shape with ``ndim`` axes, all finite."""
+    r, v = np.asarray(r, dtype=np.float64), np.asarray(v, dtype=np.float64)
+    if r.shape != v.shape or r.ndim != ndim:
+        raise SizeMismatchError(
+            f"{what} arrays must match and be {ndim}-D, got {r.shape} and {v.shape}"
+        )
+    if not (np.all(np.isfinite(r)) and np.all(np.isfinite(v))):
+        raise ValueError(f"{what} entries must be finite")
+    return r, v
+
+
 @dataclass
 class ChainState:
     """Flat per-site displacement and velocity at time ``t``."""
@@ -171,14 +183,7 @@ class ChainState:
     t: float = 0.0
 
     def __post_init__(self):
-        self.r = np.asarray(self.r, dtype=np.float64)
-        self.v = np.asarray(self.v, dtype=np.float64)
-        if self.r.shape != self.v.shape or self.r.ndim != 1:
-            raise SizeMismatchError(
-                f"state arrays must be equal-length vectors, got {self.r.shape} and {self.v.shape}"
-            )
-        if not (np.all(np.isfinite(self.r)) and np.all(np.isfinite(self.v))):
-            raise ValueError("state entries must be finite")
+        self.r, self.v = _state_arrays(self.r, self.v, 1, "state")
 
 
 @dataclass
@@ -191,12 +196,7 @@ class ChainEnsemble:
     seed: int | None = None
 
     def __post_init__(self):
-        self.r = np.asarray(self.r, dtype=np.float64)
-        self.v = np.asarray(self.v, dtype=np.float64)
-        if self.r.shape != self.v.shape or self.r.ndim != 2:
-            raise SizeMismatchError(
-                f"ensemble arrays must match and be 2-D, got {self.r.shape} and {self.v.shape}"
-            )
+        self.r, self.v = _state_arrays(self.r, self.v, 2, "ensemble")
         if self.r.shape[0] < 1:
             raise ValueError("ensemble needs at least one replica")
 
@@ -266,46 +266,43 @@ def verlet_evolve(
     fp: FractionalParams,
     dt: float,
     n_steps: int,
-    step0: int = 0,
 ):
     """Advance a state or a whole ensemble by ``n_steps`` velocity Verlet steps.
 
-    The kick-drift-kick steps run on the ``rfftn`` half-spectrum of ``r`` and
-    ``v`` over the site axes, where the force is
-    :meth:`FractionalParams.chain_symbol` times ``r``: one transform per
-    array at the start, one inverse at the end.  That is the real-space Verlet map up to
-    round-off; the zero mode (the total momentum) is never kicked.  All
-    replicas step as one batch.  A non-finite state raises
-    :class:`NumericalBlowupError` naming the step (counted from ``step0``,
-    the run's step count at the start), the time, and the first offending
-    replica and Fourier mode (an index on the ``rfftn`` grid).
+    On the ``rfftn`` half-spectrum over the site axes the force is the symbol
+    ``s`` (:meth:`FractionalParams.chain_symbol`) times ``r``, so a step is one
+    2x2 matrix ``M`` per mode, of determinant 1 and trace ``2 cos theta``,
+    ``theta = 2 arcsin(dt sqrt(-s) / 2)``.  A run applies
+    ``M^n = U_{n-1} M - U_{n-2} I`` (Chebyshev ``U_j = sin((j+1) theta) /
+    sin theta``; its diagonal is ``cos n theta``) to every replica between
+    one transform and one inverse per array: the real-space Verlet map up to
+    round-off.  The zero mode (the total momentum, ``s = 0``) takes the limit
+    ``U_{n-1} = n``: it drifts and is never kicked.  Past the stability bound
+    ``dt sqrt(-s) < 2`` a :class:`NumericalBlowupError` is raised before any
+    work, naming the first unstable mode (an index on the ``rfftn`` grid).
     """
     check_step("dt", dt)
     r = _check_sites(geom, state.r, "displacement")
+    omega = np.sqrt(-fp.chain_symbol(geom))
+    half = 0.5 * dt * omega  # sin(theta / 2)
+    if not np.all(half < 1.0):
+        mode = np.unravel_index(int(np.argmax(~(half < 1.0))), half.shape)
+        raise NumericalBlowupError(
+            f"velocity Verlet is unstable at dt {dt:.6g}: mode "
+            f"{mode[0] if geom.d == 1 else tuple(int(j) for j in mode)} has "
+            f"dt*sqrt(-s) {2.0 * half[mode]:.6g}, the bound is 2"
+        )
+    theta = 2.0 * np.arcsin(half)
+    sin_n, cos_n = np.sin(n_steps * theta), np.cos(n_steps * theta)
+    wq = omega * np.sqrt((1.0 - half) * (1.0 + half))  # sin(theta) / dt
+    # the off-diagonal entries dt U_{n-1} and dt s (1 + dt^2 s/4) U_{n-1}
+    drift = np.divide(sin_n, wq, out=np.full_like(wq, n_steps * dt), where=wq > 0.0)
+    kick = -wq * sin_n
     lead = r.shape[:-1]
     gax = tuple(range(len(lead), len(lead) + geom.d))
     rk = np.fft.rfftn(r.reshape(lead + geom.shape), axes=gax)
     vk = np.fft.rfftn(np.reshape(state.v, lead + geom.shape), axes=gax)
-    kick = 0.5 * dt * fp.chain_symbol(geom)
-    buf = np.empty_like(rk)
-    # overflow and NaN on the way up are the blowup reported below with its
-    # step and time; numpy's warnings would only repeat it
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(n_steps):
-            vk += np.multiply(kick, rk, out=buf)
-            rk += np.multiply(dt, vk, out=buf)
-            vk += np.multiply(kick, rk, out=buf)
-            # a non-finite entry makes its array's sum non-finite; the scan
-            # confirms, since a sum of finite entries can overflow too
-            if not (cmath.isfinite(rk.sum()) and cmath.isfinite(vk.sum())):
-                bad = ~(np.isfinite(rk) & np.isfinite(vk)).reshape((-1,) + rk.shape[len(lead) :])
-                if bad.any():
-                    replica, *mode = (int(j) for j in np.unravel_index(int(np.argmax(bad)), bad.shape))
-                    raise NumericalBlowupError(
-                        f"non-finite chain state at t {state.t + (i + 1) * dt:.6g}: "
-                        f"replica {replica}, mode {mode[0] if geom.d == 1 else tuple(mode)}",
-                        step=step0 + i,
-                    )
+    rk, vk = cos_n * rk + drift * vk, kick * rk + cos_n * vk
     r = np.fft.irfftn(rk, s=geom.shape, axes=gax).reshape(r.shape)
     v = np.fft.irfftn(vk, s=geom.shape, axes=gax).reshape(r.shape)
     t = state.t + dt * n_steps

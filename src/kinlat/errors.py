@@ -38,7 +38,7 @@ class SizeMismatchError(KinlatError, ValueError):
 
 
 class NumericalBlowupError(KinlatError, RuntimeError):
-    """Integration produced non-finite values or exceeded the growth bound."""
+    """Integration produced non-finite values, exceeded the growth bound or would be unstable."""
 
     def __init__(self, message: str, step: int | None = None):
         self.message = message

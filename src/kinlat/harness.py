@@ -492,9 +492,9 @@ def _drive_chain(cfg: RunConfig, out: Path):
     while done < c.n_steps:
         seg = min(seg_len, c.n_steps - done)
         try:
-            ens = verlet_evolve(ens, geom, fp, c.dt, seg, done)
+            ens = verlet_evolve(ens, geom, fp, c.dt, seg)
         except NumericalBlowupError as e:
-            # the segment's start is the last good state
+            # an unstable dt fails before the first step: the sampled state is last good
             snap = write_chain_snapshot_csv(
                 out / "last_good.csv", site_coordinates(geom), ens.r[0], ens.v[0], ens.t
             )
@@ -502,9 +502,7 @@ def _drive_chain(cfg: RunConfig, out: Path):
             raise
         done += seg
         ens.t = done * c.dt  # the run's clock, not a sum of segment lengths
-        # a finite state near a blowup can overflow its energy; a step reports it
-        with np.errstate(over="ignore", invalid="ignore"):
-            e = chain_energy(ens, geom, fp)  # per replica
+        e = chain_energy(ens, geom, fp)  # per replica
         p = total_momentum(ens)
         emax = max(emax, float(np.max(np.abs(e - e0) / np.maximum(np.abs(e0), 1e-300))))
         pmax = max(pmax, float(np.max(np.abs(p - p0))))

@@ -399,14 +399,15 @@ def _integrate_array(
     spec, lam = params.spec, params.lam
     if scheme == "exponential":
         e2, e1 = _phase_factors(spec, dt)
+        dt_e2, two_e2 = dt * e2, 2.0 * e2  # the products the step would rebuild
 
         def step(b):
             k1 = wave_nonlinear(b, spec, lam)
             k2 = wave_nonlinear(e2 * (b + 0.5 * dt * k1), spec, lam)
             k3 = wave_nonlinear(e2 * b + 0.5 * dt * k2, spec, lam)
             eb = e1 * b
-            k4 = wave_nonlinear(eb + dt * e2 * k3, spec, lam)
-            return eb + dt / 6.0 * (e1 * k1 + 2.0 * e2 * (k2 + k3) + k4)
+            k4 = wave_nonlinear(eb + dt_e2 * k3, spec, lam)
+            return eb + dt / 6.0 * (e1 * k1 + two_e2 * (k2 + k3) + k4)
 
     elif scheme == "rk4":
         lin = _linear_table(spec)

@@ -108,15 +108,16 @@ def test_conservation_over_moderate_run():
 
 
 def test_evolve_matches_the_real_space_pair_loop(rng):
-    # the half-spectrum stepper against literal real-space Verlet with the
-    # pair-sum force, on a batch of replicas
-    geom = ChainGeometry(1, 64)
-    r, v = rng.normal(scale=0.1, size=(2, 4, geom.n_sites))
-    got = verlet_evolve(ChainEnsemble(r, v), geom, FP, 1e-2, 200)
-    want_r, want_v = ref.verlet_pairs(r, v, geom, FP, 1e-2, 200)
-    for a, b in ((got.r, want_r), (got.v, want_v)):
-        assert np.max(np.abs(a - b)) < 1e-12 * max(1.0, np.max(np.abs(b)))
-    assert got.t == pytest.approx(2.0)
+    # the closed-form map against literal real-space Verlet with the
+    # pair-sum force, on a batch of replicas, and over long runs at d = 1 and 2
+    runs = ((ChainGeometry(1, 64), 200), (ChainGeometry(1, 8), 2000), (ChainGeometry(2, 4), 1000))
+    for geom, n_steps in runs:
+        r, v = rng.normal(scale=0.1, size=(2, 4, geom.n_sites))
+        got = verlet_evolve(ChainEnsemble(r, v), geom, FP, 1e-2, n_steps)
+        want_r, want_v = ref.verlet_pairs(r, v, geom, FP, 1e-2, n_steps)
+        for a, b in ((got.r, want_r), (got.v, want_v)):
+            assert np.max(np.abs(a - b)) < 1e-12 * max(1.0, np.max(np.abs(b))), (geom, n_steps)
+        assert got.t == pytest.approx(1e-2 * n_steps)
 
 
 def test_mean_displacement_moves_ballistically():
@@ -160,34 +161,36 @@ def test_two_site_period_convergence():
     assert 3.0 < err_coarse / err_fine < 5.0  # clean dt^2 phase error
 
 
-def test_blowup_names_time_replica_and_site():
-    # omega_max * dt is far past the Verlet stability limit of 2; the run
-    # steps the half-spectrum, so the failure names a Fourier mode
-    geom, dt = ChainGeometry(1, 16), 1.0
-    ens = sample_ensemble(GaussianLaw(0.0, 0.0, 0.1, 0.1), geom, 3, 18)
-    with pytest.raises(NumericalBlowupError) as err:
-        verlet_evolve(ens, geom, FP, dt, 1000)
-    step = err.value.step
-    m = re.fullmatch(
-        r"step (\d+): non-finite chain state at t (\S+): replica (\d+), mode (\d+)",
-        str(err.value),
-    )
-    assert m and int(m.group(1)) == step > 0
-    assert float(m.group(2)) == pytest.approx((step + 1) * dt)
-    # redo the failing step by hand on the spectral state: the named entry
-    # is the first non-finite one, and the never-kicked zero mode is not it
-    last = verlet_evolve(ens, geom, FP, dt, step)
-    kick = 0.5 * dt * FP.chain_symbol(geom)
-    rk, vk = np.fft.rfft(last.r), np.fft.rfft(last.v)
-    assert np.isfinite(rk).all() and np.isfinite(vk).all()
-    with np.errstate(over="ignore", invalid="ignore"):
-        vk = vk + kick * rk
-        rk = rk + dt * vk
-        vk = vk + kick * rk
-    bad = ~(np.isfinite(rk) & np.isfinite(vk))
-    first = np.unravel_index(int(np.argmax(bad)), bad.shape)
-    assert (int(m.group(3)), int(m.group(4))) == first
-    assert first[1] != 0
+def test_stability_bound_is_checked_before_any_step():
+    # velocity Verlet is stable while dt sqrt(-s) < 2 on every mode; just past
+    # the bound the run is refused before any work, naming the mode, and just
+    # inside it the map stays finite
+    for geom in (ChainGeometry(1, 16), ChainGeometry(2, 6)):
+        ens = sample_ensemble(GaussianLaw(0.0, 0.0, 0.1, 0.1), geom, 3, 18)
+        s = FP.chain_symbol(geom)
+        top = tuple(int(j) for j in np.unravel_index(int(np.argmax(-s)), s.shape))
+        dt_max = 2.0 / np.sqrt(-s[top])
+        with pytest.raises(NumericalBlowupError) as err:
+            verlet_evolve(ens, geom, FP, dt_max * (1.0 + 1e-9), 1000)
+        m = re.fullmatch(
+            r"velocity Verlet is unstable at dt (\S+): mode (.+) has dt\*sqrt\(-s\) (\S+), the bound is 2",
+            str(err.value),
+        )
+        assert m and err.value.step is None
+        assert float(m.group(1)) == pytest.approx(dt_max, rel=1e-5)
+        assert m.group(2) == str(top[0] if geom.d == 1 else top)
+        assert float(m.group(3)) == pytest.approx(2.0, rel=1e-5)
+        out = verlet_evolve(ens, geom, FP, dt_max * (1.0 - 1e-9), 1000)
+        assert np.isfinite(out.r).all() and np.isfinite(out.v).all()
+
+
+def test_states_refuse_non_finite_entries():
+    for bad in (np.nan, np.inf, -np.inf):
+        row = np.array([0.0, 0.0, bad, 0.0])
+        with pytest.raises(ValueError, match="must be finite"):
+            ChainState(row, np.zeros(4))
+        with pytest.raises(ValueError, match="must be finite"):
+            ChainEnsemble(np.zeros((2, 4)), np.stack([np.zeros(4), row]))
 
 
 def test_evolve_rejects_bad_step(rng):

@@ -253,9 +253,10 @@ class TestRun:
             assert row[1] == pytest.approx(e, rel=1e-12)
             assert abs(row[2] - float(np.mean(v.sum(axis=-1)))) < 1e-12
 
-    def test_chain_blowup_mid_segment_reports_the_run_step(self, tmp_path):
-        # omega_max * dt is far past the Verlet stability limit; the run fails
-        # inside a 50-step segment, and last_good.csv holds that segment's start
+    def test_chain_unstable_dt_fails_before_any_step(self, tmp_path):
+        # dt sqrt(-s) is far past the Verlet stability bound of 2 on the top
+        # modes; the run fails on its first segment before any step, and
+        # last_good.csv holds the sampled t = 0 state
         law = {"kind": "gaussian", "sigma_r": 0.1, "sigma_v": 0.1}
         doc = {
             "pipeline": "chain-sim",
@@ -264,19 +265,17 @@ class TestRun:
         }
         with pytest.raises(NumericalBlowupError) as err:
             run(parse_config(doc), out=tmp_path)
-        step = err.value.step
-        assert step >= 50 and (step + 1) % 50 != 0
-        t = float(re.search(r"at t ([^:\s]+):", str(err.value)).group(1))
-        assert t == pytest.approx(step + 1.0)
-        assert _manifest_of(tmp_path)["snapshot"].endswith("last_good.csv")
+        assert err.value.step is None
+        assert str(err.value).startswith("velocity Verlet is unstable at dt 1: mode ")
+        disk = _manifest_of(tmp_path)
+        assert disk["status"] == "numerical-failure"
+        assert disk["snapshot"].endswith("last_good.csv")
         text = (tmp_path / "last_good.csv").read_text()
-        start = step - step % 50
-        assert float(re.search(r"t=(\S+)", text).group(1)) == start
+        assert float(re.search(r"t=(\S+)", text).group(1)) == 0.0
         ens = sample_ensemble(GaussianLaw(0.0, 0.0, 0.1, 0.1), ChainGeometry(1, 16), 3, 18)
-        for _ in range(start // 50):
-            ens = verlet_evolve(ens, ChainGeometry(1, 16), FractionalParams(0.5), 1.0, 50)
-        r = [float(ln.split(",")[2]) for ln in text.splitlines() if ln[0].isdigit()]
-        assert r == ens.r[0].tolist()
+        rows = [ln.split(",") for ln in text.splitlines() if ln[0].isdigit()]
+        assert [float(row[2]) for row in rows] == ens.r[0].tolist()
+        assert [float(row[3]) for row in rows] == ens.v[0].tolist()
 
     def test_wt_compare_reports_the_two_slow_times_it_compares(self, tmp_path):
         # lam 0.3, dt 0.02: 11 steps reach tau 0.0198; dtau 0.01: 2 steps reach 0.02
