@@ -1,4 +1,4 @@
-"""Import sheet: what each pipeline's process imports, and how long that takes.
+"""Import sheet: what each pipeline's process imports, and its time and memory.
 
 Usage::
 
@@ -7,10 +7,13 @@ Usage::
 For each pipeline, ``--spawns`` fresh interpreters import numpy, then
 ``kinlat.cli``, then bind the lanes (wave, kinetic, chain, Vlasov modules)
 that ``kinlat.harness.run`` binds for that pipeline.  The sheet prints the
-median milliseconds of the numpy import and of the kinlat part, and the
-kinlat modules then loaded.  The first row imports ``kinlat.cli`` and binds
-no lane.  ``oracle-suite`` also imports ``kinlat._reference`` when its cases
-run, which the sheet does not count.  The kinlat source is this checkout's.
+median milliseconds of the numpy import and of the kinlat part, the median
+peak resident memory of the interpreter after both (``ru_maxrss``, in MiB),
+whether OpenSSL's binding ``_hashlib`` (and with it libcrypto, about
+3.5 MiB) got loaded, and the kinlat modules then loaded.  The first row
+imports ``kinlat.cli`` and binds no lane.  ``oracle-suite`` also imports
+``kinlat._reference`` when its cases run, which the sheet does not count.
+The kinlat source is this checkout's.
 
 When ``PYTHONDONTWRITEBYTECODE`` is set, or no ``__pycache__`` is
 writable, every interpreter compiles kinlat from source; the sheet's header
@@ -30,7 +33,7 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 CHILD = """
-import json, sys, time
+import json, resource, sys, time
 t0 = time.perf_counter()
 import numpy
 t1 = time.perf_counter()
@@ -41,7 +44,10 @@ if pipeline != "-":
     harness._bind(*harness._DRIVERS[pipeline][1])
 t2 = time.perf_counter()
 loaded = sorted(m[len("kinlat."):] for m in sys.modules if m.startswith("kinlat."))
-print(json.dumps({"numpy": t1 - t0, "kinlat": t2 - t1, "modules": loaded}))
+peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
+ssl = "_hashlib" in sys.modules
+report = {"numpy": t1 - t0, "kinlat": t2 - t1, "peak": peak, "ssl": ssl, "modules": loaded}
+print(json.dumps(report))
 """
 
 
@@ -66,14 +72,19 @@ def main(argv=None) -> int:
 
     cached = "off" if os.environ.get("PYTHONDONTWRITEBYTECODE") else "on"
     print(f"python {sys.version.split()[0]}, {args.spawns} spawns a row, bytecode cache {cached}")
-    print(f"{'pipeline':<14}{'numpy ms':>10}{'kinlat ms':>11}  kinlat modules")
+    print(
+        f"{'pipeline':<14}{'numpy ms':>10}{'kinlat ms':>11}{'peak MiB':>10}{'_hashlib':>10}"
+        "  kinlat modules"
+    )
     for pipeline in ["-", *_DRIVERS]:
         runs = [_spawn(pipeline) for _ in range(args.spawns)]
         numpy_ms = 1e3 * statistics.median(r["numpy"] for r in runs)
         kinlat_ms = 1e3 * statistics.median(r["kinlat"] for r in runs)
+        peak = statistics.median(r["peak"] for r in runs)
+        ssl = "loaded" if any(r["ssl"] for r in runs) else "no"
         label = "cli only" if pipeline == "-" else pipeline
         modules = " ".join(runs[-1]["modules"])
-        print(f"{label:<14}{numpy_ms:>10.1f}{kinlat_ms:>11.1f}  {modules}")
+        print(f"{label:<14}{numpy_ms:>10.1f}{kinlat_ms:>11.1f}{peak:>10.2f}{ssl:>10}  {modules}")
     return 0
 
 

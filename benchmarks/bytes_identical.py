@@ -12,8 +12,12 @@ lists the files that differ or exist on one side only.  Under a file that
 differs on both sides it prints, for each numeric CSV column and each JSON
 number (a JSON list of numbers counts as one column) that changed, the
 largest relative change normwise (``|a - b| / |b|`` in the 2-norm) and
-entrywise (``max |a_i - b_i| / |b_i|``), ``b`` being the base side.  The
-exit code is 1 on any byte difference or failed run, else 0.
+entrywise (``max |a_i - b_i| / max(|b_i|, 1e-12 max |b|)``, so round-off on
+an entry near zero does not read as a large change), and the largest
+absolute change ``max |a_i - b_i|``, ``b`` being the base side.  A single
+number that is itself round-off, such as a conserved quantity's drift,
+still reads as a large relative change; its absolute change shows that it
+is small.  The exit code is 1 on any byte difference or failed run, else 0.
 
 The runs are inputs 0 and 5 of each perfbench workload (configs from
 ``perfbench/workloads.py``, imported, not edited), ``wt-compare`` at d = 1
@@ -128,7 +132,7 @@ def _is_number(v) -> bool:
 
 
 def _changes(this: Path, base: Path) -> list[str]:
-    """One line per numeric column that changed: its normwise and entrywise change."""
+    """One line per numeric column that changed: its relative and absolute change."""
     a_cols, b_cols = _columns(this), _columns(base)
     lines = []
     for name in sorted(set(a_cols) | set(b_cols)):
@@ -139,10 +143,13 @@ def _changes(this: Path, base: Path) -> list[str]:
         gap = np.abs(a - b)
         if not gap.any():
             continue
+        scale = np.maximum(np.abs(b), 1e-12 * np.abs(b).max())
         with np.errstate(divide="ignore", invalid="ignore"):
-            entry = np.where(gap == 0, 0.0, gap / np.abs(b)).max()
+            entry = np.where(gap == 0, 0.0, gap / scale).max()
             norm = np.linalg.norm(gap) / np.linalg.norm(b)
-        lines.append(f"{name}: normwise {norm:.2e}, entrywise {entry:.2e}")
+        lines.append(
+            f"{name}: normwise {norm:.2e}, entrywise {entry:.2e}, absolute {gap.max():.2e}"
+        )
     return lines
 
 

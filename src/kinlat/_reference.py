@@ -29,6 +29,7 @@ __all__ = [
     "collision_direct",
     "chain_force_pairs",
     "verlet_pairs",
+    "verlet_longdouble",
     "chain_potential_pairs",
     "sigma_field_unfactorized",
     "shift_lines_loop",
@@ -249,6 +250,45 @@ def verlet_pairs(
         r = r + dt * v_half
         f = chain_force_pairs(r, geom, fp)
         v = v_half + 0.5 * dt * f
+    return r, v
+
+
+def verlet_longdouble(
+    r: np.ndarray,
+    v: np.ndarray,
+    geom: ChainGeometry,
+    fp: FractionalParams,
+    dt: float,
+    n_steps: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Velocity Verlet in real space with every operation in ``np.longdouble``.
+
+    The force is the pair sum of :func:`chain_force_pairs` written as a
+    matrix, its weights taken from the exact minimal-image offsets
+    ``k / n`` per axis.  On x86-64 the loop's round-off is some 2000 times
+    below float64's, so after a few hundred steps it still stands for the
+    exact Verlet map at float64 precision.  Where ``longdouble`` is plain
+    float64 it is the stepped loop again, with that loop's round-off.
+    """
+    ld = np.longdouble
+    n, d = geom.n, geom.d
+    sites = list(itertools.product(range(n), repeat=d))
+    k = np.zeros((geom.n_sites, geom.n_sites), dtype=ld)
+    for i, a in enumerate(sites):
+        for j, b in enumerate(sites):
+            if i != j:
+                offsets = [min((q - p) % n, (p - q) % n) for p, q in zip(a, b)]
+                dist2 = sum(ld(o) ** 2 for o in offsets) / ld(n) ** 2
+                k[i, j] = dist2 ** (-(d + 2.0 * ld(fp.alpha)) / 2)
+    k -= np.diag(k.sum(axis=1))
+    k /= ld(n) ** d  # h^d
+    r, v, dt = np.asarray(r, dtype=ld), np.asarray(v, dtype=ld), ld(dt)
+    f = r @ k  # k is symmetric
+    for _ in range(n_steps):
+        v_half = v + dt / 2 * f
+        r = r + dt * v_half
+        f = r @ k
+        v = v_half + dt / 2 * f
     return r, v
 
 

@@ -22,7 +22,6 @@ seed.
 
 from __future__ import annotations
 
-import hashlib
 import inspect
 import json
 import math
@@ -33,6 +32,7 @@ from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
 
 from .errors import ConfigError
+from .io import sha256
 from .lattice import DEFAULT_OMEGA_FLOOR, RESONANCE_PROFILES
 from .profiles import FACTORIES
 
@@ -441,7 +441,7 @@ def load_config(path: str | Path) -> RunConfig:
 def config_hash(cfg: RunConfig) -> str:
     """Stable content hash of the raw document (canonical JSON, sorted keys)."""
     blob = json.dumps(cfg.raw, sort_keys=True, separators=(",", ":")).encode()
-    return hashlib.sha256(blob).hexdigest()
+    return sha256(blob).hexdigest()
 
 
 def _make(tc):

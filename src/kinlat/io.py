@@ -5,12 +5,21 @@ round-trip exact for float64), sorted JSON keys, explicit ``\\n`` newlines.
 Nothing in these files depends on wall clock or platform, which is what
 lets a manifest promise bit-identical reruns.  Timestamps live only in the
 run manifest, which is excluded from its own checksum list.
+
+Manifest digests and config hashes are SHA-256 from the interpreter's
+built-in module (``_sha2``, or ``_sha256`` before Python 3.12), the one the
+standard library's hash front end falls back to when it has no OpenSSL.
+That front end loads OpenSSL's libcrypto on import, about 3.5 MiB of
+resident memory in a process that does no other hashing, for digests that
+are the same function either way.  The built-in hashes more slowly (about
+5 ms/MiB on a 2-core x86-64 host, against 0.9 for OpenSSL), which only
+multi-MiB phase densities notice.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
+import sys
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Sequence
 
@@ -18,6 +27,11 @@ import numpy as np
 
 from .errors import SizeMismatchError
 from .lattice import LatticeSpec, wavenumbers
+
+if sys.version_info >= (3, 12):
+    from _sha2 import sha256
+else:
+    from _sha256 import sha256
 
 if TYPE_CHECKING:  # the writers and readers import their lane when called
     from .kinetic import Spectrum
@@ -33,6 +47,7 @@ __all__ = [
     "write_moments_csv",
     "write_phase_density",
     "read_phase_density",
+    "sha256",
     "sha256_file",
 ]
 
@@ -216,7 +231,7 @@ def read_phase_density(path_stem: str | Path) -> PhaseDensity:
 
 
 def sha256_file(path: str | Path) -> str:
-    h = hashlib.sha256()
+    h = sha256()
     with open(path, "rb") as fh:
         for block in iter(lambda: fh.read(1 << 20), b""):
             h.update(block)

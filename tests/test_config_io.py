@@ -29,6 +29,7 @@ from kinlat.harness import _paired_laws, run
 from kinlat.io import (
     format_float,
     read_phase_density,
+    sha256,
     sha256_file,
     write_csv,
     write_json,
@@ -636,6 +637,16 @@ class TestWriters:
         import hashlib
 
         p = tmp_path / "blob.bin"
-        payload = bytes(range(256)) * 7
-        p.write_bytes(payload)
-        assert sha256_file(p) == hashlib.sha256(payload).hexdigest()
+        # sha256_file reads 1 MiB blocks, so the last payload spans two
+        for payload in (b"", b"\x00", bytes(range(256)) * 7, bytes(range(256)) * 4097):
+            p.write_bytes(payload)
+            want = hashlib.sha256(payload).hexdigest()
+            assert sha256_file(p) == want
+            assert sha256(payload).hexdigest() == want
+
+    def test_config_hash_is_sha256_of_the_canonical_document(self):
+        import hashlib
+
+        cfg = parse_config(_wave_doc())
+        blob = json.dumps(cfg.raw, sort_keys=True, separators=(",", ":")).encode()
+        assert config_hash(cfg) == hashlib.sha256(blob).hexdigest()

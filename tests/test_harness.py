@@ -30,7 +30,7 @@ from kinlat.chain import (
     sample_ensemble,
     verlet_evolve,
 )
-from kinlat.config import config_hash, parse_config
+from kinlat.config import build_law, config_hash, parse_config
 from kinlat.errors import CheckFailure, NumericalBlowupError
 from kinlat.harness import BLOCK_BYTES, Budget, _integrate_ensemble, run
 from kinlat.io import sha256_file
@@ -273,6 +273,30 @@ class TestRun:
         text = (tmp_path / "last_good.csv").read_text()
         assert float(re.search(r"t=(\S+)", text).group(1)) == 0.0
         ens = sample_ensemble(GaussianLaw(0.0, 0.0, 0.1, 0.1), ChainGeometry(1, 16), 3, 18)
+        rows = [ln.split(",") for ln in text.splitlines() if ln[0].isdigit()]
+        assert [float(row[2]) for row in rows] == ens.r[0].tolist()
+        assert [float(row[3]) for row in rows] == ens.v[0].tolist()
+
+    def test_mf_compare_unstable_dt_fails_before_the_density(self, tmp_path, monkeypatch):
+        # the chain side is refused before the Vlasov density is built, and
+        # last_good.csv holds replica 0 of the sampled t = 0 ensemble
+        doc = {"pipeline": "mf-compare", "seed": 1, "chain": {"dt": 1.0}}
+        doc |= {"vlasov": {}, "compare": {}}
+        cfgp = tmp_path / "run.json"
+        cfgp.write_text(json.dumps(doc))
+        built = []
+        monkeypatch.setattr(harness, "density_from_law", lambda *a: built.append(a))
+        out = tmp_path / "o"
+        assert cli.main(["mf-compare", "--config", str(cfgp), "--out", str(out)]) == 2
+        assert built == []
+        disk = _manifest_of(out)
+        assert disk["status"] == "numerical-failure"
+        assert disk["metrics"]["error"].startswith("velocity Verlet is unstable at dt 1: mode ")
+        assert disk["snapshot"].endswith("last_good.csv")
+        text = (out / "last_good.csv").read_text()
+        assert float(re.search(r"t=(\S+)", text).group(1)) == 0.0
+        c = parse_config(doc).chain
+        ens = sample_ensemble(build_law(c.law), ChainGeometry(c.d, c.n), c.replicas, 1)
         rows = [ln.split(",") for ln in text.splitlines() if ln[0].isdigit()]
         assert [float(row[2]) for row in rows] == ens.r[0].tolist()
         assert [float(row[3]) for row in rows] == ens.v[0].tolist()
@@ -663,6 +687,20 @@ class TestLanes:
         assert sorted(loaded & {f"kinlat.{m}" for m in absent}) == []
         if pipeline == "wt-sim":
             assert "concurrent.futures" not in loaded
+
+    def test_a_kinetic_run_loads_no_openssl(self, tmp_path):
+        # manifest digests and the config hash come from the built-in SHA-256;
+        # the OpenSSL binding (_hashlib) would add libcrypto to the process
+        doc, _ = LANE_RUNS["wt-kinetic"]
+        cfgp = tmp_path / "run.json"
+        cfgp.write_text(json.dumps(doc))
+        args = ["wt-kinetic", "--config", str(cfgp), "--out", str(tmp_path / "o")]
+        res = _python(["-c", _MODULES_AFTER_RUN, *args], tmp_path)
+        assert res.returncode == 0, res.stderr
+        report = json.loads(res.stdout.splitlines()[-1])
+        assert report["exit"] == 0
+        assert "kinlat.io" in report["modules"]
+        assert "_hashlib" not in report["modules"]
 
     def test_oracle_cases_bind_their_own_lanes(self, tmp_path):
         # a fresh interpreter that has not called run has bound no lane yet
