@@ -24,6 +24,7 @@ from .vlasov import PhaseGrid, r_centers
 __all__ = [
     "dft_direct",
     "inverse_dft_direct",
+    "doubled_shifted",
     "wave_rhs_direct",
     "hamiltonian_direct",
     "collision_direct",
@@ -63,8 +64,17 @@ def inverse_dft_direct(spec: LatticeSpec, fhat: np.ndarray) -> np.ndarray:
     return out
 
 
+def doubled_shifted(b: np.ndarray, spec: LatticeSpec) -> np.ndarray:
+    """The layout the wave oracles read, from ``a(+)`` in FFT order:
+    ``batch + (2,) + (N,)*d``, the pair ``(a(+), conj a(+))`` in ascending
+    wavenumber order, so ``a[..., 0, k + D] = a(+)(k)``."""
+    plus = np.fft.fftshift(b, axes=tuple(range(b.ndim - spec.d, b.ndim)))
+    return np.stack([plus, np.conj(plus)], axis=b.ndim - spec.d)
+
+
 def wave_rhs_direct(a: np.ndarray, spec: LatticeSpec, lam: float) -> np.ndarray:
-    """Amplitude derivative from the defining constrained triple sum.
+    """Amplitude derivative from the defining constrained triple sum, on the
+    layout of :func:`doubled_shifted`.
 
     Enumerates every (sign1, k1, sign2, k2) combination with the quadrature
     weight ``h**(2d)``, keeps those the modular momentum delta selects, and
@@ -111,8 +121,9 @@ def wave_rhs_direct(a: np.ndarray, spec: LatticeSpec, lam: float) -> np.ndarray:
 
 
 def hamiltonian_direct(a: np.ndarray, spec: LatticeSpec, lam: float) -> complex:
-    """Energy from the defining sums: quadratic term plus ``lam / 3!`` times
-    the sign-symmetric constrained triple sum with weight ``h^d M``.
+    """Energy from the defining sums, on the layout of :func:`doubled_shifted`:
+    quadratic term plus ``lam / 3!`` times the sign-symmetric constrained
+    triple sum with weight ``h^d M``.
 
     Enumerates all (sign0, k0, sign1, k1, sign2, k2) and keeps the words
     the modular delta over ``s0 k0 + s1 k1 + s2 k2`` selects.  Each word is

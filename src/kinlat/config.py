@@ -104,7 +104,7 @@ class ProfileConfig:
 @dataclass(frozen=True)
 class WaveConfig:
     d: int = _field(1, ge=1, le=2)
-    half_width: int = _field(8, ge=1)
+    half_width: int = _field(8, ge=2)
     lam: float = _field(0.1, ge=0)
     dt: float = _field(0.05, gt=0)
     n_steps: int = _field(100, ge=0)
@@ -372,8 +372,16 @@ def mf_steps(chain: ChainConfig, vlasov: VlasovConfig, t_final: float) -> tuple[
 
 def _check_blocks(cfg: RunConfig) -> None:
     """The rules of a pipeline that tie two of its blocks together."""
-    if cfg.pipeline == "wt-compare" and cfg.wave.lam <= 0.0:
-        raise ConfigError("the kinetic comparison needs lam > 0", field="wave.lam")
+    if cfg.pipeline == "wt-compare":
+        w, k = cfg.wave, cfg.kinetic
+        if w.lam <= 0.0:
+            raise ConfigError("the kinetic comparison needs lam > 0", field="wave.lam")
+        if k.d != w.d:
+            raise ConfigError(f"kinetic.d {k.d} is not wave.d {w.d}", field="kinetic.d")
+        n = 2 * w.half_width + 1  # only d = 1 spectra are interpolated between grids
+        if k.d > 1 and k.m != n:
+            msg = f"kinetic.m {k.m} must be the {n} wave sites per axis at d > 1"
+            raise ConfigError(msg, field="kinetic.m")
     if cfg.pipeline in _BORROWED:
         block, name, reason = _BORROWED[cfg.pipeline]
         if name in cfg.raw[block]:

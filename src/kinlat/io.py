@@ -26,7 +26,7 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 import numpy as np
 
 from .errors import SizeMismatchError
-from .lattice import LatticeSpec, wavenumbers
+from .lattice import LatticeSpec, fft_order, wavenumbers
 
 if sys.version_info >= (3, 12):
     from _sha2 import sha256
@@ -139,15 +139,19 @@ def write_spectrum_csv(path: str | Path, spectrum: Spectrum) -> Path:
 
 
 def write_amplitude_snapshot(
-    path_stem: str | Path, a: np.ndarray, spec: LatticeSpec, meta: dict
+    path_stem: str | Path, b: np.ndarray, spec: LatticeSpec, meta: dict
 ) -> tuple[Path, Path]:
-    """Amplitude dump: one CSV row per (mode, sign), plus a JSON sidecar."""
+    """Amplitude dump of one replica's ``a(+)`` (FFT order), plus a JSON sidecar.
+
+    One CSV row per (mode, sign): ascending ``k`` for sigma = +1, then the
+    same modes with the exact conjugates for sigma = -1.
+    """
     stem = Path(path_stem)
     kvecs = wavenumbers(spec).reshape(-1, spec.d)
     header = [f"k_{c}" for c in range(spec.d)] + ["sigma", "re_a", "im_a"]
+    plus = np.take(np.reshape(b, -1), fft_order(spec)[1])
     rows = []
-    for si, sigma in enumerate((1, -1)):
-        vals = np.asarray(a[si]).reshape(-1)
+    for sigma, vals in ((1, plus), (-1, np.conj(plus))):
         for i in range(vals.size):
             rows.append(tuple(kvecs[i]) + (sigma, vals[i].real, vals[i].imag))
     csv_path = write_csv(

@@ -11,8 +11,8 @@ asymmetric,
 so Parseval reads ``h^d sum_x |f|^2 = sum_k |fhat|^2``.  Both directions are
 evaluated with the FFT; because ``N`` is odd, ``fftshift`` realizes exactly
 the ascending ``-D..D`` ordering.  :func:`fft_order` holds that shift once
-per lattice as a pair of gather indices, which every transform here and in
-:mod:`kinlat.waves` uses.
+per lattice as a pair of gather indices, which every transform here and
+the amplitude snapshot writer of :mod:`kinlat.io` use.
 
 Array conventions used by the whole package:
 

@@ -1,40 +1,33 @@
 """Weakly nonlinear lattice waves in amplitude form.
 
-The second-order lattice dynamics is rewritten in complex amplitudes
-``a(k) = wbar(k) q(k) + i p(k)/wbar(k)`` and doubled over a sign index so
-that every mode carries the pair ``(a_k, conj(a_k))``:
+The second-order lattice dynamics is rewritten in the complex amplitude
+``a(+)(k) = wbar(k) q(k) + i p(k)/wbar(k)``; with ``a(-) = conj a(+)`` it obeys
 
-    d/dt ah(k, s) = -i s wbar(k) ah(k, s)
-                    - i s lam sum_{s1 s2} sum_{k1 + k2 window} M ah(k1,s1) ah(k2,s2)
+    d/dt a(+)(k) = -i wbar(k) a(+)(k)
+                   - i lam sum_{s1 s2} sum_{k1 + k2 window} M a(s1)(k1) a(s2)(k2)
 
 with ``M = [8 wbar(k) wbar(k1) wbar(k2)]^-1`` and the wavenumber constraint
-``s1 k1 + s2 k2 = s k (mod N)`` (umklapp wraps included).  The interaction
+``s1 k1 + s2 k2 = k (mod N)`` (umklapp wraps included).  The interaction
 sum carries unit weight after the constraint collapses it, which is the
-normalization the position-space equation of motion induces.  The sign pair
-is stored explicitly; the physical manifold ``ah(k,-1) = conj(ah(k,+1))`` is
-the one the flow is computed on, and it holds exactly along the flow.
+normalization the position-space equation of motion induces.
 
 The zero mode has vanishing dispersion and is masked throughout: it is
 dropped from the transformation, excluded from the interaction sum, and its
 amplitude stays pinned at zero.
 
-Spectral arrays are held in the shifted (ascending wavenumber) order of
-:mod:`kinlat.lattice`, with the sign axis before the grid axes: the state,
-the snapshots, the energy and the empirical spectrum all read that doubled
-layout.  The flow itself runs on the half field ``a(+)`` alone, in natural
-FFT order (zero mode first), shape ``batch + (N,)*d``.  On the physical
-manifold ``w(k) = u(k) + conj u(-k)`` with ``u = a(+)/wbar`` is Hermitian,
-so the position field ``V = 2 Re ifft(u)`` is real and the interaction is
-an inverse transform to ``V`` and a forward transform of ``V**2``
-(:func:`wave_nonlinear`).  At d = 1 up to ``TABLE_MAX_N`` sites the two
-transforms are real GEMMs against cached DFT tables, otherwise the FFT
-pair; in both, a replica's bytes do not depend on the batch it is stepped
-in.  The stepper checks that its doubled input is an exact
-conjugate pair, gathers ``a(+)`` to FFT order once, steps it, and re-doubles
-the result exactly, so ``a(-) = conj a(+)`` holds to the bit.
+The state is ``a(+)`` alone in natural FFT order (zero mode first), shape
+``batch + (N,)*d``, from sampling through the stepper, the energy and the
+empirical spectrum; only the snapshot writer of :mod:`kinlat.io` lays it
+out in shifted order with its conjugate.  ``w(k) = u(k) + conj u(-k)`` with
+``u = a(+)/wbar`` is Hermitian, so the position field ``V = 2 Re ifft(u)``
+is real and the interaction is an inverse transform to ``V`` and a forward
+transform of ``V**2`` (:func:`wave_nonlinear`).  At d = 1 up to
+``TABLE_MAX_N`` sites the two transforms are real GEMMs against cached DFT
+tables, otherwise the FFT pair; in both, a replica's bytes do not depend
+on the batch it is stepped in.
 
 Ensembles are initialized with deterministic random phases on a prescribed
-modulus profile; averaging ``|ah(k,+1)|^2`` over replicas gives the empirical
+modulus profile; averaging ``|a(+)(k)|^2`` over replicas gives the empirical
 spectrum reported on the rescaled wavenumbers ``h k``, which is the object
 the kinetic description predicts at times of order ``lam^-2``.
 """
@@ -43,7 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -51,8 +44,8 @@ from .errors import NumericalBlowupError, SizeMismatchError, check_step
 from .kinetic import Spectrum, TorusGrid
 from .lattice import (
     LatticeSpec,
+    _check_field,
     center_index,
-    fft_order,
     inverse_omega_bar_grid,
     omega_bar_grid,
     wavenumbers,
@@ -61,7 +54,6 @@ from .lattice import (
 __all__ = [
     "ModelParams",
     "PhasePair",
-    "AmplitudeState",
     "EnsembleSpec",
     "to_amplitudes",
     "from_amplitudes",
@@ -71,10 +63,8 @@ __all__ = [
     "hamiltonian_terms",
     "integrate",
     "sample_initial",
-    "stack_ensemble",
     "n0_table",
     "empirical_spectrum",
-    "reality_defect",
 ]
 
 BLOWUP_BOUND = 1e8
@@ -119,33 +109,13 @@ class PhasePair:
     p: np.ndarray
 
 
-@dataclass
-class AmplitudeState:
-    """Doubled amplitude field ``a[s, k]`` with ``s = 0 <-> +1, 1 <-> -1``."""
-
-    a: np.ndarray
-    t: float = 0.0
+def _as_field(spec: LatticeSpec, b) -> np.ndarray:
+    """``b`` as a complex ``a(+)`` array, checked to end in the grid axes."""
+    return _check_field(spec, np.asarray(b, dtype=np.complex128), "amplitude field")
 
 
-def _check_state(spec: LatticeSpec, a: np.ndarray) -> np.ndarray:
-    a = np.asarray(a, dtype=np.complex128)
-    want = (2,) + spec.shape
-    if a.shape[-len(want) :] != want:
-        raise SizeMismatchError(f"amplitude array shape {a.shape}, expected trailing {want}")
-    return a
-
-
-def _grid_axes(spec: LatticeSpec, arr: np.ndarray) -> tuple[int, ...]:
-    return tuple(range(arr.ndim - spec.d, arr.ndim))
-
-
-def _flat_signs(spec: LatticeSpec, a: np.ndarray) -> np.ndarray:
-    """``a`` reshaped to ``batch + (2, n_sites)``: sign axis, then the flat grid."""
-    return a.reshape(a.shape[: a.ndim - spec.d] + (spec.n_sites,))
-
-
-def to_amplitudes(pair: PhasePair, spec: LatticeSpec) -> AmplitudeState:
-    """Map ``(q, p)`` to amplitudes, ``a = wbar q + i p / wbar``.
+def to_amplitudes(pair: PhasePair, spec: LatticeSpec) -> np.ndarray:
+    """Map ``(q, p)`` to ``a(+) = wbar q + i p / wbar``, in FFT order.
 
     The zero mode carries no oscillation and is dropped (set to zero); its
     content is not representable in these variables.
@@ -160,20 +130,22 @@ def to_amplitudes(pair: PhasePair, spec: LatticeSpec) -> AmplitudeState:
     winv = inverse_omega_bar_grid(spec)
     a_plus = wbar * q + 1j * winv * p
     a_plus[center_index(spec)] = 0.0
-    return AmplitudeState(np.stack([a_plus, np.conj(a_plus)]), 0.0)
+    return np.fft.ifftshift(a_plus)
 
 
-def from_amplitudes(state: AmplitudeState, spec: LatticeSpec) -> PhasePair:
+def from_amplitudes(b: np.ndarray, spec: LatticeSpec) -> PhasePair:
     """Inverse map, ``q = [a(k) + a*(-k)]/(2 wbar)``, ``p = i wbar [a*(-k) - a(k)]/2``.
 
-    Uses the stored sign pair literally: ``a*(-k)`` is read off the ``s = -1``
-    component at ``-k``.  Exact inverse of :func:`to_amplitudes` on the
-    retained modes; the masked zero mode returns as zero.
+    ``b`` is one ``a(+)`` in FFT order; ``(q, p)`` come back in shifted
+    order, where reversing the grid axes maps ``k`` to ``-k``.  Exact
+    inverse of :func:`to_amplitudes` on the retained modes; the masked zero
+    mode returns as zero.
     """
-    a = _check_state(spec, state.a)
-    gax = _grid_axes(spec, a[0])
-    a_plus = a[0]
-    a_conj_neg = np.flip(a[1], axis=gax)  # value of conj-component at -k
+    b = np.asarray(b, dtype=np.complex128)
+    if b.shape != spec.shape:
+        raise SizeMismatchError(f"amplitude field shape {b.shape}, expected {spec.shape}")
+    a_plus = np.fft.fftshift(b)
+    a_conj_neg = np.conj(np.flip(a_plus))
     winv = inverse_omega_bar_grid(spec)
     wbar = omega_bar_grid(spec)
     q = 0.5 * winv * (a_plus + a_conj_neg)
@@ -181,45 +153,11 @@ def from_amplitudes(state: AmplitudeState, spec: LatticeSpec) -> PhasePair:
     return PhasePair(q, p)
 
 
-def reality_defect(state: AmplitudeState, spec: LatticeSpec) -> float:
-    """Max deviation from the conjugate-pair constraint ``a(-) = conj(a(+))``.
-
-    The sign axis is the one before the grid axes, so a replica stack of
-    shape ``batch + (2,) + (N,)*d`` gives the worst defect over replicas.
-    """
-    a = _flat_signs(spec, _check_state(spec, state.a))
-    return float(np.max(np.abs(a[..., 1, :] - np.conj(a[..., 0, :]))))
-
-
-def rhs(state: AmplitudeState, params: ModelParams) -> np.ndarray:
-    """Time derivative of the amplitude array (same shape as ``state.a``).
-
-    ``state.a`` must be an exact conjugate pair; the derivative is computed
-    on ``a(+)`` and doubled, so its ``-1`` half is the conjugate of its ``+1``.
-    """
+def rhs(b: np.ndarray, params: ModelParams) -> np.ndarray:
+    """Time derivative of ``a(+)`` in FFT order (same shape as ``b``)."""
     spec = params.spec
-    b = _half(_check_state(spec, state.a), spec)
-    return _doubled(_linear_table(spec) * b + wave_nonlinear(b, spec, params.lam), spec)
-
-
-def _half(a: np.ndarray, spec: LatticeSpec) -> np.ndarray:
-    """``a(+)`` of a doubled stack, gathered to FFT order: a new array of shape
-    ``batch + (N,)*d``.  Raises ``ValueError`` unless ``a(-) = conj a(+)`` exactly."""
-    flat = _flat_signs(spec, a)
-    plus, conj_plus = flat[..., 0, :], np.conj(flat[..., 0, :])
-    if not np.array_equal(flat[..., 1, :], conj_plus):
-        defect = np.max(np.abs(flat[..., 1, :] - conj_plus))
-        raise ValueError(
-            f"amplitudes are not an exact conjugate pair: |a(-) - conj a(+)| reaches {defect:.3e}"
-        )
-    return np.take(plus, fft_order(spec)[0], axis=-1).reshape(flat.shape[:-2] + spec.shape)
-
-
-def _doubled(b: np.ndarray, spec: LatticeSpec) -> np.ndarray:
-    """Inverse of :func:`_half`: the exact pair ``(a(+), conj a(+))`` in shifted order."""
-    lead = b.shape[: b.ndim - spec.d]
-    plus = np.take(b.reshape(lead + (spec.n_sites,)), fft_order(spec)[1], axis=-1)
-    return np.stack([plus, np.conj(plus)], axis=-2).reshape(lead + (2,) + spec.shape)
+    b = _as_field(spec, b)
+    return _linear_table(spec) * b + wave_nonlinear(b, spec, params.lam)
 
 
 def wave_nonlinear(b: np.ndarray, spec: LatticeSpec, lam: float) -> np.ndarray:
@@ -330,41 +268,40 @@ def _linear_table(spec: LatticeSpec) -> np.ndarray:
 
 
 def hamiltonian_terms(
-    state: AmplitudeState, params: ModelParams
+    b: np.ndarray, params: ModelParams
 ) -> tuple[float | np.ndarray, complex | np.ndarray]:
-    """Quadratic and cubic energy terms ``(H1, H2)``, per replica for a stack.
+    """Quadratic and cubic energy terms ``(H1, H2)`` of ``a(+)`` in FFT order,
+    per replica for a stack.
 
-    ``H1 = sum_k wbar |a_k|^2 / 2`` over the sign ``+1`` component.  ``H2``
-    is the sign-symmetric triple sum over ``s0 k0 + s1 k1 + s2 k2 = 0
-    (mod N)`` with the interaction kernel ``M`` and one lattice measure
-    ``h**d``, matching the measure of the quadratic term in the equations
-    of motion.  All eight sign words collapse into a cube of the single
-    field ``V = fft((a(+) + flip(a(-))) / wbar)``, so the value costs one
-    FFT.  On states obeying the reality constraint ``V`` is real and so is
-    ``H2``; the complex return keeps round-off imaginary parts visible.
-    A state of shape ``batch + (2,) + (N,)*d`` gives arrays of shape ``batch``.
+    ``H1 = sum_k wbar |a(+)_k|^2 / 2``.  ``H2`` is the sign-symmetric triple
+    sum over ``s0 k0 + s1 k1 + s2 k2 = 0 (mod N)`` with the interaction
+    kernel ``M`` and one lattice measure ``h**d``, matching the measure of
+    the quadratic term in the equations of motion.  All eight sign words
+    collapse into a cube of the single field
+    ``V = fft((a(+)(k) + conj a(+)(-k)) / wbar)``, so the value costs one
+    FFT.  ``V`` is real and so is ``H2``; the complex return keeps
+    round-off imaginary parts visible.  A field of shape
+    ``batch + (N,)*d`` gives arrays of shape ``batch``.
     """
     spec = params.spec
-    a = _check_state(spec, state.a)
-    flat = _flat_signs(spec, a)
-    grid = flat.shape[:-2] + spec.shape
+    b = _as_field(spec, b)
     gax = tuple(range(-spec.d, 0))
-    a_plus = flat[..., 0, :].reshape(grid)
-    h1 = 0.5 * np.sum(omega_bar_grid(spec) * np.abs(a_plus) ** 2, axis=gax)
-    b = (flat[..., 0, :] + flat[..., 1, ::-1]) * inverse_omega_bar_grid(spec).ravel()
-    v = np.fft.fftn(np.take(b, fft_order(spec)[0], axis=-1).reshape(grid), axes=gax)
+    h1 = 0.5 * np.sum(np.fft.ifftshift(omega_bar_grid(spec)) * np.abs(b) ** 2, axis=gax)
+    b_neg = np.roll(np.flip(b, gax), 1, gax)  # a(+)(-k) in FFT order
+    w = (b + np.conj(b_neg)) * np.fft.ifftshift(inverse_omega_bar_grid(spec))
+    v = np.fft.fftn(w, axes=gax)
     return h1, spec.h ** (2 * spec.d) * 0.125 * np.sum(v**3, axis=gax)
 
 
-def hamiltonian(state: AmplitudeState, params: ModelParams) -> float | np.ndarray:
+def hamiltonian(b: np.ndarray, params: ModelParams) -> float | np.ndarray:
     """Energy the flow conserves, ``H1 + lam * Re H2 / 3!``.
 
     The sign-symmetric sum ``H2`` meets each interaction word once per
     ordering of its three factors, 3! times, so the conserved cubic term
     carries it with weight ``1/6`` (see :func:`hamiltonian_terms`).  A
-    stacked state gives one value per replica.
+    stack of replicas gives one value per replica.
     """
-    h1, h2 = hamiltonian_terms(state, params)
+    h1, h2 = hamiltonian_terms(b, params)
     return h1 + params.lam * h2.real / 6.0
 
 
@@ -380,7 +317,7 @@ def _phase_factors(spec: LatticeSpec, dt: float) -> tuple[np.ndarray, np.ndarray
 
 
 def _integrate_array(
-    a: np.ndarray,
+    b: np.ndarray,
     params: ModelParams,
     dt: float,
     n_steps: int,
@@ -388,12 +325,10 @@ def _integrate_array(
     step0: int = 0,
     t0: float = 0.0,
 ) -> np.ndarray:
-    """Batched core; ``a`` may carry leading replica axes and must be an exact
-    conjugate pair.  Returns a new doubled array.  ``step0`` and ``t0`` are
-    the run's clock at the start, which a blowup reports in.
-
-    ``a(+)`` is stepped alone in FFT order; each stage calls
-    :func:`wave_nonlinear` once.
+    """Batched core: steps ``a(+)`` in FFT order, shape ``batch + (N,)*d``,
+    into a new array; ``b`` itself is not written.  ``step0`` and ``t0``
+    are the run's clock at the start, which a blowup reports in.  Each
+    stage calls :func:`wave_nonlinear` once.
     """
     check_step("dt", dt)
     spec, lam = params.spec, params.lam
@@ -424,14 +359,15 @@ def _integrate_array(
 
     else:
         raise ValueError(f"unknown scheme {scheme!r}")
-    b = _half(a, spec)
+    if n_steps == 0:  # each step makes a new array, so zero steps copy
+        return b.copy()
     # overflow and NaN on the way up are the blowup that _maybe_check
     # reports with its step and time; numpy's warnings would only repeat it
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(n_steps):
             b = step(b)
             _maybe_check(b, i, n_steps, step0, t0 + (i + 1) * dt)
-    return _doubled(b, spec)
+    return b
 
 
 def _maybe_check(a: np.ndarray, i: int, n_steps: int, step0: int, t: float) -> None:
@@ -442,22 +378,21 @@ def _maybe_check(a: np.ndarray, i: int, n_steps: int, step0: int, t: float) -> N
 
 
 def integrate(
-    state: AmplitudeState,
+    b: np.ndarray,
     params: ModelParams,
     dt: float,
     n_steps: int,
     scheme: str = "exponential",
-) -> AmplitudeState:
-    """Advance the amplitude flow by ``n_steps`` steps of size ``dt``.
+) -> np.ndarray:
+    """Advance ``a(+)`` (FFT order, any leading replica axes) by ``n_steps``
+    steps of size ``dt``.
 
     ``scheme="exponential"`` propagates the linear phase exactly and applies
     a fourth-order rule in the rotating frame, so at ``lam = 0`` every
     modulus is preserved to round-off.  ``scheme="rk4"`` is the plain
     classical rule on the full right-hand side.
     """
-    a = _check_state(params.spec, state.a)
-    out = _integrate_array(a, params, dt, n_steps, scheme, t0=state.t)
-    return AmplitudeState(out, state.t + dt * n_steps)
+    return _integrate_array(_as_field(params.spec, b), params, dt, n_steps, scheme)
 
 
 # ---------------------------------------------------------------------------
@@ -501,56 +436,32 @@ def n0_table(ens: EnsembleSpec, spec: LatticeSpec) -> np.ndarray:
     return table
 
 
-def _sample_array(ens: EnsembleSpec, spec: LatticeSpec) -> np.ndarray:
+def sample_initial(ens: EnsembleSpec, spec: LatticeSpec) -> np.ndarray:
+    """Draw the random-phase ensemble at ``t = 0``, deterministically in the
+    seed: ``a(+)`` in FFT order, shape ``(m,) + (N,)*d``."""
     root = np.sqrt(n0_table(ens, spec))
-    out = np.empty((ens.m, 2) + spec.shape, dtype=np.complex128)
+    out = np.empty((ens.m,) + spec.shape, dtype=np.complex128)
     for i in range(ens.m):
         # per-replica generator: replica i is identical no matter how many
-        # replicas are drawn
+        # replicas are drawn.  Phases are drawn in shifted order
         rng = np.random.default_rng(np.random.SeedSequence([ens.seed, i]))
         theta = 2.0 * np.pi * rng.random(spec.shape)
-        a_plus = root * np.exp(1j * theta)
-        out[i, 0] = a_plus
-        out[i, 1] = np.conj(a_plus)
+        out[i] = np.fft.ifftshift(root * np.exp(1j * theta))
     return out
 
 
-def sample_initial(ens: EnsembleSpec, spec: LatticeSpec) -> list[AmplitudeState]:
-    """Draw the random-phase ensemble at ``t = 0``, deterministically in the seed."""
-    return [AmplitudeState(a, 0.0) for a in _sample_array(ens, spec)]
+def empirical_spectrum(b: np.ndarray, spec: LatticeSpec, t: float) -> Spectrum:
+    """Replica average of ``conj a(+) a(+)`` on the rescaled grid ``h k``.
 
-
-def stack_ensemble(states: Sequence[AmplitudeState]) -> tuple[np.ndarray, float]:
-    """Stack replicas into one ``(m, 2) + grid`` array; all must share ``t``."""
-    if len(states) == 0:
-        raise ValueError("empty ensemble")
-    t = states[0].t
-    if any(abs(s.t - t) > 1e-12 for s in states):
-        raise ValueError("replicas are at different times")
-    return np.stack([s.a for s in states]), t
-
-
-def empirical_spectrum(
-    states: Sequence[AmplitudeState] | np.ndarray, spec: LatticeSpec, t: float | None = None
-) -> Spectrum:
-    """Replica average of ``ah(k,-1) ah(k,+1)`` on the rescaled grid ``h k``.
-
-    On the physical manifold the product is ``|ah(k,+1)|^2``; the real part
-    is taken and round-off negatives are floored at zero.  The result lives
-    on the torus grid with ``N`` nodes per axis (``h k`` mod 1 enumerates
-    exactly the nodes ``j/N``), reported in natural node order.  ``tau``
-    carries the microscopic time; rescaling to kinetic time is the caller's
+    ``b`` is a replica stack of ``a(+)`` in FFT order at time ``t``.  The
+    real part is taken and round-off negatives are floored at zero.  The
+    result lives on the torus grid with ``N`` nodes per axis (``h k`` mod 1
+    enumerates exactly the nodes ``j/N``, in FFT order).  ``tau`` carries
+    the microscopic time; rescaling to kinetic time is the caller's
     business.
     """
-    if isinstance(states, np.ndarray):
-        a = states
-        if t is None:
-            raise ValueError("stacked-array input needs an explicit time")
-    else:
-        a, t = stack_ensemble(states)
-    a = _check_state(spec, a)
-    if a.ndim != 2 + spec.d:  # replica, sign, then the grid axes
+    b = _as_field(spec, b)
+    if b.ndim != 1 + spec.d:  # replica, then the grid axes
         raise SizeMismatchError("expected one leading replica axis")
-    prod = np.mean(a[:, 1] * a[:, 0], axis=0).real
-    f = np.maximum(np.take(prod.ravel(), fft_order(spec)[0]).reshape(spec.shape), 0.0)
+    f = np.maximum(np.mean(np.conj(b) * b, axis=0).real, 0.0)
     return Spectrum(TorusGrid(spec.d, spec.N), f, float(t))

@@ -59,14 +59,12 @@ from kinlat.vlasov import (
     vlasov_evolve,
 )
 from kinlat.waves import (
-    AmplitudeState,
     EnsembleSpec,
     ModelParams,
     empirical_spectrum,
     integrate,
     rhs,
     sample_initial,
-    stack_ensemble,
 )
 
 
@@ -112,20 +110,17 @@ def test_02_free_flow_exactness():
     # data sit below 1e-14 with margin
     spec = LatticeSpec(1, 6)
     params = ModelParams(spec, 0.0)
-    a, _ = stack_ensemble(sample_initial(EnsembleSpec(1, 5, make_profile("constant", level=1.0)), spec))
-    state = AmplitudeState(a[0], 0.0)
-    mod0 = np.abs(state.a)
-    out = integrate(state, params, 1e-2, 50, scheme="exponential")
-    mod_drift = float(np.max(np.abs(np.abs(out.a) - mod0)))
+    b = sample_initial(EnsembleSpec(1, 5, make_profile("constant", level=1.0)), spec)[0]
+    out = integrate(b, params, 1e-2, 50, scheme="exponential")
+    mod_drift = float(np.max(np.abs(np.abs(out) - np.abs(b))))
 
+    # a(+) in FFT order: k = 2 sits at index 2
     spec = LatticeSpec(1, 5)
-    a = np.zeros((2, 11), dtype=np.complex128)
-    k = wavenumbers(spec)[..., 0]
-    a[0, k == 2] = 1.0
-    a[1] = np.conj(a[0])
-    out = integrate(AmplitudeState(a, 0.0), ModelParams(spec, 0.0), 1e-3, 700)
-    wbar = omega_bar_grid(spec)[k == 2][0]
-    phase_err = abs(out.a[0, (k == 2).argmax()] - np.exp(-1j * wbar * 0.7))
+    b = np.zeros(11, dtype=np.complex128)
+    b[2] = 1.0
+    out = integrate(b, ModelParams(spec, 0.0), 1e-3, 700)
+    wbar = np.fft.ifftshift(omega_bar_grid(spec))[2]
+    phase_err = abs(out[2] - np.exp(-1j * wbar * 0.7))
 
     ok = mod_drift < 1e-14 and phase_err < 1e-12
     assert _verdict(
@@ -141,10 +136,9 @@ def test_03_interaction_rhs_oracle_and_wrap():
     worst = 0.0
     for d, D, lam in ((1, 3, 1.3), (2, 2, 0.4)):
         spec = LatticeSpec(d, D)
-        a = _cfield(rng, spec, batch=(2,))
-        a[1] = np.conj(a[0])  # the flow is defined on exact conjugate pairs
-        got = rhs(AmplitudeState(a, 0.0), ModelParams(spec, lam))
-        want = ref.wave_rhs_direct(a, spec, lam)
+        b = _cfield(rng, spec)  # a(+); the oracle reads it doubled and shifted
+        got = ref.doubled_shifted(rhs(b, ModelParams(spec, lam)), spec)
+        want = ref.wave_rhs_direct(ref.doubled_shifted(b, spec), spec, lam)
         worst = max(
             worst,
             float(np.max(np.abs(got - want)) / max(1.0, np.max(np.abs(want)))),
@@ -153,14 +147,11 @@ def test_03_interaction_rhs_oracle_and_wrap():
     # modular selection: mass at |k|=3 on N=7 feeds exactly {-1,+1},
     # the wrapped images of the pair sums +-6
     spec = LatticeSpec(1, 3)
-    a = np.zeros((2, 7), dtype=np.complex128)
-    k = wavenumbers(spec)[..., 0]
-    for mode in (-3, 3):
-        a[0, k == mode] = 0.3 + 0.1j
-    a[1] = np.conj(a[0])
-    lin = -1j * np.array([1.0, -1.0])[:, None] * omega_bar_grid(spec) * a
-    nl = rhs(AmplitudeState(a, 0.0), ModelParams(spec, 1.0)) - lin
-    hit = sorted(int(kk) for kk in k[np.max(np.abs(nl), axis=0) > 1e-14])
+    k = np.fft.ifftshift(wavenumbers(spec)[:, 0])  # FFT order
+    b = np.where(np.abs(k) == 3, 0.3 + 0.1j, 0.0)
+    lin = -1j * np.fft.ifftshift(omega_bar_grid(spec)) * b
+    nl = rhs(b, ModelParams(spec, 1.0)) - lin
+    hit = sorted(int(kk) for kk in k[np.abs(nl) > 1e-14])
     ok = worst < 1e-12 and hit == [-1, 1]
     assert _verdict(
         3,
@@ -226,9 +217,9 @@ def test_06_weak_coupling_spectrum_trend():
             n_steps = int(round(t_target / dt))
             dists = []
             for seed in seeds:
-                a, _ = stack_ensemble(sample_initial(EnsembleSpec(200, seed, prof), spec))
-                out = integrate(AmplitudeState(a, 0.0), params, dt, n_steps)
-                emp = empirical_spectrum(out.a, spec, tau_final)
+                a = sample_initial(EnsembleSpec(200, seed, prof), spec)
+                out = integrate(a, params, dt, n_steps)
+                emp = empirical_spectrum(out, spec, tau_final)
                 grid = TorusGrid(1, spec.N)
                 rule = ResonanceRule(epsilon=0.2)
                 f0 = Spectrum(grid, prof(nodes(grid)), 0.0)
@@ -239,9 +230,9 @@ def test_06_weak_coupling_spectrum_trend():
         t_died = None if err.step is None else err.step * dt
         # the failure is a property of the flow, not the integrator:
         # halving dt leaves the blowup time fixed
-        a, _ = stack_ensemble(sample_initial(EnsembleSpec(200, seeds[0], prof), spec))
+        a = sample_initial(EnsembleSpec(200, seeds[0], prof), spec)
         try:
-            integrate(AmplitudeState(a, 0.0), ModelParams(spec, 0.1), dt / 2, 4000)
+            integrate(a, ModelParams(spec, 0.1), dt / 2, 4000)
             t_half = None
         except NumericalBlowupError as err2:
             t_half = None if err2.step is None else err2.step * dt / 2

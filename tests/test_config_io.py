@@ -29,6 +29,7 @@ from kinlat.harness import _paired_laws, run
 from kinlat.io import (
     format_float,
     read_phase_density,
+    write_amplitude_snapshot,
     sha256,
     sha256_file,
     write_csv,
@@ -37,6 +38,7 @@ from kinlat.io import (
     write_spectrum_csv,
 )
 from kinlat.kinetic import Spectrum, TorusGrid, nodes
+from kinlat.lattice import LatticeSpec
 from kinlat.profiles import FACTORIES
 from kinlat.vlasov import PhaseDensity, PhaseGrid
 
@@ -354,6 +356,11 @@ INVALID = [
     (("pipeline", "chain.law"), ("mf-compare", {"kind": "gaussian", "sigma_v": 0}), "chain.law.sigma_v"),
     # mf-compare's transport side starts from chain.law's twin, not its own law
     (("pipeline", "vlasov.law"), ("mf-compare", {"kind": "gaussian"}), "vlasov.law"),
+    # one site either side leaves a 3-node torus, below the spectrum grid's 4
+    ("wave.half_width", 1, "wave.half_width"),
+    # wt-compare holds both spectra on one dimension; at d = 2 on one grid
+    ("wave.d", 2, "kinetic.d"),
+    (("wave.d", "kinetic.d"), (2, 2), "kinetic.m"),
 ]
 
 
@@ -602,6 +609,31 @@ class TestWriters:
         lines += [",".join(format_float(x) for x in (*coords[i], f[i])) for i in range(f.size)]
         got = write_spectrum_csv(tmp_path / "spec.csv", sp).read_bytes()
         assert got == ("\n".join(lines) + "\n").encode()
+
+    @pytest.mark.parametrize("d,D", [(1, 3), (2, 2)])
+    def test_amplitude_snapshot_rows_are_the_doubled_shifted_layout(self, tmp_path, d, D):
+        # a(+) in FFT order goes in; out come the rows of the doubled shifted
+        # array built here by hand: ascending k for sigma = +1, then sigma = -1
+        # with the exact conjugates
+        spec = LatticeSpec(d, D)
+        rng = np.random.default_rng(d)
+        b = rng.normal(size=spec.shape) + 1j * rng.normal(size=spec.shape)
+        ks = [np.array(k) for k in np.ndindex(spec.shape)]  # shifted index, C order
+        rows = []
+        for sigma in (1, -1):
+            for idx in ks:
+                val = b[tuple((idx - D) % spec.N)]  # a(+)(k) sits at k mod N
+                val = val if sigma == 1 else np.conj(val)
+                rows.append((*(idx - D), sigma, val.real, val.imag))
+        want = write_csv(
+            tmp_path / "want.csv",
+            [f"k_{c}" for c in range(d)] + ["sigma", "re_a", "im_a"],
+            rows,
+            comments=["amplitude snapshot; k integer wavenumbers, sigma the sign pair"],
+        )
+        csv_p, json_p = write_amplitude_snapshot(tmp_path / "snap", b, spec, {"t": 0.5})
+        assert csv_p.read_bytes() == want.read_bytes()
+        assert json.loads(json_p.read_text()) == {"t": 0.5}
 
     def test_phase_density_roundtrip(self, tmp_path):
         grid = PhaseGrid(2, 6, 5, 0.8, 1.1)

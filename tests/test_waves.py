@@ -18,7 +18,6 @@ from kinlat.lattice import (
 )
 from kinlat.profiles import make_profile
 from kinlat.waves import (
-    AmplitudeState,
     EnsembleSpec,
     ModelParams,
     PhasePair,
@@ -28,10 +27,8 @@ from kinlat.waves import (
     hamiltonian_terms,
     integrate,
     n0_table,
-    reality_defect,
     rhs,
     sample_initial,
-    stack_ensemble,
     to_amplitudes,
     wave_nonlinear,
 )
@@ -44,9 +41,15 @@ def _real_pair(rng, spec):
     return PhasePair(q, p)
 
 
-def _conjugate_state(rng, spec, scale=1.0):
-    ap = scale * (rng.normal(size=spec.shape) + 1j * rng.normal(size=spec.shape))
-    return AmplitudeState(np.stack([ap, np.conj(ap)]), 0.0)
+def _field(rng, spec, batch=(), scale=1.0):
+    # a random a(+); FFT order is immaterial to random data
+    shape = batch + spec.shape
+    return scale * (rng.normal(size=shape) + 1j * rng.normal(size=shape))
+
+
+def _fft_wavenumbers(spec):
+    # the integer k of each FFT-order index of a d = 1 lattice
+    return np.fft.ifftshift(wavenumbers(spec)[:, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -58,60 +61,14 @@ def _conjugate_state(rng, spec, scale=1.0):
 def test_variable_change_roundtrip(rng, d, D):
     spec = LatticeSpec(d, D)
     pair = _real_pair(rng, spec)
-    state = to_amplitudes(pair, spec)
-    back = from_amplitudes(state, spec)
+    b = to_amplitudes(pair, spec)
+    assert b[(0,) * d] == 0.0  # FFT order: the dropped zero mode comes first
+    back = from_amplitudes(b, spec)
     mask = np.ones(spec.shape, dtype=bool)
     mask[center_index(spec)] = False  # the zero mode is dropped by design
     assert np.max(np.abs((back.q - pair.q)[mask])) < 1e-12
     assert np.max(np.abs((back.p - pair.p)[mask])) < 1e-12
     assert back.q[center_index(spec)] == 0.0
-
-
-def test_real_data_gives_conjugate_amplitudes(rng):
-    spec = LatticeSpec(1, 4)
-    state = to_amplitudes(_real_pair(rng, spec), spec)
-    assert reality_defect(state, spec) < 1e-13
-
-
-def test_reality_defect_detects_breakage(rng):
-    spec = LatticeSpec(1, 2)
-    state = _conjugate_state(rng, spec)
-    state.a[1, 0] += 0.5
-    assert reality_defect(state, spec) > 0.4
-
-
-def test_reality_defect_reads_the_sign_axis_of_a_stack():
-    spec = LatticeSpec(1, 4)
-    ens = EnsembleSpec(3, 1, make_profile("constant", level=1.0))
-    a, t = stack_ensemble(sample_initial(ens, spec))
-    assert reality_defect(AmplitudeState(a, t), spec) == 0.0  # exact pairs
-    a[2, 1, 3] += 0.5  # break one mode of the last replica only
-    assert reality_defect(AmplitudeState(a, t), spec) == pytest.approx(0.5, rel=1e-12)
-
-
-def test_reality_is_preserved_by_the_flow(rng):
-    spec = LatticeSpec(1, 3)
-    params = ModelParams(spec, 0.2)
-    state = _conjugate_state(rng, spec, scale=0.05)
-    out = integrate(state, params, 1e-2, 200)
-    # the flow steps a(+) alone and re-doubles it, so the pair is exact
-    assert reality_defect(out, spec) == 0.0
-
-
-def test_integrate_and_rhs_reject_a_broken_pair(rng):
-    spec = LatticeSpec(1, 3)
-    params = ModelParams(spec, 0.2)
-    state = _conjugate_state(rng, spec)
-    state.a[1, 2] += 1e-3
-    for call in (lambda: integrate(state, params, 1e-2, 1), lambda: rhs(state, params)):
-        with pytest.raises(ValueError, match=r"not an exact conjugate pair: .* reaches 1\.000e-03"):
-            call()
-    # exact means to the bit: one ulp off is a broken pair too
-    state = _conjugate_state(rng, spec)
-    state.a[1, 2] = np.nextafter(state.a[1, 2].real, np.inf) + 1j * state.a[1, 2].imag
-    for call in (lambda: integrate(state, params, 1e-2, 1), lambda: rhs(state, params)):
-        with pytest.raises(ValueError, match="not an exact conjugate pair"):
-            call()
 
 
 # ---------------------------------------------------------------------------
@@ -122,9 +79,9 @@ def test_integrate_and_rhs_reject_a_broken_pair(rng):
 @pytest.mark.parametrize("d,D,lam", [(1, 2, 0.7), (1, 3, 1.3), (2, 2, 0.4), (3, 1, 1.0)])
 def test_rhs_matches_quadruple_loop(rng, d, D, lam):
     spec = LatticeSpec(d, D)
-    a = _conjugate_state(rng, spec).a
-    got = rhs(AmplitudeState(a, 0.0), ModelParams(spec, lam))
-    want = ref.wave_rhs_direct(a, spec, lam)
+    b = _field(rng, spec)
+    got = ref.doubled_shifted(rhs(b, ModelParams(spec, lam)), spec)
+    want = ref.wave_rhs_direct(ref.doubled_shifted(b, spec), spec, lam)
     scale = np.max(np.abs(want))
     assert np.max(np.abs(got - want)) < 1e-12 * max(1.0, scale)
 
@@ -163,12 +120,6 @@ def _shifted_order_half(ap, spec, lam):
     return -0.5j * lam * winv * S
 
 
-def _exact_pairs(rng, spec, batch, scale=1.0):
-    shape = batch + spec.shape
-    ap = scale * (rng.normal(size=shape) + 1j * rng.normal(size=shape))
-    return np.stack([ap, np.conj(ap)], axis=len(batch))
-
-
 def _rel_gap(got, want):
     return np.max(np.abs(got - want)) / np.max(np.abs(want))
 
@@ -197,10 +148,10 @@ def test_kernel_is_bitwise_the_shifted_order_formula(rng, d, D, batch, lam):
     # its own: the batch equals its sub-blocks of 1, 2, 3, 7 and the rest
     # rows, and an unbatched state its row in a block of 17
     spec = LatticeSpec(d, D)
-    a = _exact_pairs(rng, spec, batch)
+    b = _field(rng, spec, batch)
+    a = ref.doubled_shifted(b, spec)
     gax = tuple(range(len(batch), len(batch) + d))
-    ap = np.take(a, 0, axis=len(batch))
-    b = np.fft.ifftshift(ap, axes=gax)
+    ap = np.fft.fftshift(b, axes=gax)
     got = np.fft.fftshift(wave_nonlinear(b, spec, lam), axes=gax)
     want = np.take(_shifted_order_nonlinear(a, spec, lam), 0, axis=len(batch))
     assert got.shape == want.shape and got.dtype == want.dtype
@@ -212,7 +163,7 @@ def test_kernel_is_bitwise_the_shifted_order_formula(rng, d, D, batch, lam):
         assert _rel_gap(got, want) <= 1e-14
     rows = b.reshape((-1,) + spec.shape)
     if not batch:
-        rows = np.concatenate([rows, _exact_pairs(rng, spec, (16,))[:, 0]])
+        rows = np.concatenate([rows, _field(rng, spec, (16,))])
     whole = wave_nonlinear(rows, spec, lam)
     if not batch:
         assert np.array_equal(whole[0], wave_nonlinear(b, spec, lam))
@@ -251,39 +202,32 @@ def test_integrate_step_is_bitwise_the_shifted_order_formula(rng, scheme, d, D):
     # with the kernel as its interaction, and the doubled layout's step to
     # round-off
     spec = LatticeSpec(d, D)
-    a = _exact_pairs(rng, spec, (124,), scale=0.1)
-    got = integrate(AmplitudeState(a, 0.0), ModelParams(spec, 0.3), 0.05, 1, scheme=scheme)
-    gax = tuple(range(1, 1 + d))
+    b = _field(rng, spec, (124,), scale=0.1)
+    got = integrate(b, ModelParams(spec, 0.3), 0.05, 1, scheme=scheme)
     half = _classical_step(
-        np.fft.ifftshift(a[:, 0], axes=gax),
+        b,
         lambda x: wave_nonlinear(x, spec, 0.3),
         np.fft.ifftshift(omega_bar_grid(spec)),
         0.05,
         scheme,
     )
-    half = np.fft.fftshift(half, axes=gax)
-    assert np.array_equal(got.a[:, 0], half)
-    assert np.array_equal(got.a[:, 1], np.conj(half))
+    assert np.array_equal(got, half)
     # the doubled layout: both sign halves stepped, with _shifted_order_nonlinear
     sgn = np.array([1.0, -1.0]).reshape((2,) + (1,) * d)
     doubled = lambda x: _shifted_order_nonlinear(x, spec, 0.3)  # noqa: E731
+    a = ref.doubled_shifted(b, spec)
     want = _classical_step(a, doubled, sgn * omega_bar_grid(spec), 0.05, scheme)
-    assert got.a.shape == want.shape
-    assert _rel_gap(got.a, want) <= 1e-14
+    assert _rel_gap(ref.doubled_shifted(got, spec), want) <= 1e-14
 
 
 def test_interaction_support_is_modular(rng):
     # populate |k| = 3 on N = 7; pair sums {0, +-6} reach {0, +-1} after wrapping
     spec = LatticeSpec(1, 3)
     params = ModelParams(spec, 1.0)
-    a = np.zeros((2, 7), dtype=np.complex128)
-    k = wavenumbers(spec)[..., 0]
-    for mode in (-3, 3):
-        a[0, k == mode] = 0.3 + 0.1j
-    a[1] = np.conj(a[0])
-    lin = -1j * np.array([1.0, -1.0])[:, None] * omega_bar_grid(spec) * a
-    nl = rhs(AmplitudeState(a, 0.0), params) - lin
-    hit = np.max(np.abs(nl), axis=0) > 1e-14
+    k = _fft_wavenumbers(spec)
+    b = np.where(np.abs(k) == 3, 0.3 + 0.1j, 0.0)
+    nl = rhs(b, params) - -1j * np.fft.ifftshift(omega_bar_grid(spec)) * b
+    hit = np.abs(nl) > 1e-14
     # k = 0 stays silent: its interaction weight vanishes with 1/wbar(0) = 0
     assert sorted(int(kk) for kk in k[hit]) == [-1, 1]
 
@@ -291,7 +235,7 @@ def test_interaction_support_is_modular(rng):
 def test_rhs_shape_validation():
     spec = LatticeSpec(1, 2)
     with pytest.raises(SizeMismatchError):
-        rhs(AmplitudeState(np.zeros((2, 4), dtype=complex), 0.0), ModelParams(spec, 0.1))
+        rhs(np.zeros((2, 4), dtype=complex), ModelParams(spec, 0.1))
     with pytest.raises(ValueError):
         ModelParams(spec, -0.1)
 
@@ -303,23 +247,23 @@ def test_rhs_shape_validation():
 
 def test_hamiltonian_matches_triple_loop(rng):
     spec = LatticeSpec(1, 2)
-    state = _conjugate_state(rng, spec)
+    b = _field(rng, spec)
     params = ModelParams(spec, 0.3)
-    got = hamiltonian(state, params)
-    h1, h2 = hamiltonian_terms(state, params)
-    want = ref.hamiltonian_direct(state.a, spec, 0.3)
+    got = hamiltonian(b, params)
+    h1, h2 = hamiltonian_terms(b, params)
+    want = ref.hamiltonian_direct(ref.doubled_shifted(b, spec), spec, 0.3)
     assert abs((h1 + 0.3 * h2.real / 6.0) - got) < 1e-12
     assert abs(got - want.real) < 1e-12 * max(1.0, abs(want.real))
-    # cubic term is real on the conjugate-pair manifold
+    # the cubic term of a(+) and its conjugate is real
     assert abs(h2.imag) < 1e-12 * max(1.0, abs(h2.real))
 
 
 def test_quadratic_term_is_conserved_at_lam_zero(rng):
     spec = LatticeSpec(1, 4)
     params = ModelParams(spec, 0.0)
-    state = _conjugate_state(rng, spec)
-    h0 = hamiltonian(state, params)
-    out = integrate(state, params, 1e-2, 500)
+    b = _field(rng, spec)
+    h0 = hamiltonian(b, params)
+    out = integrate(b, params, 1e-2, 500)
     assert abs(hamiltonian(out, params) - h0) < 1e-12 * abs(h0)
 
 
@@ -330,11 +274,11 @@ def test_flow_conserves_symmetrized_cubic_invariant(rng):
     spec = LatticeSpec(1, 4)
     params = ModelParams(spec, 0.1)
     prof = make_profile("omega-bump", amplitude=0.05, center=1.0, width=0.5)
-    a, _ = stack_ensemble(sample_initial(EnsembleSpec(3, 3, prof), spec))
-    h0 = hamiltonian(AmplitudeState(a, 0.0), params)
-    h1, h2 = hamiltonian_terms(AmplitudeState(a[0], 0.0), params)
+    a = sample_initial(EnsembleSpec(3, 3, prof), spec)
+    h0 = hamiltonian(a, params)
+    h1, h2 = hamiltonian_terms(a[0], params)
     assert h0[0] == pytest.approx(h1 + params.lam * h2.real / 6.0, rel=1e-14)
-    out = integrate(AmplitudeState(a, 0.0), params, 1e-2, 2000)
+    out = integrate(a, params, 1e-2, 2000)
     h = hamiltonian(out, params)
     assert h.shape == (3,)
     assert np.max(np.abs(h - h0) / np.abs(h0)) < 1e-10
@@ -352,50 +296,48 @@ def test_linear_flow_preserves_moduli_exactly():
     spec = LatticeSpec(1, 6)
     params = ModelParams(spec, 0.0)
     ens = EnsembleSpec(1, 5, make_profile("constant", level=1.0))
-    a, _ = stack_ensemble(sample_initial(ens, spec))
-    state = AmplitudeState(a[0], 0.0)
-    mod0 = np.abs(state.a)
-    out = integrate(state, params, 1e-2, 50, scheme="exponential")
-    assert np.max(np.abs(np.abs(out.a) - mod0)) < 1e-14
+    b = sample_initial(ens, spec)[0]
+    mod0 = np.abs(b)
+    out = integrate(b, params, 1e-2, 50, scheme="exponential")
+    assert np.max(np.abs(np.abs(out) - mod0)) < 1e-14
+    # the result is a new array, after no steps too
+    out = integrate(b, params, 1e-2, 0)
+    assert out is not b and np.array_equal(out, b)
 
 
 def test_linear_flow_single_mode_phase():
     spec = LatticeSpec(1, 5)
     params = ModelParams(spec, 0.0)
-    a = np.zeros((2, 11), dtype=np.complex128)
-    k = wavenumbers(spec)[..., 0]
-    a[0, k == 2] = 1.0
-    a[1] = np.conj(a[0])
-    t = 0.7
-    out = integrate(AmplitudeState(a, 0.0), params, 1e-3, 700)
-    wbar = omega_bar_grid(spec)[k == 2][0]
-    expect = np.exp(-1j * wbar * t)
-    assert abs(out.a[0, (k == 2).argmax()] - expect) < 1e-12
-    assert out.t == pytest.approx(t)
+    k = _fft_wavenumbers(spec)
+    b = np.where(k == 2, 1.0 + 0.0j, 0.0)
+    out = integrate(b, params, 1e-3, 700)
+    wbar = np.fft.ifftshift(omega_bar_grid(spec))[k == 2][0]
+    expect = np.exp(-1j * wbar * 0.7)
+    assert abs(out[k == 2][0] - expect) < 1e-12
 
 
 def test_rk4_linear_amplitude_drift_budget(rng):
     spec = LatticeSpec(1, 4)
     params = ModelParams(spec, 0.0)
-    state = _conjugate_state(rng, spec)
-    mod0 = np.abs(state.a)
-    out = integrate(state, params, 1e-3, 10000, scheme="rk4")
-    assert np.max(np.abs(np.abs(out.a) - mod0)) < 1e-10
+    b = _field(rng, spec)
+    mod0 = np.abs(b)
+    out = integrate(b, params, 1e-3, 10000, scheme="rk4")
+    assert np.max(np.abs(np.abs(out) - mod0)) < 1e-10
 
 
 def test_schemes_agree_on_smooth_nonlinear_data(rng):
     spec = LatticeSpec(1, 3)
     params = ModelParams(spec, 0.2)
-    state = _conjugate_state(rng, spec, scale=0.05)
-    a_exp = integrate(state, params, 1e-3, 500, scheme="exponential")
-    a_rk4 = integrate(state, params, 1e-3, 500, scheme="rk4")
-    assert np.max(np.abs(a_exp.a - a_rk4.a)) < 1e-9
+    b = _field(rng, spec, scale=0.05)
+    a_exp = integrate(b, params, 1e-3, 500, scheme="exponential")
+    a_rk4 = integrate(b, params, 1e-3, 500, scheme="rk4")
+    assert np.max(np.abs(a_exp - a_rk4)) < 1e-9
 
 
 def test_unknown_scheme_rejected(rng):
     spec = LatticeSpec(1, 2)
     with pytest.raises(ValueError):
-        integrate(_conjugate_state(rng, spec), ModelParams(spec, 0.0), 1e-3, 1, scheme="leapfrog")
+        integrate(_field(rng, spec), ModelParams(spec, 0.0), 1e-3, 1, scheme="leapfrog")
 
 
 def test_blowup_is_reported_with_step(rng):
@@ -403,9 +345,9 @@ def test_blowup_is_reported_with_step(rng):
     spec = LatticeSpec(1, 16)
     params = ModelParams(spec, 1.0)
     prof = make_profile("omega-bump", amplitude=40.0, center=1.0, width=0.5)
-    a, _ = stack_ensemble(sample_initial(EnsembleSpec(1, 0, prof), spec))
+    b = sample_initial(EnsembleSpec(1, 0, prof), spec)[0]
     with pytest.raises(NumericalBlowupError) as err:
-        integrate(AmplitudeState(a[0], 0.0), params, 0.05, 4000)
+        integrate(b, params, 0.05, 4000)
     assert err.value.step is not None
 
 
@@ -414,11 +356,11 @@ def test_blowup_raises_with_no_warnings():
     spec = LatticeSpec(1, 16)
     params = ModelParams(spec, 1.0)
     prof = make_profile("omega-bump", amplitude=40.0, center=1.0, width=0.5)
-    a, _ = stack_ensemble(sample_initial(EnsembleSpec(1, 0, prof), spec))
+    b = sample_initial(EnsembleSpec(1, 0, prof), spec)[0]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NumericalBlowupError) as err:
-            integrate(AmplitudeState(a[0], 0.0), params, 0.05, 4000)
+            integrate(b, params, 0.05, 4000)
     step = err.value.step
     assert step is not None and step < 4000
     assert str(err.value).startswith(f"step {step}: ")
@@ -434,41 +376,42 @@ def test_sampling_is_seed_deterministic():
     spec = LatticeSpec(1, 4)
     prof = make_profile("constant", level=0.5)
     ens = EnsembleSpec(3, 42, prof)
-    a1, _ = stack_ensemble(sample_initial(ens, spec))
-    a2, _ = stack_ensemble(sample_initial(ens, spec))
-    assert np.array_equal(a1, a2)
-    b, _ = stack_ensemble(sample_initial(EnsembleSpec(3, 43, prof), spec))
-    assert not np.array_equal(a1, b)
+    a1 = sample_initial(ens, spec)
+    assert np.array_equal(a1, sample_initial(ens, spec))
+    assert not np.array_equal(a1, sample_initial(EnsembleSpec(3, 43, prof), spec))
+
+
+def test_sampling_draws_phases_in_shifted_order():
+    # replica i's phases are one draw of its own stream over the shifted
+    # grid, gathered to FFT order with the moduli, so a replica's bytes are
+    # those of the doubled shifted layout's a(+)
+    spec = LatticeSpec(2, 2)
+    ens = EnsembleSpec(3, 11, make_profile("constant", level=0.5))
+    a = sample_initial(ens, spec)
+    assert a.shape == (3,) + spec.shape
+    root = np.sqrt(n0_table(ens, spec))
+    for i in range(3):
+        rng = np.random.default_rng(np.random.SeedSequence([11, i]))
+        theta = 2.0 * np.pi * rng.random(spec.shape)
+        assert np.array_equal(a[i], np.fft.ifftshift(root * np.exp(1j * theta)))
 
 
 def test_replicas_differ_but_share_modulus_profile():
     spec = LatticeSpec(1, 4)
     ens = EnsembleSpec(4, 7, make_profile("constant", level=0.25))
-    a, _ = stack_ensemble(sample_initial(ens, spec))
+    a = sample_initial(ens, spec)
     assert not np.array_equal(a[0], a[1])
-    n0 = n0_table(ens, spec)
-    assert np.allclose(np.abs(a[:, 0]) ** 2, n0, atol=1e-12)
+    n0 = np.fft.ifftshift(n0_table(ens, spec))
+    assert np.allclose(np.abs(a) ** 2, n0, atol=1e-12)
 
 
 def test_empirical_spectrum_recovers_profile():
     spec = LatticeSpec(1, 6)
     level = 0.3
     ens = EnsembleSpec(64, 9, make_profile("constant", level=level))
-    states = sample_initial(ens, spec)
-    sp = empirical_spectrum(states, spec)
+    sp = empirical_spectrum(sample_initial(ens, spec), spec, 0.0)
     # random phases leave the modulus profile exact replica by replica;
     # the zero mode is dropped by the amplitude variables and reads zero
     assert sp.f[0] == 0.0
     assert np.allclose(sp.f[1:], level, atol=1e-12)
     assert sp.grid.m == spec.N and sp.tau == 0.0
-
-
-def test_stack_unstack_roundtrip(rng):
-    spec = LatticeSpec(1, 2)
-    states = [
-        _conjugate_state(rng, spec),
-        _conjugate_state(rng, spec),
-    ]
-    a, t = stack_ensemble(states)
-    assert len(a) == 2 and t == 0.0
-    assert np.array_equal(a[1], states[1].a)
