@@ -49,7 +49,6 @@ import tracemalloc
 import numpy as np
 
 from kinlat.chain import (
-    ChainEnsemble,
     ChainGeometry,
     FractionalParams,
     GaussianLaw,
@@ -167,10 +166,10 @@ def _cases(rng, batch: int):
         f"chain force d=1 n=512 batch={batch}",
         lambda: chain_force_flat(r, geom, fp),
     )
-    ens = ChainEnsemble(*rng.normal(scale=0.1, size=(2, 64, 512)))
+    rv = rng.normal(scale=0.1, size=(2, 64, 512))
     yield (
         f"chain verlet run d=1 n=512 batch=64 {VERLET_STEPS} steps",
-        lambda: verlet_evolve(ens, geom, fp, 1e-3, VERLET_STEPS),
+        lambda: verlet_evolve(*rv, geom, fp, 1e-3, VERLET_STEPS),
     )
 
     r2, geom2 = rng.normal(size=(batch, 64 * 64)), ChainGeometry(2, 64)

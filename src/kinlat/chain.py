@@ -22,7 +22,10 @@ transform and its inverse.  The flow conserves the energy
 antisymmetry, the total momentum ``sum v`` exactly; the mean displacement
 therefore moves ballistically (zero acceleration).
 
-Ensembles of independently initialized replicas feed the two-site
+A state is two float arrays ``r`` and ``v`` of one shape ``batch +
+(n_sites,)``: one replica is 1-D, an ensemble stacks replicas on leading
+axes, and every function here maps each row on its own.  Callers keep the
+clock.  Ensembles of independently initialized replicas feed the two-site
 factorization defect used to probe molecular chaos; it reduces over
 replicas in fixed order so results are reproducible for a given seed.
 """
@@ -41,8 +44,6 @@ from .errors import NumericalBlowupError, SizeMismatchError, check_step, require
 __all__ = [
     "ChainGeometry",
     "FractionalParams",
-    "ChainState",
-    "ChainEnsemble",
     "GaussianLaw",
     "PointLaw",
     "cosine_gaussian_law",
@@ -50,8 +51,6 @@ __all__ = [
     "site_coordinates",
     "chain_force_flat",
     "chain_energy",
-    "total_momentum",
-    "mean_displacement",
     "verlet_evolve",
     "sample_ensemble",
     "chaos_defect",
@@ -162,50 +161,11 @@ def _check_sites(geom: ChainGeometry, arr: np.ndarray, name: str) -> np.ndarray:
     return arr
 
 
-def _state_arrays(r, v, ndim: int, what: str) -> tuple[np.ndarray, np.ndarray]:
-    """``r`` and ``v`` as float64 arrays of one shape with ``ndim`` axes, all finite."""
-    r, v = np.asarray(r, dtype=np.float64), np.asarray(v, dtype=np.float64)
-    if r.shape != v.shape or r.ndim != ndim:
-        raise SizeMismatchError(
-            f"{what} arrays must match and be {ndim}-D, got {r.shape} and {v.shape}"
-        )
-    if not (np.all(np.isfinite(r)) and np.all(np.isfinite(v))):
-        raise ValueError(f"{what} entries must be finite")
+def _check_state(geom: ChainGeometry, r, v) -> tuple[np.ndarray, np.ndarray]:
+    r, v = _check_sites(geom, r, "displacement"), _check_sites(geom, v, "velocity")
+    if r.shape != v.shape:
+        raise SizeMismatchError(f"displacement {r.shape} and velocity {v.shape} differ in shape")
     return r, v
-
-
-@dataclass
-class ChainState:
-    """Flat per-site displacement and velocity at time ``t``."""
-
-    r: np.ndarray
-    v: np.ndarray
-    t: float = 0.0
-
-    def __post_init__(self):
-        self.r, self.v = _state_arrays(self.r, self.v, 1, "state")
-
-
-@dataclass
-class ChainEnsemble:
-    """Replica-stacked states, arrays of shape ``(m, n_sites)``."""
-
-    r: np.ndarray
-    v: np.ndarray
-    t: float = 0.0
-    seed: int | None = None
-
-    def __post_init__(self):
-        self.r, self.v = _state_arrays(self.r, self.v, 2, "ensemble")
-        if self.r.shape[0] < 1:
-            raise ValueError("ensemble needs at least one replica")
-
-    @property
-    def m(self) -> int:
-        return self.r.shape[0]
-
-    def replica(self, i: int) -> ChainState:
-        return ChainState(self.r[i].copy(), self.v[i].copy(), self.t)
 
 
 # ---------------------------------------------------------------------------
@@ -228,46 +188,24 @@ def chain_force_flat(r: np.ndarray, geom: ChainGeometry, fp: FractionalParams) -
     return out.reshape(r.shape)
 
 
-def chain_energy(
-    state: ChainState | ChainEnsemble,
-    geom: ChainGeometry,
-    fp: FractionalParams,
-) -> float | np.ndarray:
-    """Conserved energy ``sum v^2/2 + (h^d/4) sum_{x,y} w (r_y - r_x)^2``.
+def chain_energy(r, v, geom: ChainGeometry, fp: FractionalParams) -> np.ndarray:
+    """Conserved energy ``sum v^2/2 + (h^d/4) sum_{x,y} w (r_y - r_x)^2`` per row.
 
     The potential term is evaluated through the quadratic-form identity
     ``U = -(1/2) sum_x r_x F_x``, which reproduces the pair sum exactly and
     keeps the analytic gradient relation ``-dU/dr = F`` by construction.
-    Returns a scalar for a single state, a per-replica vector for an
-    ensemble.
     """
-    r = _check_sites(geom, state.r, "displacement")
-    v = _check_sites(geom, state.v, "velocity")
+    r, v = _check_state(geom, r, v)
     f = chain_force_flat(r, geom, fp)
     kin = 0.5 * np.sum(v * v, axis=-1)
     pot = -0.5 * np.sum(r * f, axis=-1)
-    total = kin + pot
-    return float(total) if total.ndim == 0 else total
-
-
-def total_momentum(state: ChainState | ChainEnsemble) -> float | np.ndarray:
-    out = np.sum(state.v, axis=-1)
-    return float(out) if out.ndim == 0 else out
-
-
-def mean_displacement(state: ChainState | ChainEnsemble) -> float | np.ndarray:
-    out = np.mean(state.r, axis=-1)
-    return float(out) if out.ndim == 0 else out
+    return kin + pot
 
 
 def verlet_evolve(
-    state: ChainState | ChainEnsemble,
-    geom: ChainGeometry,
-    fp: FractionalParams,
-    dt: float,
-    n_steps: int,
-):
-    """Advance a state or a whole ensemble by ``n_steps`` velocity Verlet steps.
+    r, v, geom: ChainGeometry, fp: FractionalParams, dt: float, n_steps: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Advance ``(r, v)`` by ``n_steps`` velocity Verlet steps; new arrays.
 
     On the ``rfftn`` half-spectrum over the site axes the force is the symbol
     ``s`` (:meth:`FractionalParams.chain_symbol`) times ``r``, so a step is one
@@ -280,9 +218,12 @@ def verlet_evolve(
     ``U_{n-1} = n``: it drifts and is never kicked.  Past the stability bound
     ``dt sqrt(-s) < 2`` a :class:`NumericalBlowupError` is raised before any
     work, naming the first unstable mode (an index on the ``rfftn`` grid).
+    Non-finite entries are refused with a ``ValueError``.
     """
     check_step("dt", dt)
-    r = _check_sites(geom, state.r, "displacement")
+    r, v = _check_state(geom, r, v)
+    if not (np.all(np.isfinite(r)) and np.all(np.isfinite(v))):
+        raise ValueError("state entries must be finite")
     omega = np.sqrt(-fp.chain_symbol(geom))
     half = 0.5 * dt * omega  # sin(theta / 2)
     if not np.all(half < 1.0):
@@ -301,14 +242,10 @@ def verlet_evolve(
     lead = r.shape[:-1]
     gax = tuple(range(len(lead), len(lead) + geom.d))
     rk = np.fft.rfftn(r.reshape(lead + geom.shape), axes=gax)
-    vk = np.fft.rfftn(np.reshape(state.v, lead + geom.shape), axes=gax)
+    vk = np.fft.rfftn(v.reshape(lead + geom.shape), axes=gax)
     rk, vk = cos_n * rk + drift * vk, kick * rk + cos_n * vk
     r = np.fft.irfftn(rk, s=geom.shape, axes=gax).reshape(r.shape)
-    v = np.fft.irfftn(vk, s=geom.shape, axes=gax).reshape(r.shape)
-    t = state.t + dt * n_steps
-    if isinstance(state, ChainEnsemble):
-        return ChainEnsemble(r, v, t, state.seed)
-    return ChainState(r, v, t)
+    return r, np.fft.irfftn(vk, s=geom.shape, axes=gax).reshape(r.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -401,12 +338,13 @@ def cosine_gaussian_law(
 LAWS = {"gaussian": GaussianLaw, "cosine-gaussian": cosine_gaussian_law, "point": PointLaw}
 
 
-def sample_ensemble(law, geom: ChainGeometry, m: int, seed: int) -> ChainEnsemble:
-    """Draw ``m`` independent replicas, i.i.d. across sites within each.
+def sample_ensemble(law, geom: ChainGeometry, m: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Draw ``m`` independent replicas ``(r, v)``, i.i.d. across sites within each.
 
     Replica ``i`` is generated from the child stream ``[seed, i]``, so the
     data for a given replica index never depends on how many replicas are
-    requested or how they are batched.
+    requested or how they are batched.  A law that draws a non-finite entry
+    is refused with a ``ValueError``.
     """
     if m < 1:
         raise ValueError(f"need at least one replica, got {m}")
@@ -416,7 +354,9 @@ def sample_ensemble(law, geom: ChainGeometry, m: int, seed: int) -> ChainEnsembl
     for i in range(m):
         rng = np.random.default_rng(np.random.SeedSequence([seed, i]))
         r[i], v[i] = law.sample_sites(rng, x)
-    return ChainEnsemble(r, v, 0.0, seed)
+    if not (np.all(np.isfinite(r)) and np.all(np.isfinite(v))):
+        raise ValueError("sampled entries must be finite")
+    return r, v
 
 
 # ---------------------------------------------------------------------------
@@ -431,20 +371,22 @@ def _check_edges(edges: np.ndarray, name: str) -> np.ndarray:
     return edges
 
 
-def _joint_masses(ens, x, y, r_edges, v_edges):
+def _joint_masses(r, v, x, y, r_edges, v_edges):
     """Per-replica 4-D occupancy (r_x, v_x, r_y, v_y) on the shared bin grid."""
-    sample = np.stack([ens.r[:, x], ens.v[:, x], ens.r[:, y], ens.v[:, y]], axis=1)
+    sample = np.stack([r[:, x], v[:, x], r[:, y], v[:, y]], axis=1)
     hist, _ = np.histogramdd(sample, bins=(r_edges, v_edges, r_edges, v_edges))
-    return hist / ens.m
+    return hist / r.shape[0]
 
 
 def chaos_defect(
-    ens: ChainEnsemble,
+    r: np.ndarray,
+    v: np.ndarray,
     pair: tuple[int, int],
     r_edges: np.ndarray,
     v_edges: np.ndarray,
 ) -> float:
-    """L2 gap between the two-site histogram and the product of its marginals.
+    """L2 gap between the two-site histogram of the ``(m, n_sites)`` ensemble
+    ``(r, v)`` and the product of its marginals.
 
     Works on probability masses (not densities), so the value is scale-free
     in the bin widths: 0 means the empirical two-site measure factorizes on
@@ -455,11 +397,11 @@ def chaos_defect(
     x, y = pair
     if x == y:
         raise ValueError("site pair must be distinct")
-    if ens.m < 2:
+    if r.shape[0] < 2:
         raise ValueError("factorization defect needs at least two replicas")
     r_edges = _check_edges(r_edges, "r_edges")
     v_edges = _check_edges(v_edges, "v_edges")
-    joint = _joint_masses(ens, x, y, r_edges, v_edges)
+    joint = _joint_masses(r, v, x, y, r_edges, v_edges)
     p_x = joint.sum(axis=(2, 3))
     p_y = joint.sum(axis=(0, 1))
     gap = joint - p_x[:, :, None, None] * p_y[None, None, :, :]

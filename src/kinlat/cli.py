@@ -5,7 +5,7 @@ same flags.  The config file is the source of truth — the flags only
 override its seed / output directory at invocation time, and pick how
 many threads run the children of a sweep.
 
-Exit codes: 0 success, 1 configuration problem, 2 numerical failure
+Exit codes: 0 success, 1 configuration or usage problem, 2 numerical failure
 (a last-good snapshot path is printed when one was written), 3 failed
 ``--check`` assertions.
 """
@@ -27,10 +27,16 @@ EXIT_NUMERICAL = 2
 EXIT_CHECK = 3
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # exit 2 is a numerical failure
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     from . import __version__
 
-    common = argparse.ArgumentParser(add_help=False)
+    common = _Parser(add_help=False)
     common.add_argument("--config", required=True, metavar="PATH", help="JSON run configuration")
     common.add_argument("--seed", type=int, metavar="U64", help="override the config's seed")
     common.add_argument("--out", metavar="DIR", help="override the output directory")
@@ -48,7 +54,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "results are identical for any value",
     )
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="kinlat",
         description="Lattice wave / kinetic and chain / mean-field simulation runner.",
     )
@@ -94,7 +100,10 @@ def _headline(manifest) -> str:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    if args.workers < 1:
+        parser.error(f"--workers must be at least 1, got {args.workers}")
     try:
         cfg = _effective_config(args)
         manifest = run(cfg, out=args.out, check=args.check, workers=args.workers)

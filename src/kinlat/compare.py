@@ -2,10 +2,12 @@
 
 The wave ensemble's spectrum is held against the kinetic equation's
 (:func:`compare_spectra`), and the chain ensemble's per-cell moments against
-the Vlasov density's (:func:`meanfield_distance`).  Both give one
-:class:`Distance`.  The lanes only solve, and this module imports none of
-them when it loads: :func:`meanfield_distance` imports the Vlasov moments
-when called, so the Vlasov lane can read :data:`OBSERVABLES` from here.
+the Vlasov density's (:func:`meanfield_distance`); the chain ensemble is
+its bare ``(m, n_sites)`` arrays ``r`` and ``v``, with its time stated by
+the caller.  Both give one :class:`Distance`.  The lanes only solve, and
+this module imports none of them when it loads: :func:`meanfield_distance`
+imports the Vlasov moments when called, so the Vlasov lane can read
+:data:`OBSERVABLES` from here.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import numpy as np
 from .errors import SizeMismatchError
 
 if TYPE_CHECKING:  # annotations only: loading this module loads no lane
-    from .chain import ChainEnsemble, ChainGeometry
+    from .chain import ChainGeometry
     from .kinetic import Spectrum, TorusGrid
     from .vlasov import PhaseDensity, PhaseGrid
 
@@ -113,9 +115,10 @@ def compare_spectra(ours: Spectrum, theirs: Spectrum) -> Distance:
 
 
 def cell_moments_of_ensemble(
-    ens: ChainEnsemble, geom: ChainGeometry, grid: PhaseGrid
+    r: np.ndarray, v: np.ndarray, geom: ChainGeometry, grid: PhaseGrid
 ) -> dict[str, np.ndarray]:
-    """Per-x-cell means over replicas and the sites falling in each cell.
+    """Per-x-cell means of the ``(m, n_sites)`` ensemble ``(r, v)`` over
+    replicas and the sites falling in each cell.
 
     Cells are ``[i/mx, (i+1)/mx)``; site ``j`` at ``j/n`` falls in cell
     ``floor(j mx / n)``, taken in integers so no site on a cell edge rounds
@@ -131,7 +134,7 @@ def cell_moments_of_ensemble(
         raise ValueError(f"x grid with {grid.mx} cells has empty cells for {geom.n_sites} sites")
     out = {}
     for name, phi in OBSERVABLES.items():
-        per_site = phi(ens.r, ens.v).mean(axis=0)  # (m, n_sites) -> (n_sites,)
+        per_site = phi(r, v).mean(axis=0)  # (m, n_sites) -> (n_sites,)
         out[name] = np.bincount(cells, weights=per_site, minlength=grid.mx) / counts
     return out
 
@@ -140,12 +143,12 @@ def cell_moments_of_ensemble(
 TIME_TOL = 1e-9
 
 
-def meanfield_distance(g: PhaseDensity, ens: ChainEnsemble, geom: ChainGeometry) -> Distance:
-    """The ensemble's per-cell moments against those of the density ``g``;
-    their time stamps must agree to ``TIME_TOL``."""
-    if abs(g.t - ens.t) > TIME_TOL:
-        raise ValueError(f"time stamps differ: density t={g.t}, ensemble t={ens.t}")
+def meanfield_distance(g: PhaseDensity, r, v, geom: ChainGeometry, t: float) -> Distance:
+    """The per-cell moments of the ensemble ``(r, v)`` at time ``t`` against
+    those of the density ``g``; the two times must agree to ``TIME_TOL``."""
+    if abs(g.t - t) > TIME_TOL:
+        raise ValueError(f"time stamps differ: density t={g.t}, ensemble t={t}")
     from .vlasov import cell_moments_of_density
 
-    ours = cell_moments_of_ensemble(ens, geom, g.grid)
+    ours = cell_moments_of_ensemble(r, v, geom, g.grid)
     return Distance(ours, cell_moments_of_density(g), g.grid.dx, float(g.t), g.grid)

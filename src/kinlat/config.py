@@ -400,7 +400,7 @@ def _check_blocks(cfg: RunConfig) -> None:
     if c.alpha != v.alpha:
         raise ConfigError("chain and transport blocks must share alpha", field="vlasov.alpha")
     n_chain, n_pde = mf_steps(c, v, t_final)
-    if abs(n_chain * c.dt - n_pde * v.dt) > 1e-9:
+    if max(abs(n_chain * c.dt - t_final), abs(n_pde * v.dt - t_final)) > 1e-9:
         raise ConfigError(
             "chain.dt and vlasov.dt must both divide compare.t_final",
             field="compare.t_final",

@@ -99,7 +99,6 @@ _LANES = {
         "chain_energy",
         "sample_ensemble",
         "site_coordinates",
-        "total_momentum",
         "verlet_evolve",
     ),
     "vlasov": (
@@ -299,6 +298,17 @@ def _replica_span(start: int, stop: int) -> str:
     return f"replica {start}" if stop == start + 1 else f"replicas {start}-{stop - 1}"
 
 
+def _evolve_waves(a, params, cfg: RunConfig, n_steps, out: Path, step0=0, t=0.0):
+    """``_integrate_ensemble``, writing replica 0 of ``a`` as the last-good snapshot on failure."""
+    w = cfg.wave
+    try:
+        return _integrate_ensemble(a, params, w.dt, n_steps, w.scheme, step0, t)
+    except NumericalBlowupError as e:
+        meta = {"t": t, "lam": w.lam, "seed": cfg.seed, "d": w.d, "half_width": w.half_width}
+        e.snapshot = str(write_amplitude_snapshot(out / "last_good", a[0], params.spec, meta)[0])
+        raise
+
+
 def _drive_wave(cfg: RunConfig, out: Path):
     w = cfg.wave
     spec = LatticeSpec(w.d, w.half_width)
@@ -313,25 +323,15 @@ def _drive_wave(cfg: RunConfig, out: Path):
     seg_len = w.save_every if w.save_every > 0 else w.n_steps
     t, done, drift = 0.0, 0, 0.0
     rows = []
-    try:
-        while done < w.n_steps:
-            seg = min(seg_len, w.n_steps - done)
-            a = _integrate_ensemble(a, params, w.dt, seg, w.scheme, done, t)
-            done += seg
-            t += w.dt * seg
-            sp = empirical_spectrum(a, spec, t)
-            rows.append((t, float(sp.f.sum() * sp.grid.cell_measure), energy_moment(sp, sp.grid)))
-            h = hamiltonian(a, params)
-            drift = max(drift, float(np.max(np.abs(h - h0) / h_scale)))
-    except NumericalBlowupError as e:
-        snap, _ = write_amplitude_snapshot(
-            out / "last_good",
-            a[0],
-            spec,
-            {"t": t, "lam": w.lam, "seed": cfg.seed, "d": w.d, "half_width": w.half_width},
-        )
-        e.snapshot = str(snap)
-        raise
+    while done < w.n_steps:
+        seg = min(seg_len, w.n_steps - done)
+        a = _evolve_waves(a, params, cfg, seg, out, done, t)
+        done += seg
+        t += w.dt * seg
+        sp = empirical_spectrum(a, spec, t)
+        rows.append((t, float(sp.f.sum() * sp.grid.cell_measure), energy_moment(sp, sp.grid)))
+        h = hamiltonian(a, params)
+        drift = max(drift, float(np.max(np.abs(h - h0) / h_scale)))
     if rows:
         files.append(
             write_csv(
@@ -361,6 +361,22 @@ def _drive_wave(cfg: RunConfig, out: Path):
     return files, metrics, checks, []
 
 
+def _evolve_kinetic(sp, grid, rule, k, n_steps, out: Path, diag=None, on_step=None):
+    """``evolve``, writing the last good spectrum as ``last_good.csv`` on failure."""
+    last = [sp]
+
+    def keep(i, s):
+        last[0] = s
+        if on_step is not None:
+            on_step(s)
+
+    try:
+        return evolve(sp, grid, rule, k.dtau, n_steps, k.scheme, diag, keep)
+    except NumericalBlowupError as e:
+        e.snapshot = str(write_spectrum_csv(out / "last_good.csv", last[0]))
+        raise
+
+
 def _drive_kinetic(cfg: RunConfig, out: Path):
     k = cfg.kinetic
     grid = TorusGrid(k.d, k.m)
@@ -369,18 +385,12 @@ def _drive_kinetic(cfg: RunConfig, out: Path):
     sp = Spectrum(grid, f0, 0.0)
     files = [write_spectrum_csv(out / "spectrum_initial.csv", sp)]
     rows = [(0.0, float(sp.f.sum() * grid.cell_measure), energy_moment(sp, grid))]
-    last = [sp]
 
-    def on_step(i, s):
-        last[0] = s
+    def on_step(s):
         rows.append((s.tau, float(s.f.sum() * grid.cell_measure), energy_moment(s, grid)))
 
     diag = CollisionDiagnostics()
-    try:
-        sp = evolve(sp, grid, rule, k.dtau, k.n_steps, k.scheme, diag, on_step)
-    except NumericalBlowupError as e:
-        e.snapshot = str(write_spectrum_csv(out / "last_good.csv", last[0]))
-        raise
+    sp = _evolve_kinetic(sp, grid, rule, k, k.n_steps, out, diag, on_step)
     files.append(write_spectrum_csv(out / "spectrum_final.csv", sp))
     files.append(
         write_csv(
@@ -417,7 +427,7 @@ def _drive_wt_compare(cfg: RunConfig, out: Path):
     ens = EnsembleSpec(w.replicas, cfg.seed, build_profile(w.profile))
     a = sample_initial(ens, spec)
     micro0 = empirical_spectrum(a, spec, 0.0)
-    a = _integrate_ensemble(a, params, w.dt, n_steps, w.scheme)
+    a = _evolve_waves(a, params, cfg, n_steps, out)
     micro = empirical_spectrum(a, spec, n_steps * w.dt)
     micro.tau = w.lam**2 * micro.tau  # report on the slow clock
 
@@ -428,7 +438,7 @@ def _drive_wt_compare(cfg: RunConfig, out: Path):
     f0 = np.asarray(build_profile(w.profile)(nodes(grid)), dtype=np.float64)
     kin0 = Spectrum(grid, f0, 0.0)
     n_tau = max(1, round(c.tau_final / k.dtau))
-    kin = evolve(kin0, grid, rule, k.dtau, n_tau, k.scheme)
+    kin = _evolve_kinetic(kin0, grid, rule, k, n_tau, out)
 
     dist = compare_spectra(micro, kin)
     dist0 = compare_spectra(micro0, kin0)
@@ -473,15 +483,14 @@ def _drive_wt_compare(cfg: RunConfig, out: Path):
     return files, metrics, checks, notes
 
 
-def _evolve_chain(ens, geom, fp, dt, n_steps, out: Path):
-    """``verlet_evolve``, writing replica 0 of ``ens`` as the last-good snapshot on failure."""
+def _evolve_chain(r, v, geom, fp, dt, n_steps, t, out: Path):
+    """``verlet_evolve``, writing replica 0 of ``(r, v)`` at time ``t`` as the
+    last-good snapshot on failure."""
     try:
-        return verlet_evolve(ens, geom, fp, dt, n_steps)
+        return verlet_evolve(r, v, geom, fp, dt, n_steps)
     except NumericalBlowupError as e:
         # an unstable dt fails before the first step: the state given is last good
-        snap = write_chain_snapshot_csv(
-            out / "last_good.csv", site_coordinates(geom), ens.r[0], ens.v[0], ens.t
-        )
+        snap = write_chain_snapshot_csv(out / "last_good.csv", site_coordinates(geom), r[0], v[0], t)
         e.snapshot = str(snap)
         raise
 
@@ -490,22 +499,20 @@ def _drive_chain(cfg: RunConfig, out: Path):
     c = cfg.chain
     geom = ChainGeometry(c.d, c.n)
     fp = FractionalParams(c.alpha)
-    ens = sample_ensemble(build_law(c.law), geom, c.replicas, cfg.seed)
-    e0 = np.atleast_1d(chain_energy(ens, geom, fp))
-    p0 = np.atleast_1d(total_momentum(ens))
+    r, v = sample_ensemble(build_law(c.law), geom, c.replicas, cfg.seed)
+    e0, p0 = chain_energy(r, v, geom, fp), v.sum(axis=-1)  # per replica
     rows = [(0.0, float(np.mean(e0)), float(np.mean(p0)))]
     seg_len = c.save_every if c.save_every > 0 else max(1, c.n_steps)
-    done, emax, pmax = 0, 0.0, 0.0
+    t, done, emax, pmax = 0.0, 0, 0.0, 0.0
     while done < c.n_steps:
         seg = min(seg_len, c.n_steps - done)
-        ens = _evolve_chain(ens, geom, fp, c.dt, seg, out)
+        r, v = _evolve_chain(r, v, geom, fp, c.dt, seg, t, out)
         done += seg
-        ens.t = done * c.dt  # the run's clock, not a sum of segment lengths
-        e = chain_energy(ens, geom, fp)  # per replica
-        p = total_momentum(ens)
+        t = done * c.dt  # the run's clock, not a sum of segment lengths
+        e, p = chain_energy(r, v, geom, fp), v.sum(axis=-1)
         emax = max(emax, float(np.max(np.abs(e - e0) / np.maximum(np.abs(e0), 1e-300))))
         pmax = max(pmax, float(np.max(np.abs(p - p0))))
-        rows.append((ens.t, float(np.mean(e)), float(np.mean(p))))
+        rows.append((t, float(np.mean(e)), float(np.mean(p))))
     files = [
         write_csv(
             out / "series.csv",
@@ -514,10 +521,10 @@ def _drive_chain(cfg: RunConfig, out: Path):
             comments=["replica-averaged invariants; t in chain units"],
         ),
         write_chain_snapshot_csv(
-            out / "snapshot_final_r0.csv", site_coordinates(geom), ens.r[0], ens.v[0], ens.t
+            out / "snapshot_final_r0.csv", site_coordinates(geom), r[0], v[0], t
         ),
     ]
-    metrics = {"t_final": ens.t, "energy_drift_rel": emax, "momentum_drift": pmax, "replicas": ens.m}
+    metrics = {"t_final": t, "energy_drift_rel": emax, "momentum_drift": pmax, "replicas": c.replicas}
     files.append(write_json(out / "summary.json", metrics))
     p_scale = max(1.0, float(np.max(np.abs(p0))))
     checks = [
@@ -578,30 +585,31 @@ def _paired_laws(cfg: RunConfig, grid: PhaseGrid):
 
 
 def _drive_mf_compare(cfg: RunConfig, out: Path):
-    c, v = cfg.chain, cfg.vlasov
+    c, vc = cfg.chain, cfg.vlasov
     geom = ChainGeometry(c.d, c.n)
     fp = FractionalParams(c.alpha)
-    grid = PhaseGrid(v.mx, v.mr, v.mv, v.r_max, v.v_max)
-    n_chain, n_pde = mf_steps(c, v, cfg.compare.t_final)
+    grid = PhaseGrid(vc.mx, vc.mr, vc.mv, vc.r_max, vc.v_max)
+    n_chain, n_pde = mf_steps(c, vc, cfg.compare.t_final)
     law_chain, law_pde, sigma_pde = _paired_laws(cfg, grid)
-    ens0 = sample_ensemble(law_chain, geom, c.replicas, cfg.seed)
+    r0, v0 = sample_ensemble(law_chain, geom, c.replicas, cfg.seed)
     # an unstable dt fails here, before the density is built
-    ens = _evolve_chain(ens0, geom, fp, c.dt, n_chain, out)
+    r, v = _evolve_chain(r0, v0, geom, fp, c.dt, n_chain, 0.0, out)
+    t = c.dt * n_chain
     g0 = density_from_law(law_pde, grid)
     # the t=0 distance is the ensemble's sampling floor
-    dist0 = meanfield_distance(g0, ens0, geom)
-    del ens0  # the Vlasov run need not keep the sampled state alive
+    dist0 = meanfield_distance(g0, r0, v0, geom, 0.0)
+    del r0, v0  # the Vlasov run need not keep the sampled state alive
     # g0 is done with, so the run steps its array in place
-    g, diag = vlasov_evolve(g0, fp, v.dt, n_pde, out=g0.g)
+    g, diag = vlasov_evolve(g0, fp, vc.dt, n_pde, out=g0.g)
     # the two clocks agree to round-off; stamp them equal for the comparison
-    g.t = ens.t
-    dist = meanfield_distance(g, ens, geom)
+    g.t = t
+    dist = meanfield_distance(g, r, v, geom, t)
     files = [
         write_moments_csv(out / "moments_pde.csv", x_centers(grid), dist.theirs),
         write_moments_csv(out / "moments_ensemble.csv", x_centers(grid), dist.ours),
     ]
     metrics = {
-        "t_final": ens.t,
+        "t_final": t,
         "n": c.n,
         "replicas": c.replicas,
         "sigma_r_pde": sigma_pde,
@@ -626,7 +634,7 @@ def _oracle_cases(seed: int) -> list[Budget]:
     """
     _bind(*_LANES)
     from . import _reference as ref
-    from .chain import ChainState, chain_force_flat
+    from .chain import chain_force_flat
     from .lattice import dft, inverse_dft, weighted_inner
     from .vlasov import _shift_lines, sigma_field
     from .waves import rhs
@@ -679,7 +687,7 @@ def _oracle_cases(seed: int) -> list[Budget]:
 
     geom, fpar = ChainGeometry(1, 16), FractionalParams(0.5)
     r, vvec = rng.standard_normal((2, geom.n_sites))
-    e = chain_energy(ChainState(r, vvec), geom, fpar)
+    e = float(chain_energy(r, vvec, geom, fpar))
     e_ref = 0.5 * float(np.sum(vvec * vvec)) + ref.chain_potential_pairs(r, geom, fpar)
     cases.append(Budget("chain-energy-vs-pairs", abs(e - e_ref), 1e-10))
 
@@ -703,9 +711,9 @@ def _oracle_cases(seed: int) -> list[Budget]:
     gap = 0.0
     for geom, fpar in chains:
         r, vvec = rng.standard_normal((2, geom.n_sites))
-        got = verlet_evolve(ChainState(r, vvec), geom, fpar, 0.01, 20)
+        got = verlet_evolve(r, vvec, geom, fpar, 0.01, 20)
         want = ref.verlet_pairs(r, vvec, geom, fpar, 0.01, 20)
-        gap = max(gap, float(np.max(np.abs(np.stack([got.r, got.v]) - want))))
+        gap = max(gap, float(np.max(np.abs(np.stack(got) - want))))
     cases.append(Budget("chain-verlet-vs-pairs", gap, 1e-12))
 
     # the long-double loop keeps float64's last digits over many steps, so this
@@ -713,9 +721,9 @@ def _oracle_cases(seed: int) -> list[Budget]:
     gap = 0.0
     for geom, fpar in chains:
         r, vvec = rng.standard_normal((2, geom.n_sites))
-        got = verlet_evolve(ChainState(r, vvec), geom, fpar, 0.05, 400)
+        got = verlet_evolve(r, vvec, geom, fpar, 0.05, 400)
         want = ref.verlet_longdouble(r, vvec, geom, fpar, 0.05, 400)
-        gap = max(gap, float(np.max(np.abs(np.stack([got.r, got.v]) - np.stack(want)))))
+        gap = max(gap, float(np.max(np.abs(np.stack(got) - np.stack(want)))))
     cases.append(Budget("chain-verlet-vs-longdouble", gap, 1e-12))
 
     return cases

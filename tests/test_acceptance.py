@@ -19,13 +19,11 @@ import pytest
 from kinlat import _reference as ref
 from kinlat.chain import (
     ChainGeometry,
-    ChainState,
     FractionalParams,
     GaussianLaw,
     chain_energy,
     chaos_defect,
     sample_ensemble,
-    total_momentum,
     two_site_frequency,
     verlet_evolve,
 )
@@ -274,23 +272,20 @@ def test_07_chain_conservation_budgets():
     dt = 1e-3
     worst_e = worst_p = 0.0
     for seed in (101, 202, 303):
-        ens = sample_ensemble(GaussianLaw(0.0, 0.0, 0.1, 0.1), geom, 1, seed)
-        e0 = float(np.atleast_1d(chain_energy(ens, geom, fp))[0])
-        p0 = float(np.atleast_1d(total_momentum(ens))[0])
+        r, v = sample_ensemble(GaussianLaw(0.0, 0.0, 0.1, 0.1), geom, 1, seed)
+        e0 = float(chain_energy(r, v, geom, fp)[0])
+        p0 = float(v[0].sum())
         samples = []
-        out = ens
         for k in range(1000):  # sampled every 10 steps
-            out = verlet_evolve(out, geom, fp, dt, 10)
-            samples.append((10 * (k + 1) * dt, float(np.mean(chain_energy(out, geom, fp)))))
+            r, v = verlet_evolve(r, v, geom, fp, dt, 10)
+            samples.append((10 * (k + 1) * dt, float(np.mean(chain_energy(r, v, geom, fp)))))
         ts = np.array([t for t, _ in samples])
         es = np.array([e for _, e in samples])
         # secular trend only: the reversible integrator carries a bounded
         # O(dt^2) energy wobble, drift is the fitted slope over the run
         slope = np.polyfit(ts, es, 1)[0]
         worst_e = max(worst_e, abs(slope) * 10.0 / abs(e0))
-        worst_p = max(
-            worst_p, abs(float(np.atleast_1d(total_momentum(out))[0]) - p0)
-        )
+        worst_p = max(worst_p, abs(float(v[0].sum()) - p0))
 
     # two-site mode: frequency closed form and dt^2 period convergence
     g2 = ChainGeometry(1, 2)
@@ -299,10 +294,10 @@ def test_07_chain_conservation_budgets():
     period = 2.0 * np.pi / omega
 
     def measured(step):
-        st, tr = ChainState(np.array([0.1, -0.1]), np.zeros(2)), []
+        r, v, tr = np.array([0.1, -0.1]), np.zeros(2), []
         for i in range(int(12.0 / step)):
-            st = verlet_evolve(st, g2, f2, step, 1)
-            tr.append((i * step, st.r[0]))
+            r, v = verlet_evolve(r, v, g2, f2, step, 1)
+            tr.append((i * step, r[0]))
         ts = np.array([t for t, _ in tr])
         xs = np.array([x for _, x in tr])
         idx = np.nonzero((xs[:-1] > 0) & (xs[1:] <= 0))[0]
@@ -347,10 +342,10 @@ def test_08_meanfield_distance_trend():
         geom = ChainGeometry(1, n)
         d_end, d_zero = [], []
         for seed in (11, 22, 33, 44, 55):
-            ens = sample_ensemble(chain_law, geom, 50, seed)
-            d_zero.append(meanfield_distance(g0, ens, geom).total_l2)
-            ens = verlet_evolve(ens, geom, fp, 1e-3, 500)
-            d_end.append(meanfield_distance(g, ens, geom).total_l2)
+            r, v = sample_ensemble(chain_law, geom, 50, seed)
+            d_zero.append(meanfield_distance(g0, r, v, geom, 0.0).total_l2)
+            r, v = verlet_evolve(r, v, geom, fp, 1e-3, 500)
+            d_end.append(meanfield_distance(g, r, v, geom, 1e-3 * 500).total_l2)
         medians.append(float(np.median(d_end)))
         band.append(float(np.median(d_zero)) / (50 * n) ** -0.5)
     trend = all(medians[i + 1] <= medians[i] * (1 + 1e-9) for i in range(2))
@@ -374,7 +369,7 @@ def test_09_factorization_defect_scaling():
     slopes = []
     for seed in (1, 2, 3, 4, 5):
         defects = [
-            chaos_defect(sample_ensemble(law, geom, m, seed * 1000 + m), pair, edges, edges)
+            chaos_defect(*sample_ensemble(law, geom, m, seed * 1000 + m), pair, edges, edges)
             for m in sizes
         ]
         slopes.append(float(np.polyfit(np.log(sizes), np.log(defects), 1)[0]))
@@ -382,9 +377,8 @@ def test_09_factorization_defect_scaling():
 
     # evolved-ensemble defect carries no budget; report it alongside
     fp = FractionalParams(0.5)
-    ens = sample_ensemble(law, geom, 2000, 7000)
-    ens = verlet_evolve(ens, geom, fp, 1e-3, 1000)
-    evolved = chaos_defect(ens, pair, edges, edges)
+    r, v = verlet_evolve(*sample_ensemble(law, geom, 2000, 7000), geom, fp, 1e-3, 1000)
+    evolved = chaos_defect(r, v, pair, edges, edges)
     assert _verdict(
         9,
         "pair-marginal product gap shrinks like 1/sqrt(replicas)",

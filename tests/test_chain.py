@@ -8,19 +8,15 @@ import pytest
 from kinlat import _reference as ref
 from kinlat.errors import NumericalBlowupError, SizeMismatchError
 from kinlat.chain import (
-    ChainEnsemble,
     ChainGeometry,
-    ChainState,
     FractionalParams,
     GaussianLaw,
     PointLaw,
     chain_energy,
     chain_force_flat,
     chaos_defect,
-    mean_displacement,
     sample_ensemble,
     site_coordinates,
-    total_momentum,
     two_site_frequency,
     verlet_evolve,
 )
@@ -82,29 +78,25 @@ def test_uniform_displacement_feels_nothing():
 def test_energy_matches_pair_potential(rng):
     r = rng.normal(size=GEOM.n_sites)
     v = rng.normal(size=GEOM.n_sites)
-    st = ChainState(r, v)
     want = 0.5 * float(v @ v) + ref.chain_potential_pairs(r, GEOM, FP)
-    assert chain_energy(st, GEOM, FP) == pytest.approx(want, rel=1e-12)
+    assert chain_energy(r, v, GEOM, FP) == pytest.approx(want, rel=1e-12)
 
 
 def test_ensemble_energy_is_per_replica(rng):
-    ens = sample_ensemble(GaussianLaw(0.0, 0.0, 0.1, 0.1), GEOM, 3, 5)
-    e = chain_energy(ens, GEOM, FP)
+    r, v = sample_ensemble(GaussianLaw(0.0, 0.0, 0.1, 0.1), GEOM, 3, 5)
+    e = chain_energy(r, v, GEOM, FP)
     assert e.shape == (3,)
-    one = chain_energy(ChainState(ens.r[1], ens.v[1]), GEOM, FP)
+    one = chain_energy(r[1], v[1], GEOM, FP)
     assert e[1] == pytest.approx(one, rel=1e-14)
 
 
 def test_conservation_over_moderate_run():
-    ens = sample_ensemble(GaussianLaw(0.0, 0.0, 0.1, 0.1), GEOM, 1, 77)
-    st = ChainState(ens.r[0], ens.v[0])
-    e0 = chain_energy(st, GEOM, FP)
-    p0 = total_momentum(st)
-    out = verlet_evolve(st, GEOM, FP, 1e-3, 2000)
+    r, v = (a[0] for a in sample_ensemble(GaussianLaw(0.0, 0.0, 0.1, 0.1), GEOM, 1, 77))
+    e0 = chain_energy(r, v, GEOM, FP)
+    r1, v1 = verlet_evolve(r, v, GEOM, FP, 1e-3, 2000)
     # bounded second-order oscillation, not secular growth
-    assert abs(chain_energy(out, GEOM, FP) - e0) / abs(e0) < 5e-4
-    assert abs(total_momentum(out) - p0) < 1e-12
-    assert out.t == pytest.approx(2.0)
+    assert abs(chain_energy(r1, v1, GEOM, FP) - e0) / abs(e0) < 5e-4
+    assert abs(v1.sum() - v.sum()) < 1e-12
 
 
 def test_evolve_matches_the_real_space_pair_loop(rng):
@@ -113,21 +105,29 @@ def test_evolve_matches_the_real_space_pair_loop(rng):
     runs = ((ChainGeometry(1, 64), 200), (ChainGeometry(1, 8), 2000), (ChainGeometry(2, 4), 1000))
     for geom, n_steps in runs:
         r, v = rng.normal(scale=0.1, size=(2, 4, geom.n_sites))
-        got = verlet_evolve(ChainEnsemble(r, v), geom, FP, 1e-2, n_steps)
-        want_r, want_v = ref.verlet_pairs(r, v, geom, FP, 1e-2, n_steps)
-        for a, b in ((got.r, want_r), (got.v, want_v)):
+        got = verlet_evolve(r, v, geom, FP, 1e-2, n_steps)
+        want = ref.verlet_pairs(r, v, geom, FP, 1e-2, n_steps)
+        for a, b in zip(got, want):
             assert np.max(np.abs(a - b)) < 1e-12 * max(1.0, np.max(np.abs(b))), (geom, n_steps)
-        assert got.t == pytest.approx(1e-2 * n_steps)
+
+
+def test_each_replica_gets_the_bytes_it_gets_alone(rng):
+    # rows of a stack never interact, so a replica's run does not depend on its batch
+    for geom, shape in ((ChainGeometry(1, 512), (64,)), (ChainGeometry(2, 12), (2, 3))):
+        r, v = rng.normal(scale=0.1, size=(2,) + shape + (geom.n_sites,))
+        rs, vs = verlet_evolve(r, v, geom, FP, 1e-3, 50)
+        for i in np.ndindex(shape):
+            r1, v1 = verlet_evolve(r[i], v[i], geom, FP, 1e-3, 50)
+            assert np.array_equal(rs[i], r1) and np.array_equal(vs[i], v1), (geom, i)
 
 
 def test_mean_displacement_moves_ballistically():
     rng = np.random.default_rng(8)
     r = rng.normal(size=GEOM.n_sites)
     v = rng.normal(size=GEOM.n_sites)
-    st = ChainState(r, v)
-    out = verlet_evolve(st, GEOM, FP, 1e-3, 1000)
-    drift = mean_displacement(st) + total_momentum(st) / GEOM.n_sites * 1.0
-    assert mean_displacement(out) == pytest.approx(drift, abs=1e-10)
+    r1, _ = verlet_evolve(r, v, GEOM, FP, 1e-3, 1000)
+    drift = r.mean() + v.sum() / GEOM.n_sites * 1.0
+    assert r1.mean() == pytest.approx(drift, abs=1e-10)
 
 
 def test_two_site_closed_form():
@@ -146,10 +146,10 @@ def test_two_site_period_convergence():
     period = 2.0 * np.pi / omega
 
     def measured(dt):
-        st, tr = ChainState(np.array([0.1, -0.1]), np.zeros(2)), []
+        r, v, tr = np.array([0.1, -0.1]), np.zeros(2), []
         for i in range(int(12.0 / dt)):
-            st = verlet_evolve(st, geom, fp, dt, 1)
-            tr.append((i * dt, st.r[0]))
+            r, v = verlet_evolve(r, v, geom, fp, dt, 1)
+            tr.append((i * dt, r[0]))
         ts = np.array([t for t, _ in tr])
         xs = np.array([x for _, x in tr])
         idx = np.nonzero((xs[:-1] > 0) & (xs[1:] <= 0))[0]
@@ -166,12 +166,12 @@ def test_stability_bound_is_checked_before_any_step():
     # the bound the run is refused before any work, naming the mode, and just
     # inside it the map stays finite
     for geom in (ChainGeometry(1, 16), ChainGeometry(2, 6)):
-        ens = sample_ensemble(GaussianLaw(0.0, 0.0, 0.1, 0.1), geom, 3, 18)
+        r, v = sample_ensemble(GaussianLaw(0.0, 0.0, 0.1, 0.1), geom, 3, 18)
         s = FP.chain_symbol(geom)
         top = tuple(int(j) for j in np.unravel_index(int(np.argmax(-s)), s.shape))
         dt_max = 2.0 / np.sqrt(-s[top])
         with pytest.raises(NumericalBlowupError) as err:
-            verlet_evolve(ens, geom, FP, dt_max * (1.0 + 1e-9), 1000)
+            verlet_evolve(r, v, geom, FP, dt_max * (1.0 + 1e-9), 1000)
         m = re.fullmatch(
             r"velocity Verlet is unstable at dt (\S+): mode (.+) has dt\*sqrt\(-s\) (\S+), the bound is 2",
             str(err.value),
@@ -180,23 +180,36 @@ def test_stability_bound_is_checked_before_any_step():
         assert float(m.group(1)) == pytest.approx(dt_max, rel=1e-5)
         assert m.group(2) == str(top[0] if geom.d == 1 else top)
         assert float(m.group(3)) == pytest.approx(2.0, rel=1e-5)
-        out = verlet_evolve(ens, geom, FP, dt_max * (1.0 - 1e-9), 1000)
-        assert np.isfinite(out.r).all() and np.isfinite(out.v).all()
+        out = verlet_evolve(r, v, geom, FP, dt_max * (1.0 - 1e-9), 1000)
+        assert np.isfinite(out).all()
 
 
 def test_states_refuse_non_finite_entries():
+    # outside arrays enter the lane through the map and the sampled laws
+    geom = ChainGeometry(1, 4)
     for bad in (np.nan, np.inf, -np.inf):
         row = np.array([0.0, 0.0, bad, 0.0])
         with pytest.raises(ValueError, match="must be finite"):
-            ChainState(row, np.zeros(4))
+            verlet_evolve(row, np.zeros(4), geom, FP, 0.01, 1)
         with pytest.raises(ValueError, match="must be finite"):
-            ChainEnsemble(np.zeros((2, 4)), np.stack([np.zeros(4), row]))
+            verlet_evolve(np.zeros((2, 4)), np.stack([np.zeros(4), row]), geom, FP, 0.01, 1)
+        with pytest.raises(ValueError, match="must be finite"):
+            sample_ensemble(GaussianLaw(mean_v=lambda x: row), geom, 2, 0)
+
+
+def test_state_shapes_are_checked():
+    geom = ChainGeometry(1, 4)
+    z = np.zeros
+    for r, v in ((z(5), z(5)), (z(4), z(5)), (z((2, 4)), z(4))):
+        with pytest.raises(SizeMismatchError):
+            verlet_evolve(r, v, geom, FP, 0.01, 1)
+        with pytest.raises(SizeMismatchError):
+            chain_energy(r, v, geom, FP)
 
 
 def test_evolve_rejects_bad_step(rng):
-    st = ChainState(rng.normal(size=4), np.zeros(4))
     with pytest.raises(ValueError):
-        verlet_evolve(st, ChainGeometry(1, 4), FP, 0.0, 10)
+        verlet_evolve(rng.normal(size=4), np.zeros(4), ChainGeometry(1, 4), FP, 0.0, 10)
 
 
 # ---------------------------------------------------------------------------
@@ -209,17 +222,16 @@ def test_sampling_is_replica_keyed():
     big = sample_ensemble(law, GEOM, 8, 123)
     small = sample_ensemble(law, GEOM, 3, 123)
     # replica i is the same draw no matter how many replicas were requested
-    assert np.array_equal(big.r[:3], small.r)
-    assert np.array_equal(big.v[:3], small.v)
-    assert big.seed == 123 and big.t == 0.0
+    assert np.array_equal(big[0][:3], small[0])
+    assert np.array_equal(big[1][:3], small[1])
 
 
 def test_gaussian_law_profiles_vary_with_x():
     law = GaussianLaw(mean_r=lambda x: np.cos(2 * np.pi * x[..., 0]), sigma_r=0.0, sigma_v=0.0)
-    ens = sample_ensemble(law, GEOM, 2, 0)
+    r, v = sample_ensemble(law, GEOM, 2, 0)
     x = site_coordinates(GEOM)[:, 0]
-    assert np.allclose(ens.r[0], np.cos(2 * np.pi * x), atol=1e-14)
-    assert np.array_equal(ens.v, np.zeros_like(ens.v))
+    assert np.allclose(r[0], np.cos(2 * np.pi * x), atol=1e-14)
+    assert np.array_equal(v, np.zeros_like(v))
 
 
 def test_gaussian_law_density_normalizes():
@@ -234,8 +246,8 @@ def test_gaussian_law_density_normalizes():
 
 
 def test_point_law_is_deterministic():
-    ens = sample_ensemble(PointLaw(0.5, -0.25), GEOM, 2, 9)
-    assert np.all(ens.r == 0.5) and np.all(ens.v == -0.25)
+    r, v = sample_ensemble(PointLaw(0.5, -0.25), GEOM, 2, 9)
+    assert np.all(r == 0.5) and np.all(v == -0.25)
 
 
 # ---------------------------------------------------------------------------
@@ -246,21 +258,21 @@ def test_point_law_is_deterministic():
 def test_chaos_defect_shrinks_with_replicas():
     law = GaussianLaw(0.0, 0.0, 0.1, 0.1)
     edges = np.linspace(-0.4, 0.4, 9)
-    small = chaos_defect(sample_ensemble(law, GEOM, 100, 1), (3, 17), edges, edges)
-    large = chaos_defect(sample_ensemble(law, GEOM, 10000, 1), (3, 17), edges, edges)
+    small = chaos_defect(*sample_ensemble(law, GEOM, 100, 1), (3, 17), edges, edges)
+    large = chaos_defect(*sample_ensemble(law, GEOM, 10000, 1), (3, 17), edges, edges)
     assert large < small / 5.0  # ~ m^-1/2 would give a factor 10
 
 
 def test_chaos_defect_validation():
     law = GaussianLaw(0.0, 0.0, 0.1, 0.1)
-    ens = sample_ensemble(law, GEOM, 4, 2)
+    r, v = sample_ensemble(law, GEOM, 4, 2)
     edges = np.linspace(-0.4, 0.4, 9)
     with pytest.raises(ValueError):
-        chaos_defect(ens, (5, 5), edges, edges)
+        chaos_defect(r, v, (5, 5), edges, edges)
     with pytest.raises(ValueError):
-        chaos_defect(ChainEnsemble(ens.r[:1], ens.v[:1]), (3, 7), edges, edges)
+        chaos_defect(r[:1], v[:1], (3, 7), edges, edges)
     with pytest.raises(ValueError):
-        chaos_defect(ens, (3, 7), edges[::-1], edges)
+        chaos_defect(r, v, (3, 7), edges[::-1], edges)
 
 
 def test_geometry_validation():
@@ -271,4 +283,4 @@ def test_geometry_validation():
     with pytest.raises(ValueError):
         FractionalParams(0.0)
     with pytest.raises(SizeMismatchError):
-        chain_energy(ChainState(np.zeros(5), np.zeros(5)), ChainGeometry(1, 4), FP)
+        chain_energy(np.zeros(5), np.zeros(5), ChainGeometry(1, 4), FP)

@@ -62,8 +62,7 @@ def test_both_comparisons_return_the_one_record():
     assert set(spectra.l2) == {"f"} and spectra.t == 0.5 and spectra.grid == grid
     law = GaussianLaw(0.0, 0.0, 0.15, 0.15)
     geom = ChainGeometry(1, 16)
-    moments = meanfield_distance(
-        density_from_law(law, PhaseGrid(4, 16, 16, 1.0, 1.0)), sample_ensemble(law, geom, 4, 1), geom
-    )
+    g = density_from_law(law, PhaseGrid(4, 16, 16, 1.0, 1.0))
+    moments = meanfield_distance(g, *sample_ensemble(law, geom, 4, 1), geom, 0.0)
     assert isinstance(moments, Distance)
     assert list(moments.l2) == list(OBSERVABLES)

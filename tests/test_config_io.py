@@ -210,6 +210,14 @@ class TestParse:
                 "chain.law.kind",
                 "mean-field comparison needs a law with a density (gaussian kinds)",
             ),
+            # both sides agree (250 and 25 steps) but neither reaches 0.2505
+            (
+                "compare",
+                "t_final",
+                0.2505,
+                "compare.t_final",
+                "chain.dt and vlasov.dt must both divide compare.t_final",
+            ),
         ],
     )
     def test_mf_compare_block_rules_are_checked_at_parse(self, block, key, value, where, message):

@@ -21,19 +21,17 @@ import pytest
 from kinlat import _reference as ref
 from kinlat import cli, harness, kinetic
 from kinlat.chain import (
-    ChainEnsemble,
     ChainGeometry,
-    ChainState,
     FractionalParams,
     GaussianLaw,
     chain_energy,
     sample_ensemble,
     verlet_evolve,
 )
-from kinlat.config import build_law, config_hash, parse_config
+from kinlat.config import build_law, build_profile, config_hash, parse_config
 from kinlat.errors import CheckFailure, NumericalBlowupError
 from kinlat.harness import BLOCK_BYTES, Budget, _integrate_ensemble, run
-from kinlat.io import sha256_file
+from kinlat.io import sha256_file, write_amplitude_snapshot
 from kinlat.lattice import LatticeSpec
 from kinlat.profiles import make_profile
 from kinlat.vlasov import PhaseDensity, PhaseGrid, vlasov_evolve
@@ -235,12 +233,12 @@ class TestRun:
         rows = np.array([[float(x) for x in ln.split(",")] for ln in lines if ln[0].isdigit()])
         assert rows[:, 0].tolist() == [k * dt for k in (0, 10, 20, 25)]
         geom, fp = ChainGeometry(1, 16), FractionalParams(0.5)
-        ens = sample_ensemble(GaussianLaw(0.0, 0.0, 0.1, 0.1), geom, 2, 9)
-        r, v, done = ens.r, ens.v, 0
+        r, v = sample_ensemble(GaussianLaw(0.0, 0.0, 0.1, 0.1), geom, 2, 9)
+        done = 0
         for row, k in zip(rows, (0, 10, 20, 25)):
             r, v = ref.verlet_pairs(r, v, geom, fp, dt, k - done)
             done = k
-            e = float(np.mean(chain_energy(ChainEnsemble(r, v), geom, fp)))
+            e = float(np.mean(chain_energy(r, v, geom, fp)))
             assert row[1] == pytest.approx(e, rel=1e-12)
             assert abs(row[2] - float(np.mean(v.sum(axis=-1)))) < 1e-12
 
@@ -263,10 +261,10 @@ class TestRun:
         assert disk["snapshot"].endswith("last_good.csv")
         text = (tmp_path / "last_good.csv").read_text()
         assert float(re.search(r"t=(\S+)", text).group(1)) == 0.0
-        ens = sample_ensemble(GaussianLaw(0.0, 0.0, 0.1, 0.1), ChainGeometry(1, 16), 3, 18)
+        r, v = sample_ensemble(GaussianLaw(0.0, 0.0, 0.1, 0.1), ChainGeometry(1, 16), 3, 18)
         rows = [ln.split(",") for ln in text.splitlines() if ln[0].isdigit()]
-        assert [float(row[2]) for row in rows] == ens.r[0].tolist()
-        assert [float(row[3]) for row in rows] == ens.v[0].tolist()
+        assert [float(row[2]) for row in rows] == r[0].tolist()
+        assert [float(row[3]) for row in rows] == v[0].tolist()
 
     def test_mf_compare_unstable_dt_fails_before_the_density(self, tmp_path, monkeypatch):
         # the chain side is refused before the Vlasov density is built, and
@@ -287,10 +285,37 @@ class TestRun:
         text = (out / "last_good.csv").read_text()
         assert float(re.search(r"t=(\S+)", text).group(1)) == 0.0
         c = parse_config(doc).chain
-        ens = sample_ensemble(build_law(c.law), ChainGeometry(c.d, c.n), c.replicas, 1)
+        r, v = sample_ensemble(build_law(c.law), ChainGeometry(c.d, c.n), c.replicas, 1)
         rows = [ln.split(",") for ln in text.splitlines() if ln[0].isdigit()]
-        assert [float(row[2]) for row in rows] == ens.r[0].tolist()
-        assert [float(row[3]) for row in rows] == ens.v[0].tolist()
+        assert [float(row[2]) for row in rows] == r[0].tolist()
+        assert [float(row[3]) for row in rows] == v[0].tolist()
+
+    def test_wt_compare_wave_blowup_leaves_the_sampled_replica_0(self, tmp_path):
+        # the default wave block leaves its bound at step 99; last_good holds
+        # replica 0 of the sampled a(+) at t = 0, as wt-sim would write it
+        doc = {"pipeline": "wt-compare", "seed": 1, "wave": {}, "kinetic": {}, "compare": {}}
+        with pytest.raises(NumericalBlowupError) as err:
+            run(parse_config(doc), out=tmp_path / "o")
+        assert err.value.step == 99
+        assert _manifest_of(tmp_path / "o")["snapshot"].endswith("last_good.csv")
+        w = parse_config(doc).wave
+        spec = LatticeSpec(w.d, w.half_width)
+        a = sample_initial(EnsembleSpec(w.replicas, 1, build_profile(w.profile)), spec)
+        meta = {"t": 0.0, "lam": w.lam, "seed": 1, "d": w.d, "half_width": w.half_width}
+        for want in write_amplitude_snapshot(tmp_path / "last_good", a[0], spec, meta):
+            assert (tmp_path / "o" / want.name).read_bytes() == want.read_bytes()
+
+    def test_wt_compare_kinetic_blowup_leaves_the_last_accepted_spectrum(self, tmp_path):
+        # the wave side runs; the default kinetic block then leaves its bounds
+        # on the step to tau 0.06
+        doc = {"pipeline": "wt-compare", "seed": 1, "kinetic": {}, "compare": {"tau_final": 0.1}}
+        doc["wave"] = {"lam": 0.3, "dt": 0.02, "replicas": 4}
+        with pytest.raises(NumericalBlowupError) as err:
+            run(parse_config(doc), out=tmp_path)
+        assert err.value.step == 2
+        assert _manifest_of(tmp_path)["snapshot"].endswith("last_good.csv")
+        text = (tmp_path / "last_good.csv").read_text()
+        assert float(re.search(r"tau=(\S+)", text).group(1)) == pytest.approx(0.04, rel=1e-12)
 
     def test_wt_compare_reports_the_two_slow_times_it_compares(self, tmp_path):
         # lam 0.3, dt 0.02: 11 steps reach tau 0.0198; dtau 0.01: 2 steps reach 0.02
@@ -368,7 +393,7 @@ class TestRun:
 # lane stepper -> a call of it on a small valid state with (step, n_steps)
 STEPPERS = {
     "chain.verlet_evolve": lambda dt, n: verlet_evolve(
-        ChainState(np.zeros(4), np.zeros(4)), ChainGeometry(1, 4), FractionalParams(0.5), dt, n
+        np.zeros(4), np.zeros(4), ChainGeometry(1, 4), FractionalParams(0.5), dt, n
     ),
     "kinetic.evolve": lambda dt, n: kinetic.evolve(
         kinetic.Spectrum(kinetic.TorusGrid(1, 8), np.ones(8)),
@@ -550,6 +575,19 @@ class TestCli:
 
         res = _cli(["sweep", "--config", str(cfgp)], tmp_path)
         assert res.returncode == 1  # no sweep block
+
+    def test_usage_errors_exit_1(self, tmp_path):
+        # exit 2 is kept for numerical failure; --help and --version still exit 0
+        (tmp_path / "run.json").write_text(json.dumps({"pipeline": "oracle-suite", "seed": 2}))
+        run_ = ["oracle-suite", "--config", "run.json", "--out", "o", "--workers"]
+        usage = ([], ["oracle-suite"], ["bogus", "--config", "run.json"])
+        usage += tuple(run_ + [n] for n in ("two", "0", "-3"))
+        for args in usage:
+            res = _cli(args, tmp_path)
+            assert (res.returncode, res.stdout) == (1, ""), args
+            assert "error" in res.stderr, args
+        for args in (["--help"], ["--version"], ["wt-sim", "--help"]):
+            assert _cli(args, tmp_path).returncode == 0, args
 
     def test_numerical_blowup_exits_2(self, tmp_path):
         cfgp = tmp_path / "hot.json"

@@ -510,7 +510,7 @@ def test_cell_moments_agree_for_matched_data():
     mg = cell_moments_of_density(g)
     geom = ChainGeometry(1, 64)
     ens = sample_ensemble(law, geom, 400, 17)
-    me = cell_moments_of_ensemble(ens, geom, grid)
+    me = cell_moments_of_ensemble(*ens, geom, grid)
     # x-independent law: every cell estimates the same five moments
     assert abs(np.mean(me["r"]) - np.mean(mg["r"])) < 5e-3
     assert abs(np.mean(me["v"]) - np.mean(mg["v"])) < 5e-3
@@ -522,7 +522,7 @@ def test_cell_moments_reject_empty_cells():
     geom = ChainGeometry(1, 16)  # fewer sites than x cells
     ens = sample_ensemble(GaussianLaw(0.0, 0.0, 0.1, 0.1), geom, 2, 0)
     with pytest.raises(ValueError):
-        cell_moments_of_ensemble(ens, geom, grid)
+        cell_moments_of_ensemble(*ens, geom, grid)
 
 
 def test_fewer_sites_than_x_cells_is_the_empty_cell_condition():
@@ -539,10 +539,10 @@ def test_fewer_sites_than_x_cells_is_the_empty_cell_condition():
                 with pytest.raises(ConfigError, match="x cells without chain sites"):
                     parse_config(doc)
                 with pytest.raises(ValueError, match="empty cells"):
-                    cell_moments_of_ensemble(ens, geom, grid)
+                    cell_moments_of_ensemble(*ens, geom, grid)
             else:
                 parse_config(doc)
-                cell_moments_of_ensemble(ens, geom, grid)
+                cell_moments_of_ensemble(*ens, geom, grid)
 
 
 def test_meanfield_distance_time_guard():
@@ -550,9 +550,10 @@ def test_meanfield_distance_time_guard():
     law = GaussianLaw(0.0, 0.0, 0.15, 0.15)
     g = density_from_law(law, grid, t=1.0)
     geom = ChainGeometry(1, 16)
-    ens = sample_ensemble(law, geom, 10, 3)  # t = 0
+    ens = sample_ensemble(law, geom, 10, 3)
     with pytest.raises(ValueError):
-        meanfield_distance(g, ens, geom)
+        meanfield_distance(g, *ens, geom, 0.0)
+    assert meanfield_distance(g, *ens, geom, 1.0 + 1e-10).t == 1.0
 
 
 def test_meanfield_distance_within_monte_carlo_band():
@@ -561,7 +562,7 @@ def test_meanfield_distance_within_monte_carlo_band():
     g = density_from_law(law, grid)
     geom = ChainGeometry(1, 64)
     ens = sample_ensemble(law, geom, 100, 23)
-    d = meanfield_distance(g, ens, geom)
+    d = meanfield_distance(g, *ens, geom, 0.0)
     scale = 1.0 / np.sqrt(100 * 64)
     assert 0.05 * scale < d.total_l2 < 20.0 * scale
     assert set(d.sup) == {"r", "v", "r2", "v2", "rv"}
@@ -574,10 +575,10 @@ def test_meanfield_distance_keeps_the_moments_it_compared():
     g = density_from_law(law, grid)
     geom = ChainGeometry(1, 16)
     ens = sample_ensemble(law, geom, 10, 3)
-    d = meanfield_distance(g, ens, geom)
+    d = meanfield_distance(g, *ens, geom, 0.0)
     pairs = (
         (d.theirs, cell_moments_of_density(g)),
-        (d.ours, cell_moments_of_ensemble(ens, geom, grid)),
+        (d.ours, cell_moments_of_ensemble(*ens, geom, grid)),
     )
     for kept, fresh in pairs:
         assert kept.keys() == fresh.keys()
