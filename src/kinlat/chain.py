@@ -51,6 +51,7 @@ __all__ = [
     "site_coordinates",
     "chain_force_flat",
     "chain_energy",
+    "verlet_stability",
     "verlet_evolve",
     "sample_ensemble",
     "chaos_defect",
@@ -202,6 +203,26 @@ def chain_energy(r, v, geom: ChainGeometry, fp: FractionalParams) -> np.ndarray:
     return kin + pot
 
 
+def verlet_stability(geom: ChainGeometry, fp: FractionalParams, dt: float):
+    """Each mode's ``sqrt(-s)`` and ``sin(theta / 2) = dt sqrt(-s) / 2`` on the
+    ``rfftn`` half-spectrum, after refusing a ``dt`` past velocity Verlet's
+    stability bound ``dt sqrt(-s) < 2`` with a :class:`NumericalBlowupError`
+    that names the first unstable mode.  A step that is not finite and
+    positive is refused with a ``ValueError``.
+    """
+    check_step("dt", dt)
+    omega = np.sqrt(-fp.chain_symbol(geom))
+    half = 0.5 * dt * omega
+    if not np.all(half < 1.0):
+        mode = np.unravel_index(int(np.argmax(~(half < 1.0))), half.shape)
+        raise NumericalBlowupError(
+            f"velocity Verlet is unstable at dt {dt:.6g}: mode "
+            f"{mode[0] if geom.d == 1 else tuple(int(j) for j in mode)} has "
+            f"dt*sqrt(-s) {2.0 * half[mode]:.6g}, the bound is 2"
+        )
+    return omega, half
+
+
 def verlet_evolve(
     r, v, geom: ChainGeometry, fp: FractionalParams, dt: float, n_steps: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -215,24 +236,14 @@ def verlet_evolve(
     sin theta``; its diagonal is ``cos n theta``) to every replica between
     one transform and one inverse per array: the real-space Verlet map up to
     round-off.  The zero mode (the total momentum, ``s = 0``) takes the limit
-    ``U_{n-1} = n``: it drifts and is never kicked.  Past the stability bound
-    ``dt sqrt(-s) < 2`` a :class:`NumericalBlowupError` is raised before any
-    work, naming the first unstable mode (an index on the ``rfftn`` grid).
+    ``U_{n-1} = n``: it drifts and is never kicked.  A ``dt`` past the
+    stability bound is refused by :func:`verlet_stability` before any work.
     Non-finite entries are refused with a ``ValueError``.
     """
-    check_step("dt", dt)
+    omega, half = verlet_stability(geom, fp, dt)
     r, v = _check_state(geom, r, v)
     if not (np.all(np.isfinite(r)) and np.all(np.isfinite(v))):
         raise ValueError("state entries must be finite")
-    omega = np.sqrt(-fp.chain_symbol(geom))
-    half = 0.5 * dt * omega  # sin(theta / 2)
-    if not np.all(half < 1.0):
-        mode = np.unravel_index(int(np.argmax(~(half < 1.0))), half.shape)
-        raise NumericalBlowupError(
-            f"velocity Verlet is unstable at dt {dt:.6g}: mode "
-            f"{mode[0] if geom.d == 1 else tuple(int(j) for j in mode)} has "
-            f"dt*sqrt(-s) {2.0 * half[mode]:.6g}, the bound is 2"
-        )
     theta = 2.0 * np.arcsin(half)
     sin_n, cos_n = np.sin(n_steps * theta), np.cos(n_steps * theta)
     wq = omega * np.sqrt((1.0 - half) * (1.0 + half))  # sin(theta) / dt

@@ -3,10 +3,10 @@
 The wave ensemble's spectrum is held against the kinetic equation's
 (:func:`compare_spectra`), and the chain ensemble's per-cell moments against
 the Vlasov density's (:func:`meanfield_distance`); the chain ensemble is
-its bare ``(m, n_sites)`` arrays ``r`` and ``v``, with its time stated by
-the caller.  Both give one :class:`Distance`.  The lanes only solve, and
-this module imports none of them when it loads: :func:`meanfield_distance`
-imports the Vlasov moments when called, so the Vlasov lane can read
+its bare ``(m, n_sites)`` arrays ``r`` and ``v``, and the density enters
+as its cell moments, so a caller can drop the density before the ensemble
+exists.  Both give one :class:`Distance`.  The lanes only solve, and this
+module imports none of them, so the Vlasov lane can read
 :data:`OBSERVABLES` from here.
 """
 
@@ -22,7 +22,7 @@ from .errors import SizeMismatchError
 if TYPE_CHECKING:  # annotations only: loading this module loads no lane
     from .chain import ChainGeometry
     from .kinetic import Spectrum, TorusGrid
-    from .vlasov import PhaseDensity, PhaseGrid
+    from .vlasov import PhaseGrid
 
 __all__ = [
     "OBSERVABLES",
@@ -143,12 +143,14 @@ def cell_moments_of_ensemble(
 TIME_TOL = 1e-9
 
 
-def meanfield_distance(g: PhaseDensity, r, v, geom: ChainGeometry, t: float) -> Distance:
+def meanfield_distance(
+    theirs: dict, grid: PhaseGrid, t_theirs: float, r, v, geom: ChainGeometry, t: float
+) -> Distance:
     """The per-cell moments of the ensemble ``(r, v)`` at time ``t`` against
-    those of the density ``g``; the two times must agree to ``TIME_TOL``."""
-    if abs(g.t - t) > TIME_TOL:
-        raise ValueError(f"time stamps differ: density t={g.t}, ensemble t={t}")
-    from .vlasov import cell_moments_of_density
-
-    ours = cell_moments_of_ensemble(r, v, geom, g.grid)
-    return Distance(ours, cell_moments_of_density(g), g.grid.dx, float(g.t), g.grid)
+    the density moments ``theirs`` on ``grid`` at ``t_theirs``
+    (:func:`kinlat.vlasov.cell_moments_of_density`); the two times must
+    agree to ``TIME_TOL``."""
+    if abs(t_theirs - t) > TIME_TOL:
+        raise ValueError(f"time stamps differ: density t={t_theirs}, ensemble t={t}")
+    ours = cell_moments_of_ensemble(r, v, geom, grid)
+    return Distance(ours, theirs, grid.dx, float(t_theirs), grid)

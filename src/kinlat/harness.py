@@ -7,7 +7,8 @@ are explicit, replica streams are keyed ``[seed, replica]``, reductions
 are fixed-order, and wave replicas are integrated in blocks whose rows
 never interact, so the block size cannot change any replica's bytes.
 Worker count only schedules sweep children.  Wall-clock timestamps appear
-in the manifest only, and the manifest is not part of its own file list.
+in the manifest only, and the manifest is not part of its own file list;
+a numerical failure's manifest lists the outputs finished before it.
 
 ``sweep`` reruns a base config along one numeric axis (same seed — the
 children share random numbers, which is what makes trend comparisons
@@ -17,7 +18,8 @@ issues a monotone-trend verdict.
 A pipeline's lanes (the ``waves``, ``kinetic``, ``chain`` and ``vlasov``
 solvers, and ``compare``, which holds an ensemble against its limit) are
 imported when ``run`` dispatches it, so a process loads only what it runs;
-``_reference`` is imported by ``oracle-suite`` alone.
+``_reference`` is imported by ``oracle-suite`` alone.  ``mf-compare`` runs
+its Vlasov side first and frees the density before the chain side allocates.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from __future__ import annotations
 import datetime
 import importlib
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -100,6 +102,7 @@ _LANES = {
         "sample_ensemble",
         "site_coordinates",
         "verlet_evolve",
+        "verlet_stability",
     ),
     "vlasov": (
         "PhaseGrid",
@@ -177,21 +180,9 @@ class RunManifest:
     config_resolved: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        d = {
-            "pipeline": self.pipeline,
-            "config_hash": self.config_hash,
-            "seed": self.seed,
-            "out_dir": self.out_dir,
-            "status": self.status,
-            "started": self.started,
-            "finished": self.finished,
-            "versions": self.versions,
-            "files": self.files,
-            "metrics": self.metrics,
-            "checks": [b.to_dict() for b in self.checks],
-            "notes": self.notes,
-            "config_resolved": self.config_resolved,
-        }
+        # field order, the snapshot last and only when one was written
+        d = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "snapshot"}
+        d["checks"] = [b.to_dict() for b in self.checks]
         if self.snapshot is not None:
             d["snapshot"] = self.snapshot
         return d
@@ -430,6 +421,12 @@ def _drive_wt_compare(cfg: RunConfig, out: Path):
     a = _evolve_waves(a, params, cfg, n_steps, out)
     micro = empirical_spectrum(a, spec, n_steps * w.dt)
     micro.tau = w.lam**2 * micro.tau  # report on the slow clock
+    del a  # the kinetic side need not keep the ensemble alive
+    # the finished wave side is written first, so a kinetic failure keeps it
+    files = [
+        write_spectrum_csv(out / "micro_initial.csv", micro0),
+        write_spectrum_csv(out / "micro_final.csv", micro),
+    ]
 
     grid = TorusGrid(k.d, k.m)
     rule = ResonanceRule(k.epsilon, k.shape, k.omega_floor)
@@ -438,7 +435,11 @@ def _drive_wt_compare(cfg: RunConfig, out: Path):
     f0 = np.asarray(build_profile(w.profile)(nodes(grid)), dtype=np.float64)
     kin0 = Spectrum(grid, f0, 0.0)
     n_tau = max(1, round(c.tau_final / k.dtau))
-    kin = _evolve_kinetic(kin0, grid, rule, k, n_tau, out)
+    try:
+        kin = _evolve_kinetic(kin0, grid, rule, k, n_tau, out)
+    except NumericalBlowupError as e:
+        e.files = files
+        raise
 
     dist = compare_spectra(micro, kin)
     dist0 = compare_spectra(micro0, kin0)
@@ -449,9 +450,7 @@ def _drive_wt_compare(cfg: RunConfig, out: Path):
             f"the spectra are compared at different slow times: "
             f"tau_micro {micro.tau:.6g}, tau_kinetic {kin.tau:.6g}"
         )
-    files = [
-        write_spectrum_csv(out / "micro_initial.csv", micro0),
-        write_spectrum_csv(out / "micro_final.csv", micro),
+    files += [
         write_spectrum_csv(out / "kinetic_initial.csv", kin0),
         write_spectrum_csv(out / "kinetic_final.csv", kin),
     ]
@@ -591,19 +590,26 @@ def _drive_mf_compare(cfg: RunConfig, out: Path):
     grid = PhaseGrid(vc.mx, vc.mr, vc.mv, vc.r_max, vc.v_max)
     n_chain, n_pde = mf_steps(c, vc, cfg.compare.t_final)
     law_chain, law_pde, sigma_pde = _paired_laws(cfg, grid)
-    r0, v0 = sample_ensemble(law_chain, geom, c.replicas, cfg.seed)
-    # an unstable dt fails here, before the density is built
-    r, v = _evolve_chain(r0, v0, geom, fp, c.dt, n_chain, 0.0, out)
+    try:  # an unstable dt fails here, before the density is built
+        verlet_stability(geom, fp, c.dt)
+    except NumericalBlowupError:  # the map refuses the sampled state too, writing it as last good
+        r, v = sample_ensemble(law_chain, geom, c.replicas, cfg.seed)
+        _evolve_chain(r, v, geom, fp, c.dt, n_chain, 0.0, out)
+        raise
+    # the PDE side runs first and drops its density before the chain side allocates
+    g = density_from_law(law_pde, grid)
+    theirs0 = cell_moments_of_density(g)
+    # g is done with at t = 0, so the run steps its array in place
+    g, diag = vlasov_evolve(g, fp, vc.dt, n_pde, out=g.g)
+    theirs = cell_moments_of_density(g)
+    del g
     t = c.dt * n_chain
-    g0 = density_from_law(law_pde, grid)
+    r, v = sample_ensemble(law_chain, geom, c.replicas, cfg.seed)
     # the t=0 distance is the ensemble's sampling floor
-    dist0 = meanfield_distance(g0, r0, v0, geom, 0.0)
-    del r0, v0  # the Vlasov run need not keep the sampled state alive
-    # g0 is done with, so the run steps its array in place
-    g, diag = vlasov_evolve(g0, fp, vc.dt, n_pde, out=g0.g)
+    dist0 = meanfield_distance(theirs0, grid, 0.0, r, v, geom, 0.0)
+    r, v = _evolve_chain(r, v, geom, fp, c.dt, n_chain, 0.0, out)
     # the two clocks agree to round-off; stamp them equal for the comparison
-    g.t = t
-    dist = meanfield_distance(g, r, v, geom, t)
+    dist = meanfield_distance(theirs, grid, t, r, v, geom, t)
     files = [
         write_moments_csv(out / "moments_pde.csv", x_centers(grid), dist.theirs),
         write_moments_csv(out / "moments_ensemble.csv", x_centers(grid), dist.ours),
@@ -779,6 +785,7 @@ def run(
         manifest.status = "numerical-failure"
         manifest.metrics = {"error": str(e)}
         manifest.snapshot = getattr(e, "snapshot", None)
+        manifest.files = _file_entries(getattr(e, "files", ()), out_dir)
         _close(manifest, out_dir, check=False)
         raise
     manifest.metrics = metrics

@@ -52,6 +52,7 @@ from kinlat.lattice import (
 from kinlat.profiles import make_profile
 from kinlat.vlasov import (
     PhaseGrid,
+    cell_moments_of_density,
     density_from_law,
     sigma_field,
     vlasov_evolve,
@@ -335,6 +336,7 @@ def test_08_meanfield_distance_trend():
     pde_law = GaussianLaw(mean_r, 0.0, 2.0 * grid.dr, 0.1)
     g0 = density_from_law(pde_law, grid)
     g, _ = vlasov_evolve(g0, fp, 1e-2, 50)
+    theirs0, theirs = cell_moments_of_density(g0), cell_moments_of_density(g)
 
     medians = []
     band = []
@@ -343,9 +345,9 @@ def test_08_meanfield_distance_trend():
         d_end, d_zero = [], []
         for seed in (11, 22, 33, 44, 55):
             r, v = sample_ensemble(chain_law, geom, 50, seed)
-            d_zero.append(meanfield_distance(g0, r, v, geom, 0.0).total_l2)
+            d_zero.append(meanfield_distance(theirs0, grid, g0.t, r, v, geom, 0.0).total_l2)
             r, v = verlet_evolve(r, v, geom, fp, 1e-3, 500)
-            d_end.append(meanfield_distance(g, r, v, geom, 1e-3 * 500).total_l2)
+            d_end.append(meanfield_distance(theirs, grid, g.t, r, v, geom, 1e-3 * 500).total_l2)
         medians.append(float(np.median(d_end)))
         band.append(float(np.median(d_zero)) / (50 * n) ** -0.5)
     trend = all(medians[i + 1] <= medians[i] * (1 + 1e-9) for i in range(2))

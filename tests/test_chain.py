@@ -19,6 +19,7 @@ from kinlat.chain import (
     site_coordinates,
     two_site_frequency,
     verlet_evolve,
+    verlet_stability,
 )
 
 
@@ -182,6 +183,23 @@ def test_stability_bound_is_checked_before_any_step():
         assert float(m.group(3)) == pytest.approx(2.0, rel=1e-5)
         out = verlet_evolve(r, v, geom, FP, dt_max * (1.0 - 1e-9), 1000)
         assert np.isfinite(out).all()
+
+
+def test_the_shared_stability_check_is_the_maps_own():
+    # mf-compare refuses its dt up front with verlet_stability, so the early
+    # refusal and the map's own must agree on either side of the bound
+    for geom in (ChainGeometry(1, 16), ChainGeometry(2, 6)):
+        r, v = sample_ensemble(GaussianLaw(0.0, 0.0, 0.1, 0.1), geom, 3, 18)
+        s = FP.chain_symbol(geom)
+        dt_max = 2.0 / np.sqrt(np.max(-s))
+        dt = dt_max * (1.0 + 1e-9)
+        with pytest.raises(NumericalBlowupError) as early:
+            verlet_stability(geom, FP, dt)
+        with pytest.raises(NumericalBlowupError) as late:
+            verlet_evolve(r, v, geom, FP, dt, 1)
+        assert str(early.value) == str(late.value)
+        omega, half = verlet_stability(geom, FP, dt_max * (1.0 - 1e-9))
+        assert np.array_equal(omega, np.sqrt(-s)) and np.all(half < 1.0)
 
 
 def test_states_refuse_non_finite_entries():

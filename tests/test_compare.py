@@ -13,7 +13,7 @@ import pytest
 from kinlat.chain import ChainGeometry, GaussianLaw, sample_ensemble
 from kinlat.compare import OBSERVABLES, Distance, compare_spectra, meanfield_distance
 from kinlat.kinetic import Spectrum, TorusGrid
-from kinlat.vlasov import PhaseGrid, density_from_law
+from kinlat.vlasov import PhaseGrid, cell_moments_of_density, density_from_law
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -63,6 +63,7 @@ def test_both_comparisons_return_the_one_record():
     law = GaussianLaw(0.0, 0.0, 0.15, 0.15)
     geom = ChainGeometry(1, 16)
     g = density_from_law(law, PhaseGrid(4, 16, 16, 1.0, 1.0))
-    moments = meanfield_distance(g, *sample_ensemble(law, geom, 4, 1), geom, 0.0)
+    ens = sample_ensemble(law, geom, 4, 1)
+    moments = meanfield_distance(cell_moments_of_density(g), g.grid, g.t, *ens, geom, 0.0)
     assert isinstance(moments, Distance)
     assert list(moments.l2) == list(OBSERVABLES)

@@ -31,11 +31,18 @@ from kinlat.chain import (
 from kinlat.config import build_law, build_profile, config_hash, parse_config
 from kinlat.errors import CheckFailure, NumericalBlowupError
 from kinlat.harness import BLOCK_BYTES, Budget, _integrate_ensemble, run
-from kinlat.io import sha256_file, write_amplitude_snapshot
+from kinlat.io import sha256_file, write_amplitude_snapshot, write_spectrum_csv
 from kinlat.lattice import LatticeSpec
 from kinlat.profiles import make_profile
 from kinlat.vlasov import PhaseDensity, PhaseGrid, vlasov_evolve
-from kinlat.waves import EnsembleSpec, ModelParams, _integrate_array, integrate, sample_initial
+from kinlat.waves import (
+    EnsembleSpec,
+    ModelParams,
+    _integrate_array,
+    empirical_spectrum,
+    integrate,
+    sample_initial,
+)
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -316,6 +323,30 @@ class TestRun:
         assert _manifest_of(tmp_path)["snapshot"].endswith("last_good.csv")
         text = (tmp_path / "last_good.csv").read_text()
         assert float(re.search(r"tau=(\S+)", text).group(1)) == pytest.approx(0.04, rel=1e-12)
+
+    def test_wt_compare_kinetic_blowup_keeps_the_finished_wave_side(self, tmp_path):
+        # the kinetic side fails at step 2 after the wave side has finished;
+        # the micro spectra are written and listed in the failure manifest
+        doc = {"pipeline": "wt-compare", "seed": 1, "kinetic": {}, "compare": {"tau_final": 0.1}}
+        doc["wave"] = {"lam": 0.3, "dt": 0.02, "replicas": 4}
+        with pytest.raises(NumericalBlowupError):
+            run(parse_config(doc), out=tmp_path / "o")
+        disk = _manifest_of(tmp_path / "o")
+        assert disk["status"] == "numerical-failure"
+        assert [f["path"] for f in disk["files"]] == ["micro_final.csv", "micro_initial.csv"]
+        for f in disk["files"]:
+            assert f["sha256"] == sha256_file(tmp_path / "o" / f["path"])
+        w = parse_config(doc).wave
+        spec = LatticeSpec(w.d, w.half_width)
+        a = sample_initial(EnsembleSpec(w.replicas, 1, build_profile(w.profile)), spec)
+        n_steps = round(0.1 / w.lam**2 / w.dt)
+        final = empirical_spectrum(
+            _integrate_ensemble(a, ModelParams(spec, w.lam), w.dt, n_steps, w.scheme), spec, 0.0
+        )
+        final.tau = w.lam**2 * n_steps * w.dt
+        for name, sp in (("micro_initial", empirical_spectrum(a, spec, 0.0)), ("micro_final", final)):
+            want = write_spectrum_csv(tmp_path / f"{name}.csv", sp)
+            assert (tmp_path / "o" / want.name).read_bytes() == want.read_bytes()
 
     def test_wt_compare_reports_the_two_slow_times_it_compares(self, tmp_path):
         # lam 0.3, dt 0.02: 11 steps reach tau 0.0198; dtau 0.01: 2 steps reach 0.02
@@ -684,6 +715,26 @@ print(json.dumps({"exit": code, "modules": sorted(sys.modules)}))
 """
 
 
+# mf-compare with its density builder and sampler watched from the harness globals
+_PHASE_ORDER = """
+import json, sys, weakref
+from kinlat import cli, harness
+seen, build, sample = {}, harness.density_from_law, harness.sample_ensemble
+def watched_build(*args):
+    seen["random_at_density"] = "numpy.random" in sys.modules
+    g = build(*args)
+    seen["density"] = weakref.ref(g.g)
+    return g
+def watched_sample(*args):
+    ref = seen.get("density")
+    seen["density_at_sampling"] = "unbuilt" if ref is None else "freed" if ref() is None else "alive"
+    return sample(*args)
+harness.density_from_law, harness.sample_ensemble = watched_build, watched_sample
+code = cli.main(sys.argv[1:])
+seen.pop("density", None)
+print(json.dumps({"exit": code} | seen))
+"""
+
 def _globals_read(fn, seen=None) -> set[str]:
     """Global names ``fn`` loads, through its nested code and the harness functions it calls."""
     seen = set() if seen is None else seen
@@ -730,6 +781,18 @@ class TestLanes:
         assert report["exit"] == 0
         assert "kinlat.io" in report["modules"]
         assert "_hashlib" not in report["modules"]
+
+    def test_mf_compare_drops_the_density_before_the_chain_side(self, tmp_path):
+        # the PDE side runs first: no numpy.random while the density is built,
+        # and the density is freed before the ensemble is sampled
+        doc, _ = LANE_RUNS["mf-compare"]
+        cfgp = tmp_path / "run.json"
+        cfgp.write_text(json.dumps(doc))
+        args = ["mf-compare", "--config", str(cfgp), "--out", str(tmp_path / "o")]
+        res = _python(["-c", _PHASE_ORDER, *args], tmp_path)
+        assert res.returncode == 0, res.stderr
+        report = json.loads(res.stdout.splitlines()[-1])
+        assert report == {"exit": 0, "random_at_density": False, "density_at_sampling": "freed"}
 
     def test_oracle_cases_bind_their_own_lanes(self, tmp_path):
         # a fresh interpreter that has not called run has bound no lane yet

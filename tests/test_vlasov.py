@@ -552,8 +552,8 @@ def test_meanfield_distance_time_guard():
     geom = ChainGeometry(1, 16)
     ens = sample_ensemble(law, geom, 10, 3)
     with pytest.raises(ValueError):
-        meanfield_distance(g, *ens, geom, 0.0)
-    assert meanfield_distance(g, *ens, geom, 1.0 + 1e-10).t == 1.0
+        meanfield_distance(cell_moments_of_density(g), grid, g.t, *ens, geom, 0.0)
+    assert meanfield_distance(cell_moments_of_density(g), grid, g.t, *ens, geom, 1.0 + 1e-10).t == 1.0
 
 
 def test_meanfield_distance_within_monte_carlo_band():
@@ -562,7 +562,7 @@ def test_meanfield_distance_within_monte_carlo_band():
     g = density_from_law(law, grid)
     geom = ChainGeometry(1, 64)
     ens = sample_ensemble(law, geom, 100, 23)
-    d = meanfield_distance(g, *ens, geom, 0.0)
+    d = meanfield_distance(cell_moments_of_density(g), grid, g.t, *ens, geom, 0.0)
     scale = 1.0 / np.sqrt(100 * 64)
     assert 0.05 * scale < d.total_l2 < 20.0 * scale
     assert set(d.sup) == {"r", "v", "r2", "v2", "rv"}
@@ -575,7 +575,7 @@ def test_meanfield_distance_keeps_the_moments_it_compared():
     g = density_from_law(law, grid)
     geom = ChainGeometry(1, 16)
     ens = sample_ensemble(law, geom, 10, 3)
-    d = meanfield_distance(g, *ens, geom, 0.0)
+    d = meanfield_distance(cell_moments_of_density(g), grid, g.t, *ens, geom, 0.0)
     pairs = (
         (d.theirs, cell_moments_of_density(g)),
         (d.ours, cell_moments_of_ensemble(*ens, geom, grid)),
