@@ -6,14 +6,18 @@ Usage::
 
 For each pipeline, ``--spawns`` fresh interpreters import numpy, then
 ``kinlat.cli``, then bind the lanes (wave, kinetic, chain, Vlasov modules)
-that ``kinlat.harness.run`` binds for that pipeline.  The sheet prints the
-median milliseconds of the numpy import and of the kinlat part, the median
-peak resident memory of the interpreter after both (``ru_maxrss``, in MiB),
-whether OpenSSL's binding ``_hashlib`` (and with it libcrypto, about
-3.5 MiB) got loaded, and the kinlat modules then loaded.  The first row
-imports ``kinlat.cli`` and binds no lane.  ``oracle-suite`` also imports
-``kinlat._reference`` when its cases run, which the sheet does not count.
-The kinlat source is this checkout's.
+that ``kinlat.harness.run`` binds for that pipeline, then draw one replica
+through the sampler its driver calls (``sample_initial`` for ``wt-sim`` and
+``wt-compare``, ``sample_ensemble`` for ``chain-sim`` and ``mf-compare``),
+since a sampler may import more on its first call.  The sheet prints the
+median milliseconds of the numpy import and of the kinlat import and
+binding, the median peak resident memory of the interpreter after the draw
+(``ru_maxrss``, in MiB), whether ``numpy.random`` and OpenSSL's binding
+``_hashlib`` (and with it libcrypto, about 3.5 MiB) got loaded, and the
+kinlat modules then loaded.  The first row imports ``kinlat.cli`` and binds
+no lane.  ``oracle-suite`` also imports ``kinlat._reference`` and
+``numpy.random`` when its cases run, which the sheet does not count.  The
+kinlat source is this checkout's.
 
 When ``PYTHONDONTWRITEBYTECODE`` is set, or no ``__pycache__`` is
 writable, every interpreter compiles kinlat from source; the sheet's header
@@ -39,22 +43,37 @@ import numpy
 t1 = time.perf_counter()
 import kinlat.cli
 from kinlat import harness
-pipeline = sys.argv[1]
+pipeline, sampler = sys.argv[1:]
 if pipeline != "-":
     harness._bind(*harness._DRIVERS[pipeline][1])
 t2 = time.perf_counter()
+if sampler == "wave":
+    from kinlat.lattice import LatticeSpec
+    harness.sample_initial(harness.EnsembleSpec(1, 0, numpy.ones(9)), LatticeSpec(1, 4))
+elif sampler == "chain":
+    from kinlat.chain import GaussianLaw
+    harness.sample_ensemble(GaussianLaw(), harness.ChainGeometry(1, 16), 1, 0)
 loaded = sorted(m[len("kinlat."):] for m in sys.modules if m.startswith("kinlat."))
 peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
-ssl = "_hashlib" in sys.modules
-report = {"numpy": t1 - t0, "kinlat": t2 - t1, "peak": peak, "ssl": ssl, "modules": loaded}
+report = {
+    "numpy": t1 - t0,
+    "kinlat": t2 - t1,
+    "peak": peak,
+    "random": "numpy.random" in sys.modules,
+    "ssl": "_hashlib" in sys.modules,
+    "modules": loaded,
+}
 print(json.dumps(report))
 """
+
+# pipeline -> the sampler its driver draws through; the others draw nothing
+SAMPLER = {"wt-sim": "wave", "wt-compare": "wave", "chain-sim": "chain", "mf-compare": "chain"}
 
 
 def _spawn(pipeline: str) -> dict:
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     res = subprocess.run(
-        [sys.executable, "-c", CHILD, pipeline],
+        [sys.executable, "-c", CHILD, pipeline, SAMPLER.get(pipeline, "-")],
         env=dict(os.environ, PYTHONPATH=path),
         capture_output=True,
         text=True,
@@ -73,18 +92,22 @@ def main(argv=None) -> int:
     cached = "off" if os.environ.get("PYTHONDONTWRITEBYTECODE") else "on"
     print(f"python {sys.version.split()[0]}, {args.spawns} spawns a row, bytecode cache {cached}")
     print(
-        f"{'pipeline':<14}{'numpy ms':>10}{'kinlat ms':>11}{'peak MiB':>10}{'_hashlib':>10}"
-        "  kinlat modules"
+        f"{'pipeline':<14}{'numpy ms':>10}{'kinlat ms':>11}{'peak MiB':>10}"
+        f"{'numpy.random':>14}{'_hashlib':>10}  kinlat modules"
     )
     for pipeline in ["-", *_DRIVERS]:
         runs = [_spawn(pipeline) for _ in range(args.spawns)]
         numpy_ms = 1e3 * statistics.median(r["numpy"] for r in runs)
         kinlat_ms = 1e3 * statistics.median(r["kinlat"] for r in runs)
         peak = statistics.median(r["peak"] for r in runs)
+        random = "loaded" if any(r["random"] for r in runs) else "no"
         ssl = "loaded" if any(r["ssl"] for r in runs) else "no"
         label = "cli only" if pipeline == "-" else pipeline
         modules = " ".join(runs[-1]["modules"])
-        print(f"{label:<14}{numpy_ms:>10.1f}{kinlat_ms:>11.1f}{peak:>10.2f}{ssl:>10}  {modules}")
+        print(
+            f"{label:<14}{numpy_ms:>10.1f}{kinlat_ms:>11.1f}{peak:>10.2f}"
+            f"{random:>14}{ssl:>10}  {modules}"
+        )
     return 0
 
 

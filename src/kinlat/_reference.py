@@ -35,6 +35,7 @@ __all__ = [
     "sigma_field_unfactorized",
     "shift_lines_loop",
     "free_streaming_density",
+    "pcg64_uniforms_loop",
 ]
 
 
@@ -394,3 +395,67 @@ def free_streaming_density(law, grid, t: float) -> np.ndarray:
     r = r_centers(grid)[:, None]
     v = v_centers(grid)[None, :]
     return law.density(x, r - v * t, v)
+
+
+def pcg64_uniforms_loop(seed: int, replica: int, n: int) -> np.ndarray:
+    """The first ``n`` of numpy's
+    ``default_rng(SeedSequence([seed, replica])).random()`` draws, in Python
+    integers, one LCG step at a time.
+
+    SeedSequence hashes the entropy words of ``seed`` and ``replica`` (32
+    bits each, least significant first) into a four-word pool, mixes it and
+    hashes it out to four 64-bit seed words; PCG64 steps ``x -> M x + inc``
+    modulo 2**128 and outputs the XSL-RR of each new state; ``random()``
+    keeps the top 53 bits of an output.
+    """
+    m32, m64, m128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
+
+    def words(v):
+        out = [v & m32]
+        while v > m32:
+            v >>= 32
+            out.append(v & m32)
+        return out
+
+    entropy = words(seed) + words(replica)
+    const = 0x43B0D7E5
+
+    def hashmix(value):
+        nonlocal const
+        value ^= const
+        const = const * 0x931E8875 & m32
+        value = value * const & m32
+        return value ^ (value >> 16)
+
+    def mix(x, y):
+        r = (0xCA01F9DD * x - 0x4973F715 * y) & m32
+        return r ^ (r >> 16)
+
+    pool = [hashmix(entropy[i] if i < len(entropy) else 0) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+
+    const, state32 = 0x8B51F9DD, []
+    for k in range(8):
+        value = pool[k % 4] ^ const
+        const = const * 0x58F38DED & m32
+        value = value * const & m32
+        state32.append(value ^ (value >> 16))
+    s = [state32[2 * k] | state32[2 * k + 1] << 32 for k in range(4)]
+
+    mult = (2549297995355413924 << 64) + 4865540595714422341
+    inc = ((s[2] << 64 | s[3]) << 1 | 1) & m128
+    x = inc  # one step from the zero state
+    x = ((x + (s[0] << 64 | s[1])) * mult + inc) & m128
+    out = []
+    for _ in range(n):
+        x = (x * mult + inc) & m128
+        xored, rot = (x >> 64) ^ (x & m64), x >> 122
+        draw = ((xored >> rot) | (xored << (64 - rot))) & m64
+        out.append((draw >> 11) * 2.0**-53)
+    return np.array(out)

@@ -362,6 +362,8 @@ def sample_ensemble(law, geom: ChainGeometry, m: int, seed: int) -> tuple[np.nda
     x = site_coordinates(geom)
     r = np.empty((m, geom.n_sites))
     v = np.empty((m, geom.n_sites))
+    # numpy.random stays here (ziggurat normals): an own stream changes every
+    # sampled byte, so it waits on ROADMAP item 1a, then item 23 (kinlat.rng)
     for i in range(m):
         rng = np.random.default_rng(np.random.SeedSequence([seed, i]))
         r[i], v[i] = law.sample_sites(rng, x)

@@ -642,6 +642,7 @@ def _oracle_cases(seed: int) -> list[Budget]:
     from . import _reference as ref
     from .chain import chain_force_flat
     from .lattice import dft, inverse_dft, weighted_inner
+    from .rng import uniforms
     from .vlasov import _shift_lines, sigma_field
     from .waves import rhs
 
@@ -731,6 +732,10 @@ def _oracle_cases(seed: int) -> list[Budget]:
         want = ref.verlet_longdouble(r, vvec, geom, fpar, 0.05, 400)
         gap = max(gap, float(np.max(np.abs(np.stack(got) - np.stack(want)))))
     cases.append(Budget("chain-verlet-vs-longdouble", gap, 1e-12))
+
+    want = [ref.pcg64_uniforms_loop(seed, i, 40) for i in (0, 2**16 + 1)]
+    gap = float(np.max(np.abs(uniforms(seed, (0, 2**16 + 1), (40,)) - want)))
+    cases.append(Budget("wave-sampler-vs-loop", gap, 0.0))
 
     return cases
 

@@ -29,7 +29,10 @@ on the batch it is stepped in.
 Ensembles are initialized with deterministic random phases on a prescribed
 modulus profile; averaging ``|a(+)(k)|^2`` over replicas gives the empirical
 spectrum reported on the rescaled wavenumbers ``h k``, which is the object
-the kinetic description predicts at times of order ``lam^-2``.
+the kinetic description predicts at times of order ``lam^-2``.  The phases
+come from :mod:`kinlat.rng`, whose stream ``[seed, replica]`` is numpy's
+seeded PCG64 ``random()`` computed in kinlat: the wave lane never imports
+numpy's random module (nor the OpenSSL binding it loads).
 """
 
 from __future__ import annotations
@@ -50,6 +53,7 @@ from .lattice import (
     omega_bar_grid,
     wavenumbers,
 )
+from .rng import uniform_blocks
 
 __all__ = [
     "ModelParams",
@@ -438,15 +442,19 @@ def n0_table(ens: EnsembleSpec, spec: LatticeSpec) -> np.ndarray:
 
 def sample_initial(ens: EnsembleSpec, spec: LatticeSpec) -> np.ndarray:
     """Draw the random-phase ensemble at ``t = 0``, deterministically in the
-    seed: ``a(+)`` in FFT order, shape ``(m,) + (N,)*d``."""
+    seed: ``a(+)`` in FFT order, shape ``(m,) + (N,)*d``.
+
+    Replica ``i``'s phases are ``2 pi`` times one draw of its own stream
+    ``[seed, i]`` (:func:`kinlat.rng.uniforms`) over the shifted grid, so a
+    replica is identical however many replicas are drawn.  Replicas are
+    drawn in blocks of at most ``rng.BLOCK`` draws (or one replica), so the
+    result is the only array that grows with the ensemble.
+    """
     root = np.sqrt(n0_table(ens, spec))
     out = np.empty((ens.m,) + spec.shape, dtype=np.complex128)
-    for i in range(ens.m):
-        # per-replica generator: replica i is identical no matter how many
-        # replicas are drawn.  Phases are drawn in shifted order
-        rng = np.random.default_rng(np.random.SeedSequence([ens.seed, i]))
-        theta = 2.0 * np.pi * rng.random(spec.shape)
-        out[i] = np.fft.ifftshift(root * np.exp(1j * theta))
+    gax = tuple(range(1, 1 + spec.d))
+    for rows, u in uniform_blocks(ens.seed, np.arange(ens.m), spec.shape):
+        out[rows] = np.fft.ifftshift(root * np.exp(1j * (2.0 * np.pi * u)), axes=gax)
     return out
 
 

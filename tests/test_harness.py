@@ -680,11 +680,11 @@ LANE_RUNS = {
             "seed": 1,
             "kinetic": {"d": 1, "m": 8, "epsilon": 0.3, "dtau": 0.01, "n_steps": 2},
         },
-        {"chain", "vlasov", "waves", "compare", "_reference"},
+        {"chain", "vlasov", "waves", "rng", "compare", "_reference"},
     ),
     "chain-sim": (
         {"pipeline": "chain-sim", "seed": 9, "chain": {"n": 16, "dt": 1e-3, "n_steps": 5}},
-        {"waves", "kinetic", "compare", "_reference"},
+        {"waves", "rng", "kinetic", "compare", "_reference"},
     ),
     "vlasov": (
         {
@@ -692,7 +692,7 @@ LANE_RUNS = {
             "seed": 0,
             "vlasov": {"mx": 4, "mr": 16, "mv": 16, "r_max": 0.5, "v_max": 0.5, "n_steps": 2},
         },
-        {"waves", "kinetic", "_reference"},
+        {"waves", "rng", "kinetic", "_reference"},
     ),
     "mf-compare": (
         {
@@ -702,9 +702,22 @@ LANE_RUNS = {
             "vlasov": {"mx": 8, "mr": 16, "mv": 16, "r_max": 0.5, "v_max": 1.0},
             "compare": {"t_final": 0.05},
         },
-        {"waves", "kinetic", "_reference"},
+        {"waves", "rng", "kinetic", "_reference"},
     ),
     "oracle-suite": ({"pipeline": "oracle-suite", "seed": 5}, set()),
+}
+
+# run -> whether it still loads numpy.random: chain sampling and the oracle
+# cases' own data draw through numpy's Generator, wave phases do not
+STILL_LOADS_NUMPY_RANDOM = {
+    "wt-sim": False,
+    "wt-sim sweep": False,
+    "wt-compare": False,
+    "wt-kinetic": False,
+    "vlasov": False,
+    "chain-sim": True,
+    "mf-compare": True,
+    "oracle-suite": True,
 }
 
 _MODULES_AFTER_RUN = """
@@ -768,19 +781,27 @@ class TestLanes:
         if pipeline == "wt-sim":
             assert "concurrent.futures" not in loaded
 
-    def test_a_kinetic_run_loads_no_openssl(self, tmp_path):
-        # manifest digests and the config hash come from the built-in SHA-256;
-        # the OpenSSL binding (_hashlib) would add libcrypto to the process
-        doc, _ = LANE_RUNS["wt-kinetic"]
+    @pytest.mark.parametrize("pipeline", sorted(STILL_LOADS_NUMPY_RANDOM))
+    def test_only_chain_and_oracle_runs_load_numpy_random(self, tmp_path, pipeline):
+        # manifest digests and the config hash come from the built-in SHA-256,
+        # and wave phases from kinlat.rng; numpy.random would add OpenSSL's
+        # binding (_hashlib, libcrypto) through secrets -> hashlib
+        if pipeline == "wt-sim sweep":
+            doc = _wave_doc() | {"sweep": {"axis": "wave.lam", "values": [0.3, 0.2]}}
+        else:
+            doc = LANE_RUNS[pipeline][0]
         cfgp = tmp_path / "run.json"
         cfgp.write_text(json.dumps(doc))
-        args = ["wt-kinetic", "--config", str(cfgp), "--out", str(tmp_path / "o")]
+        args = [doc["pipeline"], "--config", str(cfgp), "--out", str(tmp_path / "o")]
         res = _python(["-c", _MODULES_AFTER_RUN, *args], tmp_path)
         assert res.returncode == 0, res.stderr
         report = json.loads(res.stdout.splitlines()[-1])
         assert report["exit"] == 0
-        assert "kinlat.io" in report["modules"]
-        assert "_hashlib" not in report["modules"]
+        loaded = set(report["modules"])
+        assert "kinlat.io" in loaded
+        assert ("numpy.random" in loaded) == STILL_LOADS_NUMPY_RANDOM[pipeline]
+        if not STILL_LOADS_NUMPY_RANDOM[pipeline]:
+            assert "_hashlib" not in loaded
 
     def test_mf_compare_drops_the_density_before_the_chain_side(self, tmp_path):
         # the PDE side runs first: no numpy.random while the density is built,

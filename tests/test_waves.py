@@ -1,11 +1,13 @@
 """Amplitude flow: change of variables, right-hand side, invariants, schemes."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
 from kinlat import _reference as ref
+from kinlat import rng as wave_rng
 from kinlat import waves
 from kinlat.errors import NumericalBlowupError, SizeMismatchError
 from kinlat.lattice import (
@@ -394,6 +396,67 @@ def test_sampling_draws_phases_in_shifted_order():
         rng = np.random.default_rng(np.random.SeedSequence([11, i]))
         theta = 2.0 * np.pi * rng.random(spec.shape)
         assert np.array_equal(a[i], np.fft.ifftshift(root * np.exp(1j * theta)))
+
+
+# seeds of one to four 32-bit entropy words; 2**100's four and the replica's
+# one make five, past SeedSequence's four-word pool, into its extra mixing
+STREAM_SEEDS = [0, 2**32 - 1, 2**32, 2**64 + 5, 2**100]
+
+
+@pytest.mark.parametrize("seed", STREAM_SEEDS)
+@pytest.mark.parametrize("shape", [(33,), (5, 7), (3, 4, 5)])
+def test_uniforms_are_numpys_stream_bit_for_bit(seed, shape):
+    replicas = [0, 1, 2**16, 2**32 - 1]
+    got = wave_rng.uniforms(seed, replicas, shape)
+    assert got.shape == (len(replicas),) + shape
+    for row, i in zip(got, replicas):
+        want = np.random.default_rng(np.random.SeedSequence([seed, i])).random(shape)
+        assert np.array_equal(row, want), (seed, i)
+
+
+@pytest.mark.parametrize("seed", STREAM_SEEDS)
+def test_uniforms_match_the_literal_loop(seed):
+    replicas = [0, 2**16 + 3]
+    got = wave_rng.uniforms(seed, replicas, (2, 3, 4)).reshape(len(replicas), -1)
+    for row, i in zip(got, replicas):
+        assert np.array_equal(row, ref.pcg64_uniforms_loop(seed, i, 24)), (seed, i)
+
+
+def test_uniforms_do_not_depend_on_the_block_size(monkeypatch):
+    replicas = np.arange(5, 12)
+    want = wave_rng.uniforms(9, replicas, (3, 5))
+    for block in (1, 14, 15, 16, 44):  # part of a replica, and 1 to 2.9 replicas
+        monkeypatch.setattr(wave_rng, "BLOCK", block)
+        assert np.array_equal(wave_rng.uniforms(9, replicas, (3, 5)), want), block
+        blocks = list(wave_rng.uniform_blocks(9, replicas, (3, 5)))
+        assert blocks[0][0] == slice(0, max(1, block // 15)), block
+
+
+def test_uniforms_refuse_what_has_no_stream():
+    with pytest.raises(ValueError, match="seed"):
+        wave_rng.uniforms(-1, [0], (3,))
+    with pytest.raises(ValueError, match="2\\*\\*32"):
+        wave_rng.uniforms(0, [2**32], (3,))
+    with pytest.raises(ValueError, match="integers"):
+        wave_rng.uniforms(0, [0.5], (3,))
+
+
+def test_sampling_holds_only_its_output_and_a_block():
+    # d = 2, N = 41: a full block is two replicas of 1681 sites
+    spec = LatticeSpec(2, 20)
+    ens = EnsembleSpec(64, 3, make_profile("torus-gaussian", amplitude=0.05, width=0.3))
+    output = ens.m * spec.N**2 * 16
+    # the jump tables are cached per site count: fill them before tracing
+    sample_initial(ens, spec)
+    tracemalloc.start()
+    try:
+        sample_initial(ens, spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # sixteen float64 words per draw of a full block, whatever the ensemble
+    workspace = 16 * 8 * wave_rng.BLOCK
+    assert peak <= output + workspace, (peak, output, workspace)
 
 
 def test_replicas_differ_but_share_modulus_profile():
