@@ -4,13 +4,17 @@ Usage::
 
     python3 benchmarks/bytes_identical.py --base PATH
 
-Each run in :data:`RUNS` is made twice in fresh interpreters, once from this
+Each run in :func:`runs` is made twice in fresh interpreters, once from this
 checkout's ``src/`` and once from the base checkout's, into a temporary
 directory.  For every output file (``manifest.json`` excluded: it holds
 timestamps and paths) the sheet prints the sha256 prefix on both sides, then
-lists the files that differ or exist on one side only.  Under a file that
-differs on both sides it prints, for each numeric CSV column and each JSON
-number (a JSON list of numbers counts as one column) that changed, the
+lists the files that differ or exist on one side only.  Of the manifest it
+compares the results alone, ``status``, ``metrics``, ``checks`` and
+``notes``, as canonical JSON: a metric such as ``wt-sim``'s
+``energy_drift_rel`` is written nowhere else.
+Under a file or manifest key that differs on both sides it prints, for each
+numeric CSV column and each JSON number (a JSON list of numbers counts as
+one column) that changed, the
 largest relative change normwise (``|a - b| / |b|`` in the 2-norm) and
 entrywise (``max |a_i - b_i| / max(|b_i|, 1e-12 max |b|)``, so round-off on
 an entry near zero does not read as a large change), and the largest
@@ -23,8 +27,9 @@ The runs are inputs 0 and 5 of each perfbench workload (configs from
 ``perfbench/workloads.py``, imported, not edited), ``wt-compare`` at d = 1
 (17 sites against a 32-node kinetic grid: the interpolation path) and at
 d = 2 (9 sites against 9 nodes: the same-grid path), ``chain-sim`` on the
-default chain block with 4 replicas saved every 100 of its 1000 steps, and
-the default ``mf-compare`` and ``vlasov`` blocks.
+default chain block with 4 replicas saved every 100 of its 1000 steps, the
+default ``mf-compare`` and ``vlasov`` blocks, and ``oracle-suite``, the only
+pipeline that runs ``lattice.dft`` and ``lattice.inverse_dft``.
 """
 
 from __future__ import annotations
@@ -77,6 +82,7 @@ def runs() -> dict[str, tuple[str, dict]]:
         {"pipeline": "mf-compare", "seed": 1, "chain": {}, "vlasov": {}, "compare": {}},
     )
     out["vlasov-default"] = ("vlasov", {"pipeline": "vlasov", "seed": 1, "vlasov": {}})
+    out["oracle-suite"] = ("oracle-suite", {"pipeline": "oracle-suite", "seed": 1})
     return out
 
 
@@ -100,6 +106,15 @@ def _digests(out: Path) -> dict[str, str]:
     }
 
 
+def _manifest(out: Path) -> dict[str, str]:
+    """A run manifest's results, each as canonical JSON; its other keys are
+    timestamps, paths and versions."""
+    path = out / "manifest.json"
+    doc = json.loads(path.read_text()) if path.exists() else {}
+    keys = ("status", "metrics", "checks", "notes")
+    return {key: json.dumps(doc.get(key), sort_keys=True) for key in keys}
+
+
 def _columns(path: Path) -> dict[str, np.ndarray]:
     """The numbers of an output file by name: CSV columns, JSON numbers by key."""
     out = {}
@@ -112,18 +127,25 @@ def _columns(path: Path) -> dict[str, np.ndarray]:
             except (ValueError, IndexError):
                 pass  # a text column
     elif path.suffix == ".json":
+        out = _json_columns(json.loads(path.read_text()))
+    return out
 
-        def walk(node, key):
-            if isinstance(node, list) and node and all(_is_number(v) for v in node):
-                out[key] = np.array(node, dtype=float)
-            elif _is_number(node):
-                out[key] = np.array([node], dtype=float)
-            elif isinstance(node, (dict, list)):
-                items = node.items() if isinstance(node, dict) else enumerate(node)
-                for k, v in items:
-                    walk(v, f"{key}.{k}" if key else str(k))
 
-        walk(json.loads(path.read_text()), "")
+def _json_columns(doc) -> dict[str, np.ndarray]:
+    """The numbers of a JSON document by dotted key."""
+    out = {}
+
+    def walk(node, key):
+        if isinstance(node, list) and node and all(_is_number(v) for v in node):
+            out[key] = np.array(node, dtype=float)
+        elif _is_number(node):
+            out[key] = np.array([node], dtype=float)
+        elif isinstance(node, (dict, list)):
+            items = node.items() if isinstance(node, dict) else enumerate(node)
+            for k, v in items:
+                walk(v, f"{key}.{k}" if key else str(k))
+
+    walk(doc, "")
     return out
 
 
@@ -131,9 +153,8 @@ def _is_number(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
-def _changes(this: Path, base: Path) -> list[str]:
+def _changes(a_cols: dict[str, np.ndarray], b_cols: dict[str, np.ndarray]) -> list[str]:
     """One line per numeric column that changed: its relative and absolute change."""
-    a_cols, b_cols = _columns(this), _columns(base)
     lines = []
     for name in sorted(set(a_cols) | set(b_cols)):
         a, b = a_cols.get(name), b_cols.get(name)
@@ -179,9 +200,18 @@ def main(argv=None) -> int:
                 if a != b:
                     differ.append(f"{name}/{path}")
                     if path in this and path in base:
-                        sides_of = [Path(tmp) / side / name / path for side in sides]
-                        for line in _changes(*sides_of):
+                        cols = [_columns(Path(tmp) / side / name / path) for side in sides]
+                        for line in _changes(*cols):
                             print(f"        {line}")
+            this, base = (_manifest(Path(tmp) / side / name) for side in sides)
+            for key in this:
+                a, b = this[key], base[key]
+                print(f"  {'same' if a == b else 'DIFF'}  manifest.json {key}")
+                if a != b:
+                    differ.append(f"{name}/manifest.json {key}")
+                    cols = [_json_columns(json.loads(doc)) for doc in (a, b)]
+                    for line in _changes(*cols):
+                        print(f"        {line}")
     print(f"{len(differ)} differences" + "".join(f"\n  {d}" for d in differ))
     return 1 if differ else 0
 

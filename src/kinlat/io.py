@@ -26,7 +26,7 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 import numpy as np
 
 from .errors import SizeMismatchError
-from .lattice import LatticeSpec, fft_order, wavenumbers
+from .lattice import LatticeSpec, wavenumbers
 
 if sys.version_info >= (3, 12):
     from _sha2 import sha256
@@ -144,12 +144,16 @@ def write_amplitude_snapshot(
     """Amplitude dump of one replica's ``a(+)`` (FFT order), plus a JSON sidecar.
 
     One CSV row per (mode, sign): ascending ``k`` for sigma = +1, then the
-    same modes with the exact conjugates for sigma = -1.
+    same modes with the exact conjugates for sigma = -1.  Ascending order is
+    the file format; ``b`` must have the lattice's shape, one replica.
     """
+    b = np.asarray(b)
+    if b.shape != spec.shape:
+        raise SizeMismatchError(f"amplitude field shape {b.shape}, expected {spec.shape}")
     stem = Path(path_stem)
-    kvecs = wavenumbers(spec).reshape(-1, spec.d)
+    kvecs = np.fft.fftshift(wavenumbers(spec), axes=tuple(range(spec.d))).reshape(-1, spec.d)
     header = [f"k_{c}" for c in range(spec.d)] + ["sigma", "re_a", "im_a"]
-    plus = np.take(np.reshape(b, -1), fft_order(spec)[1])
+    plus = np.fft.fftshift(b).reshape(-1)
     rows = []
     for sigma, vals in ((1, plus), (-1, np.conj(plus))):
         for i in range(vals.size):

@@ -9,16 +9,18 @@ asymmetric,
     f(x)    = sum_k fhat(k) exp(+2*pi*i k.x)
 
 so Parseval reads ``h^d sum_x |f|^2 = sum_k |fhat|^2``.  Both directions are
-evaluated with the FFT; because ``N`` is odd, ``fftshift`` realizes exactly
-the ascending ``-D..D`` ordering.  :func:`fft_order` holds that shift once
-per lattice as a pair of gather indices, which every transform here and
-the amplitude snapshot writer of :mod:`kinlat.io` use.
+the FFT itself: every spectral table and transform here is in the FFT's own
+order, so no gather stands between them.  Ascending ``-D..D`` order (which
+``fftshift`` realizes exactly because ``N`` is odd) is kept only where the
+order is fixed from outside: the amplitude snapshot file of :mod:`kinlat.io`
+and the order in which :func:`kinlat.waves.sample_initial` draws phases.
 
 Array conventions used by the whole package:
 
 * grid field: complex array of shape ``(N,)*d``, index ``j`` <-> site ``j*h``;
-* spectral field: complex array of shape ``(N,)*d``, index ``i`` <-> wavenumber
-  ``k = i - D`` along every axis (ascending, zero mode at the center).
+* spectral field: complex array of shape ``(N,)*d`` in FFT order, index ``i``
+  <-> wavenumber ``k = i`` for ``i <= D`` and ``k = i - N`` above it along
+  every axis (zero mode first, as ``np.fft.fftfreq(N, 1/N)``).
 
 Index arithmetic happens on integers only; ``h`` enters at evaluation time.
 """
@@ -43,10 +45,8 @@ __all__ = [
     "RESONANCE_PROFILES",
     "weighted_inner",
     "wavenumbers",
-    "fft_order",
     "omega_bar_grid",
     "inverse_omega_bar_grid",
-    "center_index",
 ]
 
 
@@ -97,18 +97,19 @@ def dft(spec: LatticeSpec, f: np.ndarray) -> np.ndarray:
     """Forward transform, ``fhat(k) = h^d sum_x f(x) e^{-2 pi i k.x}``.
 
     Accepts leading batch axes; the trailing ``d`` axes must match the
-    lattice.  Output is in ascending wavenumber order along each axis.
+    lattice.  Output is in FFT order along each axis (see :func:`wavenumbers`).
     """
     f = _check_field(spec, f, "grid field")
     axes = tuple(range(f.ndim - spec.d, f.ndim))
-    return spec.h**spec.d * _gather(spec, np.fft.fftn(f, axes=axes), fft_order(spec)[1])
+    return spec.h**spec.d * np.fft.fftn(f, axes=axes)
 
 
 def inverse_dft(spec: LatticeSpec, fhat: np.ndarray) -> np.ndarray:
-    """Inverse transform, ``f(x) = sum_k fhat(k) e^{+2 pi i k.x}`` (no 1/N)."""
+    """Inverse transform, ``f(x) = sum_k fhat(k) e^{+2 pi i k.x}`` (no 1/N),
+    of a spectral field in FFT order."""
     fhat = _check_field(spec, fhat, "spectral field")
     axes = tuple(range(fhat.ndim - spec.d, fhat.ndim))
-    return spec.n_sites * np.fft.ifftn(_gather(spec, fhat, fft_order(spec)[0]), axes=axes)
+    return spec.n_sites * np.fft.ifftn(fhat, axes=axes)
 
 
 def delta_mod(spec: LatticeSpec, k) -> np.ndarray | float:
@@ -172,43 +173,15 @@ def weighted_inner(spec: LatticeSpec, f: np.ndarray, g: np.ndarray) -> complex:
 
 
 @lru_cache(maxsize=64)
-def _axis_wavenumbers(N: int) -> np.ndarray:
-    D = (N - 1) // 2
-    return np.arange(-D, D + 1, dtype=np.int64)
-
-
-@lru_cache(maxsize=64)
 def wavenumbers(spec: LatticeSpec) -> np.ndarray:
-    """Integer wavenumber mesh, shape ``(N,)*d + (d,)``, ascending per axis."""
-    axes = np.meshgrid(*([_axis_wavenumbers(spec.N)] * spec.d), indexing="ij")
-    out = np.stack(axes, axis=-1)
+    """Integer wavenumber mesh, shape ``(N,)*d + (d,)``, in FFT order per axis:
+    ``0, 1, ..., D, -D, ..., -1``, the values of ``np.fft.fftfreq(N, 1/N)``."""
+    # fftfreq's spacing 1/(N * 1/N) is not exactly 1 for every N (49 is the
+    # first), so its values are rounded to the integers they stand for
+    axis = np.rint(np.fft.fftfreq(spec.N, 1.0 / spec.N)).astype(np.int64)
+    out = np.stack(np.meshgrid(*([axis] * spec.d), indexing="ij"), axis=-1)
     out.setflags(write=False)
     return out
-
-
-@lru_cache(maxsize=64)
-def fft_order(spec: LatticeSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Gather indices ``(to_fft, to_shifted)`` between the two spectral orders.
-
-    Both index the grid flattened to one axis of ``n_sites``: gathering a
-    shifted field through ``to_fft`` gives ``ifftshift`` of it (FFT order,
-    zero mode first), and gathering an FFT-order field through
-    ``to_shifted`` gives ``fftshift``; each undoes the other.  The flattened
-    shifted layout is symmetric about the zero mode, so reversing it maps
-    ``k`` to ``-k`` and a negation needs no index of its own.
-    """
-    sites = np.arange(spec.n_sites).reshape(spec.shape)
-    out = (np.fft.ifftshift(sites).ravel(), np.fft.fftshift(sites).ravel())
-    for idx in out:
-        idx.setflags(write=False)
-    return out
-
-
-def _gather(spec: LatticeSpec, f: np.ndarray, index: np.ndarray) -> np.ndarray:
-    """Reorder the trailing grid axes of ``f`` through one of :func:`fft_order`."""
-    lead = f.shape[: f.ndim - spec.d]
-    flat = f.reshape(lead + (spec.n_sites,))
-    return np.take(flat, index, axis=-1).reshape(f.shape)
 
 
 @lru_cache(maxsize=64)
@@ -227,14 +200,9 @@ def inverse_omega_bar_grid(spec: LatticeSpec) -> np.ndarray:
     literal zero there keeps every kernel expression finite without branches.
     """
     w = omega_bar_grid(spec).copy()
-    c = center_index(spec)
-    w[c] = 1.0
+    zero = (0,) * spec.d
+    w[zero] = 1.0
     out = 1.0 / w
-    out[c] = 0.0
+    out[zero] = 0.0
     out.setflags(write=False)
     return out
-
-
-def center_index(spec: LatticeSpec) -> tuple[int, ...]:
-    """Array index of the zero mode (center of the shifted spectral layout)."""
-    return (spec.D,) * spec.d

@@ -48,7 +48,6 @@ from .kinetic import Spectrum, TorusGrid
 from .lattice import (
     LatticeSpec,
     _check_field,
-    center_index,
     inverse_omega_bar_grid,
     omega_bar_grid,
     wavenumbers,
@@ -57,7 +56,6 @@ from .rng import uniform_blocks
 
 __all__ = [
     "ModelParams",
-    "PhasePair",
     "EnsembleSpec",
     "to_amplitudes",
     "from_amplitudes",
@@ -101,60 +99,52 @@ class ModelParams:
             raise ValueError(f"coupling must be nonnegative, got {self.lam}")
 
 
-@dataclass
-class PhasePair:
-    """Fourier components of a displacement/velocity pair on the lattice.
-
-    Shifted spectral layout; descends from real fields iff both arrays are
-    conjugate-even, ``q(-k) = conj(q(k))``.
-    """
-
-    q: np.ndarray
-    p: np.ndarray
-
-
 def _as_field(spec: LatticeSpec, b) -> np.ndarray:
     """``b`` as a complex ``a(+)`` array, checked to end in the grid axes."""
     return _check_field(spec, np.asarray(b, dtype=np.complex128), "amplitude field")
 
 
-def to_amplitudes(pair: PhasePair, spec: LatticeSpec) -> np.ndarray:
-    """Map ``(q, p)`` to ``a(+) = wbar q + i p / wbar``, in FFT order.
+def to_amplitudes(q: np.ndarray, p: np.ndarray, spec: LatticeSpec) -> np.ndarray:
+    """Map the Fourier components ``(q, p)`` of a displacement/velocity pair
+    to ``a(+) = wbar q + i p / wbar``, all in FFT order.
 
-    The zero mode carries no oscillation and is dropped (set to zero); its
-    content is not representable in these variables.
+    The pair descends from real fields iff both arrays are conjugate-even,
+    ``q(-k) = conj(q(k))``.  The zero mode carries no oscillation and is
+    dropped (set to zero); its content is not representable in these
+    variables.
     """
-    q = np.asarray(pair.q, dtype=np.complex128)
-    p = np.asarray(pair.p, dtype=np.complex128)
+    q = np.asarray(q, dtype=np.complex128)
+    p = np.asarray(p, dtype=np.complex128)
     if q.shape != spec.shape or p.shape != spec.shape:
         raise SizeMismatchError(
             f"phase pair shapes {q.shape}/{p.shape}, expected {spec.shape}"
         )
-    wbar = omega_bar_grid(spec)
-    winv = inverse_omega_bar_grid(spec)
-    a_plus = wbar * q + 1j * winv * p
-    a_plus[center_index(spec)] = 0.0
-    return np.fft.ifftshift(a_plus)
+    a_plus = omega_bar_grid(spec) * q + 1j * inverse_omega_bar_grid(spec) * p
+    a_plus[(0,) * spec.d] = 0.0
+    return a_plus
 
 
-def from_amplitudes(b: np.ndarray, spec: LatticeSpec) -> PhasePair:
+def from_amplitudes(b: np.ndarray, spec: LatticeSpec) -> tuple[np.ndarray, np.ndarray]:
     """Inverse map, ``q = [a(k) + a*(-k)]/(2 wbar)``, ``p = i wbar [a*(-k) - a(k)]/2``.
 
-    ``b`` is one ``a(+)`` in FFT order; ``(q, p)`` come back in shifted
-    order, where reversing the grid axes maps ``k`` to ``-k``.  Exact
+    ``b`` is one ``a(+)`` and ``(q, p)`` come back, all in FFT order.  Exact
     inverse of :func:`to_amplitudes` on the retained modes; the masked zero
     mode returns as zero.
     """
     b = np.asarray(b, dtype=np.complex128)
     if b.shape != spec.shape:
         raise SizeMismatchError(f"amplitude field shape {b.shape}, expected {spec.shape}")
-    a_plus = np.fft.fftshift(b)
-    a_conj_neg = np.conj(np.flip(a_plus))
-    winv = inverse_omega_bar_grid(spec)
-    wbar = omega_bar_grid(spec)
-    q = 0.5 * winv * (a_plus + a_conj_neg)
-    p = 0.5j * wbar * (a_conj_neg - a_plus)
-    return PhasePair(q, p)
+    a_conj_neg = np.conj(_at_minus_k(b, spec.d))
+    q = 0.5 * inverse_omega_bar_grid(spec) * (b + a_conj_neg)
+    p = 0.5j * omega_bar_grid(spec) * (a_conj_neg - b)
+    return q, p
+
+
+def _at_minus_k(b: np.ndarray, d: int) -> np.ndarray:
+    """``b(-k)`` of a field in FFT order over its trailing ``d`` axes: the
+    flip puts entry ``i`` at ``N - 1 - i``, and the roll by one at ``-i mod N``."""
+    gax = tuple(range(-d, 0))
+    return np.roll(np.flip(b, gax), 1, gax)
 
 
 def rhs(b: np.ndarray, params: ModelParams) -> np.ndarray:
@@ -212,11 +202,10 @@ def _kernel_tables(spec: LatticeSpec, lam: float) -> tuple[np.ndarray, np.ndarra
     The coefficient ``-i lam h^d winv / 8`` meets ``N^d fft(V^2)`` with
     ``V^2 = 4 (Re ifft(u))^2``: ``h^d N^d = 1``, and the 4 is folded in.
     """
-    winv = np.fft.ifftshift(inverse_omega_bar_grid(spec))
-    out = (winv, -0.5j * lam * winv)
-    for table in out:
-        table.setflags(write=False)
-    return out
+    winv = inverse_omega_bar_grid(spec)
+    coef = -0.5j * lam * winv
+    coef.setflags(write=False)
+    return winv, coef
 
 
 def _table_nonlinear(b: np.ndarray, spec: LatticeSpec, lam: float) -> np.ndarray:
@@ -254,7 +243,7 @@ def _dft_tables(spec: LatticeSpec) -> tuple[np.ndarray, np.ndarray]:
     n = spec.N
     theta = (2.0 * np.pi / n) * (np.outer(np.arange(n), np.arange(n)) % n)
     c, s = np.cos(theta), np.sin(theta)  # symmetric in (k, x)
-    winv = np.fft.ifftshift(inverse_omega_bar_grid(spec))
+    winv = inverse_omega_bar_grid(spec)
     # rows (k, re/im), columns x: Re of (re + i im) e^{+i theta}
     inv = (2.0 / n) * np.repeat(winv, 2)[:, None] * np.stack([c, -s], axis=1).reshape(2 * n, n)
     out = (inv, (-0.125j * winv * (c - 1j * s)).view(np.float64))
@@ -266,7 +255,7 @@ def _dft_tables(spec: LatticeSpec) -> tuple[np.ndarray, np.ndarray]:
 @lru_cache(maxsize=64)
 def _linear_table(spec: LatticeSpec) -> np.ndarray:
     """``-i omega_bar`` in FFT order, the linear part of the ``a(+)`` equation."""
-    out = -1j * np.fft.ifftshift(omega_bar_grid(spec))
+    out = -1j * omega_bar_grid(spec)
     out.setflags(write=False)
     return out
 
@@ -290,9 +279,8 @@ def hamiltonian_terms(
     spec = params.spec
     b = _as_field(spec, b)
     gax = tuple(range(-spec.d, 0))
-    h1 = 0.5 * np.sum(np.fft.ifftshift(omega_bar_grid(spec)) * np.abs(b) ** 2, axis=gax)
-    b_neg = np.roll(np.flip(b, gax), 1, gax)  # a(+)(-k) in FFT order
-    w = (b + np.conj(b_neg)) * np.fft.ifftshift(inverse_omega_bar_grid(spec))
+    h1 = 0.5 * np.sum(omega_bar_grid(spec) * np.abs(b) ** 2, axis=gax)
+    w = (b + np.conj(_at_minus_k(b, spec.d))) * inverse_omega_bar_grid(spec)
     v = np.fft.fftn(w, axes=gax)
     return h1, spec.h ** (2 * spec.d) * 0.125 * np.sum(v**3, axis=gax)
 
@@ -316,7 +304,7 @@ def hamiltonian(b: np.ndarray, params: ModelParams) -> float | np.ndarray:
 
 def _phase_factors(spec: LatticeSpec, dt: float) -> tuple[np.ndarray, np.ndarray]:
     """Half-step and full-step linear phases of ``a(+)``, in FFT order."""
-    e_half = np.exp(-0.5j * dt * np.fft.ifftshift(omega_bar_grid(spec)))
+    e_half = np.exp(-0.5j * dt * omega_bar_grid(spec))
     return e_half, e_half * e_half
 
 
@@ -408,7 +396,7 @@ def integrate(
 class EnsembleSpec:
     """Random-phase ensemble: ``m`` replicas on modulus profile ``n0``.
 
-    ``n0`` is either a table over the shifted spectral grid or a callable
+    ``n0`` is either a table over the spectral grid (FFT order) or a callable
     evaluated on the rescaled wavenumbers ``h k`` (array of shape
     ``(N,)*d + (d,)``); values must be nonnegative.
     """
@@ -436,7 +424,7 @@ def n0_table(ens: EnsembleSpec, spec: LatticeSpec) -> np.ndarray:
     if not np.all(np.isfinite(table)) or np.any(table < 0.0):
         raise ValueError("modulus profile must be finite and nonnegative")
     table = table.copy()
-    table[center_index(spec)] = 0.0
+    table[(0,) * spec.d] = 0.0
     return table
 
 
@@ -445,16 +433,18 @@ def sample_initial(ens: EnsembleSpec, spec: LatticeSpec) -> np.ndarray:
     seed: ``a(+)`` in FFT order, shape ``(m,) + (N,)*d``.
 
     Replica ``i``'s phases are ``2 pi`` times one draw of its own stream
-    ``[seed, i]`` (:func:`kinlat.rng.uniforms`) over the shifted grid, so a
-    replica is identical however many replicas are drawn.  Replicas are
-    drawn in blocks of at most ``rng.BLOCK`` draws (or one replica), so the
-    result is the only array that grows with the ensemble.
+    ``[seed, i]`` (:func:`kinlat.rng.uniforms`) over the grid in ascending
+    ``k``, the order that fixes the sampled bytes; ``ifftshift`` puts the
+    draw in FFT order.  A replica is identical however many replicas are
+    drawn.  Replicas are drawn in blocks of at most ``rng.BLOCK`` draws (or
+    one replica), so the result is the only array that grows with the
+    ensemble.
     """
     root = np.sqrt(n0_table(ens, spec))
     out = np.empty((ens.m,) + spec.shape, dtype=np.complex128)
     gax = tuple(range(1, 1 + spec.d))
     for rows, u in uniform_blocks(ens.seed, np.arange(ens.m), spec.shape):
-        out[rows] = np.fft.ifftshift(root * np.exp(1j * (2.0 * np.pi * u)), axes=gax)
+        out[rows] = root * np.exp(1j * (2.0 * np.pi * np.fft.ifftshift(u, axes=gax)))
     return out
 
 

@@ -118,7 +118,7 @@ def test_02_free_flow_exactness():
     b = np.zeros(11, dtype=np.complex128)
     b[2] = 1.0
     out = integrate(b, ModelParams(spec, 0.0), 1e-3, 700)
-    wbar = np.fft.ifftshift(omega_bar_grid(spec))[2]
+    wbar = omega_bar_grid(spec)[2]
     phase_err = abs(out[2] - np.exp(-1j * wbar * 0.7))
 
     ok = mod_drift < 1e-14 and phase_err < 1e-12
@@ -146,9 +146,9 @@ def test_03_interaction_rhs_oracle_and_wrap():
     # modular selection: mass at |k|=3 on N=7 feeds exactly {-1,+1},
     # the wrapped images of the pair sums +-6
     spec = LatticeSpec(1, 3)
-    k = np.fft.ifftshift(wavenumbers(spec)[:, 0])  # FFT order
+    k = wavenumbers(spec)[:, 0]  # FFT order
     b = np.where(np.abs(k) == 3, 0.3 + 0.1j, 0.0)
-    lin = -1j * np.fft.ifftshift(omega_bar_grid(spec)) * b
+    lin = -1j * omega_bar_grid(spec) * b
     nl = rhs(b, ModelParams(spec, 1.0)) - lin
     hit = sorted(int(kk) for kk in k[np.abs(nl) > 1e-14])
     ok = worst < 1e-12 and hit == [-1, 1]

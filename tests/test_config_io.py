@@ -643,6 +643,15 @@ class TestWriters:
         assert csv_p.read_bytes() == want.read_bytes()
         assert json.loads(json_p.read_text()) == {"t": 0.5}
 
+    @pytest.mark.parametrize("shape", [(2, 5), (4,)])
+    def test_amplitude_snapshot_takes_one_replica_of_the_lattice(self, tmp_path, shape):
+        # a replica stack would be written as its first row's modes, and a
+        # short array would fail part way through the rows
+        spec = LatticeSpec(1, 2)
+        with pytest.raises(SizeMismatchError, match="expected"):
+            write_amplitude_snapshot(tmp_path / "snap", np.zeros(shape, complex), spec, {})
+        assert not any(tmp_path.iterdir())
+
     def test_phase_density_roundtrip(self, tmp_path):
         grid = PhaseGrid(2, 6, 5, 0.8, 1.1)
         rng = np.random.default_rng(5)

@@ -6,15 +6,14 @@ import numpy as np
 import pytest
 
 from kinlat import _reference as ref
+from kinlat import waves
 from kinlat.errors import SizeMismatchError
 from kinlat.lattice import (
     LatticeSpec,
-    center_index,
     delta_mod,
     dft,
     dispersion,
     dispersion_bar,
-    fft_order,
     inverse_dft,
     inverse_omega_bar_grid,
     omega_bar_grid,
@@ -119,31 +118,36 @@ def test_omega_tables_symmetry_and_center():
     spec = LatticeSpec(2, 3)
     w = omega_bar_grid(spec)
     winv = inverse_omega_bar_grid(spec)
-    assert np.array_equal(w, np.flip(w))  # even in k
-    c = center_index(spec)
-    assert w[c] == 0.0 and winv[c] == 0.0
+    # even in k: in FFT order -k sits at the flipped index rolled by one
+    assert np.array_equal(w, np.roll(np.flip(w), 1, axis=(0, 1)))
+    assert w[0, 0] == 0.0 and winv[0, 0] == 0.0
     mask = np.ones(spec.shape, dtype=bool)
-    mask[c] = False
+    mask[0, 0] = False
     assert np.allclose((w * winv)[mask], 1.0, atol=1e-15)
 
 
-@pytest.mark.parametrize("d,D", [(1, 3), (2, 2), (3, 1)])
-def test_fft_order_is_the_shift_pair(rng, d, D):
+# N = 49 is the first odd length whose fftfreq(N, 1/N) is not exactly integral
+@pytest.mark.parametrize("d,D", [(1, 3), (2, 2), (3, 1), (1, 24)])
+def test_tables_are_in_fft_order(d, D):
     spec = LatticeSpec(d, D)
-    to_fft, to_shifted = fft_order(spec)
-    f = _random_field(rng, spec, batch=(2,))
-    flat = f.reshape(2, spec.n_sites)
-    assert np.array_equal(flat[:, to_fft], np.fft.ifftshift(f, axes=range(1, d + 1)).reshape(2, -1))
-    assert np.array_equal(flat[:, to_shifted], np.fft.fftshift(f, axes=range(1, d + 1)).reshape(2, -1))
-    assert np.array_equal(to_fft[to_shifted], np.arange(spec.n_sites))
-    # reversing the flat shifted layout is k -> -k
-    k = wavenumbers(spec).reshape(spec.n_sites, d)
-    assert np.array_equal(k[::-1], -k)
+    k = wavenumbers(spec)
+    assert k.dtype == np.int64 and k.shape == spec.shape + (d,)
+    freq = np.fft.fftfreq(spec.N, 1.0 / spec.N)
+    for c in range(d):
+        # component c runs along grid axis c and is constant along the others
+        line = np.moveaxis(k[..., c], c, -1).reshape(-1, spec.N)
+        assert np.allclose(line, freq, rtol=0.0, atol=1e-9)
+    zero = (0,) * d
+    w, winv = omega_bar_grid(spec), inverse_omega_bar_grid(spec)
+    assert w[zero] == 0.0 and np.all(np.delete(w.ravel(), 0) > 0.0)
+    assert winv[zero] == 0.0 and np.all(np.delete(winv.ravel(), 0) > 0.0)
+    # the wave lane reads the tables as they are, with no reordering
+    assert np.array_equal(waves._linear_table(spec), -1j * w)
 
 
 def test_tables_are_write_protected():
     spec = LatticeSpec(1, 2)
-    tables = (wavenumbers(spec), omega_bar_grid(spec), inverse_omega_bar_grid(spec)) + fft_order(spec)
+    tables = (wavenumbers(spec), omega_bar_grid(spec), inverse_omega_bar_grid(spec))
     for table in tables:
         with pytest.raises(ValueError):
             table[0] = 1

@@ -12,7 +12,6 @@ from kinlat import waves
 from kinlat.errors import NumericalBlowupError, SizeMismatchError
 from kinlat.lattice import (
     LatticeSpec,
-    center_index,
     dft,
     inverse_omega_bar_grid,
     omega_bar_grid,
@@ -22,7 +21,6 @@ from kinlat.profiles import make_profile
 from kinlat.waves import (
     EnsembleSpec,
     ModelParams,
-    PhasePair,
     empirical_spectrum,
     from_amplitudes,
     hamiltonian,
@@ -40,18 +38,13 @@ def _real_pair(rng, spec):
     # spectra of real-valued grid fields are conjugate-even by construction
     q = dft(spec, rng.normal(size=spec.shape))
     p = dft(spec, rng.normal(size=spec.shape))
-    return PhasePair(q, p)
+    return q, p
 
 
 def _field(rng, spec, batch=(), scale=1.0):
     # a random a(+); FFT order is immaterial to random data
     shape = batch + spec.shape
     return scale * (rng.normal(size=shape) + 1j * rng.normal(size=shape))
-
-
-def _fft_wavenumbers(spec):
-    # the integer k of each FFT-order index of a d = 1 lattice
-    return np.fft.ifftshift(wavenumbers(spec)[:, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -62,15 +55,16 @@ def _fft_wavenumbers(spec):
 @pytest.mark.parametrize("d,D", [(1, 3), (2, 2)])
 def test_variable_change_roundtrip(rng, d, D):
     spec = LatticeSpec(d, D)
-    pair = _real_pair(rng, spec)
-    b = to_amplitudes(pair, spec)
-    assert b[(0,) * d] == 0.0  # FFT order: the dropped zero mode comes first
-    back = from_amplitudes(b, spec)
+    q, p = _real_pair(rng, spec)
+    b = to_amplitudes(q, p, spec)
+    zero = (0,) * d  # FFT order: the dropped zero mode comes first
+    assert b[zero] == 0.0
+    q_back, p_back = from_amplitudes(b, spec)
     mask = np.ones(spec.shape, dtype=bool)
-    mask[center_index(spec)] = False  # the zero mode is dropped by design
-    assert np.max(np.abs((back.q - pair.q)[mask])) < 1e-12
-    assert np.max(np.abs((back.p - pair.p)[mask])) < 1e-12
-    assert back.q[center_index(spec)] == 0.0
+    mask[zero] = False  # the zero mode is dropped by design
+    assert np.max(np.abs((q_back - q)[mask])) < 1e-12
+    assert np.max(np.abs((p_back - p)[mask])) < 1e-12
+    assert q_back[zero] == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -96,7 +90,7 @@ def _shifted_order_nonlinear(a, spec, lam):
         return np.zeros_like(a)
     d = spec.d
     s_ax = a.ndim - d - 1
-    winv = inverse_omega_bar_grid(spec)
+    winv = np.fft.fftshift(inverse_omega_bar_grid(spec))
     up = np.take(a, 0, axis=s_ax) * winv
     um = np.take(a, 1, axis=s_ax) * winv
     gax = tuple(range(up.ndim - d, up.ndim))
@@ -116,7 +110,7 @@ def _shifted_order_half(ap, spec, lam):
     if lam == 0.0:
         return np.zeros_like(ap)
     gax = tuple(range(ap.ndim - spec.d, ap.ndim))
-    winv = inverse_omega_bar_grid(spec)
+    winv = np.fft.fftshift(inverse_omega_bar_grid(spec))
     x = np.fft.ifftn(np.fft.ifftshift(ap * winv, axes=gax), axes=gax)
     S = np.fft.fftshift(np.fft.fftn(x.real**2, axes=gax), axes=gax)
     return -0.5j * lam * winv * S
@@ -209,7 +203,7 @@ def test_integrate_step_is_bitwise_the_shifted_order_formula(rng, scheme, d, D):
     half = _classical_step(
         b,
         lambda x: wave_nonlinear(x, spec, 0.3),
-        np.fft.ifftshift(omega_bar_grid(spec)),
+        omega_bar_grid(spec),
         0.05,
         scheme,
     )
@@ -218,7 +212,7 @@ def test_integrate_step_is_bitwise_the_shifted_order_formula(rng, scheme, d, D):
     sgn = np.array([1.0, -1.0]).reshape((2,) + (1,) * d)
     doubled = lambda x: _shifted_order_nonlinear(x, spec, 0.3)  # noqa: E731
     a = ref.doubled_shifted(b, spec)
-    want = _classical_step(a, doubled, sgn * omega_bar_grid(spec), 0.05, scheme)
+    want = _classical_step(a, doubled, sgn * np.fft.fftshift(omega_bar_grid(spec)), 0.05, scheme)
     assert _rel_gap(ref.doubled_shifted(got, spec), want) <= 1e-14
 
 
@@ -226,9 +220,9 @@ def test_interaction_support_is_modular(rng):
     # populate |k| = 3 on N = 7; pair sums {0, +-6} reach {0, +-1} after wrapping
     spec = LatticeSpec(1, 3)
     params = ModelParams(spec, 1.0)
-    k = _fft_wavenumbers(spec)
+    k = wavenumbers(spec)[:, 0]
     b = np.where(np.abs(k) == 3, 0.3 + 0.1j, 0.0)
-    nl = rhs(b, params) - -1j * np.fft.ifftshift(omega_bar_grid(spec)) * b
+    nl = rhs(b, params) - -1j * omega_bar_grid(spec) * b
     hit = np.abs(nl) > 1e-14
     # k = 0 stays silent: its interaction weight vanishes with 1/wbar(0) = 0
     assert sorted(int(kk) for kk in k[hit]) == [-1, 1]
@@ -310,10 +304,10 @@ def test_linear_flow_preserves_moduli_exactly():
 def test_linear_flow_single_mode_phase():
     spec = LatticeSpec(1, 5)
     params = ModelParams(spec, 0.0)
-    k = _fft_wavenumbers(spec)
+    k = wavenumbers(spec)[:, 0]
     b = np.where(k == 2, 1.0 + 0.0j, 0.0)
     out = integrate(b, params, 1e-3, 700)
-    wbar = np.fft.ifftshift(omega_bar_grid(spec))[k == 2][0]
+    wbar = omega_bar_grid(spec)[k == 2][0]
     expect = np.exp(-1j * wbar * 0.7)
     assert abs(out[k == 2][0] - expect) < 1e-12
 
@@ -385,8 +379,8 @@ def test_sampling_is_seed_deterministic():
 
 def test_sampling_draws_phases_in_shifted_order():
     # replica i's phases are one draw of its own stream over the shifted
-    # grid, gathered to FFT order with the moduli, so a replica's bytes are
-    # those of the doubled shifted layout's a(+)
+    # grid, gathered to FFT order and met there with the moduli, so a
+    # replica's bytes are those of the doubled shifted layout's a(+)
     spec = LatticeSpec(2, 2)
     ens = EnsembleSpec(3, 11, make_profile("constant", level=0.5))
     a = sample_initial(ens, spec)
@@ -395,7 +389,7 @@ def test_sampling_draws_phases_in_shifted_order():
     for i in range(3):
         rng = np.random.default_rng(np.random.SeedSequence([11, i]))
         theta = 2.0 * np.pi * rng.random(spec.shape)
-        assert np.array_equal(a[i], np.fft.ifftshift(root * np.exp(1j * theta)))
+        assert np.array_equal(a[i], root * np.exp(1j * np.fft.ifftshift(theta)))
 
 
 # seeds of one to four 32-bit entropy words; 2**100's four and the replica's
@@ -464,7 +458,7 @@ def test_replicas_differ_but_share_modulus_profile():
     ens = EnsembleSpec(4, 7, make_profile("constant", level=0.25))
     a = sample_initial(ens, spec)
     assert not np.array_equal(a[0], a[1])
-    n0 = np.fft.ifftshift(n0_table(ens, spec))
+    n0 = n0_table(ens, spec)
     assert np.allclose(np.abs(a) ** 2, n0, atol=1e-12)
 
 
