@@ -182,7 +182,7 @@ def _cases(rng, batch: int):
 
     grid, fp = VLASOV_GRID, FractionalParams(0.5)
     law = GaussianLaw(lambda x: 0.2 * np.cos(2 * np.pi * x[..., 0]), 0.0, 0.1, 0.1)
-    strang, g = _Strang(grid, 0.01), density_from_law(law, grid).g
+    strang, g = _Strang(grid, 0.01), density_from_law(law, grid)
     s_v = (acceleration(g, grid, fp) * strang.dt / grid.dv)[:, :, None]
 
     def r_sweep():

@@ -28,8 +28,10 @@ The runs are inputs 0 and 5 of each perfbench workload (configs from
 (17 sites against a 32-node kinetic grid: the interpolation path) and at
 d = 2 (9 sites against 9 nodes: the same-grid path), ``chain-sim`` on the
 default chain block with 4 replicas saved every 100 of its 1000 steps, the
-default ``mf-compare`` and ``vlasov`` blocks, and ``oracle-suite``, the only
-pipeline that runs ``lattice.dft`` and ``lattice.inverse_dft``.
+default ``mf-compare`` and ``vlasov`` blocks, ``wt-kinetic`` at m = 16 for
+10 steps (the only run whose kinetic series and clock span more than 2
+steps), and ``oracle-suite``, the only pipeline that runs ``lattice.dft``
+and ``lattice.inverse_dft``.
 """
 
 from __future__ import annotations
@@ -82,6 +84,8 @@ def runs() -> dict[str, tuple[str, dict]]:
         {"pipeline": "mf-compare", "seed": 1, "chain": {}, "vlasov": {}, "compare": {}},
     )
     out["vlasov-default"] = ("vlasov", {"pipeline": "vlasov", "seed": 1, "vlasov": {}})
+    kinetic = {"m": 16, "omega_floor": 0.05, "dtau": 0.01, "n_steps": 10}
+    out["wt-kinetic-steps"] = ("wt-kinetic", {"pipeline": "wt-kinetic", "seed": 1, "kinetic": kinetic})
     out["oracle-suite"] = ("oracle-suite", {"pipeline": "oracle-suite", "seed": 1})
     return out
 

@@ -2,12 +2,13 @@
 
 The wave ensemble's spectrum is held against the kinetic equation's
 (:func:`compare_spectra`), and the chain ensemble's per-cell moments against
-the Vlasov density's (:func:`meanfield_distance`); the chain ensemble is
-its bare ``(m, n_sites)`` arrays ``r`` and ``v``, and the density enters
-as its cell moments, so a caller can drop the density before the ensemble
-exists.  Both give one :class:`Distance`.  The lanes only solve, and this
-module imports none of them, so the Vlasov lane can read
-:data:`OBSERVABLES` from here.
+the Vlasov density's (:func:`meanfield_distance`).  Every input is a bare
+array, its grid and its time given by the caller: the two spectra are
+arrays on torus grids, the chain ensemble is its ``(m, n_sites)`` arrays
+``r`` and ``v``, and the density enters as its cell moments, so a caller
+can drop the density before the ensemble exists.  Both give one
+:class:`Distance`.  The lanes only solve, and this module imports none of
+them, so the Vlasov lane can read :data:`OBSERVABLES` from here.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from .errors import SizeMismatchError
 
 if TYPE_CHECKING:  # annotations only: loading this module loads no lane
     from .chain import ChainGeometry
-    from .kinetic import Spectrum, TorusGrid
+    from .kinetic import TorusGrid
     from .vlasov import PhaseGrid
 
 __all__ = [
@@ -91,17 +92,19 @@ def _interp_periodic_1d(f: np.ndarray, m_from: int, m_to: int) -> np.ndarray:
     return (1.0 - theta) * f[i0 % m_from] + theta * f[(i0 + 1) % m_from]
 
 
-def compare_spectra(ours: Spectrum, theirs: Spectrum) -> Distance:
-    """The spectrum ``ours`` against ``theirs``, as the one observable ``f``.
+def compare_spectra(
+    fa: np.ndarray, ga: TorusGrid, fb: np.ndarray, gb: TorusGrid, t: float
+) -> Distance:
+    """The spectrum array ``fa`` on ``ga`` (ours) against ``fb`` on ``gb``
+    (theirs, at time ``t``), as the one observable ``f``.
 
     Identical grids are compared node by node.  In one dimension the coarser
     spectrum is first linearly interpolated (periodically) onto the finer
     grid; mixed grids in higher dimension are rejected.
     """
-    ga, gb = ours.grid, theirs.grid
     if ga.d != gb.d:
         raise SizeMismatchError(f"dimension mismatch {ga.d} vs {gb.d}")
-    fa, fb, grid = ours.f, theirs.f, ga
+    grid = ga
     if ga.m != gb.m:
         if ga.d != 1:
             raise SizeMismatchError(
@@ -111,7 +114,7 @@ def compare_spectra(ours: Spectrum, theirs: Spectrum) -> Distance:
             fa, grid = _interp_periodic_1d(fa, ga.m, gb.m), gb
         else:
             fb = _interp_periodic_1d(fb, gb.m, ga.m)
-    return Distance({"f": fa}, {"f": fb}, grid.cell_measure, theirs.tau, grid)
+    return Distance({"f": fa}, {"f": fb}, grid.cell_measure, t, grid)
 
 
 def cell_moments_of_ensemble(

@@ -20,6 +20,8 @@ solvers, and ``compare``, which holds an ensemble against its limit) are
 imported when ``run`` dispatches it, so a process loads only what it runs;
 ``_reference`` is imported by ``oracle-suite`` alone.  ``mf-compare`` runs
 its Vlasov side first and frees the density before the chain side allocates.
+Every lane holds bare arrays and no clock: each driver keeps its own as its
+step count times its step, never as a running sum.
 """
 
 from __future__ import annotations
@@ -88,7 +90,6 @@ _LANES = {
     "kinetic": (
         "CollisionDiagnostics",
         "ResonanceRule",
-        "Spectrum",
         "TorusGrid",
         "collision",
         "energy_moment",
@@ -224,7 +225,8 @@ def _manifest(cfg: RunConfig, out_dir: Path, **fields) -> RunManifest:
 
 
 def _close(manifest: RunManifest, out_dir: Path, check: bool) -> RunManifest:
-    """Stamp and write the manifest; under ``check``, raise on its failed budgets.
+    """Stamp and write the manifest; under ``check``, raise on its failed
+    budgets a :class:`CheckFailure` that carries it as ``manifest``.
 
     A status that already names a failure (a sweep's ``partial``) is kept.
     """
@@ -234,7 +236,9 @@ def _close(manifest: RunManifest, out_dir: Path, check: bool) -> RunManifest:
     manifest.finished = _utcnow()
     write_json(out_dir / "manifest.json", manifest.to_dict())
     if failed:
-        raise CheckFailure("; ".join(f"{b.name} {b.value:.3e} > {b.limit:.3e}" for b in failed))
+        err = CheckFailure("; ".join(f"{b.name} {b.value:.3e} > {b.limit:.3e}" for b in failed))
+        err.manifest = manifest
+        raise err
     return manifest
 
 
@@ -309,7 +313,9 @@ def _drive_wave(cfg: RunConfig, out: Path):
     mod0 = np.abs(a)
     h0 = hamiltonian(a, params)
     h_scale = np.where(h0 != 0.0, np.abs(h0), 1.0)  # an all-zero replica stays zero
-    files = [write_spectrum_csv(out / "spectrum_initial.csv", empirical_spectrum(a, spec, 0.0))]
+    grid = TorusGrid(w.d, spec.N)  # the empirical spectrum's
+    f = empirical_spectrum(a, spec)
+    files = [write_spectrum_csv(out / "spectrum_initial.csv", f, grid, 0.0)]
 
     seg_len = w.save_every if w.save_every > 0 else w.n_steps
     t, done, drift = 0.0, 0, 0.0
@@ -318,9 +324,9 @@ def _drive_wave(cfg: RunConfig, out: Path):
         seg = min(seg_len, w.n_steps - done)
         a = _evolve_waves(a, params, cfg, seg, out, done, t)
         done += seg
-        t += w.dt * seg
-        sp = empirical_spectrum(a, spec, t)
-        rows.append((t, float(sp.f.sum() * sp.grid.cell_measure), energy_moment(sp, sp.grid)))
+        t = done * w.dt
+        f = empirical_spectrum(a, spec)
+        rows.append((t, float(f.sum() * grid.cell_measure), energy_moment(f, grid)))
         h = hamiltonian(a, params)
         drift = max(drift, float(np.max(np.abs(h - h0) / h_scale)))
     if rows:
@@ -332,8 +338,7 @@ def _drive_wave(cfg: RunConfig, out: Path):
                 comments=["ensemble spectrum moments along the run; t microscopic"],
             )
         )
-    final = empirical_spectrum(a, spec, t)
-    files.append(write_spectrum_csv(out / "spectrum_final.csv", final))
+    files.append(write_spectrum_csv(out / "spectrum_final.csv", f, grid, t))
     csv_p, json_p = write_amplitude_snapshot(
         out / "amplitudes_final_r0",
         a[0],
@@ -352,19 +357,21 @@ def _drive_wave(cfg: RunConfig, out: Path):
     return files, metrics, checks, []
 
 
-def _evolve_kinetic(sp, grid, rule, k, n_steps, out: Path, diag=None, on_step=None):
-    """``evolve``, writing the last good spectrum as ``last_good.csv`` on failure."""
-    last = [sp]
+def _evolve_kinetic(f, grid, rule, k, n_steps, out: Path, diag=None, on_step=None):
+    """``evolve`` from tau 0, writing the last good spectrum as ``last_good.csv``
+    on failure; ``on_step(tau, f)`` sees each step's result at its time."""
+    last = [(0.0, f)]
 
-    def keep(i, s):
-        last[0] = s
+    def keep(i, new):
+        last[0] = ((i + 1) * k.dtau, new)
         if on_step is not None:
-            on_step(s)
+            on_step(*last[0])
 
     try:
-        return evolve(sp, grid, rule, k.dtau, n_steps, k.scheme, diag, keep)
+        return evolve(f, grid, rule, k.dtau, n_steps, k.scheme, diag, keep)
     except NumericalBlowupError as e:
-        e.snapshot = str(write_spectrum_csv(out / "last_good.csv", last[0]))
+        tau, f = last[0]
+        e.snapshot = str(write_spectrum_csv(out / "last_good.csv", f, grid, tau))
         raise
 
 
@@ -372,17 +379,17 @@ def _drive_kinetic(cfg: RunConfig, out: Path):
     k = cfg.kinetic
     grid = TorusGrid(k.d, k.m)
     rule = ResonanceRule(k.epsilon, k.shape, k.omega_floor)
-    f0 = np.asarray(build_profile(k.initial)(nodes(grid)), dtype=np.float64)
-    sp = Spectrum(grid, f0, 0.0)
-    files = [write_spectrum_csv(out / "spectrum_initial.csv", sp)]
-    rows = [(0.0, float(sp.f.sum() * grid.cell_measure), energy_moment(sp, grid))]
+    f = np.asarray(build_profile(k.initial)(nodes(grid)), dtype=np.float64)
+    files = [write_spectrum_csv(out / "spectrum_initial.csv", f, grid, 0.0)]
+    rows = [(0.0, float(f.sum() * grid.cell_measure), energy_moment(f, grid))]
 
-    def on_step(s):
-        rows.append((s.tau, float(s.f.sum() * grid.cell_measure), energy_moment(s, grid)))
+    def on_step(tau, f):
+        rows.append((tau, float(f.sum() * grid.cell_measure), energy_moment(f, grid)))
 
     diag = CollisionDiagnostics()
-    sp = _evolve_kinetic(sp, grid, rule, k, k.n_steps, out, diag, on_step)
-    files.append(write_spectrum_csv(out / "spectrum_final.csv", sp))
+    f = _evolve_kinetic(f, grid, rule, k, k.n_steps, out, diag, on_step)
+    tau = k.n_steps * k.dtau
+    files.append(write_spectrum_csv(out / "spectrum_final.csv", f, grid, tau))
     files.append(
         write_csv(
             out / "series.csv",
@@ -391,10 +398,10 @@ def _drive_kinetic(cfg: RunConfig, out: Path):
             comments=["kinetic moments; tau dimensionless"],
         )
     )
-    rate = collision(sp, grid, rule)
+    rate = collision(f, grid, rule)
     stat = float(np.sum(np.abs(rate)) * grid.cell_measure)
     metrics = {
-        "tau_final": sp.tau,
+        "tau_final": tau,
         "stationarity_l1": stat,
         "clipped_mass": diag.clipped_mass,
         "clip_events": diag.clip_events,
@@ -403,7 +410,7 @@ def _drive_kinetic(cfg: RunConfig, out: Path):
     }
     files.append(write_json(out / "summary.json", metrics))
     checks = [
-        Budget("spectrum-nonnegative", -float(sp.f.min()), 0.0),
+        Budget("spectrum-nonnegative", -float(f.min()), 0.0),
         Budget("clip-mass-small", diag.clipped_mass, 1e-6),
     ]
     return files, metrics, checks, []
@@ -417,49 +424,49 @@ def _drive_wt_compare(cfg: RunConfig, out: Path):
     n_steps = max(1, round(t_final / w.dt))
     ens = EnsembleSpec(w.replicas, cfg.seed, build_profile(w.profile))
     a = sample_initial(ens, spec)
-    micro0 = empirical_spectrum(a, spec, 0.0)
+    micro0 = empirical_spectrum(a, spec)
     a = _evolve_waves(a, params, cfg, n_steps, out)
-    micro = empirical_spectrum(a, spec, n_steps * w.dt)
-    micro.tau = w.lam**2 * micro.tau  # report on the slow clock
+    micro, micro_grid = empirical_spectrum(a, spec), TorusGrid(w.d, spec.N)
+    tau_micro = w.lam**2 * (n_steps * w.dt)  # report on the slow clock
     del a  # the kinetic side need not keep the ensemble alive
     # the finished wave side is written first, so a kinetic failure keeps it
     files = [
-        write_spectrum_csv(out / "micro_initial.csv", micro0),
-        write_spectrum_csv(out / "micro_final.csv", micro),
+        write_spectrum_csv(out / "micro_initial.csv", micro0, micro_grid, 0.0),
+        write_spectrum_csv(out / "micro_final.csv", micro, micro_grid, tau_micro),
     ]
 
     grid = TorusGrid(k.d, k.m)
     rule = ResonanceRule(k.epsilon, k.shape, k.omega_floor)
     # both sides must leave from the same curve, so the wave profile seeds
     # the kinetic run too (parse_config rejects a kinetic.initial here)
-    f0 = np.asarray(build_profile(w.profile)(nodes(grid)), dtype=np.float64)
-    kin0 = Spectrum(grid, f0, 0.0)
+    kin0 = np.asarray(build_profile(w.profile)(nodes(grid)), dtype=np.float64)
     n_tau = max(1, round(c.tau_final / k.dtau))
     try:
         kin = _evolve_kinetic(kin0, grid, rule, k, n_tau, out)
     except NumericalBlowupError as e:
         e.files = files
         raise
+    tau_kin = n_tau * k.dtau
 
-    dist = compare_spectra(micro, kin)
-    dist0 = compare_spectra(micro0, kin0)
+    dist = compare_spectra(micro, micro_grid, kin, grid, tau_kin)
+    dist0 = compare_spectra(micro0, micro_grid, kin0, grid, 0.0)
     # each side rounds its own step count, so the two slow times can differ
     notes = []
-    if abs(micro.tau - kin.tau) > TIME_TOL:
+    if abs(tau_micro - tau_kin) > TIME_TOL:
         notes.append(
             f"the spectra are compared at different slow times: "
-            f"tau_micro {micro.tau:.6g}, tau_kinetic {kin.tau:.6g}"
+            f"tau_micro {tau_micro:.6g}, tau_kinetic {tau_kin:.6g}"
         )
     files += [
-        write_spectrum_csv(out / "kinetic_initial.csv", kin0),
-        write_spectrum_csv(out / "kinetic_final.csv", kin),
+        write_spectrum_csv(out / "kinetic_initial.csv", kin0, grid, 0.0),
+        write_spectrum_csv(out / "kinetic_final.csv", kin, grid, tau_kin),
     ]
     metrics = {
         "lam": w.lam,
         "tau_final": c.tau_final,
         "micro_steps": n_steps,
-        "tau_micro": micro.tau,
-        "tau_kinetic": kin.tau,
+        "tau_micro": tau_micro,
+        "tau_kinetic": tau_kin,
         "distance_l1": dist.l1["f"],
         "distance_l2": dist.l2["f"],
         "distance_linf": dist.sup["f"],
@@ -537,12 +544,13 @@ def _drive_vlasov(cfg: RunConfig, out: Path):
     v = cfg.vlasov
     grid = PhaseGrid(v.mx, v.mr, v.mv, v.r_max, v.v_max)
     fp = FractionalParams(v.alpha)
-    g0 = density_from_law(build_law(v.law), grid)
-    b0, j0 = write_phase_density(out / "density_initial", g0, v.alpha)
-    # g0 is written out, so the run steps its array in place
-    g, diag = vlasov_evolve(g0, fp, v.dt, v.n_steps, out=g0.g)
-    b1, j1 = write_phase_density(out / "density_final", g, v.alpha)
-    mom = cell_moments_of_density(g)
+    g = density_from_law(build_law(v.law), grid)
+    b0, j0 = write_phase_density(out / "density_initial", g, grid, 0.0, v.alpha)
+    # the initial density is written out, so the run steps its array in place
+    g, diag = vlasov_evolve(g, grid, fp, v.dt, v.n_steps, out=g)
+    t = v.n_steps * v.dt
+    b1, j1 = write_phase_density(out / "density_final", g, grid, t, v.alpha)
+    mom = cell_moments_of_density(g, grid)
     files = [
         b0,
         j0,
@@ -552,7 +560,7 @@ def _drive_vlasov(cfg: RunConfig, out: Path):
     ]
     drift = abs(diag.mass_final - diag.mass_initial) / max(diag.mass_initial, 1e-300)
     metrics = {
-        "t_final": g.t,
+        "t_final": t,
         "mass_initial": diag.mass_initial,
         "mass_final": diag.mass_final,
         "mass_drift_rel": drift,
@@ -565,7 +573,7 @@ def _drive_vlasov(cfg: RunConfig, out: Path):
     # mass that flows out through the window edge counts as drift
     per100 = drift * (100.0 / max(1, v.n_steps))
     checks = [
-        Budget("density-nonnegative", -float(g.g.min()), 0.0),
+        Budget("density-nonnegative", -float(g.min()), 0.0),
         Budget("mass-conserved", per100, 1e-8),
     ]
     return files, metrics, checks, diag.notes
@@ -598,10 +606,10 @@ def _drive_mf_compare(cfg: RunConfig, out: Path):
         raise
     # the PDE side runs first and drops its density before the chain side allocates
     g = density_from_law(law_pde, grid)
-    theirs0 = cell_moments_of_density(g)
+    theirs0 = cell_moments_of_density(g, grid)
     # g is done with at t = 0, so the run steps its array in place
-    g, diag = vlasov_evolve(g, fp, vc.dt, n_pde, out=g.g)
-    theirs = cell_moments_of_density(g)
+    g, diag = vlasov_evolve(g, grid, fp, vc.dt, n_pde, out=g)
+    theirs = cell_moments_of_density(g, grid)
     del g
     t = c.dt * n_chain
     r, v = sample_ensemble(law_chain, geom, c.replicas, cfg.seed)
@@ -676,8 +684,7 @@ def _oracle_cases(seed: int) -> list[Budget]:
     grid = TorusGrid(1, 8)
     rule = ResonanceRule(0.4)
     fpos = rng.random(grid.shape) + 0.1
-    spf = Spectrum(grid, fpos, 0.0)
-    got = collision(spf, grid, rule)
+    got = collision(fpos, grid, rule)
     want = ref.collision_direct(fpos, grid, rule)
     cases.append(Budget("collision-vs-loop", float(np.max(np.abs(got - want))), 1e-12))
 
@@ -747,8 +754,8 @@ def _drive_oracles(cfg: RunConfig, out: Path):
     return files, metrics, checks, []
 
 
-# pipeline -> (driver, the lanes it reads, bound in import order: kinetic
-# before waves and compare before vlasov, so neither compiles inside them)
+# pipeline -> (driver, the lanes it reads, bound in import order: compare
+# before vlasov, so it does not compile inside it)
 _DRIVERS = {
     "wt-sim": (_drive_wave, ("kinetic", "waves")),
     "wt-kinetic": (_drive_kinetic, ("kinetic",)),
@@ -813,7 +820,10 @@ def sweep(
     The aggregate table carries the pipeline's headline metric per axis
     value; the verdict is ``non-increasing`` when every successive difference is
     non-positive up to a relative slack of 1e-9, ``violated`` otherwise,
-    and ``partial`` when any child failed.
+    and ``partial`` when any child failed.  Each child is held to its own
+    budgets as a lone run is, and the sweep's checks list every budget a
+    child failed under ``<child dir>/<budget>``, so ``check`` fails the
+    sweep on them too.
     """
     if cfg.sweep is None:
         raise ConfigError("sweep invoked without a sweep block", field="sweep")
@@ -826,25 +836,18 @@ def sweep(
     def one(item):
         value, child_dir, child = item
         child_out = out_dir / child_dir
+        row = {"value": value, "dir": child_out.name}
         try:
-            man = run(child, out=child_out, check=False)
-            return {
-                "value": value,
-                "dir": child_out.name,
-                "status": man.status,
-                "metric": man.metrics.get(metric),
-                "hash": man.config_hash,
-            }
+            man = run(child, out=child_out, check=check)
+        except CheckFailure as e:
+            man = e.manifest
         except NumericalBlowupError as e:
-            return {
-                "value": value,
-                "dir": child_out.name,
-                "status": "numerical-failure",
-                "metric": None,
-                "error": str(e),
-            }
+            return row | {"status": "numerical-failure", "metric": None, "error": str(e)}, []
+        failed = [replace(b, name=f"{row['dir']}/{b.name}") for b in man.checks if not b.passed]
+        row |= {"status": man.status, "metric": man.metrics.get(metric), "hash": man.config_hash}
+        return row, failed
 
-    results = _map_ordered(one, list(sweep_children(cfg)), workers)
+    results, failed = zip(*_map_ordered(one, list(sweep_children(cfg)), workers))
 
     series = [r["metric"] for r in results]
     complete = Budget("sweep-complete", float(sum(x is None for x in series)), 0.0)
@@ -881,5 +884,5 @@ def sweep(
     manifest.status = "ok" if not partial else "partial"
     manifest.metrics = {"axis": axis, "verdict": verdict, metric: series}
     manifest.files = _file_entries(files, out_dir)
-    manifest.checks = [complete]
+    manifest.checks = [complete, *(b for child in failed for b in child)]
     return _close(manifest, out_dir, check)

@@ -4,7 +4,8 @@ Every writer here is byte-deterministic: fixed float formatting (``%.17g``,
 round-trip exact for float64), sorted JSON keys, explicit ``\\n`` newlines.
 Nothing in these files depends on wall clock or platform, which is what
 lets a manifest promise bit-identical reruns.  Timestamps live only in the
-run manifest, which is excluded from its own checksum list.
+run manifest, which is excluded from its own checksum list.  The writers
+take bare arrays; the grid and the time come from the caller.
 
 Manifest digests and config hashes are SHA-256 from the interpreter's
 built-in module (``_sha2``, or ``_sha256`` before Python 3.12), the one the
@@ -34,8 +35,8 @@ else:
     from _sha256 import sha256
 
 if TYPE_CHECKING:  # the writers and readers import their lane when called
-    from .kinetic import Spectrum
-    from .vlasov import PhaseDensity
+    from .kinetic import TorusGrid
+    from .vlasov import PhaseGrid
 
 __all__ = [
     "format_float",
@@ -115,16 +116,16 @@ def write_json(path: str | Path, obj) -> Path:
     return path
 
 
-def write_spectrum_csv(path: str | Path, spectrum: Spectrum) -> Path:
-    """One row per torus node: coordinates then the spectrum value.
+def write_spectrum_csv(path: str | Path, f: np.ndarray, grid: TorusGrid, tau: float) -> Path:
+    """One row per torus node of ``grid``: coordinates then the value of the
+    spectrum array ``f``; the comment records the time ``tau``.
 
     Every cell is a float64, so each row fills one ``%.17g`` template,
     the bytes :func:`format_float` gives cell by cell.
     """
     from .kinetic import nodes
 
-    grid = spectrum.grid
-    table = np.column_stack([nodes(grid).reshape(-1, grid.d), spectrum.f.reshape(-1)])
+    table = np.column_stack([nodes(grid).reshape(-1, grid.d), np.reshape(f, -1)])
     row = ",".join(["%.17g"] * (grid.d + 1))
     header = [f"kappa_{c}" for c in range(grid.d)] + ["f"]
     return _write_lines(
@@ -133,7 +134,7 @@ def write_spectrum_csv(path: str | Path, spectrum: Spectrum) -> Path:
         [row % tuple(cells) for cells in table.tolist()],
         comments=[
             "spectrum sample on the unit torus; kappa in cycles (dimensionless)",
-            f"d={grid.d} m={grid.m} tau={format_float(spectrum.tau)}",
+            f"d={grid.d} m={grid.m} tau={format_float(tau)}",
         ],
     )
 
@@ -197,32 +198,36 @@ def write_moments_csv(path: str | Path, x_nodes, columns: dict[str, np.ndarray])
     return write_csv(path, header, rows, comments=["per-cell moments; x on the unit torus"])
 
 
-def write_phase_density(path_stem: str | Path, g: PhaseDensity, alpha: float | None = None) -> tuple[Path, Path]:
-    """Flat float64 binary (C order) plus a JSON sidecar describing the grid."""
+def write_phase_density(
+    path_stem: str | Path, g: np.ndarray, grid: PhaseGrid, t: float, alpha: float
+) -> tuple[Path, Path]:
+    """The density array ``g`` as flat float64 binary (C order), plus a JSON
+    sidecar holding ``grid``, the time ``t`` and the kernel exponent ``alpha``."""
     stem = Path(path_stem)
     stem.parent.mkdir(parents=True, exist_ok=True)
     bin_path = stem.with_suffix(".bin")
     with open(bin_path, "wb") as fh:
         # the array's own buffer when it already is C-ordered <f8: no copy
-        fh.write(np.ascontiguousarray(g.g, dtype="<f8").data)
+        fh.write(np.ascontiguousarray(g, dtype="<f8").data)
     header = {
         "layout": "C-order float64 little-endian, shape (mx, mr, mv)",
-        "mx": g.grid.mx,
-        "mr": g.grid.mr,
-        "mv": g.grid.mv,
-        "r_max": g.grid.r_max,
-        "v_max": g.grid.v_max,
-        "t": g.t,
+        "mx": grid.mx,
+        "mr": grid.mr,
+        "mv": grid.mv,
+        "r_max": grid.r_max,
+        "v_max": grid.v_max,
+        "t": t,
+        "alpha": alpha,
     }
-    if alpha is not None:
-        header["alpha"] = alpha
     json_path = stem.with_suffix(".json")
     write_json(json_path, header)
     return bin_path, json_path
 
 
-def read_phase_density(path_stem: str | Path) -> PhaseDensity:
-    from .vlasov import PhaseDensity, PhaseGrid
+def read_phase_density(path_stem: str | Path) -> tuple[np.ndarray, PhaseGrid, float]:
+    """``(g, grid, t)`` as :func:`write_phase_density` wrote them, ``g``
+    held to :func:`~kinlat.vlasov.check_density`."""
+    from .vlasov import PhaseGrid, check_density
 
     stem = Path(path_stem)
     header = json.loads(stem.with_suffix(".json").read_text())
@@ -235,7 +240,8 @@ def read_phase_density(path_stem: str | Path) -> PhaseDensity:
         raise SizeMismatchError(
             f"binary payload holds {n_bytes} bytes, grid {grid.shape} wants {want}"
         )
-    return PhaseDensity(grid, np.fromfile(bin_path, dtype="<f8").reshape(grid.shape), header["t"])
+    g = np.fromfile(bin_path, dtype="<f8").reshape(grid.shape)
+    return check_density(g, grid), grid, header["t"]
 
 
 def sha256_file(path: str | Path) -> str:

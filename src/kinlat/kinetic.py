@@ -36,8 +36,10 @@ used last.  Spectra are flattened in C order, so node ``j`` has flat index
 Stationarity anchor: the equilibrium family ``f = T/w`` annihilates both
 brackets on resonance, which the tests exploit as an oracle.
 
-This module only solves: the wave ensemble's spectrum is held against a
-kinetic one in :mod:`kinlat.compare`.
+A spectrum is a bare float64 array of the grid's shape, and its clock is
+the caller's: :func:`evolve` runs from tau 0, step ``i`` ending at
+``(i + 1) * dtau``.  This module only solves: the wave ensemble's spectrum
+is held against a kinetic one in :mod:`kinlat.compare`.
 """
 
 from __future__ import annotations
@@ -60,7 +62,6 @@ __all__ = [
     "omega_grid",
     "ResonanceRule",
     "active_mask",
-    "Spectrum",
     "CollisionDiagnostics",
     "collision",
     "collision_rate",
@@ -432,76 +433,48 @@ def collision_rate(f: np.ndarray, grid: TorusGrid, rule: ResonanceRule) -> np.nd
 
 
 @dataclass
-class Spectrum:
-    """Nonnegative spectrum sampled on a :class:`TorusGrid`, tagged with time."""
-
-    grid: TorusGrid
-    f: np.ndarray
-    tau: float = 0.0
-
-    def __post_init__(self):
-        self.f = np.asarray(self.f, dtype=np.float64)
-        if self.f.shape != self.grid.shape:
-            raise SizeMismatchError(
-                f"spectrum shape {self.f.shape} does not match grid {self.grid.shape}"
-            )
-        if not np.all(np.isfinite(self.f)):
-            raise ValueError("spectrum contains non-finite values")
-        if np.any(self.f < 0.0):
-            raise ValueError(
-                f"spectrum must be nonnegative, min value {self.f.min():.3e}"
-            )
-
-
-@dataclass
 class CollisionDiagnostics:
     """Mutable accumulator threaded through :func:`step` calls."""
 
-    steps: int = 0
     clipped_mass: float = 0.0
     clip_events: int = 0
 
 
-def collision(
-    f: Spectrum | np.ndarray,
-    grid: TorusGrid,
-    rule: ResonanceRule,
-) -> np.ndarray:
-    """Collision rate ``C[f]`` on the grid (same shape as ``f``)."""
-    arr = f.f if isinstance(f, Spectrum) else np.asarray(f, dtype=np.float64)
+def collision(f: np.ndarray, grid: TorusGrid, rule: ResonanceRule) -> np.ndarray:
+    """Collision rate ``C[f]`` of the spectrum array ``f`` (shape ``grid.shape``)."""
+    arr = np.asarray(f, dtype=np.float64)
     if arr.shape != grid.shape:
         raise SizeMismatchError(f"spectrum shape {arr.shape} vs grid {grid.shape}")
     return collision_rate(arr, grid, rule)
 
 
 def step(
-    f: Spectrum,
+    f: np.ndarray,
     grid: TorusGrid,
     rule: ResonanceRule,
     dtau: float,
     scheme: str = "rk4",
     diag: CollisionDiagnostics | None = None,
-    index: int | None = None,
-) -> Spectrum:
-    """One explicit time step of ``df/dtau = C[f]``.
+    index: int = 0,
+) -> np.ndarray:
+    """One explicit time step of ``df/dtau = C[f]``, into a new array.
 
-    Negative values produced by the update are clipped to zero; the clipped
-    mass (quadrature-weighted) is recorded on ``diag`` when given.  Growth
-    beyond ``BLOWUP_BOUND`` aborts with a :class:`NumericalBlowupError` that
-    names the step ``index``, the time reached and the worst mode.
+    ``index`` is the step's place in a run from tau 0, which it ends at
+    ``(index + 1) * dtau``.  Negative values produced by the update are
+    clipped to zero; the clipped mass (quadrature-weighted) is recorded on
+    ``diag`` when given.  Growth beyond ``BLOWUP_BOUND``, or a NaN, aborts
+    with a :class:`NumericalBlowupError` that names the step, the time it
+    was to reach and the worst mode.
     """
     check_step("dtau", dtau)
-    if f.grid != grid:
-        raise SizeMismatchError(f"spectrum grid {f.grid} vs requested {grid}")
-    y = f.f
     if scheme == "rk4":
-        k1 = collision(y, grid, rule)
-        k2 = collision(y + 0.5 * dtau * k1, grid, rule)
-        k3 = collision(y + 0.5 * dtau * k2, grid, rule)
-        k4 = collision(y + dtau * k3, grid, rule)
-        new = y + dtau / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        k1 = collision(f, grid, rule)
+        k2 = collision(f + 0.5 * dtau * k1, grid, rule)
+        k3 = collision(f + 0.5 * dtau * k2, grid, rule)
+        k4 = collision(f + dtau * k3, grid, rule)
+        new = f + dtau / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     elif scheme == "euler":
-        new = y + dtau * collision(y, grid, rule)
+        new = f + dtau * collision(f, grid, rule)
     else:
         raise ValueError(f"unknown scheme {scheme!r}")
     worst = int(np.argmax(np.abs(new)))  # the first NaN, if there is one
@@ -509,22 +482,19 @@ def step(
     if not abs(value) <= BLOWUP_BOUND:
         mode = tuple(int(i) for i in np.unravel_index(worst, new.shape))
         raise NumericalBlowupError(
-            f"collision step to tau {f.tau + dtau:.6g} left bounds: "
+            f"collision step to tau {(index + 1) * dtau:.6g} left bounds: "
             f"f = {value:.3e} at mode {mode}",
             step=index,
         )
     neg = new < 0.0
-    if diag is not None:
-        diag.steps += 1
-        if np.any(neg):
-            diag.clip_events += 1
-            diag.clipped_mass += float(-new[neg].sum() * grid.cell_measure)
-    clipped = np.where(neg, 0.0, new)
-    return Spectrum(grid, clipped, f.tau + dtau)
+    if diag is not None and np.any(neg):
+        diag.clip_events += 1
+        diag.clipped_mass += float(-new[neg].sum() * grid.cell_measure)
+    return np.where(neg, 0.0, new)
 
 
 def evolve(
-    f: Spectrum,
+    f: np.ndarray,
     grid: TorusGrid,
     rule: ResonanceRule,
     dtau: float,
@@ -532,9 +502,19 @@ def evolve(
     scheme: str = "rk4",
     diag: CollisionDiagnostics | None = None,
     callback=None,
-) -> Spectrum:
-    """Repeat :func:`step`; ``callback(i, spectrum)`` fires after each step."""
+) -> np.ndarray:
+    """Repeat :func:`step` from the spectrum array ``f`` at tau 0; step ``i``
+    ends at ``(i + 1) * dtau``, and ``callback(i, f)`` fires after it.
+
+    ``f`` must be finite and nonnegative, with the grid's shape; the steps
+    that follow are held to ``BLOWUP_BOUND`` alone.
+    """
     check_step("dtau", dtau)
+    f = np.asarray(f, dtype=np.float64)
+    if f.shape != grid.shape:
+        raise SizeMismatchError(f"spectrum shape {f.shape} does not match grid {grid.shape}")
+    if not (np.all(np.isfinite(f)) and f.min() >= 0.0):
+        raise ValueError(f"spectrum must be finite and nonnegative, min value {f.min():.3e}")
     for i in range(n_steps):
         f = step(f, grid, rule, dtau, scheme, diag, index=i)
         if callback is not None:
@@ -542,23 +522,22 @@ def evolve(
     return f
 
 
-def energy_moment(f: Spectrum | np.ndarray, grid: TorusGrid) -> float:
-    """Dispersion-weighted total ``m^-d sum_k w(k) f(k)``.
+def energy_moment(f: np.ndarray, grid: TorusGrid) -> float:
+    """Dispersion-weighted total ``m^-d sum_k w(k) f(k)`` of the spectrum array ``f``.
 
     Conserved by the sharp-resonance operator; its drift under the broadened
     one is a resolution diagnostic.  A plain quadrature, it weights by
     :func:`~kinlat.lattice.dispersion` at the nodes as evaluated, not by the
     group-invariant :func:`omega_grid` the operator needs.
     """
-    arr = f.f if isinstance(f, Spectrum) else np.asarray(f)
+    arr = np.asarray(f)
     if arr.shape != grid.shape:
         raise SizeMismatchError(f"spectrum shape {arr.shape} vs grid {grid.shape}")
     return float(np.sum(dispersion(nodes(grid)) * arr) * grid.cell_measure)
 
 
-def rayleigh_jeans(grid: TorusGrid, temperature: float, rule: ResonanceRule) -> Spectrum:
+def rayleigh_jeans(grid: TorusGrid, temperature: float, rule: ResonanceRule) -> np.ndarray:
     """Equilibrium spectrum ``T/w`` with frozen modes set to zero."""
     w = omega_grid(grid)
     mask = active_mask(grid, rule)
-    f = np.where(mask, temperature / np.where(mask, w, 1.0), 0.0)
-    return Spectrum(grid, f)
+    return np.where(mask, temperature / np.where(mask, w, 1.0), 0.0)

@@ -38,13 +38,14 @@ depend only on (r, v) and ``dt`` and are built once per
 :func:`kinlat._reference.shift_lines_loop`, exact in its read positions,
 is the oracle; the sweeps match it bit for bit.
 
-A run holds one working density: the first step writes it from the
-caller's density, and every later step overwrites it in place.  The
+A density is a bare float64 array of its grid's shape; its clock is the
+caller's.  A run holds one working density: the first step writes it from
+the caller's density, and every later step overwrites it in place.  The
 caller's density is left alone unless the caller hands its array over as
 ``out``; the run then holds that one density and no other.
 :func:`density_from_law` fills its array, :func:`cell_moments_of_density`
-sums it and :class:`PhaseDensity` validates it, one slab at a time, so
-none of them makes a full-size temporary.
+sums it and :func:`check_density` checks it, one slab at a time, so none
+of them makes a full-size temporary.
 
 This module only solves: :mod:`kinlat.compare` holds the chain ensemble
 against the density, and owns the observables the cell moments sum.
@@ -64,11 +65,10 @@ from .errors import SizeMismatchError, check_step
 
 __all__ = [
     "PhaseGrid",
-    "PhaseDensity",
     "x_centers",
     "r_centers",
     "v_centers",
-    "Moments",
+    "check_density",
     "moments",
     "sigma_field",
     "acceleration",
@@ -146,33 +146,6 @@ def v_centers(grid: PhaseGrid) -> np.ndarray:
     return _centers(grid.mv, grid.v_max, False)
 
 
-@dataclass
-class PhaseDensity:
-    """Nonnegative density values on a :class:`PhaseGrid` at time ``t``."""
-
-    grid: PhaseGrid
-    g: np.ndarray
-    t: float = 0.0
-
-    def __post_init__(self):
-        self.g = np.asarray(self.g, dtype=np.float64)
-        if self.g.shape != self.grid.shape:
-            raise SizeMismatchError(
-                f"density shape {self.g.shape}, grid wants {self.grid.shape}"
-            )
-        # one slab at a time, so no whole-grid temporary; every slab passes
-        # the finiteness check before any is checked for sign, so a bad
-        # density raises the same error whatever slab holds the fault
-        slabs = _slabs(self.grid)
-        if not all(np.isfinite(self.g[x]).all() for x in slabs):
-            raise ValueError("density must be finite")
-        if any((self.g[x] < 0.0).any() for x in slabs):
-            raise ValueError("density must be nonnegative")
-
-    def mass(self) -> float:
-        return float(self.g.sum() * self.grid.cell_volume)
-
-
 # byte budget of one x-slab: the Strang sub-flows and the moment sums work a
 # few whole x-planes at a time, which stay in cache (2 planes at 128 x 128);
 # every swept line and every moment sum lies inside one x-plane, so the slab
@@ -187,23 +160,33 @@ def _slabs(grid: PhaseGrid) -> list[slice]:
     return [slice(a, min(a + n, grid.mx)) for a in range(0, grid.mx, n)]
 
 
-@dataclass
-class Moments:
-    """Per-x-node r-marginal quadratures: ``rho = int g``, ``m = int r g``."""
+def check_density(g: np.ndarray, grid: PhaseGrid) -> np.ndarray:
+    """``g`` as float64, once it has ``grid``'s shape and is finite and nonnegative.
 
-    rho: np.ndarray
-    m: np.ndarray
+    One slab at a time, so no whole-grid temporary; every slab passes the
+    finiteness check before any is checked for sign, so a bad density
+    raises the same error whatever slab holds the fault.
+    """
+    g = np.asarray(g, dtype=np.float64)
+    if g.shape != grid.shape:
+        raise SizeMismatchError(f"density shape {g.shape}, grid wants {grid.shape}")
+    slabs = _slabs(grid)
+    if not all(np.isfinite(g[x]).all() for x in slabs):
+        raise ValueError("density must be finite")
+    if any((g[x] < 0.0).any() for x in slabs):
+        raise ValueError("density must be nonnegative")
+    return g
 
 
-def moments(g: np.ndarray, grid: PhaseGrid) -> Moments:
-    """Midpoint quadrature of the density array ``g`` over the (r, v) window
-    at every x node of ``grid``."""
+def moments(g: np.ndarray, grid: PhaseGrid) -> tuple[np.ndarray, np.ndarray]:
+    """Per-x-node r-marginal midpoint quadratures ``(int g, int r g)`` of
+    the density array ``g`` over the (r, v) window of ``grid``."""
     if g.shape != grid.shape:
         raise SizeMismatchError(f"density shape {g.shape}, grid wants {grid.shape}")
     w = grid.dr * grid.dv
     # one pass over the density: rho and m are sums of its (x, r) line sums
     rows = g.sum(axis=2)
-    return Moments(rows.sum(axis=1) * w, (rows * r_centers(grid)).sum(axis=1) * w)
+    return rows.sum(axis=1) * w, (rows * r_centers(grid)).sum(axis=1) * w
 
 
 def sigma_field(g: np.ndarray, grid: PhaseGrid, fp: FractionalParams) -> np.ndarray:
@@ -212,9 +195,8 @@ def sigma_field(g: np.ndarray, grid: PhaseGrid, fp: FractionalParams) -> np.ndar
 
     Identically zero when ``g`` does not depend on x.
     """
-    mom = moments(g, grid)
     mult = fp.pde_symbol(grid.mx)
-    lrho, lm = (np.fft.ifft(mult * np.fft.fft(a)).real for a in (mom.rho, mom.m))
+    lrho, lm = (np.fft.ifft(mult * np.fft.fft(a)).real for a in moments(g, grid))
     return r_centers(grid)[None, :] * lrho[:, None] - lm[:, None]
 
 
@@ -439,53 +421,54 @@ class VlasovDiagnostics:
 
 
 def vlasov_evolve(
-    g: PhaseDensity,
+    g: np.ndarray,
+    grid: PhaseGrid,
     fp: FractionalParams,
     dt: float,
     n_steps: int,
     *,
     out: np.ndarray | None = None,
-) -> tuple[PhaseDensity, VlasovDiagnostics]:
-    """Run ``n_steps`` Strang steps with advisory monitoring.
+) -> tuple[np.ndarray, VlasovDiagnostics]:
+    """Run ``n_steps`` Strang steps of the density array ``g`` on ``grid``
+    with advisory monitoring.
 
     The one advisory goes to the diagnostics' ``notes``: support whose edge
     mass exceeds ``BOUNDARY_TOL``.  The largest line displacements are
     reported as ``cfl_r`` and ``cfl_v``; the scheme is stable whatever they
-    are.  Of the densities each step ends with, only the result is
-    validated.  ``dt`` must be finite and positive; it is checked
-    before any work.
+    are.  Of the densities each step ends with, only the result goes
+    through :func:`check_density`.  ``dt`` must be finite and positive; it
+    is checked before any work.
 
     The run holds one working density array: the first step writes it from
     ``g``, and every later step overwrites it in place.  That array is
-    ``out`` when it is given, which may be ``g.g`` itself (a run that no
+    ``out`` when it is given, which may be ``g`` itself (a run that no
     longer needs ``g`` then holds one density in all); without ``out`` it
-    is a new array and ``g`` is left alone.  The result wraps the working
+    is a new array and ``g`` is left alone.  The result is the working
     array; with no steps it is ``g``.
     """
-    grid, arr, t = g.grid, g.g, g.t
-    if out is not None and out.shape != grid.shape:
-        raise SizeMismatchError(f"out has shape {out.shape}, grid wants {grid.shape}")
+    for name, a in (("g", g), ("out", out)):
+        if a is not None and a.shape != grid.shape:
+            raise SizeMismatchError(f"{name} has shape {a.shape}, grid wants {grid.shape}")
     strang = _Strang(grid, dt)
-    mass0 = g.mass()
-    bmax = boundary_mass(arr, grid)
+    mass0 = float(g.sum() * grid.cell_volume)
+    bmax = boundary_mass(g, grid)
     cfl_r = grid.v_max * dt / grid.dr if n_steps > 0 else 0.0
     cfl_v = 0.0
     notes: list[str] = []
     for i in range(n_steps):
         # step 0 writes the working array (a new one without ``out``);
         # later steps overwrite it
-        arr, accel = strang.step(arr, fp, out=arr if i else out)
-        t += dt
+        g, accel = strang.step(g, fp, out=g if i else out)
         cfl_v = max(cfl_v, float(np.max(np.abs(accel))) * dt / grid.dv)
-        bmax = max(bmax, boundary_mass(arr, grid))
-    if n_steps > 0:
-        g = PhaseDensity(grid, arr, t)
+        bmax = max(bmax, boundary_mass(g, grid))
+    g = check_density(g, grid)
+    mass1 = float(g.sum() * grid.cell_volume)
     if bmax > BOUNDARY_TOL:
         notes.append(
             f"support reached the (r, v) truncation boundary: peak edge mass {bmax:.3e}, "
-            f"escaped mass estimate {mass0 - g.mass():.3e}"
+            f"escaped mass estimate {mass0 - mass1:.3e}"
         )
-    return g, VlasovDiagnostics(n_steps, mass0, g.mass(), bmax, cfl_r, cfl_v, notes)
+    return g, VlasovDiagnostics(n_steps, mass0, mass1, bmax, cfl_r, cfl_v, notes)
 
 
 # ---------------------------------------------------------------------------
@@ -493,7 +476,7 @@ def vlasov_evolve(
 # ---------------------------------------------------------------------------
 
 
-def density_from_law(law, grid: PhaseGrid, t: float = 0.0) -> PhaseDensity:
+def density_from_law(law, grid: PhaseGrid) -> np.ndarray:
     """Materialize a sampling law's density on the grid (midpoint values).
 
     The law must expose ``density(x, r, v)`` (degenerate laws do not).  No
@@ -507,19 +490,20 @@ def density_from_law(law, grid: PhaseGrid, t: float = 0.0) -> PhaseDensity:
     # the values are pointwise in x, so a slab at a time leaves every bit alone
     for s in _slabs(grid):
         vals[s] = law.density(x[s], r, v)
-    return PhaseDensity(grid, vals, t)
+    return check_density(vals, grid)
 
 
-def cell_moments_of_density(g: PhaseDensity) -> dict[str, np.ndarray]:
-    """Conditional phase-space means per x node, ``E[phi | x]``."""
-    r = r_centers(g.grid)[:, None]
-    v = v_centers(g.grid)[None, :]
-    denom = g.g.sum(axis=(1, 2))
+def cell_moments_of_density(g: np.ndarray, grid: PhaseGrid) -> dict[str, np.ndarray]:
+    """Conditional phase-space means per x node, ``E[phi | x]``, of the
+    density array ``g`` on ``grid``."""
+    r = r_centers(grid)[:, None]
+    v = v_centers(grid)[None, :]
+    denom = g.sum(axis=(1, 2))
     if np.any(denom <= 0.0):
         raise ValueError("conditional moments undefined at zero-mass x nodes")
-    out = {name: np.empty(g.grid.mx) for name in OBSERVABLES}
+    out = {name: np.empty(grid.mx) for name in OBSERVABLES}
     # per-x sums, so summing a slab of planes at a time leaves every bit alone
-    for x in _slabs(g.grid):
+    for x in _slabs(grid):
         for name, phi in OBSERVABLES.items():
-            out[name][x] = (g.g[x] * phi(r, v)).sum(axis=(1, 2))
+            out[name][x] = (g[x] * phi(r, v)).sum(axis=(1, 2))
     return {name: out[name] / denom for name in OBSERVABLES}

@@ -44,7 +44,6 @@ from typing import Callable
 import numpy as np
 
 from .errors import NumericalBlowupError, SizeMismatchError, check_step
-from .kinetic import Spectrum, TorusGrid
 from .lattice import (
     LatticeSpec,
     _check_field,
@@ -448,18 +447,16 @@ def sample_initial(ens: EnsembleSpec, spec: LatticeSpec) -> np.ndarray:
     return out
 
 
-def empirical_spectrum(b: np.ndarray, spec: LatticeSpec, t: float) -> Spectrum:
+def empirical_spectrum(b: np.ndarray, spec: LatticeSpec) -> np.ndarray:
     """Replica average of ``conj a(+) a(+)`` on the rescaled grid ``h k``.
 
-    ``b`` is a replica stack of ``a(+)`` in FFT order at time ``t``.  The
-    real part is taken and round-off negatives are floored at zero.  The
-    result lives on the torus grid with ``N`` nodes per axis (``h k`` mod 1
-    enumerates exactly the nodes ``j/N``, in FFT order).  ``tau`` carries
-    the microscopic time; rescaling to kinetic time is the caller's
-    business.
+    ``b`` is a replica stack of ``a(+)`` in FFT order.  The real part is
+    taken and round-off negatives are floored at zero.  The result is an
+    array on the torus grid with ``N`` nodes per axis (``h k`` mod 1
+    enumerates exactly the nodes ``j/N``, in FFT order); its time, and the
+    rescaling to kinetic time, are the caller's.
     """
     b = _as_field(spec, b)
     if b.ndim != 1 + spec.d:  # replica, then the grid axes
         raise SizeMismatchError("expected one leading replica axis")
-    f = np.maximum(np.mean(np.conj(b) * b, axis=0).real, 0.0)
-    return Spectrum(TorusGrid(spec.d, spec.N), f, float(t))
+    return np.maximum(np.mean(np.conj(b) * b, axis=0).real, 0.0)

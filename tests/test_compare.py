@@ -12,7 +12,7 @@ import pytest
 
 from kinlat.chain import ChainGeometry, GaussianLaw, sample_ensemble
 from kinlat.compare import OBSERVABLES, Distance, compare_spectra, meanfield_distance
-from kinlat.kinetic import Spectrum, TorusGrid
+from kinlat.kinetic import TorusGrid
 from kinlat.vlasov import PhaseGrid, cell_moments_of_density, density_from_law
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -57,13 +57,14 @@ def test_a_constant_gap_has_every_norm_equal_to_it(names):
 
 def test_both_comparisons_return_the_one_record():
     grid = TorusGrid(1, 8)
-    spectra = compare_spectra(Spectrum(grid, np.ones(8)), Spectrum(grid, np.full(8, 1.5), 0.5))
+    spectra = compare_spectra(np.ones(8), grid, np.full(8, 1.5), grid, 0.5)
     assert isinstance(spectra, Distance)
     assert set(spectra.l2) == {"f"} and spectra.t == 0.5 and spectra.grid == grid
     law = GaussianLaw(0.0, 0.0, 0.15, 0.15)
     geom = ChainGeometry(1, 16)
-    g = density_from_law(law, PhaseGrid(4, 16, 16, 1.0, 1.0))
+    pg = PhaseGrid(4, 16, 16, 1.0, 1.0)
+    g = density_from_law(law, pg)
     ens = sample_ensemble(law, geom, 4, 1)
-    moments = meanfield_distance(cell_moments_of_density(g), g.grid, g.t, *ens, geom, 0.0)
+    moments = meanfield_distance(cell_moments_of_density(g, pg), pg, 0.0, *ens, geom, 0.0)
     assert isinstance(moments, Distance)
     assert list(moments.l2) == list(OBSERVABLES)

@@ -37,10 +37,10 @@ from kinlat.io import (
     write_phase_density,
     write_spectrum_csv,
 )
-from kinlat.kinetic import Spectrum, TorusGrid, nodes
+from kinlat.kinetic import TorusGrid, nodes
 from kinlat.lattice import LatticeSpec
 from kinlat.profiles import FACTORIES
-from kinlat.vlasov import PhaseDensity, PhaseGrid
+from kinlat.vlasov import PhaseGrid
 
 
 def _wave_doc():
@@ -594,8 +594,7 @@ class TestWriters:
 
     def test_spectrum_csv_shape(self, tmp_path):
         grid = TorusGrid(1, 8)
-        sp = Spectrum(grid, np.full(grid.shape, 2.0), tau=0.25)
-        p = write_spectrum_csv(tmp_path / "spec.csv", sp)
+        p = write_spectrum_csv(tmp_path / "spec.csv", np.full(grid.shape, 2.0), grid, 0.25)
         lines = p.read_text().splitlines()
         data = [ln for ln in lines if not ln.startswith("#")]
         assert data[0] == "kappa_0,f"
@@ -607,7 +606,6 @@ class TestWriters:
         grid = TorusGrid(d, m)
         f = np.random.default_rng(d).uniform(0.0, 3.0, grid.n_nodes)
         f[:4] = [0.0, 5e-324, 1e300, 1 / 3]
-        sp = Spectrum(grid, f.reshape(grid.shape), tau=0.1)
         coords = nodes(grid).reshape(-1, d)
         lines = [
             "# spectrum sample on the unit torus; kappa in cycles (dimensionless)",
@@ -615,7 +613,7 @@ class TestWriters:
             ",".join([f"kappa_{c}" for c in range(d)] + ["f"]),
         ]
         lines += [",".join(format_float(x) for x in (*coords[i], f[i])) for i in range(f.size)]
-        got = write_spectrum_csv(tmp_path / "spec.csv", sp).read_bytes()
+        got = write_spectrum_csv(tmp_path / "spec.csv", f.reshape(grid.shape), grid, 0.1).read_bytes()
         assert got == ("\n".join(lines) + "\n").encode()
 
     @pytest.mark.parametrize("d,D", [(1, 3), (2, 2)])
@@ -655,26 +653,24 @@ class TestWriters:
     def test_phase_density_roundtrip(self, tmp_path):
         grid = PhaseGrid(2, 6, 5, 0.8, 1.1)
         rng = np.random.default_rng(5)
-        g = PhaseDensity(grid, rng.uniform(0.1, 1.0, grid.shape), t=0.75)
-        write_phase_density(tmp_path / "g", g, alpha=0.4)
-        back = read_phase_density(tmp_path / "g")
-        np.testing.assert_array_equal(back.g, g.g)
-        assert back.t == 0.75 and back.grid == grid
+        g = rng.uniform(0.1, 1.0, grid.shape)
+        write_phase_density(tmp_path / "g", g, grid, 0.75, 0.4)
+        back, back_grid, back_t = read_phase_density(tmp_path / "g")
+        np.testing.assert_array_equal(back, g)
+        assert back_t == 0.75 and back_grid == grid
         header = json.loads((tmp_path / "g.json").read_text())
         assert header["alpha"] == 0.4
 
     def test_phase_density_truncated_payload(self, tmp_path):
         grid = PhaseGrid(1, 4, 4, 1.0, 1.0)
-        g = PhaseDensity(grid, np.ones(grid.shape), t=0.0)
-        bin_path, _ = write_phase_density(tmp_path / "g", g)
+        bin_path, _ = write_phase_density(tmp_path / "g", np.ones(grid.shape), grid, 0.0, 0.5)
         bin_path.write_bytes(bin_path.read_bytes()[:-8])
         with pytest.raises(SizeMismatchError):
             read_phase_density(tmp_path / "g")
 
     def test_phase_density_payload_of_the_wrong_byte_count(self, tmp_path):
         grid = PhaseGrid(1, 4, 4, 1.0, 1.0)
-        g = PhaseDensity(grid, np.ones(grid.shape), t=0.0)
-        bin_path, _ = write_phase_density(tmp_path / "g", g)
+        bin_path, _ = write_phase_density(tmp_path / "g", np.ones(grid.shape), grid, 0.0, 0.5)
         payload = bin_path.read_bytes()
         # one value too many, and a partial value, are both mismatches
         for wrong in (payload + payload[:8], payload[:-3]):

@@ -34,7 +34,7 @@ from kinlat.harness import BLOCK_BYTES, Budget, _integrate_ensemble, run
 from kinlat.io import sha256_file, write_amplitude_snapshot, write_spectrum_csv
 from kinlat.lattice import LatticeSpec
 from kinlat.profiles import make_profile
-from kinlat.vlasov import PhaseDensity, PhaseGrid, vlasov_evolve
+from kinlat.vlasov import PhaseGrid, vlasov_evolve
 from kinlat.waves import (
     EnsembleSpec,
     ModelParams,
@@ -341,11 +341,11 @@ class TestRun:
         a = sample_initial(EnsembleSpec(w.replicas, 1, build_profile(w.profile)), spec)
         n_steps = round(0.1 / w.lam**2 / w.dt)
         final = empirical_spectrum(
-            _integrate_ensemble(a, ModelParams(spec, w.lam), w.dt, n_steps, w.scheme), spec, 0.0
+            _integrate_ensemble(a, ModelParams(spec, w.lam), w.dt, n_steps, w.scheme), spec
         )
-        final.tau = w.lam**2 * n_steps * w.dt
-        for name, sp in (("micro_initial", empirical_spectrum(a, spec, 0.0)), ("micro_final", final)):
-            want = write_spectrum_csv(tmp_path / f"{name}.csv", sp)
+        grid, tau = kinetic.TorusGrid(w.d, spec.N), w.lam**2 * (n_steps * w.dt)
+        for name, f, t in (("micro_initial", empirical_spectrum(a, spec), 0.0), ("micro_final", final, tau)):
+            want = write_spectrum_csv(tmp_path / f"{name}.csv", f, grid, t)
             assert (tmp_path / "o" / want.name).read_bytes() == want.read_bytes()
 
     def test_wt_compare_reports_the_two_slow_times_it_compares(self, tmp_path):
@@ -405,6 +405,30 @@ class TestRun:
         assert notes == man.notes and len(notes) == 1
         assert notes[0].startswith("support reached the (r, v) truncation boundary")
 
+    def test_a_vlasov_run_reports_steps_times_step(self, tmp_path):
+        # 100 steps of 0.01 summed one by one would give 1.0000000000000007
+        cfg = parse_config({"pipeline": "vlasov", "seed": 1, "vlasov": {}})
+        assert (cfg.vlasov.n_steps, cfg.vlasov.dt) == (100, 0.01)
+        man = run(cfg, out=tmp_path)
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        density = json.loads((tmp_path / "density_final.json").read_text())
+        assert man.metrics["t_final"] == summary["t_final"] == density["t"] == 1.0
+
+    def test_a_kinetic_series_is_stamped_at_steps_times_step(self, tmp_path):
+        doc = {
+            "pipeline": "wt-kinetic",
+            "seed": 1,
+            "kinetic": {"m": 8, "epsilon": 0.3, "dtau": 0.01, "n_steps": 10},
+        }
+        man = run(parse_config(doc), out=tmp_path)
+        lines = (tmp_path / "series.csv").read_text().splitlines()
+        taus = [float(ln.split(",")[0]) for ln in lines if ln[0].isdigit()]
+        assert taus == [0.0] + [(i + 1) * 0.01 for i in range(10)]
+        # a running sum of the steps drifts off that clock
+        sums = np.cumsum([0.0] + [0.01] * 10).tolist()
+        assert sums != taus
+        assert man.metrics["tau_final"] == taus[-1] == 0.1
+
     def test_manifest_records_the_resolved_config(self, tmp_path):
         # a law or profile block lists every parameter of its kind, defaults filled in
         doc = LANE_RUNS["mf-compare"][0]
@@ -427,7 +451,7 @@ STEPPERS = {
         np.zeros(4), np.zeros(4), ChainGeometry(1, 4), FractionalParams(0.5), dt, n
     ),
     "kinetic.evolve": lambda dt, n: kinetic.evolve(
-        kinetic.Spectrum(kinetic.TorusGrid(1, 8), np.ones(8)),
+        np.ones(8),
         kinetic.TorusGrid(1, 8),
         kinetic.ResonanceRule(0.3),
         dt,
@@ -437,7 +461,7 @@ STEPPERS = {
         np.zeros(9, complex), ModelParams(LatticeSpec(1, 4), 0.1), dt, n
     ),
     "vlasov.vlasov_evolve": lambda dt, n: vlasov_evolve(
-        PhaseDensity(PhaseGrid(2, 4, 4, 1.0, 1.0), np.ones((2, 4, 4))), FractionalParams(0.5), dt, n
+        np.ones((2, 4, 4)), PhaseGrid(2, 4, 4, 1.0, 1.0), FractionalParams(0.5), dt, n
     ),
 }
 
@@ -488,6 +512,42 @@ class TestSweep:
         assert disk["checks"] == [
             {"name": "sweep-complete", "value": 1.0, "limit": 0.0, "passed": False}
         ]
+
+    def test_check_holds_each_child_to_its_own_budgets(self, tmp_path):
+        # at dt 0.3 the child drifts past the energy budget; alone it exits 3
+        doc = {
+            "pipeline": "wt-sim",
+            "seed": 1,
+            "wave": {
+                "lam": 0.3,
+                "half_width": 4,
+                "replicas": 2,
+                "n_steps": 20,
+                "profile": {"name": "torus-gaussian", "amplitude": 0.05, "width": 0.3},
+            },
+            "sweep": {"axis": "wave.dt", "values": [0.3, 0.1]},
+        }
+        cfgp = tmp_path / "sweep.json"
+        cfgp.write_text(json.dumps(doc))
+        out = tmp_path / "o"
+        assert cli.main(["sweep", "--config", str(cfgp), "--out", str(out), "--check"]) == 3
+        child = _manifest_of(out / "wave-dt=0.3")
+        assert child["status"] == "checks-failed"
+        budget = next(c for c in child["checks"] if not c["passed"])
+        assert budget["name"] == "energy-conserved"
+        assert _manifest_of(out / "wave-dt=0.1")["status"] == "ok"
+        disk = _manifest_of(out)
+        assert disk["status"] == "checks-failed"
+        assert disk["checks"][1:] == [budget | {"name": "wave-dt=0.3/energy-conserved"}]
+        report = json.loads((out / "sweep.json").read_text())
+        assert [r["status"] for r in report["results"]] == ["checks-failed", "ok"]
+        with pytest.raises(CheckFailure) as err:
+            run(parse_config(doc), out=tmp_path / "again", check=True)
+        assert str(err.value).startswith("wave-dt=0.3/energy-conserved ")
+        # without check the child's budget is still listed, and nothing fails
+        man = run(parse_config(doc), out=tmp_path / "plain")
+        assert man.status == "ok" and _manifest_of(tmp_path / "plain" / "wave-dt=0.3")["status"] == "ok"
+        assert [b.name for b in man.checks] == ["sweep-complete", "wave-dt=0.3/energy-conserved"]
 
     def test_manifests_record_the_directory_each_run_wrote(self, tmp_path):
         # the resolved config's out is the directory written, not the config's
@@ -736,7 +796,7 @@ seen, build, sample = {}, harness.density_from_law, harness.sample_ensemble
 def watched_build(*args):
     seen["random_at_density"] = "numpy.random" in sys.modules
     g = build(*args)
-    seen["density"] = weakref.ref(g.g)
+    seen["density"] = weakref.ref(g)
     return g
 def watched_sample(*args):
     ref = seen.get("density")
@@ -814,6 +874,12 @@ class TestLanes:
         assert res.returncode == 0, res.stderr
         report = json.loads(res.stdout.splitlines()[-1])
         assert report == {"exit": 0, "random_at_density": False, "density_at_sampling": "freed"}
+
+    def test_the_wave_lane_loads_no_kinetic_lane(self, tmp_path):
+        code = "import sys, kinlat.waves; print('kinlat.kinetic' in sys.modules)"
+        res = _python(["-c", code], tmp_path)
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.split() == ["False"]
 
     def test_oracle_cases_bind_their_own_lanes(self, tmp_path):
         # a fresh interpreter that has not called run has bound no lane yet

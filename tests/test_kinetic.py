@@ -16,7 +16,6 @@ from kinlat.kinetic import (
     DEFAULT_OMEGA_FLOOR,
     CollisionDiagnostics,
     ResonanceRule,
-    Spectrum,
     TorusGrid,
     active_mask,
     collision,
@@ -260,8 +259,8 @@ def test_rayleigh_jeans_shape():
     rj = rayleigh_jeans(grid, 3.0, rule)
     w = omega_grid(grid)
     act = active_mask(grid, rule)
-    assert np.allclose(rj.f[act] * w[act], 3.0, atol=1e-14)
-    assert np.all(rj.f[~act] == 0.0)
+    assert np.allclose(rj[act] * w[act], 3.0, atol=1e-14)
+    assert np.all(rj[~act] == 0.0)
 
 
 def test_energy_moment_is_plain_quadrature(rng):
@@ -269,7 +268,6 @@ def test_energy_moment_is_plain_quadrature(rng):
     f = rng.uniform(size=grid.shape)
     want = float(np.sum(omega_grid(grid) * f)) / 25.0
     assert energy_moment(f, grid) == pytest.approx(want, rel=1e-15)
-    assert energy_moment(Spectrum(grid, f), grid) == pytest.approx(want, rel=1e-15)
 
 
 def test_step_clips_negatives_into_diagnostics():
@@ -277,40 +275,40 @@ def test_step_clips_negatives_into_diagnostics():
     rule = ResonanceRule(0.1)
     # a hollow spectrum drains its active minimum below zero in one big step
     x = np.arange(16) / 16.0
-    f = Spectrum(grid, 0.02 + np.sin(2.0 * np.pi * x) ** 4)
+    f = 0.02 + np.sin(2.0 * np.pi * x) ** 4
     diag = CollisionDiagnostics()
     out = step(f, grid, rule, 5.0, scheme="euler", diag=diag)
-    assert np.all(out.f >= 0.0)
-    assert diag.steps == 1
+    assert np.all(out >= 0.0)
     assert diag.clip_events >= 1 and diag.clipped_mass > 0.0
 
 
-def test_evolve_stamps_time_and_calls_back():
+def test_evolve_calls_back_after_each_step():
     grid = TorusGrid(1, 8)
     rule = ResonanceRule(0.3)
-    f = Spectrum(grid, np.full(grid.shape, 0.5))
+    f = np.full(grid.shape, 0.5)
     seen = []
-    out = evolve(f, grid, rule, 0.01, 5, callback=lambda i, s: seen.append((i, s.tau)))
-    assert out.tau == pytest.approx(0.05)
-    assert seen[0] == (0, pytest.approx(0.01)) and len(seen) == 5
+    out = evolve(f, grid, rule, 0.01, 5, callback=lambda i, s: seen.append((i, s)))
+    assert [i for i, _ in seen] == [0, 1, 2, 3, 4]
+    assert np.array_equal(seen[0][1], step(f, grid, rule, 0.01))
+    assert seen[-1][1] is out
 
 
 def test_euler_converges_to_rk4(rng):
     grid = TorusGrid(1, 12)
     rule = ResonanceRule(0.15)
-    f0 = Spectrum(grid, rng.uniform(0.3, 0.8, size=grid.shape))
+    f0 = rng.uniform(0.3, 0.8, size=grid.shape)
     ref_out = evolve(f0, grid, rule, 0.01, 10, scheme="rk4")
     e1 = evolve(f0, grid, rule, 0.01, 10, scheme="euler")
     e2 = evolve(f0, grid, rule, 0.005, 20, scheme="euler")
-    gap1 = np.max(np.abs(e1.f - ref_out.f))
-    gap2 = np.max(np.abs(e2.f - ref_out.f))
+    gap1 = np.max(np.abs(e1 - ref_out))
+    gap2 = np.max(np.abs(e2 - ref_out))
     assert gap2 < 0.75 * gap1  # first-order error halves under dt halving
 
 
 def test_blowup_guard():
     grid = TorusGrid(1, 8)
     rule = ResonanceRule(0.5)
-    f = Spectrum(grid, np.full(grid.shape, 1.0))
+    f = np.full(grid.shape, 1.0)
     with pytest.raises(NumericalBlowupError):
         evolve(f, grid, rule, 1e9, 50, scheme="euler")
 
@@ -324,7 +322,7 @@ def test_blowup_names_step_time_and_mode():
     mode = np.unravel_index(int(np.argmax(np.abs(new))), grid.shape)
     assert mode not in ((5, 6), (6, 5)) and np.max(np.abs(new)) > 1e12
     with pytest.raises(NumericalBlowupError) as err:
-        evolve(Spectrum(grid, f0, 0.0), grid, rule, 1e5, 3, scheme="euler")
+        evolve(f0, grid, rule, 1e5, 3, scheme="euler")
     assert err.value.step == 0
     msg = str(err.value)
     assert msg.startswith("step 0: ") and "to tau 100000 " in msg
@@ -334,13 +332,17 @@ def test_blowup_names_step_time_and_mode():
 
 
 def test_spectrum_validation():
+    # evolve refuses a bad initial spectrum, before any step too
     grid = TorusGrid(1, 8)
+    rule = ResonanceRule(0.3)
     with pytest.raises(SizeMismatchError):
-        Spectrum(grid, np.zeros(7))
+        evolve(np.zeros(7), grid, rule, 0.01, 0)
     with pytest.raises(ValueError):
-        Spectrum(grid, np.full(8, -1.0))
+        evolve(np.full(8, -1.0), grid, rule, 0.01, 0)
     with pytest.raises(ValueError):
-        Spectrum(grid, np.full(8, np.nan))
+        evolve(np.full(8, np.nan), grid, rule, 0.01, 0)
+    with pytest.raises(ValueError):
+        evolve(np.full(8, np.inf), grid, rule, 0.01, 0)
     with pytest.raises(ValueError):
         TorusGrid(1, 3)
     with pytest.raises(ValueError):
@@ -351,9 +353,9 @@ def test_spectrum_validation():
 
 def test_compare_spectra_same_grid(rng):
     grid = TorusGrid(1, 8)
-    a = Spectrum(grid, rng.uniform(size=8), 1.0)
-    b = Spectrum(grid, a.f + 0.25, 2.0)
-    d = compare_spectra(a, b)
+    a = rng.uniform(size=8)
+    d = compare_spectra(a, grid, a + 0.25, grid, 2.0)
+    assert d.t == 2.0
     assert d.sup["f"] == pytest.approx(0.25)
     assert d.l1["f"] == pytest.approx(0.25)
     assert d.l2["f"] == pytest.approx(0.25)
@@ -365,16 +367,13 @@ def test_compare_spectra_interpolates_coarse_onto_fine():
     xc = nodes(coarse)[..., 0]
     xf = nodes(fine)[..., 0]
     # a linear-in-node hat survives periodic linear interpolation exactly
-    fc = Spectrum(coarse, 1.0 - np.abs(xc - 0.5))
-    ff = Spectrum(fine, 1.0 - np.abs(xf - 0.5))
-    d = compare_spectra(fc, ff)
+    fc = 1.0 - np.abs(xc - 0.5)
+    ff = 1.0 - np.abs(xf - 0.5)
+    d = compare_spectra(fc, coarse, ff, fine, 0.0)
     assert d.grid.m == 16
     assert d.sup["f"] < 1e-14
     with pytest.raises(SizeMismatchError):
-        compare_spectra(
-            Spectrum(TorusGrid(2, 4), np.zeros((4, 4))),
-            Spectrum(TorusGrid(2, 6), np.zeros((6, 6))),
-        )
+        compare_spectra(np.zeros((4, 4)), TorusGrid(2, 4), np.zeros((6, 6)), TorusGrid(2, 6), 0.0)
 
 
 def test_default_floor_is_tiny():

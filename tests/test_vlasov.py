@@ -13,11 +13,11 @@ from kinlat.compare import cell_moments_of_ensemble, meanfield_distance
 from kinlat.config import parse_config
 from kinlat.errors import ConfigError, SizeMismatchError
 from kinlat.vlasov import (
-    PhaseDensity,
     PhaseGrid,
     acceleration,
     boundary_mass,
     cell_moments_of_density,
+    check_density,
     density_from_law,
     moments,
     r_centers,
@@ -41,7 +41,7 @@ def _gaussian_density(grid, sigma_r=0.12, sigma_v=0.12, x_weight=None):
         base = base * x_weight(x_centers(grid))[:, None, None]
     else:
         base = np.broadcast_to(base, grid.shape).copy()
-    return PhaseDensity(grid, base)
+    return base
 
 
 # ---------------------------------------------------------------------------
@@ -66,11 +66,12 @@ def test_grid_geometry():
 def test_density_validation():
     grid = PhaseGrid(2, 4, 4, 1.0, 1.0)
     with pytest.raises(SizeMismatchError):
-        PhaseDensity(grid, np.zeros((2, 4, 5)))
+        check_density(np.zeros((2, 4, 5)), grid)
     with pytest.raises(ValueError):
-        PhaseDensity(grid, np.full(grid.shape, -1.0))
-    g = PhaseDensity(grid, np.full(grid.shape, 2.0))
-    assert g.mass() == pytest.approx(2.0 * 2.0 * 2.0)  # 2 * volume of [0,1]x[-1,1]^2
+        check_density(np.full(grid.shape, -1.0), grid)
+    g = check_density(np.full(grid.shape, 2.0), grid)
+    mass = vlasov_evolve(g, grid, FP, 0.01, 0)[1].mass_initial
+    assert mass == pytest.approx(2.0 * 2.0 * 2.0)  # 2 * volume of [0,1]x[-1,1]^2
 
 
 def test_density_validation_names_the_fault_whatever_slab_holds_it():
@@ -81,12 +82,12 @@ def test_density_validation_names_the_fault_whatever_slab_holds_it():
             g = np.ones(grid.shape)
             g[x, 3, 5] = bad
             with pytest.raises(ValueError, match=message):
-                PhaseDensity(grid, g)
+                check_density(g, grid)
     # a non-finite cell is reported before a negative one in an earlier slab
     g = np.ones(grid.shape)
     g[0, 0, 0], g[8, 0, 0] = -1.0, np.nan
     with pytest.raises(ValueError, match="must be finite"):
-        PhaseDensity(grid, g)
+        check_density(g, grid)
 
 
 def test_moments_of_offset_gaussian():
@@ -95,11 +96,11 @@ def test_moments_of_offset_gaussian():
     rr = r_centers(grid)[None, :, None]
     vv = v_centers(grid)[None, None, :]
     vals = np.exp(-0.5 * ((rr - r0) / 0.15) ** 2 - 0.5 * (vv / 0.2) ** 2)
-    mom = moments(np.broadcast_to(vals, grid.shape), grid)
-    assert mom.rho.shape == (2,) and mom.m.shape == (2,)
-    assert np.allclose(mom.m / mom.rho, r0, atol=1e-6)
-    zero = moments(np.zeros(grid.shape), grid)
-    assert np.all(zero.rho == 0.0) and np.all(zero.m == 0.0)
+    rho, m = moments(np.broadcast_to(vals, grid.shape), grid)
+    assert rho.shape == (2,) and m.shape == (2,)
+    assert np.allclose(m / rho, r0, atol=1e-6)
+    rho, m = moments(np.zeros(grid.shape), grid)
+    assert np.all(rho == 0.0) and np.all(m == 0.0)
     with pytest.raises(SizeMismatchError):
         moments(np.zeros((2, 128, 63)), grid)
 
@@ -136,7 +137,7 @@ def test_frac_laplacian_alpha_one_is_minus_laplacian():
 def test_sigma_field_vanishes_without_x_structure():
     grid = PhaseGrid(8, 16, 12, 1.0, 1.0)
     g = _gaussian_density(grid)
-    assert np.max(np.abs(sigma_field(g.g, grid, FP))) < 1e-12
+    assert np.max(np.abs(sigma_field(g, grid, FP))) < 1e-12
 
 
 def test_sigma_field_matches_unfactorized(rng):
@@ -145,10 +146,10 @@ def test_sigma_field_matches_unfactorized(rng):
         grid, sigma_r=0.3, sigma_v=0.3,
         x_weight=lambda x: 1.0 + 0.5 * np.cos(2 * np.pi * x) + 0.2 * np.sin(4 * np.pi * x),
     )
-    got = sigma_field(g.g, grid, FP)
-    want = ref.sigma_field_unfactorized(g.g, grid, FP)
+    got = sigma_field(g, grid, FP)
+    want = ref.sigma_field_unfactorized(g, grid, FP)
     assert np.max(np.abs(got - want)) < 1e-12
-    assert acceleration(g.g, grid, FP) == pytest.approx(got / FP.c_alpha)
+    assert acceleration(g, grid, FP) == pytest.approx(got / FP.c_alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -159,10 +160,10 @@ def test_sigma_field_matches_unfactorized(rng):
 def test_step_conserves_mass_and_positivity():
     grid = PhaseGrid(4, 64, 64, 1.0, 1.0)
     g = _gaussian_density(grid, x_weight=lambda x: 1.0 + 0.3 * np.cos(2 * np.pi * x))
-    m0 = g.mass()
-    g, _ = vlasov_evolve(g, FP, 2e-3, 20)
-    assert abs(g.mass() - m0) / m0 < 1e-12
-    assert np.all(g.g >= 0.0)
+    m0 = g.sum()
+    g, _ = vlasov_evolve(g, grid, FP, 2e-3, 20)
+    assert abs(g.sum() - m0) / m0 < 1e-12
+    assert np.all(g >= 0.0)
 
 
 def test_free_streaming_matches_characteristics():
@@ -171,10 +172,10 @@ def test_free_streaming_matches_characteristics():
     g = density_from_law(law, grid)
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # interior support must stay advisory-free
-        g, diag = vlasov_evolve(g, FP, 2e-3, 100)
+        g, diag = vlasov_evolve(g, grid, FP, 2e-3, 100)
     assert diag.notes == []
-    exact = ref.free_streaming_density(law, grid, g.t)
-    err = np.max(np.abs(g.g - exact)) / np.max(exact)
+    exact = ref.free_streaming_density(law, grid, 100 * 2e-3)
+    err = np.max(np.abs(g - exact)) / np.max(exact)
     assert err < 2e-2
     assert diag.escaped_mass == pytest.approx(0.0, abs=1e-12)
 
@@ -184,7 +185,7 @@ def test_strang_self_convergence_second_order():
     g0 = _gaussian_density(grid, x_weight=lambda x: 1.0 + 0.4 * np.cos(2 * np.pi * x))
 
     def run(dt, n):
-        return vlasov_evolve(g0, FP, dt, n)[0].g
+        return vlasov_evolve(g0, grid, FP, dt, n)[0]
 
     ref_fine = run(2.5e-3, 16)
     err1 = np.max(np.abs(run(1e-2, 4) - ref_fine))
@@ -196,18 +197,18 @@ def test_max_density_does_not_grow():
     # incompressible characteristics: the sup can only shrink numerically
     grid = PhaseGrid(4, 64, 64, 1.0, 1.0)
     g = _gaussian_density(grid, x_weight=lambda x: 1.0 + 0.3 * np.sin(2 * np.pi * x))
-    peak0 = g.g.max()
-    g, _ = vlasov_evolve(g, FP, 2e-3, 50)
-    assert g.g.max() <= peak0 * (1.0 + 1e-9)
+    peak0 = g.max()
+    g, _ = vlasov_evolve(g, grid, FP, 2e-3, 50)
+    assert g.max() <= peak0 * (1.0 + 1e-9)
 
 
 def test_boundary_advisory_fires_for_wide_support():
     grid = PhaseGrid(2, 24, 24, 0.3, 0.3)  # window much narrower than the data
     g = _gaussian_density(grid, sigma_r=0.3, sigma_v=0.3)
-    assert boundary_mass(g.g, grid) > 0.0
+    assert boundary_mass(g, grid) > 0.0
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # advisories are notes, not warnings
-        _, diag = vlasov_evolve(g, FP, 5e-3, 10)
+        _, diag = vlasov_evolve(g, grid, FP, 5e-3, 10)
     assert len(diag.notes) == 1
     assert diag.notes[0].startswith("support reached the (r, v) truncation boundary")
     assert f"peak edge mass {diag.boundary_mass_max:.3e}" in diag.notes[0]
@@ -221,10 +222,10 @@ def test_interp_mode_validated():
     g = _gaussian_density(grid)
     for dt in (-1e-3, 0.0, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="dt"):
-            vlasov_evolve(g, FP, dt, 1)
+            vlasov_evolve(g, grid, FP, dt, 1)
     # checked before any work, so zero steps do not let bad arguments through
     with pytest.raises(ValueError, match="dt"):
-        vlasov_evolve(g, FP, float("nan"), 0)
+        vlasov_evolve(g, grid, FP, float("nan"), 0)
 
 
 # shifts per line: fractional, exact integers, negative, and |s| >= n (the line empties)
@@ -278,7 +279,7 @@ def test_line_shift_of_an_x_inhomogeneous_density():
     grid = PhaseGrid(4, 32, 32, 1.0, 1.2)
     g = _gaussian_density(
         grid, sigma_r=0.3, sigma_v=0.25, x_weight=lambda x: 1.0 + 0.5 * np.cos(2 * np.pi * x)
-    ).g
+    )
     dt = 0.05
     s_v = (acceleration(g, grid, FP) * dt / grid.dv)[:, :, None]
     sweep = _LineShift(2, grid.mv, vlasov._scratch(grid.shape)).set_shifts(s_v)
@@ -309,13 +310,13 @@ def test_non_finite_shifts_give_non_finite_lines(rng):
 def test_steps_leave_caller_arrays_alone():
     grid = PhaseGrid(4, 24, 20, 1.0, 1.0)
     g0 = _gaussian_density(grid, x_weight=lambda x: 1.0 + 0.3 * np.cos(2 * np.pi * x))
-    before = g0.g.copy()
-    g1, _ = vlasov_evolve(g0, FP, 5e-3, 1)
-    assert np.array_equal(g0.g, before)
-    after_one = g1.g.copy()
-    g, _ = vlasov_evolve(g1, FP, 5e-3, 6)
-    assert np.array_equal(g0.g, before) and np.array_equal(g1.g, after_one)
-    assert g.g is not g1.g and not np.array_equal(g.g, after_one)
+    before = g0.copy()
+    g1, _ = vlasov_evolve(g0, grid, FP, 5e-3, 1)
+    assert np.array_equal(g0, before)
+    after_one = g1.copy()
+    g, _ = vlasov_evolve(g1, grid, FP, 5e-3, 6)
+    assert np.array_equal(g0, before) and np.array_equal(g1, after_one)
+    assert g is not g1 and not np.array_equal(g, after_one)
 
 
 def test_cfl_v_is_the_applied_field():
@@ -325,19 +326,19 @@ def test_cfl_v_is_the_applied_field():
     rr = r_centers(grid)[None, :, None]
     vv = v_centers(grid)[None, None, :]
     drift = 0.2 * np.cos(2 * np.pi * x)
-    g0 = PhaseDensity(grid, np.exp(-0.5 * (rr / 0.1) ** 2 - 0.5 * ((vv - drift) / 0.1) ** 2))
+    g0 = np.exp(-0.5 * (rr / 0.1) ** 2 - 0.5 * ((vv - drift) / 0.1) ** 2)
     dt = 0.05
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        _, diag = vlasov_evolve(g0, FP, dt, 1)
+        _, diag = vlasov_evolve(g0, grid, FP, dt, 1)
     assert diag.notes == []
     assert diag.cfl_r == grid.v_max * dt / grid.dr
     s_r = (v_centers(grid) * (0.5 * dt) / grid.dr).reshape(1, 1, grid.mv)
-    mid = ref.shift_lines_loop(g0.g, s_r, 1)
+    mid = ref.shift_lines_loop(g0, s_r, 1)
     want = float(np.max(np.abs(acceleration(mid, grid, FP)))) * dt / grid.dv
     assert diag.cfl_v == pytest.approx(want, rel=1e-12)
     # the field before the half sweep is measurably different
-    before = float(np.max(np.abs(acceleration(g0.g, grid, FP)))) * dt / grid.dv
+    before = float(np.max(np.abs(acceleration(g0, grid, FP)))) * dt / grid.dv
     assert abs(before - want) > 1e-3 * want
 
 
@@ -377,7 +378,7 @@ def test_strang_step_is_the_unblocked_composition(monkeypatch):
         g = _gaussian_density(
             grid, sigma_r=0.3, sigma_v=0.25,
             x_weight=lambda x: 1.0 + 0.5 * np.cos(2 * np.pi * x) + 0.2 * np.sin(4 * np.pi * x),
-        ).g
+        )
         strang, want, h = _Strang(grid, 0.05), g, g.copy()
         short = [mx % planes] if mx % planes else []
         assert [x.stop - x.start for x in strang.slabs] == [planes] * (mx // planes) + short
@@ -425,7 +426,7 @@ def test_strang_workspace_does_not_grow_with_mx():
     held = []
     for mx in (64, 32):
         grid = PhaseGrid(mx, 128, 128, 1.0, 1.2)
-        g = _gaussian_density(grid, x_weight=lambda x: 1.0 + 0.3 * np.cos(2 * np.pi * x)).g
+        g = _gaussian_density(grid, x_weight=lambda x: 1.0 + 0.3 * np.cos(2 * np.pi * x))
         strang = _Strang(grid, 0.01)
         strang.step(g, FP)  # fill the v-sweep's tables too
         held.append(_held_bytes(strang))
@@ -452,14 +453,14 @@ def test_vlasov_lane_holds_one_working_density():
     grid = PhaseGrid(32, 128, 128, 1.0, 1.2)
     law = GaussianLaw(lambda x: 0.2 * np.cos(2 * np.pi * x[..., 0]), 0.0, 0.1, 0.1)
     g0 = density_from_law(law, grid)
-    density = g0.g.nbytes
+    density = g0.nbytes
     workspace = _held_bytes(_Strang(grid, 0.01))
     # fill the per-grid caches (centers, edge cells) before anything is traced
-    vlasov_evolve(g0, FP, 0.01, 1)
+    vlasov_evolve(g0, grid, FP, 0.01, 1)
     peaks = {
-        "evolve": _traced_peak(lambda: vlasov_evolve(g0, FP, 0.01, 3)),
+        "evolve": _traced_peak(lambda: vlasov_evolve(g0, grid, FP, 0.01, 3)),
         "fill": _traced_peak(lambda: density_from_law(law, grid)),
-        "moments": _traced_peak(lambda: cell_moments_of_density(g0)),
+        "moments": _traced_peak(lambda: cell_moments_of_density(g0, grid)),
     }
     budgets = {
         "evolve": density + workspace + density // 4,
@@ -474,22 +475,22 @@ def test_vlasov_evolve_steps_a_handed_over_array_in_place():
     law = GaussianLaw(lambda x: 0.2 * np.cos(2 * np.pi * x[..., 0]), 0.0, 0.1, 0.1)
     g0 = density_from_law(law, grid)
     # the default call on a copy also fills the per-grid caches before tracing
-    want, want_diag = vlasov_evolve(PhaseDensity(grid, g0.g.copy()), FP, 0.01, 3)
-    density = g0.g.nbytes
+    want, want_diag = vlasov_evolve(g0.copy(), grid, FP, 0.01, 3)
+    density = g0.nbytes
     workspace = _held_bytes(_Strang(grid, 0.01))
-    arr, got = g0.g, {}
+    arr, got = g0, {}
 
     def evolve_in_place():
-        got["g"], got["diag"] = vlasov_evolve(g0, FP, 0.01, 3, out=g0.g)
+        got["g"], got["diag"] = vlasov_evolve(g0, grid, FP, 0.01, 3, out=g0)
 
     peak = _traced_peak(evolve_in_place)
-    assert got["g"].g is arr
-    assert np.array_equal(got["g"].g, want.g)
+    assert got["g"] is arr
+    assert np.array_equal(got["g"], want)
     assert got["diag"] == want_diag
     # the workspace and per-step temporaries, and no second density
     assert peak <= workspace + density // 4, (peak, workspace, density)
     with pytest.raises(SizeMismatchError):
-        vlasov_evolve(g0, FP, 0.01, 1, out=np.empty((32, 128, 127)))
+        vlasov_evolve(g0, grid, FP, 0.01, 1, out=np.empty((32, 128, 127)))
 
 
 # ---------------------------------------------------------------------------
@@ -507,7 +508,7 @@ def test_cell_moments_agree_for_matched_data():
     grid = PhaseGrid(8, 64, 64, 1.0, 1.0)
     law = GaussianLaw(0.2, -0.1, 0.15, 0.15)
     g = density_from_law(law, grid)
-    mg = cell_moments_of_density(g)
+    mg = cell_moments_of_density(g, grid)
     geom = ChainGeometry(1, 64)
     ens = sample_ensemble(law, geom, 400, 17)
     me = cell_moments_of_ensemble(*ens, geom, grid)
@@ -548,12 +549,12 @@ def test_fewer_sites_than_x_cells_is_the_empty_cell_condition():
 def test_meanfield_distance_time_guard():
     grid = PhaseGrid(4, 32, 32, 1.0, 1.0)
     law = GaussianLaw(0.0, 0.0, 0.15, 0.15)
-    g = density_from_law(law, grid, t=1.0)
+    g = density_from_law(law, grid)
     geom = ChainGeometry(1, 16)
     ens = sample_ensemble(law, geom, 10, 3)
     with pytest.raises(ValueError):
-        meanfield_distance(cell_moments_of_density(g), grid, g.t, *ens, geom, 0.0)
-    assert meanfield_distance(cell_moments_of_density(g), grid, g.t, *ens, geom, 1.0 + 1e-10).t == 1.0
+        meanfield_distance(cell_moments_of_density(g, grid), grid, 1.0, *ens, geom, 0.0)
+    assert meanfield_distance(cell_moments_of_density(g, grid), grid, 1.0, *ens, geom, 1.0 + 1e-10).t == 1.0
 
 
 def test_meanfield_distance_within_monte_carlo_band():
@@ -562,7 +563,7 @@ def test_meanfield_distance_within_monte_carlo_band():
     g = density_from_law(law, grid)
     geom = ChainGeometry(1, 64)
     ens = sample_ensemble(law, geom, 100, 23)
-    d = meanfield_distance(cell_moments_of_density(g), grid, g.t, *ens, geom, 0.0)
+    d = meanfield_distance(cell_moments_of_density(g, grid), grid, 0.0, *ens, geom, 0.0)
     scale = 1.0 / np.sqrt(100 * 64)
     assert 0.05 * scale < d.total_l2 < 20.0 * scale
     assert set(d.sup) == {"r", "v", "r2", "v2", "rv"}
@@ -575,9 +576,9 @@ def test_meanfield_distance_keeps_the_moments_it_compared():
     g = density_from_law(law, grid)
     geom = ChainGeometry(1, 16)
     ens = sample_ensemble(law, geom, 10, 3)
-    d = meanfield_distance(cell_moments_of_density(g), grid, g.t, *ens, geom, 0.0)
+    d = meanfield_distance(cell_moments_of_density(g, grid), grid, 0.0, *ens, geom, 0.0)
     pairs = (
-        (d.theirs, cell_moments_of_density(g)),
+        (d.theirs, cell_moments_of_density(g, grid)),
         (d.ours, cell_moments_of_ensemble(*ens, geom, grid)),
     )
     for kept, fresh in pairs:
