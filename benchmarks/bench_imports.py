@@ -48,11 +48,10 @@ if pipeline != "-":
     harness._bind(*harness._DRIVERS[pipeline][1])
 t2 = time.perf_counter()
 if sampler == "wave":
-    from kinlat.lattice import LatticeSpec
-    harness.sample_initial(harness.EnsembleSpec(1, 0, numpy.ones(9)), LatticeSpec(1, 4))
+    harness.sample_initial(harness.EnsembleSpec(1, 0, numpy.ones(9)), harness.TorusGrid(1, 9))
 elif sampler == "chain":
     from kinlat.chain import GaussianLaw
-    harness.sample_ensemble(GaussianLaw(), harness.ChainGeometry(1, 16), 1, 0)
+    harness.sample_ensemble(GaussianLaw(), harness.TorusGrid(1, 16), 1, 0)
 loaded = sorted(m[len("kinlat."):] for m in sys.modules if m.startswith("kinlat."))
 peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
 report = {

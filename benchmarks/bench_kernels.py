@@ -49,7 +49,6 @@ import tracemalloc
 import numpy as np
 
 from kinlat.chain import (
-    ChainGeometry,
     FractionalParams,
     GaussianLaw,
     chain_force_flat,
@@ -58,12 +57,11 @@ from kinlat.chain import (
 from kinlat.harness import BLOCK_BYTES
 from kinlat.kinetic import (
     ResonanceRule,
-    TorusGrid,
     _collision_plan,
     _point_group,
     collision_rate,
 )
-from kinlat.lattice import LatticeSpec
+from kinlat.lattice import TorusGrid
 from kinlat.vlasov import PhaseGrid, _Strang, acceleration, density_from_law
 from kinlat.waves import (
     ModelParams,
@@ -75,7 +73,7 @@ from kinlat.waves import (
 
 # the interaction on each side of the d = 1 table crossover (N = 33 | 513),
 # and at d = 2, N = 17
-WAVE_SPECS = (LatticeSpec(1, 16), LatticeSpec(1, 256), LatticeSpec(2, 8))
+WAVE_SPECS = (TorusGrid(1, 33), TorusGrid(1, 513), TorusGrid(2, 17))
 PLAN_GRID = TorusGrid(2, 40)
 PLAN_RULES = tuple(ResonanceRule(eps, "gaussian", 0.05) for eps in (0.2, 0.1, 0.05, 0.02))
 VLASOV_GRID = PhaseGrid(32, 128, 128, 1.0, 1.2)
@@ -112,9 +110,9 @@ def _half_field(rng, shape):
     return rng.normal(size=shape) + 1j * rng.normal(size=shape)
 
 
-def _block_rows(spec: LatticeSpec) -> int:
+def _block_rows(spec: TorusGrid) -> int:
     """Replicas in the block the harness steps: ``BLOCK_BYTES`` over one a(+)."""
-    return max(1, BLOCK_BYTES // (np.dtype(np.complex128).itemsize * spec.n_sites))
+    return max(1, BLOCK_BYTES // (np.dtype(np.complex128).itemsize * spec.n_nodes))
 
 
 def _cases(rng, batch: int):
@@ -130,7 +128,7 @@ def _cases(rng, batch: int):
         taken = "tables" if _uses_tables(spec) else "fft"
         for path, kernel in paths:
             yield (
-                f"wave interaction d={spec.d} N={spec.N} block={rows} {path}"
+                f"wave interaction d={spec.d} N={spec.m} block={rows} {path}"
                 + ("*" if path == taken else ""),
                 lambda b=b, spec=spec, kernel=kernel: kernel(b, spec, 0.3),
             )
@@ -139,7 +137,7 @@ def _cases(rng, batch: int):
     b1 = _half_field(rng, (rows,) + spec1.shape)
     params1 = ModelParams(spec1, 0.05)
     yield (
-        f"wave exponential step d=1 N={spec1.N} block={rows}",
+        f"wave exponential step d=1 N={spec1.m} block={rows}",
         lambda: _integrate_array(b1, params1, 0.01, 1),
     )
 
@@ -161,7 +159,7 @@ def _cases(rng, batch: int):
         )
 
     r = rng.normal(size=(batch, 512))
-    geom, fp = ChainGeometry(1, 512), FractionalParams(0.4)
+    geom, fp = TorusGrid(1, 512), FractionalParams(0.4)
     yield (
         f"chain force d=1 n=512 batch={batch}",
         lambda: chain_force_flat(r, geom, fp),
@@ -172,7 +170,7 @@ def _cases(rng, batch: int):
         lambda: verlet_evolve(*rv, geom, fp, 1e-3, VERLET_STEPS),
     )
 
-    r2, geom2 = rng.normal(size=(batch, 64 * 64)), ChainGeometry(2, 64)
+    r2, geom2 = rng.normal(size=(batch, 64 * 64)), TorusGrid(2, 64)
 
     def table_and_force():
         FractionalParams.chain_symbol.cache_clear()

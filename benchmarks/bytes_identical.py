@@ -27,11 +27,15 @@ The runs are inputs 0 and 5 of each perfbench workload (configs from
 ``perfbench/workloads.py``, imported, not edited), ``wt-compare`` at d = 1
 (17 sites against a 32-node kinetic grid: the interpolation path) and at
 d = 2 (9 sites against 9 nodes: the same-grid path), ``chain-sim`` on the
-default chain block with 4 replicas saved every 100 of its 1000 steps, the
-default ``mf-compare`` and ``vlasov`` blocks, ``wt-kinetic`` at m = 16 for
-10 steps (the only run whose kinetic series and clock span more than 2
-steps), and ``oracle-suite``, the only pipeline that runs ``lattice.dft``
-and ``lattice.inverse_dft``.
+default chain block with 4 replicas saved every 100 of its 1000 steps, and
+again at n = 48 with a mode-3 ``cosine-gaussian`` law (the only chain whose
+site count is not a power of 2, so the only one whose site coordinates
+``j / n`` differ from ``j * (1 / n)``), ``wt-sim`` at d = 1 with
+half_width 32 (65 sites, the only run on the FFT side of
+``waves.TABLE_MAX_N``), the default ``mf-compare`` and ``vlasov`` blocks,
+``wt-kinetic`` at m = 16 for 10 steps (the only run whose kinetic series
+and clock span more than 2 steps), and ``oracle-suite``, the only pipeline
+that runs ``lattice.dft`` and ``lattice.inverse_dft``.
 """
 
 from __future__ import annotations
@@ -78,6 +82,21 @@ def runs() -> dict[str, tuple[str, dict]]:
     out["chain-sim-saved"] = (
         "chain-sim",
         {"pipeline": "chain-sim", "seed": 1, "chain": {"replicas": 4, "save_every": 100}},
+    )
+    law = {"kind": "cosine-gaussian", "amplitude": 0.2, "mode": 3}
+    out["chain-sim-n48"] = (
+        "chain-sim",
+        {
+            "pipeline": "chain-sim",
+            "seed": 1,
+            "chain": {"n": 48, "replicas": 4, "save_every": 100, "law": law},
+        },
+    )
+    profile = {"name": "torus-gaussian", "amplitude": 0.05, "width": 0.3}
+    wave = {"d": 1, "half_width": 32, "lam": 0.01, "dt": 0.01, "n_steps": 20, "replicas": 4}
+    out["wt-sim-fft-d1"] = (
+        "wt-sim",
+        {"pipeline": "wt-sim", "seed": 1, "wave": wave | {"profile": profile}},
     )
     out["mf-compare-default"] = (
         "mf-compare",

@@ -16,9 +16,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .chain import ChainGeometry, FractionalParams, site_coordinates
-from .kinetic import ResonanceRule, TorusGrid, nodes, omega_grid
-from .lattice import LatticeSpec, delta_mod, dispersion_bar, wavenumbers
+from .chain import FractionalParams
+from .kinetic import ResonanceRule, omega_grid
+from .lattice import TorusGrid, delta_mod, dispersion_bar, nodes, wavenumbers
 from .vlasov import PhaseGrid, r_centers
 
 __all__ = [
@@ -39,53 +39,54 @@ __all__ = [
 ]
 
 
-def _site_iter(spec: LatticeSpec):
-    return itertools.product(range(spec.N), repeat=spec.d)
+def _site_iter(grid: TorusGrid):
+    return itertools.product(range(grid.m), repeat=grid.d)
 
 
-def dft_direct(spec: LatticeSpec, f: np.ndarray) -> np.ndarray:
+def dft_direct(grid: TorusGrid, f: np.ndarray) -> np.ndarray:
     """Transform as the literal site sum ``h^d sum_x f(x) e^(-2 pi i k.x)``."""
-    out = np.zeros(spec.shape, dtype=np.complex128)
-    kmesh = wavenumbers(spec)
-    for j in _site_iter(spec):
-        x = np.array(j, dtype=np.float64) * spec.h
+    out = np.zeros(grid.shape, dtype=np.complex128)
+    kmesh = wavenumbers(grid)
+    for j in _site_iter(grid):
+        x = np.array(j, dtype=np.float64) * grid.h
         phase = np.exp(-2j * np.pi * np.tensordot(kmesh, x, axes=(-1, 0)))
         out += f[j] * phase
-    return spec.h**spec.d * out
+    return grid.h**grid.d * out
 
 
-def inverse_dft_direct(spec: LatticeSpec, fhat: np.ndarray) -> np.ndarray:
+def inverse_dft_direct(grid: TorusGrid, fhat: np.ndarray) -> np.ndarray:
     """Inverse as the literal wavenumber sum ``sum_k fhat(k) e^(2 pi i k.x)``."""
-    out = np.zeros(spec.shape, dtype=np.complex128)
-    kmesh = wavenumbers(spec)
-    for j in _site_iter(spec):
-        x = np.array(j, dtype=np.float64) * spec.h
+    out = np.zeros(grid.shape, dtype=np.complex128)
+    kmesh = wavenumbers(grid)
+    for j in _site_iter(grid):
+        x = np.array(j, dtype=np.float64) * grid.h
         phase = np.exp(2j * np.pi * np.tensordot(kmesh, x, axes=(-1, 0)))
         out[j] = np.sum(fhat * phase)
     return out
 
 
-def doubled_shifted(b: np.ndarray, spec: LatticeSpec) -> np.ndarray:
+def doubled_shifted(b: np.ndarray, grid: TorusGrid) -> np.ndarray:
     """The layout the wave oracles read, from ``a(+)`` in FFT order:
-    ``batch + (2,) + (N,)*d``, the pair ``(a(+), conj a(+))`` in ascending
+    ``batch + (2,) + (m,)*d``, the pair ``(a(+), conj a(+))`` in ascending
     wavenumber order, so ``a[..., 0, k + D] = a(+)(k)``."""
-    plus = np.fft.fftshift(b, axes=tuple(range(b.ndim - spec.d, b.ndim)))
-    return np.stack([plus, np.conj(plus)], axis=b.ndim - spec.d)
+    plus = np.fft.fftshift(b, axes=tuple(range(b.ndim - grid.d, b.ndim)))
+    return np.stack([plus, np.conj(plus)], axis=b.ndim - grid.d)
 
 
-def wave_rhs_direct(a: np.ndarray, spec: LatticeSpec, lam: float) -> np.ndarray:
+def wave_rhs_direct(a: np.ndarray, grid: TorusGrid, lam: float) -> np.ndarray:
     """Amplitude derivative from the defining constrained triple sum, on the
     layout of :func:`doubled_shifted`.
 
     Enumerates every (sign1, k1, sign2, k2) combination with the quadrature
     weight ``h**(2d)``, keeps those the modular momentum delta selects, and
     applies the interaction weight ``[8 w(k) w(k1) w(k2)]^-1``; modes with
-    vanishing dispersion neither couple nor move.  O(N^(2d)) per output
+    vanishing dispersion neither couple nor move.  O(m^(2d)) per output
     mode — test sizes only.
     """
-    ks = [np.array(k) for k in itertools.product(range(-spec.D, spec.D + 1), repeat=spec.d)]
-    wbar = {tuple(k): dispersion_bar(spec, tuple(k)) for k in ks}
-    idx = {tuple(k): tuple(k + spec.D) for k in ks}
+    D = grid.m // 2
+    ks = [np.array(k) for k in itertools.product(range(-D, D + 1), repeat=grid.d)]
+    wbar = {tuple(k): dispersion_bar(grid, tuple(k)) for k in ks}
+    idx = {tuple(k): tuple(k + D) for k in ks}
     out = np.zeros_like(a)
     signs = (1.0, -1.0)
     for si, sigma in enumerate(signs):
@@ -105,12 +106,12 @@ def wave_rhs_direct(a: np.ndarray, spec: LatticeSpec, lam: float) -> np.ndarray:
                                 if w2 == 0.0:
                                     continue
                                 sel = delta_mod(
-                                    spec, tuple(sig1 * k1 + sig2 * k2 - sigma * k)
+                                    grid, tuple(sig1 * k1 + sig2 * k2 - sigma * k)
                                 )
                                 if sel == 0.0:
                                     continue
                                 weight = (
-                                    spec.h ** (2 * spec.d) * sel / (8.0 * wk * w1 * w2)
+                                    grid.h ** (2 * grid.d) * sel / (8.0 * wk * w1 * w2)
                                 )
                                 acc += (
                                     weight
@@ -121,7 +122,7 @@ def wave_rhs_direct(a: np.ndarray, spec: LatticeSpec, lam: float) -> np.ndarray:
     return out
 
 
-def hamiltonian_direct(a: np.ndarray, spec: LatticeSpec, lam: float) -> complex:
+def hamiltonian_direct(a: np.ndarray, grid: TorusGrid, lam: float) -> complex:
     """Energy from the defining sums, on the layout of :func:`doubled_shifted`:
     quadratic term plus ``lam / 3!`` times the sign-symmetric constrained
     triple sum with weight ``h^d M``.
@@ -129,11 +130,12 @@ def hamiltonian_direct(a: np.ndarray, spec: LatticeSpec, lam: float) -> complex:
     Enumerates all (sign0, k0, sign1, k1, sign2, k2) and keeps the words
     the modular delta over ``s0 k0 + s1 k1 + s2 k2`` selects.  Each word is
     met once per ordering of its three factors, 3! times; the ``1/3!``
-    undoes that and gives the energy the flow conserves.  O(N^(3d)).
+    undoes that and gives the energy the flow conserves.  O(m^(3d)).
     """
-    ks = [np.array(k) for k in itertools.product(range(-spec.D, spec.D + 1), repeat=spec.d)]
-    wbar = {tuple(k): dispersion_bar(spec, tuple(k)) for k in ks}
-    idx = {tuple(k): tuple(k + spec.D) for k in ks}
+    D = grid.m // 2
+    ks = [np.array(k) for k in itertools.product(range(-D, D + 1), repeat=grid.d)]
+    wbar = {tuple(k): dispersion_bar(grid, tuple(k)) for k in ks}
+    idx = {tuple(k): tuple(k + D) for k in ks}
     h1 = 0.0
     for k in ks:
         h1 += 0.5 * wbar[tuple(k)] * abs(a[(0,) + idx[tuple(k)]]) ** 2
@@ -146,7 +148,7 @@ def hamiltonian_direct(a: np.ndarray, spec: LatticeSpec, lam: float) -> complex:
                 for k0 in live:
                     for k1 in live:
                         for k2 in live:
-                            if delta_mod(spec, tuple(sig0 * k0 + sig1 * k1 + sig2 * k2)) == 0.0:
+                            if delta_mod(grid, tuple(sig0 * k0 + sig1 * k1 + sig2 * k2)) == 0.0:
                                 continue
                             m = 1.0 / (8.0 * wbar[tuple(k0)] * wbar[tuple(k1)] * wbar[tuple(k2)])
                             h2 += (
@@ -155,7 +157,7 @@ def hamiltonian_direct(a: np.ndarray, spec: LatticeSpec, lam: float) -> complex:
                                 * a[(s1,) + idx[tuple(k1)]]
                                 * a[(s2,) + idx[tuple(k2)]]
                             )
-    return h1 + lam * spec.h**spec.d * h2 / math.factorial(3)
+    return h1 + lam * grid.h**grid.d * h2 / math.factorial(3)
 
 
 def collision_direct(
@@ -222,15 +224,15 @@ def collision_direct(
 
 
 def chain_force_pairs(
-    r: np.ndarray, geom: ChainGeometry, fp: FractionalParams
+    r: np.ndarray, geom: TorusGrid, fp: FractionalParams
 ) -> np.ndarray:
     """Acceleration from the literal pair sum with minimal-image distances.
 
-    ``r`` is ``(..., n_sites)``; each pair term is added for all leading
+    ``r`` is ``(..., n_nodes)``; each pair term is added for all leading
     (replica) entries at once.
     """
-    x = site_coordinates(geom).tolist()
-    n = geom.n_sites
+    x = nodes(geom).reshape(-1, geom.d).tolist()
+    n = geom.n_nodes
     cols = np.moveaxis(np.asarray(r, dtype=np.float64), -1, 0)
     out = np.zeros(cols.shape)
     for i in range(n):
@@ -249,7 +251,7 @@ def chain_force_pairs(
 def verlet_pairs(
     r: np.ndarray,
     v: np.ndarray,
-    geom: ChainGeometry,
+    geom: TorusGrid,
     fp: FractionalParams,
     dt: float,
     n_steps: int,
@@ -268,7 +270,7 @@ def verlet_pairs(
 def verlet_longdouble(
     r: np.ndarray,
     v: np.ndarray,
-    geom: ChainGeometry,
+    geom: TorusGrid,
     fp: FractionalParams,
     dt: float,
     n_steps: int,
@@ -283,9 +285,9 @@ def verlet_longdouble(
     float64 it is the stepped loop again, with that loop's round-off.
     """
     ld = np.longdouble
-    n, d = geom.n, geom.d
+    n, d = geom.m, geom.d
     sites = list(itertools.product(range(n), repeat=d))
-    k = np.zeros((geom.n_sites, geom.n_sites), dtype=ld)
+    k = np.zeros((geom.n_nodes, geom.n_nodes), dtype=ld)
     for i, a in enumerate(sites):
         for j, b in enumerate(sites):
             if i != j:
@@ -305,11 +307,11 @@ def verlet_longdouble(
 
 
 def chain_potential_pairs(
-    r: np.ndarray, geom: ChainGeometry, fp: FractionalParams
+    r: np.ndarray, geom: TorusGrid, fp: FractionalParams
 ) -> float:
     """Potential from the literal pair sum, ``(h^d/4) sum (r_j - r_i)^2 w``."""
-    x = site_coordinates(geom)
-    n = geom.n_sites
+    x = nodes(geom).reshape(-1, geom.d)
+    n = geom.n_nodes
     acc = 0.0
     for i in range(n):
         for j in range(n):

@@ -1,16 +1,17 @@
 """Long-range coupled oscillator chains with power-law interaction.
 
-Sites sit on the uniform periodic mesh ``x = j h``, ``h = 1/n``, any number
-of sites per axis (the mesh here is independent of the odd-count spectral
-lattice used by the wave pipeline).  Each site carries a scalar
-displacement/velocity pair driven by every other site:
+Sites sit on the nodes ``x = j/m`` (spacing ``h = 1/m``) of a
+:class:`~kinlat.lattice.TorusGrid` with any number ``m >= 2`` of sites per
+axis (the config's ``chain.n``; the wave lattice is the same grid at odd
+``m``), in the flat C order of :func:`~kinlat.lattice.nodes`.  Each site
+carries a scalar displacement/velocity pair driven by every other site:
 
     dv_x/dt = h^d sum_{y != x} (r_y - r_x) / |y - x|^(d + 2 alpha)
 
 with ``|y - x|`` the minimal-image torus distance.  The coupling depends
 only on ``y - x``, so on the periodic mesh the force is a convolution,
 diagonal in Fourier space with the kernel's symbol ``h^d (w_hat(k) - sum w)``
-(O(n^d) memory, no site-by-site matrix).  :class:`FractionalParams` is the
+(O(m^d) memory, no site-by-site matrix).  :class:`FractionalParams` is the
 one power-law kernel object: it holds this chain symbol and the operator
 ``|2 pi k|^(2 alpha)`` that the mean-field transport equation of
 :mod:`kinlat.vlasov` applies on its x-grid, the two scales of one
@@ -23,7 +24,7 @@ antisymmetry, the total momentum ``sum v`` exactly; the mean displacement
 therefore moves ballistically (zero acceleration).
 
 A state is two float arrays ``r`` and ``v`` of one shape ``batch +
-(n_sites,)``: one replica is 1-D, an ensemble stacks replicas on leading
+(n_nodes,)``: one replica is 1-D, an ensemble stacks replicas on leading
 axes, and every function here maps each row on its own.  Callers keep the
 clock.  Ensembles of independently initialized replicas feed the two-site
 factorization defect used to probe molecular chaos; it reduces over
@@ -40,15 +41,14 @@ from typing import Callable
 import numpy as np
 
 from .errors import NumericalBlowupError, SizeMismatchError, check_step, require
+from .lattice import TorusGrid, nodes
 
 __all__ = [
-    "ChainGeometry",
     "FractionalParams",
     "GaussianLaw",
     "PointLaw",
     "cosine_gaussian_law",
     "LAWS",
-    "site_coordinates",
     "chain_force_flat",
     "chain_energy",
     "verlet_stability",
@@ -57,32 +57,6 @@ __all__ = [
     "chaos_defect",
     "two_site_frequency",
 ]
-
-
-@dataclass(frozen=True)
-class ChainGeometry:
-    """Uniform periodic site mesh: ``n`` sites per axis at spacing ``h = 1/n``."""
-
-    d: int
-    n: int
-
-    def __post_init__(self):
-        if self.d < 1:
-            raise ValueError(f"dimension must be >= 1, got {self.d}")
-        if self.n < 2:
-            raise ValueError(f"need at least two sites per axis, got {self.n}")
-
-    @property
-    def h(self) -> float:
-        return 1.0 / self.n
-
-    @property
-    def n_sites(self) -> int:
-        return self.n**self.d
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return (self.n,) * self.d
 
 
 @dataclass(frozen=True)
@@ -111,19 +85,19 @@ class FractionalParams:
         return 4.0**a * math.gamma(0.5 + a) / (math.pi**0.5 * abs(math.gamma(-a)))
 
     @lru_cache(maxsize=32)
-    def chain_symbol(self, geom: ChainGeometry) -> np.ndarray:
+    def chain_symbol(self, geom: TorusGrid) -> np.ndarray:
         """Real half-spectrum ``h^d (w_hat(k) - sum w)`` of the chain force.
 
-        ``w`` is the minimal-image kernel over site offsets (any ``n >= 2``;
+        ``w`` is the minimal-image kernel over site offsets (any ``m >= 2``;
         even counts are fine, the half-way offset is its own mirror and the
         kernel is even) with no self-coupling, and the symbol lives on the
         ``rfftn`` grid of the site axes.  The pair sum cancels constants, so
-        the zero-frequency entry is exactly 0.  O(n^d) entries.
+        the zero-frequency entry is exactly 0.  O(m^d) entries.
         """
-        n, d, h = geom.n, geom.d, geom.h
-        mimg = (np.arange(n) + n // 2) % n - n // 2  # minimal-image offset per axis
+        m, d, h = geom.m, geom.d, geom.h
+        mimg = (np.arange(m) + m // 2) % m - m // 2  # minimal-image offset per axis
         dist = h * np.sqrt(sum(np.ix_(*[mimg.astype(np.float64) ** 2] * d)).reshape(-1))
-        w = np.zeros(geom.n_sites)
+        w = np.zeros(geom.n_nodes)
         w[1:] = dist[1:] ** (-(d + 2.0 * self.alpha))
         symbol = h**d * (np.fft.rfftn(w.reshape(geom.shape)).real - w.sum())
         symbol.flat[0] = 0.0
@@ -143,26 +117,16 @@ class FractionalParams:
         return mult
 
 
-@lru_cache(maxsize=32)
-def site_coordinates(geom: ChainGeometry) -> np.ndarray:
-    """Torus coordinates of the flat site order, shape ``(n_sites, d)``."""
-    ax = np.arange(geom.n, dtype=np.float64) * geom.h
-    mesh = np.meshgrid(*([ax] * geom.d), indexing="ij")
-    out = np.stack(mesh, axis=-1).reshape(geom.n_sites, geom.d)
-    out.setflags(write=False)
-    return out
-
-
-def _check_sites(geom: ChainGeometry, arr: np.ndarray, name: str) -> np.ndarray:
+def _check_sites(geom: TorusGrid, arr: np.ndarray, name: str) -> np.ndarray:
     arr = np.asarray(arr, dtype=np.float64)
-    if arr.shape[-1:] != (geom.n_sites,):
+    if arr.shape[-1:] != (geom.n_nodes,):
         raise SizeMismatchError(
-            f"{name} has trailing shape {arr.shape}, expected (..., {geom.n_sites})"
+            f"{name} has trailing shape {arr.shape}, expected (..., {geom.n_nodes})"
         )
     return arr
 
 
-def _check_state(geom: ChainGeometry, r, v) -> tuple[np.ndarray, np.ndarray]:
+def _check_state(geom: TorusGrid, r, v) -> tuple[np.ndarray, np.ndarray]:
     r, v = _check_sites(geom, r, "displacement"), _check_sites(geom, v, "velocity")
     if r.shape != v.shape:
         raise SizeMismatchError(f"displacement {r.shape} and velocity {v.shape} differ in shape")
@@ -174,10 +138,10 @@ def _check_state(geom: ChainGeometry, r, v) -> tuple[np.ndarray, np.ndarray]:
 # ---------------------------------------------------------------------------
 
 
-def chain_force_flat(r: np.ndarray, geom: ChainGeometry, fp: FractionalParams) -> np.ndarray:
+def chain_force_flat(r: np.ndarray, geom: TorusGrid, fp: FractionalParams) -> np.ndarray:
     """Acceleration ``h^d sum_{y != x} (r_y - r_x)/|y-x|^(d+2a)``, flat sites.
 
-    ``r`` is ``(..., n_sites)`` in natural site order.  The sum is a periodic
+    ``r`` is ``(..., n_nodes)`` in natural site order.  The sum is a periodic
     convolution, so it is applied as :meth:`FractionalParams.chain_symbol`
     with ``rfftn``/``irfftn`` over the site axes.
     """
@@ -189,7 +153,7 @@ def chain_force_flat(r: np.ndarray, geom: ChainGeometry, fp: FractionalParams) -
     return out.reshape(r.shape)
 
 
-def chain_energy(r, v, geom: ChainGeometry, fp: FractionalParams) -> np.ndarray:
+def chain_energy(r, v, geom: TorusGrid, fp: FractionalParams) -> np.ndarray:
     """Conserved energy ``sum v^2/2 + (h^d/4) sum_{x,y} w (r_y - r_x)^2`` per row.
 
     The potential term is evaluated through the quadratic-form identity
@@ -203,7 +167,7 @@ def chain_energy(r, v, geom: ChainGeometry, fp: FractionalParams) -> np.ndarray:
     return kin + pot
 
 
-def verlet_stability(geom: ChainGeometry, fp: FractionalParams, dt: float):
+def verlet_stability(geom: TorusGrid, fp: FractionalParams, dt: float):
     """Each mode's ``sqrt(-s)`` and ``sin(theta / 2) = dt sqrt(-s) / 2`` on the
     ``rfftn`` half-spectrum, after refusing a ``dt`` past velocity Verlet's
     stability bound ``dt sqrt(-s) < 2`` with a :class:`NumericalBlowupError`
@@ -224,7 +188,7 @@ def verlet_stability(geom: ChainGeometry, fp: FractionalParams, dt: float):
 
 
 def verlet_evolve(
-    r, v, geom: ChainGeometry, fp: FractionalParams, dt: float, n_steps: int
+    r, v, geom: TorusGrid, fp: FractionalParams, dt: float, n_steps: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Advance ``(r, v)`` by ``n_steps`` velocity Verlet steps; new arrays.
 
@@ -283,7 +247,7 @@ Profile = float | Callable[[np.ndarray], np.ndarray]
 class GaussianLaw:
     """Independent normal (r, v) per site; parameters may vary with x.
 
-    Any of the four fields may be a callable of the ``(n_sites, d)`` site
+    Any of the four fields may be a callable of the ``(n_nodes, d)`` site
     coordinate array.  Zero widths degenerate to deterministic components,
     which is the clean way to get a smooth displacement profile with random
     velocities.
@@ -349,7 +313,7 @@ def cosine_gaussian_law(
 LAWS = {"gaussian": GaussianLaw, "cosine-gaussian": cosine_gaussian_law, "point": PointLaw}
 
 
-def sample_ensemble(law, geom: ChainGeometry, m: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+def sample_ensemble(law, geom: TorusGrid, m: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Draw ``m`` independent replicas ``(r, v)``, i.i.d. across sites within each.
 
     Replica ``i`` is generated from the child stream ``[seed, i]``, so the
@@ -359,9 +323,9 @@ def sample_ensemble(law, geom: ChainGeometry, m: int, seed: int) -> tuple[np.nda
     """
     if m < 1:
         raise ValueError(f"need at least one replica, got {m}")
-    x = site_coordinates(geom)
-    r = np.empty((m, geom.n_sites))
-    v = np.empty((m, geom.n_sites))
+    x = nodes(geom).reshape(-1, geom.d)
+    r = np.empty((m, geom.n_nodes))
+    v = np.empty((m, geom.n_nodes))
     # numpy.random stays here (ziggurat normals): an own stream changes every
     # sampled byte, so it waits on ROADMAP item 1a, then item 23 (kinlat.rng)
     for i in range(m):
@@ -398,7 +362,7 @@ def chaos_defect(
     r_edges: np.ndarray,
     v_edges: np.ndarray,
 ) -> float:
-    """L2 gap between the two-site histogram of the ``(m, n_sites)`` ensemble
+    """L2 gap between the two-site histogram of the ``(replicas, n_nodes)`` ensemble
     ``(r, v)`` and the product of its marginals.
 
     Works on probability masses (not densities), so the value is scale-free
@@ -421,13 +385,13 @@ def chaos_defect(
     return float(np.sqrt(np.sum(gap * gap)))
 
 
-def two_site_frequency(geom: ChainGeometry, fp: FractionalParams) -> float:
+def two_site_frequency(geom: TorusGrid, fp: FractionalParams) -> float:
     """Closed-form normal-mode frequency of the two-site chain (d = 1).
 
     The difference coordinate obeys ``u'' = -2 h w(1/2) u`` with
     ``h = 1/2`` and ``w(1/2) = (1/2)^-(1+2a)``, i.e. frequency
     ``sqrt(2^(1+2a))``.
     """
-    if geom.d != 1 or geom.n != 2:
+    if geom.d != 1 or geom.m != 2:
         raise ValueError("closed form applies to the two-site d=1 chain only")
     return math.sqrt(2.0 ** (1.0 + 2.0 * fp.alpha))

@@ -4,9 +4,10 @@ The wave ensemble's spectrum is held against the kinetic equation's
 (:func:`compare_spectra`), and the chain ensemble's per-cell moments against
 the Vlasov density's (:func:`meanfield_distance`).  Every input is a bare
 array, its grid and its time given by the caller: the two spectra are
-arrays on torus grids, the chain ensemble is its ``(m, n_sites)`` arrays
-``r`` and ``v``, and the density enters as its cell moments, so a caller
-can drop the density before the ensemble exists.  Both give one
+arrays on torus grids (:class:`~kinlat.lattice.TorusGrid`), the chain
+ensemble is its ``(replicas, n_nodes)`` arrays ``r`` and ``v``, and the
+density enters as its cell moments, so a caller can drop the density
+before the ensemble exists.  Both give one
 :class:`Distance`.  The lanes only solve, and this module imports none of
 them, so the Vlasov lane can read :data:`OBSERVABLES` from here.
 """
@@ -21,8 +22,7 @@ import numpy as np
 from .errors import SizeMismatchError
 
 if TYPE_CHECKING:  # annotations only: loading this module loads no lane
-    from .chain import ChainGeometry
-    from .kinetic import TorusGrid
+    from .lattice import TorusGrid
     from .vlasov import PhaseGrid
 
 __all__ = [
@@ -118,26 +118,26 @@ def compare_spectra(
 
 
 def cell_moments_of_ensemble(
-    r: np.ndarray, v: np.ndarray, geom: ChainGeometry, grid: PhaseGrid
+    r: np.ndarray, v: np.ndarray, geom: TorusGrid, grid: PhaseGrid
 ) -> dict[str, np.ndarray]:
-    """Per-x-cell means of the ``(m, n_sites)`` ensemble ``(r, v)`` over
+    """Per-x-cell means of the ``(replicas, n_nodes)`` ensemble ``(r, v)`` over
     replicas and the sites falling in each cell.
 
-    Cells are ``[i/mx, (i+1)/mx)``; site ``j`` at ``j/n`` falls in cell
-    ``floor(j mx / n)``, taken in integers so no site on a cell edge rounds
+    Cells are ``[i/mx, (i+1)/mx)``; site ``j`` at ``j/m`` falls in cell
+    ``floor(j mx / m)``, taken in integers so no site on a cell edge rounds
     into its neighbour.  With the site count a multiple of ``mx`` every cell
     holds the same number of sites.  Empty cells, which occur exactly when
-    ``n < mx``, are an error.
+    ``m < mx``, are an error.
     """
     if geom.d != 1:
         raise SizeMismatchError("moment comparison is wired for d = 1 chains")
-    cells = np.arange(geom.n) * grid.mx // geom.n
+    cells = np.arange(geom.m) * grid.mx // geom.m
     counts = np.bincount(cells, minlength=grid.mx)
     if np.any(counts == 0):
-        raise ValueError(f"x grid with {grid.mx} cells has empty cells for {geom.n_sites} sites")
+        raise ValueError(f"x grid with {grid.mx} cells has empty cells for {geom.n_nodes} sites")
     out = {}
     for name, phi in OBSERVABLES.items():
-        per_site = phi(r, v).mean(axis=0)  # (m, n_sites) -> (n_sites,)
+        per_site = phi(r, v).mean(axis=0)  # (replicas, n_nodes) -> (n_nodes,)
         out[name] = np.bincount(cells, weights=per_site, minlength=grid.mx) / counts
     return out
 
@@ -147,7 +147,7 @@ TIME_TOL = 1e-9
 
 
 def meanfield_distance(
-    theirs: dict, grid: PhaseGrid, t_theirs: float, r, v, geom: ChainGeometry, t: float
+    theirs: dict, grid: PhaseGrid, t_theirs: float, r, v, geom: TorusGrid, t: float
 ) -> Distance:
     """The per-cell moments of the ensemble ``(r, v)`` at time ``t`` against
     the density moments ``theirs`` on ``grid`` at ``t_theirs``

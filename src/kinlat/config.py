@@ -131,7 +131,6 @@ class KineticConfig:
 class CompareConfig:
     tau_final: float = _field(0.5, gt=0)
     t_final: float = _field(1.0, gt=0)
-    pde_sigma_r: float | str = _field("auto", gt=0, choices=("auto",))
 
 
 @dataclass(frozen=True)

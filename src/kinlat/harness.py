@@ -54,7 +54,7 @@ from .io import (
     write_phase_density,
     write_spectrum_csv,
 )
-from .lattice import LatticeSpec
+from .lattice import TorusGrid, nodes
 
 __all__ = [
     "RunManifest",
@@ -90,18 +90,14 @@ _LANES = {
     "kinetic": (
         "CollisionDiagnostics",
         "ResonanceRule",
-        "TorusGrid",
         "collision",
         "energy_moment",
         "evolve",
-        "nodes",
     ),
     "chain": (
-        "ChainGeometry",
         "FractionalParams",
         "chain_energy",
         "sample_ensemble",
-        "site_coordinates",
         "verlet_evolve",
         "verlet_stability",
     ),
@@ -300,21 +296,20 @@ def _evolve_waves(a, params, cfg: RunConfig, n_steps, out: Path, step0=0, t=0.0)
         return _integrate_ensemble(a, params, w.dt, n_steps, w.scheme, step0, t)
     except NumericalBlowupError as e:
         meta = {"t": t, "lam": w.lam, "seed": cfg.seed, "d": w.d, "half_width": w.half_width}
-        e.snapshot = str(write_amplitude_snapshot(out / "last_good", a[0], params.spec, meta)[0])
+        e.snapshot = str(write_amplitude_snapshot(out / "last_good", a[0], params.grid, meta)[0])
         raise
 
 
 def _drive_wave(cfg: RunConfig, out: Path):
     w = cfg.wave
-    spec = LatticeSpec(w.d, w.half_width)
-    params = ModelParams(spec, w.lam)
+    grid = TorusGrid(w.d, 2 * w.half_width + 1)
+    params = ModelParams(grid, w.lam)
     ens = EnsembleSpec(w.replicas, cfg.seed, build_profile(w.profile))
-    a = sample_initial(ens, spec)
+    a = sample_initial(ens, grid)
     mod0 = np.abs(a)
     h0 = hamiltonian(a, params)
     h_scale = np.where(h0 != 0.0, np.abs(h0), 1.0)  # an all-zero replica stays zero
-    grid = TorusGrid(w.d, spec.N)  # the empirical spectrum's
-    f = empirical_spectrum(a, spec)
+    f = empirical_spectrum(a, grid)
     files = [write_spectrum_csv(out / "spectrum_initial.csv", f, grid, 0.0)]
 
     seg_len = w.save_every if w.save_every > 0 else w.n_steps
@@ -325,7 +320,7 @@ def _drive_wave(cfg: RunConfig, out: Path):
         a = _evolve_waves(a, params, cfg, seg, out, done, t)
         done += seg
         t = done * w.dt
-        f = empirical_spectrum(a, spec)
+        f = empirical_spectrum(a, grid)
         rows.append((t, float(f.sum() * grid.cell_measure), energy_moment(f, grid)))
         h = hamiltonian(a, params)
         drift = max(drift, float(np.max(np.abs(h - h0) / h_scale)))
@@ -342,7 +337,7 @@ def _drive_wave(cfg: RunConfig, out: Path):
     csv_p, json_p = write_amplitude_snapshot(
         out / "amplitudes_final_r0",
         a[0],
-        spec,
+        grid,
         {"t": t, "lam": w.lam, "seed": cfg.seed, "d": w.d, "half_width": w.half_width, "replica": 0},
     )
     files += [csv_p, json_p]
@@ -418,15 +413,15 @@ def _drive_kinetic(cfg: RunConfig, out: Path):
 
 def _drive_wt_compare(cfg: RunConfig, out: Path):
     w, k, c = cfg.wave, cfg.kinetic, cfg.compare
-    spec = LatticeSpec(w.d, w.half_width)
-    params = ModelParams(spec, w.lam)
+    micro_grid = TorusGrid(w.d, 2 * w.half_width + 1)  # the lattice and its spectrum's grid
+    params = ModelParams(micro_grid, w.lam)
     t_final = c.tau_final / w.lam**2
     n_steps = max(1, round(t_final / w.dt))
     ens = EnsembleSpec(w.replicas, cfg.seed, build_profile(w.profile))
-    a = sample_initial(ens, spec)
-    micro0 = empirical_spectrum(a, spec)
+    a = sample_initial(ens, micro_grid)
+    micro0 = empirical_spectrum(a, micro_grid)
     a = _evolve_waves(a, params, cfg, n_steps, out)
-    micro, micro_grid = empirical_spectrum(a, spec), TorusGrid(w.d, spec.N)
+    micro = empirical_spectrum(a, micro_grid)
     tau_micro = w.lam**2 * (n_steps * w.dt)  # report on the slow clock
     del a  # the kinetic side need not keep the ensemble alive
     # the finished wave side is written first, so a kinetic failure keeps it
@@ -496,14 +491,15 @@ def _evolve_chain(r, v, geom, fp, dt, n_steps, t, out: Path):
         return verlet_evolve(r, v, geom, fp, dt, n_steps)
     except NumericalBlowupError as e:
         # an unstable dt fails before the first step: the state given is last good
-        snap = write_chain_snapshot_csv(out / "last_good.csv", site_coordinates(geom), r[0], v[0], t)
+        x = nodes(geom).reshape(-1, geom.d)
+        snap = write_chain_snapshot_csv(out / "last_good.csv", x, r[0], v[0], t)
         e.snapshot = str(snap)
         raise
 
 
 def _drive_chain(cfg: RunConfig, out: Path):
     c = cfg.chain
-    geom = ChainGeometry(c.d, c.n)
+    geom = TorusGrid(c.d, c.n)
     fp = FractionalParams(c.alpha)
     r, v = sample_ensemble(build_law(c.law), geom, c.replicas, cfg.seed)
     e0, p0 = chain_energy(r, v, geom, fp), v.sum(axis=-1)  # per replica
@@ -527,7 +523,7 @@ def _drive_chain(cfg: RunConfig, out: Path):
             comments=["replica-averaged invariants; t in chain units"],
         ),
         write_chain_snapshot_csv(
-            out / "snapshot_final_r0.csv", site_coordinates(geom), r[0], v[0], t
+            out / "snapshot_final_r0.csv", nodes(geom).reshape(-1, geom.d), r[0], v[0], t
         ),
     ]
     metrics = {"t_final": t, "energy_drift_rel": emax, "momentum_drift": pmax, "replicas": c.replicas}
@@ -581,19 +577,16 @@ def _drive_vlasov(cfg: RunConfig, out: Path):
 
 def _paired_laws(cfg: RunConfig, grid: PhaseGrid):
     """Chain law plus its PDE twin; a degenerate r-width is grid-resolved."""
-    c, cmp_ = cfg.chain, cfg.compare
+    c = cfg.chain
     law_chain = build_law(c.law)  # a GaussianLaw: parse_config checked the kind
-    if cmp_.pde_sigma_r == "auto":
-        sigma_pde = max(float(law_chain.sigma_r), 2.0 * grid.dr)
-    else:
-        sigma_pde = float(cmp_.pde_sigma_r)
+    sigma_pde = max(float(law_chain.sigma_r), 2.0 * grid.dr)
     law_pde = build_law(replace(c.law, params=c.law.params | {"sigma_r": sigma_pde}))
     return law_chain, law_pde, sigma_pde
 
 
 def _drive_mf_compare(cfg: RunConfig, out: Path):
     c, vc = cfg.chain, cfg.vlasov
-    geom = ChainGeometry(c.d, c.n)
+    geom = TorusGrid(c.d, c.n)
     fp = FractionalParams(c.alpha)
     grid = PhaseGrid(vc.mx, vc.mr, vc.mv, vc.r_max, vc.v_max)
     n_chain, n_pde = mf_steps(c, vc, cfg.compare.t_final)
@@ -657,28 +650,28 @@ def _oracle_cases(seed: int) -> list[Budget]:
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xFACE]))
     cases = []
 
-    spec = LatticeSpec(1, 4)
-    f = rng.standard_normal(spec.shape) + 1j * rng.standard_normal(spec.shape)
-    fh = dft(spec, f)
-    gap = float(np.max(np.abs(fh - ref.dft_direct(spec, f))))
+    lat = TorusGrid(1, 9)
+    f = rng.standard_normal(lat.shape) + 1j * rng.standard_normal(lat.shape)
+    fh = dft(lat, f)
+    gap = float(np.max(np.abs(fh - ref.dft_direct(lat, f))))
     cases.append(Budget("transform-vs-direct-sum", gap, 1e-12))
-    gap = float(np.max(np.abs(inverse_dft(spec, fh) - f)))
+    gap = float(np.max(np.abs(inverse_dft(lat, fh) - f)))
     cases.append(Budget("roundtrip", gap, 1e-12))
-    gap = abs(complex(weighted_inner(spec, f, f)) - complex(np.sum(np.conj(fh) * fh)))
+    gap = abs(complex(weighted_inner(lat, f, f)) - complex(np.sum(np.conj(fh) * fh)))
     cases.append(Budget("plancherel", gap, 1e-12))
 
-    spec2 = LatticeSpec(1, 2)
-    params2 = ModelParams(spec2, 0.3)
+    lat2 = TorusGrid(1, 5)
+    params2 = ModelParams(lat2, 0.3)
     # a random a(+); drawing a second row keeps the later cases' draws
-    z = rng.standard_normal((2,) + spec2.shape) + 1j * rng.standard_normal((2,) + spec2.shape)
+    z = rng.standard_normal((2,) + lat2.shape) + 1j * rng.standard_normal((2,) + lat2.shape)
     b = z[0]
-    a = ref.doubled_shifted(b, spec2)  # the oracles' layout
-    got = ref.doubled_shifted(rhs(b, params2), spec2)
-    want = ref.wave_rhs_direct(a, spec2, 0.3)
+    a = ref.doubled_shifted(b, lat2)  # the oracles' layout
+    got = ref.doubled_shifted(rhs(b, params2), lat2)
+    want = ref.wave_rhs_direct(a, lat2, 0.3)
     cases.append(Budget("wave-rhs-vs-loop", float(np.max(np.abs(got - want))), 1e-12))
 
     hgot = hamiltonian(b, params2)
-    hwant = ref.hamiltonian_direct(a, spec2, 0.3)
+    hwant = ref.hamiltonian_direct(a, lat2, 0.3)
     cases.append(Budget("hamiltonian-vs-loop", float(abs(hgot - hwant)), 1e-12))
 
     grid = TorusGrid(1, 8)
@@ -689,18 +682,18 @@ def _oracle_cases(seed: int) -> list[Budget]:
     cases.append(Budget("collision-vs-loop", float(np.max(np.abs(got - want))), 1e-12))
 
     chains = (
-        (ChainGeometry(1, 16), FractionalParams(0.5)),
-        (ChainGeometry(2, 5), FractionalParams(0.75)),
+        (TorusGrid(1, 16), FractionalParams(0.5)),
+        (TorusGrid(2, 5), FractionalParams(0.75)),
     )
     gap = 0.0
     for geom, fpar in chains:
-        r = rng.standard_normal(geom.n_sites)
+        r = rng.standard_normal(geom.n_nodes)
         want = ref.chain_force_pairs(r, geom, fpar)
         gap = max(gap, float(np.max(np.abs(chain_force_flat(r, geom, fpar) - want))))
     cases.append(Budget("chain-force-vs-pairs", gap, 1e-12))
 
-    geom, fpar = ChainGeometry(1, 16), FractionalParams(0.5)
-    r, vvec = rng.standard_normal((2, geom.n_sites))
+    geom, fpar = TorusGrid(1, 16), FractionalParams(0.5)
+    r, vvec = rng.standard_normal((2, geom.n_nodes))
     e = float(chain_energy(r, vvec, geom, fpar))
     e_ref = 0.5 * float(np.sum(vvec * vvec)) + ref.chain_potential_pairs(r, geom, fpar)
     cases.append(Budget("chain-energy-vs-pairs", abs(e - e_ref), 1e-10))
@@ -724,7 +717,7 @@ def _oracle_cases(seed: int) -> list[Budget]:
 
     gap = 0.0
     for geom, fpar in chains:
-        r, vvec = rng.standard_normal((2, geom.n_sites))
+        r, vvec = rng.standard_normal((2, geom.n_nodes))
         got = verlet_evolve(r, vvec, geom, fpar, 0.01, 20)
         want = ref.verlet_pairs(r, vvec, geom, fpar, 0.01, 20)
         gap = max(gap, float(np.max(np.abs(np.stack(got) - want))))
@@ -734,7 +727,7 @@ def _oracle_cases(seed: int) -> list[Budget]:
     # gap is the closed form's own error (at most 3.7e-13 over 60 seeds on x86-64)
     gap = 0.0
     for geom, fpar in chains:
-        r, vvec = rng.standard_normal((2, geom.n_sites))
+        r, vvec = rng.standard_normal((2, geom.n_nodes))
         got = verlet_evolve(r, vvec, geom, fpar, 0.05, 400)
         want = ref.verlet_longdouble(r, vvec, geom, fpar, 0.05, 400)
         gap = max(gap, float(np.max(np.abs(np.stack(got) - np.stack(want)))))

@@ -5,7 +5,10 @@ round-trip exact for float64), sorted JSON keys, explicit ``\\n`` newlines.
 Nothing in these files depends on wall clock or platform, which is what
 lets a manifest promise bit-identical reruns.  Timestamps live only in the
 run manifest, which is excluded from its own checksum list.  The writers
-take bare arrays; the grid and the time come from the caller.
+take bare arrays; the grid and the time come from the caller.  Node
+coordinates come from :func:`kinlat.lattice.nodes`, so writing a spectrum
+loads no solver lane; only the phase-density reader loads one (the Vlasov
+lane, when called).
 
 Manifest digests and config hashes are SHA-256 from the interpreter's
 built-in module (``_sha2``, or ``_sha256`` before Python 3.12), the one the
@@ -27,15 +30,14 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 import numpy as np
 
 from .errors import SizeMismatchError
-from .lattice import LatticeSpec, wavenumbers
+from .lattice import TorusGrid, nodes, wavenumbers
 
 if sys.version_info >= (3, 12):
     from _sha2 import sha256
 else:
     from _sha256 import sha256
 
-if TYPE_CHECKING:  # the writers and readers import their lane when called
-    from .kinetic import TorusGrid
+if TYPE_CHECKING:
     from .vlasov import PhaseGrid
 
 __all__ = [
@@ -123,8 +125,6 @@ def write_spectrum_csv(path: str | Path, f: np.ndarray, grid: TorusGrid, tau: fl
     Every cell is a float64, so each row fills one ``%.17g`` template,
     the bytes :func:`format_float` gives cell by cell.
     """
-    from .kinetic import nodes
-
     table = np.column_stack([nodes(grid).reshape(-1, grid.d), np.reshape(f, -1)])
     row = ",".join(["%.17g"] * (grid.d + 1))
     header = [f"kappa_{c}" for c in range(grid.d)] + ["f"]
@@ -140,7 +140,7 @@ def write_spectrum_csv(path: str | Path, f: np.ndarray, grid: TorusGrid, tau: fl
 
 
 def write_amplitude_snapshot(
-    path_stem: str | Path, b: np.ndarray, spec: LatticeSpec, meta: dict
+    path_stem: str | Path, b: np.ndarray, grid: TorusGrid, meta: dict
 ) -> tuple[Path, Path]:
     """Amplitude dump of one replica's ``a(+)`` (FFT order), plus a JSON sidecar.
 
@@ -149,11 +149,11 @@ def write_amplitude_snapshot(
     the file format; ``b`` must have the lattice's shape, one replica.
     """
     b = np.asarray(b)
-    if b.shape != spec.shape:
-        raise SizeMismatchError(f"amplitude field shape {b.shape}, expected {spec.shape}")
+    if b.shape != grid.shape:
+        raise SizeMismatchError(f"amplitude field shape {b.shape}, expected {grid.shape}")
     stem = Path(path_stem)
-    kvecs = np.fft.fftshift(wavenumbers(spec), axes=tuple(range(spec.d))).reshape(-1, spec.d)
-    header = [f"k_{c}" for c in range(spec.d)] + ["sigma", "re_a", "im_a"]
+    kvecs = np.fft.fftshift(wavenumbers(grid), axes=tuple(range(grid.d))).reshape(-1, grid.d)
+    header = [f"k_{c}" for c in range(grid.d)] + ["sigma", "re_a", "im_a"]
     plus = np.fft.fftshift(b).reshape(-1)
     rows = []
     for sigma, vals in ((1, plus), (-1, np.conj(plus))):
@@ -172,7 +172,7 @@ def write_amplitude_snapshot(
 def write_chain_snapshot_csv(path: str | Path, x, r, v, t: float) -> Path:
     """Per-site chain snapshot: site index, coordinate, displacement, velocity.
 
-    ``x`` holds the site coordinates, shape ``(n_sites, d)``.
+    ``x`` holds the site coordinates, shape ``(n_nodes, d)``.
     """
     x = np.asarray(x, dtype=np.float64)
     r = np.asarray(r).reshape(-1)

@@ -1,7 +1,9 @@
 """Three-wave kinetic equation on a uniform torus grid.
 
-The unknown is a nonnegative spectrum ``f(k)`` on nodes ``k = j/M`` of the
-``d``-torus, evolving under the quadratic collision operator
+The unknown is a nonnegative spectrum ``f(k)`` on the nodes ``k = j/m`` of
+the ``d``-torus (:class:`~kinlat.lattice.TorusGrid` and its coordinate table
+:func:`~kinlat.lattice.nodes`, the grid the wave lattice and the chain
+share), evolving under the quadratic collision operator
 
     C[f](k) = int K d(k-k1-k2) d(w-w1-w2) [f1 f2 - f f1 - f f2]
             - 2 int K d(k1-k-k2) d(w1-w-w2) [f2 f - f f1 - f1 f2]
@@ -52,13 +54,11 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import NumericalBlowupError, SizeMismatchError, check_step
-from .lattice import DEFAULT_OMEGA_FLOOR, RESONANCE_PROFILES, dispersion
+from .lattice import DEFAULT_OMEGA_FLOOR, RESONANCE_PROFILES, TorusGrid, dispersion, nodes
 
 __all__ = [
     "DEFAULT_OMEGA_FLOOR",
     "RESONANCE_PROFILES",
-    "TorusGrid",
-    "nodes",
     "omega_grid",
     "ResonanceRule",
     "active_mask",
@@ -72,42 +72,6 @@ __all__ = [
 ]
 
 BLOWUP_BOUND = 1e12
-
-
-@dataclass(frozen=True)
-class TorusGrid:
-    """Uniform grid ``{j/m : 0 <= j < m}^d`` on the d-torus."""
-
-    d: int
-    m: int
-
-    def __post_init__(self):
-        if self.d < 1:
-            raise ValueError(f"dimension must be >= 1, got {self.d}")
-        if self.m < 4:
-            raise ValueError(f"need at least 4 nodes per axis, got {self.m}")
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return (self.m,) * self.d
-
-    @property
-    def n_nodes(self) -> int:
-        return self.m**self.d
-
-    @property
-    def cell_measure(self) -> float:
-        return float(self.m) ** (-self.d)
-
-
-@lru_cache(maxsize=64)
-def nodes(grid: TorusGrid) -> np.ndarray:
-    """Node coordinates, shape ``(m,)*d + (d,)``."""
-    ax = np.arange(grid.m) / grid.m
-    mesh = np.meshgrid(*([ax] * grid.d), indexing="ij")
-    out = np.stack(mesh, axis=-1)
-    out.setflags(write=False)
-    return out
 
 
 @lru_cache(maxsize=64)

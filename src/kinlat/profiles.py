@@ -23,7 +23,6 @@ __all__ = [
     "torus_gaussian",
     "omega_bump",
     "rayleigh_jeans_profile",
-    "make_profile",
     "FACTORIES",
 ]
 
@@ -84,7 +83,3 @@ FACTORIES = {
     "torus-gaussian": torus_gaussian,
 }
 
-
-def make_profile(name: str, **params: float) -> Profile:
-    """Build the profile ``name`` of :data:`FACTORIES` from its parameters."""
-    return FACTORIES[name](**params)

@@ -61,7 +61,7 @@ import numpy as np
 
 from .chain import FractionalParams
 from .compare import OBSERVABLES
-from .errors import SizeMismatchError, check_step
+from .errors import NumericalBlowupError, SizeMismatchError, check_step
 
 __all__ = [
     "PhaseGrid",
@@ -482,7 +482,11 @@ def density_from_law(law, grid: PhaseGrid) -> np.ndarray:
     The law must expose ``density(x, r, v)`` (degenerate laws do not).  No
     renormalization is applied; the midpoint mass approaches 1 as the grid
     refines and the window widens.  The law is evaluated one x-slab at a
-    time into a single array, so its temporaries are slab-sized.
+    time into a single array, so its temporaries are slab-sized.  A law
+    that leaves an x cell with no mass in the (r, v) window has no
+    conditional moments there; it is refused with a
+    :class:`NumericalBlowupError` naming the first such cell.  Each slab's
+    cell masses are summed as the slab is filled, while it is in cache.
     """
     x = x_centers(grid).reshape(grid.mx, 1)
     r, v = r_centers(grid)[:, None], v_centers(grid)[None, :]
@@ -490,6 +494,13 @@ def density_from_law(law, grid: PhaseGrid) -> np.ndarray:
     # the values are pointwise in x, so a slab at a time leaves every bit alone
     for s in _slabs(grid):
         vals[s] = law.density(x[s], r, v)
+        empty = np.flatnonzero(vals[s].sum(axis=(1, 2)) <= 0.0)
+        if empty.size:
+            i = s.start + int(empty[0])
+            raise NumericalBlowupError(
+                f"the law has no mass in the (r, v) window |r| <= {grid.r_max:g}, "
+                f"|v| <= {grid.v_max:g} at x cell {i} (x = {float(x[i, 0]):.6g})"
+            )
     return check_density(vals, grid)
 
 

@@ -7,7 +7,7 @@ The second-order lattice dynamics is rewritten in the complex amplitude
                    - i lam sum_{s1 s2} sum_{k1 + k2 window} M a(s1)(k1) a(s2)(k2)
 
 with ``M = [8 wbar(k) wbar(k1) wbar(k2)]^-1`` and the wavenumber constraint
-``s1 k1 + s2 k2 = k (mod N)`` (umklapp wraps included).  The interaction
+``s1 k1 + s2 k2 = k (mod m)`` (umklapp wraps included).  The interaction
 sum carries unit weight after the constraint collapses it, which is the
 normalization the position-space equation of motion induces.
 
@@ -16,7 +16,7 @@ dropped from the transformation, excluded from the interaction sum, and its
 amplitude stays pinned at zero.
 
 The state is ``a(+)`` alone in natural FFT order (zero mode first), shape
-``batch + (N,)*d``, from sampling through the stepper, the energy and the
+``batch + (m,)*d``, from sampling through the stepper, the energy and the
 empirical spectrum; only the snapshot writer of :mod:`kinlat.io` lays it
 out in shifted order with its conjugate.  ``w(k) = u(k) + conj u(-k)`` with
 ``u = a(+)/wbar`` is Hermitian, so the position field ``V = 2 Re ifft(u)``
@@ -45,7 +45,7 @@ import numpy as np
 
 from .errors import NumericalBlowupError, SizeMismatchError, check_step
 from .lattice import (
-    LatticeSpec,
+    TorusGrid,
     _check_field,
     inverse_omega_bar_grid,
     omega_bar_grid,
@@ -76,8 +76,9 @@ CHECK_EVERY = 50
 # conservative pick from noisy per-call timings on the harness's replica
 # blocks (benchmarks/bench_kernels.py, 2 cores, OpenBLAS): the tables won at
 # every length measured up to 61, and above it won at some lengths and lost
-# at others, 8x at N = 513, as they grow as N**2.  Only N = 33 is checked end
-# to end; no benchmark workload runs the FFT side of this switch
+# at others, 8x at m = 513, as they grow as m**2.  Only m = 33 is timed end
+# to end; no benchmark workload runs the FFT side of this switch, whose bytes
+# benchmarks/bytes_identical.py checks at m = 65 (run wt-sim-fft-d1)
 TABLE_MAX_N = 61
 # rows of every table product.  OpenBLAS rounds a row by its place in
 # the product (edge tiles, small-matrix kernels and thread splits all depend
@@ -90,7 +91,7 @@ GEMM_ROWS = 16
 class ModelParams:
     """Lattice geometry plus interaction strength ``lam >= 0``."""
 
-    spec: LatticeSpec
+    grid: TorusGrid
     lam: float
 
     def __post_init__(self):
@@ -98,12 +99,12 @@ class ModelParams:
             raise ValueError(f"coupling must be nonnegative, got {self.lam}")
 
 
-def _as_field(spec: LatticeSpec, b) -> np.ndarray:
+def _as_field(grid: TorusGrid, b) -> np.ndarray:
     """``b`` as a complex ``a(+)`` array, checked to end in the grid axes."""
-    return _check_field(spec, np.asarray(b, dtype=np.complex128), "amplitude field")
+    return _check_field(grid, np.asarray(b, dtype=np.complex128), "amplitude field")
 
 
-def to_amplitudes(q: np.ndarray, p: np.ndarray, spec: LatticeSpec) -> np.ndarray:
+def to_amplitudes(q: np.ndarray, p: np.ndarray, grid: TorusGrid) -> np.ndarray:
     """Map the Fourier components ``(q, p)`` of a displacement/velocity pair
     to ``a(+) = wbar q + i p / wbar``, all in FFT order.
 
@@ -114,16 +115,16 @@ def to_amplitudes(q: np.ndarray, p: np.ndarray, spec: LatticeSpec) -> np.ndarray
     """
     q = np.asarray(q, dtype=np.complex128)
     p = np.asarray(p, dtype=np.complex128)
-    if q.shape != spec.shape or p.shape != spec.shape:
+    if q.shape != grid.shape or p.shape != grid.shape:
         raise SizeMismatchError(
-            f"phase pair shapes {q.shape}/{p.shape}, expected {spec.shape}"
+            f"phase pair shapes {q.shape}/{p.shape}, expected {grid.shape}"
         )
-    a_plus = omega_bar_grid(spec) * q + 1j * inverse_omega_bar_grid(spec) * p
-    a_plus[(0,) * spec.d] = 0.0
+    a_plus = omega_bar_grid(grid) * q + 1j * inverse_omega_bar_grid(grid) * p
+    a_plus[(0,) * grid.d] = 0.0
     return a_plus
 
 
-def from_amplitudes(b: np.ndarray, spec: LatticeSpec) -> tuple[np.ndarray, np.ndarray]:
+def from_amplitudes(b: np.ndarray, grid: TorusGrid) -> tuple[np.ndarray, np.ndarray]:
     """Inverse map, ``q = [a(k) + a*(-k)]/(2 wbar)``, ``p = i wbar [a*(-k) - a(k)]/2``.
 
     ``b`` is one ``a(+)`` and ``(q, p)`` come back, all in FFT order.  Exact
@@ -131,40 +132,40 @@ def from_amplitudes(b: np.ndarray, spec: LatticeSpec) -> tuple[np.ndarray, np.nd
     mode returns as zero.
     """
     b = np.asarray(b, dtype=np.complex128)
-    if b.shape != spec.shape:
-        raise SizeMismatchError(f"amplitude field shape {b.shape}, expected {spec.shape}")
-    a_conj_neg = np.conj(_at_minus_k(b, spec.d))
-    q = 0.5 * inverse_omega_bar_grid(spec) * (b + a_conj_neg)
-    p = 0.5j * omega_bar_grid(spec) * (a_conj_neg - b)
+    if b.shape != grid.shape:
+        raise SizeMismatchError(f"amplitude field shape {b.shape}, expected {grid.shape}")
+    a_conj_neg = np.conj(_at_minus_k(b, grid.d))
+    q = 0.5 * inverse_omega_bar_grid(grid) * (b + a_conj_neg)
+    p = 0.5j * omega_bar_grid(grid) * (a_conj_neg - b)
     return q, p
 
 
 def _at_minus_k(b: np.ndarray, d: int) -> np.ndarray:
     """``b(-k)`` of a field in FFT order over its trailing ``d`` axes: the
-    flip puts entry ``i`` at ``N - 1 - i``, and the roll by one at ``-i mod N``."""
+    flip puts entry ``i`` at ``m - 1 - i``, and the roll by one at ``-i mod m``."""
     gax = tuple(range(-d, 0))
     return np.roll(np.flip(b, gax), 1, gax)
 
 
 def rhs(b: np.ndarray, params: ModelParams) -> np.ndarray:
     """Time derivative of ``a(+)`` in FFT order (same shape as ``b``)."""
-    spec = params.spec
-    b = _as_field(spec, b)
-    return _linear_table(spec) * b + wave_nonlinear(b, spec, params.lam)
+    grid = params.grid
+    b = _as_field(grid, b)
+    return _linear_table(grid) * b + wave_nonlinear(b, grid, params.lam)
 
 
-def wave_nonlinear(b: np.ndarray, spec: LatticeSpec, lam: float) -> np.ndarray:
+def wave_nonlinear(b: np.ndarray, grid: TorusGrid, lam: float) -> np.ndarray:
     """Quadratic interaction term of the amplitude equation of ``a(+)``.
 
     ``b`` is the half field ``a(+)`` in natural FFT order, shape
-    ``batch + (N,)*d``; the result has the same shape.  The pair sum over
+    ``batch + (m,)*d``; the result has the same shape.  The pair sum over
     the momentum constraint carries the lattice measure ``h**d``, and the
     zero mode is excluded on input and output through the masked
     ``1/omega_bar`` table.
 
     The four sign-pair sums collapse into one cyclic self-convolution of the
     Hermitian ``w(k) = u(k) + conj u(-k)``, ``u = a(+) / omega_bar``, which is
-    ``N^d fft(V**2)`` of the real position field ``V = ifft(w) = 2 Re ifft(u)``.
+    ``m^d fft(V**2)`` of the real position field ``V = ifft(w) = 2 Re ifft(u)``.
     At d = 1 up to ``TABLE_MAX_N`` sites both transforms are real GEMMs
     against cached DFT tables (:func:`_table_nonlinear`); otherwise they are
     the FFT pair.  Either way each row of the result depends on its own row
@@ -172,42 +173,39 @@ def wave_nonlinear(b: np.ndarray, spec: LatticeSpec, lam: float) -> np.ndarray:
     """
     if lam == 0.0:
         return np.zeros(b.shape, dtype=np.complex128)
-    if _uses_tables(spec):
-        return _table_nonlinear(b, spec, lam)
-    return _fft_nonlinear(b, spec, lam)
+    if _uses_tables(grid):
+        return _table_nonlinear(b, grid, lam)
+    return _fft_nonlinear(b, grid, lam)
 
 
-def _uses_tables(spec: LatticeSpec) -> bool:
+def _uses_tables(grid: TorusGrid) -> bool:
     """Whether :func:`wave_nonlinear` runs by DFT tables on this lattice."""
-    return spec.d == 1 and spec.N <= TABLE_MAX_N
+    return grid.d == 1 and grid.m <= TABLE_MAX_N
 
 
-def _fft_nonlinear(b: np.ndarray, spec: LatticeSpec, lam: float) -> np.ndarray:
-    """:func:`wave_nonlinear` by the FFT pair, for any ``N`` and ``d``."""
-    winv, coef = _kernel_tables(spec, lam)
-    if spec.d == 1:
-        v = np.fft.ifft(b * winv).real
-        return coef * np.fft.fft(v**2)
-    axes = tuple(range(-spec.d, 0))
+def _fft_nonlinear(b: np.ndarray, grid: TorusGrid, lam: float) -> np.ndarray:
+    """:func:`wave_nonlinear` by the FFT pair, for any ``m`` and ``d``."""
+    winv, coef = _kernel_tables(grid, lam)
+    axes = tuple(range(-grid.d, 0))
     v = np.fft.ifftn(b * winv, axes=axes).real
     return coef * np.fft.fftn(v**2, axes=axes)
 
 
 @lru_cache(maxsize=64)
-def _kernel_tables(spec: LatticeSpec, lam: float) -> tuple[np.ndarray, np.ndarray]:
+def _kernel_tables(grid: TorusGrid, lam: float) -> tuple[np.ndarray, np.ndarray]:
     """``1/omega_bar`` and the output coefficient of :func:`wave_nonlinear`, in
     FFT order, built once per lattice and coupling.
 
-    The coefficient ``-i lam h^d winv / 8`` meets ``N^d fft(V^2)`` with
-    ``V^2 = 4 (Re ifft(u))^2``: ``h^d N^d = 1``, and the 4 is folded in.
+    The coefficient ``-i lam h^d winv / 8`` meets ``m^d fft(V^2)`` with
+    ``V^2 = 4 (Re ifft(u))^2``: ``h^d m^d = 1``, and the 4 is folded in.
     """
-    winv = inverse_omega_bar_grid(spec)
+    winv = inverse_omega_bar_grid(grid)
     coef = -0.5j * lam * winv
     coef.setflags(write=False)
     return winv, coef
 
 
-def _table_nonlinear(b: np.ndarray, spec: LatticeSpec, lam: float) -> np.ndarray:
+def _table_nonlinear(b: np.ndarray, grid: TorusGrid, lam: float) -> np.ndarray:
     """:func:`wave_nonlinear` at d = 1 by real GEMMs against :func:`_dft_tables`.
 
     Complex fields are read and written as their interleaved ``(re, im)``
@@ -216,8 +214,8 @@ def _table_nonlinear(b: np.ndarray, spec: LatticeSpec, lam: float) -> np.ndarray
     vanishes on zero rows), and ``1/omega_bar`` and the output coefficient
     sit in the two tables.
     """
-    n = spec.N
-    inv, fwd = _dft_tables(spec)
+    n = grid.m
+    inv, fwd = _dft_tables(grid)
     rows = b.size // n
     x = np.zeros((-(-rows // GEMM_ROWS) * GEMM_ROWS, n), dtype=np.complex128)
     x[:rows] = b.reshape(rows, n)
@@ -229,20 +227,20 @@ def _table_nonlinear(b: np.ndarray, spec: LatticeSpec, lam: float) -> np.ndarray
 
 
 @lru_cache(maxsize=8)
-def _dft_tables(spec: LatticeSpec) -> tuple[np.ndarray, np.ndarray]:
+def _dft_tables(grid: TorusGrid) -> tuple[np.ndarray, np.ndarray]:
     """Real DFT tables of :func:`_table_nonlinear`, built once per chain.
 
     ``lam`` only scales ``V**2``, so every coupling shares them.  The phases
-    ``2 pi (k x mod N) / N`` are reduced before the cosine, so every argument
+    ``2 pi (k x mod m) / m`` are reduced before the cosine, so every argument
     lies in ``[0, 2 pi)`` and each entry is good to about an ulp.  The first
-    table, ``(2N, N)``, maps the interleaved ``u`` to ``V`` with ``2/N`` and
-    ``1/omega_bar`` folded in; the second, ``(N, 2N)``, maps ``V**2`` to the
-    interleaved term with its coefficient ``-i h winv / 8`` (``h N = 1``).
+    table, ``(2m, m)``, maps the interleaved ``u`` to ``V`` with ``2/m`` and
+    ``1/omega_bar`` folded in; the second, ``(m, 2m)``, maps ``V**2`` to the
+    interleaved term with its coefficient ``-i h winv / 8`` (``h m = 1``).
     """
-    n = spec.N
+    n = grid.m
     theta = (2.0 * np.pi / n) * (np.outer(np.arange(n), np.arange(n)) % n)
     c, s = np.cos(theta), np.sin(theta)  # symmetric in (k, x)
-    winv = inverse_omega_bar_grid(spec)
+    winv = inverse_omega_bar_grid(grid)
     # rows (k, re/im), columns x: Re of (re + i im) e^{+i theta}
     inv = (2.0 / n) * np.repeat(winv, 2)[:, None] * np.stack([c, -s], axis=1).reshape(2 * n, n)
     out = (inv, (-0.125j * winv * (c - 1j * s)).view(np.float64))
@@ -252,9 +250,9 @@ def _dft_tables(spec: LatticeSpec) -> tuple[np.ndarray, np.ndarray]:
 
 
 @lru_cache(maxsize=64)
-def _linear_table(spec: LatticeSpec) -> np.ndarray:
+def _linear_table(grid: TorusGrid) -> np.ndarray:
     """``-i omega_bar`` in FFT order, the linear part of the ``a(+)`` equation."""
-    out = -1j * omega_bar_grid(spec)
+    out = -1j * omega_bar_grid(grid)
     out.setflags(write=False)
     return out
 
@@ -266,22 +264,22 @@ def hamiltonian_terms(
     per replica for a stack.
 
     ``H1 = sum_k wbar |a(+)_k|^2 / 2``.  ``H2`` is the sign-symmetric triple
-    sum over ``s0 k0 + s1 k1 + s2 k2 = 0 (mod N)`` with the interaction
+    sum over ``s0 k0 + s1 k1 + s2 k2 = 0 (mod m)`` with the interaction
     kernel ``M`` and one lattice measure ``h**d``, matching the measure of
     the quadratic term in the equations of motion.  All eight sign words
     collapse into a cube of the single field
     ``V = fft((a(+)(k) + conj a(+)(-k)) / wbar)``, so the value costs one
     FFT.  ``V`` is real and so is ``H2``; the complex return keeps
     round-off imaginary parts visible.  A field of shape
-    ``batch + (N,)*d`` gives arrays of shape ``batch``.
+    ``batch + (m,)*d`` gives arrays of shape ``batch``.
     """
-    spec = params.spec
-    b = _as_field(spec, b)
-    gax = tuple(range(-spec.d, 0))
-    h1 = 0.5 * np.sum(omega_bar_grid(spec) * np.abs(b) ** 2, axis=gax)
-    w = (b + np.conj(_at_minus_k(b, spec.d))) * inverse_omega_bar_grid(spec)
+    grid = params.grid
+    b = _as_field(grid, b)
+    gax = tuple(range(-grid.d, 0))
+    h1 = 0.5 * np.sum(omega_bar_grid(grid) * np.abs(b) ** 2, axis=gax)
+    w = (b + np.conj(_at_minus_k(b, grid.d))) * inverse_omega_bar_grid(grid)
     v = np.fft.fftn(w, axes=gax)
-    return h1, spec.h ** (2 * spec.d) * 0.125 * np.sum(v**3, axis=gax)
+    return h1, grid.h ** (2 * grid.d) * 0.125 * np.sum(v**3, axis=gax)
 
 
 def hamiltonian(b: np.ndarray, params: ModelParams) -> float | np.ndarray:
@@ -301,9 +299,9 @@ def hamiltonian(b: np.ndarray, params: ModelParams) -> float | np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _phase_factors(spec: LatticeSpec, dt: float) -> tuple[np.ndarray, np.ndarray]:
+def _phase_factors(grid: TorusGrid, dt: float) -> tuple[np.ndarray, np.ndarray]:
     """Half-step and full-step linear phases of ``a(+)``, in FFT order."""
-    e_half = np.exp(-0.5j * dt * omega_bar_grid(spec))
+    e_half = np.exp(-0.5j * dt * omega_bar_grid(grid))
     return e_half, e_half * e_half
 
 
@@ -316,30 +314,30 @@ def _integrate_array(
     step0: int = 0,
     t0: float = 0.0,
 ) -> np.ndarray:
-    """Batched core: steps ``a(+)`` in FFT order, shape ``batch + (N,)*d``,
+    """Batched core: steps ``a(+)`` in FFT order, shape ``batch + (m,)*d``,
     into a new array; ``b`` itself is not written.  ``step0`` and ``t0``
     are the run's clock at the start, which a blowup reports in.  Each
     stage calls :func:`wave_nonlinear` once.
     """
     check_step("dt", dt)
-    spec, lam = params.spec, params.lam
+    grid, lam = params.grid, params.lam
     if scheme == "exponential":
-        e2, e1 = _phase_factors(spec, dt)
+        e2, e1 = _phase_factors(grid, dt)
         dt_e2, two_e2 = dt * e2, 2.0 * e2  # the products the step would rebuild
 
         def step(b):
-            k1 = wave_nonlinear(b, spec, lam)
-            k2 = wave_nonlinear(e2 * (b + 0.5 * dt * k1), spec, lam)
-            k3 = wave_nonlinear(e2 * b + 0.5 * dt * k2, spec, lam)
+            k1 = wave_nonlinear(b, grid, lam)
+            k2 = wave_nonlinear(e2 * (b + 0.5 * dt * k1), grid, lam)
+            k3 = wave_nonlinear(e2 * b + 0.5 * dt * k2, grid, lam)
             eb = e1 * b
-            k4 = wave_nonlinear(eb + dt_e2 * k3, spec, lam)
+            k4 = wave_nonlinear(eb + dt_e2 * k3, grid, lam)
             return eb + dt / 6.0 * (e1 * k1 + two_e2 * (k2 + k3) + k4)
 
     elif scheme == "rk4":
-        lin = _linear_table(spec)
+        lin = _linear_table(grid)
 
         def f(x):
-            return lin * x + wave_nonlinear(x, spec, lam)
+            return lin * x + wave_nonlinear(x, grid, lam)
 
         def step(b):
             k1 = f(b)
@@ -383,7 +381,7 @@ def integrate(
     modulus is preserved to round-off.  ``scheme="rk4"`` is the plain
     classical rule on the full right-hand side.
     """
-    return _integrate_array(_as_field(params.spec, b), params, dt, n_steps, scheme)
+    return _integrate_array(_as_field(params.grid, b), params, dt, n_steps, scheme)
 
 
 # ---------------------------------------------------------------------------
@@ -397,7 +395,7 @@ class EnsembleSpec:
 
     ``n0`` is either a table over the spectral grid (FFT order) or a callable
     evaluated on the rescaled wavenumbers ``h k`` (array of shape
-    ``(N,)*d + (d,)``); values must be nonnegative.
+    ``(m,)*d + (d,)``); values must be nonnegative.
     """
 
     m: int
@@ -411,25 +409,25 @@ class EnsembleSpec:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
 
 
-def n0_table(ens: EnsembleSpec, spec: LatticeSpec) -> np.ndarray:
+def n0_table(ens: EnsembleSpec, grid: TorusGrid) -> np.ndarray:
     """Materialize the profile on the spectral grid, zero mode masked."""
     if callable(ens.n0):
-        kappa = spec.h * wavenumbers(spec).astype(np.float64)
+        kappa = grid.h * wavenumbers(grid).astype(np.float64)
         table = np.asarray(ens.n0(kappa), dtype=np.float64)
     else:
         table = np.asarray(ens.n0, dtype=np.float64)
-    if table.shape != spec.shape:
-        raise SizeMismatchError(f"profile shape {table.shape}, expected {spec.shape}")
+    if table.shape != grid.shape:
+        raise SizeMismatchError(f"profile shape {table.shape}, expected {grid.shape}")
     if not np.all(np.isfinite(table)) or np.any(table < 0.0):
         raise ValueError("modulus profile must be finite and nonnegative")
     table = table.copy()
-    table[(0,) * spec.d] = 0.0
+    table[(0,) * grid.d] = 0.0
     return table
 
 
-def sample_initial(ens: EnsembleSpec, spec: LatticeSpec) -> np.ndarray:
+def sample_initial(ens: EnsembleSpec, grid: TorusGrid) -> np.ndarray:
     """Draw the random-phase ensemble at ``t = 0``, deterministically in the
-    seed: ``a(+)`` in FFT order, shape ``(m,) + (N,)*d``.
+    seed: ``a(+)`` in FFT order, shape ``(ens.m,) + (m,)*d``.
 
     Replica ``i``'s phases are ``2 pi`` times one draw of its own stream
     ``[seed, i]`` (:func:`kinlat.rng.uniforms`) over the grid in ascending
@@ -439,24 +437,24 @@ def sample_initial(ens: EnsembleSpec, spec: LatticeSpec) -> np.ndarray:
     one replica), so the result is the only array that grows with the
     ensemble.
     """
-    root = np.sqrt(n0_table(ens, spec))
-    out = np.empty((ens.m,) + spec.shape, dtype=np.complex128)
-    gax = tuple(range(1, 1 + spec.d))
-    for rows, u in uniform_blocks(ens.seed, np.arange(ens.m), spec.shape):
+    root = np.sqrt(n0_table(ens, grid))
+    out = np.empty((ens.m,) + grid.shape, dtype=np.complex128)
+    gax = tuple(range(1, 1 + grid.d))
+    for rows, u in uniform_blocks(ens.seed, np.arange(ens.m), grid.shape):
         out[rows] = root * np.exp(1j * (2.0 * np.pi * np.fft.ifftshift(u, axes=gax)))
     return out
 
 
-def empirical_spectrum(b: np.ndarray, spec: LatticeSpec) -> np.ndarray:
+def empirical_spectrum(b: np.ndarray, grid: TorusGrid) -> np.ndarray:
     """Replica average of ``conj a(+) a(+)`` on the rescaled grid ``h k``.
 
     ``b`` is a replica stack of ``a(+)`` in FFT order.  The real part is
     taken and round-off negatives are floored at zero.  The result is an
-    array on the torus grid with ``N`` nodes per axis (``h k`` mod 1
-    enumerates exactly the nodes ``j/N``, in FFT order); its time, and the
+    array on the torus grid with ``m`` nodes per axis (``h k`` mod 1
+    enumerates exactly the nodes ``j/m``, in FFT order); its time, and the
     rescaling to kinetic time, are the caller's.
     """
-    b = _as_field(spec, b)
-    if b.ndim != 1 + spec.d:  # replica, then the grid axes
+    b = _as_field(grid, b)
+    if b.ndim != 1 + grid.d:  # replica, then the grid axes
         raise SizeMismatchError("expected one leading replica axis")
     return np.maximum(np.mean(np.conj(b) * b, axis=0).real, 0.0)

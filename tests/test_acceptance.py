@@ -18,7 +18,6 @@ import pytest
 
 from kinlat import _reference as ref
 from kinlat.chain import (
-    ChainGeometry,
     FractionalParams,
     GaussianLaw,
     chain_energy,
@@ -33,22 +32,21 @@ from kinlat.errors import NumericalBlowupError
 from kinlat.harness import run
 from kinlat.kinetic import (
     ResonanceRule,
-    TorusGrid,
     collision,
     evolve,
-    nodes,
     omega_grid,
     rayleigh_jeans,
 )
 from kinlat.lattice import (
-    LatticeSpec,
+    TorusGrid,
     dft,
     inverse_dft,
+    nodes,
     omega_bar_grid,
     wavenumbers,
     weighted_inner,
 )
-from kinlat.profiles import make_profile
+from kinlat.profiles import FACTORIES
 from kinlat.vlasov import (
     PhaseGrid,
     cell_moments_of_density,
@@ -81,7 +79,7 @@ def test_01_fourier_roundtrip_and_parseval():
     rng = np.random.default_rng(101)
     worst_oracle = worst_round = worst_pars = 0.0
     for d, D in ((1, 8), (2, 3)):
-        spec = LatticeSpec(d, D)
+        spec = TorusGrid(d, 2 * D + 1)
         f = _cfield(rng, spec)
         fh = dft(spec, f)
         worst_oracle = max(
@@ -106,14 +104,14 @@ def test_02_free_flow_exactness():
     # moduli: the phase factor is one fixed unit-modulus number per mode,
     # so its ~ulp modulus error accumulates linearly; 50 steps of unit
     # data sit below 1e-14 with margin
-    spec = LatticeSpec(1, 6)
+    spec = TorusGrid(1, 13)
     params = ModelParams(spec, 0.0)
-    b = sample_initial(EnsembleSpec(1, 5, make_profile("constant", level=1.0)), spec)[0]
+    b = sample_initial(EnsembleSpec(1, 5, FACTORIES["constant"](level=1.0)), spec)[0]
     out = integrate(b, params, 1e-2, 50, scheme="exponential")
     mod_drift = float(np.max(np.abs(np.abs(out) - np.abs(b))))
 
     # a(+) in FFT order: k = 2 sits at index 2
-    spec = LatticeSpec(1, 5)
+    spec = TorusGrid(1, 11)
     b = np.zeros(11, dtype=np.complex128)
     b[2] = 1.0
     out = integrate(b, ModelParams(spec, 0.0), 1e-3, 700)
@@ -133,7 +131,7 @@ def test_03_interaction_rhs_oracle_and_wrap():
     rng = np.random.default_rng(303)
     worst = 0.0
     for d, D, lam in ((1, 3, 1.3), (2, 2, 0.4)):
-        spec = LatticeSpec(d, D)
+        spec = TorusGrid(d, 2 * D + 1)
         b = _cfield(rng, spec)  # a(+); the oracle reads it doubled and shifted
         got = ref.doubled_shifted(rhs(b, ModelParams(spec, lam)), spec)
         want = ref.wave_rhs_direct(ref.doubled_shifted(b, spec), spec, lam)
@@ -144,7 +142,7 @@ def test_03_interaction_rhs_oracle_and_wrap():
 
     # modular selection: mass at |k|=3 on N=7 feeds exactly {-1,+1},
     # the wrapped images of the pair sums +-6
-    spec = LatticeSpec(1, 3)
+    spec = TorusGrid(1, 7)
     k = wavenumbers(spec)[:, 0]  # FFT order
     b = np.where(np.abs(k) == 3, 0.3 + 0.1j, 0.0)
     lin = -1j * omega_bar_grid(spec) * b
@@ -202,8 +200,8 @@ def test_06_weak_coupling_spectrum_trend():
     """Distance between rescaled ensemble spectra and the kinetic solution,
     non-increasing over lam in {0.1, 0.05, 0.025}.  Expected to fail: see
     the module docstring and the forensics printed below."""
-    spec = LatticeSpec(1, 16)
-    prof = make_profile("torus-gaussian", amplitude=1.0, width=0.5)
+    spec = TorusGrid(1, 33)
+    prof = FACTORIES["torus-gaussian"](amplitude=1.0, width=0.5)
     tau_final = 0.5
     dt = 0.05
     seeds = (1, 2, 3, 4, 5)
@@ -218,7 +216,7 @@ def test_06_weak_coupling_spectrum_trend():
                 a = sample_initial(EnsembleSpec(200, seed, prof), spec)
                 out = integrate(a, params, dt, n_steps)
                 emp = empirical_spectrum(out, spec)
-                grid = TorusGrid(1, spec.N)
+                grid = TorusGrid(1, spec.m)
                 rule = ResonanceRule(epsilon=0.2)
                 kin = evolve(prof(nodes(grid)), grid, rule, 0.01, 50)
                 dists.append(compare_spectra(emp, grid, kin, grid, tau_final).l2["f"])
@@ -266,7 +264,7 @@ def test_06_weak_coupling_spectrum_trend():
 
 
 def test_07_chain_conservation_budgets():
-    geom = ChainGeometry(1, 128)
+    geom = TorusGrid(1, 128)
     fp = FractionalParams(0.5)
     dt = 1e-3
     worst_e = worst_p = 0.0
@@ -287,7 +285,7 @@ def test_07_chain_conservation_budgets():
         worst_p = max(worst_p, abs(float(v[0].sum()) - p0))
 
     # two-site mode: frequency closed form and dt^2 period convergence
-    g2 = ChainGeometry(1, 2)
+    g2 = TorusGrid(1, 2)
     f2 = FractionalParams(0.5)
     omega = two_site_frequency(g2, f2)
     period = 2.0 * np.pi / omega
@@ -339,7 +337,7 @@ def test_08_meanfield_distance_trend():
     medians = []
     band = []
     for n in (64, 128, 256):
-        geom = ChainGeometry(1, n)
+        geom = TorusGrid(1, n)
         d_end, d_zero = [], []
         for seed in (11, 22, 33, 44, 55):
             r, v = sample_ensemble(chain_law, geom, 50, seed)
@@ -361,7 +359,7 @@ def test_08_meanfield_distance_trend():
 
 
 def test_09_factorization_defect_scaling():
-    geom = ChainGeometry(1, 32)
+    geom = TorusGrid(1, 32)
     law = GaussianLaw(0.0, 0.0, 0.1, 0.1)
     pair = (3, 17)
     edges = np.linspace(-0.4, 0.4, 9)

@@ -8,7 +8,6 @@ import pytest
 from kinlat import _reference as ref
 from kinlat.errors import NumericalBlowupError, SizeMismatchError
 from kinlat.chain import (
-    ChainGeometry,
     FractionalParams,
     GaussianLaw,
     PointLaw,
@@ -16,29 +15,29 @@ from kinlat.chain import (
     chain_force_flat,
     chaos_defect,
     sample_ensemble,
-    site_coordinates,
     two_site_frequency,
     verlet_evolve,
     verlet_stability,
 )
+from kinlat.lattice import TorusGrid, nodes
 
 
-GEOM = ChainGeometry(1, 24)
+GEOM = TorusGrid(1, 24)
 FP = FractionalParams(0.5)
 
 
 @pytest.mark.parametrize(
     "geom,fp",
     [
-        (ChainGeometry(1, 9), FractionalParams(0.5)),
-        (ChainGeometry(1, 8), FractionalParams(0.25)),  # even counts are legal
-        (ChainGeometry(2, 4), FractionalParams(0.75)),
-        (ChainGeometry(2, 5), FractionalParams(0.5)),  # odd count: no self-mirror offset
-        (ChainGeometry(3, 4), FractionalParams(0.3)),
+        (TorusGrid(1, 9), FractionalParams(0.5)),
+        (TorusGrid(1, 8), FractionalParams(0.25)),  # even counts are legal
+        (TorusGrid(2, 4), FractionalParams(0.75)),
+        (TorusGrid(2, 5), FractionalParams(0.5)),  # odd count: no self-mirror offset
+        (TorusGrid(3, 4), FractionalParams(0.3)),
     ],
 )
 def test_force_matches_pair_sum(rng, geom, fp):
-    r = rng.normal(size=geom.n_sites)
+    r = rng.normal(size=geom.n_nodes)
     want = ref.chain_force_pairs(r, geom, fp)
     got = chain_force_flat(r, geom, fp)
     assert np.max(np.abs(got - want)) < 1e-12 * max(1.0, np.max(np.abs(want)))
@@ -47,38 +46,38 @@ def test_force_matches_pair_sum(rng, geom, fp):
 def test_kernel_table_is_linear_in_sites():
     # the half-spectrum symbol; a dense n^d x n^d coupling matrix would be
     # 128 MiB here
-    symbol = FP.chain_symbol(ChainGeometry(2, 64))
+    symbol = FP.chain_symbol(TorusGrid(2, 64))
     assert symbol.shape == (64, 33)
     assert symbol.nbytes <= 64 * 33 * 8
     assert symbol.flat[0] == 0.0  # the pair sum cancels constants
 
 
 def test_symbols_are_cached_and_read_only():
-    fp, geom = FractionalParams(0.4), ChainGeometry(1, 12)
+    fp, geom = FractionalParams(0.4), TorusGrid(1, 12)
     for get in (lambda: fp.chain_symbol(geom), lambda: fp.pde_symbol(16)):
         a = get()
         assert get() is a
         with pytest.raises(ValueError):
             a[1] = 0.0
     # an equal object reads the same cached array
-    assert FractionalParams(0.4).chain_symbol(ChainGeometry(1, 12)) is fp.chain_symbol(geom)
+    assert FractionalParams(0.4).chain_symbol(TorusGrid(1, 12)) is fp.chain_symbol(geom)
 
 
 def test_force_sums_to_zero(rng):
-    r = rng.normal(size=GEOM.n_sites)
+    r = rng.normal(size=GEOM.n_nodes)
     f = chain_force_flat(r, GEOM, FP)
     assert abs(f.sum()) < 1e-12
 
 
 def test_uniform_displacement_feels_nothing():
-    r = np.full(GEOM.n_sites, 0.7)
+    r = np.full(GEOM.n_nodes, 0.7)
     f = chain_force_flat(r, GEOM, FP)
     assert np.max(np.abs(f)) < 1e-14
 
 
 def test_energy_matches_pair_potential(rng):
-    r = rng.normal(size=GEOM.n_sites)
-    v = rng.normal(size=GEOM.n_sites)
+    r = rng.normal(size=GEOM.n_nodes)
+    v = rng.normal(size=GEOM.n_nodes)
     want = 0.5 * float(v @ v) + ref.chain_potential_pairs(r, GEOM, FP)
     assert chain_energy(r, v, GEOM, FP) == pytest.approx(want, rel=1e-12)
 
@@ -103,9 +102,9 @@ def test_conservation_over_moderate_run():
 def test_evolve_matches_the_real_space_pair_loop(rng):
     # the closed-form map against literal real-space Verlet with the
     # pair-sum force, on a batch of replicas, and over long runs at d = 1 and 2
-    runs = ((ChainGeometry(1, 64), 200), (ChainGeometry(1, 8), 2000), (ChainGeometry(2, 4), 1000))
+    runs = ((TorusGrid(1, 64), 200), (TorusGrid(1, 8), 2000), (TorusGrid(2, 4), 1000))
     for geom, n_steps in runs:
-        r, v = rng.normal(scale=0.1, size=(2, 4, geom.n_sites))
+        r, v = rng.normal(scale=0.1, size=(2, 4, geom.n_nodes))
         got = verlet_evolve(r, v, geom, FP, 1e-2, n_steps)
         want = ref.verlet_pairs(r, v, geom, FP, 1e-2, n_steps)
         for a, b in zip(got, want):
@@ -114,8 +113,8 @@ def test_evolve_matches_the_real_space_pair_loop(rng):
 
 def test_each_replica_gets_the_bytes_it_gets_alone(rng):
     # rows of a stack never interact, so a replica's run does not depend on its batch
-    for geom, shape in ((ChainGeometry(1, 512), (64,)), (ChainGeometry(2, 12), (2, 3))):
-        r, v = rng.normal(scale=0.1, size=(2,) + shape + (geom.n_sites,))
+    for geom, shape in ((TorusGrid(1, 512), (64,)), (TorusGrid(2, 12), (2, 3))):
+        r, v = rng.normal(scale=0.1, size=(2,) + shape + (geom.n_nodes,))
         rs, vs = verlet_evolve(r, v, geom, FP, 1e-3, 50)
         for i in np.ndindex(shape):
             r1, v1 = verlet_evolve(r[i], v[i], geom, FP, 1e-3, 50)
@@ -124,24 +123,24 @@ def test_each_replica_gets_the_bytes_it_gets_alone(rng):
 
 def test_mean_displacement_moves_ballistically():
     rng = np.random.default_rng(8)
-    r = rng.normal(size=GEOM.n_sites)
-    v = rng.normal(size=GEOM.n_sites)
+    r = rng.normal(size=GEOM.n_nodes)
+    v = rng.normal(size=GEOM.n_nodes)
     r1, _ = verlet_evolve(r, v, GEOM, FP, 1e-3, 1000)
-    drift = r.mean() + v.sum() / GEOM.n_sites * 1.0
+    drift = r.mean() + v.sum() / GEOM.n_nodes * 1.0
     assert r1.mean() == pytest.approx(drift, abs=1e-10)
 
 
 def test_two_site_closed_form():
-    assert two_site_frequency(ChainGeometry(1, 2), FractionalParams(0.5)) == pytest.approx(2.0)
+    assert two_site_frequency(TorusGrid(1, 2), FractionalParams(0.5)) == pytest.approx(2.0)
     # alpha -> d + 2a = 1.5: w(1/2) = 2^1.5, omega = sqrt(2 h w) = sqrt(2^1.5)
-    got = two_site_frequency(ChainGeometry(1, 2), FractionalParams(0.25))
+    got = two_site_frequency(TorusGrid(1, 2), FractionalParams(0.25))
     assert got == pytest.approx(2.0 ** 0.75, rel=1e-14)
     with pytest.raises(ValueError):
-        two_site_frequency(ChainGeometry(1, 4), FP)
+        two_site_frequency(TorusGrid(1, 4), FP)
 
 
 def test_two_site_period_convergence():
-    geom = ChainGeometry(1, 2)
+    geom = TorusGrid(1, 2)
     fp = FractionalParams(0.5)
     omega = two_site_frequency(geom, fp)
     period = 2.0 * np.pi / omega
@@ -166,7 +165,7 @@ def test_stability_bound_is_checked_before_any_step():
     # velocity Verlet is stable while dt sqrt(-s) < 2 on every mode; just past
     # the bound the run is refused before any work, naming the mode, and just
     # inside it the map stays finite
-    for geom in (ChainGeometry(1, 16), ChainGeometry(2, 6)):
+    for geom in (TorusGrid(1, 16), TorusGrid(2, 6)):
         r, v = sample_ensemble(GaussianLaw(0.0, 0.0, 0.1, 0.1), geom, 3, 18)
         s = FP.chain_symbol(geom)
         top = tuple(int(j) for j in np.unravel_index(int(np.argmax(-s)), s.shape))
@@ -188,7 +187,7 @@ def test_stability_bound_is_checked_before_any_step():
 def test_the_shared_stability_check_is_the_maps_own():
     # mf-compare refuses its dt up front with verlet_stability, so the early
     # refusal and the map's own must agree on either side of the bound
-    for geom in (ChainGeometry(1, 16), ChainGeometry(2, 6)):
+    for geom in (TorusGrid(1, 16), TorusGrid(2, 6)):
         r, v = sample_ensemble(GaussianLaw(0.0, 0.0, 0.1, 0.1), geom, 3, 18)
         s = FP.chain_symbol(geom)
         dt_max = 2.0 / np.sqrt(np.max(-s))
@@ -204,7 +203,7 @@ def test_the_shared_stability_check_is_the_maps_own():
 
 def test_states_refuse_non_finite_entries():
     # outside arrays enter the lane through the map and the sampled laws
-    geom = ChainGeometry(1, 4)
+    geom = TorusGrid(1, 4)
     for bad in (np.nan, np.inf, -np.inf):
         row = np.array([0.0, 0.0, bad, 0.0])
         with pytest.raises(ValueError, match="must be finite"):
@@ -216,7 +215,7 @@ def test_states_refuse_non_finite_entries():
 
 
 def test_state_shapes_are_checked():
-    geom = ChainGeometry(1, 4)
+    geom = TorusGrid(1, 4)
     z = np.zeros
     for r, v in ((z(5), z(5)), (z(4), z(5)), (z((2, 4)), z(4))):
         with pytest.raises(SizeMismatchError):
@@ -227,7 +226,7 @@ def test_state_shapes_are_checked():
 
 def test_evolve_rejects_bad_step(rng):
     with pytest.raises(ValueError):
-        verlet_evolve(rng.normal(size=4), np.zeros(4), ChainGeometry(1, 4), FP, 0.0, 10)
+        verlet_evolve(rng.normal(size=4), np.zeros(4), TorusGrid(1, 4), FP, 0.0, 10)
 
 
 # ---------------------------------------------------------------------------
@@ -247,9 +246,20 @@ def test_sampling_is_replica_keyed():
 def test_gaussian_law_profiles_vary_with_x():
     law = GaussianLaw(mean_r=lambda x: np.cos(2 * np.pi * x[..., 0]), sigma_r=0.0, sigma_v=0.0)
     r, v = sample_ensemble(law, GEOM, 2, 0)
-    x = site_coordinates(GEOM)[:, 0]
+    x = nodes(GEOM)[:, 0]
     assert np.allclose(r[0], np.cos(2 * np.pi * x), atol=1e-14)
     assert np.array_equal(v, np.zeros_like(v))
+
+
+def test_sites_sit_at_j_over_n():
+    # the chain reads the one node table: j / 48, not j * (1 / 48), which
+    # differs at 15 of the 48 sites
+    law = PointLaw(r0=lambda x: x[..., 0], v0=lambda x: x[..., -1])
+    for geom in (TorusGrid(1, 48), TorusGrid(2, 48)):
+        r, v = sample_ensemble(law, geom, 1, 0)
+        j = np.indices(geom.shape).reshape(geom.d, -1)
+        assert np.array_equal(r[0], j[0] / 48) and np.array_equal(v[0], j[-1] / 48)
+    assert np.count_nonzero(np.arange(48) / 48 != np.arange(48) * (1 / 48)) == 15
 
 
 def test_gaussian_law_density_normalizes():
@@ -295,10 +305,10 @@ def test_chaos_defect_validation():
 
 def test_geometry_validation():
     with pytest.raises(ValueError):
-        ChainGeometry(1, 1)
+        TorusGrid(1, 1)
     with pytest.raises(ValueError):
         FractionalParams(1.0)
     with pytest.raises(ValueError):
         FractionalParams(0.0)
     with pytest.raises(SizeMismatchError):
-        chain_energy(np.zeros(5), np.zeros(5), ChainGeometry(1, 4), FP)
+        chain_energy(np.zeros(5), np.zeros(5), TorusGrid(1, 4), FP)

@@ -10,9 +10,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from kinlat.chain import ChainGeometry, GaussianLaw, sample_ensemble
+from kinlat.chain import GaussianLaw, sample_ensemble
 from kinlat.compare import OBSERVABLES, Distance, compare_spectra, meanfield_distance
-from kinlat.kinetic import TorusGrid
+from kinlat.lattice import TorusGrid
 from kinlat.vlasov import PhaseGrid, cell_moments_of_density, density_from_law
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -61,7 +61,7 @@ def test_both_comparisons_return_the_one_record():
     assert isinstance(spectra, Distance)
     assert set(spectra.l2) == {"f"} and spectra.t == 0.5 and spectra.grid == grid
     law = GaussianLaw(0.0, 0.0, 0.15, 0.15)
-    geom = ChainGeometry(1, 16)
+    geom = TorusGrid(1, 16)
     pg = PhaseGrid(4, 16, 16, 1.0, 1.0)
     g = density_from_law(law, pg)
     ens = sample_ensemble(law, geom, 4, 1)

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from kinlat import cli
-from kinlat.chain import LAWS, GaussianLaw, PointLaw, site_coordinates, ChainGeometry
+from kinlat.chain import LAWS, GaussianLaw, PointLaw
 from kinlat.config import (
     _REQUIRED_BLOCKS,
     LawConfig,
@@ -37,8 +37,7 @@ from kinlat.io import (
     write_phase_density,
     write_spectrum_csv,
 )
-from kinlat.kinetic import TorusGrid, nodes
-from kinlat.lattice import LatticeSpec
+from kinlat.lattice import TorusGrid, nodes
 from kinlat.profiles import FACTORIES
 from kinlat.vlasov import PhaseGrid
 
@@ -88,7 +87,6 @@ class TestParse:
         assert cfg.chain.law.params["amplitude"] == 0.1
         assert cfg.vlasov.law.kind == "gaussian"  # default law
         assert cfg.compare.t_final == 0.25
-        assert cfg.compare.pde_sigma_r == "auto"
 
     def test_missing_required_block(self):
         doc = _mf_doc()
@@ -323,9 +321,9 @@ INVALID = [
     ("kinetic.omega_floor", None, "kinetic.omega_floor"),
     ("kinetic.initial", {"name": "rayleigh-jeans", "temperature": 1, "cap": 2}, "kinetic.initial"),
     ("kinetic.initial", {"name": "rayleigh-jeans", "temperature": 1, "floor": 0}, "kinetic.initial.floor"),
-    ("compare.pde_sigma_r", 0, "compare.pde_sigma_r"),
-    ("compare.pde_sigma_r", "wide", "compare.pde_sigma_r"),
-    ("compare.pde_sigma_r", None, "compare.pde_sigma_r"),
+    ("compare.t_final", None, "compare.t_final"),
+    ("compare.tau_final", "long", "compare.tau_final"),
+    ("compare.tau_final", None, "compare.tau_final"),
     ("compare.t_final", 0, "compare.t_final"),
     ("compare.tau_final", -1, "compare.tau_final"),
     ("compare.horizon", 1, "compare"),
@@ -489,16 +487,14 @@ class TestBuilders:
         doc = _mf_doc()
         doc["chain"]["law"] = {"kind": "gaussian", "sigma_r": 0.0, "sigma_v": 0.05}
         grid = PhaseGrid(8, 16, 16, 0.5, 1.0)
-        for pde_sigma_r, want in (("auto", 2.0 * grid.dr), (0.25, 0.25)):
-            doc["compare"]["pde_sigma_r"] = pde_sigma_r
-            chain_law, pde_law, sigma = _paired_laws(parse_config(doc), grid)
-            assert chain_law.sigma_r == 0.0
-            assert pde_law.sigma_r == sigma == want
-            assert pde_law.sigma_v == chain_law.sigma_v == 0.05
+        chain_law, pde_law, sigma = _paired_laws(parse_config(doc), grid)
+        assert chain_law.sigma_r == 0.0
+        assert pde_law.sigma_r == sigma == 2.0 * grid.dr
+        assert pde_law.sigma_v == chain_law.sigma_v == 0.05
 
     def test_cosine_gaussian_mean_profile(self):
         law = build_law(LawConfig("cosine-gaussian", {"amplitude": 0.1, "mode": 2}))
-        x = site_coordinates(ChainGeometry(1, 8))
+        x = nodes(TorusGrid(1, 8))
         np.testing.assert_allclose(
             law.mean_r(x), 0.1 * np.cos(4.0 * np.pi * x[:, 0]), atol=1e-15
         )
@@ -527,7 +523,7 @@ def _probe(built):
     """What a profile or a law produces, for comparing two of them."""
     if callable(built):
         return built(nodes(TorusGrid(2, 6)))
-    return built.sample_sites(np.random.default_rng(0), site_coordinates(ChainGeometry(1, 8)))
+    return built.sample_sites(np.random.default_rng(0), nodes(TorusGrid(1, 8)))
 
 
 class TestDeclarations:
@@ -621,14 +617,14 @@ class TestWriters:
         # a(+) in FFT order goes in; out come the rows of the doubled shifted
         # array built here by hand: ascending k for sigma = +1, then sigma = -1
         # with the exact conjugates
-        spec = LatticeSpec(d, D)
+        spec = TorusGrid(d, 2 * D + 1)
         rng = np.random.default_rng(d)
         b = rng.normal(size=spec.shape) + 1j * rng.normal(size=spec.shape)
         ks = [np.array(k) for k in np.ndindex(spec.shape)]  # shifted index, C order
         rows = []
         for sigma in (1, -1):
             for idx in ks:
-                val = b[tuple((idx - D) % spec.N)]  # a(+)(k) sits at k mod N
+                val = b[tuple((idx - D) % spec.m)]  # a(+)(k) sits at k mod N
                 val = val if sigma == 1 else np.conj(val)
                 rows.append((*(idx - D), sigma, val.real, val.imag))
         want = write_csv(
@@ -645,7 +641,7 @@ class TestWriters:
     def test_amplitude_snapshot_takes_one_replica_of_the_lattice(self, tmp_path, shape):
         # a replica stack would be written as its first row's modes, and a
         # short array would fail part way through the rows
-        spec = LatticeSpec(1, 2)
+        spec = TorusGrid(1, 5)
         with pytest.raises(SizeMismatchError, match="expected"):
             write_amplitude_snapshot(tmp_path / "snap", np.zeros(shape, complex), spec, {})
         assert not any(tmp_path.iterdir())

@@ -21,7 +21,6 @@ import pytest
 from kinlat import _reference as ref
 from kinlat import cli, harness, kinetic
 from kinlat.chain import (
-    ChainGeometry,
     FractionalParams,
     GaussianLaw,
     chain_energy,
@@ -32,8 +31,8 @@ from kinlat.config import build_law, build_profile, config_hash, parse_config
 from kinlat.errors import CheckFailure, NumericalBlowupError
 from kinlat.harness import BLOCK_BYTES, Budget, _integrate_ensemble, run
 from kinlat.io import sha256_file, write_amplitude_snapshot, write_spectrum_csv
-from kinlat.lattice import LatticeSpec
-from kinlat.profiles import make_profile
+from kinlat.lattice import TorusGrid
+from kinlat.profiles import FACTORIES
 from kinlat.vlasov import PhaseGrid, vlasov_evolve
 from kinlat.waves import (
     EnsembleSpec,
@@ -112,7 +111,7 @@ class TestRun:
     def test_replica_results_do_not_depend_on_block(self):
         # replica i integrated alone must be bit-identical to its row in an
         # ensemble that spans more than one replica block
-        spec = LatticeSpec(2, 4)
+        spec = TorusGrid(2, 9)
         params = ModelParams(spec, 0.3)
         ones = np.ones(spec.shape)
         rows = BLOCK_BYTES // sample_initial(EnsembleSpec(1, 42, ones), spec)[0].nbytes
@@ -129,7 +128,7 @@ class TestRun:
         # profile grows as 1/omega_bar does, so N = 61 steps at a smaller
         # coupling and step to stay finite
         for D, full, lam, dt in ((16, 124, 0.3, 0.02), (30, 67, 0.1, 0.01)):
-            spec = LatticeSpec(1, D)
+            spec = TorusGrid(1, 2 * D + 1)
             params = ModelParams(spec, lam)
             ones = np.ones(spec.shape)
             a = sample_initial(EnsembleSpec(full + 7, 42, ones), spec)
@@ -155,8 +154,9 @@ class TestRun:
         # replica 3 carries BLOWUP_WAVE's data and the others a millionth of
         # it; in blocks of two replicas the block 2-3 fails, and 4 never runs
         w = BLOWUP_WAVE["wave"]
-        spec = LatticeSpec(w["d"], w["half_width"])
-        prof = make_profile(**w["profile"])
+        spec = TorusGrid(w["d"], 2 * w["half_width"] + 1)
+        params = dict(w["profile"])
+        prof = FACTORIES[params.pop("name")](**params)
         a = sample_initial(EnsembleSpec(5, BLOWUP_WAVE["seed"], prof), spec)
         a[[0, 1, 2, 4]] *= 1e-6
         monkeypatch.setattr(harness, "BLOCK_BYTES", 2 * a[0].nbytes)
@@ -239,7 +239,7 @@ class TestRun:
         lines = (tmp_path / "series.csv").read_text().splitlines()
         rows = np.array([[float(x) for x in ln.split(",")] for ln in lines if ln[0].isdigit()])
         assert rows[:, 0].tolist() == [k * dt for k in (0, 10, 20, 25)]
-        geom, fp = ChainGeometry(1, 16), FractionalParams(0.5)
+        geom, fp = TorusGrid(1, 16), FractionalParams(0.5)
         r, v = sample_ensemble(GaussianLaw(0.0, 0.0, 0.1, 0.1), geom, 2, 9)
         done = 0
         for row, k in zip(rows, (0, 10, 20, 25)):
@@ -268,7 +268,7 @@ class TestRun:
         assert disk["snapshot"].endswith("last_good.csv")
         text = (tmp_path / "last_good.csv").read_text()
         assert float(re.search(r"t=(\S+)", text).group(1)) == 0.0
-        r, v = sample_ensemble(GaussianLaw(0.0, 0.0, 0.1, 0.1), ChainGeometry(1, 16), 3, 18)
+        r, v = sample_ensemble(GaussianLaw(0.0, 0.0, 0.1, 0.1), TorusGrid(1, 16), 3, 18)
         rows = [ln.split(",") for ln in text.splitlines() if ln[0].isdigit()]
         assert [float(row[2]) for row in rows] == r[0].tolist()
         assert [float(row[3]) for row in rows] == v[0].tolist()
@@ -292,7 +292,7 @@ class TestRun:
         text = (out / "last_good.csv").read_text()
         assert float(re.search(r"t=(\S+)", text).group(1)) == 0.0
         c = parse_config(doc).chain
-        r, v = sample_ensemble(build_law(c.law), ChainGeometry(c.d, c.n), c.replicas, 1)
+        r, v = sample_ensemble(build_law(c.law), TorusGrid(c.d, c.n), c.replicas, 1)
         rows = [ln.split(",") for ln in text.splitlines() if ln[0].isdigit()]
         assert [float(row[2]) for row in rows] == r[0].tolist()
         assert [float(row[3]) for row in rows] == v[0].tolist()
@@ -306,7 +306,7 @@ class TestRun:
         assert err.value.step == 99
         assert _manifest_of(tmp_path / "o")["snapshot"].endswith("last_good.csv")
         w = parse_config(doc).wave
-        spec = LatticeSpec(w.d, w.half_width)
+        spec = TorusGrid(w.d, 2 * w.half_width + 1)
         a = sample_initial(EnsembleSpec(w.replicas, 1, build_profile(w.profile)), spec)
         meta = {"t": 0.0, "lam": w.lam, "seed": 1, "d": w.d, "half_width": w.half_width}
         for want in write_amplitude_snapshot(tmp_path / "last_good", a[0], spec, meta):
@@ -337,13 +337,13 @@ class TestRun:
         for f in disk["files"]:
             assert f["sha256"] == sha256_file(tmp_path / "o" / f["path"])
         w = parse_config(doc).wave
-        spec = LatticeSpec(w.d, w.half_width)
+        spec = TorusGrid(w.d, 2 * w.half_width + 1)
         a = sample_initial(EnsembleSpec(w.replicas, 1, build_profile(w.profile)), spec)
         n_steps = round(0.1 / w.lam**2 / w.dt)
         final = empirical_spectrum(
             _integrate_ensemble(a, ModelParams(spec, w.lam), w.dt, n_steps, w.scheme), spec
         )
-        grid, tau = kinetic.TorusGrid(w.d, spec.N), w.lam**2 * (n_steps * w.dt)
+        grid, tau = TorusGrid(w.d, spec.m), w.lam**2 * (n_steps * w.dt)
         for name, f, t in (("micro_initial", empirical_spectrum(a, spec), 0.0), ("micro_final", final, tau)):
             want = write_spectrum_csv(tmp_path / f"{name}.csv", f, grid, t)
             assert (tmp_path / "o" / want.name).read_bytes() == want.read_bytes()
@@ -448,17 +448,17 @@ class TestRun:
 # lane stepper -> a call of it on a small valid state with (step, n_steps)
 STEPPERS = {
     "chain.verlet_evolve": lambda dt, n: verlet_evolve(
-        np.zeros(4), np.zeros(4), ChainGeometry(1, 4), FractionalParams(0.5), dt, n
+        np.zeros(4), np.zeros(4), TorusGrid(1, 4), FractionalParams(0.5), dt, n
     ),
     "kinetic.evolve": lambda dt, n: kinetic.evolve(
         np.ones(8),
-        kinetic.TorusGrid(1, 8),
+        TorusGrid(1, 8),
         kinetic.ResonanceRule(0.3),
         dt,
         n,
     ),
     "waves.integrate": lambda dt, n: integrate(
-        np.zeros(9, complex), ModelParams(LatticeSpec(1, 4), 0.1), dt, n
+        np.zeros(9, complex), ModelParams(TorusGrid(1, 9), 0.1), dt, n
     ),
     "vlasov.vlasov_evolve": lambda dt, n: vlasov_evolve(
         np.ones((2, 4, 4)), PhaseGrid(2, 4, 4, 1.0, 1.0), FractionalParams(0.5), dt, n
@@ -710,6 +710,30 @@ class TestCli:
         )
         assert res.returncode == 0
 
+    @pytest.mark.parametrize(
+        "pipeline, doc",
+        [
+            ("vlasov", {"vlasov": {"law": {"kind": "gaussian", "mean_r": 50, "sigma_r": 0.1, "sigma_v": 0.1}}}),
+            ("mf-compare", {"chain": {"law": {"kind": "cosine-gaussian", "amplitude": 50}}, "vlasov": {}, "compare": {}}),
+        ],
+    )
+    def test_a_law_with_no_mass_in_the_window_fails_before_any_output(self, tmp_path, pipeline, doc):
+        # the law's whole mass lies outside |r| <= 1 at x cell 0: refused
+        # while the density is built, as a numerical failure
+        cfgp = tmp_path / "run.json"
+        cfgp.write_text(json.dumps({"seed": 1} | doc))
+        out = tmp_path / "o"
+        res = _cli([pipeline, "--config", str(cfgp), "--out", str(out)], tmp_path)
+        assert res.returncode == 2
+        assert "Traceback" not in res.stderr
+        error = "the law has no mass in the (r, v) window |r| <= 1, |v| <= 1 at x cell 0 (x = 0.03125)"
+        assert res.stderr.startswith(f"numerical failure: {error}")
+        disk = _manifest_of(out)
+        assert disk["status"] == "numerical-failure"
+        assert disk["metrics"] == {"error": error}
+        assert disk["files"] == []
+        assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
+
     def test_seed_override_changes_hash(self, tmp_path):
         cfgp = tmp_path / "run.json"
         cfgp.write_text(json.dumps({"pipeline": "oracle-suite", "seed": 2}))
@@ -880,6 +904,18 @@ class TestLanes:
         res = _python(["-c", code], tmp_path)
         assert res.returncode == 0, res.stderr
         assert res.stdout.split() == ["False"]
+
+    def test_writing_a_spectrum_loads_no_kinetic_lane(self, tmp_path):
+        code = (
+            "import sys, numpy; from kinlat.io import write_spectrum_csv; "
+            "from kinlat.lattice import TorusGrid; "
+            "write_spectrum_csv('f.csv', numpy.ones(5), TorusGrid(1, 5), 0.0); "
+            "print('kinlat.kinetic' in sys.modules)"
+        )
+        res = _python(["-c", code], tmp_path)
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.split() == ["False"]
+        assert (tmp_path / "f.csv").read_text().splitlines()[4] == "0.20000000000000001,1"
 
     def test_oracle_cases_bind_their_own_lanes(self, tmp_path):
         # a fresh interpreter that has not called run has bound no lane yet

@@ -1,6 +1,7 @@
 """Fourier pair, dual-grid bookkeeping, and dispersion tables."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,13 +10,14 @@ from kinlat import _reference as ref
 from kinlat import waves
 from kinlat.errors import SizeMismatchError
 from kinlat.lattice import (
-    LatticeSpec,
+    TorusGrid,
     delta_mod,
     dft,
     dispersion,
     dispersion_bar,
     inverse_dft,
     inverse_omega_bar_grid,
+    nodes,
     omega_bar_grid,
     wavenumbers,
     weighted_inner,
@@ -29,14 +31,14 @@ def _random_field(rng, spec, batch=()):
 
 @pytest.mark.parametrize("d,D", [(1, 2), (1, 8), (2, 3), (3, 2)])
 def test_roundtrip(rng, d, D):
-    spec = LatticeSpec(d, D)
+    spec = TorusGrid(d, 2 * D + 1)
     f = _random_field(rng, spec)
     back = inverse_dft(spec, dft(spec, f))
     assert np.max(np.abs(back - f)) < 1e-12
 
 
 def test_roundtrip_batched(rng):
-    spec = LatticeSpec(2, 2)
+    spec = TorusGrid(2, 5)
     f = _random_field(rng, spec, batch=(4, 3))
     back = inverse_dft(spec, dft(spec, f))
     assert back.shape == f.shape
@@ -45,7 +47,7 @@ def test_roundtrip_batched(rng):
 
 @pytest.mark.parametrize("d,D", [(1, 4), (2, 3)])
 def test_transform_matches_direct_sum(rng, d, D):
-    spec = LatticeSpec(d, D)
+    spec = TorusGrid(d, 2 * D + 1)
     f = _random_field(rng, spec)
     assert np.max(np.abs(dft(spec, f) - ref.dft_direct(spec, f))) < 1e-12
     fh = _random_field(rng, spec)
@@ -54,7 +56,7 @@ def test_transform_matches_direct_sum(rng, d, D):
 
 @pytest.mark.parametrize("d,D", [(1, 8), (2, 4)])
 def test_parseval(rng, d, D):
-    spec = LatticeSpec(d, D)
+    spec = TorusGrid(d, 2 * D + 1)
     f = _random_field(rng, spec)
     fh = dft(spec, f)
     lhs = weighted_inner(spec, f, f).real
@@ -63,7 +65,7 @@ def test_parseval(rng, d, D):
 
 
 def test_weighted_inner_is_sesquilinear(rng):
-    spec = LatticeSpec(1, 3)
+    spec = TorusGrid(1, 7)
     f, g = _random_field(rng, spec), _random_field(rng, spec)
     assert weighted_inner(spec, f, g) == pytest.approx(
         np.conj(weighted_inner(spec, g, f))
@@ -71,12 +73,12 @@ def test_weighted_inner_is_sesquilinear(rng):
 
 
 def test_delta_mod_values():
-    spec = LatticeSpec(1, 3)  # N = 7
+    spec = TorusGrid(1, 7)  # N = 7
     assert delta_mod(spec, 0) == 7.0
     assert delta_mod(spec, 7) == 7.0
     assert delta_mod(spec, -21) == 7.0
     assert delta_mod(spec, 3) == 0.0
-    spec2 = LatticeSpec(2, 1)  # N = 3
+    spec2 = TorusGrid(2, 3)  # N = 3
     assert delta_mod(spec2, [0, 0]) == 9.0
     assert delta_mod(spec2, [3, -6]) == 9.0
     assert delta_mod(spec2, [3, 1]) == 0.0
@@ -86,7 +88,7 @@ def test_delta_mod_values():
 
 def test_delta_mod_rejects_wrong_axis():
     with pytest.raises(SizeMismatchError):
-        delta_mod(LatticeSpec(2, 1), np.zeros((4, 3)))
+        delta_mod(TorusGrid(2, 3), np.zeros((4, 3)))
 
 
 def test_dispersion_closed_values():
@@ -99,13 +101,13 @@ def test_dispersion_closed_values():
 
 
 def test_dispersion_bar_matches_rescaled_dispersion(rng):
-    spec = LatticeSpec(2, 5)
+    spec = TorusGrid(2, 11)
     k = wavenumbers(spec).reshape(-1, 2)
     assert np.allclose(dispersion_bar(spec, k), dispersion(spec.h * k), atol=1e-15)
 
 
 def test_dispersion_bar_zero_only_at_origin():
-    spec = LatticeSpec(1, 16)
+    spec = TorusGrid(1, 33)
     k = np.arange(-16, 17)
     w = dispersion_bar(spec, k)
     assert w[16] == 0.0
@@ -115,7 +117,7 @@ def test_dispersion_bar_zero_only_at_origin():
 
 
 def test_omega_tables_symmetry_and_center():
-    spec = LatticeSpec(2, 3)
+    spec = TorusGrid(2, 7)
     w = omega_bar_grid(spec)
     winv = inverse_omega_bar_grid(spec)
     # even in k: in FFT order -k sits at the flipped index rolled by one
@@ -129,13 +131,13 @@ def test_omega_tables_symmetry_and_center():
 # N = 49 is the first odd length whose fftfreq(N, 1/N) is not exactly integral
 @pytest.mark.parametrize("d,D", [(1, 3), (2, 2), (3, 1), (1, 24)])
 def test_tables_are_in_fft_order(d, D):
-    spec = LatticeSpec(d, D)
+    spec = TorusGrid(d, 2 * D + 1)
     k = wavenumbers(spec)
     assert k.dtype == np.int64 and k.shape == spec.shape + (d,)
-    freq = np.fft.fftfreq(spec.N, 1.0 / spec.N)
+    freq = np.fft.fftfreq(spec.m, 1.0 / spec.m)
     for c in range(d):
         # component c runs along grid axis c and is constant along the others
-        line = np.moveaxis(k[..., c], c, -1).reshape(-1, spec.N)
+        line = np.moveaxis(k[..., c], c, -1).reshape(-1, spec.m)
         assert np.allclose(line, freq, rtol=0.0, atol=1e-9)
     zero = (0,) * d
     w, winv = omega_bar_grid(spec), inverse_omega_bar_grid(spec)
@@ -146,20 +148,42 @@ def test_tables_are_in_fft_order(d, D):
 
 
 def test_tables_are_write_protected():
-    spec = LatticeSpec(1, 2)
+    spec = TorusGrid(1, 5)
     tables = (wavenumbers(spec), omega_bar_grid(spec), inverse_omega_bar_grid(spec))
     for table in tables:
         with pytest.raises(ValueError):
             table[0] = 1
 
 
+@pytest.mark.parametrize("table", [wavenumbers, omega_bar_grid, inverse_omega_bar_grid])
+@pytest.mark.parametrize("d", [1, 2])
+def test_wave_tables_refuse_an_even_lattice(table, d):
+    # an even m has a Nyquist mode with no partner -k: refused at the root
+    # table, before 1/omega_bar is formed
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="odd node count m = 2D \\+ 1, got 8"):
+            table(TorusGrid(d, 8))
+
+
+def test_nodes_are_j_over_m():
+    for grid in (TorusGrid(1, 48), TorusGrid(2, 6), TorusGrid(3, 5)):
+        x = nodes(grid)
+        assert x.shape == grid.shape + (grid.d,) and not x.flags.writeable
+        axis = np.arange(grid.m) / grid.m
+        for c in range(grid.d):
+            line = np.moveaxis(x[..., c], c, -1).reshape(-1, grid.m)
+            assert np.array_equal(line, np.broadcast_to(axis, line.shape))
+    assert nodes(TorusGrid(1, 48)) is nodes(TorusGrid(1, 48))
+
+
 def test_shape_validation():
-    spec = LatticeSpec(2, 2)
+    spec = TorusGrid(2, 5)
     with pytest.raises(SizeMismatchError):
         dft(spec, np.zeros((5, 4)))
     with pytest.raises(SizeMismatchError):
         weighted_inner(spec, np.zeros(spec.shape), np.zeros((4, 5)))
     with pytest.raises(ValueError):
-        LatticeSpec(0, 3)
+        TorusGrid(0, 7)
     with pytest.raises(ValueError):
-        LatticeSpec(1, 0)
+        TorusGrid(1, 1)

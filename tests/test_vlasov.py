@@ -8,10 +8,11 @@ import pytest
 
 from kinlat import _reference as ref
 from kinlat import vlasov
-from kinlat.chain import ChainGeometry, FractionalParams, GaussianLaw, PointLaw, sample_ensemble
+from kinlat.chain import FractionalParams, GaussianLaw, PointLaw, sample_ensemble
 from kinlat.compare import cell_moments_of_ensemble, meanfield_distance
 from kinlat.config import parse_config
 from kinlat.errors import ConfigError, SizeMismatchError
+from kinlat.lattice import TorusGrid
 from kinlat.vlasov import (
     PhaseGrid,
     acceleration,
@@ -509,7 +510,7 @@ def test_cell_moments_agree_for_matched_data():
     law = GaussianLaw(0.2, -0.1, 0.15, 0.15)
     g = density_from_law(law, grid)
     mg = cell_moments_of_density(g, grid)
-    geom = ChainGeometry(1, 64)
+    geom = TorusGrid(1, 64)
     ens = sample_ensemble(law, geom, 400, 17)
     me = cell_moments_of_ensemble(*ens, geom, grid)
     # x-independent law: every cell estimates the same five moments
@@ -520,7 +521,7 @@ def test_cell_moments_agree_for_matched_data():
 
 def test_cell_moments_reject_empty_cells():
     grid = PhaseGrid(32, 8, 8, 1.0, 1.0)
-    geom = ChainGeometry(1, 16)  # fewer sites than x cells
+    geom = TorusGrid(1, 16)  # fewer sites than x cells
     ens = sample_ensemble(GaussianLaw(0.0, 0.0, 0.1, 0.1), geom, 2, 0)
     with pytest.raises(ValueError):
         cell_moments_of_ensemble(*ens, geom, grid)
@@ -530,7 +531,7 @@ def test_fewer_sites_than_x_cells_is_the_empty_cell_condition():
     # mf-compare rejects chain.n < vlasov.mx at parse time: exactly the
     # grids on which the moment binning finds an x cell without sites
     for n in range(2, 65):
-        geom = ChainGeometry(1, n)
+        geom = TorusGrid(1, n)
         ens = sample_ensemble(PointLaw(), geom, 1, 0)
         for mx in range(1, 49):
             doc = {"pipeline": "mf-compare", "seed": 1, "compare": {}}
@@ -550,7 +551,7 @@ def test_meanfield_distance_time_guard():
     grid = PhaseGrid(4, 32, 32, 1.0, 1.0)
     law = GaussianLaw(0.0, 0.0, 0.15, 0.15)
     g = density_from_law(law, grid)
-    geom = ChainGeometry(1, 16)
+    geom = TorusGrid(1, 16)
     ens = sample_ensemble(law, geom, 10, 3)
     with pytest.raises(ValueError):
         meanfield_distance(cell_moments_of_density(g, grid), grid, 1.0, *ens, geom, 0.0)
@@ -561,7 +562,7 @@ def test_meanfield_distance_within_monte_carlo_band():
     grid = PhaseGrid(4, 64, 64, 1.0, 1.0)
     law = GaussianLaw(0.0, 0.0, 0.15, 0.15)
     g = density_from_law(law, grid)
-    geom = ChainGeometry(1, 64)
+    geom = TorusGrid(1, 64)
     ens = sample_ensemble(law, geom, 100, 23)
     d = meanfield_distance(cell_moments_of_density(g, grid), grid, 0.0, *ens, geom, 0.0)
     scale = 1.0 / np.sqrt(100 * 64)
@@ -574,7 +575,7 @@ def test_meanfield_distance_keeps_the_moments_it_compared():
     grid = PhaseGrid(4, 32, 32, 1.0, 1.0)
     law = GaussianLaw(0.0, 0.0, 0.15, 0.15)
     g = density_from_law(law, grid)
-    geom = ChainGeometry(1, 16)
+    geom = TorusGrid(1, 16)
     ens = sample_ensemble(law, geom, 10, 3)
     d = meanfield_distance(cell_moments_of_density(g, grid), grid, 0.0, *ens, geom, 0.0)
     pairs = (

@@ -11,13 +11,13 @@ from kinlat import rng as wave_rng
 from kinlat import waves
 from kinlat.errors import NumericalBlowupError, SizeMismatchError
 from kinlat.lattice import (
-    LatticeSpec,
+    TorusGrid,
     dft,
     inverse_omega_bar_grid,
     omega_bar_grid,
     wavenumbers,
 )
-from kinlat.profiles import make_profile
+from kinlat.profiles import FACTORIES
 from kinlat.waves import (
     EnsembleSpec,
     ModelParams,
@@ -54,7 +54,7 @@ def _field(rng, spec, batch=(), scale=1.0):
 
 @pytest.mark.parametrize("d,D", [(1, 3), (2, 2)])
 def test_variable_change_roundtrip(rng, d, D):
-    spec = LatticeSpec(d, D)
+    spec = TorusGrid(d, 2 * D + 1)
     q, p = _real_pair(rng, spec)
     b = to_amplitudes(q, p, spec)
     zero = (0,) * d  # FFT order: the dropped zero mode comes first
@@ -74,7 +74,7 @@ def test_variable_change_roundtrip(rng, d, D):
 
 @pytest.mark.parametrize("d,D,lam", [(1, 2, 0.7), (1, 3, 1.3), (2, 2, 0.4), (3, 1, 1.0)])
 def test_rhs_matches_quadruple_loop(rng, d, D, lam):
-    spec = LatticeSpec(d, D)
+    spec = TorusGrid(d, 2 * D + 1)
     b = _field(rng, spec)
     got = ref.doubled_shifted(rhs(b, ModelParams(spec, lam)), spec)
     want = ref.wave_rhs_direct(ref.doubled_shifted(b, spec), spec, lam)
@@ -143,7 +143,7 @@ def test_kernel_is_bitwise_the_shifted_order_formula(rng, d, D, batch, lam):
     # algebra on the shifted layout, and on either path each row's bytes are
     # its own: the batch equals its sub-blocks of 1, 2, 3, 7 and the rest
     # rows, and an unbatched state its row in a block of 17
-    spec = LatticeSpec(d, D)
+    spec = TorusGrid(d, 2 * D + 1)
     b = _field(rng, spec, batch)
     a = ref.doubled_shifted(b, spec)
     gax = tuple(range(len(batch), len(batch) + d))
@@ -197,7 +197,7 @@ def test_integrate_step_is_bitwise_the_shifted_order_formula(rng, scheme, d, D):
     # one step is the classical formula on a(+) in FFT order bit for bit,
     # with the kernel as its interaction, and the doubled layout's step to
     # round-off
-    spec = LatticeSpec(d, D)
+    spec = TorusGrid(d, 2 * D + 1)
     b = _field(rng, spec, (124,), scale=0.1)
     got = integrate(b, ModelParams(spec, 0.3), 0.05, 1, scheme=scheme)
     half = _classical_step(
@@ -218,7 +218,7 @@ def test_integrate_step_is_bitwise_the_shifted_order_formula(rng, scheme, d, D):
 
 def test_interaction_support_is_modular(rng):
     # populate |k| = 3 on N = 7; pair sums {0, +-6} reach {0, +-1} after wrapping
-    spec = LatticeSpec(1, 3)
+    spec = TorusGrid(1, 7)
     params = ModelParams(spec, 1.0)
     k = wavenumbers(spec)[:, 0]
     b = np.where(np.abs(k) == 3, 0.3 + 0.1j, 0.0)
@@ -229,7 +229,7 @@ def test_interaction_support_is_modular(rng):
 
 
 def test_rhs_shape_validation():
-    spec = LatticeSpec(1, 2)
+    spec = TorusGrid(1, 5)
     with pytest.raises(SizeMismatchError):
         rhs(np.zeros((2, 4), dtype=complex), ModelParams(spec, 0.1))
     with pytest.raises(ValueError):
@@ -242,7 +242,7 @@ def test_rhs_shape_validation():
 
 
 def test_hamiltonian_matches_triple_loop(rng):
-    spec = LatticeSpec(1, 2)
+    spec = TorusGrid(1, 5)
     b = _field(rng, spec)
     params = ModelParams(spec, 0.3)
     got = hamiltonian(b, params)
@@ -255,7 +255,7 @@ def test_hamiltonian_matches_triple_loop(rng):
 
 
 def test_quadratic_term_is_conserved_at_lam_zero(rng):
-    spec = LatticeSpec(1, 4)
+    spec = TorusGrid(1, 9)
     params = ModelParams(spec, 0.0)
     b = _field(rng, spec)
     h0 = hamiltonian(b, params)
@@ -267,9 +267,9 @@ def test_flow_conserves_symmetrized_cubic_invariant(rng):
     # the sign-symmetrized cubic sum counts every interaction word 3! times,
     # so the energy conserved by the flow, hamiltonian(), carries it with
     # weight 1/6; three replicas stepped as one stack give one value each
-    spec = LatticeSpec(1, 4)
+    spec = TorusGrid(1, 9)
     params = ModelParams(spec, 0.1)
-    prof = make_profile("omega-bump", amplitude=0.05, center=1.0, width=0.5)
+    prof = FACTORIES["omega-bump"](amplitude=0.05, center=1.0, width=0.5)
     a = sample_initial(EnsembleSpec(3, 3, prof), spec)
     h0 = hamiltonian(a, params)
     h1, h2 = hamiltonian_terms(a[0], params)
@@ -289,9 +289,9 @@ def test_linear_flow_preserves_moduli_exactly():
     # the phase factor is a fixed unit-modulus complex number reused every
     # step, so the only drift is its ~1 ulp modulus error accumulating
     # linearly; 50 steps on unit data stays below 1e-14 deterministically
-    spec = LatticeSpec(1, 6)
+    spec = TorusGrid(1, 13)
     params = ModelParams(spec, 0.0)
-    ens = EnsembleSpec(1, 5, make_profile("constant", level=1.0))
+    ens = EnsembleSpec(1, 5, FACTORIES["constant"](level=1.0))
     b = sample_initial(ens, spec)[0]
     mod0 = np.abs(b)
     out = integrate(b, params, 1e-2, 50, scheme="exponential")
@@ -302,7 +302,7 @@ def test_linear_flow_preserves_moduli_exactly():
 
 
 def test_linear_flow_single_mode_phase():
-    spec = LatticeSpec(1, 5)
+    spec = TorusGrid(1, 11)
     params = ModelParams(spec, 0.0)
     k = wavenumbers(spec)[:, 0]
     b = np.where(k == 2, 1.0 + 0.0j, 0.0)
@@ -313,7 +313,7 @@ def test_linear_flow_single_mode_phase():
 
 
 def test_rk4_linear_amplitude_drift_budget(rng):
-    spec = LatticeSpec(1, 4)
+    spec = TorusGrid(1, 9)
     params = ModelParams(spec, 0.0)
     b = _field(rng, spec)
     mod0 = np.abs(b)
@@ -322,7 +322,7 @@ def test_rk4_linear_amplitude_drift_budget(rng):
 
 
 def test_schemes_agree_on_smooth_nonlinear_data(rng):
-    spec = LatticeSpec(1, 3)
+    spec = TorusGrid(1, 7)
     params = ModelParams(spec, 0.2)
     b = _field(rng, spec, scale=0.05)
     a_exp = integrate(b, params, 1e-3, 500, scheme="exponential")
@@ -331,16 +331,16 @@ def test_schemes_agree_on_smooth_nonlinear_data(rng):
 
 
 def test_unknown_scheme_rejected(rng):
-    spec = LatticeSpec(1, 2)
+    spec = TorusGrid(1, 5)
     with pytest.raises(ValueError):
         integrate(_field(rng, spec), ModelParams(spec, 0.0), 1e-3, 1, scheme="leapfrog")
 
 
 def test_blowup_is_reported_with_step(rng):
     # the band-edge interaction weight makes large data explode in finite time
-    spec = LatticeSpec(1, 16)
+    spec = TorusGrid(1, 33)
     params = ModelParams(spec, 1.0)
-    prof = make_profile("omega-bump", amplitude=40.0, center=1.0, width=0.5)
+    prof = FACTORIES["omega-bump"](amplitude=40.0, center=1.0, width=0.5)
     b = sample_initial(EnsembleSpec(1, 0, prof), spec)[0]
     with pytest.raises(NumericalBlowupError) as err:
         integrate(b, params, 0.05, 4000)
@@ -349,9 +349,9 @@ def test_blowup_is_reported_with_step(rng):
 
 def test_blowup_raises_with_no_warnings():
     # overflow on the way to the blowup is the error's business alone
-    spec = LatticeSpec(1, 16)
+    spec = TorusGrid(1, 33)
     params = ModelParams(spec, 1.0)
-    prof = make_profile("omega-bump", amplitude=40.0, center=1.0, width=0.5)
+    prof = FACTORIES["omega-bump"](amplitude=40.0, center=1.0, width=0.5)
     b = sample_initial(EnsembleSpec(1, 0, prof), spec)[0]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -369,8 +369,8 @@ def test_blowup_raises_with_no_warnings():
 
 
 def test_sampling_is_seed_deterministic():
-    spec = LatticeSpec(1, 4)
-    prof = make_profile("constant", level=0.5)
+    spec = TorusGrid(1, 9)
+    prof = FACTORIES["constant"](level=0.5)
     ens = EnsembleSpec(3, 42, prof)
     a1 = sample_initial(ens, spec)
     assert np.array_equal(a1, sample_initial(ens, spec))
@@ -381,8 +381,8 @@ def test_sampling_draws_phases_in_shifted_order():
     # replica i's phases are one draw of its own stream over the shifted
     # grid, gathered to FFT order and met there with the moduli, so a
     # replica's bytes are those of the doubled shifted layout's a(+)
-    spec = LatticeSpec(2, 2)
-    ens = EnsembleSpec(3, 11, make_profile("constant", level=0.5))
+    spec = TorusGrid(2, 5)
+    ens = EnsembleSpec(3, 11, FACTORIES["constant"](level=0.5))
     a = sample_initial(ens, spec)
     assert a.shape == (3,) + spec.shape
     root = np.sqrt(n0_table(ens, spec))
@@ -437,9 +437,9 @@ def test_uniforms_refuse_what_has_no_stream():
 
 def test_sampling_holds_only_its_output_and_a_block():
     # d = 2, N = 41: a full block is two replicas of 1681 sites
-    spec = LatticeSpec(2, 20)
-    ens = EnsembleSpec(64, 3, make_profile("torus-gaussian", amplitude=0.05, width=0.3))
-    output = ens.m * spec.N**2 * 16
+    spec = TorusGrid(2, 41)
+    ens = EnsembleSpec(64, 3, FACTORIES["torus-gaussian"](amplitude=0.05, width=0.3))
+    output = ens.m * spec.m**2 * 16
     # the jump tables are cached per site count: fill them before tracing
     sample_initial(ens, spec)
     tracemalloc.start()
@@ -454,8 +454,8 @@ def test_sampling_holds_only_its_output_and_a_block():
 
 
 def test_replicas_differ_but_share_modulus_profile():
-    spec = LatticeSpec(1, 4)
-    ens = EnsembleSpec(4, 7, make_profile("constant", level=0.25))
+    spec = TorusGrid(1, 9)
+    ens = EnsembleSpec(4, 7, FACTORIES["constant"](level=0.25))
     a = sample_initial(ens, spec)
     assert not np.array_equal(a[0], a[1])
     n0 = n0_table(ens, spec)
@@ -463,12 +463,12 @@ def test_replicas_differ_but_share_modulus_profile():
 
 
 def test_empirical_spectrum_recovers_profile():
-    spec = LatticeSpec(1, 6)
+    spec = TorusGrid(1, 13)
     level = 0.3
-    ens = EnsembleSpec(64, 9, make_profile("constant", level=level))
+    ens = EnsembleSpec(64, 9, FACTORIES["constant"](level=level))
     f = empirical_spectrum(sample_initial(ens, spec), spec)
     # random phases leave the modulus profile exact replica by replica;
     # the zero mode is dropped by the amplitude variables and reads zero
     assert f[0] == 0.0
     assert np.allclose(f[1:], level, atol=1e-12)
-    assert f.shape == (spec.N,)
+    assert f.shape == (spec.m,)
