@@ -16,8 +16,8 @@ binding, the median peak resident memory of the interpreter after the draw
 ``_hashlib`` (and with it libcrypto, about 3.5 MiB) got loaded, and the
 kinlat modules then loaded.  The first row imports ``kinlat.cli`` and binds
 no lane.  ``oracle-suite`` also imports ``kinlat._reference`` and
-``numpy.random`` when its cases run, which the sheet does not count.  The
-kinlat source is this checkout's.
+``kinlat._ziggurat`` when its cases run, which the sheet does not count.
+The kinlat source is this checkout's.
 
 When ``PYTHONDONTWRITEBYTECODE`` is set, or no ``__pycache__`` is
 writable, every interpreter compiles kinlat from source; the sheet's header

@@ -35,7 +35,10 @@ __all__ = [
     "sigma_field_unfactorized",
     "shift_lines_loop",
     "free_streaming_density",
+    "pcg64_outputs_loop",
     "pcg64_uniforms_loop",
+    "ziggurat_attempts_loop",
+    "ziggurat_normals_loop",
 ]
 
 
@@ -399,16 +402,14 @@ def free_streaming_density(law, grid, t: float) -> np.ndarray:
     return law.density(x, r - v * t, v)
 
 
-def pcg64_uniforms_loop(seed: int, replica: int, n: int) -> np.ndarray:
-    """The first ``n`` of numpy's
-    ``default_rng(SeedSequence([seed, replica])).random()`` draws, in Python
-    integers, one LCG step at a time.
+def pcg64_outputs_loop(seed: int, replica: int):
+    """numpy's ``default_rng(SeedSequence([seed, replica]))`` draws as 64-bit
+    Python integers, one LCG step at a time, without end.
 
     SeedSequence hashes the entropy words of ``seed`` and ``replica`` (32
     bits each, least significant first) into a four-word pool, mixes it and
     hashes it out to four 64-bit seed words; PCG64 steps ``x -> M x + inc``
-    modulo 2**128 and outputs the XSL-RR of each new state; ``random()``
-    keeps the top 53 bits of an output.
+    modulo 2**128 and outputs the XSL-RR of each new state.
     """
     m32, m64, m128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
 
@@ -454,10 +455,63 @@ def pcg64_uniforms_loop(seed: int, replica: int, n: int) -> np.ndarray:
     inc = ((s[2] << 64 | s[3]) << 1 | 1) & m128
     x = inc  # one step from the zero state
     x = ((x + (s[0] << 64 | s[1])) * mult + inc) & m128
-    out = []
-    for _ in range(n):
+    while True:
         x = (x * mult + inc) & m128
         xored, rot = (x >> 64) ^ (x & m64), x >> 122
-        draw = ((xored >> rot) | (xored << (64 - rot))) & m64
-        out.append((draw >> 11) * 2.0**-53)
-    return np.array(out)
+        yield ((xored >> rot) | (xored << (64 - rot))) & m64
+
+
+def pcg64_uniforms_loop(seed: int, replica: int, n: int) -> np.ndarray:
+    """The first ``n`` of numpy's
+    ``default_rng(SeedSequence([seed, replica])).random()`` draws: the top
+    53 bits of each draw of :func:`pcg64_outputs_loop` times ``2**-53``."""
+    draws = pcg64_outputs_loop(seed, replica)
+    return np.array([(next(draws) >> 11) * 2.0**-53 for _ in range(n)])
+
+
+def ziggurat_attempts_loop(seed: int, replica: int):
+    """numpy's ``default_rng(SeedSequence([seed, replica])).standard_normal()``
+    attempts, one at a time from :func:`pcg64_outputs_loop`, as numpy's C
+    code makes them (``random_standard_normal``: the 256-layer ziggurat of
+    Marsaglia & Tsang with numpy's tables), without end.
+
+    Yields ``(path, x)``: the path ``"fast"``, ``"wedge"`` or ``"tail"`` of
+    each normal ``x``, and ``("wedge-rejected", None)`` for an attempt that
+    starts over.
+    """
+    from ._ziggurat import FI, INV_R, KI, R, WI
+
+    draws = pcg64_outputs_loop(seed, replica)
+
+    def next_double():
+        return (next(draws) >> 11) * 2.0**-53
+
+    ki, wi, fi = KI.tolist(), WI.tolist(), FI.tolist()
+    while True:
+        r = next(draws)
+        idx = r & 0xFF
+        r >>= 8
+        sign = r & 0x1
+        rabs = (r >> 1) & 0x000FFFFFFFFFFFFF
+        x = rabs * wi[idx]
+        if sign & 0x1:
+            x = -x
+        if rabs < ki[idx]:
+            yield "fast", x
+        elif idx == 0:
+            while True:
+                xx = -INV_R * math.log1p(-next_double())
+                yy = -math.log1p(-next_double())
+                if yy + yy > xx * xx:
+                    yield "tail", -(R + xx) if (rabs >> 8) & 0x1 else R + xx
+                    break
+        elif (fi[idx - 1] - fi[idx]) * next_double() + fi[idx] < math.exp(-0.5 * x * x):
+            yield "wedge", x
+        else:
+            yield "wedge-rejected", None
+
+
+def ziggurat_normals_loop(seed: int, replica: int, n: int) -> np.ndarray:
+    """The first ``n`` normals of :func:`ziggurat_attempts_loop`."""
+    normals = (x for _, x in ziggurat_attempts_loop(seed, replica) if x is not None)
+    return np.array(list(itertools.islice(normals, n)))

@@ -253,6 +253,9 @@ class GaussianLaw:
     velocities.
     """
 
+    # standard normals per site a replica takes: r's, then v's
+    draws = 2
+
     mean_r: Profile = 0.0
     mean_v: Profile = 0.0
     sigma_r: Profile = 1.0
@@ -264,13 +267,16 @@ class GaussianLaw:
             if not callable(width):
                 require(width >= 0.0, name, width, ">= 0")
 
-    def sample_sites(self, rng: np.random.Generator, x: np.ndarray):
+    def sample_sites(self, z: np.ndarray, x: np.ndarray):
+        """``(r, v)`` at the sites ``x`` from standard normals ``z`` of shape
+        ``batch + (2,) + x.shape[:-1]``: r's row, then v's."""
         mr, mv = _per_site(self.mean_r, x), _per_site(self.mean_v, x)
         sr, sv = _per_site(self.sigma_r, x), _per_site(self.sigma_v, x)
         if np.any(sr < 0.0) or np.any(sv < 0.0):
             raise ValueError("gaussian widths must be nonnegative")
-        r = mr + sr * rng.standard_normal(x.shape[:-1])
-        v = mv + sv * rng.standard_normal(x.shape[:-1])
+        axis = z.ndim - x.ndim
+        r = mr + sr * z.take(0, axis)
+        v = mv + sv * z.take(1, axis)
         return r, v
 
     def density(self, x: np.ndarray, r: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -290,11 +296,17 @@ class GaussianLaw:
 class PointLaw:
     """Deterministic initial data: point mass at (r0, v0), optionally x-dependent."""
 
+    draws = 0
+
     r0: Profile = 0.0
     v0: Profile = 0.0
 
-    def sample_sites(self, rng: np.random.Generator, x: np.ndarray):
-        return _per_site(self.r0, x), _per_site(self.v0, x)
+    def sample_sites(self, z: np.ndarray, x: np.ndarray):
+        """``(r, v)`` at the sites ``x`` for each of the ``batch`` replicas of
+        ``z``, shape ``batch + (0,) + x.shape[:-1]``."""
+        shape = z.shape[: z.ndim - x.ndim] + x.shape[:-1]
+        r, v = _per_site(self.r0, x), _per_site(self.v0, x)
+        return np.broadcast_to(r, shape), np.broadcast_to(v, shape)
 
 
 def cosine_gaussian_law(
@@ -316,21 +328,25 @@ LAWS = {"gaussian": GaussianLaw, "cosine-gaussian": cosine_gaussian_law, "point"
 def sample_ensemble(law, geom: TorusGrid, m: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Draw ``m`` independent replicas ``(r, v)``, i.i.d. across sites within each.
 
-    Replica ``i`` is generated from the child stream ``[seed, i]``, so the
-    data for a given replica index never depends on how many replicas are
-    requested or how they are batched.  A law that draws a non-finite entry
-    is refused with a ``ValueError``.
+    Replica ``i`` takes ``law.draws`` standard normals per site from the
+    stream ``[seed, i]`` (:func:`kinlat.rng.normals`: numpy's
+    ``default_rng(SeedSequence([seed, i])).standard_normal``, bit for bit),
+    so the data for a given replica index never depends on how many
+    replicas are requested or how they are batched.  Replicas are drawn in
+    blocks of at most ``rng.BLOCK`` draws (or one replica), so no temporary
+    grows with the ensemble.  A law that draws a non-finite entry is
+    refused with a ``ValueError``.
     """
+    # imported here, not at the top: parsing a law block imports this module
+    from .rng import normal_blocks
+
     if m < 1:
         raise ValueError(f"need at least one replica, got {m}")
     x = nodes(geom).reshape(-1, geom.d)
     r = np.empty((m, geom.n_nodes))
     v = np.empty((m, geom.n_nodes))
-    # numpy.random stays here (ziggurat normals): an own stream changes every
-    # sampled byte, so it waits on ROADMAP item 1a, then item 23 (kinlat.rng)
-    for i in range(m):
-        rng = np.random.default_rng(np.random.SeedSequence([seed, i]))
-        r[i], v[i] = law.sample_sites(rng, x)
+    for rows, z in normal_blocks(seed, range(m), (law.draws, geom.n_nodes)):
+        r[rows], v[rows] = law.sample_sites(z, x)
     if not (np.all(np.isfinite(r)) and np.all(np.isfinite(v))):
         raise ValueError("sampled entries must be finite")
     return r, v

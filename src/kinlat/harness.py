@@ -643,11 +643,11 @@ def _oracle_cases(seed: int) -> list[Budget]:
     from . import _reference as ref
     from .chain import chain_force_flat
     from .lattice import dft, inverse_dft, weighted_inner
-    from .rng import uniforms
+    from .rng import Stream, normals, uniforms
     from .vlasov import _shift_lines, sigma_field
     from .waves import rhs
 
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 0xFACE]))
+    rng = Stream(seed, 0xFACE)
     cases = []
 
     lat = TorusGrid(1, 9)
@@ -687,7 +687,7 @@ def _oracle_cases(seed: int) -> list[Budget]:
     )
     gap = 0.0
     for geom, fpar in chains:
-        r = rng.standard_normal(geom.n_nodes)
+        r = rng.standard_normal((geom.n_nodes,))
         want = ref.chain_force_pairs(r, geom, fpar)
         gap = max(gap, float(np.max(np.abs(chain_force_flat(r, geom, fpar) - want))))
     cases.append(Budget("chain-force-vs-pairs", gap, 1e-12))
@@ -736,6 +736,11 @@ def _oracle_cases(seed: int) -> list[Budget]:
     want = [ref.pcg64_uniforms_loop(seed, i, 40) for i in (0, 2**16 + 1)]
     gap = float(np.max(np.abs(uniforms(seed, (0, 2**16 + 1), (40,)) - want)))
     cases.append(Budget("wave-sampler-vs-loop", gap, 0.0))
+
+    # at seeds 0-7, 400 normals of each stream take 4-11 wedge slow paths
+    want = [ref.ziggurat_normals_loop(seed, i, 400) for i in (0, 2**16 + 1)]
+    gap = float(np.max(np.abs(normals(seed, (0, 2**16 + 1), (2, 200)).reshape(2, -1) - want)))
+    cases.append(Budget("chain-sampler-vs-loop", gap, 0.0))
 
     return cases
 

@@ -243,6 +243,35 @@ def test_sampling_is_replica_keyed():
     assert np.array_equal(big[1][:3], small[1])
 
 
+def test_each_replica_is_numpys_normals_through_the_law():
+    # replica i reads 2n normals of numpy's stream [seed, i], r's then v's,
+    # and keeps its bytes whether it is drawn alone or among eight
+    law = GaussianLaw(lambda x: np.sin(2 * np.pi * x[..., 0]), -0.5, 0.3, lambda x: 1.0 + x[..., 0])
+    x = nodes(GEOM).reshape(-1, 1)
+    many = sample_ensemble(law, GEOM, 8, 41)
+    alone = sample_ensemble(law, GEOM, 1, 41)
+    assert np.array_equal(alone[0].view(np.uint64), many[0][:1].view(np.uint64))
+    assert np.array_equal(alone[1].view(np.uint64), many[1][:1].view(np.uint64))
+    for i in range(8):
+        gen = np.random.default_rng(np.random.SeedSequence([41, i]))
+        r = np.sin(2 * np.pi * x[:, 0]) + 0.3 * gen.standard_normal(GEOM.n_nodes)
+        v = -0.5 + (1.0 + x[:, 0]) * gen.standard_normal(GEOM.n_nodes)
+        assert np.array_equal(many[0][i].view(np.uint64), r.view(np.uint64)), i
+        assert np.array_equal(many[1][i].view(np.uint64), v.view(np.uint64)), i
+
+
+def test_a_point_law_draws_nothing(monkeypatch):
+    from kinlat import rng
+
+    def refuse(*args):
+        raise AssertionError("a stream was seeded")
+
+    monkeypatch.setattr(rng, "_starts", refuse)
+    r, v = sample_ensemble(PointLaw(0.5, lambda x: x[..., 0]), GEOM, 3, 9)
+    assert r.shape == v.shape == (3, GEOM.n_nodes)
+    assert np.all(r == 0.5) and np.array_equal(v, np.tile(nodes(GEOM)[:, 0], (3, 1)))
+
+
 def test_gaussian_law_profiles_vary_with_x():
     law = GaussianLaw(mean_r=lambda x: np.cos(2 * np.pi * x[..., 0]), sigma_r=0.0, sigma_v=0.0)
     r, v = sample_ensemble(law, GEOM, 2, 0)

@@ -39,6 +39,7 @@ from kinlat.io import (
 )
 from kinlat.lattice import TorusGrid, nodes
 from kinlat.profiles import FACTORIES
+from kinlat.rng import normals
 from kinlat.vlasov import PhaseGrid
 
 
@@ -523,7 +524,7 @@ def _probe(built):
     """What a profile or a law produces, for comparing two of them."""
     if callable(built):
         return built(nodes(TorusGrid(2, 6)))
-    return built.sample_sites(np.random.default_rng(0), nodes(TorusGrid(1, 8)))
+    return built.sample_sites(normals(0, [0], (built.draws, 8))[0], nodes(TorusGrid(1, 8)))
 
 
 class TestDeclarations:

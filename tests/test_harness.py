@@ -747,7 +747,7 @@ class TestCli:
 
 # pipeline -> (small config, kinlat modules its process must not load)
 LANE_RUNS = {
-    "wt-sim": (_wave_doc(), {"chain", "vlasov", "compare", "_reference"}),
+    "wt-sim": (_wave_doc(), {"chain", "vlasov", "compare", "_reference", "_ziggurat"}),
     "wt-compare": (
         {
             "pipeline": "wt-compare",
@@ -756,7 +756,7 @@ LANE_RUNS = {
             "kinetic": {"d": 1, "m": 8, "epsilon": 0.3, "dtau": 0.01},
             "compare": {"tau_final": 0.02},
         },
-        {"chain", "vlasov", "_reference"},
+        {"chain", "vlasov", "_reference", "_ziggurat"},
     ),
     "wt-kinetic": (
         {
@@ -764,11 +764,11 @@ LANE_RUNS = {
             "seed": 1,
             "kinetic": {"d": 1, "m": 8, "epsilon": 0.3, "dtau": 0.01, "n_steps": 2},
         },
-        {"chain", "vlasov", "waves", "rng", "compare", "_reference"},
+        {"chain", "vlasov", "waves", "rng", "compare", "_reference", "_ziggurat"},
     ),
     "chain-sim": (
         {"pipeline": "chain-sim", "seed": 9, "chain": {"n": 16, "dt": 1e-3, "n_steps": 5}},
-        {"waves", "rng", "kinetic", "compare", "_reference"},
+        {"waves", "kinetic", "compare", "_reference"},
     ),
     "vlasov": (
         {
@@ -776,7 +776,7 @@ LANE_RUNS = {
             "seed": 0,
             "vlasov": {"mx": 4, "mr": 16, "mv": 16, "r_max": 0.5, "v_max": 0.5, "n_steps": 2},
         },
-        {"waves", "rng", "kinetic", "_reference"},
+        {"waves", "rng", "kinetic", "_reference", "_ziggurat"},
     ),
     "mf-compare": (
         {
@@ -786,22 +786,22 @@ LANE_RUNS = {
             "vlasov": {"mx": 8, "mr": 16, "mv": 16, "r_max": 0.5, "v_max": 1.0},
             "compare": {"t_final": 0.05},
         },
-        {"waves", "rng", "kinetic", "_reference"},
+        {"waves", "kinetic", "_reference"},
     ),
     "oracle-suite": ({"pipeline": "oracle-suite", "seed": 5}, set()),
 }
 
-# run -> whether it still loads numpy.random: chain sampling and the oracle
-# cases' own data draw through numpy's Generator, wave phases do not
+# run -> whether it still loads numpy.random: wave phases, chain sites and
+# the oracle cases' own data all draw from kinlat.rng, so none does
 STILL_LOADS_NUMPY_RANDOM = {
     "wt-sim": False,
     "wt-sim sweep": False,
     "wt-compare": False,
     "wt-kinetic": False,
     "vlasov": False,
-    "chain-sim": True,
-    "mf-compare": True,
-    "oracle-suite": True,
+    "chain-sim": False,
+    "mf-compare": False,
+    "oracle-suite": False,
 }
 
 _MODULES_AFTER_RUN = """
@@ -868,7 +868,7 @@ class TestLanes:
     @pytest.mark.parametrize("pipeline", sorted(STILL_LOADS_NUMPY_RANDOM))
     def test_only_chain_and_oracle_runs_load_numpy_random(self, tmp_path, pipeline):
         # manifest digests and the config hash come from the built-in SHA-256,
-        # and wave phases from kinlat.rng; numpy.random would add OpenSSL's
+        # and every draw from kinlat.rng; numpy.random would add OpenSSL's
         # binding (_hashlib, libcrypto) through secrets -> hashlib
         if pipeline == "wt-sim sweep":
             doc = _wave_doc() | {"sweep": {"axis": "wave.lam", "values": [0.3, 0.2]}}
