@@ -8,12 +8,20 @@ many threads run the children of a sweep.
 Exit codes: 0 success, 1 configuration or usage problem, 2 numerical failure
 (a last-good snapshot path is printed when one was written), 3 failed
 ``--check`` assertions.
+
+Before numpy loads, ``OPENBLAS_THREAD_TIMEOUT`` defaults to 4, so OpenBLAS's
+idle workers sleep at once instead of spinning; a caller's value wins.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
+
+# kinlat's GEMMs are too small for OpenBLAS to split, so its workers never
+# get work: let them sleep after 2^4 cycles, not spin for 2^28
+os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "4")
 
 from .config import PIPELINES, parse_config, read_doc
 from .errors import CheckFailure, ConfigError, NumericalBlowupError

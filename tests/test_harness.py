@@ -624,13 +624,15 @@ class TestSweep:
         assert sorted(built) == sorted(values)
 
 
-def _python(args, cwd):
-    # the child runs in cwd, so a relative src entry on PYTHONPATH would miss
+def _python(args, cwd, **env):
+    # the child runs in cwd, so a relative src entry on PYTHONPATH would miss;
+    # env entries override the inherited environment, and None unsets one
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path, **env)
     return subprocess.run(
         [sys.executable, *args],
         cwd=cwd,
-        env=dict(os.environ, PYTHONPATH=path),
+        env={k: v for k, v in env.items() if v is not None},
         capture_output=True,
         text=True,
         timeout=300,
@@ -639,6 +641,22 @@ def _python(args, cwd):
 
 def _cli(args, cwd):
     return _python(["-m", "kinlat.cli", *args], cwd)
+
+
+# CPU seconds of every thread but the main one, 0.3 s after importing the CLI
+_IDLE_THREADS = """
+import json, os, time
+import kinlat.cli
+time.sleep(0.3)
+tasks = "/proc/self/task"
+others = [t for t in os.listdir(tasks) if int(t) != os.getpid()] if os.path.isdir(tasks) else []
+ticks = 0
+for t in others:
+    with open(f"{tasks}/{t}/stat") as fh:
+        ticks += sum(map(int, fh.read().rsplit(")", 1)[1].split()[11:13]))  # utime, stime
+cpu_s = ticks / os.sysconf("SC_CLK_TCK")
+print(json.dumps({"timeout": os.environ.get("OPENBLAS_THREAD_TIMEOUT"), "others": len(others), "cpu_s": cpu_s}))
+"""
 
 
 class TestCli:
@@ -734,6 +752,22 @@ class TestCli:
         assert disk["files"] == []
         assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
 
+    def test_idle_blas_workers_sleep(self, tmp_path):
+        # kinlat's GEMMs are too small for OpenBLAS to split, so its workers
+        # never get work; by default each would spin 0.06-0.10 s of CPU first
+        res = _python(["-c", _IDLE_THREADS], tmp_path, OPENBLAS_THREAD_TIMEOUT=None)
+        assert res.returncode == 0, res.stderr
+        report = json.loads(res.stdout)
+        if not report["others"]:
+            pytest.skip("no /proc/self/task, or no thread besides the main one")
+        assert report["cpu_s"] <= 0.02
+        assert report["timeout"] == "4"
+
+    def test_a_callers_openblas_thread_timeout_wins(self, tmp_path):
+        res = _python(["-c", _IDLE_THREADS], tmp_path, OPENBLAS_THREAD_TIMEOUT="12")
+        assert res.returncode == 0, res.stderr
+        assert json.loads(res.stdout)["timeout"] == "12"
+
     def test_seed_override_changes_hash(self, tmp_path):
         cfgp = tmp_path / "run.json"
         cfgp.write_text(json.dumps({"pipeline": "oracle-suite", "seed": 2}))
@@ -789,19 +823,6 @@ LANE_RUNS = {
         {"waves", "kinetic", "_reference"},
     ),
     "oracle-suite": ({"pipeline": "oracle-suite", "seed": 5}, set()),
-}
-
-# run -> whether it still loads numpy.random: wave phases, chain sites and
-# the oracle cases' own data all draw from kinlat.rng, so none does
-STILL_LOADS_NUMPY_RANDOM = {
-    "wt-sim": False,
-    "wt-sim sweep": False,
-    "wt-compare": False,
-    "wt-kinetic": False,
-    "vlasov": False,
-    "chain-sim": False,
-    "mf-compare": False,
-    "oracle-suite": False,
 }
 
 _MODULES_AFTER_RUN = """
@@ -865,8 +886,8 @@ class TestLanes:
         if pipeline == "wt-sim":
             assert "concurrent.futures" not in loaded
 
-    @pytest.mark.parametrize("pipeline", sorted(STILL_LOADS_NUMPY_RANDOM))
-    def test_only_chain_and_oracle_runs_load_numpy_random(self, tmp_path, pipeline):
+    @pytest.mark.parametrize("pipeline", sorted([*LANE_RUNS, "wt-sim sweep"]))
+    def test_no_run_loads_numpy_random_or_hashlib(self, tmp_path, pipeline):
         # manifest digests and the config hash come from the built-in SHA-256,
         # and every draw from kinlat.rng; numpy.random would add OpenSSL's
         # binding (_hashlib, libcrypto) through secrets -> hashlib
@@ -883,9 +904,8 @@ class TestLanes:
         assert report["exit"] == 0
         loaded = set(report["modules"])
         assert "kinlat.io" in loaded
-        assert ("numpy.random" in loaded) == STILL_LOADS_NUMPY_RANDOM[pipeline]
-        if not STILL_LOADS_NUMPY_RANDOM[pipeline]:
-            assert "_hashlib" not in loaded
+        assert "numpy.random" not in loaded
+        assert "_hashlib" not in loaded
 
     def test_mf_compare_drops_the_density_before_the_chain_side(self, tmp_path):
         # the PDE side runs first: no numpy.random while the density is built,
