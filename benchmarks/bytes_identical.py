@@ -21,7 +21,10 @@ an entry near zero does not read as a large change), and the largest
 absolute change ``max |a_i - b_i|``, ``b`` being the base side.  A single
 number that is itself round-off, such as a conserved quantity's drift,
 still reads as a large relative change; its absolute change shows that it
-is small.  The exit code is 1 on any byte difference or failed run, else 0.
+is small.  Each run names the exit code it must end with, 0 unless it is
+one of the numerical failures below (2); a run fails when its exit code is
+another one.  The exit code is 1 on any byte difference or failed run,
+else 0.
 
 The runs are inputs 0 and 5 of each perfbench workload (configs from
 ``perfbench/workloads.py``, imported, not edited), ``wt-compare`` at d = 1
@@ -36,6 +39,14 @@ half_width 32 (65 sites, the only run on the FFT side of
 ``wt-kinetic`` at m = 16 for 10 steps (the only run whose kinetic series
 and clock span more than 2 steps), and ``oracle-suite``, the only pipeline
 that runs ``lattice.dft`` and ``lattice.inverse_dft``.
+
+Seven runs end in a numerical failure (exit 2), one per way a lane writes
+its last-good snapshot: ``wt-sim`` on its default wave block, saved only at
+the end and again every 10 steps; ``wt-kinetic`` on its default block;
+``chain-sim`` and ``mf-compare`` at an unstable chain dt; and ``wt-compare``
+failing on its wave side and on its kinetic side, which keeps the finished
+``micro_*.csv``.  Their files and manifest results are compared as those
+of the other runs are.
 """
 
 from __future__ import annotations
@@ -49,12 +60,19 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
 
 CHILD = "import sys; from kinlat.cli import main; sys.exit(main(sys.argv[1:]))"
+
+
+class Run(NamedTuple):
+    command: str
+    doc: dict
+    exit: int = 0  # the exit code the run must end with
 
 
 def _wt_compare(d: int, half_width: int, m: int) -> dict:
@@ -67,24 +85,24 @@ def _wt_compare(d: int, half_width: int, m: int) -> dict:
     }
 
 
-def runs() -> dict[str, tuple[str, dict]]:
-    """Run name -> (kinlat command, config document)."""
+def runs() -> dict[str, Run]:
+    """Run name -> (kinlat command, config document, expected exit code)."""
     sys.path.insert(0, str(ROOT / "perfbench"))
     from workloads import WORKLOADS
 
     out = {
-        f"{name}-{i}": (w.command, w.config(i))
+        f"{name}-{i}": Run(w.command, w.config(i))
         for name, w in WORKLOADS.items()
         for i in (0, 5)
     }
-    out["wt-compare-d1"] = ("wt-compare", _wt_compare(1, 8, 32))
-    out["wt-compare-d2"] = ("wt-compare", _wt_compare(2, 4, 9))
-    out["chain-sim-saved"] = (
+    out["wt-compare-d1"] = Run("wt-compare", _wt_compare(1, 8, 32))
+    out["wt-compare-d2"] = Run("wt-compare", _wt_compare(2, 4, 9))
+    out["chain-sim-saved"] = Run(
         "chain-sim",
         {"pipeline": "chain-sim", "seed": 1, "chain": {"replicas": 4, "save_every": 100}},
     )
     law = {"kind": "cosine-gaussian", "amplitude": 0.2, "mode": 3}
-    out["chain-sim-n48"] = (
+    out["chain-sim-n48"] = Run(
         "chain-sim",
         {
             "pipeline": "chain-sim",
@@ -94,23 +112,44 @@ def runs() -> dict[str, tuple[str, dict]]:
     )
     profile = {"name": "torus-gaussian", "amplitude": 0.05, "width": 0.3}
     wave = {"d": 1, "half_width": 32, "lam": 0.01, "dt": 0.01, "n_steps": 20, "replicas": 4}
-    out["wt-sim-fft-d1"] = (
+    out["wt-sim-fft-d1"] = Run(
         "wt-sim",
         {"pipeline": "wt-sim", "seed": 1, "wave": wave | {"profile": profile}},
     )
-    out["mf-compare-default"] = (
+    out["mf-compare-default"] = Run(
         "mf-compare",
         {"pipeline": "mf-compare", "seed": 1, "chain": {}, "vlasov": {}, "compare": {}},
     )
-    out["vlasov-default"] = ("vlasov", {"pipeline": "vlasov", "seed": 1, "vlasov": {}})
+    out["vlasov-default"] = Run("vlasov", {"pipeline": "vlasov", "seed": 1, "vlasov": {}})
     kinetic = {"m": 16, "omega_floor": 0.05, "dtau": 0.01, "n_steps": 10}
-    out["wt-kinetic-steps"] = ("wt-kinetic", {"pipeline": "wt-kinetic", "seed": 1, "kinetic": kinetic})
-    out["oracle-suite"] = ("oracle-suite", {"pipeline": "oracle-suite", "seed": 1})
+    out["wt-kinetic-steps"] = Run("wt-kinetic", {"pipeline": "wt-kinetic", "seed": 1, "kinetic": kinetic})
+    out["oracle-suite"] = Run("oracle-suite", {"pipeline": "oracle-suite", "seed": 1})
+
+    # numerical failures: the default wave block leaves its bound at step 99,
+    # the default kinetic block on the step to tau 0.06, and chain dt 1 is
+    # past velocity Verlet's stability bound
+    out["wt-sim-fails"] = Run("wt-sim", {"pipeline": "wt-sim", "seed": 1, "wave": {}}, 2)
+    out["wt-sim-saved-fails"] = Run(
+        "wt-sim", {"pipeline": "wt-sim", "seed": 1, "wave": {"save_every": 10}}, 2
+    )
+    out["wt-kinetic-fails"] = Run("wt-kinetic", {"pipeline": "wt-kinetic", "seed": 1, "kinetic": {}}, 2)
+    out["chain-sim-unstable"] = Run(
+        "chain-sim",
+        {"pipeline": "chain-sim", "seed": 1, "chain": {"dt": 1.0, "replicas": 4, "save_every": 100}},
+        2,
+    )
+    mf = {"pipeline": "mf-compare", "seed": 1, "chain": {"dt": 1.0}, "vlasov": {}, "compare": {}}
+    out["mf-compare-unstable"] = Run("mf-compare", mf, 2)
+    wt = {"pipeline": "wt-compare", "seed": 1, "wave": {}, "kinetic": {}, "compare": {}}
+    out["wt-compare-wave-fails"] = Run("wt-compare", wt, 2)
+    wt = wt | {"wave": {"lam": 0.3, "dt": 0.02, "replicas": 4}, "compare": {"tau_final": 0.1}}
+    out["wt-compare-kinetic-fails"] = Run("wt-compare", wt, 2)
     return out
 
 
-def _run(src: Path, command: str, cfg: Path, out: Path) -> str:
-    """Run kinlat from ``src``; return "" or the failure."""
+def _run(src: Path, command: str, cfg: Path, out: Path, expect: int) -> str:
+    """Run kinlat from ``src``; return "" or, on an exit code other than
+    ``expect``, the failure."""
     env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
     res = subprocess.run(
         [sys.executable, "-c", CHILD, command, "--config", str(cfg), "--out", str(out)],
@@ -118,7 +157,9 @@ def _run(src: Path, command: str, cfg: Path, out: Path) -> str:
         capture_output=True,
         text=True,
     )
-    return "" if res.returncode == 0 else f"exit {res.returncode}: {res.stderr.strip()}"
+    if res.returncode == expect:
+        return ""
+    return f"exit {res.returncode}, expected {expect}: {res.stderr.strip()}"
 
 
 def _digests(out: Path) -> dict[str, str]:
@@ -204,13 +245,13 @@ def main(argv=None) -> int:
     sides = {"this": ROOT / "src", "base": args.base.resolve() / "src"}
     differ = []
     with tempfile.TemporaryDirectory() as tmp:
-        for name, (command, doc) in runs().items():
+        for name, (command, doc, expect) in runs().items():
             cfg = Path(tmp) / f"{name}.json"
             cfg.write_text(json.dumps(doc))
             digests = {}
             for side, src in sides.items():
                 out = Path(tmp) / side / name
-                failed = _run(src, command, cfg, out)
+                failed = _run(src, command, cfg, out, expect)
                 if failed:
                     differ.append(f"{name}: {side} run failed, {failed}")
                 digests[side] = _digests(out) if out.exists() else {}

@@ -70,18 +70,29 @@ _REQUIRED_BLOCKS = {
     "oracle-suite": (),
 }
 PIPELINES = tuple(_REQUIRED_BLOCKS)
-# pipeline -> (block, tagged field, reason): a field the pipeline fills from
-# another block, so a config must not give it and the resolved config omits it
+# pipeline -> its (block, field, reason) triples: each a field the pipeline
+# derives from another one, so a config must not give it and the resolved
+# config omits it
 _BORROWED = {
     "wt-compare": (
-        "kinetic",
-        "initial",
-        "the kinetic comparison starts from wave.profile, not its own profile",
+        (
+            "kinetic",
+            "initial",
+            "the kinetic comparison starts from wave.profile, not its own profile",
+        ),
+        ("wave", "n_steps", "the wave side runs to compare.tau_final / wave.lam**2"),
+        ("wave", "save_every", "the wave side of the comparison saves only at its end"),
+        ("kinetic", "n_steps", "the kinetic side runs to compare.tau_final"),
     ),
     "mf-compare": (
-        "vlasov",
-        "law",
-        "the mean-field comparison starts the transport side from chain.law, not its own law",
+        (
+            "vlasov",
+            "law",
+            "the mean-field comparison starts the transport side from chain.law, not its own law",
+        ),
+        ("chain", "n_steps", "the chain side runs to compare.t_final"),
+        ("chain", "save_every", "the chain side of the comparison saves only at its end"),
+        ("vlasov", "n_steps", "the transport side runs to compare.t_final"),
     ),
 }
 
@@ -381,8 +392,7 @@ def _check_blocks(cfg: RunConfig) -> None:
         if k.d > 1 and k.m != n:
             msg = f"kinetic.m {k.m} must be the {n} wave sites per axis at d > 1"
             raise ConfigError(msg, field="kinetic.m")
-    if cfg.pipeline in _BORROWED:
-        block, name, reason = _BORROWED[cfg.pipeline]
+    for block, name, reason in _BORROWED.get(cfg.pipeline, ()):
         if name in cfg.raw[block]:
             raise ConfigError(reason, field=f"{block}.{name}")
     if cfg.pipeline == "vlasov":
@@ -470,9 +480,11 @@ def resolved(cfg: RunConfig) -> dict:
 
     Each profile and law block lists every parameter of its kind, the
     defaults filled in from the factory's signature.  Blocks the run does
-    not read are left out: an absent block, and the field a pipeline fills
-    from another block (``kinetic.initial`` of ``wt-compare``, ``vlasov.law``
-    of ``mf-compare``).  So :func:`parse_config` takes the result back.
+    not read are left out: an absent block, and each field a pipeline
+    derives from another block (in ``wt-compare`` ``kinetic.initial`` and the
+    step fields ``wave.n_steps``, ``wave.save_every`` and ``kinetic.n_steps``;
+    in ``mf-compare`` ``vlasov.law``, ``chain.n_steps``, ``chain.save_every``
+    and ``vlasov.n_steps``).  So :func:`parse_config` takes the result back.
     """
 
     def walk(node):
@@ -486,7 +498,6 @@ def resolved(cfg: RunConfig) -> dict:
         return list(node) if isinstance(node, tuple) else node
 
     out = {k: v for k, v in walk(cfg).items() if v is not None}
-    if cfg.pipeline in _BORROWED:
-        block, name, _ = _BORROWED[cfg.pipeline]
+    for block, name, _ in _BORROWED.get(cfg.pipeline, ()):
         del out[block][name]
     return out

@@ -21,7 +21,10 @@ imported when ``run`` dispatches it, so a process loads only what it runs;
 ``_reference`` is imported by ``oracle-suite`` alone.  ``mf-compare`` runs
 its Vlasov side first and frees the density before the chain side allocates.
 Every lane holds bare arrays and no clock: each driver keeps its own as its
-step count times its step, never as a running sum.
+step count times its step, never as a running sum.  The wave, kinetic and
+chain lanes step between saves through one loop, :func:`_segments`, and a
+failed run keeps the state of its last save, or its start when it saves
+only at the end, as ``last_good`` (the kinetic lane saves every step).
 """
 
 from __future__ import annotations
@@ -256,13 +259,13 @@ def _file_entries(files, out_dir: Path) -> list[dict]:
 # ---------------------------------------------------------------------------
 
 
-def _integrate_ensemble(a, params, dt, n_steps, scheme, step0=0, t0=0.0):
+def _integrate_ensemble(a, params, dt, n_steps, scheme, step0=0):
     """Advance replica-stacked amplitudes one replica block at a time.
 
     Callable outside :func:`run`, so it binds the wave lane itself.
     ``a`` itself is left untouched, so a blowup in a later block still
     leaves the segment's starting state for the last-good snapshot.
-    ``step0`` and ``t0`` are the run's clock at the segment's start.  Each
+    ``step0`` is the run's step at the segment's start.  Each
     block runs the whole segment before the next starts, so a blowup is
     reported from the first block that fails, not at the earliest step; its
     message names that block's replicas and the later blocks left unstepped.
@@ -274,9 +277,7 @@ def _integrate_ensemble(a, params, dt, n_steps, scheme, step0=0, t0=0.0):
     for i in range(0, m, rows):
         stop = min(i + rows, m)
         try:
-            out[i:stop] = _integrate_array(
-                a[i:stop], params, dt, n_steps, scheme, step0=step0, t0=t0
-            )
+            out[i:stop] = _integrate_array(a[i:stop], params, dt, n_steps, scheme, step0=step0)
         except NumericalBlowupError as e:
             later = f"; later blocks ({_replica_span(stop, m)}) were not stepped" if stop < m else ""
             raise NumericalBlowupError(
@@ -289,15 +290,33 @@ def _replica_span(start: int, stop: int) -> str:
     return f"replica {start}" if stop == start + 1 else f"replicas {start}-{stop - 1}"
 
 
-def _evolve_waves(a, params, cfg: RunConfig, n_steps, out: Path, step0=0, t=0.0):
-    """``_integrate_ensemble``, writing replica 0 of ``a`` as the last-good snapshot on failure."""
+def _segments(state, n_steps, save_every, advance, last_good):
+    """Step ``state`` through ``n_steps``, yielding ``(state, done)`` every
+    ``save_every`` steps (the last segment may be short; 0 saves at the end
+    only).  ``advance(state, n, done)`` steps ``n`` from the run step ``done``;
+    on a blowup, ``last_good(state, done)`` writes the segment's starting
+    state, and the error carries the path it returns as ``snapshot``."""
+    seg_len = save_every or max(1, n_steps)
+    for done in range(0, n_steps, seg_len):
+        n = min(seg_len, n_steps - done)
+        try:
+            state = advance(state, n, done)
+        except NumericalBlowupError as e:
+            e.snapshot = str(last_good(state, done))
+            raise
+        yield state, done + n
+
+
+def _wave_lane(cfg: RunConfig, params, out: Path):
+    """The wave lane's ``advance`` and ``last_good``; replica 0 is the snapshot."""
     w = cfg.wave
-    try:
-        return _integrate_ensemble(a, params, w.dt, n_steps, w.scheme, step0, t)
-    except NumericalBlowupError as e:
-        meta = {"t": t, "lam": w.lam, "seed": cfg.seed, "d": w.d, "half_width": w.half_width}
-        e.snapshot = str(write_amplitude_snapshot(out / "last_good", a[0], params.grid, meta)[0])
-        raise
+    meta = {"lam": w.lam, "seed": cfg.seed, "d": w.d, "half_width": w.half_width}
+    return (
+        lambda a, n, done: _integrate_ensemble(a, params, w.dt, n, w.scheme, step0=done),
+        lambda a, done: write_amplitude_snapshot(
+            out / "last_good", a[0], params.grid, {"t": done * w.dt} | meta
+        )[0],
+    )
 
 
 def _drive_wave(cfg: RunConfig, out: Path):
@@ -312,13 +331,8 @@ def _drive_wave(cfg: RunConfig, out: Path):
     f = empirical_spectrum(a, grid)
     files = [write_spectrum_csv(out / "spectrum_initial.csv", f, grid, 0.0)]
 
-    seg_len = w.save_every if w.save_every > 0 else w.n_steps
-    t, done, drift = 0.0, 0, 0.0
-    rows = []
-    while done < w.n_steps:
-        seg = min(seg_len, w.n_steps - done)
-        a = _evolve_waves(a, params, cfg, seg, out, done, t)
-        done += seg
+    t, drift, rows = 0.0, 0.0, []
+    for a, done in _segments(a, w.n_steps, w.save_every, *_wave_lane(cfg, params, out)):
         t = done * w.dt
         f = empirical_spectrum(a, grid)
         rows.append((t, float(f.sum() * grid.cell_measure), energy_moment(f, grid)))
@@ -352,22 +366,13 @@ def _drive_wave(cfg: RunConfig, out: Path):
     return files, metrics, checks, []
 
 
-def _evolve_kinetic(f, grid, rule, k, n_steps, out: Path, diag=None, on_step=None):
-    """``evolve`` from tau 0, writing the last good spectrum as ``last_good.csv``
-    on failure; ``on_step(tau, f)`` sees each step's result at its time."""
-    last = [(0.0, f)]
-
-    def keep(i, new):
-        last[0] = ((i + 1) * k.dtau, new)
-        if on_step is not None:
-            on_step(*last[0])
-
-    try:
-        return evolve(f, grid, rule, k.dtau, n_steps, k.scheme, diag, keep)
-    except NumericalBlowupError as e:
-        tau, f = last[0]
-        e.snapshot = str(write_spectrum_csv(out / "last_good.csv", f, grid, tau))
-        raise
+def _kinetic_lane(cfg: RunConfig, grid, rule, out: Path, diag=None):
+    """The kinetic lane's ``advance`` and ``last_good`` for :func:`_segments`."""
+    k = cfg.kinetic
+    return (
+        lambda f, n, done: evolve(f, grid, rule, k.dtau, n, k.scheme, diag, step0=done),
+        lambda f, done: write_spectrum_csv(out / "last_good.csv", f, grid, done * k.dtau),
+    )
 
 
 def _drive_kinetic(cfg: RunConfig, out: Path):
@@ -377,12 +382,9 @@ def _drive_kinetic(cfg: RunConfig, out: Path):
     f = np.asarray(build_profile(k.initial)(nodes(grid)), dtype=np.float64)
     files = [write_spectrum_csv(out / "spectrum_initial.csv", f, grid, 0.0)]
     rows = [(0.0, float(f.sum() * grid.cell_measure), energy_moment(f, grid))]
-
-    def on_step(tau, f):
-        rows.append((tau, float(f.sum() * grid.cell_measure), energy_moment(f, grid)))
-
     diag = CollisionDiagnostics()
-    f = _evolve_kinetic(f, grid, rule, k, k.n_steps, out, diag, on_step)
+    for f, done in _segments(f, k.n_steps, 1, *_kinetic_lane(cfg, grid, rule, out, diag)):
+        rows.append((done * k.dtau, float(f.sum() * grid.cell_measure), energy_moment(f, grid)))
     tau = k.n_steps * k.dtau
     files.append(write_spectrum_csv(out / "spectrum_final.csv", f, grid, tau))
     files.append(
@@ -420,8 +422,8 @@ def _drive_wt_compare(cfg: RunConfig, out: Path):
     ens = EnsembleSpec(w.replicas, cfg.seed, build_profile(w.profile))
     a = sample_initial(ens, micro_grid)
     micro0 = empirical_spectrum(a, micro_grid)
-    a = _evolve_waves(a, params, cfg, n_steps, out)
-    micro = empirical_spectrum(a, micro_grid)
+    for a, _ in _segments(a, n_steps, 0, *_wave_lane(cfg, params, out)):
+        micro = empirical_spectrum(a, micro_grid)
     tau_micro = w.lam**2 * (n_steps * w.dt)  # report on the slow clock
     del a  # the kinetic side need not keep the ensemble alive
     # the finished wave side is written first, so a kinetic failure keeps it
@@ -437,11 +439,11 @@ def _drive_wt_compare(cfg: RunConfig, out: Path):
     kin0 = np.asarray(build_profile(w.profile)(nodes(grid)), dtype=np.float64)
     n_tau = max(1, round(c.tau_final / k.dtau))
     try:
-        kin = _evolve_kinetic(kin0, grid, rule, k, n_tau, out)
+        for kin, done in _segments(kin0, n_tau, 1, *_kinetic_lane(cfg, grid, rule, out)):
+            tau_kin = done * k.dtau
     except NumericalBlowupError as e:
         e.files = files
         raise
-    tau_kin = n_tau * k.dtau
 
     dist = compare_spectra(micro, micro_grid, kin, grid, tau_kin)
     dist0 = compare_spectra(micro0, micro_grid, kin0, grid, 0.0)
@@ -484,17 +486,17 @@ def _drive_wt_compare(cfg: RunConfig, out: Path):
     return files, metrics, checks, notes
 
 
-def _evolve_chain(r, v, geom, fp, dt, n_steps, t, out: Path):
-    """``verlet_evolve``, writing replica 0 of ``(r, v)`` at time ``t`` as the
-    last-good snapshot on failure."""
-    try:
-        return verlet_evolve(r, v, geom, fp, dt, n_steps)
-    except NumericalBlowupError as e:
-        # an unstable dt fails before the first step: the state given is last good
-        x = nodes(geom).reshape(-1, geom.d)
-        snap = write_chain_snapshot_csv(out / "last_good.csv", x, r[0], v[0], t)
-        e.snapshot = str(snap)
-        raise
+def _chain_lane(cfg: RunConfig, geom, fp, out: Path):
+    """The chain lane's ``advance`` and ``last_good`` on ``(r, v)``; replica 0
+    is the snapshot.  An unstable dt fails before the first step, so the state
+    a failed segment was given is its last good one."""
+    c = cfg.chain
+    return (
+        lambda rv, n, done: verlet_evolve(*rv, geom, fp, c.dt, n),
+        lambda rv, done: write_chain_snapshot_csv(
+            out / "last_good.csv", nodes(geom).reshape(-1, geom.d), rv[0][0], rv[1][0], done * c.dt
+        ),
+    )
 
 
 def _drive_chain(cfg: RunConfig, out: Path):
@@ -504,17 +506,14 @@ def _drive_chain(cfg: RunConfig, out: Path):
     r, v = sample_ensemble(build_law(c.law), geom, c.replicas, cfg.seed)
     e0, p0 = chain_energy(r, v, geom, fp), v.sum(axis=-1)  # per replica
     rows = [(0.0, float(np.mean(e0)), float(np.mean(p0)))]
-    seg_len = c.save_every if c.save_every > 0 else max(1, c.n_steps)
-    t, done, emax, pmax = 0.0, 0, 0.0, 0.0
-    while done < c.n_steps:
-        seg = min(seg_len, c.n_steps - done)
-        r, v = _evolve_chain(r, v, geom, fp, c.dt, seg, t, out)
-        done += seg
-        t = done * c.dt  # the run's clock, not a sum of segment lengths
+    emax, pmax = 0.0, 0.0
+    lane = _chain_lane(cfg, geom, fp, out)
+    for (r, v), done in _segments((r, v), c.n_steps, c.save_every, *lane):
         e, p = chain_energy(r, v, geom, fp), v.sum(axis=-1)
         emax = max(emax, float(np.max(np.abs(e - e0) / np.maximum(np.abs(e0), 1e-300))))
         pmax = max(pmax, float(np.max(np.abs(p - p0))))
-        rows.append((t, float(np.mean(e)), float(np.mean(p))))
+        rows.append((done * c.dt, float(np.mean(e)), float(np.mean(p))))
+    t = c.n_steps * c.dt  # the run's clock, not a sum of segment lengths
     files = [
         write_csv(
             out / "series.csv",
@@ -591,11 +590,11 @@ def _drive_mf_compare(cfg: RunConfig, out: Path):
     grid = PhaseGrid(vc.mx, vc.mr, vc.mv, vc.r_max, vc.v_max)
     n_chain, n_pde = mf_steps(c, vc, cfg.compare.t_final)
     law_chain, law_pde, sigma_pde = _paired_laws(cfg, grid)
+    advance, last_good = _chain_lane(cfg, geom, fp, out)
     try:  # an unstable dt fails here, before the density is built
         verlet_stability(geom, fp, c.dt)
-    except NumericalBlowupError:  # the map refuses the sampled state too, writing it as last good
-        r, v = sample_ensemble(law_chain, geom, c.replicas, cfg.seed)
-        _evolve_chain(r, v, geom, fp, c.dt, n_chain, 0.0, out)
+    except NumericalBlowupError as e:  # the sampled state is the last good one
+        e.snapshot = str(last_good(sample_ensemble(law_chain, geom, c.replicas, cfg.seed), 0))
         raise
     # the PDE side runs first and drops its density before the chain side allocates
     g = density_from_law(law_pde, grid)
@@ -604,11 +603,11 @@ def _drive_mf_compare(cfg: RunConfig, out: Path):
     g, diag = vlasov_evolve(g, grid, fp, vc.dt, n_pde, out=g)
     theirs = cell_moments_of_density(g, grid)
     del g
-    t = c.dt * n_chain
     r, v = sample_ensemble(law_chain, geom, c.replicas, cfg.seed)
     # the t=0 distance is the ensemble's sampling floor
     dist0 = meanfield_distance(theirs0, grid, 0.0, r, v, geom, 0.0)
-    r, v = _evolve_chain(r, v, geom, fp, c.dt, n_chain, 0.0, out)
+    for (r, v), done in _segments((r, v), n_chain, 0, advance, last_good):
+        t = done * c.dt
     # the two clocks agree to round-off; stamp them equal for the comparison
     dist = meanfield_distance(theirs, grid, t, r, v, geom, t)
     files = [

@@ -39,9 +39,10 @@ Stationarity anchor: the equilibrium family ``f = T/w`` annihilates both
 brackets on resonance, which the tests exploit as an oracle.
 
 A spectrum is a bare float64 array of the grid's shape, and its clock is
-the caller's: :func:`evolve` runs from tau 0, step ``i`` ending at
-``(i + 1) * dtau``.  This module only solves: the wave ensemble's spectrum
-is held against a kinetic one in :mod:`kinlat.compare`.
+the caller's: :func:`evolve` starts at the run's step ``step0``, and its
+step ``i`` ends at tau ``(step0 + i + 1) * dtau``.  This module only
+solves: the wave ensemble's spectrum is held against a kinetic one in
+:mod:`kinlat.compare`.
 """
 
 from __future__ import annotations
@@ -465,10 +466,11 @@ def evolve(
     n_steps: int,
     scheme: str = "rk4",
     diag: CollisionDiagnostics | None = None,
-    callback=None,
+    step0: int = 0,
 ) -> np.ndarray:
-    """Repeat :func:`step` from the spectrum array ``f`` at tau 0; step ``i``
-    ends at ``(i + 1) * dtau``, and ``callback(i, f)`` fires after it.
+    """Repeat :func:`step` from the spectrum array ``f`` at the run's step
+    ``step0``; step ``i`` is the run's step ``step0 + i``, ending at
+    ``(step0 + i + 1) * dtau``, and a blowup names that step and time.
 
     ``f`` must be finite and nonnegative, with the grid's shape; the steps
     that follow are held to ``BLOWUP_BOUND`` alone.
@@ -479,10 +481,8 @@ def evolve(
         raise SizeMismatchError(f"spectrum shape {f.shape} does not match grid {grid.shape}")
     if not (np.all(np.isfinite(f)) and f.min() >= 0.0):
         raise ValueError(f"spectrum must be finite and nonnegative, min value {f.min():.3e}")
-    for i in range(n_steps):
+    for i in range(step0, step0 + n_steps):
         f = step(f, grid, rule, dtau, scheme, diag, index=i)
-        if callback is not None:
-            callback(i, f)
     return f
 
 

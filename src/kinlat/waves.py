@@ -312,11 +312,10 @@ def _integrate_array(
     n_steps: int,
     scheme: str = "exponential",
     step0: int = 0,
-    t0: float = 0.0,
 ) -> np.ndarray:
     """Batched core: steps ``a(+)`` in FFT order, shape ``batch + (m,)*d``,
-    into a new array; ``b`` itself is not written.  ``step0`` and ``t0``
-    are the run's clock at the start, which a blowup reports in.  Each
+    into a new array; ``b`` itself is not written.  ``step0`` is the run's
+    step at the start, which a blowup's step and time count from.  Each
     stage calls :func:`wave_nonlinear` once.
     """
     check_step("dt", dt)
@@ -355,14 +354,15 @@ def _integrate_array(
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(n_steps):
             b = step(b)
-            _maybe_check(b, i, n_steps, step0, t0 + (i + 1) * dt)
+            _maybe_check(b, i, n_steps, step0, dt)
     return b
 
 
-def _maybe_check(a: np.ndarray, i: int, n_steps: int, step0: int, t: float) -> None:
+def _maybe_check(a: np.ndarray, i: int, n_steps: int, step0: int, dt: float) -> None:
     if i % CHECK_EVERY == CHECK_EVERY - 1 or i == n_steps - 1:
         peak = np.max(np.abs(a))
         if not np.isfinite(peak) or peak > BLOWUP_BOUND:
+            t = (step0 + i + 1) * dt
             raise NumericalBlowupError(f"amplitude peak {peak:.3e} at t {t:.6g}", step=step0 + i)
 
 

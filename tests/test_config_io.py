@@ -59,7 +59,6 @@ def _mf_doc():
             "n": 32,
             "alpha": 0.5,
             "dt": 1e-3,
-            "n_steps": 100,
             "replicas": 4,
             "law": {"kind": "cosine-gaussian", "amplitude": 0.1, "sigma_v": 0.05},
         },
@@ -368,6 +367,16 @@ INVALID = [
     # wt-compare holds both spectra on one dimension; at d = 2 on one grid
     ("wave.d", 2, "kinetic.d"),
     (("wave.d", "kinetic.d"), (2, 2), "kinetic.m"),
+    # a comparison takes each side's step count from compare.tau_final or
+    # compare.t_final, and saves each side once, at its end
+    ("wave.n_steps", 7, "wave.n_steps"),
+    (("wave.n_steps", "wave.save_every"), (7, 5), "wave.n_steps"),
+    ("wave.save_every", 5, "wave.save_every"),
+    ("kinetic.n_steps", 3, "kinetic.n_steps"),
+    ("sweep", {"axis": "kinetic.n_steps", "values": [3]}, "sweep.values.0"),
+    (("pipeline", "chain.n_steps"), ("mf-compare", 100), "chain.n_steps"),
+    (("pipeline", "chain.save_every"), ("mf-compare", 10), "chain.save_every"),
+    (("pipeline", "vlasov.n_steps"), ("mf-compare", 50), "vlasov.n_steps"),
 ]
 
 

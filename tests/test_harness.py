@@ -249,6 +249,20 @@ class TestRun:
             assert row[1] == pytest.approx(e, rel=1e-12)
             assert abs(row[2] - float(np.mean(v.sum(axis=-1)))) < 1e-12
 
+    def test_wave_series_rows_when_save_every_does_not_divide_the_run(self, tmp_path):
+        # segments of 10, 10 and 5 steps: one row per segment end, at the run's
+        # clock, and the final state of the same run saved only at its end
+        dt = _wave_doc()["wave"]["dt"]
+        run(parse_config(_wave_doc(n_steps=25, save_every=10)), out=tmp_path / "saved")
+        run(parse_config(_wave_doc(n_steps=25, save_every=0)), out=tmp_path / "once")
+        lines = (tmp_path / "saved" / "series.csv").read_text().splitlines()
+        assert [float(ln.split(",")[0]) for ln in lines if ln[0].isdigit()] == [
+            k * dt for k in (10, 20, 25)
+        ]
+        for name in ("spectrum_final.csv", "amplitudes_final_r0.csv", "amplitudes_final_r0.json"):
+            saved, once = (tmp_path / side / name for side in ("saved", "once"))
+            assert saved.read_bytes() == once.read_bytes(), name
+
     def test_chain_unstable_dt_fails_before_any_step(self, tmp_path):
         # dt sqrt(-s) is far past the Verlet stability bound of 2 on the top
         # modes; the run fails on its first segment before any step, and
@@ -435,6 +449,8 @@ class TestRun:
         run(parse_config(doc), out=tmp_path / "mf")
         disk = _manifest_of(tmp_path / "mf")
         assert disk["config_hash"] == config_hash(parse_config(doc))
+        # the step fields the comparison derives from compare.t_final are left out
+        assert "n_steps" not in disk["config_resolved"]["chain"]
         law = disk["config_resolved"]["chain"]["law"]
         assert law == {"kind": "cosine-gaussian", "amplitude": 0.2, "mode": 1, "sigma_r": 0.0, "sigma_v": 0.1}
         doc = _wave_doc(n_steps=2, profile={"name": "rayleigh-jeans", "temperature": 0.1})

@@ -25,6 +25,7 @@ from kinlat.kinetic import (
     step,
 )
 from kinlat.lattice import TorusGrid, nodes
+from kinlat.profiles import FACTORIES
 
 
 @pytest.mark.parametrize(
@@ -281,15 +282,22 @@ def test_step_clips_negatives_into_diagnostics():
     assert diag.clip_events >= 1 and diag.clipped_mass > 0.0
 
 
-def test_evolve_calls_back_after_each_step():
+def test_evolve_from_step0_continues_the_run(rng):
+    # 3 steps and then 2 more from step0=3 are one 5-step run, bit for bit
     grid = TorusGrid(1, 8)
     rule = ResonanceRule(0.3)
-    f = np.full(grid.shape, 0.5)
-    seen = []
-    out = evolve(f, grid, rule, 0.01, 5, callback=lambda i, s: seen.append((i, s)))
-    assert [i for i, _ in seen] == [0, 1, 2, 3, 4]
-    assert np.array_equal(seen[0][1], step(f, grid, rule, 0.01))
-    assert seen[-1][1] is out
+    f = rng.uniform(0.3, 0.8, size=grid.shape)
+    split = evolve(evolve(f, grid, rule, 0.01, 3), grid, rule, 0.01, 2, step0=3)
+    assert np.array_equal(split, evolve(f, grid, rule, 0.01, 5))
+    # the default wt-kinetic block leaves its bounds on the run's step 2, to
+    # tau 0.06; a call from step0=1 names that step and tau, not its own
+    grid = TorusGrid(1, 32)
+    f0 = FACTORIES["torus-gaussian"](amplitude=1.0, width=0.5)(nodes(grid))
+    f1 = evolve(f0, grid, rule, 0.02, 1)
+    with pytest.raises(NumericalBlowupError) as err:
+        evolve(f1, grid, rule, 0.02, 5, step0=1)
+    assert err.value.step == 2
+    assert str(err.value).startswith("step 2: collision step to tau 0.06 left bounds")
 
 
 def test_euler_converges_to_rk4(rng):
